@@ -13,11 +13,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from dstlab import lab
-from dstlab.config import ExperimentConfig
+# Run from a checkout without installing: the package lives in ../src.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-BENCHMARK_MASTER_SEED = 4
-BENCHMARK_DATA_SEED = 11
+from dstlab import lab  # noqa: E402
+from dstlab.config import benchmark_config  # noqa: E402
 
 VARIANTS = {
     "full": {},
@@ -39,13 +39,7 @@ def main(argv=None) -> int:
 
     trailing: dict[str, float] = {}
     for name, flags in VARIANTS.items():
-        cfg = ExperimentConfig(
-            master_seed=BENCHMARK_MASTER_SEED,
-            data_seed=BENCHMARK_DATA_SEED,
-            scatter_every=0,
-            noise_rate=args.noise_rate,
-            **flags,
-        )
+        cfg = benchmark_config(noise_rate=args.noise_rate, **flags)
         run_dir = lab.run(cfg, parent / name)
         summary = lab.load_summary(run_dir)
         trailing[name] = summary["accuracy"]["ensemble"]["last10_mean"]

@@ -16,27 +16,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from dstlab import lab
-from dstlab.config import ExperimentConfig
+# Run from a checkout without installing: the package lives in ../src.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-# The benchmark setup: 4 blobs x 1000 samples in 2-D, spread 0.5, half the
-# labels redrawn uniformly, 2-64-64-4 networks on the desk schedule.
-BENCHMARK_MASTER_SEED = 4
-BENCHMARK_DATA_SEED = 11
-
-# The memorization regime changes three things only: 20-D blobs, 150
-# training samples per class and 20-256-256-4 networks, which can fit the
-# noisy labels outright. Seeds, noise and schedule stay as above.
-MEMORIZATION = {"n_features": 20, "per_class": 150, "hidden_sizes": [256, 256]}
-
-
-def benchmark_config(**overrides) -> ExperimentConfig:
-    return ExperimentConfig(
-        master_seed=BENCHMARK_MASTER_SEED,
-        data_seed=BENCHMARK_DATA_SEED,
-        scatter_every=0,
-        **overrides,
-    )
+from dstlab import lab  # noqa: E402
+from dstlab.config import MEMORIZATION, benchmark_config  # noqa: E402
 
 
 def main(argv=None) -> int:

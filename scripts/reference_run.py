@@ -14,20 +14,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from dstlab import lab
-from dstlab.config import ExperimentConfig
+# Run from a checkout without installing: the package lives in ../src.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-BENCHMARK_MASTER_SEED = 4
-BENCHMARK_DATA_SEED = 11
-
-
-def benchmark_config(**overrides) -> ExperimentConfig:
-    return ExperimentConfig(
-        master_seed=BENCHMARK_MASTER_SEED,
-        data_seed=BENCHMARK_DATA_SEED,
-        scatter_every=0,
-        **overrides,
-    )
+from dstlab import lab  # noqa: E402
+from dstlab.config import benchmark_config  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -127,6 +127,28 @@ class ExperimentConfig:
         return [self.n_features] + [int(h) for h in self.hidden_sizes] + [self.n_classes]
 
 
+# The acceptance benchmark: 4 blobs x 1000 samples in 2-D, spread 0.5, half
+# the labels redrawn uniformly, 2-64-64-4 networks on the default schedule,
+# with these seeds and only the final loss cloud dumped.
+BENCHMARK_MASTER_SEED = 4
+BENCHMARK_DATA_SEED = 11
+
+# The memorization regime changes three things only: 20-D blobs, 150
+# training samples per class and 20-256-256-4 networks, which can fit the
+# noisy labels outright. Seeds, noise and schedule stay as in the benchmark.
+MEMORIZATION = {"n_features": 20, "per_class": 150, "hidden_sizes": [256, 256]}
+
+
+def benchmark_config(**overrides) -> ExperimentConfig:
+    """The acceptance benchmark config, with any field overridden."""
+    return ExperimentConfig(
+        master_seed=BENCHMARK_MASTER_SEED,
+        data_seed=BENCHMARK_DATA_SEED,
+        scatter_every=0,
+        **overrides,
+    )
+
+
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 _INT_FIELDS = {

@@ -21,13 +21,7 @@ from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
 from .network import save_checkpoint
 from .rng import RngStreams, derive_seed, stream
-from .training import (
-    NetworkPair,
-    accuracy,
-    ensemble_accuracy,
-    plain_ce_epoch,
-    run_dst_epoch,
-)
+from .training import NET_NAMES, NetworkPair, evaluate, plain_ce_epoch, run_dst_epoch
 
 OUTPUT_ROOT_ENV = "DSTLAB_OUTPUT_ROOT"
 
@@ -145,6 +139,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     )
 
     history: dict[str, list[float]] = {"net1": [], "net2": [], "ensemble": []}
+    ensemble = ("net1",) if ablation.single_network else NET_NAMES
     fallback_epochs: dict[str, list[int]] = {"net1": [], "net2": []}
     last_selection: dict | None = None
 
@@ -183,18 +178,14 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
             if epoch == schedule.total_epochs:
                 last_selection = selection
 
-        acc1 = accuracy(pair.net1, test.features, test.true_labels)
-        acc2 = accuracy(pair.net2, test.features, test.true_labels)
-        ensemble_nets = [pair.net1] if ablation.single_network else [pair.net1, pair.net2]
-        acc_e = ensemble_accuracy(ensemble_nets, test.features, test.true_labels)
-        history["net1"].append(acc1)
-        history["net2"].append(acc2)
-        history["ensemble"].append(acc_e)
+        test_accuracy = evaluate(pair.nets(), test.features, test.true_labels, ensemble)
+        for name, series in history.items():
+            series.append(test_accuracy[name])
         report = {
             "epoch": epoch,
             "phase": phase,
             "learning_rate": lr,
-            "test_accuracy": {"net1": acc1, "net2": acc2, "ensemble": acc_e},
+            "test_accuracy": test_accuracy,
             "selection": selection,
         }
         (run_dir / "reports" / f"epoch_{epoch:03d}.json").write_text(

@@ -9,7 +9,9 @@ which is the space the mixture model and its anchor means live in.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -83,25 +85,34 @@ def write_scatter(
     prof: LossProfile,
     states: np.ndarray,
 ) -> None:
-    """Dump one network's normalized loss cloud for one epoch as CSV."""
+    """Dump one network's normalized loss cloud for one epoch as CSV.
+
+    Floats are written with `%.17g`, so they round-trip exactly. The
+    header and the constant `epoch,net` prefix go through `csv.writer`
+    once (quoting, `\\r\\n` terminator); the rows are formatted in bulk.
+    """
     if prof.nrm_nis is None or prof.nrm_prd is None:
         raise StructuralError("scatter dump requires a normalized profile")
-    if np.asarray(states).shape != (prof.n_samples,):
+    states = np.asarray(states)
+    if states.shape != (prof.n_samples,):
         raise StructuralError("one audit state per sample required")
+    head = io.StringIO()
+    writer = csv.writer(head)
+    writer.writerow(SCATTER_HEADER)
+    header_end = head.tell()
+    writer.writerow([epoch, net])
+    text = head.getvalue()
+    prefix = text[header_end:].removesuffix("\r\n")
+    row = prefix.replace("%", "%%") + ",%d,%.17g,%.17g,%.17g,%.17g,%d,%d\r\n"
+    columns = [
+        range(prof.n_samples),
+        prof.l_nis.tolist(),
+        prof.l_prd.tolist(),
+        prof.nrm_nis.tolist(),
+        prof.nrm_prd.tolist(),
+        prof.predicted.tolist(),
+        states.tolist(),
+    ]
+    body = (row * prof.n_samples) % tuple(chain.from_iterable(zip(*columns)))
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCATTER_HEADER)
-        for i in range(prof.n_samples):
-            writer.writerow(
-                [
-                    epoch,
-                    net,
-                    i,
-                    f"{prof.l_nis[i]:.17g}",
-                    f"{prof.l_prd[i]:.17g}",
-                    f"{prof.nrm_nis[i]:.17g}",
-                    f"{prof.nrm_prd[i]:.17g}",
-                    int(prof.predicted[i]),
-                    int(states[i]),
-                ]
-            )
+        fh.write(text[:header_end] + body)

@@ -136,6 +136,29 @@ def _divide(
     )
 
 
+def _divide_each(
+    profiles: dict[str, LossProfile],
+    anchors: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+    tau_r: float,
+    tau_prd: float,
+) -> tuple[dict[str, Division | None], dict[str, str]]:
+    """One mixture fit per source profile; a failed fit yields None and its error."""
+    anchors = DEFAULT_ANCHORS if anchors is None else np.asarray(anchors, dtype=np.float64)
+    divisions: dict[str, Division | None] = {}
+    fit_errors: dict[str, str] = {}
+    for source, prof in profiles.items():
+        try:
+            divisions[source] = _divide(
+                prof, source, anchors, tol, max_iter, tau_r, tau_prd
+            )
+        except GmmFitError as exc:
+            divisions[source] = None
+            fit_errors[source] = str(exc)
+    return divisions, fit_errors
+
+
 def co_divide(
     prof_net1: LossProfile,
     prof_net2: LossProfile,
@@ -153,22 +176,32 @@ def co_divide(
     """
     if prof_net1.n_samples != prof_net2.n_samples:
         raise StructuralError("profiles must cover the same dataset")
-    anchors = DEFAULT_ANCHORS if anchors is None else np.asarray(anchors, dtype=np.float64)
-    divisions: dict[str, Division | None] = {}
-    fit_errors: dict[str, str] = {}
-    for source, prof in (("net1", prof_net1), ("net2", prof_net2)):
-        try:
-            divisions[source] = _divide(
-                prof, source, anchors, tol, max_iter, tau_r, tau_prd
-            )
-        except GmmFitError as exc:
-            divisions[source] = None
-            fit_errors[source] = str(exc)
+    divisions, fit_errors = _divide_each(
+        {"net1": prof_net1, "net2": prof_net2}, anchors, tol, max_iter, tau_r, tau_prd
+    )
     return CoDivision(
         for_net1=divisions["net2"],
         for_net2=divisions["net1"],
         fit_errors=fit_errors,
     )
+
+
+def self_divide(
+    prof_net1: LossProfile,
+    anchors: np.ndarray | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tau_r: float = DEFAULT_TAU_R,
+    tau_prd: float = DEFAULT_TAU_PRD,
+) -> CoDivision:
+    """Single-network mode: net1 consumes the division of its own losses.
+
+    One mixture is fitted; there is no division for net2.
+    """
+    divisions, fit_errors = _divide_each(
+        {"net1": prof_net1}, anchors, tol, max_iter, tau_r, tau_prd
+    )
+    return CoDivision(for_net1=divisions["net1"], for_net2=None, fit_errors=fit_errors)
 
 
 def _rate(numerator: int, denominator: int) -> float | None:

@@ -36,10 +36,10 @@ from .selection import (
     BRANCH_PREDICTED,
     BRANCH_WRONG,
     DEFAULT_ANCHORS,
-    CoDivision,
     Division,
     co_divide,
     selection_report,
+    self_divide,
 )
 
 NET_NAMES = ("net1", "net2")
@@ -160,14 +160,19 @@ class NetworkPair:
         return {"net1": self.net1, "net2": self.net2}
 
 
+def _mean_softmax(logits: list[np.ndarray]) -> np.ndarray:
+    """Softmax of each logit array, summed in list order, over their count."""
+    total = None
+    for z in logits:
+        p = softmax(z)
+        total = p if total is None else total + p
+    return total / len(logits)
+
+
 def ensemble_probs(nets: list[NetworkParams], x: np.ndarray) -> np.ndarray:
     """Mean softmax over the given frozen networks."""
-    total = None
-    for params in nets:
-        logits, _ = forward_cached(params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        p = softmax(logits)
-        total = p if total is None else total + p
-    out = total / len(nets)
+    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = _mean_softmax([forward_cached(params, rows)[0] for params in nets])
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
@@ -435,20 +440,19 @@ def run_dst_epoch(
     ablation = ablation or Ablation()
     prof1 = normalize(profile(pair.net1, ds))
     scatter = {"net1": ScatterData(prof1, audit_states(ds, prof1.predicted))}
+    fit_options = dict(
+        anchors=dst.anchors,
+        tol=dst.gmm_tol,
+        max_iter=dst.gmm_max_iter,
+        tau_r=dst.tau_r,
+        tau_prd=dst.tau_prd,
+    )
     if ablation.single_network:
-        codiv = _self_division(prof1, dst)
+        codiv = self_divide(prof1, **fit_options)
     else:
         prof2 = normalize(profile(pair.net2, ds))
         scatter["net2"] = ScatterData(prof2, audit_states(ds, prof2.predicted))
-        codiv = co_divide(
-            prof1,
-            prof2,
-            anchors=dst.anchors,
-            tol=dst.gmm_tol,
-            max_iter=dst.gmm_max_iter,
-            tau_r=dst.tau_r,
-            tau_prd=dst.tau_prd,
-        )
+        codiv = co_divide(prof1, prof2, **fit_options)
 
     selection: dict = {"fit_errors": codiv.fit_errors}
     consumers = ("net1",) if ablation.single_network else NET_NAMES
@@ -497,24 +501,6 @@ def run_dst_epoch(
     return DstEpochResult(selection=selection, scatter=scatter)
 
 
-def _self_division(prof1: LossProfile, dst: DstParams) -> CoDivision:
-    """Single-network mode: net1 consumes the division of its own losses."""
-    single = co_divide(
-        prof1,
-        prof1,
-        anchors=dst.anchors,
-        tol=dst.gmm_tol,
-        max_iter=dst.gmm_max_iter,
-        tau_r=dst.tau_r,
-        tau_prd=dst.tau_prd,
-    )
-    return CoDivision(
-        for_net1=single.for_net2,  # the division computed from prof1
-        for_net2=None,
-        fit_errors={k: v for k, v in single.fit_errors.items() if k == "net1"},
-    )
-
-
 def accuracy(params: NetworkParams, features: np.ndarray, labels: np.ndarray) -> float:
     logits, _ = forward_cached(params, features)
     return float((logits.argmax(axis=1) == np.asarray(labels)).mean())
@@ -525,3 +511,23 @@ def ensemble_accuracy(
 ) -> float:
     probs = ensemble_probs(nets, features)
     return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
+
+
+def evaluate(
+    nets: dict[str, NetworkParams],
+    features: np.ndarray,
+    labels: np.ndarray,
+    ensemble: tuple[str, ...],
+) -> dict[str, float]:
+    """Test accuracy of each named net and of the `ensemble` members' mean.
+
+    One forward pass per net serves both: a net's own accuracy takes the
+    argmax of its logits (as `accuracy` does), the ensemble's the argmax of
+    the members' mean softmax (as `ensemble_accuracy` does).
+    """
+    labels = np.asarray(labels)
+    logits = {name: forward_cached(params, features)[0] for name, params in nets.items()}
+    out = {name: float((z.argmax(axis=1) == labels).mean()) for name, z in logits.items()}
+    probs = _mean_softmax([logits[name] for name in ensemble])
+    out["ensemble"] = float((probs.argmax(axis=1) == labels).mean())
+    return out

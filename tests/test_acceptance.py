@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from conftest import gradient_check_draws
-from dstlab.config import ExperimentConfig
+from dstlab.config import MEMORIZATION, benchmark_config
 from dstlab.gmm import fit, posteriors
 from dstlab.lab import load_summary, run, scatter_csv_path
 from dstlab.network import Layer, NetworkParams, init_network
@@ -41,26 +41,11 @@ from dstlab.training import (
     sharpen,
 )
 
-BENCHMARK_MASTER_SEED = 4
-BENCHMARK_DATA_SEED = 11
-
-# The memorization regime: the benchmark config with these three changes.
-MEMORIZATION = {"n_features": 20, "per_class": 150, "hidden_sizes": [256, 256]}
-
 # scripts/baseline_oracle.py output for the memorization regime (frozen):
 # ensemble accuracy of the plain cross-entropy run.
 BASELINE_CE_FINAL = 0.786
 
 TOL = 1e-9
-
-
-def benchmark_config(**overrides) -> ExperimentConfig:
-    return ExperimentConfig(
-        master_seed=BENCHMARK_MASTER_SEED,
-        data_seed=BENCHMARK_DATA_SEED,
-        scatter_every=0,
-        **overrides,
-    )
 
 
 @pytest.fixture(scope="session")

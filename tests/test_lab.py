@@ -3,10 +3,12 @@ import json
 
 import pytest
 
+from dstlab import lab, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict
 from dstlab.errors import ConfigError, NotFoundError, StructuralError
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
 from dstlab.network import load_checkpoint
+from dstlab.selection import CoDivision, co_divide
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -93,6 +95,72 @@ class TestRunArtifacts:
         with open(dump_scatter(run_dir, 2, "net1"), newline="") as fh:
             states = {int(row["state"]) for row in csv.DictReader(fh)}
         assert states <= {1, 2, 3, 4, 5}
+
+
+def run_bytes(run_dir) -> dict[str, bytes]:
+    """Every file of a run directory by relative path."""
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()
+    }
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("single_network", [False, True])
+    def test_one_test_set_forward_per_net_and_epoch(self, tmp_path, monkeypatch, single_network):
+        cfg = small_config(total_epochs=3, single_network=single_network)
+        n_test = cfg.n_classes * cfg.test_per_class
+        assert n_test not in (cfg.n_classes * cfg.per_class, cfg.batch_size)
+        test_rows = []
+        real_forward = training.forward_cached
+
+        def counting_forward(params, x):
+            if len(x) == n_test:
+                test_rows.append(len(x))
+            return real_forward(params, x)
+
+        monkeypatch.setattr(training, "forward_cached", counting_forward)
+        run(cfg, tmp_path / "r")
+        assert len(test_rows) == 2 * cfg.total_epochs
+
+    @pytest.mark.parametrize("single_network", [False, True])
+    def test_reports_match_the_per_net_reference(self, tmp_path, monkeypatch, single_network):
+        cfg = small_config(total_epochs=3, single_network=single_network)
+        fast = run(cfg, tmp_path / "fast")
+
+        def reference(nets, features, labels, ensemble):
+            # The former evaluation: four forwards, net1 alone in single mode.
+            members = [nets["net1"]] if single_network else [nets["net1"], nets["net2"]]
+            return {
+                "net1": training.accuracy(nets["net1"], features, labels),
+                "net2": training.accuracy(nets["net2"], features, labels),
+                "ensemble": training.ensemble_accuracy(members, features, labels),
+            }
+
+        monkeypatch.setattr(lab, "evaluate", reference)
+        slow = run(cfg, tmp_path / "slow")
+        assert run_bytes(fast) == run_bytes(slow)
+
+
+class TestSingleNetworkDivision:
+    def test_one_fit_per_selection_epoch_and_same_run(self, tmp_path, monkeypatch):
+        cfg = small_config(total_epochs=4, single_network=True)
+        fits = []
+        real_fit = selection.fit
+        monkeypatch.setattr(selection, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
+        once = run(cfg, tmp_path / "once")
+        selection_epochs = cfg.total_epochs - cfg.warmup_epochs
+        assert len(fits) == selection_epochs
+
+        def fit_twice(prof, **options):
+            # The former path: co-divide the profile with itself, keep net1's.
+            both = co_divide(prof, prof, **options)
+            errors = {k: v for k, v in both.fit_errors.items() if k == "net1"}
+            return CoDivision(for_net1=both.for_net2, for_net2=None, fit_errors=errors)
+
+        monkeypatch.setattr(training, "self_divide", fit_twice)
+        twice = run(cfg, tmp_path / "twice")
+        assert len(fits) == 3 * selection_epochs
+        assert run_bytes(once) == run_bytes(twice)
 
 
 class TestRunGuards:

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,33 @@ def bias_net(logit_rows) -> NetworkParams:
 def dataset(noisy_labels, n_classes):
     n = len(noisy_labels)
     return make_noisy(np.zeros((n, 1)), [0] * n, noisy_labels, n_classes)
+
+
+def write_scatter_reference(path, epoch, net, prof, states) -> None:
+    """Row-by-row scatter writer: the byte-for-byte reference for write_scatter."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCATTER_HEADER)
+        for i in range(prof.n_samples):
+            writer.writerow(
+                [
+                    epoch,
+                    net,
+                    i,
+                    f"{prof.l_nis[i]:.17g}",
+                    f"{prof.l_prd[i]:.17g}",
+                    f"{prof.nrm_nis[i]:.17g}",
+                    f"{prof.nrm_prd[i]:.17g}",
+                    int(prof.predicted[i]),
+                    int(states[i]),
+                ]
+            )
+
+
+def scatter_bytes(writer, tmp_path, name, epoch, net, prof, states) -> bytes:
+    path = tmp_path / name
+    writer(path, epoch, net, prof, states)
+    return path.read_bytes()
 
 
 class TestProfile:
@@ -150,3 +178,95 @@ class TestScatterDump:
         prof = normalize(profile(net, dataset([0, 1], 2)))
         with pytest.raises(StructuralError):
             write_scatter(tmp_path / "s.csv", 1, "net1", prof, np.array([1]))
+
+
+def explicit_profile(l_nis, l_prd, nrm_nis, nrm_prd, predicted, dtype=np.int64):
+    return LossProfile(
+        l_nis=np.asarray(l_nis, dtype=np.float64),
+        l_prd=np.asarray(l_prd, dtype=np.float64),
+        predicted=np.asarray(predicted, dtype=dtype),
+        nrm_nis=np.asarray(nrm_nis, dtype=np.float64),
+        nrm_prd=np.asarray(nrm_prd, dtype=np.float64),
+    )
+
+
+SCATTER_CASES = {
+    # normalized extremes land exactly on 0.0 and 1.0
+    "unit-bounds": explicit_profile(
+        [0.5, 2.0, 1.25], [0.0, 1.0, 0.5], [0.0, 1.0, 0.5], [0.0, 1.0, 0.5], [0, 1, 2]
+    ),
+    # a flat prediction-loss axis normalizes to all zeros
+    "flat-axis": explicit_profile(
+        [0.3, 0.7, 0.9], [0.2, 0.2, 0.2], [0.0, 2.0 / 3.0, 1.0], [0.0, 0.0, 0.0], [3, 3, 3]
+    ),
+    # the smallest subnormal and a tiny normal
+    "tiny": explicit_profile(
+        [5e-324, 1e-300, 1e-310], [1e-300, 5e-324, 0.0], [5e-324, 1e-300, 0.0],
+        [0.0, 5e-324, 1e-300], [0, 0, 1],
+    ),
+    # repr gives "0.1", %.17g gives "0.10000000000000001"
+    "repr-differs": explicit_profile(
+        [0.1, 0.2, 0.3], [0.1, 1 / 3, 2 / 3], [0.1, 0.7, 1 / 3], [0.1, 0.2, 0.3], [1, 0, 1]
+    ),
+    # LOG_FLOOR-sized and far larger losses
+    "large": explicit_profile(
+        [-math.log(1e-300), 1e17, 1.7976931348623157e308], [690.7755278982137, 1e16 + 2, 123456789.0],
+        [0.0, 0.5, 1.0], [1.0, 0.25, 0.0], [2, 1, 0],
+    ),
+    "int32-labels": explicit_profile(
+        [0.1, 0.2], [0.3, 0.4], [0.0, 1.0], [0.0, 1.0], [1, 3], dtype=np.int32
+    ),
+}
+
+
+class TestScatterBytes:
+    """The batched writer must reproduce the row-by-row writer byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+    @pytest.mark.parametrize("states_dtype", [np.int32, np.int64])
+    def test_matches_reference(self, tmp_path, case, states_dtype):
+        prof = SCATTER_CASES[case]
+        states = (np.arange(prof.n_samples) % 5 + 1).astype(states_dtype)
+        args = (120, "net2", prof, states)
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", *args)
+        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", *args)
+        assert got == want
+
+    def test_repr_and_precision_17_differ_on_point_one(self, tmp_path):
+        prof = SCATTER_CASES["repr-differs"]
+        text = scatter_bytes(write_scatter, tmp_path, "s.csv", 1, "net1", prof, np.ones(3, int))
+        assert b",0.10000000000000001," in text
+        assert text.endswith(b"\r\n") and text.count(b"\r\n") == 4
+
+    @pytest.mark.parametrize("net", ["net,1", 'net"1', "net%1", "%d%%s", 'a,"b"%\r\nc'])
+    def test_net_names_needing_quotes_or_percent_escapes(self, tmp_path, net):
+        prof = SCATTER_CASES["unit-bounds"]
+        states = np.array([1, 2, 3])
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", 7, net, prof, states)
+        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", 7, net, prof, states)
+        assert got == want
+        with (tmp_path / "got.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[1] for row in rows[1:]] == [net] * 3
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-(2**63), 2**63 - 1),
+            ),
+            min_size=2,
+            max_size=30,
+        ),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_profiles_match_reference(self, tmp_path_factory, rows, epoch):
+        l_nis, l_prd, predicted = (list(col) for col in zip(*rows))
+        prof = explicit_profile(l_nis, l_prd, l_prd, l_nis, predicted)
+        states = np.arange(len(rows)) % 5 + 1
+        tmp_path = tmp_path_factory.mktemp("scatter")
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", epoch, "net1", prof, states)
+        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", epoch, "net1", prof, states)
+        assert got == want

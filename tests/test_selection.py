@@ -16,6 +16,7 @@ from dstlab.selection import (
     SelectionWeights,
     assign_roles,
     co_divide,
+    self_divide,
     partition,
     selection_report,
     weights_from_posteriors,
@@ -212,6 +213,30 @@ class TestCoDivide:
         codiv = co_divide(prof, prof)
         assert codiv.for_net1 is None and codiv.for_net2 is None
         assert set(codiv.fit_errors) == {"net1", "net2"}
+
+
+class TestSelfDivide:
+    def test_one_fit_gives_the_division_co_divide_would(self, monkeypatch):
+        from dstlab import selection
+
+        fits = []
+        real_fit = selection.fit
+        monkeypatch.setattr(selection, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
+        prof = profile_at(TestCoDivide().separated_cloud(np.random.default_rng(6)))
+        single = self_divide(prof)
+        assert len(fits) == 1
+        reference = co_divide(prof, prof).for_net2
+        assert single.for_net2 is None and single.fit_errors == {}
+        assert single.for_net1.source == "net1"
+        np.testing.assert_array_equal(single.for_net1.branches, reference.branches)
+        np.testing.assert_array_equal(single.for_net1.weights.w_r, reference.weights.w_r)
+        np.testing.assert_array_equal(single.for_net1.weights.w_prd, reference.weights.w_prd)
+
+    def test_fit_failure_is_recorded_for_net1_only(self):
+        prof = profile_at(np.full((3, 2), 0.5))
+        single = self_divide(prof)
+        assert single.for_net1 is None and single.for_net2 is None
+        assert single.fit_errors == {"net1": co_divide(prof, prof).fit_errors["net1"]}
 
 
 class TestSelectionReport:

@@ -40,6 +40,7 @@ from dstlab.training import (
     ensemble_accuracy,
     ensemble_predict,
     ensemble_probs,
+    evaluate,
     fold_lambda,
     mixup_batch,
     mixup_pair,
@@ -381,6 +382,19 @@ class TestEnsemble:
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         assert accuracy(net, x, np.array([0, 1, 1])) == pytest.approx(2.0 / 3.0)
         assert ensemble_accuracy([net, net], x, np.array([0, 1, 0])) == 1.0
+
+    @pytest.mark.parametrize("ensemble", [("net1", "net2"), ("net1",)])
+    def test_evaluate_matches_per_net_and_ensemble_references(self, ensemble):
+        rng = np.random.default_rng(8)
+        nets = {"net1": init_network([3, 6, 4], rng), "net2": init_network([3, 6, 4], rng)}
+        x = rng.normal(size=(200, 3))
+        labels = rng.integers(0, 4, size=200)
+        got = evaluate(nets, x, labels, ensemble)
+        assert got == {
+            "net1": accuracy(nets["net1"], x, labels),
+            "net2": accuracy(nets["net2"], x, labels),
+            "ensemble": ensemble_accuracy([nets[name] for name in ensemble], x, labels),
+        }
 
 
 class TestSchedule:
