@@ -3,8 +3,14 @@
 Everything is plain float64 numpy: rectifier hidden layers, a linear output
 layer read through softmax, cross-entropy against soft targets, and SGD with
 classical (coupled) momentum and weight decay. Forward and backward are pure
-functions of a parameter snapshot; the optimizer returns fresh arrays and
-only mutates its own momentum buffers.
+functions of a parameter snapshot. `sgd_step` returns a snapshot of fresh
+arrays and never writes to the one it was given; the only arrays it updates
+in place are the optimizer's own momentum buffers.
+
+The hot path avoids temporaries: the bias add, the rectifier, the
+backpropagated mask and the momentum update write into an array the same
+call has just made (or into the buffers), with the same float operations in
+the same order as the allocating expressions, so results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -90,9 +96,10 @@ def forward_cached(
     a = batch
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        z = a @ layer.weights.T + layer.bias
-        a = np.maximum(z, 0.0) if i < last else z
+        a = a @ layer.weights.T
+        a += layer.bias
         if i < last:
+            np.maximum(a, 0.0, out=a)
             activations.append(a)
     return a, activations
 
@@ -107,7 +114,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety."""
     arr = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("softmax requires finite logits")
     shifted = arr - arr.max(axis=-1, keepdims=True)
     exped = np.exp(shifted)
@@ -144,7 +151,8 @@ def backprop_from_logits(
         grads[k] = (delta.T @ a_prev, delta.sum(axis=0))
         if k > 0:
             # activations[k] > 0 is exactly the rectifier's active mask.
-            delta = (delta @ params.layers[k].weights) * (activations[k] > 0.0)
+            delta = delta @ params.layers[k].weights
+            delta *= activations[k] > 0.0
     return grads
 
 
@@ -172,6 +180,9 @@ class OptimizerState:
 
     buffer <- momentum * buffer + grad + weight_decay * param
     param  <- param - learning_rate * buffer
+
+    `sgd_step` updates `buffers` in place and nothing else of the state's
+    arrays; the parameters it returns are fresh arrays.
     """
 
     learning_rate: float
@@ -205,34 +216,52 @@ class OptimizerState:
 def sgd_step(
     params: NetworkParams, grads: Grads, opt: OptimizerState
 ) -> NetworkParams:
-    """One optimizer step; refuses non-finite gradients before touching state."""
+    """One optimizer step; refuses bad gradients before touching any buffer.
+
+    The momentum buffers are updated in place; the returned parameters are
+    fresh arrays, and `params` is left as it was.
+    """
     if len(grads) != len(params.layers):
         raise StructuralError(
             f"{len(grads)} gradient entries for {len(params.layers)} layers"
         )
-    for layer, (d_w, d_b) in zip(params.layers, grads):
-        if d_w.shape != layer.weights.shape or d_b.shape != layer.bias.shape:
+    if opt.buffers is not None and len(opt.buffers) != len(params.layers):
+        raise StructuralError(
+            f"{len(opt.buffers)} momentum buffers for {len(params.layers)} layers"
+        )
+    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
+        shapes = (layer.weights.shape, layer.bias.shape)
+        if (d_w.shape, d_b.shape) != shapes:
             raise StructuralError("gradient shapes do not mirror parameter shapes")
-        if not (np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_b))):
+        if opt.buffers is not None and tuple(m.shape for m in opt.buffers[k]) != shapes:
+            raise StructuralError("momentum buffer shapes do not mirror parameter shapes")
+        if not (np.isfinite(d_w).all() and np.isfinite(d_b).all()):
             raise NumericError("refusing SGD step: non-finite gradient")
     if opt.buffers is None:
         opt.buffers = [
             (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
             for layer in params.layers
         ]
-    new_layers = []
-    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
-        m_w, m_b = opt.buffers[k]
-        m_w = opt.momentum * m_w + d_w + opt.weight_decay * layer.weights
-        m_b = opt.momentum * m_b + d_b + opt.weight_decay * layer.bias
-        opt.buffers[k] = (m_w, m_b)
-        new_layers.append(
+    return NetworkParams(
+        [
             Layer(
-                weights=layer.weights - opt.learning_rate * m_w,
-                bias=layer.bias - opt.learning_rate * m_b,
+                weights=_momentum_step(layer.weights, d_w, m_w, opt),
+                bias=_momentum_step(layer.bias, d_b, m_b, opt),
             )
-        )
-    return NetworkParams(new_layers)
+            for layer, (d_w, d_b), (m_w, m_b) in zip(params.layers, grads, opt.buffers)
+        ]
+    )
+
+
+def _momentum_step(
+    param: np.ndarray, grad: np.ndarray, buf: np.ndarray, opt: OptimizerState
+) -> np.ndarray:
+    """Fold `grad` into the momentum buffer in place; return the new parameter."""
+    buf *= opt.momentum
+    buf += grad
+    buf += opt.weight_decay * param
+    step = opt.learning_rate * buf
+    return np.subtract(param, step, out=step)
 
 
 def params_hash(params: NetworkParams) -> str:

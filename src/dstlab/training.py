@@ -221,17 +221,22 @@ def refine_batch(
     """
     if not (y.shape == p_b.shape and y.shape[0] == branches.shape[0]):
         raise StructuralError("refine_batch shape mismatch")
-    out = np.empty_like(y)
+    # Per-row weights on the label (keep) and on the ensemble (lean).
+    keep = np.empty(len(branches))
+    lean = np.empty(len(branches))
     lab = branches == BRANCH_LABELED
     prd = branches == BRANCH_PREDICTED
     wrg = branches == BRANCH_WRONG
-    out[lab] = w_r[lab, None] * y[lab] + (1.0 - w_r[lab, None]) * p_b[lab]
-    out[prd] = (1.0 - w_prd[prd, None]) * y[prd] + w_prd[prd, None] * p_b[prd]
+    keep[lab] = w_r[lab]
+    lean[lab] = 1.0 - w_r[lab]
+    keep[prd] = 1.0 - w_prd[prd]
+    lean[prd] = w_prd[prd]
     n_wrong = int(wrg.sum())
     if n_wrong:
         w_u = rng.uniform(size=n_wrong)
-        out[wrg] = (1.0 - w_u[:, None]) * y[wrg] + w_u[:, None] * p_b[wrg]
-    return out
+        keep[wrg] = 1.0 - w_u
+        lean[wrg] = w_u
+    return keep[:, None] * y + lean[:, None] * p_b
 
 
 def sharpen(y_tilde: np.ndarray, temperature: float) -> np.ndarray:

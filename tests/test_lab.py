@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dstlab import lab, selection, training
-from dstlab.config import ExperimentConfig, config_from_dict
-from dstlab.errors import ConfigError, NotFoundError, StructuralError
+from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
+from dstlab.errors import ConfigError, GmmFitError, NotFoundError, StructuralError
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
 from dstlab.network import load_checkpoint
 from dstlab.selection import CoDivision, co_divide
@@ -194,6 +198,92 @@ class TestDeterminism:
         a = run(small_config(), tmp_path / "a")
         b = run(small_config(master_seed=5), tmp_path / "b")
         assert (a / "summary.json").read_bytes() != (b / "summary.json").read_bytes()
+
+
+class TestBlasThreadDeterminism:
+    def test_one_and_two_threads_write_the_same_bytes(self, tmp_path):
+        # 256-wide layers on 128-row batches are large enough for the BLAS
+        # to split its matmuls across threads.
+        cfg = small_config(
+            n_classes=4,
+            per_class=100,
+            test_per_class=50,
+            n_features=20,
+            hidden_sizes=[256, 256],
+            total_epochs=4,
+            warmup_epochs=2,
+            batch_size=128,
+            scatter_every=0,
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(cfg)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["DSTLAB_OUTPUT_ROOT"] = str(tmp_path / f"threads{threads}")
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "dstlab", "run", str(config_path)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            run_dir = Path(proc.stdout.strip().splitlines()[-1])
+            assert run_dir.is_relative_to(tmp_path / f"threads{threads}")
+            files = ["summary.json"] + sorted(
+                f"checkpoints/{p.name}" for p in (run_dir / "checkpoints").glob("*.json")
+            )
+            assert files == ["summary.json", "checkpoints/net1.json", "checkpoints/net2.json"]
+            outputs[threads] = {name: (run_dir / name).read_bytes() for name in files}
+        assert outputs["1"] == outputs["2"]
+
+
+class TestFitFailureEndToEnd:
+    def test_failed_fits_fall_back_and_the_run_finishes(self, tmp_path, monkeypatch):
+        cfg = small_config(total_epochs=6, warmup_epochs=1)
+        # Epoch 3 loses both fits, epoch 6 (the last) only net1's, whose
+        # division trains net2.
+        fail = {(3, "net1"), (3, "net2"), (6, "net1")}
+        calls = []
+        real_fit = selection.fit
+
+        def flaky_fit(*args, **kwargs):
+            # Each selection epoch fits net1's losses, then net2's.
+            k = len(calls)
+            epoch, source = cfg.warmup_epochs + 1 + k // 2, ("net1", "net2")[k % 2]
+            calls.append((epoch, source))
+            if (epoch, source) in fail:
+                raise GmmFitError(f"forced failure: epoch {epoch} {source}")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit", flaky_fit)
+        run_dir = run(cfg, tmp_path / "r")
+        assert len(calls) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
+
+        summary = load_summary(run_dir)
+        assert summary["fallback_epochs"] == {"net1": [3], "net2": [3, 6]}
+        assert summary["final_branches"]["net2"] is None
+        assert summary["final_branches"]["net1"]["labeled"]["size"] >= 0
+        for name in ("net1", "net2"):
+            load_checkpoint(run_dir / "checkpoints" / f"{name}.json")
+
+        for epoch in range(cfg.warmup_epochs + 1, cfg.total_epochs + 1):
+            report = json.loads((run_dir / "reports" / f"epoch_{epoch:03d}.json").read_text())
+            selection_report = report["selection"]
+            failed = sorted(src for e, src in fail if e == epoch)
+            assert selection_report["fit_errors"] == {
+                src: f"forced failure: epoch {epoch} {src}" for src in failed
+            }
+            # A failed fit of one net's losses sends the other net to plain CE.
+            for consumer, source in (("net1", "net2"), ("net2", "net1")):
+                if source in failed:
+                    assert selection_report[consumer] == {"fallback": True}
+                else:
+                    assert selection_report[consumer]["fallback"] is False
+                    assert selection_report[consumer]["source"] == source
 
 
 @pytest.fixture(scope="module")

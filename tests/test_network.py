@@ -12,9 +12,11 @@ from dstlab.network import (
     Layer,
     NetworkParams,
     OptimizerState,
+    backprop_from_logits,
     backward,
     cross_entropy,
     forward,
+    forward_cached,
     init_network,
     load_checkpoint,
     one_hot,
@@ -315,3 +317,223 @@ def test_full_batch_training_loss_decreases_monotonically():
         params = sgd_step(params, grads, opt)
         losses.append(mean_loss(params))
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+# --- Allocating references: the forward, backward and SGD step as they were
+# written before the production versions moved to in-place updates. The
+# production code must reproduce them bit for bit.
+
+
+def forward_cached_reference(params, x):
+    batch = np.asarray(x, dtype=np.float64)
+    activations = [batch]
+    a = batch
+    last = len(params.layers) - 1
+    for i, layer in enumerate(params.layers):
+        z = a @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if i < last else z
+        if i < last:
+            activations.append(a)
+    return a, activations
+
+
+def backprop_reference(params, activations, d_logits):
+    grads = [None] * len(params.layers)
+    delta = d_logits
+    for k in range(len(params.layers) - 1, -1, -1):
+        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
+        if k > 0:
+            delta = (delta @ params.layers[k].weights) * (activations[k] > 0.0)
+    return grads
+
+
+def sgd_step_reference(params, grads, opt):
+    """Replaces every buffer with a fresh array, as the original step did."""
+    new_layers = []
+    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
+        m_w, m_b = opt.buffers[k]
+        m_w = opt.momentum * m_w + d_w + opt.weight_decay * layer.weights
+        m_b = opt.momentum * m_b + d_b + opt.weight_decay * layer.bias
+        opt.buffers[k] = (m_w, m_b)
+        new_layers.append(
+            Layer(
+                weights=layer.weights - opt.learning_rate * m_w,
+                bias=layer.bias - opt.learning_rate * m_b,
+            )
+        )
+    return NetworkParams(new_layers)
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_grads(got, want):
+    assert len(got) == len(want)
+    for (g_w, g_b), (w_w, w_b) in zip(got, want):
+        assert_same_bytes(g_w, w_w)
+        assert_same_bytes(g_b, w_b)
+
+
+def assert_same_params(got, want):
+    assert len(got.layers) == len(want.layers)
+    for g, w in zip(got.layers, want.layers):
+        assert_same_bytes(g.weights, w.weights)
+        assert_same_bytes(g.bias, w.bias)
+
+
+def random_net(width, seed, n_inputs=20, n_classes=4):
+    rng = np.random.default_rng(seed)
+    params = init_network([n_inputs, width, width, n_classes], rng)
+    for layer in params.layers:  # non-zero biases, so the add matters
+        layer.bias[:] = rng.normal(scale=0.1, size=layer.bias.shape)
+    return params, rng
+
+
+class TestInPlaceMatchesAllocatingReference:
+    @pytest.mark.parametrize("width", [64, 256])
+    @pytest.mark.parametrize("rows", [1, 88, 128, 1000])
+    def test_forward_and_backprop_bytes(self, width, rows):
+        params, rng = random_net(width, seed=width * 10_000 + rows)
+        x = rng.normal(size=(rows, params.n_inputs))
+        logits, activations = forward_cached(params, x)
+        ref_logits, ref_activations = forward_cached_reference(params, x)
+        assert_same_bytes(logits, ref_logits)
+        assert len(activations) == len(ref_activations)
+        for got, want in zip(activations, ref_activations):
+            assert_same_bytes(got, want)
+
+        targets = rng.dirichlet(np.ones(params.n_outputs), size=rows)
+        d_logits = softmax(logits) - targets
+        d_before = d_logits.copy()
+        grads = backprop_from_logits(params, activations, d_logits)
+        assert_same_grads(grads, backprop_reference(params, ref_activations, d_logits))
+        assert_same_bytes(d_logits, d_before)
+
+    def test_exact_zero_pre_activations_and_signed_zeros(self):
+        # Hidden unit 0 cancels exactly (1 * 0.5 - 0.5), unit 1 has zero
+        # weights and a -0.0 bias, unit 2 is live; the input carries -0.0.
+        hidden = Layer(
+            np.array([[0.5, 0.0], [0.0, 0.0], [1.0, -1.0]]), np.array([-0.5, -0.0, 0.25])
+        )
+        out = Layer(np.array([[1.0, -2.0, 0.5], [-0.0, 0.0, -1.0]]), np.array([-0.0, 0.0]))
+        params = NetworkParams([hidden, out])
+        x = np.array([[1.0, -0.0], [1.0, 2.0], [-0.0, -0.0], [1.0, 0.0]])
+        pre = x @ hidden.weights.T + hidden.bias
+        assert np.any(pre == 0.0)
+        logits, activations = forward_cached(params, x)
+        ref_logits, ref_activations = forward_cached_reference(params, x)
+        assert_same_bytes(logits, ref_logits)
+        for got, want in zip(activations, ref_activations):
+            assert_same_bytes(got, want)
+
+        # A matmul sums from +0.0, so the forward cannot hand the rectifier
+        # mask a -0.0; plant one in the cached activations directly.
+        planted = [activations[0], activations[1].copy()]
+        planted[1][0, 0], planted[1][1, 1], planted[1][2, 2] = -0.0, 0.0, -0.0
+        d_logits = np.array([[0.3, -0.3], [-0.1, 0.1], [0.2, -0.2], [-0.0, 0.0]])
+        assert_same_grads(
+            backprop_from_logits(params, planted, d_logits),
+            backprop_reference(params, planted, d_logits),
+        )
+
+    def test_twenty_momentum_steps_keep_params_and_buffers(self):
+        params, rng = random_net(64, seed=3)
+        fast = OptimizerState.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
+        slow = OptimizerState.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
+        p_fast = p_slow = params
+        for step in range(20):
+            x = rng.normal(size=(32, params.n_inputs))
+            targets = rng.dirichlet(np.ones(params.n_outputs), size=32)
+            grads = backward(p_fast, x, targets)
+            if step == 10:
+                fast.learning_rate = slow.learning_rate = 0.005
+            p_fast = sgd_step(p_fast, grads, fast)
+            p_slow = sgd_step_reference(p_slow, grads, slow)
+            assert_same_params(p_fast, p_slow)
+            assert_same_grads(fast.buffers, slow.buffers)
+
+    def test_first_step_creates_missing_buffers(self):
+        params, rng = random_net(64, seed=4)
+        opt = OptimizerState(0.1, momentum=0.9, weight_decay=1e-3)
+        ref = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
+        grads = backward(params, rng.normal(size=(8, 20)), np.eye(4)[rng.integers(0, 4, 8)])
+        assert_same_params(sgd_step(params, grads, opt), sgd_step_reference(params, grads, ref))
+        assert_same_grads(opt.buffers, ref.buffers)
+
+
+def shares_any(a, arrays) -> bool:
+    return any(np.shares_memory(a, b) for b in arrays)
+
+
+class TestAliasing:
+    def test_forward_leaves_input_alone_and_returns_distinct_arrays(self):
+        params, rng = random_net(64, seed=5)
+        x = rng.normal(size=(50, params.n_inputs))
+        before = x.tobytes()
+        logits, activations = forward_cached(params, x)
+        assert x.tobytes() == before
+        returned = [logits] + activations[1:]
+        for i, a in enumerate(returned):
+            assert not shares_any(a, returned[i + 1 :])
+            assert not np.shares_memory(a, x)
+        for layer in params.layers:
+            assert not shares_any(layer.weights, returned)
+            assert not shares_any(layer.bias, returned)
+
+    def test_earlier_snapshots_keep_their_hash(self):
+        params, rng = random_net(64, seed=6)
+        opt = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
+        history = [(params, params_hash(params))]
+        for _ in range(6):
+            current = history[-1][0]
+            x = rng.normal(size=(16, params.n_inputs))
+            grads = backward(current, x, np.eye(4)[rng.integers(0, 4, 16)])
+            stepped = sgd_step(current, grads, opt)
+            history.append((stepped, params_hash(stepped)))
+            for snapshot, digest in history:
+                assert params_hash(snapshot) == digest
+
+    def test_new_parameters_share_no_memory(self):
+        params, rng = random_net(64, seed=7)
+        opt = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
+        current = params
+        for _ in range(3):
+            grads = backward(current, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
+            stepped = sgd_step(current, grads, opt)
+            old = [arr for layer in current.layers for arr in (layer.weights, layer.bias)]
+            taken = [arr for pair in opt.buffers + grads for arr in pair] + old
+            new = [arr for layer in stepped.layers for arr in (layer.weights, layer.bias)]
+            for i, arr in enumerate(new):
+                assert not shares_any(arr, taken)
+                assert not shares_any(arr, new[i + 1 :])
+            current = stepped
+
+    def test_late_nan_gradient_leaves_warm_buffers_untouched(self):
+        params, rng = random_net(64, seed=8)
+        opt = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
+        for _ in range(3):
+            grads = backward(params, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
+            params = sgd_step(params, grads, opt)
+        assert all(np.any(m_w != 0.0) for m_w, _ in opt.buffers)
+        before = [tuple(m.tobytes() for m in pair) for pair in opt.buffers]
+        digest = params_hash(params)
+        bad = [(d_w.copy(), d_b.copy()) for d_w, d_b in grads]
+        bad[1][0][0, 0] = np.nan
+        with pytest.raises(NumericError):
+            sgd_step(params, bad, opt)
+        assert [tuple(m.tobytes() for m in pair) for pair in opt.buffers] == before
+        assert params_hash(params) == digest
+
+    def test_mismatched_buffer_refused_before_any_update(self):
+        params, rng = random_net(64, seed=9)
+        opt = OptimizerState.for_network(params, 0.1, momentum=0.9)
+        opt.buffers[0] = (opt.buffers[0][0] + 1.0, opt.buffers[0][1] + 1.0)
+        opt.buffers[2] = (np.zeros((1, 1)), opt.buffers[2][1])
+        before = [tuple(m.tobytes() for m in pair) for pair in opt.buffers]
+        grads = backward(params, rng.normal(size=(4, 20)), np.eye(4)[[0, 1, 2, 3]])
+        with pytest.raises(StructuralError):
+            sgd_step(params, grads, opt)
+        assert [tuple(m.tobytes() for m in pair) for pair in opt.buffers] == before

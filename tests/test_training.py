@@ -157,6 +157,56 @@ class TestRefineBatch:
             )
 
 
+def refine_batch_reference(y, p_b, w_r, w_prd, branches, rng):
+    """The allocating refinement: one masked blend per branch."""
+    out = np.empty_like(y)
+    lab = branches == BRANCH_LABELED
+    prd = branches == BRANCH_PREDICTED
+    wrg = branches == BRANCH_WRONG
+    out[lab] = w_r[lab, None] * y[lab] + (1.0 - w_r[lab, None]) * p_b[lab]
+    out[prd] = (1.0 - w_prd[prd, None]) * y[prd] + w_prd[prd, None] * p_b[prd]
+    n_wrong = int(wrg.sum())
+    if n_wrong:
+        w_u = rng.uniform(size=n_wrong)
+        out[wrg] = (1.0 - w_u[:, None]) * y[wrg] + w_u[:, None] * p_b[wrg]
+    return out
+
+
+class TestRefineBatchMatchesReference:
+    ALL = [BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG]
+
+    @pytest.mark.parametrize(
+        "codes",
+        [ALL, [BRANCH_LABELED], [BRANCH_PREDICTED], [BRANCH_WRONG], [BRANCH_LABELED, BRANCH_PREDICTED]],
+        ids=["mixed", "all-labeled", "all-predicted", "all-wrong", "no-wrong"],
+    )
+    @pytest.mark.parametrize("rows", [1, 88, 128])
+    def test_bytes_and_wrong_stream(self, codes, rows):
+        rng = np.random.default_rng(rows * 31 + len(codes))
+        y = np.eye(4)[rng.integers(0, 4, rows)]
+        p_b = rng.dirichlet(np.ones(4), size=rows)
+        w_r, w_prd = rng.uniform(size=rows), rng.uniform(size=rows)
+        branches = rng.choice(np.array(codes, dtype=np.int64), size=rows)
+        fast_rng, slow_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):  # consecutive batches share the stream
+            got = refine_batch(y, p_b, w_r, w_prd, branches, fast_rng)
+            want = refine_batch_reference(y, p_b, w_r, w_prd, branches, slow_rng)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert fast_rng.uniform() == slow_rng.uniform()
+
+    def test_soft_labels_and_boundary_weights(self):
+        rng = np.random.default_rng(11)
+        y = rng.dirichlet(np.ones(3), size=12)
+        p_b = rng.dirichlet(np.ones(3), size=12)
+        w_r = np.array([0.0, 1.0, 0.5, 0.25] * 3)
+        w_prd = np.array([1.0, 0.0, 0.5, 0.75] * 3)
+        branches = np.repeat(np.array(self.ALL, dtype=np.int64), 4)
+        got = refine_batch(y, p_b, w_r, w_prd, branches, np.random.default_rng(0))
+        want = refine_batch_reference(y, p_b, w_r, w_prd, branches, np.random.default_rng(0))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSharpen:
     def test_unit_temperature_is_identity(self):
         rows = np.random.default_rng(0).dirichlet(np.ones(4), size=5)
