@@ -2,13 +2,15 @@
 """Benchmark run of the full two-network pipeline, with a result digest.
 
 Executes the same configuration the acceptance battery uses (seeds and
-schedule included) and prints accuracy statistics plus the final-epoch
-branch composition. Useful as a smoke check after changes: the summary is
-deterministic, so any diff against a previous digest is a real behavior
-change, not noise.
+schedule included) and prints accuracy statistics, the final-epoch branch
+composition and `digest`: the SHA-256 over the bytes of `summary.json` and
+of `checkpoints/*.json`, in name order. Useful as a smoke check after
+changes: the run is deterministic, so a digest that differs from a previous
+one is a real behavior change, not noise.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -39,6 +41,9 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
     run_dir = lab.run(benchmark_config(**overrides), out)
     summary = lab.load_summary(run_dir)
+    digest = hashlib.sha256()
+    for path in [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]:
+        digest.update(path.read_bytes())
     print(
         json.dumps(
             {
@@ -46,6 +51,7 @@ def main(argv=None) -> int:
                 "accuracy": summary["accuracy"],
                 "final_branches": summary["final_branches"],
                 "fallback_epochs": summary["fallback_epochs"],
+                "digest": digest.hexdigest(),
             },
             indent=2,
         )

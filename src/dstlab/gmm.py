@@ -36,6 +36,9 @@ class GmmModel:
     iterations: int
     log_likelihood: float
     ll_trace: list[float] = field(default_factory=list)
+    # Responsibilities of the fitted points under these parameters, as
+    # `posteriors` would return them; set by `fit`, left out of dumps.
+    resp: np.ndarray | None = field(default=None, repr=False)
 
 
 def _validate_points(points: np.ndarray) -> np.ndarray:
@@ -62,41 +65,52 @@ def _validate_anchors(anchors: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _log_densities(
-    points: np.ndarray, means: np.ndarray, covariances: np.ndarray
+def _log_density(
+    cols: tuple[np.ndarray, np.ndarray], mean: np.ndarray, cov: np.ndarray, k: int
 ) -> np.ndarray:
-    """Log density of every point under every component, via closed-form
-    2x2 inverses. Shape [N, 3]."""
-    out = np.empty((points.shape[0], N_COMPONENTS))
-    for k in range(N_COMPONENTS):
-        a, b = covariances[k, 0, 0], covariances[k, 0, 1]
-        c, d = covariances[k, 1, 0], covariances[k, 1, 1]
-        det = a * d - b * c
-        if not np.isfinite(det) or det <= 0:
-            raise GmmFitError(f"component {k} covariance is not positive definite")
-        diff = points - means[k]
-        quad = (
-            d * diff[:, 0] ** 2
-            - (b + c) * diff[:, 0] * diff[:, 1]
-            + a * diff[:, 1] ** 2
-        ) / det
-        out[:, k] = -_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
-    return out
+    """Log density of every point under component k, via the closed-form
+    2x2 inverse. `cols` holds the points' two coordinates as contiguous
+    [N] vectors. Shape [N]."""
+    a, b = cov[0, 0], cov[0, 1]
+    c, d = cov[1, 0], cov[1, 1]
+    det = a * d - b * c
+    if not np.isfinite(det) or det <= 0:
+        raise GmmFitError(f"component {k} covariance is not positive definite")
+    dx = cols[0] - mean[0]
+    dy = cols[1] - mean[1]
+    quad = (d * dx**2 - (b + c) * dx * dy + a * dy**2) / det
+    return -_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
+
+
+def _columns(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
 
 
 def _e_step(
-    points: np.ndarray,
+    cols: tuple[np.ndarray, np.ndarray],
     means: np.ndarray,
     covariances: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Responsibilities and total log-likelihood, computed in log space."""
-    log_joint = _log_densities(points, means, covariances) + np.log(weights)
-    peak = log_joint.max(axis=1, keepdims=True)
-    log_norm = peak[:, 0] + np.log(np.exp(log_joint - peak).sum(axis=1))
-    resp = np.exp(log_joint - log_norm[:, None])
+    """Responsibilities [N, 3] and total log-likelihood, in log space.
+
+    One contiguous [N] log-joint vector per component; the peak, the
+    normalizer and each responsibility column are the same float operations
+    as the row-wise max, sum and exp over an [N, 3] log-joint array.
+    """
+    log_w = np.log(weights)
+    joint = [
+        _log_density(cols, means[k], covariances[k], k) + log_w[k]
+        for k in range(N_COMPONENTS)
+    ]
+    peak = np.maximum(np.maximum(joint[0], joint[1]), joint[2])
+    e0, e1, e2 = (np.exp(j - peak) for j in joint)
+    log_norm = peak + np.log(e0 + e1 + e2)
+    resp = np.empty((peak.shape[0], N_COMPONENTS))
+    for k, j in enumerate(joint):
+        resp[:, k] = np.exp(j - log_norm)
     total_ll = float(log_norm.sum())
-    if not np.isfinite(total_ll) or not np.all(np.isfinite(resp)):
+    if not np.isfinite(total_ll) or not np.isfinite(resp).all():
         raise GmmFitError("log-likelihood or responsibilities became non-finite")
     return resp, total_ll
 
@@ -130,12 +144,13 @@ def fit(
         raise StructuralError(f"max_iter must be >= 1, got {max_iter}")
 
     n = pts.shape[0]
+    cols = _columns(pts)
     covariances = np.tile(INIT_COV_SCALE * np.eye(2), (N_COMPONENTS, 1, 1))
     weights = np.full(N_COMPONENTS, 1.0 / N_COMPONENTS)
     trace: list[float] = []
 
     for m_steps in range(max_iter):
-        resp, total_ll = _e_step(pts, means, covariances, weights)
+        resp, total_ll = _e_step(cols, means, covariances, weights)
         trace.append(total_ll)
         if m_steps >= 1 and abs(trace[-1] - trace[-2]) < tol:
             return GmmModel(
@@ -145,6 +160,7 @@ def fit(
                 iterations=m_steps,
                 log_likelihood=total_ll,
                 ll_trace=trace,
+                resp=resp,
             )
         soft_counts = resp.sum(axis=0)
         weights = np.maximum(soft_counts / n, PI_FLOOR)
@@ -161,7 +177,7 @@ def fit(
             means[k] = mean_k
             covariances[k] = _floor_covariance(cov_k)
 
-    _, final_ll = _e_step(pts, means, covariances, weights)
+    resp, final_ll = _e_step(cols, means, covariances, weights)
     trace.append(final_ll)
     return GmmModel(
         means=means,
@@ -170,6 +186,7 @@ def fit(
         iterations=max_iter,
         log_likelihood=final_ll,
         ll_trace=trace,
+        resp=resp,
     )
 
 
@@ -180,7 +197,7 @@ def posteriors(model: GmmModel, points: np.ndarray) -> np.ndarray:
         raise StructuralError(f"points must be [N, 2], got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise GmmFitError("posterior requires finite points")
-    resp, _ = _e_step(arr, model.means, model.covariances, model.weights)
+    resp, _ = _e_step(_columns(arr), model.means, model.covariances, model.weights)
     return resp
 
 

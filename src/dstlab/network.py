@@ -3,14 +3,16 @@
 Everything is plain float64 numpy: rectifier hidden layers, a linear output
 layer read through softmax, cross-entropy against soft targets, and SGD with
 classical (coupled) momentum and weight decay. Forward and backward are pure
-functions of a parameter snapshot. `sgd_step` returns a snapshot of fresh
-arrays and never writes to the one it was given; the only arrays it updates
-in place are the optimizer's own momentum buffers.
+functions of a parameter snapshot.
 
-The hot path avoids temporaries: the bias add, the rectifier, the
-backpropagated mask and the momentum update write into an array the same
-call has just made (or into the buffers), with the same float operations in
-the same order as the allocating expressions, so results are bitwise equal.
+Training runs on a `Workspace`: one flat array each for the parameters, the
+gradients and the momentum, with per-layer views. The snapshot a workspace
+is made from is copied in and never written; `Workspace.snapshot` returns
+fresh arrays; the momentum is the optimizer's own flat buffer, updated in
+place. Every in-place operation (bias add, rectifier, backpropagated mask,
+softmax, momentum and SGD update) is the same float operation, in the same
+order, as the plain allocating expression the tests keep as a reference, so
+results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -111,14 +113,19 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max-subtraction for overflow safety.
+
+    Writes into `out` when given (it may be `logits` itself); refuses
+    non-finite logits before writing anything.
+    """
     arr = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NumericError("softmax requires finite logits")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    exped = np.exp(shifted)
-    return exped / exped.sum(axis=-1, keepdims=True)
+    out = np.subtract(arr, arr.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def cross_entropy(p: np.ndarray, target: np.ndarray) -> float:
@@ -137,23 +144,27 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def backprop_from_logits(
-    params: NetworkParams, activations: list[np.ndarray], d_logits: np.ndarray
+    params: NetworkParams,
+    activations: list[np.ndarray],
+    d_logits: np.ndarray,
+    out: Grads | None = None,
 ) -> Grads:
     """Push a gradient w.r.t. the logits back to every parameter.
 
     `activations` is the list produced by `forward_cached`; gradients are
-    summed over the batch dimension.
+    summed over the batch dimension and written into `out` when given.
     """
-    grads: Grads = [(np.empty(0), np.empty(0))] * len(params.layers)
+    if out is None:
+        out = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in params.layers]
     delta = d_logits
     for k in range(len(params.layers) - 1, -1, -1):
-        a_prev = activations[k]
-        grads[k] = (delta.T @ a_prev, delta.sum(axis=0))
+        np.matmul(delta.T, activations[k], out=out[k][0])
+        np.sum(delta, axis=0, out=out[k][1])
         if k > 0:
             # activations[k] > 0 is exactly the rectifier's active mask.
             delta = delta @ params.layers[k].weights
             delta *= activations[k] > 0.0
-    return grads
+    return out
 
 
 def backward(params: NetworkParams, x: np.ndarray, target: np.ndarray) -> Grads:
@@ -181,14 +192,14 @@ class OptimizerState:
     buffer <- momentum * buffer + grad + weight_decay * param
     param  <- param - learning_rate * buffer
 
-    `sgd_step` updates `buffers` in place and nothing else of the state's
-    arrays; the parameters it returns are fresh arrays.
+    `buffer` is one flat array laid out as `layer_views` reads it. A
+    `Workspace` updates it in place and writes nothing else of the state.
     """
 
     learning_rate: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    buffers: list[tuple[np.ndarray, np.ndarray]] | None = None
+    buffer: np.ndarray | None = None  # None until the first step
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -206,62 +217,62 @@ class OptimizerState:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> "OptimizerState":
-        buffers = [
-            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            for layer in params.layers
-        ]
-        return cls(learning_rate, momentum, weight_decay, buffers)
+        n = sum(layer.weights.size + layer.bias.size for layer in params.layers)
+        return cls(learning_rate, momentum, weight_decay, np.zeros(n))
 
 
-def sgd_step(
-    params: NetworkParams, grads: Grads, opt: OptimizerState
-) -> NetworkParams:
-    """One optimizer step; refuses bad gradients before touching any buffer.
+def layer_views(
+    flat: np.ndarray, sizes: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights [fan_out, fan_in], bias [fan_out]) views of a flat array."""
+    views, start = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        stop = start + fan_out * fan_in
+        views.append((flat[start:stop].reshape(fan_out, fan_in), flat[stop : stop + fan_out]))
+        start = stop + fan_out
+    return views
 
-    The momentum buffers are updated in place; the returned parameters are
-    fresh arrays, and `params` is left as it was.
+
+class Workspace:
+    """One network's parameters, gradients and momentum, each one flat array.
+
+    `params` and `grads` are per-layer views. The snapshot the workspace is
+    made from is copied in and never written; the momentum is `opt.buffer`
+    itself (created on the first workspace), so it persists across epochs.
     """
-    if len(grads) != len(params.layers):
-        raise StructuralError(
-            f"{len(grads)} gradient entries for {len(params.layers)} layers"
+
+    def __init__(self, params: NetworkParams, opt: OptimizerState) -> None:
+        sizes = params.sizes()
+        self.flat = np.concatenate(
+            [arr.ravel() for layer in params.layers for arr in (layer.weights, layer.bias)]
         )
-    if opt.buffers is not None and len(opt.buffers) != len(params.layers):
-        raise StructuralError(
-            f"{len(opt.buffers)} momentum buffers for {len(params.layers)} layers"
-        )
-    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
-        shapes = (layer.weights.shape, layer.bias.shape)
-        if (d_w.shape, d_b.shape) != shapes:
-            raise StructuralError("gradient shapes do not mirror parameter shapes")
-        if opt.buffers is not None and tuple(m.shape for m in opt.buffers[k]) != shapes:
-            raise StructuralError("momentum buffer shapes do not mirror parameter shapes")
-        if not (np.isfinite(d_w).all() and np.isfinite(d_b).all()):
-            raise NumericError("refusing SGD step: non-finite gradient")
-    if opt.buffers is None:
-        opt.buffers = [
-            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            for layer in params.layers
-        ]
-    return NetworkParams(
-        [
-            Layer(
-                weights=_momentum_step(layer.weights, d_w, m_w, opt),
-                bias=_momentum_step(layer.bias, d_b, m_b, opt),
+        if opt.buffer is None:
+            opt.buffer = np.zeros_like(self.flat)
+        if opt.buffer.shape != self.flat.shape:
+            raise StructuralError(
+                f"momentum buffer of shape {opt.buffer.shape} for {self.flat.size} parameters"
             )
-            for layer, (d_w, d_b), (m_w, m_b) in zip(params.layers, grads, opt.buffers)
-        ]
-    )
+        self.opt = opt
+        self.grad = np.empty_like(self.flat)
+        self.params = NetworkParams([Layer(w, b) for w, b in layer_views(self.flat, sizes)])
+        self.grads: Grads = layer_views(self.grad, sizes)
 
+    def step(self) -> None:
+        """One SGD step from `grads`; refuses a non-finite gradient before
+        touching any buffer. The gradient array is scratch afterwards."""
+        if not np.isfinite(self.grad).all():
+            raise NumericError("refusing SGD step: non-finite gradient")
+        opt, buf, scratch = self.opt, self.opt.buffer, self.grad
+        buf *= opt.momentum
+        buf += scratch
+        buf += np.multiply(opt.weight_decay, self.flat, out=scratch)
+        self.flat -= np.multiply(opt.learning_rate, buf, out=scratch)
 
-def _momentum_step(
-    param: np.ndarray, grad: np.ndarray, buf: np.ndarray, opt: OptimizerState
-) -> np.ndarray:
-    """Fold `grad` into the momentum buffer in place; return the new parameter."""
-    buf *= opt.momentum
-    buf += grad
-    buf += opt.weight_decay * param
-    step = opt.learning_rate * buf
-    return np.subtract(param, step, out=step)
+    def snapshot(self) -> NetworkParams:
+        """The current parameters as fresh arrays."""
+        return NetworkParams(
+            [Layer(layer.weights.copy(), layer.bias.copy()) for layer in self.params.layers]
+        )
 
 
 def params_hash(params: NetworkParams) -> str:

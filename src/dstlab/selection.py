@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import NoisyDataset, audit_states
 from .errors import ConfigError, GmmFitError, StructuralError
-from .gmm import DEFAULT_MAX_ITER, DEFAULT_TOL, GmmModel, fit, posteriors
+from .gmm import DEFAULT_MAX_ITER, DEFAULT_TOL, GmmModel, fit
 from .lossprofile import LossProfile
 
 # Unit-square anchor means: near-origin for low-loss-on-label samples,
@@ -124,7 +124,8 @@ def _divide(
 ) -> Division:
     model = fit(prof.points(), anchors, tol=tol, max_iter=max_iter)
     roles = assign_roles(model, anchors)
-    weights = weights_from_posteriors(posteriors(model, prof.points()), roles)
+    # The fit's last E-step ran on these points with these parameters.
+    weights = weights_from_posteriors(model.resp, roles)
     branches = partition(weights, tau_r, tau_prd)
     return Division(
         weights=weights,

@@ -6,6 +6,10 @@ between the networks, then for each network in turn iterate shuffled
 mini-batches where labels are refined with the frozen ensemble, sharpened,
 mixed, and used for a single SGD step. A failed mixture fit downgrades the
 consuming network to a plain cross-entropy epoch.
+
+Warmup, plain cross-entropy, the fit-failure fallback and the selection
+epochs all run through one epoch loop on a per-epoch `Workspace`; plain
+cross-entropy is that loop with the refinement stages switched off.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ from .gmm import model_to_dict
 from .lossprofile import LossProfile, normalize, profile
 from .network import (
     LOG_FLOOR,
-    Grads,
     NetworkParams,
     OptimizerState,
+    Workspace,
     backprop_from_logits,
     forward_cached,
     init_network,
     one_hot,
-    sgd_step,
     softmax,
 )
 from .rng import RngStreams
@@ -36,7 +39,7 @@ from .selection import (
     BRANCH_PREDICTED,
     BRANCH_WRONG,
     DEFAULT_ANCHORS,
-    Division,
+    SelectionWeights,
     co_divide,
     selection_report,
     self_divide,
@@ -161,12 +164,15 @@ class NetworkPair:
 
 
 def _mean_softmax(logits: list[np.ndarray]) -> np.ndarray:
-    """Softmax of each logit array, summed in list order, over their count."""
-    total = None
-    for z in logits:
-        p = softmax(z)
-        total = p if total is None else total + p
-    return total / len(logits)
+    """Softmax of each logit array, summed in list order, over their count.
+
+    Works in place: the logit arrays are overwritten, the first holds the result.
+    """
+    total = softmax(logits[0], out=logits[0])
+    for z in logits[1:]:
+        total += softmax(z, out=z)
+    total /= len(logits)
+    return total
 
 
 def ensemble_probs(nets: list[NetworkParams], x: np.ndarray) -> np.ndarray:
@@ -181,97 +187,14 @@ def ensemble_predict(pair: NetworkPair, x: np.ndarray) -> np.ndarray:
     return ensemble_probs([pair.net1, pair.net2], x)
 
 
-def refine_label(
-    y: np.ndarray,
-    p_b: np.ndarray,
-    w_r: float,
-    w_prd: float,
-    tau_r: float,
-    tau_prd: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Three-case soft relabeling of a single sample.
-
-    High correctly-labeled weight keeps the label in proportion w_r; a
-    high correctly-predicted weight leans on the ensemble in proportion
-    w_prd; otherwise a fresh uniform draw sets the blend.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    p_b = np.asarray(p_b, dtype=np.float64)
-    if w_r >= tau_r:
-        return w_r * y + (1.0 - w_r) * p_b
-    if w_prd >= tau_prd:
-        return (1.0 - w_prd) * y + w_prd * p_b
-    w_u = rng.uniform()
-    return (1.0 - w_u) * y + w_u * p_b
-
-
-def refine_batch(
-    y: np.ndarray,
-    p_b: np.ndarray,
-    w_r: np.ndarray,
-    w_prd: np.ndarray,
-    branches: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized refinement with branch codes decided by the caller.
-
-    Wrong-branch blend weights are drawn fresh for every sample in every
-    batch, in batch order, from the dedicated stream.
-    """
-    if not (y.shape == p_b.shape and y.shape[0] == branches.shape[0]):
-        raise StructuralError("refine_batch shape mismatch")
-    # Per-row weights on the label (keep) and on the ensemble (lean).
-    keep = np.empty(len(branches))
-    lean = np.empty(len(branches))
-    lab = branches == BRANCH_LABELED
-    prd = branches == BRANCH_PREDICTED
-    wrg = branches == BRANCH_WRONG
-    keep[lab] = w_r[lab]
-    lean[lab] = 1.0 - w_r[lab]
-    keep[prd] = 1.0 - w_prd[prd]
-    lean[prd] = w_prd[prd]
-    n_wrong = int(wrg.sum())
-    if n_wrong:
-        w_u = rng.uniform(size=n_wrong)
-        keep[wrg] = 1.0 - w_u
-        lean[wrg] = w_u
-    return keep[:, None] * y + lean[:, None] * p_b
-
-
 def sharpen(y_tilde: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature exponentiation and renormalization, row-wise."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     arr = np.asarray(y_tilde, dtype=np.float64)
     powered = arr ** (1.0 / temperature)
-    return powered / powered.sum(axis=-1, keepdims=True)
-
-
-def fold_lambda(lam: float) -> float:
-    """Mixing coefficients are reflected into [0.5, 1]."""
-    return max(lam, 1.0 - lam)
-
-
-def draw_mixup_lambda(alpha: float, rng: np.random.Generator) -> float:
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
-    return fold_lambda(float(rng.beta(alpha, alpha)))
-
-
-def mixup_pair(
-    sample1: tuple[np.ndarray, np.ndarray],
-    sample2: tuple[np.ndarray, np.ndarray],
-    alpha: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convex combination of two samples with a Beta-drawn coefficient."""
-    x1, y1 = sample1
-    x2, y2 = sample2
-    lam = draw_mixup_lambda(alpha, rng)
-    return lam * np.asarray(x1) + (1.0 - lam) * np.asarray(x2), lam * np.asarray(
-        y1
-    ) + (1.0 - lam) * np.asarray(y2)
+    powered /= powered.sum(axis=-1, keepdims=True)
+    return powered
 
 
 def mixup_batch(
@@ -291,37 +214,105 @@ def mixup_batch(
     return lam * x + (1.0 - lam) * x[perm], lam * y + (1.0 - lam) * y[perm]
 
 
-def batch_objective(
-    params: NetworkParams, x: np.ndarray, y: np.ndarray, lambda_reg: float
-) -> tuple[float, Grads]:
-    """Mean cross-entropy on soft targets plus the uniform-prior regularizer.
+def _regularizer_grad(p: np.ndarray, lambda_reg: float) -> np.ndarray:
+    """lambda_reg times the uniform-prior regularizer's gradient w.r.t. the logits.
 
     The regularizer is the KL of the uniform distribution against the
-    batch-mean softmax; it vanishes when the mean prediction is uniform
-    and grows as any class is starved.
+    batch-mean softmax `p`; it vanishes when the mean prediction is uniform
+    and grows as any class is starved. With g_c = -1 / (n * C * mean_c) its
+    gradient is p * (g - (g . p)).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape != (x.shape[0], params.n_outputs):
-        raise StructuralError("target shape does not match batch and class count")
-    logits, activations = forward_cached(params, x)
-    p = softmax(logits)
     n, n_classes = p.shape
-    loss_x = float(-(y * np.log(np.maximum(p, LOG_FLOOR))).sum() / n)
     p_mean = np.maximum(p.mean(axis=0), LOG_FLOOR)
-    loss_reg = float((np.log(1.0 / n_classes) - np.log(p_mean)).sum() / n_classes)
-    # d/dlogits of the mean CE is (p - y)/n; the regularizer adds
-    # p * (g - (g . p)) with g_c = -1 / (n * C * mean_c).
     g = -1.0 / (n * n_classes * p_mean)
-    d_logits = (p - y) / n + lambda_reg * p * (g[None, :] - (p @ g)[:, None])
-    grads = backprop_from_logits(params, activations, d_logits)
-    return loss_x + lambda_reg * loss_reg, grads
+    reg = lambda_reg * p
+    reg *= g[None, :] - (p @ g)[:, None]
+    return reg
 
 
-def batch_loss(
-    params: NetworkParams, x: np.ndarray, y: np.ndarray, lambda_reg: float = 1.0
-) -> float:
-    return batch_objective(params, x, y, lambda_reg)[0]
+@dataclass
+class _Refinement:
+    """What a selection epoch adds to plain cross-entropy for one network."""
+
+    others: list[NetworkParams]  # frozen ensemble partners
+    keep: np.ndarray  # [N] weight on the label
+    lean: np.ndarray  # [N] weight on the ensemble; wrong rows drawn per batch
+    wrong: np.ndarray  # [N] wrong-branch mask
+    dst: DstParams
+    wrong_rng: np.random.Generator
+    mixup_rng: np.random.Generator | None  # None: no MixUp
+
+    def batch(
+        self, params: NetworkParams, x: np.ndarray, y: np.ndarray, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Refined, sharpened and mixed batch. The ensemble sees the updating
+        network's current parameters; wrong-branch blend weights are drawn
+        fresh for every such sample, in batch order."""
+        p_b = _mean_softmax([forward_cached(net, x)[0] for net in [params, *self.others]])
+        keep, lean, wrong = self.keep[idx], self.lean[idx], self.wrong[idx]
+        n_wrong = int(wrong.sum())
+        if n_wrong:
+            w_u = self.wrong_rng.uniform(size=n_wrong)
+            keep[wrong] = 1.0 - w_u
+            lean[wrong] = w_u
+        p_b *= lean[:, None]
+        p_b += keep[:, None] * y
+        y_hat = sharpen(p_b, self.dst.temperature)
+        if self.mixup_rng is None:
+            return x, y_hat
+        return mixup_batch(x, y_hat, self.dst.alpha, self.mixup_rng)
+
+
+def _branch_table(
+    weights: SelectionWeights, branches: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample keep/lean weights and the wrong-branch mask for one epoch.
+
+    Labeled rows keep w_r of the label and lean 1 - w_r on the ensemble;
+    predicted rows keep 1 - w_prd and lean w_prd.
+    """
+    labeled = branches == BRANCH_LABELED
+    wrong = branches == BRANCH_WRONG
+    if not (labeled | wrong | (branches == BRANCH_PREDICTED)).all():
+        raise StructuralError("branch codes must be labeled, predicted or wrong")
+    w_r, w_prd = weights.w_r, weights.w_prd
+    return np.where(labeled, w_r, 1.0 - w_prd), np.where(labeled, 1.0 - w_r, w_prd), wrong
+
+
+def _train_epoch(
+    params: NetworkParams,
+    opt: OptimizerState,
+    ds: NoisyDataset,
+    batch_size: int,
+    shuffle_rng: np.random.Generator,
+    refinement: _Refinement | None = None,
+) -> NetworkParams:
+    """One epoch of shuffled mini-batch SGD on a fresh `Workspace`.
+
+    Without `refinement` each batch trains on its one-hot dataset labels
+    with plain mean cross-entropy; with it, on refined, sharpened, mixed
+    targets with the uniform-prior regularizer added. Returns fresh params.
+    """
+    ws = Workspace(params, opt)
+    targets = one_hot(ds.noisy_labels, ds.n_classes)
+    order = shuffle_rng.permutation(ds.n_samples)
+    for start in range(0, ds.n_samples, batch_size):
+        idx = order[start : start + batch_size]
+        x, y = ds.features[idx], targets[idx]
+        if refinement is not None:
+            x, y = refinement.batch(ws.params, x, y, idx)
+        logits, activations = forward_cached(ws.params, x)
+        p = softmax(logits, out=logits)
+        reg = None if refinement is None else _regularizer_grad(p, refinement.dst.lambda_reg)
+        # p becomes the mean cross-entropy's gradient (p - y) / n in place.
+        d_logits = p
+        d_logits -= y
+        d_logits /= idx.size
+        if reg is not None:
+            d_logits += reg
+        backprop_from_logits(ws.params, activations, d_logits, out=ws.grads)
+        ws.step()
+    return ws.snapshot()
 
 
 def plain_ce_epoch(
@@ -332,15 +323,7 @@ def plain_ce_epoch(
     rng: np.random.Generator,
 ) -> NetworkParams:
     """One epoch of shuffled mini-batch cross-entropy on the dataset labels."""
-    order = rng.permutation(ds.n_samples)
-    targets = one_hot(ds.noisy_labels, ds.n_classes)
-    for start in range(0, ds.n_samples, batch_size):
-        idx = order[start : start + batch_size]
-        logits, activations = forward_cached(params, ds.features[idx])
-        d_logits = (softmax(logits) - targets[idx]) / idx.size
-        grads = backprop_from_logits(params, activations, d_logits)
-        params = sgd_step(params, grads, opt)
-    return params
+    return _train_epoch(params, opt, ds, batch_size, rng)
 
 
 def warmup(
@@ -383,49 +366,6 @@ def _apply_branch_ablation(branches: np.ndarray, ablation: Ablation) -> np.ndarr
     elif ablation.disable_branch == "predicted":
         out[out == BRANCH_PREDICTED] = BRANCH_WRONG
     return out
-
-
-def _train_net_on_division(
-    params: NetworkParams,
-    opt: OptimizerState,
-    other_nets: list[NetworkParams],
-    ds: NoisyDataset,
-    division: Division,
-    branches: np.ndarray,
-    dst: DstParams,
-    batch_size: int,
-    shuffle_rng: np.random.Generator,
-    mixup_rng: np.random.Generator,
-    wrong_rng: np.random.Generator,
-    no_mixup: bool,
-) -> NetworkParams:
-    """Mini-batch loop updating a single network's parameters.
-
-    Refinement sees current parameters: the updating network contributes
-    its latest weights to every batch's ensemble, `other_nets` stay frozen.
-    """
-    targets = one_hot(ds.noisy_labels, ds.n_classes)
-    order = shuffle_rng.permutation(ds.n_samples)
-    for start in range(0, ds.n_samples, batch_size):
-        idx = order[start : start + batch_size]
-        x_b = ds.features[idx]
-        p_b = ensemble_probs([params] + other_nets, x_b)
-        y_tilde = refine_batch(
-            targets[idx],
-            p_b,
-            division.weights.w_r[idx],
-            division.weights.w_prd[idx],
-            branches[idx],
-            wrong_rng,
-        )
-        y_hat = sharpen(y_tilde, dst.temperature)
-        if no_mixup:
-            x_mix, y_mix = x_b, y_hat
-        else:
-            x_mix, y_mix = mixup_batch(x_b, y_hat, dst.alpha, mixup_rng)
-        _, grads = batch_objective(params, x_mix, y_mix, dst.lambda_reg)
-        params = sgd_step(params, grads, opt)
-    return params
 
 
 def run_dst_epoch(
@@ -478,19 +418,15 @@ def run_dst_epoch(
             other_nets = []
         else:
             other_nets = [pair.net2 if name == "net1" else pair.net1]
-        updated = _train_net_on_division(
-            getattr(pair, name),
-            opt,
+        refinement = _Refinement(
             other_nets,
-            ds,
-            division,
-            branches,
+            *_branch_table(division.weights, branches),
             dst,
-            batch_size,
-            shuffle_rng,
-            streams.mixup[i],
             streams.wrong_branch[i],
-            ablation.no_mixup,
+            None if ablation.no_mixup else streams.mixup[i],
+        )
+        updated = _train_epoch(
+            getattr(pair, name), opt, ds, batch_size, shuffle_rng, refinement
         )
         setattr(pair, name, updated)
         report = selection_report(branches, ds, division.predicted)

@@ -1,0 +1,410 @@
+"""Reference implementations the production code must reproduce.
+
+Scalar per-sample versions of the batched operations, and the allocating
+training loop, mixture E-step and SGD step as they were written before the
+production code moved to flat per-epoch workspaces and column-wise EM.
+Tests compare the production results with these, bit for bit where the
+production code claims the same float operations in the same order.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from dstlab.errors import ConfigError, GmmFitError, NumericError, StructuralError
+from dstlab.gmm import N_COMPONENTS
+from dstlab.lossprofile import normalize, profile
+from dstlab.network import LOG_FLOOR, Layer, NetworkParams, layer_views, one_hot
+from dstlab.selection import (
+    BRANCH_LABELED,
+    BRANCH_PREDICTED,
+    BRANCH_WRONG,
+    co_divide,
+    self_divide,
+)
+from dstlab.training import _apply_branch_ablation, mixup_batch
+
+# --- Allocating forward, softmax, backward and SGD step: every result is a
+# fresh array, nothing is written in place.
+
+
+def forward_cached_reference(params, x):
+    batch = np.asarray(x, dtype=np.float64)
+    activations = [batch]
+    a = batch
+    last = len(params.layers) - 1
+    for i, layer in enumerate(params.layers):
+        z = a @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if i < last else z
+        if i < last:
+            activations.append(a)
+    return a, activations
+
+
+def softmax_reference(logits):
+    arr = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise NumericError("softmax requires finite logits")
+    shifted = arr - arr.max(axis=-1, keepdims=True)
+    exped = np.exp(shifted)
+    return exped / exped.sum(axis=-1, keepdims=True)
+
+
+def backprop_reference(params, activations, d_logits):
+    grads = [None] * len(params.layers)
+    delta = d_logits
+    for k in range(len(params.layers) - 1, -1, -1):
+        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
+        if k > 0:
+            delta = (delta @ params.layers[k].weights) * (activations[k] > 0.0)
+    return grads
+
+
+def sgd_step_reference(params, grads, opt):
+    """Replaces every buffer with a fresh array, as the original step did."""
+    new_layers = []
+    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
+        m_w, m_b = opt.buffers[k]
+        m_w = opt.momentum * m_w + d_w + opt.weight_decay * layer.weights
+        m_b = opt.momentum * m_b + d_b + opt.weight_decay * layer.bias
+        opt.buffers[k] = (m_w, m_b)
+        new_layers.append(
+            Layer(
+                weights=layer.weights - opt.learning_rate * m_w,
+                bias=layer.bias - opt.learning_rate * m_b,
+            )
+        )
+    return NetworkParams(new_layers)
+
+
+def ensemble_probs_reference(nets, x):
+    """Mean softmax over the nets: summed in list order, over their count."""
+    total = None
+    for params in nets:
+        p = softmax_reference(forward_cached_reference(params, x)[0])
+        total = p if total is None else total + p
+    return total / len(nets)
+
+
+def sharpen_reference(y_tilde, temperature):
+    powered = np.asarray(y_tilde, dtype=np.float64) ** (1.0 / temperature)
+    return powered / powered.sum(axis=-1, keepdims=True)
+
+
+# --- Scalar references for refinement and MixUp.
+
+
+def refine_label(y, p_b, w_r, w_prd, tau_r, tau_prd, rng):
+    """Three-case soft relabeling of a single sample.
+
+    High correctly-labeled weight keeps the label in proportion w_r; a
+    high correctly-predicted weight leans on the ensemble in proportion
+    w_prd; otherwise a fresh uniform draw sets the blend.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    p_b = np.asarray(p_b, dtype=np.float64)
+    if w_r >= tau_r:
+        return w_r * y + (1.0 - w_r) * p_b
+    if w_prd >= tau_prd:
+        return (1.0 - w_prd) * y + w_prd * p_b
+    w_u = rng.uniform()
+    return (1.0 - w_u) * y + w_u * p_b
+
+
+def fold_lambda(lam: float) -> float:
+    """Mixing coefficients are reflected into [0.5, 1]."""
+    return max(lam, 1.0 - lam)
+
+
+def draw_mixup_lambda(alpha: float, rng) -> float:
+    if alpha <= 0:
+        raise ConfigError(f"alpha must be > 0, got {alpha}")
+    return fold_lambda(float(rng.beta(alpha, alpha)))
+
+
+def mixup_pair(sample1, sample2, alpha, rng):
+    """Convex combination of two samples with a Beta-drawn coefficient."""
+    x1, y1 = sample1
+    x2, y2 = sample2
+    lam = draw_mixup_lambda(alpha, rng)
+    return lam * np.asarray(x1) + (1.0 - lam) * np.asarray(x2), lam * np.asarray(
+        y1
+    ) + (1.0 - lam) * np.asarray(y2)
+
+
+# --- The batch step before the fused epoch loop.
+
+
+def refine_batch(y, p_b, w_r, w_prd, branches, rng):
+    """Vectorized refinement with branch codes decided by the caller.
+
+    Wrong-branch blend weights are drawn fresh for every sample in every
+    batch, in batch order, from the dedicated stream.
+    """
+    if not (y.shape == p_b.shape and y.shape[0] == branches.shape[0]):
+        raise StructuralError("refine_batch shape mismatch")
+    # Per-row weights on the label (keep) and on the ensemble (lean).
+    keep = np.empty(len(branches))
+    lean = np.empty(len(branches))
+    lab = branches == BRANCH_LABELED
+    prd = branches == BRANCH_PREDICTED
+    wrg = branches == BRANCH_WRONG
+    if not (lab | prd | wrg).all():
+        raise StructuralError("branch codes must be labeled, predicted or wrong")
+    keep[lab] = w_r[lab]
+    lean[lab] = 1.0 - w_r[lab]
+    keep[prd] = 1.0 - w_prd[prd]
+    lean[prd] = w_prd[prd]
+    n_wrong = int(wrg.sum())
+    if n_wrong:
+        w_u = rng.uniform(size=n_wrong)
+        keep[wrg] = 1.0 - w_u
+        lean[wrg] = w_u
+    return keep[:, None] * y + lean[:, None] * p_b
+
+
+def batch_objective(params, x, y, lambda_reg):
+    """Mean cross-entropy on soft targets plus the uniform-prior regularizer.
+
+    The regularizer is the KL of the uniform distribution against the
+    batch-mean softmax; it vanishes when the mean prediction is uniform
+    and grows as any class is starved.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if y.shape != (x.shape[0], params.n_outputs):
+        raise StructuralError("target shape does not match batch and class count")
+    logits, activations = forward_cached_reference(params, x)
+    p = softmax_reference(logits)
+    n, n_classes = p.shape
+    loss_x = float(-(y * np.log(np.maximum(p, LOG_FLOOR))).sum() / n)
+    p_mean = np.maximum(p.mean(axis=0), LOG_FLOOR)
+    loss_reg = float((np.log(1.0 / n_classes) - np.log(p_mean)).sum() / n_classes)
+    # d/dlogits of the mean CE is (p - y)/n; the regularizer adds
+    # p * (g - (g . p)) with g_c = -1 / (n * C * mean_c).
+    g = -1.0 / (n * n_classes * p_mean)
+    d_logits = (p - y) / n + lambda_reg * p * (g[None, :] - (p @ g)[:, None])
+    grads = backprop_reference(params, activations, d_logits)
+    return loss_x + lambda_reg * loss_reg, grads
+
+
+def batch_loss(params, x, y, lambda_reg=1.0):
+    return batch_objective(params, x, y, lambda_reg)[0]
+
+
+@dataclass
+class ReferenceOptimizer:
+    """SGD state with one momentum buffer pair per layer, as it was held."""
+
+    learning_rate: float
+    momentum: float = 0.0
+    weight_decay: float = 0.0
+    buffers: list | None = None
+
+    @classmethod
+    def for_network(cls, params, learning_rate, momentum=0.0, weight_decay=0.0):
+        buffers = [
+            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+            for layer in params.layers
+        ]
+        return cls(learning_rate, momentum, weight_decay, buffers)
+
+    @classmethod
+    def copy_of(cls, opt, params):
+        """Per-layer copies of a production optimizer's flat momentum."""
+        buffers = None
+        if opt.buffer is not None:
+            views = layer_views(opt.buffer, params.sizes())
+            buffers = [(m_w.copy(), m_b.copy()) for m_w, m_b in views]
+        return cls(opt.learning_rate, opt.momentum, opt.weight_decay, buffers)
+
+    def flat(self) -> np.ndarray:
+        return np.concatenate([m.ravel() for pair in self.buffers for m in pair])
+
+
+def sgd_step(params, grads, opt):
+    """One optimizer step; refuses bad gradients before touching any buffer.
+
+    The momentum buffers are updated in place; the returned parameters are
+    fresh arrays, and `params` is left as it was.
+    """
+    if len(grads) != len(params.layers):
+        raise StructuralError(
+            f"{len(grads)} gradient entries for {len(params.layers)} layers"
+        )
+    if opt.buffers is not None and len(opt.buffers) != len(params.layers):
+        raise StructuralError(
+            f"{len(opt.buffers)} momentum buffers for {len(params.layers)} layers"
+        )
+    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
+        shapes = (layer.weights.shape, layer.bias.shape)
+        if (d_w.shape, d_b.shape) != shapes:
+            raise StructuralError("gradient shapes do not mirror parameter shapes")
+        if opt.buffers is not None and tuple(m.shape for m in opt.buffers[k]) != shapes:
+            raise StructuralError("momentum buffer shapes do not mirror parameter shapes")
+        if not (np.isfinite(d_w).all() and np.isfinite(d_b).all()):
+            raise NumericError("refusing SGD step: non-finite gradient")
+    if opt.buffers is None:
+        opt.buffers = [
+            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+            for layer in params.layers
+        ]
+    return NetworkParams(
+        [
+            Layer(
+                weights=_momentum_step(layer.weights, d_w, m_w, opt),
+                bias=_momentum_step(layer.bias, d_b, m_b, opt),
+            )
+            for layer, (d_w, d_b), (m_w, m_b) in zip(params.layers, grads, opt.buffers)
+        ]
+    )
+
+
+def _momentum_step(param, grad, buf, opt):
+    """Fold `grad` into the momentum buffer in place; return the new parameter."""
+    buf *= opt.momentum
+    buf += grad
+    buf += opt.weight_decay * param
+    step = opt.learning_rate * buf
+    return np.subtract(param, step, out=step)
+
+
+# --- The two epoch loops before they became one.
+
+
+def plain_ce_epoch(params, opt, ds, batch_size, rng):
+    """One epoch of shuffled mini-batch cross-entropy on the dataset labels."""
+    order = rng.permutation(ds.n_samples)
+    targets = one_hot(ds.noisy_labels, ds.n_classes)
+    for start in range(0, ds.n_samples, batch_size):
+        idx = order[start : start + batch_size]
+        logits, activations = forward_cached_reference(params, ds.features[idx])
+        d_logits = (softmax_reference(logits) - targets[idx]) / idx.size
+        grads = backprop_reference(params, activations, d_logits)
+        params = sgd_step(params, grads, opt)
+    return params
+
+
+def train_net_on_division(
+    params,
+    opt,
+    other_nets,
+    ds,
+    division,
+    branches,
+    dst,
+    batch_size,
+    shuffle_rng,
+    mixup_rng,
+    wrong_rng,
+    no_mixup,
+):
+    """Mini-batch loop updating a single network's parameters.
+
+    Refinement sees current parameters: the updating network contributes
+    its latest weights to every batch's ensemble, `other_nets` stay frozen.
+    """
+    targets = one_hot(ds.noisy_labels, ds.n_classes)
+    order = shuffle_rng.permutation(ds.n_samples)
+    for start in range(0, ds.n_samples, batch_size):
+        idx = order[start : start + batch_size]
+        x_b = ds.features[idx]
+        p_b = ensemble_probs_reference([params] + other_nets, x_b)
+        y_tilde = refine_batch(
+            targets[idx],
+            p_b,
+            division.weights.w_r[idx],
+            division.weights.w_prd[idx],
+            branches[idx],
+            wrong_rng,
+        )
+        y_hat = sharpen_reference(y_tilde, dst.temperature)
+        if no_mixup:
+            x_mix, y_mix = x_b, y_hat
+        else:
+            x_mix, y_mix = mixup_batch(x_b, y_hat, dst.alpha, mixup_rng)
+        _, grads = batch_objective(params, x_mix, y_mix, dst.lambda_reg)
+        params = sgd_step(params, grads, opt)
+    return params
+
+
+def dst_epoch(nets, opts, ds, dst, batch_size, streams, ablation, divide=None):
+    """The training half of the former `run_dst_epoch`, on `nets`/`opts` dicts.
+
+    `divide` replaces the co-division (for forcing fit failures); it gets
+    the normalized profiles and the fit options.
+    """
+    fit_options = dict(
+        anchors=dst.anchors,
+        tol=dst.gmm_tol,
+        max_iter=dst.gmm_max_iter,
+        tau_r=dst.tau_r,
+        tau_prd=dst.tau_prd,
+    )
+    prof1 = normalize(profile(nets["net1"], ds))
+    if ablation.single_network:
+        codiv = self_divide(prof1, **fit_options)
+    else:
+        prof2 = normalize(profile(nets["net2"], ds))
+        codiv = (divide or co_divide)(prof1, prof2, **fit_options)
+    consumers = ("net1",) if ablation.single_network else ("net1", "net2")
+    for i, name in enumerate(consumers):
+        division = codiv.for_net1 if name == "net1" else codiv.for_net2
+        if division is None:
+            nets[name] = plain_ce_epoch(
+                nets[name], opts[name], ds, batch_size, streams.shuffle[i]
+            )
+            continue
+        branches = _apply_branch_ablation(division.branches, ablation)
+        others = [] if ablation.single_network else [nets["net2" if name == "net1" else "net1"]]
+        nets[name] = train_net_on_division(
+            nets[name],
+            opts[name],
+            others,
+            ds,
+            division,
+            branches,
+            dst,
+            batch_size,
+            streams.shuffle[i],
+            streams.mixup[i],
+            streams.wrong_branch[i],
+            ablation.no_mixup,
+        )
+
+
+# --- The mixture E-step over an [N, 3] log-joint array.
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def log_densities(points, means, covariances):
+    """Log density of every point under every component, via closed-form
+    2x2 inverses. Shape [N, 3]."""
+    out = np.empty((points.shape[0], N_COMPONENTS))
+    for k in range(N_COMPONENTS):
+        a, b = covariances[k, 0, 0], covariances[k, 0, 1]
+        c, d = covariances[k, 1, 0], covariances[k, 1, 1]
+        det = a * d - b * c
+        if not np.isfinite(det) or det <= 0:
+            raise GmmFitError(f"component {k} covariance is not positive definite")
+        diff = points - means[k]
+        quad = (
+            d * diff[:, 0] ** 2
+            - (b + c) * diff[:, 0] * diff[:, 1]
+            + a * diff[:, 1] ** 2
+        ) / det
+        out[:, k] = -_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
+    return out
+
+
+def e_step(points, means, covariances, weights):
+    """Responsibilities and total log-likelihood, computed in log space."""
+    log_joint = log_densities(points, means, covariances) + np.log(weights)
+    peak = log_joint.max(axis=1, keepdims=True)
+    log_norm = peak[:, 0] + np.log(np.exp(log_joint - peak).sum(axis=1))
+    resp = np.exp(log_joint - log_norm[:, None])
+    total_ll = float(log_norm.sum())
+    if not np.isfinite(total_ll) or not np.all(np.isfinite(resp)):
+        raise GmmFitError("log-likelihood or responsibilities became non-finite")
+    return resp, total_ll

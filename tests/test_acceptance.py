@@ -27,19 +27,13 @@ import numpy as np
 import pytest
 
 from conftest import gradient_check_draws
+from oracles import batch_loss, fold_lambda, mixup_pair, refine_label
 from dstlab.config import MEMORIZATION, benchmark_config
 from dstlab.gmm import fit, posteriors
 from dstlab.lab import load_summary, run, scatter_csv_path
 from dstlab.network import Layer, NetworkParams, init_network
 from dstlab.selection import DEFAULT_ANCHORS
-from dstlab.training import (
-    batch_loss,
-    ensemble_probs,
-    fold_lambda,
-    mixup_pair,
-    refine_label,
-    sharpen,
-)
+from dstlab.training import ensemble_probs, sharpen
 
 # scripts/baseline_oracle.py output for the memorization regime (frozen):
 # ensemble accuracy of the plain cross-entropy run.

@@ -12,10 +12,13 @@ from dstlab.gmm import (
     GmmModel,
     fit,
     model_to_dict,
+    _columns,
+    _e_step,
     posterior,
     posteriors,
 )
 from dstlab.selection import DEFAULT_ANCHORS
+from oracles import e_step as e_step_reference
 
 ANCHORS = DEFAULT_ANCHORS
 
@@ -178,3 +181,50 @@ def test_model_to_dict_is_json_friendly():
     import json
 
     json.dumps(dumped)
+
+
+def e_step_case(rng, t):
+    """Random points, means, covariances and weights; every few cases has
+    identical points, a flat axis or weights at the floor."""
+    n = int(rng.integers(6, 5000))
+    points = rng.uniform(size=(n, 2))
+    if t % 10 == 0:
+        points[:, 1] = 0.5  # flat axis
+    elif t % 10 == 1:
+        points[:] = points[0]  # identical points
+    means = rng.uniform(size=(3, 2))
+    a = 0.3 * rng.normal(size=(3, 2, 2))
+    covariances = a @ a.transpose(0, 2, 1) + SIGMA_FLOOR * np.eye(2)
+    weights = rng.dirichlet(np.ones(3))
+    if t % 7 == 0:
+        weights = np.array([PI_FLOOR, PI_FLOOR, 1.0 - 2.0 * PI_FLOOR])
+    return points, means, covariances, weights
+
+
+class TestColumnwiseEStep:
+    def test_matches_the_n_by_3_e_step_bytes_on_300_inputs(self):
+        rng = np.random.default_rng(2024)
+        for t in range(300):
+            points, means, covariances, weights = e_step_case(rng, t)
+            resp, ll = _e_step(_columns(points), means, covariances, weights)
+            ref_resp, ref_ll = e_step_reference(points, means, covariances, weights)
+            assert resp.shape == ref_resp.shape and resp.flags.c_contiguous
+            assert resp.tobytes() == ref_resp.tobytes(), t
+            assert ll == ref_ll, t
+
+    def test_same_error_on_a_singular_covariance(self):
+        points, means, covariances, weights = e_step_case(np.random.default_rng(3), 5)
+        covariances[1] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(GmmFitError, match="component 1") as got:
+            _e_step(_columns(points), means, covariances, weights)
+        with pytest.raises(GmmFitError) as want:
+            e_step_reference(points, means, covariances, weights)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("max_iter", [DEFAULT_MAX_ITER, 3], ids=["converged", "max-iter"])
+    def test_fit_returns_the_posteriors_of_its_points(self, max_iter):
+        points, _ = anchor_clusters(per_cluster=300, sigma=0.15, seed=9)
+        model = fit(points, ANCHORS, tol=1e-3, max_iter=max_iter)
+        assert (model.iterations < max_iter) == (max_iter == DEFAULT_MAX_ITER)
+        assert model.resp.tobytes() == posteriors(model, points).tobytes()
+        assert "resp" not in model_to_dict(model)

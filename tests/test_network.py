@@ -20,11 +20,30 @@ from dstlab.network import (
     init_network,
     load_checkpoint,
     one_hot,
+    Workspace,
+    layer_views,
     params_hash,
     save_checkpoint,
-    sgd_step,
     softmax,
 )
+from oracles import (
+    ReferenceOptimizer,
+    backprop_reference,
+    forward_cached_reference,
+    sgd_step,
+    sgd_step_reference,
+)
+
+
+def workspace_step(params, grads, opt) -> NetworkParams:
+    """One production SGD step from given gradients: a `Workspace` made from
+    `params`, its gradients set to `grads`, one step, then a snapshot."""
+    ws = Workspace(params, opt)
+    for (g_w, g_b), (d_w, d_b) in zip(ws.grads, grads):
+        g_w[...] = d_w
+        g_b[...] = d_b
+    ws.step()
+    return ws.snapshot()
 
 
 def single_layer(weights, bias) -> NetworkParams:
@@ -174,14 +193,14 @@ class TestSgdStep:
     def test_zero_gradients_leave_parameters_unchanged(self):
         params = single_layer([[1.0]], [2.0])
         opt = OptimizerState.for_network(params, learning_rate=0.1)
-        stepped = sgd_step(params, [(np.zeros((1, 1)), np.zeros(1))], opt)
+        stepped = workspace_step(params, [(np.zeros((1, 1)), np.zeros(1))], opt)
         assert stepped.layers[0].weights[0, 0] == 1.0
         assert stepped.layers[0].bias[0] == 2.0
 
     def test_single_plain_step(self):
         params = single_layer([[1.0]], [0.0])
         opt = OptimizerState.for_network(params, learning_rate=0.1)
-        stepped = sgd_step(params, [(np.ones((1, 1)), np.zeros(1))], opt)
+        stepped = workspace_step(params, [(np.ones((1, 1)), np.zeros(1))], opt)
         np.testing.assert_allclose(stepped.layers[0].weights[0, 0], 0.9)
 
     def test_two_momentum_steps(self):
@@ -189,31 +208,30 @@ class TestSgdStep:
         params = single_layer([[0.0]], [0.0])
         opt = OptimizerState.for_network(params, learning_rate=0.1, momentum=0.9)
         grad = [(np.ones((1, 1)), np.zeros(1))]
-        params = sgd_step(params, grad, opt)
-        params = sgd_step(params, grad, opt)
+        params = workspace_step(params, grad, opt)
+        params = workspace_step(params, grad, opt)
         np.testing.assert_allclose(params.layers[0].weights[0, 0], -0.29, atol=1e-15)
 
     def test_weight_decay_couples_into_buffer(self):
         params = single_layer([[2.0]], [0.0])
         opt = OptimizerState.for_network(params, learning_rate=0.1, weight_decay=0.5)
-        stepped = sgd_step(params, [(np.zeros((1, 1)), np.zeros(1))], opt)
+        stepped = workspace_step(params, [(np.zeros((1, 1)), np.zeros(1))], opt)
         # buffer = 0 + 0 + 0.5 * 2 = 1; param = 2 - 0.1 * 1
         np.testing.assert_allclose(stepped.layers[0].weights[0, 0], 1.9)
 
     def test_non_finite_gradient_refused_without_mutation(self):
         params = single_layer([[1.0]], [0.0])
         opt = OptimizerState.for_network(params, learning_rate=0.1, momentum=0.9)
-        before = [tuple(arr.copy() for arr in buf) for buf in opt.buffers]
+        before = opt.buffer.copy()
         with pytest.raises(NumericError):
-            sgd_step(params, [(np.array([[np.nan]]), np.zeros(1))], opt)
+            workspace_step(params, [(np.array([[np.nan]]), np.zeros(1))], opt)
         assert params.layers[0].weights[0, 0] == 1.0
-        for (m_w, m_b), (o_w, o_b) in zip(opt.buffers, before):
-            np.testing.assert_array_equal(m_w, o_w)
-            np.testing.assert_array_equal(m_b, o_b)
+        np.testing.assert_array_equal(opt.buffer, before)
 
     def test_gradient_shape_mismatch_raises(self):
+        # A workspace makes its own gradients; the moved per-layer step checks them.
         params = single_layer([[1.0]], [0.0])
-        opt = OptimizerState.for_network(params, learning_rate=0.1)
+        opt = ReferenceOptimizer.for_network(params, learning_rate=0.1)
         with pytest.raises(StructuralError):
             sgd_step(params, [(np.zeros((2, 2)), np.zeros(1))], opt)
 
@@ -314,54 +332,13 @@ def test_full_batch_training_loss_decreases_monotonically():
     losses = [mean_loss(params)]
     for _ in range(50):
         grads = [(w / 50.0, b / 50.0) for w, b in backward(params, x, targets)]
-        params = sgd_step(params, grads, opt)
+        params = workspace_step(params, grads, opt)
         losses.append(mean_loss(params))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
-# --- Allocating references: the forward, backward and SGD step as they were
-# written before the production versions moved to in-place updates. The
-# production code must reproduce them bit for bit.
-
-
-def forward_cached_reference(params, x):
-    batch = np.asarray(x, dtype=np.float64)
-    activations = [batch]
-    a = batch
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        z = a @ layer.weights.T + layer.bias
-        a = np.maximum(z, 0.0) if i < last else z
-        if i < last:
-            activations.append(a)
-    return a, activations
-
-
-def backprop_reference(params, activations, d_logits):
-    grads = [None] * len(params.layers)
-    delta = d_logits
-    for k in range(len(params.layers) - 1, -1, -1):
-        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
-        if k > 0:
-            delta = (delta @ params.layers[k].weights) * (activations[k] > 0.0)
-    return grads
-
-
-def sgd_step_reference(params, grads, opt):
-    """Replaces every buffer with a fresh array, as the original step did."""
-    new_layers = []
-    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
-        m_w, m_b = opt.buffers[k]
-        m_w = opt.momentum * m_w + d_w + opt.weight_decay * layer.weights
-        m_b = opt.momentum * m_b + d_b + opt.weight_decay * layer.bias
-        opt.buffers[k] = (m_w, m_b)
-        new_layers.append(
-            Layer(
-                weights=layer.weights - opt.learning_rate * m_w,
-                bias=layer.bias - opt.learning_rate * m_b,
-            )
-        )
-    return NetworkParams(new_layers)
+# --- The in-place forward, backward and workspace SGD step against the
+# allocating references in oracles.py, bit for bit.
 
 
 def assert_same_bytes(got, want):
@@ -442,7 +419,7 @@ class TestInPlaceMatchesAllocatingReference:
     def test_twenty_momentum_steps_keep_params_and_buffers(self):
         params, rng = random_net(64, seed=3)
         fast = OptimizerState.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
-        slow = OptimizerState.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
+        slow = ReferenceOptimizer.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
         p_fast = p_slow = params
         for step in range(20):
             x = rng.normal(size=(32, params.n_inputs))
@@ -450,18 +427,20 @@ class TestInPlaceMatchesAllocatingReference:
             grads = backward(p_fast, x, targets)
             if step == 10:
                 fast.learning_rate = slow.learning_rate = 0.005
-            p_fast = sgd_step(p_fast, grads, fast)
+            p_fast = workspace_step(p_fast, grads, fast)
             p_slow = sgd_step_reference(p_slow, grads, slow)
             assert_same_params(p_fast, p_slow)
-            assert_same_grads(fast.buffers, slow.buffers)
+            assert_same_bytes(fast.buffer, slow.flat())
 
     def test_first_step_creates_missing_buffers(self):
         params, rng = random_net(64, seed=4)
         opt = OptimizerState(0.1, momentum=0.9, weight_decay=1e-3)
-        ref = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
+        ref = ReferenceOptimizer.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
         grads = backward(params, rng.normal(size=(8, 20)), np.eye(4)[rng.integers(0, 4, 8)])
-        assert_same_params(sgd_step(params, grads, opt), sgd_step_reference(params, grads, ref))
-        assert_same_grads(opt.buffers, ref.buffers)
+        assert_same_params(
+            workspace_step(params, grads, opt), sgd_step_reference(params, grads, ref)
+        )
+        assert_same_bytes(opt.buffer, ref.flat())
 
 
 def shares_any(a, arrays) -> bool:
@@ -491,7 +470,7 @@ class TestAliasing:
             current = history[-1][0]
             x = rng.normal(size=(16, params.n_inputs))
             grads = backward(current, x, np.eye(4)[rng.integers(0, 4, 16)])
-            stepped = sgd_step(current, grads, opt)
+            stepped = workspace_step(current, grads, opt)
             history.append((stepped, params_hash(stepped)))
             for snapshot, digest in history:
                 assert params_hash(snapshot) == digest
@@ -502,9 +481,9 @@ class TestAliasing:
         current = params
         for _ in range(3):
             grads = backward(current, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
-            stepped = sgd_step(current, grads, opt)
+            stepped = workspace_step(current, grads, opt)
             old = [arr for layer in current.layers for arr in (layer.weights, layer.bias)]
-            taken = [arr for pair in opt.buffers + grads for arr in pair] + old
+            taken = [opt.buffer] + [arr for pair in grads for arr in pair] + old
             new = [arr for layer in stepped.layers for arr in (layer.weights, layer.bias)]
             for i, arr in enumerate(new):
                 assert not shares_any(arr, taken)
@@ -516,24 +495,23 @@ class TestAliasing:
         opt = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
         for _ in range(3):
             grads = backward(params, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
-            params = sgd_step(params, grads, opt)
-        assert all(np.any(m_w != 0.0) for m_w, _ in opt.buffers)
-        before = [tuple(m.tobytes() for m in pair) for pair in opt.buffers]
+            params = workspace_step(params, grads, opt)
+        assert all(np.any(m_w != 0.0) for m_w, _ in layer_views(opt.buffer, params.sizes()))
+        before = opt.buffer.tobytes()
         digest = params_hash(params)
         bad = [(d_w.copy(), d_b.copy()) for d_w, d_b in grads]
         bad[1][0][0, 0] = np.nan
         with pytest.raises(NumericError):
-            sgd_step(params, bad, opt)
-        assert [tuple(m.tobytes() for m in pair) for pair in opt.buffers] == before
+            workspace_step(params, bad, opt)
+        assert opt.buffer.tobytes() == before
         assert params_hash(params) == digest
 
     def test_mismatched_buffer_refused_before_any_update(self):
         params, rng = random_net(64, seed=9)
         opt = OptimizerState.for_network(params, 0.1, momentum=0.9)
-        opt.buffers[0] = (opt.buffers[0][0] + 1.0, opt.buffers[0][1] + 1.0)
-        opt.buffers[2] = (np.zeros((1, 1)), opt.buffers[2][1])
-        before = [tuple(m.tobytes() for m in pair) for pair in opt.buffers]
+        opt.buffer = opt.buffer[:-1] + 1.0  # one entry short of the layout
+        before = opt.buffer.tobytes()
         grads = backward(params, rng.normal(size=(4, 20)), np.eye(4)[[0, 1, 2, 3]])
         with pytest.raises(StructuralError):
-            sgd_step(params, grads, opt)
-        assert [tuple(m.tobytes() for m in pair) for pair in opt.buffers] == before
+            workspace_step(params, grads, opt)
+        assert opt.buffer.tobytes() == before

@@ -6,9 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_noisy, max_rel_err
+import oracles
+from oracles import (
+    ReferenceOptimizer,
+    batch_loss,
+    batch_objective,
+    draw_mixup_lambda,
+    fold_lambda,
+    mixup_pair,
+    refine_batch,
+    refine_label,
+)
 from dstlab import training
 from dstlab.data import make_blobs, inject_symmetric_c1
-from dstlab.errors import ConfigError, StructuralError
+from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import (
     Layer,
     NetworkParams,
@@ -25,6 +36,7 @@ from dstlab.selection import (
     BRANCH_WRONG,
     CoDivision,
     SelectionWeights,
+    co_divide,
     partition,
 )
 from dstlab.training import (
@@ -33,20 +45,16 @@ from dstlab.training import (
     NetworkPair,
     TrainSchedule,
     _apply_branch_ablation,
+    _branch_table,
+    _Refinement,
+    _train_epoch,
     accuracy,
-    batch_loss,
-    batch_objective,
-    draw_mixup_lambda,
     ensemble_accuracy,
     ensemble_predict,
     ensemble_probs,
     evaluate,
-    fold_lambda,
     mixup_batch,
-    mixup_pair,
     plain_ce_epoch,
-    refine_batch,
-    refine_label,
     run_dst_epoch,
     sharpen,
     warmup,
@@ -678,3 +686,178 @@ class TestBranchAblation:
         out = _apply_branch_ablation(self.BRANCHES, Ablation())
         np.testing.assert_array_equal(out, self.BRANCHES)
         assert out is not self.BRANCHES
+
+
+class TestBranchCodes:
+    W = np.array([0.9, 0.2, 0.4])
+
+    def test_epoch_table_rejects_unknown_codes(self):
+        weights = SelectionWeights(w_r=self.W, w_prd=self.W)
+        with pytest.raises(StructuralError):
+            _branch_table(weights, np.array([1, 7, -1]))
+
+    def test_reference_refinement_rejects_unknown_codes(self):
+        y = np.eye(2)[[0, 1, 0]]
+        with pytest.raises(StructuralError):
+            refine_batch(y, y, self.W, self.W, np.array([1, 7, -1]), np.random.default_rng(0))
+
+    def test_table_holds_the_blend_weights_of_each_branch(self):
+        weights = SelectionWeights(w_r=np.array([0.8, 0.3, 0.1]), w_prd=np.array([0.1, 0.6, 0.2]))
+        branches = np.array([BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG])
+        keep, lean, wrong = _branch_table(weights, branches)
+        assert keep[:2].tolist() == [0.8, 1.0 - 0.6]
+        assert lean[:2].tolist() == [1.0 - 0.8, 0.6]
+        assert wrong.tolist() == [False, False, True]
+
+
+def noisy_toy(n_samples: int, seed: int = 21):
+    """Three blobs with half the labels flipped, `n_samples` rows in all."""
+    per_class = -(-n_samples // 3)
+    clean = make_blobs(3, per_class, 2, 0.6, np.random.default_rng(seed))
+    ds = inject_symmetric_c1(clean, 0.5, seed=seed + 1)
+    return make_noisy(
+        ds.features[:n_samples], ds.true_labels[:n_samples], ds.noisy_labels[:n_samples], 3
+    )
+
+
+def assert_same_state(pair, ref_nets, ref_opts):
+    for name in ("net1", "net2"):
+        got, want = getattr(pair, name), ref_nets[name]
+        for g, w in zip(got.layers, want.layers, strict=True):
+            assert g.weights.tobytes() == w.weights.tobytes()
+            assert g.bias.tobytes() == w.bias.tobytes()
+        assert getattr(pair, f"opt{name[-1]}").buffer.tobytes() == ref_opts[name].flat().tobytes()
+
+
+class TestEpochLoopMatchesOracle:
+    """The one epoch loop against the two loops it replaced, bit for bit."""
+
+    BATCH = 16
+
+    def run_both(
+        self, n_samples, ablation, monkeypatch=None, divide=None, dst_epochs=3, dst=None
+    ):
+        ds = noisy_toy(n_samples)
+        dst = dst or DstParams()
+        schedule = TrainSchedule(total_epochs=10, warmup_epochs=2, batch_size=self.BATCH)
+        streams, ref_streams = RngStreams.from_master(31), RngStreams.from_master(31)
+        pair = NetworkPair.create([2, 12, 12, 3], schedule, streams.init_net1, streams.init_net2)
+        ref_nets = {"net1": pair.net1, "net2": pair.net2}
+        ref_opts = {
+            "net1": ReferenceOptimizer.copy_of(pair.opt1, pair.net1),
+            "net2": ReferenceOptimizer.copy_of(pair.opt2, pair.net2),
+        }
+        for _ in range(schedule.warmup_epochs):
+            for i, name in enumerate(("net1", "net2")):
+                net, opt = getattr(pair, name), getattr(pair, f"opt{i + 1}")
+                setattr(pair, name, plain_ce_epoch(net, opt, ds, self.BATCH, streams.shuffle[i]))
+                ref_nets[name] = oracles.plain_ce_epoch(
+                    ref_nets[name], ref_opts[name], ds, self.BATCH, ref_streams.shuffle[i]
+                )
+            assert_same_state(pair, ref_nets, ref_opts)
+        if divide is not None:
+            monkeypatch.setattr(training, "co_divide", divide)
+        results = []
+        for _ in range(dst_epochs):
+            results.append(run_dst_epoch(pair, ds, dst, self.BATCH, streams, ablation))
+            oracles.dst_epoch(ref_nets, ref_opts, ds, dst, self.BATCH, ref_streams, ablation, divide)
+            assert_same_state(pair, ref_nets, ref_opts)
+        # Both sides drew the same number of values from every stream.
+        for a, b in zip(streams.mixup + streams.wrong_branch, ref_streams.mixup + ref_streams.wrong_branch):
+            assert a.uniform() == b.uniform()
+        return ds, results
+
+    @pytest.mark.parametrize(
+        "ablation",
+        [
+            Ablation(),
+            Ablation(single_network=True),
+            Ablation(no_mixup=True),
+            Ablation(disable_branch="predicted"),
+            Ablation(all_wrong=True),
+        ],
+        ids=["two-nets", "single-network", "no-mixup", "disable-predicted", "all-wrong"],
+    )
+    def test_ablations_with_a_one_row_last_batch(self, ablation):
+        ds, results = self.run_both(8 * self.BATCH + 1, ablation)
+        branches = results[-1].selection["net1"]["branches"]
+        assert sum(b["size"] for b in branches.values()) == ds.n_samples
+
+    @pytest.mark.parametrize("n_samples", [8 * 16 + 7, 9 * 16])
+    def test_other_batch_remainders(self, n_samples):
+        self.run_both(n_samples, Ablation())
+
+    def test_other_hyperparameters(self):
+        # lambda_reg != 1 makes any reassociation of the regularizer show.
+        dst = DstParams(temperature=0.3, alpha=0.5, lambda_reg=0.7)
+        self.run_both(8 * self.BATCH + 1, Ablation(), dst=dst)
+
+    def test_every_branch_is_populated_in_the_two_net_case(self):
+        _, results = self.run_both(8 * self.BATCH + 1, Ablation(), dst_epochs=1)
+        for name in ("net1", "net2"):
+            sizes = [b["size"] for b in results[0].selection[name]["branches"].values()]
+            assert min(sizes) > 0, sizes
+
+    def test_fit_failure_fallback(self, monkeypatch):
+        calls = []
+
+        def divide(prof1, prof2, **options):
+            # First selection epoch: net1's division fails; second: both.
+            calls.append(1)
+            real = co_divide(prof1, prof2, **options)
+            epoch = (len(calls) + 1) // 2
+            for_net1 = None if epoch in (1, 2) else real.for_net1
+            for_net2 = None if epoch == 2 else real.for_net2
+            return CoDivision(for_net1, for_net2, {"net2": "forced"})
+
+        _, results = self.run_both(8 * self.BATCH + 1, Ablation(), monkeypatch, divide)
+        assert [r.selection["net1"] == {"fallback": True} for r in results] == [True, True, False]
+        assert [r.selection["net2"] == {"fallback": True} for r in results] == [False, True, False]
+
+
+class TestEpochRefusesNonFinite:
+    """A non-finite logit or gradient stops the epoch before any write."""
+
+    def warm(self):
+        ds = clean_toy(seed=12)
+        params = init_network([2, 8, 3], np.random.default_rng(4))
+        opt = OptimizerState.for_network(params, 0.05, 0.9, 5e-4)
+        params = plain_ce_epoch(params, opt, ds, 16, np.random.default_rng(1))
+        return ds, params, opt
+
+    def refinement(self, ds, params):
+        weights = SelectionWeights(w_r=np.full(ds.n_samples, 0.7), w_prd=np.zeros(ds.n_samples))
+        branches = partition(weights, 0.5, 0.5)
+        branches[::3] = BRANCH_WRONG
+        return _Refinement(
+            [params], *_branch_table(weights, branches), DstParams(),
+            np.random.default_rng(2), np.random.default_rng(3),
+        )
+
+    def check_refused(self, ds, params, opt, refine):
+        refinement = self.refinement(ds, params) if refine else None
+        digest, buffer = params_hash(params), opt.buffer.tobytes()
+        with pytest.raises(NumericError):
+            _train_epoch(params, opt, ds, 16, np.random.default_rng(5), refinement)
+        assert params_hash(params) == digest
+        assert opt.buffer.tobytes() == buffer
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["plain-ce", "selection"])
+    def test_non_finite_logit(self, refine):
+        ds, params, opt = self.warm()
+        assert np.any(opt.buffer != 0.0)
+        params.layers[-1].bias[1] = np.inf
+        self.check_refused(ds, params, opt, refine)
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["plain-ce", "selection"])
+    def test_non_finite_gradient(self, refine, monkeypatch):
+        ds, params, opt = self.warm()
+        real = training.backprop_from_logits
+
+        def poisoned(params, activations, d_logits, out):
+            real(params, activations, d_logits, out=out)
+            out[-1][1][0] = np.nan  # last layer's bias, after finite weights
+            return out
+
+        monkeypatch.setattr(training, "backprop_from_logits", poisoned)
+        self.check_refused(ds, params, opt, refine)
