@@ -19,6 +19,14 @@ from .errors import ConfigError
 from .training import Ablation, DstParams, TrainSchedule
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     # dataset
@@ -79,12 +87,23 @@ class ExperimentConfig:
             raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
         if self.spread <= 0:
             raise ConfigError(f"spread must be > 0, got {self.spread}")
-        if not self.hidden_sizes or any(int(h) < 1 for h in self.hidden_sizes):
-            raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        hidden = self.hidden_sizes
+        if not (isinstance(hidden, list) and hidden and all(_is_int(h) and h >= 1 for h in hidden)):
+            raise ConfigError(
+                f"hidden_sizes must be a non-empty list of positive integers, got {hidden!r}"
+            )
         if self.scatter_every < 0:
             raise ConfigError(f"scatter_every must be >= 0, got {self.scatter_every}")
-        if np.asarray(self.gmm_anchors, dtype=np.float64).shape != (3, 2):
-            raise ConfigError("gmm_anchors must be three 2-D points")
+        anchors = self.gmm_anchors
+        if not (
+            isinstance(anchors, list)
+            and len(anchors) == 3
+            and all(isinstance(a, list) and len(a) == 2 for a in anchors)
+            and all(_is_number(v) for a in anchors for v in a)
+        ):
+            raise ConfigError(f"gmm_anchors must be three 2-D points, got {anchors!r}")
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
         # Sub-object constructors enforce the remaining ranges.
         self.schedule()
         self.dst_params()
@@ -124,7 +143,7 @@ class ExperimentConfig:
         )
 
     def layer_sizes(self) -> list[int]:
-        return [self.n_features] + [int(h) for h in self.hidden_sizes] + [self.n_classes]
+        return [self.n_features, *self.hidden_sizes, self.n_classes]
 
 
 # The acceptance benchmark: 4 blobs x 1000 samples in 2-D, spread 0.5, half
@@ -151,11 +170,7 @@ def benchmark_config(**overrides) -> ExperimentConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
-_INT_FIELDS = {
-    name
-    for name, f in _FIELDS.items()
-    if f.type in ("int",) or name in ("master_seed", "data_seed")
-}
+_INT_FIELDS = {name for name, f in _FIELDS.items() if f.type == "int"}
 _FLOAT_FIELDS = {name for name, f in _FIELDS.items() if f.type == "float"}
 _BOOL_FIELDS = {name for name, f in _FIELDS.items() if f.type == "bool"}
 
@@ -172,10 +187,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if not isinstance(value, bool):
                 raise ConfigError(f"{key} must be a boolean, got {value!r}")
         elif key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         elif key in _FLOAT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
             value = float(value)
         coerced[key] = value
@@ -187,11 +202,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {path}: {exc}") from exc
     return config_from_dict(raw)
 
@@ -200,10 +215,3 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """All fields as plain JSON-serializable values, key-sorted."""
     out = dataclasses.asdict(cfg)
     return {k: out[k] for k in sorted(out)}
-
-
-def save_config(cfg: ExperimentConfig, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

@@ -240,12 +240,6 @@ def audit_states(ds: NoisyDataset, predicted: np.ndarray) -> np.ndarray:
     return states
 
 
-def state_name(state: int) -> str:
-    if not 1 <= state <= 5:
-        raise StructuralError(f"state codes run 1..5, got {state}")
-    return STATE_NAMES[state - 1]
-
-
 def save_dataset(ds: NoisyDataset, path: Path | str) -> None:
     """Write `id,true_label,noisy_label,f0..f{D-1}` plus a sidecar manifest."""
     path = Path(path)

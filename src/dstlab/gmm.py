@@ -36,8 +36,8 @@ class GmmModel:
     iterations: int
     log_likelihood: float
     ll_trace: list[float] = field(default_factory=list)
-    # Responsibilities of the fitted points under these parameters, as
-    # `posteriors` would return them; set by `fit`, left out of dumps.
+    # Responsibilities of the fitted points under these parameters, from
+    # the fit's last E-step; set by `fit`, left out of dumps.
     resp: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -149,19 +149,11 @@ def fit(
     weights = np.full(N_COMPONENTS, 1.0 / N_COMPONENTS)
     trace: list[float] = []
 
-    for m_steps in range(max_iter):
+    for m_steps in range(max_iter + 1):
         resp, total_ll = _e_step(cols, means, covariances, weights)
         trace.append(total_ll)
-        if m_steps >= 1 and abs(trace[-1] - trace[-2]) < tol:
-            return GmmModel(
-                means=means,
-                covariances=covariances,
-                weights=weights,
-                iterations=m_steps,
-                log_likelihood=total_ll,
-                ll_trace=trace,
-                resp=resp,
-            )
+        if m_steps == max_iter or (m_steps >= 1 and abs(trace[-1] - trace[-2]) < tol):
+            break
         soft_counts = resp.sum(axis=0)
         weights = np.maximum(soft_counts / n, PI_FLOOR)
         weights = weights / weights.sum()
@@ -177,36 +169,15 @@ def fit(
             means[k] = mean_k
             covariances[k] = _floor_covariance(cov_k)
 
-    resp, final_ll = _e_step(cols, means, covariances, weights)
-    trace.append(final_ll)
     return GmmModel(
         means=means,
         covariances=covariances,
         weights=weights,
-        iterations=max_iter,
-        log_likelihood=final_ll,
+        iterations=m_steps,
+        log_likelihood=total_ll,
         ll_trace=trace,
         resp=resp,
     )
-
-
-def posteriors(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """Responsibilities for a batch of points, rows summing to 1. [N, 3]."""
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise StructuralError(f"points must be [N, 2], got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise GmmFitError("posterior requires finite points")
-    resp, _ = _e_step(_columns(arr), model.means, model.covariances, model.weights)
-    return resp
-
-
-def posterior(model: GmmModel, point: np.ndarray) -> np.ndarray:
-    """Responsibilities of a single 2-D point. [3]."""
-    arr = np.asarray(point, dtype=np.float64)
-    if arr.shape != (2,):
-        raise StructuralError(f"point must be shape (2,), got {arr.shape}")
-    return posteriors(model, arr[None, :])[0]
 
 
 def model_to_dict(model: GmmModel) -> dict:

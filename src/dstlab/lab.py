@@ -15,7 +15,7 @@ import json
 import os
 from pathlib import Path
 
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, _is_number, config_to_dict
 from .data import CleanDataset, NoisyDataset, NoiseSpec, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
@@ -108,13 +108,16 @@ def _final_branch_stats(selection: dict | None) -> dict:
 def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     """Execute one experiment end to end; returns the run directory."""
     run_dir = _resolve_run_dir(cfg, output_dir)
-    if run_dir.exists() and any(run_dir.iterdir()):
+    if run_dir.is_dir() and any(run_dir.iterdir()):
         raise StructuralError(
             f"refusing to write into non-empty directory {run_dir}; "
             "choose a fresh output_dir"
         )
-    for sub in ("", "reports", "scatter", "checkpoints"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    try:
+        for sub in ("", "reports", "scatter", "checkpoints"):
+            (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
 
     train, test, seeds = build_datasets(cfg)
     save_dataset(train, run_dir / "dataset.csv")
@@ -236,14 +239,13 @@ def load_summary(path: Path | str) -> dict:
         path = path / "summary.json"
     if not path.exists():
         raise NotFoundError(f"summary not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("format") != SUMMARY_FORMAT:
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StructuralError(f"summary is not valid JSON: {path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise StructuralError(f"not a run summary: {path}")
     return payload
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _walk_deltas(a, b, prefix: str, out: dict) -> None:

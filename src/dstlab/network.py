@@ -1,9 +1,9 @@
 """Dense feedforward classifiers with hand-rolled backpropagation.
 
 Everything is plain float64 numpy: rectifier hidden layers, a linear output
-layer read through softmax, cross-entropy against soft targets, and SGD with
-classical (coupled) momentum and weight decay. Forward and backward are pure
-functions of a parameter snapshot.
+layer read through softmax, backpropagation of a gradient w.r.t. the logits,
+and SGD with classical (coupled) momentum and weight decay. The forward pass
+and backpropagation are pure functions of a parameter snapshot.
 
 Training runs on a `Workspace`: one flat array each for the parameters, the
 gradients and the momentum, with per-layer views. The snapshot a workspace
@@ -17,7 +17,6 @@ results are bitwise equal.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,20 +74,13 @@ def init_network(sizes: Sequence[int], rng: np.random.Generator) -> NetworkParam
     return NetworkParams(layers)
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise StructuralError(f"expected 1-D or 2-D input, got shape {arr.shape}")
-
-
 def forward_cached(
     params: NetworkParams, x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward pass returning logits and the input to every layer."""
-    batch, _ = _as_batch(x)
+    """Forward pass of a batch [N, D], returning logits and the input to every layer."""
+    batch = np.asarray(x, dtype=np.float64)
+    if batch.ndim != 2:
+        raise StructuralError(f"expected a 2-D batch, got shape {batch.shape}")
     if batch.shape[1] != params.n_inputs:
         raise StructuralError(
             f"input dimension {batch.shape[1]} does not match "
@@ -106,13 +98,6 @@ def forward_cached(
     return a, activations
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a single sample [D] or a batch [N, D]."""
-    _, single = _as_batch(x)
-    logits, _ = forward_cached(params, x)
-    return logits[0] if single else logits
-
-
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
@@ -126,17 +111,6 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
-
-
-def cross_entropy(p: np.ndarray, target: np.ndarray) -> float:
-    """-sum_c target_c * ln(max(p_c, floor)), in nats."""
-    p_arr = np.asarray(p, dtype=np.float64)
-    t_arr = np.asarray(target, dtype=np.float64)
-    if p_arr.shape != t_arr.shape or p_arr.ndim != 1:
-        raise StructuralError(
-            f"probability/target shape mismatch: {p_arr.shape} vs {t_arr.shape}"
-        )
-    return float(-(t_arr * np.log(np.maximum(p_arr, LOG_FLOOR))).sum())
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -165,24 +139,6 @@ def backprop_from_logits(
             delta = delta @ params.layers[k].weights
             delta *= activations[k] > 0.0
     return out
-
-
-def backward(params: NetworkParams, x: np.ndarray, target: np.ndarray) -> Grads:
-    """Gradient of cross_entropy(softmax(forward(x)), target) per parameter.
-
-    Accepts a single sample or a batch; batch gradients are the sum of the
-    per-sample gradients.
-    """
-    batch, _ = _as_batch(x)
-    targets, _ = _as_batch(target)
-    if targets.shape != (batch.shape[0], params.n_outputs):
-        raise StructuralError(
-            f"target shape {targets.shape} does not match "
-            f"(batch {batch.shape[0]}, classes {params.n_outputs})"
-        )
-    logits, activations = forward_cached(params, batch)
-    d_logits = softmax(logits) - targets
-    return backprop_from_logits(params, activations, d_logits)
 
 
 @dataclass
@@ -273,16 +229,6 @@ class Workspace:
         return NetworkParams(
             [Layer(layer.weights.copy(), layer.bias.copy()) for layer in self.params.layers]
         )
-
-
-def params_hash(params: NetworkParams) -> str:
-    """SHA-256 over shapes and raw float64 bytes; used to prove read-only paths."""
-    h = hashlib.sha256()
-    for layer in params.layers:
-        for arr in (layer.weights, layer.bias):
-            h.update(str(arr.shape).encode())
-            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    return h.hexdigest()
 
 
 def save_checkpoint(params: NetworkParams, path: Path | str) -> None:

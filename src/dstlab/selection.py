@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NoisyDataset, audit_states
+from .data import STATE_NAMES, NoisyDataset, audit_states
 from .errors import ConfigError, GmmFitError, StructuralError
 from .gmm import DEFAULT_MAX_ITER, DEFAULT_TOL, GmmModel, fit
 from .lossprofile import LossProfile
@@ -239,7 +239,7 @@ def selection_report(
         hits = int((in_branch & condition).sum())
         histogram = {
             roman: int((in_branch & (states == s)).sum())
-            for s, roman in enumerate(("i", "ii", "iii", "iv", "v"), start=1)
+            for s, roman in enumerate(STATE_NAMES, start=1)
         }
         report["branches"][name] = {
             "size": size,

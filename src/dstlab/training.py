@@ -14,7 +14,7 @@ cross-entropy is that loop with the refinement stages switched off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -175,18 +175,6 @@ def _mean_softmax(logits: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def ensemble_probs(nets: list[NetworkParams], x: np.ndarray) -> np.ndarray:
-    """Mean softmax over the given frozen networks."""
-    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = _mean_softmax([forward_cached(params, rows)[0] for params in nets])
-    return out[0] if np.asarray(x).ndim == 1 else out
-
-
-def ensemble_predict(pair: NetworkPair, x: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of both networks' softmax outputs, frozen."""
-    return ensemble_probs([pair.net1, pair.net2], x)
-
-
 def sharpen(y_tilde: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature exponentiation and renormalization, row-wise."""
     if temperature <= 0:
@@ -326,22 +314,6 @@ def plain_ce_epoch(
     return _train_epoch(params, opt, ds, batch_size, rng)
 
 
-def warmup(
-    pair: NetworkPair,
-    ds: NoisyDataset,
-    epochs: int,
-    batch_size: int,
-    streams: RngStreams,
-) -> NetworkPair:
-    """Train both networks independently with plain cross-entropy."""
-    if epochs < 1:
-        raise ConfigError(f"warmup needs >= 1 epoch, got {epochs}")
-    for _ in range(epochs):
-        pair.net1 = plain_ce_epoch(pair.net1, pair.opt1, ds, batch_size, streams.shuffle[0])
-        pair.net2 = plain_ce_epoch(pair.net2, pair.opt2, ds, batch_size, streams.shuffle[1])
-    return pair
-
-
 @dataclass
 class ScatterData:
     """Normalized loss cloud plus audit states, ready for CSV dumping."""
@@ -431,27 +403,11 @@ def run_dst_epoch(
         setattr(pair, name, updated)
         report = selection_report(branches, ds, division.predicted)
         report["source"] = division.source
-        report["roles"] = {
-            "labeled": division.roles.labeled,
-            "predicted": division.roles.predicted,
-            "wrong": division.roles.wrong,
-        }
+        report["roles"] = asdict(division.roles)
         report["gmm"] = model_to_dict(division.model)
         report["fallback"] = False
         selection[name] = report
     return DstEpochResult(selection=selection, scatter=scatter)
-
-
-def accuracy(params: NetworkParams, features: np.ndarray, labels: np.ndarray) -> float:
-    logits, _ = forward_cached(params, features)
-    return float((logits.argmax(axis=1) == np.asarray(labels)).mean())
-
-
-def ensemble_accuracy(
-    nets: list[NetworkParams], features: np.ndarray, labels: np.ndarray
-) -> float:
-    probs = ensemble_probs(nets, features)
-    return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
 
 
 def evaluate(
@@ -463,8 +419,8 @@ def evaluate(
     """Test accuracy of each named net and of the `ensemble` members' mean.
 
     One forward pass per net serves both: a net's own accuracy takes the
-    argmax of its logits (as `accuracy` does), the ensemble's the argmax of
-    the members' mean softmax (as `ensemble_accuracy` does).
+    argmax of its logits, the ensemble's the argmax of the members' mean
+    softmax.
     """
     labels = np.asarray(labels)
     logits = {name: forward_cached(params, features)[0] for name, params in nets.items()}

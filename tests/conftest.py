@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dstlab.data import NoisyDataset
-from dstlab.network import NetworkParams, backward, cross_entropy, forward, softmax
+from dstlab.network import NetworkParams, forward_cached, softmax
+from oracles import backward, cross_entropy
 
 
 def pytest_configure(config):
@@ -46,7 +47,7 @@ def make_noisy(features, true_labels, noisy_labels, n_classes) -> NoisyDataset:
 
 def ce_loss(params: NetworkParams, x: np.ndarray, target: np.ndarray) -> float:
     """Scalar cross-entropy of one sample, the quantity `backward` differentiates."""
-    return cross_entropy(softmax(forward(params, x)), target)
+    return cross_entropy(softmax(forward_cached(params, np.atleast_2d(x))[0][0]), target)
 
 
 def fd_gradients(params: NetworkParams, x: np.ndarray, target: np.ndarray, h: float = 1e-5):

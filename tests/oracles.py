@@ -5,16 +5,32 @@ training loop, mixture E-step and SGD step as they were written before the
 production code moved to flat per-epoch workspaces and column-wise EM.
 Tests compare the production results with these, bit for bit where the
 production code claims the same float operations in the same order.
+
+The first section holds what tests compare production against but no
+production path calls: the scalar cross-entropy, accuracies, warmup, a
+parameter hash, and thin compositions of production code (gradient,
+posteriors, ensemble softmax).
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from dstlab import training
 from dstlab.errors import ConfigError, GmmFitError, NumericError, StructuralError
-from dstlab.gmm import N_COMPONENTS
+from dstlab.gmm import N_COMPONENTS, _columns, _e_step
 from dstlab.lossprofile import normalize, profile
-from dstlab.network import LOG_FLOOR, Layer, NetworkParams, layer_views, one_hot
+from dstlab.network import (
+    LOG_FLOOR,
+    Layer,
+    NetworkParams,
+    backprop_from_logits,
+    forward_cached,
+    layer_views,
+    one_hot,
+    softmax,
+)
 from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
@@ -23,6 +39,79 @@ from dstlab.selection import (
     self_divide,
 )
 from dstlab.training import _apply_branch_ablation, mixup_batch
+
+# --- Compositions of production code, and evaluation references.
+
+
+def backward(params, x, target):
+    """Gradient of the cross-entropy of softmax(logits) against `target`, per
+    parameter, summed over the batch. A 1-D `x` and `target` are one sample."""
+    batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    targets = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    if targets.shape != (batch.shape[0], params.n_outputs):
+        raise StructuralError(
+            f"target shape {targets.shape} does not match "
+            f"(batch {batch.shape[0]}, classes {params.n_outputs})"
+        )
+    logits, activations = forward_cached(params, batch)
+    return backprop_from_logits(params, activations, softmax(logits) - targets)
+
+
+def cross_entropy(p, target):
+    """-sum_c target_c * ln(max(p_c, floor)) of one sample, in nats."""
+    p_arr = np.asarray(p, dtype=np.float64)
+    t_arr = np.asarray(target, dtype=np.float64)
+    if p_arr.shape != t_arr.shape or p_arr.ndim != 1:
+        raise StructuralError(
+            f"probability/target shape mismatch: {p_arr.shape} vs {t_arr.shape}"
+        )
+    return float(-(t_arr * np.log(np.maximum(p_arr, LOG_FLOOR))).sum())
+
+
+def posteriors(model, points):
+    """Responsibilities [N, 3] of `points` under a fitted model, rows summing to 1."""
+    arr = np.asarray(points, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise StructuralError(f"points must be [N, 2], got {arr.shape}")
+    return _e_step(_columns(arr), model.means, model.covariances, model.weights)[0]
+
+
+def ensemble_probs(nets, x):
+    """Mean softmax of the frozen networks over a batch [N, D]."""
+    return training._mean_softmax([forward_cached(params, x)[0] for params in nets])
+
+
+def accuracy(params, features, labels):
+    logits, _ = forward_cached(params, features)
+    return float((logits.argmax(axis=1) == np.asarray(labels)).mean())
+
+
+def ensemble_accuracy(nets, features, labels):
+    probs = ensemble_probs(nets, features)
+    return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
+
+
+def warmup(pair, ds, epochs, batch_size, streams):
+    """Train both networks of a pair independently with plain cross-entropy."""
+    for _ in range(epochs):
+        pair.net1 = training.plain_ce_epoch(
+            pair.net1, pair.opt1, ds, batch_size, streams.shuffle[0]
+        )
+        pair.net2 = training.plain_ce_epoch(
+            pair.net2, pair.opt2, ds, batch_size, streams.shuffle[1]
+        )
+    return pair
+
+
+def params_hash(params):
+    """SHA-256 over shapes and raw float64 bytes; used to prove read-only paths."""
+    h = hashlib.sha256()
+    for layer in params.layers:
+        for arr in (layer.weights, layer.bias):
+            h.update(str(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
 
 # --- Allocating forward, softmax, backward and SGD step: every result is a
 # fresh array, nothing is written in place.

@@ -13,7 +13,7 @@ seeds, noise and schedule on 20-D blobs with 150 samples per class and
 plain cross-entropy can lose.
 
 The plain cross-entropy baseline for the memorization regime was produced
-with scripts/baseline_oracle.py and is frozen below; criterion 5 re-runs
+with `scripts/runs.py baseline` and is frozen below; criterion 5 re-runs
 the baseline and refuses to proceed if the frozen number no longer
 reproduces.
 """
@@ -27,15 +27,15 @@ import numpy as np
 import pytest
 
 from conftest import gradient_check_draws
-from oracles import batch_loss, fold_lambda, mixup_pair, refine_label
+from oracles import batch_loss, ensemble_probs, fold_lambda, mixup_pair, posteriors, refine_label
 from dstlab.config import MEMORIZATION, benchmark_config
-from dstlab.gmm import fit, posteriors
+from dstlab.gmm import fit
 from dstlab.lab import load_summary, run, scatter_csv_path
 from dstlab.network import Layer, NetworkParams, init_network
 from dstlab.selection import DEFAULT_ANCHORS
-from dstlab.training import ensemble_probs, sharpen
+from dstlab.training import sharpen
 
-# scripts/baseline_oracle.py output for the memorization regime (frozen):
+# `scripts/runs.py baseline` output for the memorization regime (frozen):
 # ensemble accuracy of the plain cross-entropy run.
 BASELINE_CE_FINAL = 0.786
 

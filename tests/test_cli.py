@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dstlab.cli import main
-from dstlab.config import ExperimentConfig, save_config
+from dstlab.config import ExperimentConfig, config_to_dict
 
 
 def write_config(tmp_path, **overrides):
@@ -19,7 +19,7 @@ def write_config(tmp_path, **overrides):
         **overrides,
     )
     path = tmp_path / "config.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(config_to_dict(cfg)))
     return path
 
 
@@ -46,6 +46,31 @@ class TestRun:
         path.write_text(json.dumps({"per_clas": 20}))
         assert main(["run", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_ill_typed_config_exits_one_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"hidden_sizes": ["a"]}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: hidden_sizes") and "Traceback" not in err
+
+    def test_directory_as_config_exits_one(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"noise_kind": "\xe9"}')
+        assert main(["run", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_output_dir_naming_a_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        cfg_path = write_config(tmp_path, output_dir=str(out))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "cannot create run directory" in capsys.readouterr().err
+        assert out.read_text() == "x"
 
     def test_occupied_output_dir_exits_two(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -80,6 +105,15 @@ class TestCompare:
     def test_missing_summary_exits_two(self, finished_run, tmp_path, capsys):
         assert main(["compare", str(finished_run), str(tmp_path / "ghost")]) == 2
         assert "summary not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b"\xff\xfe", b"[1, 2]"], ids=["not-json", "not-utf8", "list"]
+    )
+    def test_unreadable_summary_exits_two(self, finished_run, tmp_path, capsys, content):
+        path = tmp_path / "summary.json"
+        path.write_bytes(content)
+        assert main(["compare", str(finished_run), str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestParser:

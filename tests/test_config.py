@@ -8,7 +8,6 @@ from dstlab.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    save_config,
 )
 from dstlab.errors import ConfigError
 
@@ -116,6 +115,28 @@ class TestDictRoundTrip:
         assert cfg.alpha == 4.0
         assert isinstance(cfg.alpha, float)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"hidden_sizes": [1.5]},
+            {"hidden_sizes": [True]},
+            {"hidden_sizes": ["a"]},
+            {"hidden_sizes": 64},
+            {"gmm_anchors": "x"},
+            {"gmm_anchors": [[0, 0], [0.5, 0.5], [1, True]]},
+            {"gmm_anchors": [[0, 0], [0.5, 0.5], [1, "0"]]},
+            {"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0, 0]]},
+            {"output_dir": 5},
+        ],
+    )
+    def test_ill_typed_lists_and_paths_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    def test_integer_anchors_and_null_output_dir_accepted(self):
+        cfg = config_from_dict({"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]], "output_dir": None})
+        assert cfg.dst_params().anchors.dtype == np.float64
+
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict([1, 2, 3])
@@ -130,7 +151,7 @@ class TestFileRoundTrip:
     def test_save_then_load(self, tmp_path):
         cfg = ExperimentConfig(per_class=50, noise_kind="asym", noise_rate=0.3)
         path = tmp_path / "exp.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         assert config_to_dict(load_config(path)) == config_to_dict(cfg)
 
     def test_missing_file(self, tmp_path):
@@ -140,6 +161,14 @@ class TestFileRoundTrip:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_directory_and_non_utf8_files(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            load_config(tmp_path)
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"noise_kind": "sym-c1\xe9"}'.encode("latin-1"))
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 

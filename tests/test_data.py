@@ -18,10 +18,11 @@ from dstlab.data import (
     inject_symmetric_c2,
     load_dataset,
     make_blobs,
+    STATE_NAMES,
     save_dataset,
-    state_name,
 )
 from dstlab.errors import ConfigError, StructuralError
+from dstlab.selection import selection_report
 
 
 def blobs(n_classes=4, per_class=50, n_features=2, spread=0.5, seed=0):
@@ -255,9 +256,15 @@ class TestAuditStates:
             audit_states(ds, np.array([0, 1]))
 
     def test_state_names(self):
-        assert [state_name(s) for s in range(1, 6)] == ["i", "ii", "iii", "iv", "v"]
-        with pytest.raises(StructuralError):
-            state_name(0)
+        # Selection reports key each state's count by its name: state s
+        # occurs s times here, all in the labeled branch.
+        noisy = [0] * 3 + [1] * 12
+        predicted = np.array([0] + [1] * 2 + [0] * 3 + [1] * 4 + [2] * 5)
+        ds = make_noisy(np.zeros((15, 1)), [0] * 15, noisy, 3)
+        report = selection_report(np.zeros(15, dtype=np.int64), ds, predicted)
+        assert STATE_NAMES == ("i", "ii", "iii", "iv", "v")
+        counts = report["branches"]["labeled"]["states"]
+        assert list(counts.items()) == [(name, s) for s, name in enumerate(STATE_NAMES, start=1)]
 
 
 class TestDatasetFile:

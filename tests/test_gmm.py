@@ -14,11 +14,10 @@ from dstlab.gmm import (
     model_to_dict,
     _columns,
     _e_step,
-    posterior,
-    posteriors,
 )
 from dstlab.selection import DEFAULT_ANCHORS
 from oracles import e_step as e_step_reference
+from oracles import posteriors
 
 ANCHORS = DEFAULT_ANCHORS
 
@@ -68,6 +67,19 @@ class TestFit:
         assert model.log_likelihood == model.ll_trace[-1]
         assert model.iterations < 100  # converged, did not exhaust the budget
         assert len(model.ll_trace) == model.iterations + 1
+
+    @pytest.mark.parametrize(
+        "tol, max_iter, iterations",
+        [(1e-3, 1, 1), (np.inf, DEFAULT_MAX_ITER, 1), (0.0, 5, 5)],
+        ids=["max-iter-1", "converged-at-first-check", "max-iter-exhausted"],
+    )
+    def test_every_exit_returns_its_last_e_step(self, tol, max_iter, iterations):
+        points, _ = anchor_clusters(per_cluster=200, sigma=0.15, seed=4)
+        model = fit(points, ANCHORS, tol=tol, max_iter=max_iter)
+        assert model.iterations == iterations
+        assert len(model.ll_trace) == model.iterations + 1
+        assert model.log_likelihood == model.ll_trace[-1]
+        assert model.resp.tobytes() == posteriors(model, points).tobytes()
 
     def test_loose_tolerance_stops_early(self):
         points, _ = anchor_clusters(per_cluster=200, sigma=0.05, seed=8)
@@ -146,7 +158,7 @@ class TestPosterior:
             iterations=0,
             log_likelihood=0.0,
         )
-        resp = posterior(model, np.array([0.5, 0.0]))
+        resp = posteriors(model, [[0.5, 0.0]])[0]
         assert abs(resp[0] - resp[1]) < 1e-9
         assert resp[2] < 1e-9
 
@@ -154,13 +166,7 @@ class TestPosterior:
         points, _ = anchor_clusters()
         model = fit(points, ANCHORS)
         for k in range(3):
-            assert posterior(model, model.means[k])[k] > 0.99
-
-    def test_single_point_shape(self):
-        points, _ = anchor_clusters(per_cluster=50)
-        model = fit(points, ANCHORS)
-        with pytest.raises(StructuralError):
-            posterior(model, np.zeros(3))
+            assert posteriors(model, model.means[k : k + 1])[0, k] > 0.99
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)

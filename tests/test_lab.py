@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from dstlab import lab, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
 from dstlab.errors import ConfigError, GmmFitError, NotFoundError, StructuralError
@@ -135,9 +136,9 @@ class TestEvaluation:
             # The former evaluation: four forwards, net1 alone in single mode.
             members = [nets["net1"]] if single_network else [nets["net1"], nets["net2"]]
             return {
-                "net1": training.accuracy(nets["net1"], features, labels),
-                "net2": training.accuracy(nets["net2"], features, labels),
-                "ensemble": training.ensemble_accuracy(members, features, labels),
+                "net1": oracles.accuracy(nets["net1"], features, labels),
+                "net2": oracles.accuracy(nets["net2"], features, labels),
+                "ensemble": oracles.ensemble_accuracy(members, features, labels),
             }
 
         monkeypatch.setattr(lab, "evaluate", reference)

@@ -17,7 +17,8 @@ from dstlab.lossprofile import (
     profile,
     write_scatter,
 )
-from dstlab.network import Layer, NetworkParams, params_hash
+from dstlab.network import Layer, NetworkParams
+from oracles import params_hash
 
 
 def bias_net(logit_rows) -> NetworkParams:

