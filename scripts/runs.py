@@ -15,7 +15,9 @@ from pathlib import Path
 # Run from a checkout without installing: the package lives in ../src.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dstlab import lab  # noqa: E402
+import numpy as np  # noqa: E402
+
+from dstlab import lab, network  # noqa: E402
 from dstlab.config import MEMORIZATION, benchmark_config  # noqa: E402
 
 
@@ -29,16 +31,26 @@ def baseline(args) -> dict:
 
 def reference(args) -> dict:
     """The benchmark run, with `digest`: the SHA-256 over the bytes of
-    summary.json and of checkpoints/*.json, in name order."""
+    summary.json and of checkpoints/*.json, in name order. `blas_threads`
+    (the epoch loop's BLAS thread count, null when numpy's OpenBLAS setter
+    is unavailable) and `numpy` (its version) say what produced it."""
     overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
-    run_dir = lab.run(benchmark_config(**overrides), out)
+    cfg = benchmark_config(**overrides)
+    threads = network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size)
+    run_dir = lab.run(cfg, out)
     summary = lab.load_summary(run_dir)
     digest = hashlib.sha256()
     for path in [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]:
         digest.update(path.read_bytes())
     shown = {key: summary[key] for key in ("accuracy", "final_branches", "fallback_epochs")}
-    return {"run_dir": str(run_dir), **shown, "digest": digest.hexdigest()}
+    return {
+        "run_dir": str(run_dir),
+        **shown,
+        "digest": digest.hexdigest(),
+        "blas_threads": threads,
+        "numpy": np.__version__,
+    }
 
 
 def ablation(args) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,6 +74,10 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and _is_number(value) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
@@ -99,9 +104,11 @@ class ExperimentConfig:
             isinstance(anchors, list)
             and len(anchors) == 3
             and all(isinstance(a, list) and len(a) == 2 for a in anchors)
-            and all(_is_number(v) for a in anchors for v in a)
+            and all(_is_number(v) and math.isfinite(v) for a in anchors for v in a)
         ):
-            raise ConfigError(f"gmm_anchors must be three 2-D points, got {anchors!r}")
+            raise ConfigError(
+                f"gmm_anchors must be three 2-D points with finite coordinates, got {anchors!r}"
+            )
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
         # Sub-object constructors enforce the remaining ranges.

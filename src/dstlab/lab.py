@@ -19,7 +19,7 @@ from .config import ExperimentConfig, _is_number, config_to_dict
 from .data import CleanDataset, NoisyDataset, NoiseSpec, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
-from .network import save_checkpoint
+from .network import blas_threads_for, save_checkpoint
 from .rng import RngStreams, derive_seed, stream
 from .training import NET_NAMES, NetworkPair, evaluate, plain_ce_epoch, run_dst_epoch
 
@@ -146,54 +146,58 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     fallback_epochs: dict[str, list[int]] = {"net1": [], "net2": []}
     last_selection: dict | None = None
 
-    for epoch in range(1, schedule.total_epochs + 1):
-        lr = schedule.learning_rate_at(epoch)
-        pair.set_learning_rate(lr)
-        in_warmup = epoch <= schedule.warmup_epochs
-        plain_ce = in_warmup or ablation.ce_only
-        selection: dict | None = None
-        if plain_ce:
-            phase = "warmup" if in_warmup else "ce"
-            pair.net1 = plain_ce_epoch(
-                pair.net1, pair.opt1, train, schedule.batch_size, streams.shuffle[0]
-            )
-            pair.net2 = plain_ce_epoch(
-                pair.net2, pair.opt2, train, schedule.batch_size, streams.shuffle[1]
-            )
-        else:
-            phase = "dst"
-            result = run_dst_epoch(
-                pair, train, dst, schedule.batch_size, streams, ablation
-            )
-            selection = result.selection
-            for name in ("net1", "net2"):
-                if selection.get(name, {}).get("fallback"):
-                    fallback_epochs[name].append(epoch)
-            if _scatter_due(cfg, epoch):
-                for net_name, cloud in result.scatter.items():
-                    write_scatter(
-                        scatter_csv_path(run_dir, epoch, net_name),
-                        epoch,
-                        net_name,
-                        cloud.profile,
-                        cloud.states,
-                    )
-            if epoch == schedule.total_epochs:
-                last_selection = selection
+    # Small networks train on one BLAS thread, the whole loop included
+    # (profiles and evaluation too): threads woken between batches spin
+    # through the next batch loop. Results do not depend on the count.
+    with blas_threads_for(cfg.layer_sizes(), schedule.batch_size):
+        for epoch in range(1, schedule.total_epochs + 1):
+            lr = schedule.learning_rate_at(epoch)
+            pair.set_learning_rate(lr)
+            in_warmup = epoch <= schedule.warmup_epochs
+            plain_ce = in_warmup or ablation.ce_only
+            selection: dict | None = None
+            if plain_ce:
+                phase = "warmup" if in_warmup else "ce"
+                pair.net1 = plain_ce_epoch(
+                    pair.net1, pair.opt1, train, schedule.batch_size, streams.shuffle[0]
+                )
+                pair.net2 = plain_ce_epoch(
+                    pair.net2, pair.opt2, train, schedule.batch_size, streams.shuffle[1]
+                )
+            else:
+                phase = "dst"
+                result = run_dst_epoch(
+                    pair, train, dst, schedule.batch_size, streams, ablation
+                )
+                selection = result.selection
+                for name in ("net1", "net2"):
+                    if selection.get(name, {}).get("fallback"):
+                        fallback_epochs[name].append(epoch)
+                if _scatter_due(cfg, epoch):
+                    for net_name, cloud in result.scatter.items():
+                        write_scatter(
+                            scatter_csv_path(run_dir, epoch, net_name),
+                            epoch,
+                            net_name,
+                            cloud.profile,
+                            cloud.states,
+                        )
+                if epoch == schedule.total_epochs:
+                    last_selection = selection
 
-        test_accuracy = evaluate(pair.nets(), test.features, test.true_labels, ensemble)
-        for name, series in history.items():
-            series.append(test_accuracy[name])
-        report = {
-            "epoch": epoch,
-            "phase": phase,
-            "learning_rate": lr,
-            "test_accuracy": test_accuracy,
-            "selection": selection,
-        }
-        (run_dir / "reports" / f"epoch_{epoch:03d}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            test_accuracy = evaluate(pair.nets(), test.features, test.true_labels, ensemble)
+            for name, series in history.items():
+                series.append(test_accuracy[name])
+            report = {
+                "epoch": epoch,
+                "phase": phase,
+                "learning_rate": lr,
+                "test_accuracy": test_accuracy,
+                "selection": selection,
+            }
+            (run_dir / "reports" / f"epoch_{epoch:03d}.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
 
     save_checkpoint(pair.net1, run_dir / "checkpoints" / "net1.json")
     save_checkpoint(pair.net2, run_dir / "checkpoints" / "net2.json")

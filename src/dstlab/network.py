@@ -13,14 +13,22 @@ place. Every in-place operation (bias add, rectifier, backpropagated mask,
 softmax, momentum and SGD update) is the same float operation, in the same
 order, as the plain allocating expression the tests keep as a reference, so
 results are bitwise equal.
+
+Small networks train on one BLAS thread (`blas_threads_for`): numpy's
+bundled OpenBLAS otherwise splits every tiny batch GEMM across threads and
+keeps its workers spinning between calls. Results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +42,18 @@ CHECKPOINT_VERSION = 1
 
 # One (d_weights, d_bias) pair per layer, shapes mirroring the parameters.
 Grads = list[tuple[np.ndarray, np.ndarray]]
+
+# Below this batch_size * max(fan_in * fan_out), a training loop runs on one
+# BLAS thread. On a 2-core host the 2-64-64-4 nets at batch 128 (524,288)
+# take 27 us per [128, 64] @ [64, 64] matmul on one thread against 347-739
+# us on two; the 20-256-256-4 nets at batch 128 (8,388,608) take 441 us per
+# [128, 256] @ [256, 256] on one thread against 244 us on two.
+SMALL_GEMM_WORK = 2**21
+
+# numpy's bundled OpenBLAS (the scipy-openblas build its wheels ship beside
+# the package) and its thread getter and setter.
+_OPENBLAS_GLOB = "numpy.libs/libscipy_openblas*"
+_OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 @dataclass
@@ -58,6 +78,63 @@ class NetworkParams:
 
     def sizes(self) -> list[int]:
         return [self.n_inputs] + [layer.weights.shape[0] for layer in self.layers]
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """numpy's OpenBLAS thread (getter, setter), or None with another BLAS.
+
+    Looked up on first use, so importing this module loads nothing.
+    """
+    for path in sorted(Path(np.__file__).resolve().parent.parent.glob(_OPENBLAS_GLOB)):
+        try:
+            get, set_ = (getattr(ctypes.CDLL(str(path)), name) for name in _OPENBLAS_SYMBOLS)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """numpy's current OpenBLAS thread count; None when it cannot be read."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+def loop_blas_threads(sizes: Sequence[int], batch_size: int) -> int | None:
+    """The BLAS thread count a training loop on these layer sizes runs with.
+
+    One thread when `batch_size * max(fan_in * fan_out)` is below
+    `SMALL_GEMM_WORK`, otherwise the current count; None when numpy's
+    OpenBLAS thread setter is unavailable.
+    """
+    current = blas_threads()
+    if current is None:
+        return None
+    work = batch_size * max(a * b for a, b in zip(sizes[:-1], sizes[1:]))
+    return 1 if work < SMALL_GEMM_WORK else current
+
+
+@contextmanager
+def blas_threads_for(sizes: Sequence[int], batch_size: int) -> Iterator[None]:
+    """Run the body on `loop_blas_threads` threads.
+
+    The previous count comes back on exit, also when the body raises. When
+    the count would not change, or cannot be set, this does nothing.
+    """
+    previous = blas_threads()
+    threads = loop_blas_threads(sizes, batch_size)
+    if threads == previous:
+        yield
+        return
+    set_threads = _openblas()[1]
+    set_threads(threads)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def init_network(sizes: Sequence[int], rng: np.random.Generator) -> NetworkParams:

@@ -77,6 +77,8 @@ class TrainSchedule:
             raise ConfigError(
                 f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"
             )
+        # The optimizer's own range checks, before any run file is written.
+        OptimizerState(self.learning_rate, self.momentum, self.weight_decay)
 
     def learning_rate_at(self, epoch: int) -> float:
         """Steps down by lr_decay_factor after each lr_decay_period epochs."""

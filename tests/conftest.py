@@ -8,6 +8,7 @@ visible even with output capture on.
 import numpy as np
 import pytest
 
+from dstlab import network
 from dstlab.data import NoisyDataset
 from dstlab.network import NetworkParams, forward_cached, softmax
 from oracles import backward, cross_entropy
@@ -32,6 +33,18 @@ def record_criterion(request):
         print(line)
 
     return _record
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS on two threads for the test, its count restored after."""
+    before = network.blas_threads()
+    if before is None:
+        pytest.skip("numpy's OpenBLAS thread setter is unavailable")
+    set_threads = network._openblas()[1]
+    set_threads(2)
+    yield
+    set_threads(before)
 
 
 def make_noisy(features, true_labels, noisy_labels, n_classes) -> NoisyDataset:

@@ -54,6 +54,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: hidden_sizes") and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides", [{"momentum": 1.5}, {"weight_decay": -0.1}])
+    def test_optimizer_range_exits_one_before_any_run_file(
+        self, tmp_path, capsys, monkeypatch, overrides
+    ):
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(tmp_path / "root"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"output_dir": "out", **overrides}))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {next(iter(overrides))}")
+        assert not (tmp_path / "root").exists()
+
+    def test_non_finite_number_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"gmm_tol": NaN}')
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: gmm_tol must be finite")
+
     def test_directory_as_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from dstlab.config import (
     load_config,
 )
 from dstlab.errors import ConfigError
+
+FLOAT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"}
 
 
 class TestDefaults:
@@ -78,6 +81,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"momentum": 1.0}, r"momentum must be in \[0, 1\), got 1.0"),
+            ({"momentum": 1.5}, r"momentum must be in \[0, 1\), got 1.5"),
+            ({"momentum": -0.1}, r"momentum must be in \[0, 1\)"),
+            ({"weight_decay": -1e-4}, "weight_decay must be >= 0, got -0.0001"),
+            ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
+        ],
+    )
+    def test_optimizer_ranges_rejected_with_the_optimizer_messages(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**kwargs)
+
     def test_interior_thresholds_accepted(self):
         cfg = ExperimentConfig(tau_r=0.9, tau_prd=0.1)
         assert cfg.dst_params().tau_r == 0.9
@@ -131,6 +148,19 @@ class TestDictRoundTrip:
     )
     def test_ill_typed_lists_and_paths_rejected(self, raw):
         with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", sorted(FLOAT_FIELDS))
+    def test_non_finite_numbers_rejected(self, key, text):
+        raw = json.loads(f'{{"{key}": {text}}}')
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_anchor_rejected(self, text):
+        raw = json.loads(f'{{"gmm_anchors": [[{text}, 0.0], [0.5, 0.5], [1.0, 0.0]]}}')
+        with pytest.raises(ConfigError, match="gmm_anchors must be three 2-D points"):
             config_from_dict(raw)
 
     def test_integer_anchors_and_null_output_dir_accepted(self):

@@ -5,13 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
-from dstlab import lab, selection, training
+from dstlab import lab, network, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
 from dstlab.errors import ConfigError, GmmFitError, NotFoundError, StructuralError
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
+from dstlab.lossprofile import LossProfile
 from dstlab.network import load_checkpoint
 from dstlab.selection import CoDivision, co_divide
 
@@ -201,10 +203,47 @@ class TestDeterminism:
         assert (a / "summary.json").read_bytes() != (b / "summary.json").read_bytes()
 
 
+# Runs `dstlab run CONFIG`; with "off" as the second argument, numpy's
+# OpenBLAS thread setter is made unavailable first.
+RUN_CLI = """
+import sys
+from dstlab import cli, network
+if sys.argv[2] == "off":
+    network._openblas = lambda: None
+sys.exit(cli.main(["run", sys.argv[1]]))
+"""
+
+
 class TestBlasThreadDeterminism:
+    @staticmethod
+    def run_files(tmp_path, cfg, threads: str, setter: str = "on") -> dict[str, bytes]:
+        """summary.json and checkpoint bytes of a subprocess run of `cfg`
+        at OPENBLAS_NUM_THREADS=`threads`."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(cfg)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        root = tmp_path / f"threads{threads}-{setter}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, DSTLAB_OUTPUT_ROOT=str(root))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, str(config_path), setter],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        run_dir = Path(proc.stdout.strip().splitlines()[-1])
+        assert run_dir.is_relative_to(root)
+        files = ["summary.json"] + sorted(
+            f"checkpoints/{p.name}" for p in (run_dir / "checkpoints").glob("*.json")
+        )
+        assert files == ["summary.json", "checkpoints/net1.json", "checkpoints/net2.json"]
+        return {name: (run_dir / name).read_bytes() for name in files}
+
     def test_one_and_two_threads_write_the_same_bytes(self, tmp_path):
         # 256-wide layers on 128-row batches are large enough for the BLAS
-        # to split its matmuls across threads.
+        # to split its matmuls across threads, and above the one-thread rule.
         cfg = small_config(
             n_classes=4,
             per_class=100,
@@ -216,30 +255,57 @@ class TestBlasThreadDeterminism:
             batch_size=128,
             scatter_every=0,
         )
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config_to_dict(cfg)))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = {}
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["DSTLAB_OUTPUT_ROOT"] = str(tmp_path / f"threads{threads}")
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-m", "dstlab", "run", str(config_path)],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            run_dir = Path(proc.stdout.strip().splitlines()[-1])
-            assert run_dir.is_relative_to(tmp_path / f"threads{threads}")
-            files = ["summary.json"] + sorted(
-                f"checkpoints/{p.name}" for p in (run_dir / "checkpoints").glob("*.json")
-            )
-            assert files == ["summary.json", "checkpoints/net1.json", "checkpoints/net2.json"]
-            outputs[threads] = {name: (run_dir / name).read_bytes() for name in files}
+        assert network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size) != 1
+        outputs = {threads: self.run_files(tmp_path, cfg, threads) for threads in ("1", "2")}
         assert outputs["1"] == outputs["2"]
+
+    def test_one_thread_rule_writes_the_same_bytes(self, tmp_path):
+        # The ceiling shape (2-64-64-4 at batch 128) takes the one-thread
+        # path; with the setter unavailable it runs on the threads it is given.
+        cfg = small_config(
+            n_classes=4,
+            per_class=250,
+            test_per_class=50,
+            hidden_sizes=[64, 64],
+            total_epochs=4,
+            warmup_epochs=2,
+            batch_size=128,
+            scatter_every=0,
+        )
+        if network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size) is None:
+            pytest.skip("numpy's OpenBLAS thread setter is unavailable")
+        assert network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size) == 1
+        one_thread_rule = self.run_files(tmp_path, cfg, "2")
+        for threads in ("1", "2"):
+            assert self.run_files(tmp_path, cfg, threads, setter="off") == one_thread_rule
+
+
+class TestRunBlasThreads:
+    def test_loop_runs_on_one_thread_and_the_count_comes_back(
+        self, tmp_path, monkeypatch, two_blas_threads
+    ):
+        seen = []
+        real = lab.evaluate
+
+        def spying_evaluate(*args):
+            seen.append(network.blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(lab, "evaluate", spying_evaluate)
+        cfg = small_config()
+        run(cfg, tmp_path / "r")
+        assert seen == [1] * cfg.total_epochs
+        assert network.blas_threads() == 2
+
+    def test_count_comes_back_when_the_run_raises(self, tmp_path, monkeypatch, two_blas_threads):
+        def failing_evaluate(*args):
+            assert network.blas_threads() == 1
+            raise RuntimeError("evaluation failed")
+
+        monkeypatch.setattr(lab, "evaluate", failing_evaluate)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            run(small_config(), tmp_path / "r")
+        assert network.blas_threads() == 2
 
 
 class TestFitFailureEndToEnd:
@@ -285,6 +351,69 @@ class TestFitFailureEndToEnd:
                 else:
                     assert selection_report[consumer]["fallback"] is False
                     assert selection_report[consumer]["source"] == source
+
+
+class TestFlatLossCloud:
+    """Runs whose loss profiles are forced flat on one or both axes."""
+
+    @staticmethod
+    def flat_run(tmp_path, monkeypatch, both_axes: bool):
+        real = training.profile
+
+        def flat_profile(params, ds):
+            prof = real(params, ds)
+            l_nis = np.full_like(prof.l_nis, 0.7) if both_axes else prof.l_nis
+            l_prd = np.full_like(prof.l_prd, 0.3)
+            return LossProfile(l_nis=l_nis, l_prd=l_prd, predicted=prof.predicted)
+
+        monkeypatch.setattr(training, "profile", flat_profile)
+        cfg = small_config(total_epochs=4, warmup_epochs=2)
+        return cfg, run(cfg, tmp_path / "r")
+
+    @staticmethod
+    def selection_reports(cfg, run_dir):
+        for epoch in range(cfg.warmup_epochs + 1, cfg.total_epochs + 1):
+            report = json.loads((run_dir / "reports" / f"epoch_{epoch:03d}.json").read_text())
+            assert report["selection"]["fit_errors"] == {}
+            yield report["selection"]
+
+    @staticmethod
+    def scatter_column(run_dir, name):
+        with scatter_csv_path(run_dir, 4, "net1").open(newline="") as fh:
+            return [float(row[name]) for row in csv.DictReader(fh)]
+
+    def test_both_axes_flat_labels_every_sample(self, tmp_path, monkeypatch):
+        cfg, run_dir = self.flat_run(tmp_path, monkeypatch, both_axes=True)
+        train, _, _ = lab.build_datasets(cfg)
+        clean_share = float((train.noisy_labels == train.true_labels).mean())
+        for sel in self.selection_reports(cfg, run_dir):
+            for name in ("net1", "net2"):
+                assert sel[name]["fallback"] is False
+                sizes = {b: v["size"] for b, v in sel[name]["branches"].items()}
+                assert sizes == {"labeled": train.n_samples, "predicted": 0, "wrong": 0}
+        summary = load_summary(run_dir)
+        assert summary["fallback_epochs"] == {"net1": [], "net2": []}
+        for name in ("net1", "net2"):
+            branches = summary["final_branches"][name]
+            assert branches["labeled"] == {"size": train.n_samples, "precision": clean_share}
+            assert branches["predicted"] == {"size": 0, "precision": None}
+            assert branches["wrong"] == {"size": 0, "precision": None}
+        for column in ("nrm_nis", "nrm_prd"):
+            assert set(self.scatter_column(run_dir, column)) == {0.0}
+
+    def test_flat_prediction_axis_still_divides(self, tmp_path, monkeypatch):
+        cfg, run_dir = self.flat_run(tmp_path, monkeypatch, both_axes=False)
+        summary = load_summary(run_dir)
+        for sel in self.selection_reports(cfg, run_dir):
+            for name in ("net1", "net2"):
+                assert sel[name]["fallback"] is False
+                sizes = {b: v["size"] for b, v in sel[name]["branches"].items()}
+                assert sum(sizes.values()) == summary["n_train"]
+                assert sizes["labeled"] == max(sizes.values())
+        assert summary["fallback_epochs"] == {"net1": [], "net2": []}
+        assert set(self.scatter_column(run_dir, "nrm_prd")) == {0.0}
+        nrm_nis = self.scatter_column(run_dir, "nrm_nis")
+        assert (min(nrm_nis), max(nrm_nis)) == (0.0, 1.0)
 
 
 @pytest.fixture(scope="module")

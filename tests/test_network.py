@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradients, gradient_check_draws, max_rel_err
+from dstlab import network
 from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import (
     Layer,
@@ -516,3 +520,60 @@ class TestAliasing:
         with pytest.raises(StructuralError):
             workspace_step(params, grads, opt)
         assert opt.buffer.tobytes() == before
+
+
+# Layer sizes of the two benchmark shapes, both at batch 128.
+CEILING_SIZES = [2, 64, 64, 4]
+MEMORIZE_SIZES = [20, 256, 256, 4]
+
+
+class TestBlasThreads:
+    def test_ceiling_shape_runs_on_one_thread(self, two_blas_threads):
+        assert 128 * 64 * 64 < network.SMALL_GEMM_WORK
+        assert network.loop_blas_threads(CEILING_SIZES, 128) == 1
+        with network.blas_threads_for(CEILING_SIZES, 128):
+            assert network.blas_threads() == 1
+        assert network.blas_threads() == 2
+
+    def test_memorize_shape_leaves_the_count_alone(self, two_blas_threads, monkeypatch):
+        assert 128 * 256 * 256 >= network.SMALL_GEMM_WORK
+        assert network.loop_blas_threads(MEMORIZE_SIZES, 128) == 2
+        real = network._openblas()
+        # Any call to the setter would fail the test.
+        monkeypatch.setattr(network, "_openblas", lambda: (real[0], None))
+        with network.blas_threads_for(MEMORIZE_SIZES, 128):
+            assert network.blas_threads() == 2
+
+    def test_widest_layer_decides(self):
+        # 128 * 64 * 256 = 2**21 is not below the threshold.
+        sizes = [2, 64, 256, 4]
+        assert 128 * 64 * 256 == network.SMALL_GEMM_WORK
+        assert network.loop_blas_threads(sizes, 128) == network.blas_threads()
+        assert network.loop_blas_threads(sizes, 127) in (1, None)
+
+    def test_count_restored_when_the_body_raises(self, two_blas_threads):
+        with pytest.raises(RuntimeError):
+            with network.blas_threads_for(CEILING_SIZES, 128):
+                assert network.blas_threads() == 1
+                raise RuntimeError("boom")
+        assert network.blas_threads() == 2
+
+    def test_unavailable_setter_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(network, "_openblas", lambda: None)
+        assert network.blas_threads() is None
+        assert network.loop_blas_threads(CEILING_SIZES, 128) is None
+        with network.blas_threads_for(CEILING_SIZES, 128):
+            assert network.blas_threads() is None
+
+    def test_lookup_waits_for_first_use(self):
+        src = str(Path(network.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from dstlab import cli, lab, network; "
+            "print(network._openblas.cache_info().currsize)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"

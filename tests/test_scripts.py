@@ -1,12 +1,17 @@
 """`scripts/runs.py` runs from a fresh checkout, with each former script's flags."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dstlab import network
+from dstlab.config import benchmark_config
 
 RUNS = Path(__file__).resolve().parent.parent / "scripts" / "runs.py"
 
@@ -36,10 +41,15 @@ def test_help_runs_without_pythonpath(command, tmp_path):
         assert "--" + flag.replace("_", "-") in done.stdout
 
 
-def test_flags_and_defaults_match_the_former_scripts():
+def load_runs():
     spec = importlib.util.spec_from_file_location("runs", RUNS)
     runs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runs)
+    return runs
+
+
+def test_flags_and_defaults_match_the_former_scripts():
+    runs = load_runs()
     parser = runs.build_parser()
     for command, defaults in FLAGS.items():
         args = vars(parser.parse_args([command]))
@@ -49,3 +59,19 @@ def test_flags_and_defaults_match_the_former_scripts():
     assert parser.parse_args(["ablation", "--noise-rate", "0.6", "--out", "x"]).noise_rate == 0.6
     with pytest.raises(SystemExit):
         parser.parse_args(["baseline", "--noise-rate", "0.6"])
+
+
+@pytest.mark.parametrize("setter", ["on", "off"])
+def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monkeypatch):
+    runs = load_runs()
+    if setter == "off":
+        monkeypatch.setattr(network, "_openblas", lambda: None)
+    # The benchmark's shapes (2-64-64-4 at batch 128) on a short run.
+    short = dict(per_class=40, test_per_class=10, total_epochs=3, warmup_epochs=1)
+    monkeypatch.setattr(runs, "benchmark_config", lambda **kw: benchmark_config(**short, **kw))
+    args = runs.build_parser().parse_args(["reference", "--out", str(tmp_path / "r")])
+    out = json.loads(json.dumps(runs.reference(args)))
+    expected = None if network.blas_threads() is None else 1
+    assert out["blas_threads"] == expected
+    assert out["numpy"] == np.__version__
+    assert len(out["digest"]) == 64
