@@ -4,8 +4,10 @@ Two small dense networks are trained jointly: each epoch, every sample's
 losses against its dataset label and against the model's own prediction
 are normalized into the unit square, a three-component Gaussian mixture
 splits the cloud into correctly-labeled / correctly-predicted / wrong
-sets, and each network trains on the division computed from the other
-network's losses with soft label refinement, sharpening, and MixUp.
+sets, and each network trains on the division computed from its partner's
+losses (the other network's, or its own in single-network mode) with soft
+label refinement, sharpening, and MixUp. Every setting, and every range
+check on it, lives in `ExperimentConfig`.
 """
 
 __version__ = "0.1.0"
@@ -23,18 +25,14 @@ from .errors import (
 )
 from .lab import compare, dump_scatter, run
 from .network import NetworkParams, OptimizerState, init_network
-from .training import Ablation, DstParams, NetworkPair, TrainSchedule
 
 __all__ = [
-    "Ablation",
     "CleanDataset",
     "ConfigError",
-    "DstParams",
     "ExperimentConfig",
     "GmmFitError",
     "InsufficientDataError",
     "LabError",
-    "NetworkPair",
     "NetworkParams",
     "NoiseSpec",
     "NoisyDataset",
@@ -42,7 +40,6 @@ __all__ = [
     "NumericError",
     "OptimizerState",
     "StructuralError",
-    "TrainSchedule",
     "compare",
     "dump_scatter",
     "init_network",

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .data import NOISE_KINDS
 from .errors import ConfigError
-from .training import Ablation, DstParams, TrainSchedule
+from .network import OptimizerState
 
 
 def _is_int(value) -> bool:
@@ -28,7 +26,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
+# Frozen, so a config keeps the ranges __post_init__ checked; the run reads
+# its fields without checking them again.
+@dataclass(frozen=True)
 class ExperimentConfig:
     # dataset
     n_classes: int = 4
@@ -57,8 +57,11 @@ class ExperimentConfig:
     temperature: float = 0.5
     alpha: float = 4.0
     lambda_reg: float = 1.0
-    gmm_tol: float = 20.0
+    gmm_tol: float = 20.0  # absolute change in total log-likelihood
     gmm_max_iter: int = 100
+    # Unit-square mixture means at the start of every fit: near-origin for
+    # low-loss-on-label samples, mid-square for samples both losses flag,
+    # right-bottom for samples whose label loss is high but prediction loss low.
     gmm_anchors: list[list[float]] = field(
         default_factory=lambda: [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
     )
@@ -109,44 +112,61 @@ class ExperimentConfig:
             raise ConfigError(
                 f"gmm_anchors must be three 2-D points with finite coordinates, got {anchors!r}"
             )
+        if any(anchors[a] == anchors[b] for a, b in ((0, 1), (0, 2), (1, 2))):
+            raise ConfigError(f"gmm_anchors must be pairwise distinct, got {anchors!r}")
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
-        # Sub-object constructors enforce the remaining ranges.
-        self.schedule()
-        self.dst_params()
-        self.ablation()
+        for name in ("master_seed", "data_seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        # schedule
+        if self.warmup_epochs < 1:
+            raise ConfigError(f"warmup_epochs must be >= 1, got {self.warmup_epochs}")
+        if self.total_epochs <= self.warmup_epochs:
+            raise ConfigError(
+                f"total_epochs ({self.total_epochs}) must exceed "
+                f"warmup_epochs ({self.warmup_epochs})"
+            )
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.lr_decay_period < 1:
+            raise ConfigError(f"lr_decay_period must be >= 1, got {self.lr_decay_period}")
+        if not 0.0 < self.lr_decay_factor <= 1.0:
+            raise ConfigError(
+                f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"
+            )
+        # The optimizer's own range checks, before any run file is written.
+        OptimizerState(self.learning_rate, self.momentum, self.weight_decay)
+        # selection and refinement
+        for name in ("tau_r", "tau_prd"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must be in (0, 1), got {value}")
+        if self.temperature <= 0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if self.alpha <= 0:
+            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        if self.lambda_reg < 0:
+            raise ConfigError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
+        if self.gmm_tol < 0:
+            raise ConfigError(f"gmm_tol must be >= 0, got {self.gmm_tol}")
+        if self.gmm_max_iter < 1:
+            raise ConfigError(f"gmm_max_iter must be >= 1, got {self.gmm_max_iter}")
+        if self.disable_branch not in (None, "labeled", "predicted"):
+            raise ConfigError(
+                f"disable_branch must be labeled or predicted, got {self.disable_branch!r}"
+            )
 
-    def schedule(self) -> TrainSchedule:
-        return TrainSchedule(
-            total_epochs=self.total_epochs,
-            warmup_epochs=self.warmup_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            lr_decay_factor=self.lr_decay_factor,
-            lr_decay_period=self.lr_decay_period,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
+    def learning_rate_at(self, epoch: int) -> float:
+        """Steps down by lr_decay_factor after each lr_decay_period epochs.
 
-    def dst_params(self) -> DstParams:
-        return DstParams(
-            tau_r=self.tau_r,
-            tau_prd=self.tau_prd,
-            temperature=self.temperature,
-            alpha=self.alpha,
-            lambda_reg=self.lambda_reg,
-            gmm_tol=self.gmm_tol,
-            gmm_max_iter=self.gmm_max_iter,
-            anchors=np.asarray(self.gmm_anchors, dtype=np.float64),
-        )
-
-    def ablation(self) -> Ablation:
-        return Ablation(
-            ce_only=self.ce_only,
-            no_mixup=self.no_mixup,
-            single_network=self.single_network,
-            disable_branch=self.disable_branch,
-            all_wrong=self.all_wrong,
+        Epochs are 1-indexed.
+        """
+        if epoch < 1:
+            raise ConfigError(f"epochs are 1-indexed, got {epoch}")
+        return self.learning_rate * self.lr_decay_factor ** (
+            (epoch - 1) // self.lr_decay_period
         )
 
     def layer_sizes(self) -> list[int]:

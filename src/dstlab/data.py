@@ -11,7 +11,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -181,25 +180,13 @@ def cyclic_mapping(n_classes: int) -> dict[int, int]:
     return {c: (c + 1) % n_classes for c in range(n_classes)}
 
 
-def inject_asymmetric(
-    ds: CleanDataset,
-    rate: float,
-    seed: int,
-    mapping: dict[int, int] | Callable[[int], int] | None = None,
-) -> NoisyDataset:
-    """Flip each sample independently to mapping(true label) with prob rate."""
+def inject_asymmetric(ds: CleanDataset, rate: float, seed: int) -> NoisyDataset:
+    """Flip each sample independently to the next class (`cyclic_mapping`)
+    with prob rate."""
+    if ds.n_classes < 2:
+        raise ConfigError("asymmetric noise needs >= 2 classes")
     spec = NoiseSpec(kind="asym", rate=rate, seed=seed)
-    if mapping is None:
-        table = cyclic_mapping(ds.n_classes)
-    elif callable(mapping):
-        table = {c: mapping(c) for c in range(ds.n_classes)}
-    else:
-        table = dict(mapping)
-    for src, dst in table.items():
-        if not (0 <= src < ds.n_classes and 0 <= dst < ds.n_classes):
-            raise ConfigError(f"mapping {src}->{dst} out of class range")
-        if src == dst:
-            raise ConfigError(f"mapping must be fixed-point-free, got {src}->{dst}")
+    table = cyclic_mapping(ds.n_classes)
     rng = np.random.default_rng(seed)
     noisy = ds.true_labels.copy()
     flip = rng.random(ds.n_samples) < rate

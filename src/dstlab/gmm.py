@@ -20,8 +20,6 @@ N_COMPONENTS = 3
 SIGMA_FLOOR = 1e-6  # minimum covariance eigenvalue
 PI_FLOOR = 1e-6  # minimum mixing weight
 INIT_COV_SCALE = 0.05
-DEFAULT_TOL = 20.0  # absolute change in total log-likelihood
-DEFAULT_MAX_ITER = 100
 MIN_POINTS = 6
 _STARVATION = 1e-10  # below this soft count a component keeps its old shape
 
@@ -126,15 +124,16 @@ def _floor_covariance(cov: np.ndarray) -> np.ndarray:
 def fit(
     points: np.ndarray,
     anchors: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float,
+    max_iter: int,
 ) -> GmmModel:
     """EM fit of a 3-component mixture initialized at the anchor means.
 
-    Stops when the total log-likelihood changes by less than `tol` between
-    consecutive evaluations, or after `max_iter` M-steps. The trace records
-    the log-likelihood of the parameters entering each iteration, ending
-    with the log-likelihood of the returned parameters.
+    Stops when the total log-likelihood changes by less than `tol` (an
+    absolute change) between consecutive evaluations, or after `max_iter`
+    M-steps. The trace records the log-likelihood of the parameters entering
+    each iteration, ending with the log-likelihood of the returned
+    parameters.
     """
     pts = _validate_points(points)
     means = _validate_anchors(anchors).copy()

@@ -19,9 +19,9 @@ from .config import ExperimentConfig, _is_number, config_to_dict
 from .data import CleanDataset, NoisyDataset, NoiseSpec, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
-from .network import blas_threads_for, save_checkpoint
-from .rng import RngStreams, derive_seed, stream
-from .training import NET_NAMES, NetworkPair, evaluate, plain_ce_epoch, run_dst_epoch
+from .network import OptimizerState, blas_threads_for, init_network, save_checkpoint
+from .rng import NET_NAMES, RngStreams, derive_seed, stream
+from .training import evaluate, plain_ce_epoch, run_dst_epoch
 
 OUTPUT_ROOT_ENV = "DSTLAB_OUTPUT_ROOT"
 
@@ -90,7 +90,7 @@ def _accuracy_stats(series: list[float]) -> dict:
 def _final_branch_stats(selection: dict | None) -> dict:
     """Labeled/predicted branch size and precision per net at the last epoch."""
     out: dict = {}
-    for name in ("net1", "net2"):
+    for name in NET_NAMES:
         entry = None if selection is None else selection.get(name)
         if entry is None or entry.get("fallback"):
             out[name] = None
@@ -133,44 +133,40 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    schedule = cfg.schedule()
-    dst = cfg.dst_params()
-    ablation = cfg.ablation()
     streams = RngStreams.from_master(cfg.master_seed)
-    pair = NetworkPair.create(
-        cfg.layer_sizes(), schedule, streams.init_net1, streams.init_net2
-    )
+    nets = [init_network(cfg.layer_sizes(), rng) for rng in streams.init]
+    opts = [
+        OptimizerState.for_network(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        for net in nets
+    ]
 
     history: dict[str, list[float]] = {"net1": [], "net2": [], "ensemble": []}
-    ensemble = ("net1",) if ablation.single_network else NET_NAMES
+    ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     fallback_epochs: dict[str, list[int]] = {"net1": [], "net2": []}
     last_selection: dict | None = None
 
     # Small networks train on one BLAS thread, the whole loop included
     # (profiles and evaluation too): threads woken between batches spin
     # through the next batch loop. Results do not depend on the count.
-    with blas_threads_for(cfg.layer_sizes(), schedule.batch_size):
-        for epoch in range(1, schedule.total_epochs + 1):
-            lr = schedule.learning_rate_at(epoch)
-            pair.set_learning_rate(lr)
-            in_warmup = epoch <= schedule.warmup_epochs
-            plain_ce = in_warmup or ablation.ce_only
+    with blas_threads_for(cfg.layer_sizes(), cfg.batch_size):
+        for epoch in range(1, cfg.total_epochs + 1):
+            lr = cfg.learning_rate_at(epoch)
+            for opt in opts:
+                opt.learning_rate = lr
+            in_warmup = epoch <= cfg.warmup_epochs
             selection: dict | None = None
-            if plain_ce:
+            if in_warmup or cfg.ce_only:
+                # Both networks, also in single-network mode.
                 phase = "warmup" if in_warmup else "ce"
-                pair.net1 = plain_ce_epoch(
-                    pair.net1, pair.opt1, train, schedule.batch_size, streams.shuffle[0]
-                )
-                pair.net2 = plain_ce_epoch(
-                    pair.net2, pair.opt2, train, schedule.batch_size, streams.shuffle[1]
-                )
+                for i in range(len(nets)):
+                    nets[i] = plain_ce_epoch(
+                        nets[i], opts[i], train, cfg.batch_size, streams.shuffle[i]
+                    )
             else:
                 phase = "dst"
-                result = run_dst_epoch(
-                    pair, train, dst, schedule.batch_size, streams, ablation
-                )
+                result = run_dst_epoch(nets, opts, train, cfg, streams)
                 selection = result.selection
-                for name in ("net1", "net2"):
+                for name in NET_NAMES:
                     if selection.get(name, {}).get("fallback"):
                         fallback_epochs[name].append(epoch)
                 if _scatter_due(cfg, epoch):
@@ -182,10 +178,12 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
                             cloud.profile,
                             cloud.states,
                         )
-                if epoch == schedule.total_epochs:
+                if epoch == cfg.total_epochs:
                     last_selection = selection
 
-            test_accuracy = evaluate(pair.nets(), test.features, test.true_labels, ensemble)
+            test_accuracy = evaluate(
+                dict(zip(NET_NAMES, nets)), test.features, test.true_labels, ensemble
+            )
             for name, series in history.items():
                 series.append(test_accuracy[name])
             report = {
@@ -199,8 +197,8 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
                 json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
 
-    save_checkpoint(pair.net1, run_dir / "checkpoints" / "net1.json")
-    save_checkpoint(pair.net2, run_dir / "checkpoints" / "net2.json")
+    for name, net in zip(NET_NAMES, nets):
+        save_checkpoint(net, run_dir / "checkpoints" / f"{name}.json")
 
     summary_config = config_to_dict(cfg)
     summary_config.pop("output_dir")  # summaries must not depend on placement

@@ -332,9 +332,16 @@ def load_checkpoint(path: Path | str) -> NetworkParams:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise StructuralError(f"unsupported checkpoint version {payload.get('version')}")
     sizes = payload["sizes"]
+    if len(payload["layers"]) != len(sizes) - 1:
+        raise StructuralError(
+            f"checkpoint holds {len(payload['layers'])} layers for sizes {sizes}"
+        )
     layers = []
     for (fan_in, fan_out), entry in zip(zip(sizes[:-1], sizes[1:]), payload["layers"]):
-        weights = np.asarray(entry["weights"], dtype=np.float64).reshape(fan_out, fan_in)
+        weights = np.asarray(entry["weights"], dtype=np.float64)
+        if weights.shape != (fan_out * fan_in,):
+            raise StructuralError("checkpoint weights length does not match layer size")
+        weights = weights.reshape(fan_out, fan_in)
         bias = np.asarray(entry["bias"], dtype=np.float64)
         if bias.shape != (fan_out,):
             raise StructuralError("checkpoint bias length does not match layer size")

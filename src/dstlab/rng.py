@@ -30,36 +30,30 @@ def derive_seed(master_seed: int, *names: str) -> int:
     return int(_seed_sequence(master_seed, names).generate_state(1)[0])
 
 
+# The two networks, in the order every per-network tuple follows.
+NET_NAMES = ("net1", "net2")
+
+
 @dataclass
 class RngStreams:
     """The named streams one experiment run consumes.
 
-    `shuffle`, `mixup`, and `wrong_branch` carry per-network child streams so
-    that ablations touching one network leave the other network's draws (and
-    every sibling stream) untouched.
+    `init`, `shuffle`, `mixup`, and `wrong_branch` carry one child stream per
+    network, index-aligned with `NET_NAMES`, so that ablations touching one
+    network leave the other network's draws (and every sibling stream)
+    untouched.
     """
 
-    init_net1: np.random.Generator
-    init_net2: np.random.Generator
-    shuffle: tuple[np.random.Generator, np.random.Generator]
-    mixup: tuple[np.random.Generator, np.random.Generator]
-    wrong_branch: tuple[np.random.Generator, np.random.Generator]
+    init: tuple[np.random.Generator, ...]
+    shuffle: tuple[np.random.Generator, ...]
+    mixup: tuple[np.random.Generator, ...]
+    wrong_branch: tuple[np.random.Generator, ...]
 
     @classmethod
     def from_master(cls, master_seed: int) -> "RngStreams":
         return cls(
-            init_net1=stream(master_seed, "init-net1"),
-            init_net2=stream(master_seed, "init-net2"),
-            shuffle=(
-                stream(master_seed, "shuffle", "net1"),
-                stream(master_seed, "shuffle", "net2"),
-            ),
-            mixup=(
-                stream(master_seed, "mixup", "net1"),
-                stream(master_seed, "mixup", "net2"),
-            ),
-            wrong_branch=(
-                stream(master_seed, "wrong-branch", "net1"),
-                stream(master_seed, "wrong-branch", "net2"),
-            ),
+            init=tuple(stream(master_seed, f"init-{name}") for name in NET_NAMES),
+            shuffle=tuple(stream(master_seed, "shuffle", name) for name in NET_NAMES),
+            mixup=tuple(stream(master_seed, "mixup", name) for name in NET_NAMES),
+            wrong_branch=tuple(stream(master_seed, "wrong-branch", name) for name in NET_NAMES),
         )

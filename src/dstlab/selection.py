@@ -3,8 +3,8 @@
 A fitted mixture yields, per sample, a probability of being correctly
 labeled (w_r) and of being correctly predicted (w_prd). Thresholding those
 in a fixed order partitions the dataset into labeled / predicted / wrong
-branches. Each network trains on the division computed from the OTHER
-network's losses, never its own.
+branches. Each network trains on the division computed from its partner's
+losses: the other network's, or its own when it trains alone.
 """
 
 from __future__ import annotations
@@ -13,23 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import STATE_NAMES, NoisyDataset, audit_states
 from .errors import ConfigError, GmmFitError, StructuralError
-from .gmm import DEFAULT_MAX_ITER, DEFAULT_TOL, GmmModel, fit
+from .gmm import GmmModel, fit
 from .lossprofile import LossProfile
-
-# Unit-square anchor means: near-origin for low-loss-on-label samples,
-# mid-square for samples both losses flag, right-bottom for samples whose
-# label loss is high but prediction loss low.
-DEFAULT_ANCHORS = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+from .rng import NET_NAMES
 
 BRANCH_LABELED = 0
 BRANCH_PREDICTED = 1
 BRANCH_WRONG = 2
 BRANCH_NAMES = ("labeled", "predicted", "wrong")
-
-DEFAULT_TAU_R = 0.5
-DEFAULT_TAU_PRD = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,14 +45,14 @@ class SelectionWeights:
     w_prd: np.ndarray  # [N] responsibility of the predicted component
 
 
-def assign_roles(model: GmmModel, anchors: np.ndarray | None = None) -> RoleMap:
+def assign_roles(model: GmmModel, anchors: np.ndarray) -> RoleMap:
     """Match components to roles by final-mean proximity to the anchors.
 
     Greedy order: labeled (anchors[0]) first, then predicted (anchors[2]),
     then wrong takes the remaining component. Distance ties go to the lower
     component index.
     """
-    anchors = DEFAULT_ANCHORS if anchors is None else np.asarray(anchors, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.float64)
     targets = {"labeled": anchors[0], "predicted": anchors[2], "wrong": anchors[1]}
     remaining = [0, 1, 2]
     chosen: dict[str, int] = {}
@@ -96,7 +90,7 @@ def partition(
 
 @dataclass
 class Division:
-    """One network's training division, derived from the other's losses."""
+    """One network's training division, derived from its partner's losses."""
 
     weights: SelectionWeights
     branches: np.ndarray  # [N] branch codes
@@ -106,27 +100,13 @@ class Division:
     predicted: np.ndarray  # [N] source network's argmax labels
 
 
-@dataclass
-class CoDivision:
-    for_net1: Division | None  # None means the fit failed; consumer falls back
-    for_net2: Division | None
-    fit_errors: dict[str, str]
-
-
-def _divide(
-    prof: LossProfile,
-    source: str,
-    anchors: np.ndarray,
-    tol: float,
-    max_iter: int,
-    tau_r: float,
-    tau_prd: float,
-) -> Division:
-    model = fit(prof.points(), anchors, tol=tol, max_iter=max_iter)
+def _divide(prof: LossProfile, source: str, cfg: ExperimentConfig) -> Division:
+    anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
+    model = fit(prof.points(), anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
     roles = assign_roles(model, anchors)
     # The fit's last E-step ran on these points with these parameters.
     weights = weights_from_posteriors(model.resp, roles)
-    branches = partition(weights, tau_r, tau_prd)
+    branches = partition(weights, cfg.tau_r, cfg.tau_prd)
     return Division(
         weights=weights,
         branches=branches,
@@ -137,72 +117,31 @@ def _divide(
     )
 
 
-def _divide_each(
-    profiles: dict[str, LossProfile],
-    anchors: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-    tau_r: float,
-    tau_prd: float,
-) -> tuple[dict[str, Division | None], dict[str, str]]:
-    """One mixture fit per source profile; a failed fit yields None and its error."""
-    anchors = DEFAULT_ANCHORS if anchors is None else np.asarray(anchors, dtype=np.float64)
-    divisions: dict[str, Division | None] = {}
-    fit_errors: dict[str, str] = {}
-    for source, prof in profiles.items():
-        try:
-            divisions[source] = _divide(
-                prof, source, anchors, tol, max_iter, tau_r, tau_prd
-            )
-        except GmmFitError as exc:
-            divisions[source] = None
-            fit_errors[source] = str(exc)
-    return divisions, fit_errors
-
-
 def co_divide(
-    prof_net1: LossProfile,
-    prof_net2: LossProfile,
-    anchors: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tau_r: float = DEFAULT_TAU_R,
-    tau_prd: float = DEFAULT_TAU_PRD,
-) -> CoDivision:
-    """Fit one mixture per network and swap the divisions.
+    profiles: list[LossProfile], cfg: ExperimentConfig
+) -> tuple[list[Division | None], dict[str, str]]:
+    """Fit one mixture per network's profile, in order, and pass each on.
 
-    The division from net1's losses trains net2 and vice versa. A failed
-    fit yields None for the consuming network (callers fall back to plain
-    cross-entropy for that network that epoch) and is recorded by source.
+    `profiles[i]` comes from network `NET_NAMES[i]`. Consumer i gets the
+    division from source (i + 1) % n: with two networks each trains on the
+    other's, with one the network is its own partner. A failed fit yields
+    None for its consumer (which falls back to plain cross-entropy that
+    epoch) and its error under the source's name.
     """
-    if prof_net1.n_samples != prof_net2.n_samples:
+    if not 1 <= len(profiles) <= len(NET_NAMES):
+        raise StructuralError(f"expected 1 to {len(NET_NAMES)} profiles, got {len(profiles)}")
+    if any(prof.n_samples != profiles[0].n_samples for prof in profiles):
         raise StructuralError("profiles must cover the same dataset")
-    divisions, fit_errors = _divide_each(
-        {"net1": prof_net1, "net2": prof_net2}, anchors, tol, max_iter, tau_r, tau_prd
-    )
-    return CoDivision(
-        for_net1=divisions["net2"],
-        for_net2=divisions["net1"],
-        fit_errors=fit_errors,
-    )
-
-
-def self_divide(
-    prof_net1: LossProfile,
-    anchors: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tau_r: float = DEFAULT_TAU_R,
-    tau_prd: float = DEFAULT_TAU_PRD,
-) -> CoDivision:
-    """Single-network mode: net1 consumes the division of its own losses.
-
-    One mixture is fitted; there is no division for net2.
-    """
-    divisions, fit_errors = _divide_each(
-        {"net1": prof_net1}, anchors, tol, max_iter, tau_r, tau_prd
-    )
-    return CoDivision(for_net1=divisions["net1"], for_net2=None, fit_errors=fit_errors)
+    divisions: list[Division | None] = []
+    fit_errors: dict[str, str] = {}
+    for source, prof in zip(NET_NAMES, profiles):
+        try:
+            divisions.append(_divide(prof, source, cfg))
+        except GmmFitError as exc:
+            divisions.append(None)
+            fit_errors[source] = str(exc)
+    n = len(divisions)
+    return [divisions[(i + 1) % n] for i in range(n)], fit_errors
 
 
 def _rate(numerator: int, denominator: int) -> float | None:

@@ -1,10 +1,12 @@
 """Two-network training loop: warmup, label refinement, MixUp, updates.
 
-One selection-driven epoch runs in phases: profile both networks over the
-full training set, fit one mixture per loss cloud, swap the divisions
-between the networks, then for each network in turn iterate shuffled
-mini-batches where labels are refined with the frozen ensemble, sharpened,
-mixed, and used for a single SGD step. A failed mixture fit downgrades the
+Networks, their optimizers and their random streams are lists
+index-aligned with `NET_NAMES`. One selection-driven epoch runs in phases:
+profile the active networks (both, or net1 alone in single-network mode)
+over the full training set, fit one mixture per loss cloud, pass each
+division to its consumer, then for each consumer in turn iterate shuffled
+mini-batches where labels are refined with the ensemble, sharpened, mixed,
+and used for a single SGD step. A failed mixture fit downgrades the
 consuming network to a plain cross-entropy epoch.
 
 Warmup, plain cross-entropy, the fit-failure fallback and the selection
@@ -14,10 +16,11 @@ cross-entropy is that loop with the refinement stages switched off.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import NoisyDataset, audit_states
 from .errors import ConfigError, StructuralError
 from .gmm import model_to_dict
@@ -29,140 +32,18 @@ from .network import (
     Workspace,
     backprop_from_logits,
     forward_cached,
-    init_network,
     one_hot,
     softmax,
 )
-from .rng import RngStreams
+from .rng import NET_NAMES, RngStreams
 from .selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
-    DEFAULT_ANCHORS,
     SelectionWeights,
     co_divide,
     selection_report,
-    self_divide,
 )
-
-NET_NAMES = ("net1", "net2")
-
-
-@dataclass
-class TrainSchedule:
-    """Epoch and optimizer schedule. Epochs are 1-indexed."""
-
-    total_epochs: int = 120
-    warmup_epochs: int = 15
-    batch_size: int = 128
-    learning_rate: float = 0.02
-    lr_decay_factor: float = 0.2
-    lr_decay_period: int = 80
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-
-    def __post_init__(self) -> None:
-        if self.warmup_epochs < 1:
-            raise ConfigError(f"warmup_epochs must be >= 1, got {self.warmup_epochs}")
-        if self.total_epochs <= self.warmup_epochs:
-            raise ConfigError(
-                f"total_epochs ({self.total_epochs}) must exceed "
-                f"warmup_epochs ({self.warmup_epochs})"
-            )
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.lr_decay_period < 1:
-            raise ConfigError(f"lr_decay_period must be >= 1, got {self.lr_decay_period}")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ConfigError(
-                f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"
-            )
-        # The optimizer's own range checks, before any run file is written.
-        OptimizerState(self.learning_rate, self.momentum, self.weight_decay)
-
-    def learning_rate_at(self, epoch: int) -> float:
-        """Steps down by lr_decay_factor after each lr_decay_period epochs."""
-        if epoch < 1:
-            raise ConfigError(f"epochs are 1-indexed, got {epoch}")
-        return self.learning_rate * self.lr_decay_factor ** (
-            (epoch - 1) // self.lr_decay_period
-        )
-
-
-@dataclass
-class DstParams:
-    """Selection and refinement hyperparameters."""
-
-    tau_r: float = 0.5
-    tau_prd: float = 0.5
-    temperature: float = 0.5
-    alpha: float = 4.0
-    lambda_reg: float = 1.0
-    gmm_tol: float = 20.0
-    gmm_max_iter: int = 100
-    anchors: np.ndarray = field(default_factory=lambda: DEFAULT_ANCHORS.copy())
-
-    def __post_init__(self) -> None:
-        for name in ("tau_r", "tau_prd"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {value}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.lambda_reg < 0:
-            raise ConfigError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
-
-
-@dataclass
-class Ablation:
-    """Switches that remove one mechanism at a time."""
-
-    ce_only: bool = False  # plain cross-entropy for all epochs
-    no_mixup: bool = False  # train on refined labels without mixing
-    single_network: bool = False  # net1 only, dividing on its own losses
-    disable_branch: str | None = None  # route this branch to the wrong set
-    all_wrong: bool = False  # route every sample to the wrong set
-
-    def __post_init__(self) -> None:
-        if self.disable_branch is not None and self.disable_branch not in (
-            "labeled",
-            "predicted",
-        ):
-            raise ConfigError(
-                f"disable_branch must be labeled or predicted, got {self.disable_branch!r}"
-            )
-
-
-@dataclass
-class NetworkPair:
-    net1: NetworkParams
-    net2: NetworkParams
-    opt1: OptimizerState
-    opt2: OptimizerState
-
-    @classmethod
-    def create(
-        cls,
-        sizes: list[int],
-        schedule: TrainSchedule,
-        rng1: np.random.Generator,
-        rng2: np.random.Generator,
-    ) -> "NetworkPair":
-        net1 = init_network(sizes, rng1)
-        net2 = init_network(sizes, rng2)
-        make_opt = lambda p: OptimizerState.for_network(
-            p, schedule.learning_rate, schedule.momentum, schedule.weight_decay
-        )
-        return cls(net1=net1, net2=net2, opt1=make_opt(net1), opt2=make_opt(net2))
-
-    def set_learning_rate(self, lr: float) -> None:
-        self.opt1.learning_rate = lr
-        self.opt2.learning_rate = lr
-
-    def nets(self) -> dict[str, NetworkParams]:
-        return {"net1": self.net1, "net2": self.net2}
 
 
 def _mean_softmax(logits: list[np.ndarray]) -> np.ndarray:
@@ -228,7 +109,7 @@ class _Refinement:
     keep: np.ndarray  # [N] weight on the label
     lean: np.ndarray  # [N] weight on the ensemble; wrong rows drawn per batch
     wrong: np.ndarray  # [N] wrong-branch mask
-    dst: DstParams
+    cfg: ExperimentConfig
     wrong_rng: np.random.Generator
     mixup_rng: np.random.Generator | None  # None: no MixUp
 
@@ -247,10 +128,10 @@ class _Refinement:
             lean[wrong] = w_u
         p_b *= lean[:, None]
         p_b += keep[:, None] * y
-        y_hat = sharpen(p_b, self.dst.temperature)
+        y_hat = sharpen(p_b, self.cfg.temperature)
         if self.mixup_rng is None:
             return x, y_hat
-        return mixup_batch(x, y_hat, self.dst.alpha, self.mixup_rng)
+        return mixup_batch(x, y_hat, self.cfg.alpha, self.mixup_rng)
 
 
 def _branch_table(
@@ -293,7 +174,7 @@ def _train_epoch(
             x, y = refinement.batch(ws.params, x, y, idx)
         logits, activations = forward_cached(ws.params, x)
         p = softmax(logits, out=logits)
-        reg = None if refinement is None else _regularizer_grad(p, refinement.dst.lambda_reg)
+        reg = None if refinement is None else _regularizer_grad(p, refinement.cfg.lambda_reg)
         # p becomes the mean cross-entropy's gradient (p - y) / n in place.
         d_logits = p
         d_logits -= y
@@ -330,79 +211,66 @@ class DstEpochResult:
     scatter: dict[str, ScatterData]
 
 
-def _apply_branch_ablation(branches: np.ndarray, ablation: Ablation) -> np.ndarray:
+def _apply_branch_ablation(branches: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     out = branches.copy()
-    if ablation.all_wrong:
+    if cfg.all_wrong:
         out[:] = BRANCH_WRONG
         return out
-    if ablation.disable_branch == "labeled":
+    if cfg.disable_branch == "labeled":
         out[out == BRANCH_LABELED] = BRANCH_WRONG
-    elif ablation.disable_branch == "predicted":
+    elif cfg.disable_branch == "predicted":
         out[out == BRANCH_PREDICTED] = BRANCH_WRONG
     return out
 
 
 def run_dst_epoch(
-    pair: NetworkPair,
+    nets: list[NetworkParams],
+    opts: list[OptimizerState],
     ds: NoisyDataset,
-    dst: DstParams,
-    batch_size: int,
+    cfg: ExperimentConfig,
     streams: RngStreams,
-    ablation: Ablation | None = None,
 ) -> DstEpochResult:
-    """One full selection-and-refinement epoch over both networks.
+    """One full selection-and-refinement epoch; updates `nets` in place.
 
-    Profiles are taken with frozen parameters before any update; a fit
-    failure on one loss cloud sends the consuming network through a plain
-    cross-entropy epoch instead, flagged in the result.
+    The active networks are both, or net1 alone with `single_network`.
+    Profiles are taken with frozen parameters before any update. Each
+    consumer's partners are read when it starts, after the earlier
+    consumers' updates. A fit failure on one loss cloud sends its consumer
+    through a plain cross-entropy epoch instead, flagged in the result.
     """
-    ablation = ablation or Ablation()
-    prof1 = normalize(profile(pair.net1, ds))
-    scatter = {"net1": ScatterData(prof1, audit_states(ds, prof1.predicted))}
-    fit_options = dict(
-        anchors=dst.anchors,
-        tol=dst.gmm_tol,
-        max_iter=dst.gmm_max_iter,
-        tau_r=dst.tau_r,
-        tau_prd=dst.tau_prd,
-    )
-    if ablation.single_network:
-        codiv = self_divide(prof1, **fit_options)
-    else:
-        prof2 = normalize(profile(pair.net2, ds))
-        scatter["net2"] = ScatterData(prof2, audit_states(ds, prof2.predicted))
-        codiv = co_divide(prof1, prof2, **fit_options)
+    active = nets[:1] if cfg.single_network else nets
+    # Profile and audit one network at a time: all profiles first, then all
+    # audits, raised peak RSS by about 2 MB on 20-256-256-4 nets through
+    # heap layout alone (the live data is the same).
+    profiles = []
+    scatter = {}
+    for name, net in zip(NET_NAMES, active):
+        prof = normalize(profile(net, ds))
+        scatter[name] = ScatterData(prof, audit_states(ds, prof.predicted))
+        profiles.append(prof)
+    divisions, fit_errors = co_divide(profiles, cfg)
 
-    selection: dict = {"fit_errors": codiv.fit_errors}
-    consumers = ("net1",) if ablation.single_network else NET_NAMES
-    for i, name in enumerate(consumers):
-        division = codiv.for_net1 if name == "net1" else codiv.for_net2
-        opt = pair.opt1 if name == "net1" else pair.opt2
-        shuffle_rng = streams.shuffle[i]
+    selection: dict = {"fit_errors": fit_errors}
+    for i, division in enumerate(divisions):
+        name = NET_NAMES[i]
         if division is None:
             # Fit failed upstream: this network trains on raw labels today.
-            updated = plain_ce_epoch(
-                getattr(pair, name), opt, ds, batch_size, shuffle_rng
-            )
-            setattr(pair, name, updated)
+            nets[i] = plain_ce_epoch(nets[i], opts[i], ds, cfg.batch_size, streams.shuffle[i])
             selection[name] = {"fallback": True}
             continue
-        branches = _apply_branch_ablation(division.branches, ablation)
-        if ablation.single_network:
-            other_nets = []
-        else:
-            other_nets = [pair.net2 if name == "net1" else pair.net1]
+        branches = _apply_branch_ablation(division.branches, cfg)
+        # Partners as they stand now, after the earlier consumers' updates.
+        partners = [nets[j] for j in range(len(divisions)) if j != i]
         refinement = _Refinement(
-            other_nets,
+            partners,
             *_branch_table(division.weights, branches),
-            dst,
+            cfg,
             streams.wrong_branch[i],
-            None if ablation.no_mixup else streams.mixup[i],
+            None if cfg.no_mixup else streams.mixup[i],
         )
-        updated = _train_epoch(
-            getattr(pair, name), opt, ds, batch_size, shuffle_rng, refinement
+        nets[i] = _train_epoch(
+            nets[i], opts[i], ds, cfg.batch_size, streams.shuffle[i], refinement
         )
-        setattr(pair, name, updated)
         report = selection_report(branches, ds, division.predicted)
         report["source"] = division.source
         report["roles"] = asdict(division.roles)

@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 from dstlab import network
+from dstlab.config import ExperimentConfig
 from dstlab.data import NoisyDataset
 from dstlab.network import NetworkParams, forward_cached, softmax
 from oracles import backward, cross_entropy
+
+# The default config; its anchors as the mixture fits of a run get them.
+DEFAULTS = ExperimentConfig()
+ANCHORS = np.asarray(DEFAULTS.gmm_anchors, dtype=np.float64)
 
 
 def pytest_configure(config):

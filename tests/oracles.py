@@ -36,7 +36,6 @@ from dstlab.selection import (
     BRANCH_PREDICTED,
     BRANCH_WRONG,
     co_divide,
-    self_divide,
 )
 from dstlab.training import _apply_branch_ablation, mixup_batch
 
@@ -91,16 +90,12 @@ def ensemble_accuracy(nets, features, labels):
     return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
 
 
-def warmup(pair, ds, epochs, batch_size, streams):
-    """Train both networks of a pair independently with plain cross-entropy."""
+def warmup(nets, opts, ds, epochs, batch_size, streams):
+    """Train every network in `nets` independently with plain cross-entropy."""
     for _ in range(epochs):
-        pair.net1 = training.plain_ce_epoch(
-            pair.net1, pair.opt1, ds, batch_size, streams.shuffle[0]
-        )
-        pair.net2 = training.plain_ce_epoch(
-            pair.net2, pair.opt2, ds, batch_size, streams.shuffle[1]
-        )
-    return pair
+        for i, net in enumerate(nets):
+            nets[i] = training.plain_ce_epoch(net, opts[i], ds, batch_size, streams.shuffle[i])
+    return nets
 
 
 def params_hash(params):
@@ -381,12 +376,10 @@ def train_net_on_division(
     ds,
     division,
     branches,
-    dst,
-    batch_size,
+    cfg,
     shuffle_rng,
     mixup_rng,
     wrong_rng,
-    no_mixup,
 ):
     """Mini-batch loop updating a single network's parameters.
 
@@ -395,8 +388,8 @@ def train_net_on_division(
     """
     targets = one_hot(ds.noisy_labels, ds.n_classes)
     order = shuffle_rng.permutation(ds.n_samples)
-    for start in range(0, ds.n_samples, batch_size):
-        idx = order[start : start + batch_size]
+    for start in range(0, ds.n_samples, cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
         x_b = ds.features[idx]
         p_b = ensemble_probs_reference([params] + other_nets, x_b)
         y_tilde = refine_batch(
@@ -407,45 +400,40 @@ def train_net_on_division(
             branches[idx],
             wrong_rng,
         )
-        y_hat = sharpen_reference(y_tilde, dst.temperature)
-        if no_mixup:
+        y_hat = sharpen_reference(y_tilde, cfg.temperature)
+        if cfg.no_mixup:
             x_mix, y_mix = x_b, y_hat
         else:
-            x_mix, y_mix = mixup_batch(x_b, y_hat, dst.alpha, mixup_rng)
-        _, grads = batch_objective(params, x_mix, y_mix, dst.lambda_reg)
+            x_mix, y_mix = mixup_batch(x_b, y_hat, cfg.alpha, mixup_rng)
+        _, grads = batch_objective(params, x_mix, y_mix, cfg.lambda_reg)
         params = sgd_step(params, grads, opt)
     return params
 
 
-def dst_epoch(nets, opts, ds, dst, batch_size, streams, ablation, divide=None):
-    """The training half of the former `run_dst_epoch`, on `nets`/`opts` dicts.
+def dst_epoch(nets, opts, ds, cfg, streams, divide=None):
+    """The training half of the former `run_dst_epoch`, on `nets`/`opts`
+    dicts, with its own single-network branch.
 
-    `divide` replaces the co-division (for forcing fit failures); it gets
-    the normalized profiles and the fit options.
+    `divide` replaces `co_divide` (for forcing fit failures); it gets the
+    normalized profiles and the config.
     """
-    fit_options = dict(
-        anchors=dst.anchors,
-        tol=dst.gmm_tol,
-        max_iter=dst.gmm_max_iter,
-        tau_r=dst.tau_r,
-        tau_prd=dst.tau_prd,
-    )
+    divide = divide or co_divide
     prof1 = normalize(profile(nets["net1"], ds))
-    if ablation.single_network:
-        codiv = self_divide(prof1, **fit_options)
+    if cfg.single_network:
+        (for_net1,), _ = divide([prof1], cfg)
+        divisions = {"net1": for_net1}
     else:
         prof2 = normalize(profile(nets["net2"], ds))
-        codiv = (divide or co_divide)(prof1, prof2, **fit_options)
-    consumers = ("net1",) if ablation.single_network else ("net1", "net2")
-    for i, name in enumerate(consumers):
-        division = codiv.for_net1 if name == "net1" else codiv.for_net2
+        (for_net1, for_net2), _ = divide([prof1, prof2], cfg)
+        divisions = {"net1": for_net1, "net2": for_net2}
+    for i, (name, division) in enumerate(divisions.items()):
         if division is None:
             nets[name] = plain_ce_epoch(
-                nets[name], opts[name], ds, batch_size, streams.shuffle[i]
+                nets[name], opts[name], ds, cfg.batch_size, streams.shuffle[i]
             )
             continue
-        branches = _apply_branch_ablation(division.branches, ablation)
-        others = [] if ablation.single_network else [nets["net2" if name == "net1" else "net1"]]
+        branches = _apply_branch_ablation(division.branches, cfg)
+        others = [] if cfg.single_network else [nets["net2" if name == "net1" else "net1"]]
         nets[name] = train_net_on_division(
             nets[name],
             opts[name],
@@ -453,12 +441,10 @@ def dst_epoch(nets, opts, ds, dst, batch_size, streams, ablation, divide=None):
             ds,
             division,
             branches,
-            dst,
-            batch_size,
+            cfg,
             streams.shuffle[i],
             streams.mixup[i],
             streams.wrong_branch[i],
-            ablation.no_mixup,
         )
 
 

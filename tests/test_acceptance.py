@@ -26,13 +26,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import gradient_check_draws
+from conftest import ANCHORS, DEFAULTS, gradient_check_draws
 from oracles import batch_loss, ensemble_probs, fold_lambda, mixup_pair, posteriors, refine_label
 from dstlab.config import MEMORIZATION, benchmark_config
 from dstlab.gmm import fit
 from dstlab.lab import load_summary, run, scatter_csv_path
 from dstlab.network import Layer, NetworkParams, init_network
-from dstlab.selection import DEFAULT_ANCHORS
 from dstlab.training import sharpen
 
 # `scripts/runs.py baseline` output for the memorization regime (frozen):
@@ -90,7 +89,7 @@ def test_criterion_2_em_likelihood_never_decreases(record_criterion):
             points = np.concatenate(
                 [c + 0.1 * rng.standard_normal((n // 3 + 1, 2)) for c in centers]
             )[:n]
-        model = fit(points, DEFAULT_ANCHORS, tol=0.0, max_iter=40)
+        model = fit(points, ANCHORS, tol=0.0, max_iter=40)
         trace = np.asarray(model.ll_trace)
         slack = 1e-8 * np.maximum(1.0, np.abs(trace[:-1]))
         worst_drop = max(worst_drop, float((trace[:-1] - trace[1:] - slack).max()))
@@ -113,10 +112,10 @@ def test_criterion_3_mixture_recovery_at_the_anchors(record_criterion):
     rng = np.random.default_rng(5)
     truth = np.repeat(np.arange(3), 1000)
     points = np.concatenate(
-        [anchor + 0.02 * rng.standard_normal((1000, 2)) for anchor in DEFAULT_ANCHORS]
+        [anchor + 0.02 * rng.standard_normal((1000, 2)) for anchor in ANCHORS]
     )
-    model = fit(points, DEFAULT_ANCHORS)
-    mean_err = float(np.abs(model.means - DEFAULT_ANCHORS).max())
+    model = fit(points, ANCHORS, DEFAULTS.gmm_tol, DEFAULTS.gmm_max_iter)
+    mean_err = float(np.abs(model.means - ANCHORS).max())
     hard = posteriors(model, points).argmax(axis=1)
     agreement = float((hard == truth).mean())
     wall = time.perf_counter() - start

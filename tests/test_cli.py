@@ -65,6 +65,30 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"config error: {next(iter(overrides))}")
         assert not (tmp_path / "root").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"master_seed": -1},
+            {"data_seed": -3},
+            {"gmm_max_iter": 0},
+            {"gmm_tol": -1},
+            {"gmm_anchors": [[0, 0], [0, 0], [1, 0]]},
+        ],
+    )
+    def test_late_failing_range_exits_one_before_any_run_file(
+        self, tmp_path, capsys, monkeypatch, overrides
+    ):
+        # Negative seeds once ended in a numpy traceback after the run
+        # directory was made; the mixture settings failed at the first
+        # selection epoch, after warmup had written its reports.
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(tmp_path / "root"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(overrides))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {next(iter(overrides))}") and "Traceback" not in err
+        assert not (tmp_path / "root").exists()
+
     def test_non_finite_number_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"gmm_tol": NaN}')

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from dstlab.config import (
@@ -41,12 +40,6 @@ class TestDefaults:
         cfg = ExperimentConfig(n_features=3, hidden_sizes=[16, 8], n_classes=5)
         assert cfg.layer_sizes() == [3, 16, 8, 5]
 
-    def test_sub_objects_reflect_fields(self):
-        cfg = ExperimentConfig(tau_r=0.6, batch_size=32, alpha=2.0)
-        assert cfg.schedule().batch_size == 32
-        assert cfg.dst_params().tau_r == 0.6
-        assert cfg.dst_params().alpha == 2.0
-        np.testing.assert_array_equal(cfg.dst_params().anchors, cfg.gmm_anchors)
 
 
 class TestValidation:
@@ -84,6 +77,31 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
+            ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+            ({"data_seed": -3}, "data_seed must be >= 0, got -3"),
+            ({"gmm_max_iter": 0}, "gmm_max_iter must be >= 1, got 0"),
+            ({"gmm_tol": -1.0}, "gmm_tol must be >= 0, got -1.0"),
+            (
+                {"gmm_anchors": [[0, 0], [0.0, 0.0], [1.0, 0.0]]},
+                "gmm_anchors must be pairwise distinct",
+            ),
+        ],
+    )
+    def test_ranges_a_run_would_fail_on_later(self, kwargs, message):
+        # Each of these once passed the config and failed mid-run.
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"master_seed": 0, "data_seed": 0}, {"gmm_tol": 0.0, "gmm_max_iter": 1}]
+    )
+    def test_range_edges_accepted(self, kwargs):
+        cfg = ExperimentConfig(**kwargs)
+        assert all(getattr(cfg, key) == value for key, value in kwargs.items())
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
             ({"momentum": 1.0}, r"momentum must be in \[0, 1\), got 1.0"),
             ({"momentum": 1.5}, r"momentum must be in \[0, 1\), got 1.5"),
             ({"momentum": -0.1}, r"momentum must be in \[0, 1\)"),
@@ -95,9 +113,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**kwargs)
 
+    def test_checked_fields_cannot_be_reassigned(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.gmm_max_iter = 0
+
     def test_interior_thresholds_accepted(self):
         cfg = ExperimentConfig(tau_r=0.9, tau_prd=0.1)
-        assert cfg.dst_params().tau_r == 0.9
+        assert (cfg.tau_r, cfg.tau_prd) == (0.9, 0.1)
 
 
 class TestDictRoundTrip:
@@ -165,7 +188,8 @@ class TestDictRoundTrip:
 
     def test_integer_anchors_and_null_output_dir_accepted(self):
         cfg = config_from_dict({"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]], "output_dir": None})
-        assert cfg.dst_params().anchors.dtype == np.float64
+        assert cfg.output_dir is None
+        assert cfg.gmm_anchors == ExperimentConfig().gmm_anchors
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):

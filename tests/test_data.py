@@ -160,19 +160,17 @@ class TestAsymmetric:
         ds = blobs(n_classes=4, per_class=200)
         noisy = inject_asymmetric(ds, 0.5, seed=13)
         changed = noisy.noisy_labels != noisy.true_labels
-        assert np.array_equal(
-            noisy.noisy_labels[changed], (noisy.true_labels[changed] + 1) % 4
-        )
+        mapping = cyclic_mapping(4)
+        assert changed.any()
+        assert noisy.noisy_labels[changed].tolist() == [
+            mapping[c] for c in noisy.true_labels[changed].tolist()
+        ]
 
-    def test_fixed_point_mapping_rejected(self):
-        ds = blobs(n_classes=3, per_class=5)
-        with pytest.raises(ConfigError):
-            inject_asymmetric(ds, 0.2, seed=1, mapping={0: 0, 1: 2, 2: 1})
-
-    def test_out_of_range_mapping_rejected(self):
-        ds = blobs(n_classes=3, per_class=5)
-        with pytest.raises(ConfigError):
-            inject_asymmetric(ds, 0.2, seed=1, mapping={0: 7, 1: 2, 2: 0})
+    def test_single_class_rejected(self):
+        # The cyclic map of one class is a fixed point: no flip is possible.
+        ds = CleanDataset(features=np.zeros((5, 2)), true_labels=np.zeros(5), n_classes=1)
+        with pytest.raises(ConfigError, match="needs >= 2 classes"):
+            inject_asymmetric(ds, 0.2, seed=1)
 
     def test_cyclic_mapping_is_fixed_point_free(self):
         for c, dst in cyclic_mapping(6).items():

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ANCHORS, DEFAULTS
 from dstlab.errors import GmmFitError, InsufficientDataError, StructuralError
 from dstlab.gmm import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     PI_FLOOR,
     SIGMA_FLOOR,
     GmmModel,
@@ -15,11 +14,10 @@ from dstlab.gmm import (
     _columns,
     _e_step,
 )
-from dstlab.selection import DEFAULT_ANCHORS
 from oracles import e_step as e_step_reference
 from oracles import posteriors
 
-ANCHORS = DEFAULT_ANCHORS
+TOL, MAX_ITER = DEFAULTS.gmm_tol, DEFAULTS.gmm_max_iter
 
 
 def anchor_clusters(per_cluster=400, sigma=0.02, seed=0):
@@ -35,7 +33,7 @@ def anchor_clusters(per_cluster=400, sigma=0.02, seed=0):
 class TestFit:
     def test_recovers_anchor_clusters(self):
         points, labels = anchor_clusters()
-        model = fit(points, ANCHORS)
+        model = fit(points, ANCHORS, TOL, MAX_ITER)
         # components start at the generating centers, so identities hold
         np.testing.assert_allclose(model.means, ANCHORS, atol=0.02)
         np.testing.assert_allclose(model.weights, 1.0 / 3.0, atol=0.02)
@@ -70,7 +68,7 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "tol, max_iter, iterations",
-        [(1e-3, 1, 1), (np.inf, DEFAULT_MAX_ITER, 1), (0.0, 5, 5)],
+        [(1e-3, 1, 1), (np.inf, MAX_ITER, 1), (0.0, 5, 5)],
         ids=["max-iter-1", "converged-at-first-check", "max-iter-exhausted"],
     )
     def test_every_exit_returns_its_last_e_step(self, tol, max_iter, iterations):
@@ -83,14 +81,14 @@ class TestFit:
 
     def test_loose_tolerance_stops_early(self):
         points, _ = anchor_clusters(per_cluster=200, sigma=0.05, seed=8)
-        coarse = fit(points, ANCHORS, tol=1e6)
-        fine = fit(points, ANCHORS, tol=1e-9)
+        coarse = fit(points, ANCHORS, tol=1e6, max_iter=MAX_ITER)
+        fine = fit(points, ANCHORS, tol=1e-9, max_iter=MAX_ITER)
         assert coarse.iterations <= fine.iterations
 
     def test_identical_points_never_yield_non_finite(self):
         points = np.tile([[0.4, 0.4]], (10, 1))
         try:
-            model = fit(points, ANCHORS)
+            model = fit(points, ANCHORS, TOL, MAX_ITER)
         except GmmFitError:
             return
         assert np.all(np.isfinite(model.means))
@@ -100,7 +98,7 @@ class TestFit:
 
     def test_floors_hold_after_fit(self):
         points, _ = anchor_clusters(per_cluster=300, sigma=0.002, seed=9)
-        model = fit(points, ANCHORS, tol=1e-9)
+        model = fit(points, ANCHORS, tol=1e-9, max_iter=MAX_ITER)
         assert np.all(model.weights >= PI_FLOOR)
         assert abs(model.weights.sum() - 1.0) < 1e-9
         for cov in model.covariances:
@@ -110,41 +108,41 @@ class TestFit:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            fit(np.zeros((5, 2)), ANCHORS)
+            fit(np.zeros((5, 2)), ANCHORS, TOL, MAX_ITER)
 
     def test_bad_shapes(self):
         with pytest.raises(StructuralError):
-            fit(np.zeros((10, 3)), ANCHORS)
+            fit(np.zeros((10, 3)), ANCHORS, TOL, MAX_ITER)
         with pytest.raises(StructuralError):
-            fit(np.random.default_rng(0).uniform(size=(10, 2)), np.zeros((2, 2)))
+            fit(np.random.default_rng(0).uniform(size=(10, 2)), np.zeros((2, 2)), TOL, MAX_ITER)
 
     def test_duplicate_anchors_rejected(self):
         anchors = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(StructuralError):
-            fit(np.random.default_rng(0).uniform(size=(10, 2)), anchors)
+            fit(np.random.default_rng(0).uniform(size=(10, 2)), anchors, TOL, MAX_ITER)
 
     def test_non_finite_points_rejected(self):
         points = np.full((10, 2), 0.5)
         points[3, 0] = np.nan
         with pytest.raises(GmmFitError):
-            fit(points, ANCHORS)
+            fit(points, ANCHORS, TOL, MAX_ITER)
 
     def test_parameter_validation(self):
         points = np.random.default_rng(0).uniform(size=(10, 2))
         with pytest.raises(StructuralError):
-            fit(points, ANCHORS, tol=-1.0)
+            fit(points, ANCHORS, tol=-1.0, max_iter=MAX_ITER)
         with pytest.raises(StructuralError):
-            fit(points, ANCHORS, max_iter=0)
+            fit(points, ANCHORS, tol=TOL, max_iter=0)
 
     def test_defaults_are_pinned(self):
-        assert DEFAULT_TOL == 20.0
-        assert DEFAULT_MAX_ITER == 100
+        assert TOL == 20.0
+        assert MAX_ITER == 100
 
 
 class TestPosterior:
     def test_rows_sum_to_one_on_random_points(self):
         train, _ = anchor_clusters(per_cluster=100, sigma=0.1, seed=2)
-        model = fit(train, ANCHORS, tol=1e-6)
+        model = fit(train, ANCHORS, tol=1e-6, max_iter=MAX_ITER)
         rng = np.random.default_rng(3)
         rows = posteriors(model, rng.uniform(size=(10_000, 2)))
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
@@ -164,7 +162,7 @@ class TestPosterior:
 
     def test_cluster_center_is_confidently_assigned(self):
         points, _ = anchor_clusters()
-        model = fit(points, ANCHORS)
+        model = fit(points, ANCHORS, TOL, MAX_ITER)
         for k in range(3):
             assert posteriors(model, model.means[k : k + 1])[0, k] > 0.99
 
@@ -179,7 +177,7 @@ class TestPosterior:
 
 def test_model_to_dict_is_json_friendly():
     points, _ = anchor_clusters(per_cluster=50)
-    model = fit(points, ANCHORS)
+    model = fit(points, ANCHORS, TOL, MAX_ITER)
     dumped = model_to_dict(model)
     assert set(dumped) == {"means", "covariances", "weights", "iterations", "log_likelihood"}
     assert np.asarray(dumped["means"]).shape == (3, 2)
@@ -227,10 +225,10 @@ class TestColumnwiseEStep:
             e_step_reference(points, means, covariances, weights)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("max_iter", [DEFAULT_MAX_ITER, 3], ids=["converged", "max-iter"])
+    @pytest.mark.parametrize("max_iter", [MAX_ITER, 3], ids=["converged", "max-iter"])
     def test_fit_returns_the_posteriors_of_its_points(self, max_iter):
         points, _ = anchor_clusters(per_cluster=300, sigma=0.15, seed=9)
         model = fit(points, ANCHORS, tol=1e-3, max_iter=max_iter)
-        assert (model.iterations < max_iter) == (max_iter == DEFAULT_MAX_ITER)
+        assert (model.iterations < max_iter) == (max_iter == MAX_ITER)
         assert model.resp.tobytes() == posteriors(model, points).tobytes()
         assert "resp" not in model_to_dict(model)

@@ -15,7 +15,7 @@ from dstlab.errors import ConfigError, GmmFitError, NotFoundError, StructuralErr
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
 from dstlab.lossprofile import LossProfile
 from dstlab.network import load_checkpoint
-from dstlab.selection import CoDivision, co_divide
+from dstlab.selection import co_divide
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -158,13 +158,15 @@ class TestSingleNetworkDivision:
         selection_epochs = cfg.total_epochs - cfg.warmup_epochs
         assert len(fits) == selection_epochs
 
-        def fit_twice(prof, **options):
-            # The former path: co-divide the profile with itself, keep net1's.
-            both = co_divide(prof, prof, **options)
-            errors = {k: v for k, v in both.fit_errors.items() if k == "net1"}
-            return CoDivision(for_net1=both.for_net2, for_net2=None, fit_errors=errors)
+        def fit_twice(profiles, cfg):
+            # The former path: co-divide the profile with itself, keep the
+            # division from net1's losses and net1's fit error.
+            (prof,) = profiles
+            divisions, fit_errors = co_divide([prof, prof], cfg)
+            errors = {k: v for k, v in fit_errors.items() if k == "net1"}
+            return [divisions[1]], errors
 
-        monkeypatch.setattr(training, "self_divide", fit_twice)
+        monkeypatch.setattr(training, "co_divide", fit_twice)
         twice = run(cfg, tmp_path / "twice")
         assert len(fits) == 3 * selection_epochs
         assert run_bytes(once) == run_bytes(twice)

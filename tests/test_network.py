@@ -320,6 +320,26 @@ class TestCheckpoint:
         with pytest.raises(NumericError):
             load_checkpoint(path)
 
+    def tampered(self, tmp_path, edit):
+        params = init_network([2, 8, 3], np.random.default_rng(0))
+        path = tmp_path / "net.json"
+        save_checkpoint(params, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_missing_layer_rejected(self, tmp_path):
+        # Sizes [2, 8, 3] with only the first layer's values.
+        path = self.tampered(tmp_path, lambda payload: payload["layers"].pop())
+        with pytest.raises(StructuralError, match="1 layers for sizes"):
+            load_checkpoint(path)
+
+    def test_weights_of_the_wrong_length_rejected(self, tmp_path):
+        path = self.tampered(tmp_path, lambda payload: payload["layers"][1]["weights"].pop())
+        with pytest.raises(StructuralError, match="weights length"):
+            load_checkpoint(path)
+
 
 def test_full_batch_training_loss_decreases_monotonically():
     # 50-sample separable two-blob set, 50 full-batch steps at lr 0.05.

@@ -40,8 +40,8 @@ def test_from_master_builds_distinct_streams():
     draws = [
         gen.integers(0, 2**62)
         for gen in (
-            streams.init_net1,
-            streams.init_net2,
+            streams.init[0],
+            streams.init[1],
             streams.shuffle[0],
             streams.shuffle[1],
             streams.mixup[0],
@@ -51,6 +51,20 @@ def test_from_master_builds_distinct_streams():
         )
     ]
     assert len(set(int(d) for d in draws)) == len(draws)
+
+
+def test_per_network_streams_keep_their_names():
+    # Renaming a stream would change every draw a run makes from it.
+    streams = RngStreams.from_master(7)
+    paths = {
+        "init": [("init-net1",), ("init-net2",)],
+        "shuffle": [("shuffle", "net1"), ("shuffle", "net2")],
+        "mixup": [("mixup", "net1"), ("mixup", "net2")],
+        "wrong_branch": [("wrong-branch", "net1"), ("wrong-branch", "net2")],
+    }
+    for field, names in paths.items():
+        for gen, path in zip(getattr(streams, field), names, strict=True):
+            assert gen.integers(0, 2**62) == stream(7, *path).integers(0, 2**62)
 
 
 def test_streams_are_mutually_independent():

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_noisy
+from conftest import ANCHORS, DEFAULTS, make_noisy
 from dstlab.errors import ConfigError, StructuralError
 from dstlab.gmm import GmmModel
 from dstlab.lossprofile import LossProfile, normalize
@@ -11,12 +13,10 @@ from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
-    DEFAULT_ANCHORS,
     RoleMap,
     SelectionWeights,
     assign_roles,
     co_divide,
-    self_divide,
     partition,
     selection_report,
     weights_from_posteriors,
@@ -48,29 +48,29 @@ def profile_at(points, noisy_correct=None) -> LossProfile:
 
 class TestAssignRoles:
     def test_identity_when_means_sit_on_anchors(self):
-        roles = assign_roles(model_with_means(DEFAULT_ANCHORS))
+        roles = assign_roles(model_with_means(ANCHORS), ANCHORS)
         assert (roles.labeled, roles.wrong, roles.predicted) == (0, 1, 2)
 
     def test_nearest_anchor_assignment(self):
-        roles = assign_roles(model_with_means([[0.05, 0.02], [0.9, 0.1], [0.5, 0.6]]))
+        roles = assign_roles(model_with_means([[0.05, 0.02], [0.9, 0.1], [0.5, 0.6]]), ANCHORS)
         assert roles.labeled == 0
         assert roles.predicted == 1
         assert roles.wrong == 2
 
     def test_permuted_components_are_tracked(self):
-        roles = assign_roles(model_with_means([[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]]))
+        roles = assign_roles(model_with_means([[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]]), ANCHORS)
         assert roles.labeled == 2
         assert roles.predicted == 1
         assert roles.wrong == 0
 
     def test_distance_tie_goes_to_lower_component_index(self):
-        roles = assign_roles(model_with_means([[0.3, 0.0], [0.0, 0.3], [0.9, 0.1]]))
+        roles = assign_roles(model_with_means([[0.3, 0.0], [0.0, 0.3], [0.9, 0.1]]), ANCHORS)
         assert roles.labeled == 0
 
     def test_greedy_order_is_labeled_then_predicted(self):
         # Component 0 is closest to BOTH the labeled and predicted targets;
         # labeled claims it first, predicted takes the next best.
-        roles = assign_roles(model_with_means([[0.2, 0.1], [0.45, 0.4], [0.8, 0.7]]))
+        roles = assign_roles(model_with_means([[0.2, 0.1], [0.45, 0.4], [0.8, 0.7]]), ANCHORS)
         assert roles.labeled == 0
         assert roles.predicted == 1
         assert roles.wrong == 2
@@ -159,26 +159,26 @@ class TestCoDivide:
         rng = np.random.default_rng(1)
         prof1 = profile_at(self.separated_cloud(rng))
         prof2 = profile_at(self.separated_cloud(rng))
-        codiv = co_divide(prof1, prof2)
-        assert codiv.for_net1.source == "net2"
-        assert codiv.for_net2.source == "net1"
-        assert codiv.fit_errors == {}
+        divisions, fit_errors = co_divide([prof1, prof2], DEFAULTS)
+        assert divisions[0].source == "net2"
+        assert divisions[1].source == "net1"
+        assert fit_errors == {}
 
     def test_identical_profiles_give_identical_divisions(self):
         rng = np.random.default_rng(2)
         cloud = self.separated_cloud(rng)
-        codiv = co_divide(profile_at(cloud), profile_at(cloud))
-        np.testing.assert_array_equal(codiv.for_net1.branches, codiv.for_net2.branches)
-        np.testing.assert_allclose(codiv.for_net1.weights.w_r, codiv.for_net2.weights.w_r)
+        divisions, _ = co_divide([profile_at(cloud), profile_at(cloud)], DEFAULTS)
+        np.testing.assert_array_equal(divisions[0].branches, divisions[1].branches)
+        np.testing.assert_allclose(divisions[0].weights.w_r, divisions[1].weights.w_r)
 
     def test_swapping_twice_restores_pairing(self):
         rng = np.random.default_rng(3)
         prof1 = profile_at(self.separated_cloud(rng))
         prof2 = profile_at(self.separated_cloud(rng))
-        once = co_divide(prof1, prof2)
-        twice = co_divide(prof2, prof1)
-        np.testing.assert_array_equal(once.for_net1.branches, twice.for_net2.branches)
-        np.testing.assert_array_equal(once.for_net2.branches, twice.for_net1.branches)
+        once, _ = co_divide([prof1, prof2], DEFAULTS)
+        twice, _ = co_divide([prof2, prof1], DEFAULTS)
+        np.testing.assert_array_equal(once[0].branches, twice[1].branches)
+        np.testing.assert_array_equal(once[1].branches, twice[0].branches)
 
     def test_clean_division_goes_to_the_other_network(self):
         rng = np.random.default_rng(4)
@@ -193,8 +193,8 @@ class TestCoDivide:
             ]
         )
         mush = 0.45 + 0.02 * rng.standard_normal((n, 2))
-        codiv = co_divide(profile_at(np.clip(clean, 0, 1)), profile_at(np.clip(mush, 0, 1)))
-        division = codiv.for_net2  # derived from net1's clean losses
+        profiles = [profile_at(np.clip(clean, 0, 1)), profile_at(np.clip(mush, 0, 1))]
+        division = co_divide(profiles, DEFAULTS)[0][1]  # derived from net1's clean losses
         assert division.source == "net1"
         labeled = division.branches[: n // 2]
         rest = division.branches[n // 2 :]
@@ -206,16 +206,49 @@ class TestCoDivide:
         prof1 = profile_at(rng.uniform(size=(30, 2)))
         prof2 = profile_at(rng.uniform(size=(31, 2)))
         with pytest.raises(StructuralError):
-            co_divide(prof1, prof2)
+            co_divide([prof1, prof2], DEFAULTS)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_one_or_two_profiles_only(self, count):
+        prof = profile_at(self.separated_cloud(np.random.default_rng(7)))
+        with pytest.raises(StructuralError, match="expected 1 to 2 profiles"):
+            co_divide([prof] * count, DEFAULTS)
 
     def test_tiny_profiles_fall_back_via_fit_errors(self):
         prof = profile_at(np.full((3, 2), 0.5))
-        codiv = co_divide(prof, prof)
-        assert codiv.for_net1 is None and codiv.for_net2 is None
-        assert set(codiv.fit_errors) == {"net1", "net2"}
+        divisions, fit_errors = co_divide([prof, prof], DEFAULTS)
+        assert divisions == [None, None]
+        assert set(fit_errors) == {"net1", "net2"}
+
+    def test_settings_come_from_the_config(self, monkeypatch):
+        from dstlab import selection
+
+        calls = []
+        real_fit = selection.fit
+        monkeypatch.setattr(
+            selection, "fit", lambda *a, **k: calls.append((a[1], k)) or real_fit(*a, **k)
+        )
+        prof = profile_at(self.separated_cloud(np.random.default_rng(8)))
+        cfg = dataclasses.replace(
+            DEFAULTS,
+            gmm_tol=1e-6,
+            gmm_max_iter=7,
+            gmm_anchors=[[0, 0], [0.5, 0.4], [1, 0]],  # integers, as JSON may give
+            tau_r=0.9,
+            tau_prd=0.2,
+        )
+        divisions, _ = co_divide([prof], cfg)
+        anchors, options = calls[0]
+        assert anchors.dtype == np.float64 and anchors.tolist() == cfg.gmm_anchors
+        assert options == {"tol": 1e-6, "max_iter": 7}
+        np.testing.assert_array_equal(
+            divisions[0].branches, partition(divisions[0].weights, 0.9, 0.2)
+        )
 
 
 class TestSelfDivide:
+    """One profile: the network is its own partner."""
+
     def test_one_fit_gives_the_division_co_divide_would(self, monkeypatch):
         from dstlab import selection
 
@@ -223,21 +256,20 @@ class TestSelfDivide:
         real_fit = selection.fit
         monkeypatch.setattr(selection, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
         prof = profile_at(TestCoDivide().separated_cloud(np.random.default_rng(6)))
-        single = self_divide(prof)
+        single, fit_errors = co_divide([prof], DEFAULTS)
         assert len(fits) == 1
-        reference = co_divide(prof, prof).for_net2
-        assert single.for_net2 is None and single.fit_errors == {}
-        assert single.for_net1.source == "net1"
-        np.testing.assert_array_equal(single.for_net1.branches, reference.branches)
-        np.testing.assert_array_equal(single.for_net1.weights.w_r, reference.weights.w_r)
-        np.testing.assert_array_equal(single.for_net1.weights.w_prd, reference.weights.w_prd)
+        reference = co_divide([prof, prof], DEFAULTS)[0][1]
+        assert len(single) == 1 and fit_errors == {}
+        assert single[0].source == "net1"
+        np.testing.assert_array_equal(single[0].branches, reference.branches)
+        np.testing.assert_array_equal(single[0].weights.w_r, reference.weights.w_r)
+        np.testing.assert_array_equal(single[0].weights.w_prd, reference.weights.w_prd)
 
     def test_fit_failure_is_recorded_for_net1_only(self):
         prof = profile_at(np.full((3, 2), 0.5))
-        single = self_divide(prof)
-        assert single.for_net1 is None and single.for_net2 is None
-        assert single.fit_errors == {"net1": co_divide(prof, prof).fit_errors["net1"]}
-
+        single, fit_errors = co_divide([prof], DEFAULTS)
+        assert single == [None]
+        assert fit_errors == {"net1": co_divide([prof, prof], DEFAULTS)[1]["net1"]}
 
 class TestSelectionReport:
     def test_perfect_model_on_clean_data(self):

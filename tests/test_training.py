@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from oracles import (
     warmup,
 )
 from dstlab import training
+from dstlab.config import ExperimentConfig
 from dstlab.data import make_blobs, inject_symmetric_c1
 from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import (
@@ -38,16 +40,11 @@ from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
-    CoDivision,
     SelectionWeights,
     co_divide,
     partition,
 )
 from dstlab.training import (
-    Ablation,
-    DstParams,
-    NetworkPair,
-    TrainSchedule,
     _apply_branch_ablation,
     _branch_table,
     _Refinement,
@@ -70,6 +67,16 @@ class FixedBeta:
         if size is None:
             return self.value
         return np.full(size, self.value)
+
+
+def init_nets(cfg, streams):
+    """Both networks and their optimizers, made as `lab.run` makes them."""
+    nets = [init_network(cfg.layer_sizes(), rng) for rng in streams.init]
+    opts = [
+        OptimizerState.for_network(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        for net in nets
+    ]
+    return nets, opts
 
 
 def clean_toy(seed: int = 3, per_class: int = 40):
@@ -441,7 +448,7 @@ class TestEnsemble:
 
 class TestSchedule:
     def test_default_step_decay(self):
-        schedule = TrainSchedule()
+        schedule = ExperimentConfig()
         assert schedule.learning_rate_at(1) == pytest.approx(0.02)
         assert schedule.learning_rate_at(80) == pytest.approx(0.02)
         assert schedule.learning_rate_at(81) == pytest.approx(0.004)
@@ -450,7 +457,7 @@ class TestSchedule:
 
     def test_epochs_are_one_indexed(self):
         with pytest.raises(ConfigError):
-            TrainSchedule().learning_rate_at(0)
+            ExperimentConfig().learning_rate_at(0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -465,10 +472,10 @@ class TestSchedule:
     )
     def test_invalid_schedules_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            TrainSchedule(**kwargs)
+            ExperimentConfig(**kwargs)
 
     def test_dst_defaults(self):
-        dst = DstParams()
+        dst = ExperimentConfig()
         assert (dst.tau_r, dst.tau_prd) == (0.5, 0.5)
         assert dst.temperature == 0.5
         assert dst.alpha == 4.0
@@ -476,7 +483,7 @@ class TestSchedule:
 
     def test_ablation_rejects_unknown_branch(self):
         with pytest.raises(ConfigError):
-            Ablation(disable_branch="wrong")
+            ExperimentConfig(disable_branch="wrong")
 
 
 class TestWarmup:
@@ -495,34 +502,48 @@ class TestWarmup:
     def test_updates_both_networks_differently(self):
         ds = clean_toy()
         streams = RngStreams.from_master(5)
-        schedule = TrainSchedule(total_epochs=10, warmup_epochs=2, batch_size=16)
-        pair = NetworkPair.create([2, 8, 3], schedule, streams.init_net1, streams.init_net2)
-        before = (params_hash(pair.net1), params_hash(pair.net2))
-        warmup(pair, ds, 2, 16, streams)
-        after = (params_hash(pair.net1), params_hash(pair.net2))
+        cfg = ExperimentConfig(
+            n_classes=3, hidden_sizes=[8], total_epochs=10, warmup_epochs=2, batch_size=16
+        )
+        nets, opts = init_nets(cfg, streams)
+        before = [params_hash(net) for net in nets]
+        warmup(nets, opts, ds, 2, 16, streams)
+        after = [params_hash(net) for net in nets]
         assert before[0] != after[0] and before[1] != after[1]
         assert after[0] != after[1]
 
     def test_learns_clean_separable_blobs(self):
         ds = clean_toy(seed=9)
         streams = RngStreams.from_master(9)
-        schedule = TrainSchedule(
-            total_epochs=25, warmup_epochs=20, batch_size=16, learning_rate=0.05
+        cfg = ExperimentConfig(
+            n_classes=3,
+            hidden_sizes=[8],
+            total_epochs=25,
+            warmup_epochs=20,
+            batch_size=16,
+            learning_rate=0.05,
         )
-        pair = NetworkPair.create([2, 8, 3], schedule, streams.init_net1, streams.init_net2)
-        warmup(pair, ds, 20, 16, streams)
-        assert accuracy(pair.net1, ds.features, ds.true_labels) >= 0.95
-        assert accuracy(pair.net2, ds.features, ds.true_labels) >= 0.95
+        nets, opts = init_nets(cfg, streams)
+        warmup(nets, opts, ds, 20, 16, streams)
+        assert accuracy(nets[0], ds.features, ds.true_labels) >= 0.95
+        assert accuracy(nets[1], ds.features, ds.true_labels) >= 0.95
 
 
 def warmed_pair(ds, master_seed=13, epochs=15):
+    """Two warmed-up networks, their optimizers and streams, and a config
+    whose selection epochs train them."""
     streams = RngStreams.from_master(master_seed)
-    schedule = TrainSchedule(
-        total_epochs=40, warmup_epochs=epochs, batch_size=16, learning_rate=0.05
+    cfg = ExperimentConfig(
+        n_classes=3,
+        hidden_sizes=[8],
+        total_epochs=40,
+        warmup_epochs=epochs,
+        batch_size=16,
+        learning_rate=0.05,
     )
-    pair = NetworkPair.create([2, 8, 3], schedule, streams.init_net1, streams.init_net2)
-    warmup(pair, ds, epochs, 16, streams)
-    return pair, streams
+    nets, opts = init_nets(cfg, streams)
+    warmup(nets, opts, ds, epochs, 16, streams)
+    return nets, opts, streams, cfg
 
 
 def bimodal_clean_toy(seed=3, per_class=60):
@@ -564,21 +585,23 @@ class TestDstEpoch:
     def test_clean_data_lands_in_labeled_branch_and_accuracy_holds(self):
         ds = bimodal_clean_toy(seed=3)
         streams = RngStreams.from_master(3)
-        schedule = TrainSchedule(
+        cfg = ExperimentConfig(
+            n_classes=3,
+            hidden_sizes=[16],
             total_epochs=120,
             warmup_epochs=100,
             batch_size=16,
             learning_rate=0.05,
             weight_decay=0.0,
         )
-        pair = NetworkPair.create([2, 16, 3], schedule, streams.init_net1, streams.init_net2)
-        warmup(pair, ds, 100, 16, streams)
-        start = ensemble_accuracy([pair.net1, pair.net2], ds.features, ds.true_labels)
+        nets, opts = init_nets(cfg, streams)
+        warmup(nets, opts, ds, 100, 16, streams)
+        start = ensemble_accuracy(nets, ds.features, ds.true_labels)
         assert start >= 0.97
         result = None
         for _ in range(10):
-            result = run_dst_epoch(pair, ds, DstParams(), 16, streams)
-        end = ensemble_accuracy([pair.net1, pair.net2], ds.features, ds.true_labels)
+            result = run_dst_epoch(nets, opts, ds, cfg, streams)
+        end = ensemble_accuracy(nets, ds.features, ds.true_labels)
         for name in ("net1", "net2"):
             report = result.selection[name]
             labeled = report["branches"]["labeled"]["size"]
@@ -587,55 +610,55 @@ class TestDstEpoch:
 
     def test_divisions_come_from_the_other_network(self):
         ds = clean_toy(seed=4)
-        pair, streams = warmed_pair(ds)
-        result = run_dst_epoch(pair, ds, DstParams(), 16, streams)
+        nets, opts, streams, cfg = warmed_pair(ds)
+        result = run_dst_epoch(nets, opts, ds, cfg, streams)
         assert result.selection["net1"]["source"] == "net2"
         assert result.selection["net2"]["source"] == "net1"
         assert set(result.scatter) == {"net1", "net2"}
 
     def test_single_network_mode_isolates_the_second_network(self):
         ds = clean_toy(seed=5)
-        pair, streams = warmed_pair(ds)
-        net2_before = params_hash(pair.net2)
-        result = run_dst_epoch(
-            pair, ds, DstParams(), 16, streams, Ablation(single_network=True)
-        )
-        assert params_hash(pair.net2) == net2_before
+        nets, opts, streams, cfg = warmed_pair(ds)
+        net2_before = params_hash(nets[1])
+        single = dataclasses.replace(cfg, single_network=True)
+        result = run_dst_epoch(nets, opts, ds, single, streams)
+        assert params_hash(nets[1]) == net2_before
         assert result.selection["net1"]["source"] == "net1"
         assert "net2" not in result.selection
         assert set(result.scatter) == {"net1"}
 
     def test_no_mixup_flag_equals_identity_mixing(self, monkeypatch):
         ds = clean_toy(seed=6)
-        pair_a, streams_a = warmed_pair(ds, master_seed=17)
-        pair_b, streams_b = warmed_pair(ds, master_seed=17)
-        assert params_hash(pair_a.net1) == params_hash(pair_b.net1)
+        nets_a, opts_a, streams_a, cfg = warmed_pair(ds, master_seed=17)
+        nets_b, opts_b, streams_b, _ = warmed_pair(ds, master_seed=17)
+        assert params_hash(nets_a[0]) == params_hash(nets_b[0])
 
-        run_dst_epoch(pair_a, ds, DstParams(), 16, streams_a, Ablation(no_mixup=True))
+        no_mixup = dataclasses.replace(cfg, no_mixup=True)
+        run_dst_epoch(nets_a, opts_a, ds, no_mixup, streams_a)
         monkeypatch.setattr(training, "mixup_batch", lambda x, y, alpha, rng: (x, y))
-        run_dst_epoch(pair_b, ds, DstParams(), 16, streams_b)
-        assert params_hash(pair_a.net1) == params_hash(pair_b.net1)
-        assert params_hash(pair_a.net2) == params_hash(pair_b.net2)
+        run_dst_epoch(nets_b, opts_b, ds, cfg, streams_b)
+        assert params_hash(nets_a[0]) == params_hash(nets_b[0])
+        assert params_hash(nets_a[1]) == params_hash(nets_b[1])
 
     def test_fit_failure_falls_back_to_plain_ce(self, monkeypatch):
         ds = clean_toy(seed=7)
-        pair, streams = warmed_pair(ds)
+        nets, opts, streams, cfg = warmed_pair(ds)
         monkeypatch.setattr(
             training,
             "co_divide",
-            lambda *a, **k: CoDivision(None, None, {"net1": "fit failed", "net2": "fit failed"}),
+            lambda profiles, cfg: ([None, None], {"net1": "fit failed", "net2": "fit failed"}),
         )
-        before = (params_hash(pair.net1), params_hash(pair.net2))
-        result = run_dst_epoch(pair, ds, DstParams(), 16, streams)
+        before = [params_hash(net) for net in nets]
+        result = run_dst_epoch(nets, opts, ds, cfg, streams)
         assert result.selection["net1"] == {"fallback": True}
         assert result.selection["net2"] == {"fallback": True}
-        assert params_hash(pair.net1) != before[0]
-        assert params_hash(pair.net2) != before[1]
+        assert params_hash(nets[0]) != before[0]
+        assert params_hash(nets[1]) != before[1]
 
     def test_reports_carry_roles_and_mixture_diagnostics(self):
         ds = clean_toy(seed=8)
-        pair, streams = warmed_pair(ds)
-        result = run_dst_epoch(pair, ds, DstParams(), 16, streams)
+        nets, opts, streams, cfg = warmed_pair(ds)
+        result = run_dst_epoch(nets, opts, ds, cfg, streams)
         report = result.selection["net1"]
         assert report["fallback"] is False
         assert sorted(report["roles"]) == ["labeled", "predicted", "wrong"]
@@ -647,19 +670,23 @@ class TestBranchAblation:
     BRANCHES = np.array([BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG, BRANCH_LABELED])
 
     def test_all_wrong_overrides_everything(self):
-        out = _apply_branch_ablation(self.BRANCHES, Ablation(all_wrong=True))
+        out = _apply_branch_ablation(self.BRANCHES, ExperimentConfig(all_wrong=True))
         assert (out == BRANCH_WRONG).all()
 
     def test_disable_labeled_reroutes_only_labeled(self):
-        out = _apply_branch_ablation(self.BRANCHES, Ablation(disable_branch="labeled"))
+        out = _apply_branch_ablation(
+            self.BRANCHES, ExperimentConfig(disable_branch="labeled")
+        )
         assert out.tolist() == [BRANCH_WRONG, BRANCH_PREDICTED, BRANCH_WRONG, BRANCH_WRONG]
 
     def test_disable_predicted_reroutes_only_predicted(self):
-        out = _apply_branch_ablation(self.BRANCHES, Ablation(disable_branch="predicted"))
+        out = _apply_branch_ablation(
+            self.BRANCHES, ExperimentConfig(disable_branch="predicted")
+        )
         assert out.tolist() == [BRANCH_LABELED, BRANCH_WRONG, BRANCH_WRONG, BRANCH_LABELED]
 
     def test_no_ablation_is_identity_on_a_copy(self):
-        out = _apply_branch_ablation(self.BRANCHES, Ablation())
+        out = _apply_branch_ablation(self.BRANCHES, ExperimentConfig())
         np.testing.assert_array_equal(out, self.BRANCHES)
         assert out is not self.BRANCHES
 
@@ -696,13 +723,13 @@ def noisy_toy(n_samples: int, seed: int = 21):
     )
 
 
-def assert_same_state(pair, ref_nets, ref_opts):
-    for name in ("net1", "net2"):
-        got, want = getattr(pair, name), ref_nets[name]
+def assert_same_state(nets, opts, ref_nets, ref_opts):
+    for got, opt, name in zip(nets, opts, ("net1", "net2"), strict=True):
+        want = ref_nets[name]
         for g, w in zip(got.layers, want.layers, strict=True):
             assert g.weights.tobytes() == w.weights.tobytes()
             assert g.bias.tobytes() == w.bias.tobytes()
-        assert getattr(pair, f"opt{name[-1]}").buffer.tobytes() == ref_opts[name].flat().tobytes()
+        assert opt.buffer.tobytes() == ref_opts[name].flat().tobytes()
 
 
 class TestEpochLoopMatchesOracle:
@@ -714,30 +741,36 @@ class TestEpochLoopMatchesOracle:
         self, n_samples, ablation, monkeypatch=None, divide=None, dst_epochs=3, dst=None
     ):
         ds = noisy_toy(n_samples)
-        dst = dst or DstParams()
-        schedule = TrainSchedule(total_epochs=10, warmup_epochs=2, batch_size=self.BATCH)
+        cfg = ExperimentConfig(
+            n_classes=3,
+            hidden_sizes=[12, 12],
+            total_epochs=10,
+            warmup_epochs=2,
+            batch_size=self.BATCH,
+            **ablation,
+            **(dst or {}),
+        )
         streams, ref_streams = RngStreams.from_master(31), RngStreams.from_master(31)
-        pair = NetworkPair.create([2, 12, 12, 3], schedule, streams.init_net1, streams.init_net2)
-        ref_nets = {"net1": pair.net1, "net2": pair.net2}
+        nets, opts = init_nets(cfg, streams)
+        ref_nets = {"net1": nets[0], "net2": nets[1]}
         ref_opts = {
-            "net1": ReferenceOptimizer.copy_of(pair.opt1, pair.net1),
-            "net2": ReferenceOptimizer.copy_of(pair.opt2, pair.net2),
+            "net1": ReferenceOptimizer.copy_of(opts[0], nets[0]),
+            "net2": ReferenceOptimizer.copy_of(opts[1], nets[1]),
         }
-        for _ in range(schedule.warmup_epochs):
+        for _ in range(cfg.warmup_epochs):
             for i, name in enumerate(("net1", "net2")):
-                net, opt = getattr(pair, name), getattr(pair, f"opt{i + 1}")
-                setattr(pair, name, plain_ce_epoch(net, opt, ds, self.BATCH, streams.shuffle[i]))
+                nets[i] = plain_ce_epoch(nets[i], opts[i], ds, self.BATCH, streams.shuffle[i])
                 ref_nets[name] = oracles.plain_ce_epoch(
                     ref_nets[name], ref_opts[name], ds, self.BATCH, ref_streams.shuffle[i]
                 )
-            assert_same_state(pair, ref_nets, ref_opts)
+            assert_same_state(nets, opts, ref_nets, ref_opts)
         if divide is not None:
             monkeypatch.setattr(training, "co_divide", divide)
         results = []
         for _ in range(dst_epochs):
-            results.append(run_dst_epoch(pair, ds, dst, self.BATCH, streams, ablation))
-            oracles.dst_epoch(ref_nets, ref_opts, ds, dst, self.BATCH, ref_streams, ablation, divide)
-            assert_same_state(pair, ref_nets, ref_opts)
+            results.append(run_dst_epoch(nets, opts, ds, cfg, streams))
+            oracles.dst_epoch(ref_nets, ref_opts, ds, cfg, ref_streams, divide)
+            assert_same_state(nets, opts, ref_nets, ref_opts)
         # Both sides drew the same number of values from every stream.
         for a, b in zip(streams.mixup + streams.wrong_branch, ref_streams.mixup + ref_streams.wrong_branch):
             assert a.uniform() == b.uniform()
@@ -746,11 +779,11 @@ class TestEpochLoopMatchesOracle:
     @pytest.mark.parametrize(
         "ablation",
         [
-            Ablation(),
-            Ablation(single_network=True),
-            Ablation(no_mixup=True),
-            Ablation(disable_branch="predicted"),
-            Ablation(all_wrong=True),
+            {},
+            {"single_network": True},
+            {"no_mixup": True},
+            {"disable_branch": "predicted"},
+            {"all_wrong": True},
         ],
         ids=["two-nets", "single-network", "no-mixup", "disable-predicted", "all-wrong"],
     )
@@ -761,15 +794,15 @@ class TestEpochLoopMatchesOracle:
 
     @pytest.mark.parametrize("n_samples", [8 * 16 + 7, 9 * 16])
     def test_other_batch_remainders(self, n_samples):
-        self.run_both(n_samples, Ablation())
+        self.run_both(n_samples, {})
 
     def test_other_hyperparameters(self):
         # lambda_reg != 1 makes any reassociation of the regularizer show.
-        dst = DstParams(temperature=0.3, alpha=0.5, lambda_reg=0.7)
-        self.run_both(8 * self.BATCH + 1, Ablation(), dst=dst)
+        dst = {"temperature": 0.3, "alpha": 0.5, "lambda_reg": 0.7}
+        self.run_both(8 * self.BATCH + 1, {}, dst=dst)
 
     def test_every_branch_is_populated_in_the_two_net_case(self):
-        _, results = self.run_both(8 * self.BATCH + 1, Ablation(), dst_epochs=1)
+        _, results = self.run_both(8 * self.BATCH + 1, {}, dst_epochs=1)
         for name in ("net1", "net2"):
             sizes = [b["size"] for b in results[0].selection[name]["branches"].values()]
             assert min(sizes) > 0, sizes
@@ -777,16 +810,16 @@ class TestEpochLoopMatchesOracle:
     def test_fit_failure_fallback(self, monkeypatch):
         calls = []
 
-        def divide(prof1, prof2, **options):
+        def divide(profiles, cfg):
             # First selection epoch: net1's division fails; second: both.
             calls.append(1)
-            real = co_divide(prof1, prof2, **options)
+            (for_net1, for_net2), _ = co_divide(profiles, cfg)
             epoch = (len(calls) + 1) // 2
-            for_net1 = None if epoch in (1, 2) else real.for_net1
-            for_net2 = None if epoch == 2 else real.for_net2
-            return CoDivision(for_net1, for_net2, {"net2": "forced"})
+            for_net1 = None if epoch in (1, 2) else for_net1
+            for_net2 = None if epoch == 2 else for_net2
+            return [for_net1, for_net2], {"net2": "forced"}
 
-        _, results = self.run_both(8 * self.BATCH + 1, Ablation(), monkeypatch, divide)
+        _, results = self.run_both(8 * self.BATCH + 1, {}, monkeypatch, divide)
         assert [r.selection["net1"] == {"fallback": True} for r in results] == [True, True, False]
         assert [r.selection["net2"] == {"fallback": True} for r in results] == [False, True, False]
 
@@ -806,7 +839,7 @@ class TestEpochRefusesNonFinite:
         branches = partition(weights, 0.5, 0.5)
         branches[::3] = BRANCH_WRONG
         return _Refinement(
-            [params], *_branch_table(weights, branches), DstParams(),
+            [params], *_branch_table(weights, branches), ExperimentConfig(),
             np.random.default_rng(2), np.random.default_rng(3),
         )
 
