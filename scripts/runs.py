@@ -29,25 +29,33 @@ def baseline(args) -> dict:
     return {"run_dir": str(run_dir), "accuracy": lab.load_summary(run_dir)["accuracy"]}
 
 
+def sha256_of(paths) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def reference(args) -> dict:
     """The benchmark run, with `digest`: the SHA-256 over the bytes of
-    summary.json and of checkpoints/*.json, in name order. `blas_threads`
-    (the epoch loop's BLAS thread count, null when numpy's OpenBLAS setter
-    is unavailable) and `numpy` (its version) say what produced it."""
+    summary.json and of checkpoints/*.json, in name order, and
+    `scatter_digest`: the same over scatter/*.csv. `blas_threads` (the
+    epoch loop's BLAS thread count, null when numpy's OpenBLAS setter is
+    unavailable) and `numpy` (its version) say what produced it."""
     overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
     cfg = benchmark_config(**overrides)
     threads = network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size)
     run_dir = lab.run(cfg, out)
     summary = lab.load_summary(run_dir)
-    digest = hashlib.sha256()
-    for path in [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]:
-        digest.update(path.read_bytes())
     shown = {key: summary[key] for key in ("accuracy", "final_branches", "fallback_epochs")}
     return {
         "run_dir": str(run_dir),
         **shown,
-        "digest": digest.hexdigest(),
+        "digest": sha256_of(
+            [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]
+        ),
+        "scatter_digest": sha256_of(sorted((run_dir / "scatter").glob("*.csv"))),
         "blas_threads": threads,
         "numpy": np.__version__,
     }

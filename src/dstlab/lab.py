@@ -13,6 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
+import signal
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .config import ExperimentConfig, _is_number, config_to_dict
@@ -78,6 +81,117 @@ def scatter_csv_path(run_dir: Path | str, epoch: int, net: str) -> Path:
     return Path(run_dir) / "scatter" / f"epoch_{int(epoch):03d}_{net}.csv"
 
 
+@contextmanager
+def _writing(path: Path):
+    """Turn an `OSError` while writing one run file into a `StructuralError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise StructuralError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text + "\n", encoding="utf-8")
+
+
+def _serve_dumps(requests, replies) -> None:
+    """Writer loop: write each message's dumps, answer None or the error."""
+    while True:
+        try:
+            dumps = pickle.load(requests)
+        except EOFError:
+            return
+        error = None
+        try:
+            for path, epoch, net, prof, states in dumps:
+                with _writing(path):
+                    write_scatter(path, epoch, net, prof, states)
+        except Exception as exc:  # noqa: BLE001 - sent on, raised by the run
+            error = exc
+        pickle.dump(error, replies)
+        replies.flush()
+
+
+_WRITER_GONE = "the scatter writer process ended early"
+
+
+class _ScatterWriter:
+    """A forked process that formats and writes the loss-scatter CSVs.
+
+    Formatting a 4000-row cloud takes about 15 ms, most of it `%.17g`, so
+    the writer overlaps it with the next epoch's training on another core.
+    One pickled message is one epoch's dumps; at most one is in flight. As
+    a context manager it drains and reaps the writer on exit, and on a
+    clean exit raises the first dump error. The writer runs pure Python
+    and never calls into the BLAS, whose threads a fork does not copy.
+    """
+
+    def __init__(self) -> None:
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.pending = False
+        self.pid = os.fork()
+        if self.pid == 0:
+            # The writer never returns into the caller's stack: no atexit
+            # handlers, no second flush of inherited stdio buffers.
+            code = 1
+            try:
+                # Ctrl-C reaches the whole process group; the run drains
+                # the writer, so its last epoch is written out in full.
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(request_w)
+                os.close(reply_r)
+                with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
+                    _serve_dumps(requests, replies)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(request_r)
+        os.close(reply_w)
+        self.requests = open(request_w, "wb")
+        self.replies = open(reply_r, "rb")
+
+    def wait(self) -> None:
+        """Block until the epoch in flight is written; raise its error."""
+        if not self.pending:
+            return
+        self.pending = False
+        try:
+            error = pickle.load(self.replies)
+        except EOFError:
+            raise StructuralError(_WRITER_GONE) from None
+        if error is not None:
+            raise error
+
+    def submit(self, dumps: list[tuple]) -> None:
+        """Send one epoch's `(path, epoch, net, profile, states)` dumps."""
+        self.wait()
+        try:
+            pickle.dump(dumps, self.requests, pickle.HIGHEST_PROTOCOL)
+            self.requests.flush()
+        except BrokenPipeError:
+            raise StructuralError(_WRITER_GONE) from None
+        self.pending = True
+
+    def __enter__(self) -> _ScatterWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # On an error the writer still finishes the epoch in flight: it
+        # exits at its next read, once the request pipe is closed.
+        try:
+            if exc_type is None:
+                self.wait()
+        finally:
+            for stream in (self.requests, self.replies):
+                # Closes the pipe also when a writer that died left part
+                # of a request unsent.
+                with suppress(BrokenPipeError):
+                    stream.close()
+            os.waitpid(self.pid, 0)
+
+
 def _accuracy_stats(series: list[float]) -> dict:
     tail = series[-LAST_K_EPOCHS:]
     return {
@@ -119,86 +233,87 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     except OSError as exc:
         raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
 
-    train, test, seeds = build_datasets(cfg)
-    save_dataset(train, run_dir / "dataset.csv")
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "config": config_to_dict(cfg),
-        "seeds": seeds,
-        "n_train": train.n_samples,
-        "n_test": test.n_samples,
-    }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # Forked before the datasets exist, so the writer stays small.
+    with _ScatterWriter() as writer:
+        train, test, seeds = build_datasets(cfg)
+        with _writing(run_dir / "dataset.csv"):
+            save_dataset(train, run_dir / "dataset.csv")
+        manifest = {
+            "format": MANIFEST_FORMAT,
+            "version": MANIFEST_VERSION,
+            "config": config_to_dict(cfg),
+            "seeds": seeds,
+            "n_train": train.n_samples,
+            "n_test": test.n_samples,
+        }
+        _write_json(run_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
-    streams = RngStreams.from_master(cfg.master_seed)
-    nets = [init_network(cfg.layer_sizes(), rng) for rng in streams.init]
-    opts = [
-        OptimizerState.for_network(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-        for net in nets
-    ]
+        streams = RngStreams.from_master(cfg.master_seed)
+        nets = [init_network(cfg.layer_sizes(), rng) for rng in streams.init]
+        opts = [
+            OptimizerState.for_network(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+            for net in nets
+        ]
 
-    history: dict[str, list[float]] = {"net1": [], "net2": [], "ensemble": []}
-    ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
-    fallback_epochs: dict[str, list[int]] = {"net1": [], "net2": []}
-    last_selection: dict | None = None
+        history: dict[str, list[float]] = {"net1": [], "net2": [], "ensemble": []}
+        ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
+        fallback_epochs: dict[str, list[int]] = {"net1": [], "net2": []}
+        last_selection: dict | None = None
 
-    # Small networks train on one BLAS thread, the whole loop included
-    # (profiles and evaluation too): threads woken between batches spin
-    # through the next batch loop. Results do not depend on the count.
-    with blas_threads_for(cfg.layer_sizes(), cfg.batch_size):
-        for epoch in range(1, cfg.total_epochs + 1):
-            lr = cfg.learning_rate_at(epoch)
-            for opt in opts:
-                opt.learning_rate = lr
-            in_warmup = epoch <= cfg.warmup_epochs
-            selection: dict | None = None
-            if in_warmup or cfg.ce_only:
-                # Both networks, also in single-network mode.
-                phase = "warmup" if in_warmup else "ce"
-                for i in range(len(nets)):
-                    nets[i] = plain_ce_epoch(
-                        nets[i], opts[i], train, cfg.batch_size, streams.shuffle[i]
-                    )
-            else:
-                phase = "dst"
-                result = run_dst_epoch(nets, opts, train, cfg, streams)
-                selection = result.selection
-                for name in NET_NAMES:
-                    if selection.get(name, {}).get("fallback"):
-                        fallback_epochs[name].append(epoch)
-                if _scatter_due(cfg, epoch):
-                    for net_name, cloud in result.scatter.items():
-                        write_scatter(
-                            scatter_csv_path(run_dir, epoch, net_name),
-                            epoch,
-                            net_name,
-                            cloud.profile,
-                            cloud.states,
+        # Small networks train on one BLAS thread, the whole loop included
+        # (profiles and evaluation too): threads woken between batches spin
+        # through the next batch loop. Results do not depend on the count.
+        with blas_threads_for(cfg.layer_sizes(), cfg.batch_size):
+            for epoch in range(1, cfg.total_epochs + 1):
+                lr = cfg.learning_rate_at(epoch)
+                for opt in opts:
+                    opt.learning_rate = lr
+                in_warmup = epoch <= cfg.warmup_epochs
+                selection: dict | None = None
+                if in_warmup or cfg.ce_only:
+                    # Both networks, also in single-network mode.
+                    phase = "warmup" if in_warmup else "ce"
+                    for i in range(len(nets)):
+                        nets[i] = plain_ce_epoch(
+                            nets[i], opts[i], train, cfg.batch_size, streams.shuffle[i]
                         )
-                if epoch == cfg.total_epochs:
-                    last_selection = selection
+                else:
+                    phase = "dst"
+                    result = run_dst_epoch(nets, opts, train, cfg, streams)
+                    selection = result.selection
+                    for name in NET_NAMES:
+                        if selection.get(name, {}).get("fallback"):
+                            fallback_epochs[name].append(epoch)
+                    if _scatter_due(cfg, epoch):
+                        writer.submit([
+                            (scatter_csv_path(run_dir, epoch, net_name), epoch, net_name,
+                             cloud.profile, cloud.states)
+                            for net_name, cloud in result.scatter.items()
+                        ])
+                    if epoch == cfg.total_epochs:
+                        last_selection = selection
 
-            test_accuracy = evaluate(
-                dict(zip(NET_NAMES, nets)), test.features, test.true_labels, ensemble
-            )
-            for name, series in history.items():
-                series.append(test_accuracy[name])
-            report = {
-                "epoch": epoch,
-                "phase": phase,
-                "learning_rate": lr,
-                "test_accuracy": test_accuracy,
-                "selection": selection,
-            }
-            (run_dir / "reports" / f"epoch_{epoch:03d}.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+                test_accuracy = evaluate(
+                    dict(zip(NET_NAMES, nets)), test.features, test.true_labels, ensemble
+                )
+                for name, series in history.items():
+                    series.append(test_accuracy[name])
+                report = {
+                    "epoch": epoch,
+                    "phase": phase,
+                    "learning_rate": lr,
+                    "test_accuracy": test_accuracy,
+                    "selection": selection,
+                }
+                _write_json(
+                    run_dir / "reports" / f"epoch_{epoch:03d}.json",
+                    json.dumps(report, indent=2, sort_keys=True),
+                )
 
     for name, net in zip(NET_NAMES, nets):
-        save_checkpoint(net, run_dir / "checkpoints" / f"{name}.json")
+        path = run_dir / "checkpoints" / f"{name}.json"
+        with _writing(path):
+            save_checkpoint(net, path)
 
     summary_config = config_to_dict(cfg)
     summary_config.pop("output_dir")  # summaries must not depend on placement
@@ -213,10 +328,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
         "final_branches": _final_branch_stats(last_selection),
         "fallback_epochs": fallback_epochs,
     }
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(run_dir / "summary.json", json.dumps(summary, sort_keys=True, separators=(",", ":")))
     return run_dir
 
 

@@ -1,6 +1,9 @@
+import copy
 import csv
+import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +12,11 @@ import numpy as np
 import pytest
 
 import oracles
-from dstlab import lab, network, selection, training
+from dstlab import cli, lab, network, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
 from dstlab.errors import ConfigError, GmmFitError, NotFoundError, StructuralError
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
-from dstlab.lossprofile import LossProfile
+from dstlab.lossprofile import LossProfile, write_scatter
 from dstlab.network import load_checkpoint
 from dstlab.selection import co_divide
 
@@ -454,6 +457,165 @@ class TestScatterCadence:
             int(p.name.split("_")[1]) for p in (run_dir / "scatter").glob("*_net1.csv")
         )
         assert present == [2, 4, 5]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the processes forked during the test, as the parent sees them."""
+    pids = []
+    real = os.fork
+
+    def recording_fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+# Prints one line before `dstlab run` (left in the stdout buffer when the
+# writer forks) and one after; with `fail` every scatter dump raises ENOSPC.
+MARKED_RUN = """
+import sys
+from dstlab import cli, lab
+
+if sys.argv[2] == "fail":
+    def write_scatter(path, *args):
+        raise OSError(28, "No space left on device", str(path))
+    lab.write_scatter = write_scatter
+print("before the run")
+code = cli.main(["run", sys.argv[1]])
+print("after the run", code)
+"""
+
+
+class TestScatterWriter:
+    """The forked process that writes the scatter CSVs, and write errors."""
+
+    def test_no_child_left_after_the_run(self, tmp_path, forks):
+        run(small_config(), tmp_path / "r")
+        assert_reaped(forks)
+
+    def test_no_child_left_when_the_run_raises(self, tmp_path, monkeypatch, forks):
+        real = lab.evaluate
+
+        def failing_evaluate(nets, *args):
+            if len(list((tmp_path / "r" / "reports").iterdir())) == 2:
+                raise RuntimeError("evaluation failed")
+            return real(nets, *args)
+
+        monkeypatch.setattr(lab, "evaluate", failing_evaluate)
+        cfg = small_config(total_epochs=4)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            run(cfg, tmp_path / "r")
+        assert_reaped(forks)
+        # Epoch 3 was in flight: its dumps are complete, as they would be
+        # had the run written them itself.
+        run_dir = tmp_path / "r"
+        files = {str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file()}
+        assert files == {
+            "dataset.csv", "dataset.csv.json", "manifest.json",
+            "reports/epoch_001.json", "reports/epoch_002.json",
+            *(f"scatter/epoch_{e:03d}_{net}.csv" for e in (2, 3) for net in ("net1", "net2")),
+        }
+        for path in (run_dir / "scatter").iterdir():
+            assert len(path.read_text().splitlines()) == 1 + 60
+
+    def test_writer_killed_mid_run_is_a_structural_error(self, tmp_path, monkeypatch, forks):
+        real = lab.evaluate
+        epochs = []
+
+        def killing_evaluate(*args):
+            epochs.append(len(epochs) + 1)
+            if epochs[-1] == 2:
+                os.kill(forks[0], signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(lab, "evaluate", killing_evaluate)
+        with pytest.raises(StructuralError, match="writer process ended early"):
+            run(small_config(total_epochs=4), tmp_path / "r")
+        assert epochs == [1, 2]
+        assert_reaped(forks)
+        assert not (tmp_path / "r" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dataset.csv", "manifest.json", "epoch_002.json", "epoch_002_net2.csv", "net2.json",
+         "summary.json"],
+    )
+    def test_write_error_exits_two_naming_the_file(
+        self, tmp_path, monkeypatch, capsys, forks, name
+    ):
+        # The scatter CSV fails in the writer process, the rest in the run's.
+        real_open = Path.open
+
+        def full_disk_open(self, mode="r", *args, **kwargs):
+            if self.name == name and "w" in mode:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", full_disk_open)
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(small_config(output_dir=str(out)))))
+        assert cli.main(["run", str(config_path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and f"/{name}: " in err
+        assert "No space left on device" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("dumps", ["ok", "fail"])
+    def test_output_after_the_run_appears_once(self, tmp_path, dumps):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(small_config(output_dir=str(tmp_path / "r")))))
+        # Block-buffered stdout, so a writer that flushed its copy on exit
+        # would print the first line twice.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", MARKED_RUN, str(config_path), dumps],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code = cli.EXIT_OK if dumps == "ok" else cli.EXIT_RUNTIME
+        assert proc.stdout.count("before the run") == 1
+        assert proc.stdout.count("after the run") == 1
+        assert proc.stdout.splitlines()[-1] == f"after the run {code}"
+
+    def test_csvs_match_in_process_write_scatter(self, tmp_path, monkeypatch):
+        cfg = small_config(total_epochs=5, scatter_every=1)
+        clouds = []
+        real = lab.run_dst_epoch
+
+        def recording_dst_epoch(*args):
+            result = real(*args)
+            clouds.append(copy.deepcopy(result.scatter))
+            return result
+
+        monkeypatch.setattr(lab, "run_dst_epoch", recording_dst_epoch)
+        run_dir = run(cfg, tmp_path / "r")
+        expected = {}
+        for epoch, scatter in enumerate(clouds, start=cfg.warmup_epochs + 1):
+            for net, cloud in scatter.items():
+                path = tmp_path / f"epoch_{epoch}_{net}.csv"
+                write_scatter(path, epoch, net, cloud.profile, cloud.states)
+                expected[scatter_csv_path(run_dir, epoch, net).name] = path.read_bytes()
+        assert len(expected) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
+        written = {p.name: p.read_bytes() for p in (run_dir / "scatter").iterdir()}
+        assert written == expected
 
 
 class TestDumpScatter:

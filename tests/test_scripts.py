@@ -1,5 +1,6 @@
 """`scripts/runs.py` runs from a fresh checkout, with each former script's flags."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -61,6 +62,10 @@ def test_flags_and_defaults_match_the_former_scripts():
         parser.parse_args(["baseline", "--noise-rate", "0.6"])
 
 
+def sha256_over(paths) -> str:
+    return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
+
+
 @pytest.mark.parametrize("setter", ["on", "off"])
 def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monkeypatch):
     runs = load_runs()
@@ -74,4 +79,14 @@ def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monk
     expected = None if network.blas_threads() is None else 1
     assert out["blas_threads"] == expected
     assert out["numpy"] == np.__version__
-    assert len(out["digest"]) == 64
+    run_dir = Path(out["run_dir"])
+    assert out["digest"] == sha256_over(
+        [run_dir / "summary.json", run_dir / "checkpoints/net1.json", run_dir / "checkpoints/net2.json"]
+    )
+    # The benchmark config dumps the final epoch only.
+    assert sorted(p.name for p in (run_dir / "scatter").iterdir()) == [
+        "epoch_003_net1.csv", "epoch_003_net2.csv"
+    ]
+    assert out["scatter_digest"] == sha256_over(
+        [run_dir / "scatter/epoch_003_net1.csv", run_dir / "scatter/epoch_003_net2.csv"]
+    )
