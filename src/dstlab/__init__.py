@@ -24,7 +24,7 @@ from .errors import (
     StructuralError,
 )
 from .lab import compare, dump_scatter, run
-from .network import NetworkParams, OptimizerState, init_network
+from .network import NetworkParams, init_network
 
 __all__ = [
     "CleanDataset",
@@ -38,7 +38,6 @@ __all__ = [
     "NoisyDataset",
     "NotFoundError",
     "NumericError",
-    "OptimizerState",
     "StructuralError",
     "compare",
     "dump_scatter",

@@ -10,12 +10,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import NOISE_KINDS
 from .errors import ConfigError
-from .network import OptimizerState
 
 
 def _is_int(value) -> bool:
@@ -26,8 +25,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_sequence(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
 # Frozen, so a config keeps the ranges __post_init__ checked; the run reads
-# its fields without checking them again.
+# its fields without checking them again. The two list fields are stored as
+# tuples, so no caller's list stays aliased to a checked config.
 @dataclass(frozen=True)
 class ExperimentConfig:
     # dataset
@@ -41,7 +45,7 @@ class ExperimentConfig:
     noise_kind: str = "sym-c1"
     noise_rate: float = 0.5
     # architecture: hidden layer widths, input/output sizes come from the data
-    hidden_sizes: list[int] = field(default_factory=lambda: [64, 64])
+    hidden_sizes: tuple[int, ...] = (64, 64)
     # schedule and optimizer
     total_epochs: int = 120
     warmup_epochs: int = 15
@@ -62,9 +66,7 @@ class ExperimentConfig:
     # Unit-square mixture means at the start of every fit: near-origin for
     # low-loss-on-label samples, mid-square for samples both losses flag,
     # right-bottom for samples whose label loss is high but prediction loss low.
-    gmm_anchors: list[list[float]] = field(
-        default_factory=lambda: [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
-    )
+    gmm_anchors: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
     # ablations
     ce_only: bool = False
     no_mixup: bool = False
@@ -96,24 +98,27 @@ class ExperimentConfig:
         if self.spread <= 0:
             raise ConfigError(f"spread must be > 0, got {self.spread}")
         hidden = self.hidden_sizes
-        if not (isinstance(hidden, list) and hidden and all(_is_int(h) and h >= 1 for h in hidden)):
+        if not (_is_sequence(hidden) and hidden and all(_is_int(h) and h >= 1 for h in hidden)):
             raise ConfigError(
                 f"hidden_sizes must be a non-empty list of positive integers, got {hidden!r}"
             )
+        object.__setattr__(self, "hidden_sizes", tuple(hidden))
         if self.scatter_every < 0:
             raise ConfigError(f"scatter_every must be >= 0, got {self.scatter_every}")
         anchors = self.gmm_anchors
         if not (
-            isinstance(anchors, list)
+            _is_sequence(anchors)
             and len(anchors) == 3
-            and all(isinstance(a, list) and len(a) == 2 for a in anchors)
+            and all(_is_sequence(a) and len(a) == 2 for a in anchors)
             and all(_is_number(v) and math.isfinite(v) for a in anchors for v in a)
         ):
             raise ConfigError(
                 f"gmm_anchors must be three 2-D points with finite coordinates, got {anchors!r}"
             )
-        if any(anchors[a] == anchors[b] for a, b in ((0, 1), (0, 2), (1, 2))):
+        points = tuple(tuple(a) for a in anchors)
+        if any(points[a] == points[b] for a, b in ((0, 1), (0, 2), (1, 2))):
             raise ConfigError(f"gmm_anchors must be pairwise distinct, got {anchors!r}")
+        object.__setattr__(self, "gmm_anchors", points)
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
         for name in ("master_seed", "data_seed"):
@@ -136,8 +141,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"
             )
-        # The optimizer's own range checks, before any run file is written.
-        OptimizerState(self.learning_rate, self.momentum, self.weight_decay)
+        # optimizer
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         # selection and refinement
         for name in ("tau_r", "tau_prd"):
             value = getattr(self, name)
@@ -187,12 +197,12 @@ MEMORIZATION = {"n_features": 20, "per_class": 150, "hidden_sizes": [256, 256]}
 
 def benchmark_config(**overrides) -> ExperimentConfig:
     """The acceptance benchmark config, with any field overridden."""
-    return ExperimentConfig(
-        master_seed=BENCHMARK_MASTER_SEED,
-        data_seed=BENCHMARK_DATA_SEED,
-        scatter_every=0,
-        **overrides,
-    )
+    fixed = {
+        "master_seed": BENCHMARK_MASTER_SEED,
+        "data_seed": BENCHMARK_DATA_SEED,
+        "scatter_every": 0,
+    }
+    return ExperimentConfig(**{**fixed, **overrides})
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}

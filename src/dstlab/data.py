@@ -262,32 +262,3 @@ def save_dataset(ds: NoisyDataset, path: Path | str) -> None:
 def sidecar_path(path: Path | str) -> Path:
     path = Path(path)
     return path.with_name(path.name + ".json")
-
-
-def load_dataset(path: Path | str) -> NoisyDataset:
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["id", "true_label", "noisy_label"]:
-            raise StructuralError(f"unexpected dataset header in {path}")
-        n_features = len(header) - 3
-        true_labels, noisy_labels, features = [], [], []
-        for row in reader:
-            if len(row) != len(header):
-                raise StructuralError(f"row width mismatch in {path}")
-            true_labels.append(int(row[1]))
-            noisy_labels.append(int(row[2]))
-            features.append([float(v) for v in row[3:]])
-    manifest = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-    if manifest.get("format") != DATASET_FORMAT:
-        raise StructuralError(f"not a dataset manifest: {sidecar_path(path)}")
-    spec_entry = manifest.get("noise_spec")
-    spec = None if spec_entry is None else NoiseSpec(**spec_entry)
-    return NoisyDataset(
-        features=np.asarray(features, dtype=np.float64).reshape(-1, n_features),
-        true_labels=np.asarray(true_labels, dtype=np.int64),
-        n_classes=int(manifest["n_classes"]),
-        noisy_labels=np.asarray(noisy_labels, dtype=np.int64),
-        noise_spec=spec,
-    )

@@ -49,6 +49,8 @@ def _validate_points(points: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise GmmFitError("points contain non-finite values")
+    if (arr == arr[0]).all():
+        raise GmmFitError("all points are identical: the cloud has no spread")
     return arr
 
 

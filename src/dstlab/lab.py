@@ -22,7 +22,7 @@ from .config import ExperimentConfig, _is_number, config_to_dict
 from .data import CleanDataset, NoisyDataset, NoiseSpec, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
-from .network import OptimizerState, blas_threads_for, init_network, save_checkpoint
+from .network import Workspace, blas_threads_for, init_network, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
 from .training import evaluate, plain_ce_epoch, run_dst_epoch
 
@@ -249,11 +249,11 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
         _write_json(run_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
         streams = RngStreams.from_master(cfg.master_seed)
-        nets = [init_network(cfg.layer_sizes(), rng) for rng in streams.init]
-        opts = [
-            OptimizerState.for_network(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-            for net in nets
+        workspaces = [
+            Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
+            for rng in streams.init
         ]
+        nets = dict(zip(NET_NAMES, (ws.params for ws in workspaces)))
 
         history: dict[str, list[float]] = {"net1": [], "net2": [], "ensemble": []}
         ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
@@ -266,20 +266,16 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
         with blas_threads_for(cfg.layer_sizes(), cfg.batch_size):
             for epoch in range(1, cfg.total_epochs + 1):
                 lr = cfg.learning_rate_at(epoch)
-                for opt in opts:
-                    opt.learning_rate = lr
                 in_warmup = epoch <= cfg.warmup_epochs
                 selection: dict | None = None
                 if in_warmup or cfg.ce_only:
                     # Both networks, also in single-network mode.
                     phase = "warmup" if in_warmup else "ce"
-                    for i in range(len(nets)):
-                        nets[i] = plain_ce_epoch(
-                            nets[i], opts[i], train, cfg.batch_size, streams.shuffle[i]
-                        )
+                    for ws, rng in zip(workspaces, streams.shuffle):
+                        plain_ce_epoch(ws, lr, train, cfg.batch_size, rng)
                 else:
                     phase = "dst"
-                    result = run_dst_epoch(nets, opts, train, cfg, streams)
+                    result = run_dst_epoch(workspaces, lr, train, cfg, streams)
                     selection = result.selection
                     for name in NET_NAMES:
                         if selection.get(name, {}).get("fallback"):
@@ -293,9 +289,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
                     if epoch == cfg.total_epochs:
                         last_selection = selection
 
-                test_accuracy = evaluate(
-                    dict(zip(NET_NAMES, nets)), test.features, test.true_labels, ensemble
-                )
+                test_accuracy = evaluate(nets, test.features, test.true_labels, ensemble)
                 for name, series in history.items():
                     series.append(test_accuracy[name])
                 report = {
@@ -310,7 +304,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
                     json.dumps(report, indent=2, sort_keys=True),
                 )
 
-    for name, net in zip(NET_NAMES, nets):
+    for name, net in nets.items():
         path = run_dir / "checkpoints" / f"{name}.json"
         with _writing(path):
             save_checkpoint(net, path)

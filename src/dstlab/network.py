@@ -3,16 +3,14 @@
 Everything is plain float64 numpy: rectifier hidden layers, a linear output
 layer read through softmax, backpropagation of a gradient w.r.t. the logits,
 and SGD with classical (coupled) momentum and weight decay. The forward pass
-and backpropagation are pure functions of a parameter snapshot.
+and backpropagation only read the parameters they are given.
 
-Training runs on a `Workspace`: one flat array each for the parameters, the
-gradients and the momentum, with per-layer views. The snapshot a workspace
-is made from is copied in and never written; `Workspace.snapshot` returns
-fresh arrays; the momentum is the optimizer's own flat buffer, updated in
-place. Every in-place operation (bias add, rectifier, backpropagated mask,
-softmax, momentum and SGD update) is the same float operation, in the same
-order, as the plain allocating expression the tests keep as a reference, so
-results are bitwise equal.
+Each network lives in one `Workspace` for a whole run: one flat array each
+for the parameters, the gradients and the momentum, with per-layer views,
+all updated in place by `Workspace.step`. Every in-place operation (bias
+add, rectifier, backpropagated mask, softmax, momentum and SGD update) is
+the same float operation, in the same order, as the plain allocating
+expression the tests keep as a reference, so results are bitwise equal.
 
 Small networks train on one BLAS thread (`blas_threads_for`): numpy's
 bundled OpenBLAS otherwise splits every tiny batch GEMM across threads and
@@ -64,7 +62,10 @@ class Layer:
 
 @dataclass
 class NetworkParams:
-    """Parameter snapshot of one classifier. Treat as immutable."""
+    """Parameters of one classifier, per layer.
+
+    In a run these are views into a `Workspace`, written only by its `step`.
+    """
 
     layers: list[Layer]
 
@@ -218,42 +219,6 @@ def backprop_from_logits(
     return out
 
 
-@dataclass
-class OptimizerState:
-    """SGD with coupled momentum and weight decay.
-
-    buffer <- momentum * buffer + grad + weight_decay * param
-    param  <- param - learning_rate * buffer
-
-    `buffer` is one flat array laid out as `layer_views` reads it. A
-    `Workspace` updates it in place and writes nothing else of the state.
-    """
-
-    learning_rate: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    buffer: np.ndarray | None = None  # None until the first step
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-
-    @classmethod
-    def for_network(
-        cls,
-        params: NetworkParams,
-        learning_rate: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> "OptimizerState":
-        n = sum(layer.weights.size + layer.bias.size for layer in params.layers)
-        return cls(learning_rate, momentum, weight_decay, np.zeros(n))
-
-
 def layer_views(
     flat: np.ndarray, sizes: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -267,45 +232,40 @@ def layer_views(
 
 
 class Workspace:
-    """One network's parameters, gradients and momentum, each one flat array.
+    """One network's parameters, gradients and momentum for a whole run.
 
-    `params` and `grads` are per-layer views. The snapshot the workspace is
-    made from is copied in and never written; the momentum is `opt.buffer`
-    itself (created on the first workspace), so it persists across epochs.
+    Each is one flat array; `params` and `grads` are per-layer views of the
+    first two. The network the workspace is made from is copied in and
+    never written. `step` is SGD with coupled momentum and weight decay:
+
+    buffer <- momentum * buffer + grad + weight_decay * param
+    param  <- param - learning_rate * buffer
     """
 
-    def __init__(self, params: NetworkParams, opt: OptimizerState) -> None:
+    def __init__(
+        self, params: NetworkParams, momentum: float = 0.0, weight_decay: float = 0.0
+    ) -> None:
         sizes = params.sizes()
         self.flat = np.concatenate(
             [arr.ravel() for layer in params.layers for arr in (layer.weights, layer.bias)]
         )
-        if opt.buffer is None:
-            opt.buffer = np.zeros_like(self.flat)
-        if opt.buffer.shape != self.flat.shape:
-            raise StructuralError(
-                f"momentum buffer of shape {opt.buffer.shape} for {self.flat.size} parameters"
-            )
-        self.opt = opt
         self.grad = np.empty_like(self.flat)
+        self.buffer = np.zeros_like(self.flat)
+        self.momentum = momentum
+        self.weight_decay = weight_decay
         self.params = NetworkParams([Layer(w, b) for w, b in layer_views(self.flat, sizes)])
         self.grads: Grads = layer_views(self.grad, sizes)
 
-    def step(self) -> None:
+    def step(self, learning_rate: float) -> None:
         """One SGD step from `grads`; refuses a non-finite gradient before
         touching any buffer. The gradient array is scratch afterwards."""
         if not np.isfinite(self.grad).all():
             raise NumericError("refusing SGD step: non-finite gradient")
-        opt, buf, scratch = self.opt, self.opt.buffer, self.grad
-        buf *= opt.momentum
+        buf, scratch = self.buffer, self.grad
+        buf *= self.momentum
         buf += scratch
-        buf += np.multiply(opt.weight_decay, self.flat, out=scratch)
-        self.flat -= np.multiply(opt.learning_rate, buf, out=scratch)
-
-    def snapshot(self) -> NetworkParams:
-        """The current parameters as fresh arrays."""
-        return NetworkParams(
-            [Layer(layer.weights.copy(), layer.bias.copy()) for layer in self.params.layers]
-        )
+        buf += np.multiply(self.weight_decay, self.flat, out=scratch)
+        self.flat -= np.multiply(learning_rate, buf, out=scratch)
 
 
 def save_checkpoint(params: NetworkParams, path: Path | str) -> None:
@@ -323,33 +283,3 @@ def save_checkpoint(params: NetworkParams, path: Path | str) -> None:
         ],
     }
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
-
-
-def load_checkpoint(path: Path | str) -> NetworkParams:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise StructuralError(f"not a network checkpoint: {path}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise StructuralError(f"unsupported checkpoint version {payload.get('version')}")
-    sizes = payload["sizes"]
-    if len(payload["layers"]) != len(sizes) - 1:
-        raise StructuralError(
-            f"checkpoint holds {len(payload['layers'])} layers for sizes {sizes}"
-        )
-    layers = []
-    for (fan_in, fan_out), entry in zip(zip(sizes[:-1], sizes[1:]), payload["layers"]):
-        weights = np.asarray(entry["weights"], dtype=np.float64)
-        if weights.shape != (fan_out * fan_in,):
-            raise StructuralError("checkpoint weights length does not match layer size")
-        weights = weights.reshape(fan_out, fan_in)
-        bias = np.asarray(entry["bias"], dtype=np.float64)
-        if bias.shape != (fan_out,):
-            raise StructuralError("checkpoint bias length does not match layer size")
-        layers.append(Layer(weights=weights, bias=bias))
-    params = NetworkParams(layers)
-    if not all(
-        np.all(np.isfinite(l.weights)) and np.all(np.isfinite(l.bias))
-        for l in params.layers
-    ):
-        raise NumericError(f"checkpoint contains non-finite parameters: {path}")
-    return params

@@ -1,7 +1,9 @@
 """Two-network training loop: warmup, label refinement, MixUp, updates.
 
-Networks, their optimizers and their random streams are lists
-index-aligned with `NET_NAMES`. One selection-driven epoch runs in phases:
+Each network is one `Workspace`, kept for the whole run; workspaces and
+random streams are lists index-aligned with `NET_NAMES`, and every reader
+of a network (profiles, ensemble partners, evaluation) takes the
+workspace's `params` views. One selection-driven epoch runs in phases:
 profile the active networks (both, or net1 alone in single-network mode)
 over the full training set, fit one mixture per loss cloud, pass each
 division to its consumer, then for each consumer in turn iterate shuffled
@@ -10,8 +12,8 @@ and used for a single SGD step. A failed mixture fit downgrades the
 consuming network to a plain cross-entropy epoch.
 
 Warmup, plain cross-entropy, the fit-failure fallback and the selection
-epochs all run through one epoch loop on a per-epoch `Workspace`; plain
-cross-entropy is that loop with the refinement stages switched off.
+epochs all run through one epoch loop that steps a workspace in place;
+plain cross-entropy is that loop with the refinement stages switched off.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .lossprofile import LossProfile, normalize, profile
 from .network import (
     LOG_FLOOR,
     NetworkParams,
-    OptimizerState,
     Workspace,
     backprop_from_logits,
     forward_cached,
@@ -105,7 +106,7 @@ def _regularizer_grad(p: np.ndarray, lambda_reg: float) -> np.ndarray:
 class _Refinement:
     """What a selection epoch adds to plain cross-entropy for one network."""
 
-    others: list[NetworkParams]  # frozen ensemble partners
+    others: list[NetworkParams]  # ensemble partners, not stepped this epoch
     keep: np.ndarray  # [N] weight on the label
     lean: np.ndarray  # [N] weight on the ensemble; wrong rows drawn per batch
     wrong: np.ndarray  # [N] wrong-branch mask
@@ -151,20 +152,19 @@ def _branch_table(
 
 
 def _train_epoch(
-    params: NetworkParams,
-    opt: OptimizerState,
+    ws: Workspace,
+    learning_rate: float,
     ds: NoisyDataset,
     batch_size: int,
     shuffle_rng: np.random.Generator,
     refinement: _Refinement | None = None,
-) -> NetworkParams:
-    """One epoch of shuffled mini-batch SGD on a fresh `Workspace`.
+) -> None:
+    """One epoch of shuffled mini-batch SGD, updating `ws` in place.
 
     Without `refinement` each batch trains on its one-hot dataset labels
     with plain mean cross-entropy; with it, on refined, sharpened, mixed
-    targets with the uniform-prior regularizer added. Returns fresh params.
+    targets with the uniform-prior regularizer added.
     """
-    ws = Workspace(params, opt)
     targets = one_hot(ds.noisy_labels, ds.n_classes)
     order = shuffle_rng.permutation(ds.n_samples)
     for start in range(0, ds.n_samples, batch_size):
@@ -182,19 +182,18 @@ def _train_epoch(
         if reg is not None:
             d_logits += reg
         backprop_from_logits(ws.params, activations, d_logits, out=ws.grads)
-        ws.step()
-    return ws.snapshot()
+        ws.step(learning_rate)
 
 
 def plain_ce_epoch(
-    params: NetworkParams,
-    opt: OptimizerState,
+    ws: Workspace,
+    learning_rate: float,
     ds: NoisyDataset,
     batch_size: int,
     rng: np.random.Generator,
-) -> NetworkParams:
+) -> None:
     """One epoch of shuffled mini-batch cross-entropy on the dataset labels."""
-    return _train_epoch(params, opt, ds, batch_size, rng)
+    _train_epoch(ws, learning_rate, ds, batch_size, rng)
 
 
 @dataclass
@@ -224,13 +223,13 @@ def _apply_branch_ablation(branches: np.ndarray, cfg: ExperimentConfig) -> np.nd
 
 
 def run_dst_epoch(
-    nets: list[NetworkParams],
-    opts: list[OptimizerState],
+    workspaces: list[Workspace],
+    learning_rate: float,
     ds: NoisyDataset,
     cfg: ExperimentConfig,
     streams: RngStreams,
 ) -> DstEpochResult:
-    """One full selection-and-refinement epoch; updates `nets` in place.
+    """One full selection-and-refinement epoch; updates the workspaces in place.
 
     The active networks are both, or net1 alone with `single_network`.
     Profiles are taken with frozen parameters before any update. Each
@@ -238,14 +237,14 @@ def run_dst_epoch(
     consumers' updates. A fit failure on one loss cloud sends its consumer
     through a plain cross-entropy epoch instead, flagged in the result.
     """
-    active = nets[:1] if cfg.single_network else nets
+    active = workspaces[:1] if cfg.single_network else workspaces
     # Profile and audit one network at a time: all profiles first, then all
     # audits, raised peak RSS by about 2 MB on 20-256-256-4 nets through
     # heap layout alone (the live data is the same).
     profiles = []
     scatter = {}
-    for name, net in zip(NET_NAMES, active):
-        prof = normalize(profile(net, ds))
+    for name, ws in zip(NET_NAMES, active):
+        prof = normalize(profile(ws.params, ds))
         scatter[name] = ScatterData(prof, audit_states(ds, prof.predicted))
         profiles.append(prof)
     divisions, fit_errors = co_divide(profiles, cfg)
@@ -255,12 +254,12 @@ def run_dst_epoch(
         name = NET_NAMES[i]
         if division is None:
             # Fit failed upstream: this network trains on raw labels today.
-            nets[i] = plain_ce_epoch(nets[i], opts[i], ds, cfg.batch_size, streams.shuffle[i])
+            plain_ce_epoch(workspaces[i], learning_rate, ds, cfg.batch_size, streams.shuffle[i])
             selection[name] = {"fallback": True}
             continue
         branches = _apply_branch_ablation(division.branches, cfg)
         # Partners as they stand now, after the earlier consumers' updates.
-        partners = [nets[j] for j in range(len(divisions)) if j != i]
+        partners = [workspaces[j].params for j in range(len(divisions)) if j != i]
         refinement = _Refinement(
             partners,
             *_branch_table(division.weights, branches),
@@ -268,8 +267,8 @@ def run_dst_epoch(
             streams.wrong_branch[i],
             None if cfg.no_mixup else streams.mixup[i],
         )
-        nets[i] = _train_epoch(
-            nets[i], opts[i], ds, cfg.batch_size, streams.shuffle[i], refinement
+        _train_epoch(
+            workspaces[i], learning_rate, ds, cfg.batch_size, streams.shuffle[i], refinement
         )
         report = selection_report(branches, ds, division.predicted)
         report["source"] = division.source

@@ -2,22 +2,26 @@
 
 Scalar per-sample versions of the batched operations, and the allocating
 training loop, mixture E-step and SGD step as they were written before the
-production code moved to flat per-epoch workspaces and column-wise EM.
+production code moved to flat workspaces and column-wise EM.
 Tests compare the production results with these, bit for bit where the
 production code claims the same float operations in the same order.
 
 The first section holds what tests compare production against but no
 production path calls: the scalar cross-entropy, accuracies, warmup, a
 parameter hash, and thin compositions of production code (gradient,
-posteriors, ensemble softmax).
+posteriors, ensemble softmax). The last section reads back the run files
+a run writes but never reads: datasets and checkpoints.
 """
 
+import csv
 import hashlib
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from dstlab import training
+from dstlab import data, network, training
 from dstlab.errors import ConfigError, GmmFitError, NumericError, StructuralError
 from dstlab.gmm import N_COMPONENTS, _columns, _e_step
 from dstlab.lossprofile import normalize, profile
@@ -27,7 +31,6 @@ from dstlab.network import (
     NetworkParams,
     backprop_from_logits,
     forward_cached,
-    layer_views,
     one_hot,
     softmax,
 )
@@ -90,12 +93,11 @@ def ensemble_accuracy(nets, features, labels):
     return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
 
 
-def warmup(nets, opts, ds, epochs, batch_size, streams):
-    """Train every network in `nets` independently with plain cross-entropy."""
+def warmup(workspaces, learning_rate, ds, epochs, batch_size, streams):
+    """Train every network's workspace independently with plain cross-entropy."""
     for _ in range(epochs):
-        for i, net in enumerate(nets):
-            nets[i] = training.plain_ce_epoch(net, opts[i], ds, batch_size, streams.shuffle[i])
-    return nets
+        for ws, rng in zip(workspaces, streams.shuffle):
+            training.plain_ce_epoch(ws, learning_rate, ds, batch_size, rng)
 
 
 def params_hash(params):
@@ -293,15 +295,6 @@ class ReferenceOptimizer:
         ]
         return cls(learning_rate, momentum, weight_decay, buffers)
 
-    @classmethod
-    def copy_of(cls, opt, params):
-        """Per-layer copies of a production optimizer's flat momentum."""
-        buffers = None
-        if opt.buffer is not None:
-            views = layer_views(opt.buffer, params.sizes())
-            buffers = [(m_w.copy(), m_b.copy()) for m_w, m_b in views]
-        return cls(opt.learning_rate, opt.momentum, opt.weight_decay, buffers)
-
     def flat(self) -> np.ndarray:
         return np.concatenate([m.ravel() for pair in self.buffers for m in pair])
 
@@ -483,3 +476,67 @@ def e_step(points, means, covariances, weights):
     if not np.isfinite(total_ll) or not np.all(np.isfinite(resp)):
         raise GmmFitError("log-likelihood or responsibilities became non-finite")
     return resp, total_ll
+
+
+# --- Readers of the dataset and checkpoint files a run writes.
+
+
+def load_dataset(path: Path | str) -> data.NoisyDataset:
+    """Read a dataset written by `data.save_dataset` and its sidecar."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header[:3] != ["id", "true_label", "noisy_label"]:
+            raise StructuralError(f"unexpected dataset header in {path}")
+        n_features = len(header) - 3
+        true_labels, noisy_labels, features = [], [], []
+        for row in reader:
+            if len(row) != len(header):
+                raise StructuralError(f"row width mismatch in {path}")
+            true_labels.append(int(row[1]))
+            noisy_labels.append(int(row[2]))
+            features.append([float(v) for v in row[3:]])
+    manifest = json.loads(data.sidecar_path(path).read_text(encoding="utf-8"))
+    if manifest.get("format") != data.DATASET_FORMAT:
+        raise StructuralError(f"not a dataset manifest: {data.sidecar_path(path)}")
+    spec_entry = manifest.get("noise_spec")
+    spec = None if spec_entry is None else data.NoiseSpec(**spec_entry)
+    return data.NoisyDataset(
+        features=np.asarray(features, dtype=np.float64).reshape(-1, n_features),
+        true_labels=np.asarray(true_labels, dtype=np.int64),
+        n_classes=int(manifest["n_classes"]),
+        noisy_labels=np.asarray(noisy_labels, dtype=np.int64),
+        noise_spec=spec,
+    )
+
+
+def load_checkpoint(path: Path | str) -> NetworkParams:
+    """Read a checkpoint written by `network.save_checkpoint`, checking its shapes."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if payload.get("format") != network.CHECKPOINT_FORMAT:
+        raise StructuralError(f"not a network checkpoint: {path}")
+    if payload.get("version") != network.CHECKPOINT_VERSION:
+        raise StructuralError(f"unsupported checkpoint version {payload.get('version')}")
+    sizes = payload["sizes"]
+    if len(payload["layers"]) != len(sizes) - 1:
+        raise StructuralError(
+            f"checkpoint holds {len(payload['layers'])} layers for sizes {sizes}"
+        )
+    layers = []
+    for (fan_in, fan_out), entry in zip(zip(sizes[:-1], sizes[1:]), payload["layers"]):
+        weights = np.asarray(entry["weights"], dtype=np.float64)
+        if weights.shape != (fan_out * fan_in,):
+            raise StructuralError("checkpoint weights length does not match layer size")
+        weights = weights.reshape(fan_out, fan_in)
+        bias = np.asarray(entry["bias"], dtype=np.float64)
+        if bias.shape != (fan_out,):
+            raise StructuralError("checkpoint bias length does not match layer size")
+        layers.append(Layer(weights=weights, bias=bias))
+    params = NetworkParams(layers)
+    if not all(
+        np.all(np.isfinite(l.weights)) and np.all(np.isfinite(l.bias))
+        for l in params.layers
+    ):
+        raise NumericError(f"checkpoint contains non-finite parameters: {path}")
+    return params

@@ -4,7 +4,10 @@ import json
 import pytest
 
 from dstlab.config import (
+    BENCHMARK_DATA_SEED,
+    BENCHMARK_MASTER_SEED,
     ExperimentConfig,
+    benchmark_config,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -32,13 +35,29 @@ class TestDefaults:
         assert cfg.temperature == 0.5
         assert cfg.alpha == 4.0
         assert cfg.lambda_reg == 1.0
-        assert cfg.gmm_anchors == [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
+        assert cfg.gmm_anchors == ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
         assert not (cfg.ce_only or cfg.no_mixup or cfg.single_network or cfg.all_wrong)
         assert cfg.disable_branch is None
 
     def test_layer_sizes_wrap_hidden_widths(self):
         cfg = ExperimentConfig(n_features=3, hidden_sizes=[16, 8], n_classes=5)
         assert cfg.layer_sizes() == [3, 16, 8, 5]
+
+
+class TestBenchmarkConfig:
+    @pytest.mark.parametrize(
+        "field, value", [("master_seed", 9), ("data_seed", 12), ("scatter_every", 5)]
+    )
+    def test_fixed_values_can_be_overridden(self, field, value):
+        cfg = benchmark_config(**{field: value})
+        assert getattr(cfg, field) == value
+        fixed = {
+            "master_seed": BENCHMARK_MASTER_SEED,
+            "data_seed": BENCHMARK_DATA_SEED,
+            "scatter_every": 0,
+        }
+        del fixed[field]
+        assert all(getattr(cfg, name) == kept for name, kept in fixed.items())
 
 
 
@@ -190,6 +209,20 @@ class TestDictRoundTrip:
         cfg = config_from_dict({"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]], "output_dir": None})
         assert cfg.output_dir is None
         assert cfg.gmm_anchors == ExperimentConfig().gmm_anchors
+
+    def test_loaded_lists_are_not_aliased(self):
+        raw = {"hidden_sizes": [16, 8], "gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]]}
+        cfg = config_from_dict(raw)
+        raw["hidden_sizes"][0] = -3
+        raw["gmm_anchors"][1][:] = [0, 0]
+        assert cfg.layer_sizes() == [2, 16, 8, 4]
+        assert cfg.gmm_anchors == ((0, 0), (0.5, 0.5), (1, 0))
+        with pytest.raises(TypeError):
+            cfg.gmm_anchors[1] = [0, 0]
+        # JSON writes the stored tuples as the lists it read.
+        out = json.dumps(config_to_dict(cfg), sort_keys=True)
+        assert '"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]]' in out
+        assert '"hidden_sizes": [16, 8]' in out
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):

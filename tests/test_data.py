@@ -16,13 +16,13 @@ from dstlab.data import (
     inject_noise,
     inject_symmetric_c1,
     inject_symmetric_c2,
-    load_dataset,
     make_blobs,
     STATE_NAMES,
     save_dataset,
 )
 from dstlab.errors import ConfigError, StructuralError
 from dstlab.selection import selection_report
+from oracles import load_dataset
 
 
 def blobs(n_classes=4, per_class=50, n_features=2, spread=0.5, seed=0):

@@ -96,6 +96,14 @@ class TestFit:
         assert np.all(np.isfinite(model.weights))
         assert np.isfinite(model.log_likelihood)
 
+    def test_cloud_without_spread_is_a_fit_error(self):
+        # co_divide turns this into a plain cross-entropy epoch for the consumer.
+        with pytest.raises(GmmFitError, match="all points are identical"):
+            fit(np.zeros((10, 2)), ANCHORS, TOL, MAX_ITER)
+        # One flat axis still has spread along the other.
+        points = np.column_stack([np.linspace(0.0, 1.0, 10), np.zeros(10)])
+        assert np.isfinite(fit(points, ANCHORS, TOL, MAX_ITER).log_likelihood)
+
     def test_floors_hold_after_fit(self):
         points, _ = anchor_clusters(per_cluster=300, sigma=0.002, seed=9)
         model = fit(points, ANCHORS, tol=1e-9, max_iter=MAX_ITER)

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradients, gradient_check_draws, max_rel_err
 from dstlab import network
+from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import (
     Layer,
     NetworkParams,
-    OptimizerState,
     backprop_from_logits,
     forward_cached,
     init_network,
-    load_checkpoint,
     one_hot,
     Workspace,
     layer_views,
@@ -32,21 +31,21 @@ from oracles import (
     backward,
     cross_entropy,
     forward_cached_reference,
+    load_checkpoint,
     params_hash,
     sgd_step,
     sgd_step_reference,
 )
 
 
-def workspace_step(params, grads, opt) -> NetworkParams:
-    """One production SGD step from given gradients: a `Workspace` made from
-    `params`, its gradients set to `grads`, one step, then a snapshot."""
-    ws = Workspace(params, opt)
+def workspace_step(ws, grads, learning_rate) -> NetworkParams:
+    """One production SGD step from given gradients: the workspace's
+    gradients set to `grads`, one step; returns its parameter views."""
     for (g_w, g_b), (d_w, d_b) in zip(ws.grads, grads):
         g_w[...] = d_w
         g_b[...] = d_b
-    ws.step()
-    return ws.snapshot()
+    ws.step(learning_rate)
+    return ws.params
 
 
 def single_layer(weights, bias) -> NetworkParams:
@@ -196,42 +195,39 @@ class TestBackward:
 
 class TestSgdStep:
     def test_zero_gradients_leave_parameters_unchanged(self):
-        params = single_layer([[1.0]], [2.0])
-        opt = OptimizerState.for_network(params, learning_rate=0.1)
-        stepped = workspace_step(params, [(np.zeros((1, 1)), np.zeros(1))], opt)
+        ws = Workspace(single_layer([[1.0]], [2.0]))
+        stepped = workspace_step(ws, [(np.zeros((1, 1)), np.zeros(1))], 0.1)
         assert stepped.layers[0].weights[0, 0] == 1.0
         assert stepped.layers[0].bias[0] == 2.0
 
     def test_single_plain_step(self):
-        params = single_layer([[1.0]], [0.0])
-        opt = OptimizerState.for_network(params, learning_rate=0.1)
-        stepped = workspace_step(params, [(np.ones((1, 1)), np.zeros(1))], opt)
+        ws = Workspace(single_layer([[1.0]], [0.0]))
+        stepped = workspace_step(ws, [(np.ones((1, 1)), np.zeros(1))], 0.1)
         np.testing.assert_allclose(stepped.layers[0].weights[0, 0], 0.9)
 
     def test_two_momentum_steps(self):
         # buffer: 1 then 1.9; param: 0 -> -0.1 -> -0.29
-        params = single_layer([[0.0]], [0.0])
-        opt = OptimizerState.for_network(params, learning_rate=0.1, momentum=0.9)
+        ws = Workspace(single_layer([[0.0]], [0.0]), momentum=0.9)
         grad = [(np.ones((1, 1)), np.zeros(1))]
-        params = workspace_step(params, grad, opt)
-        params = workspace_step(params, grad, opt)
+        workspace_step(ws, grad, 0.1)
+        params = workspace_step(ws, grad, 0.1)
         np.testing.assert_allclose(params.layers[0].weights[0, 0], -0.29, atol=1e-15)
 
     def test_weight_decay_couples_into_buffer(self):
-        params = single_layer([[2.0]], [0.0])
-        opt = OptimizerState.for_network(params, learning_rate=0.1, weight_decay=0.5)
-        stepped = workspace_step(params, [(np.zeros((1, 1)), np.zeros(1))], opt)
+        ws = Workspace(single_layer([[2.0]], [0.0]), weight_decay=0.5)
+        stepped = workspace_step(ws, [(np.zeros((1, 1)), np.zeros(1))], 0.1)
         # buffer = 0 + 0 + 0.5 * 2 = 1; param = 2 - 0.1 * 1
         np.testing.assert_allclose(stepped.layers[0].weights[0, 0], 1.9)
 
     def test_non_finite_gradient_refused_without_mutation(self):
         params = single_layer([[1.0]], [0.0])
-        opt = OptimizerState.for_network(params, learning_rate=0.1, momentum=0.9)
-        before = opt.buffer.copy()
+        ws = Workspace(params, momentum=0.9)
+        before = ws.buffer.copy()
         with pytest.raises(NumericError):
-            workspace_step(params, [(np.array([[np.nan]]), np.zeros(1))], opt)
+            workspace_step(ws, [(np.array([[np.nan]]), np.zeros(1))], 0.1)
         assert params.layers[0].weights[0, 0] == 1.0
-        np.testing.assert_array_equal(opt.buffer, before)
+        assert ws.params.layers[0].weights[0, 0] == 1.0
+        np.testing.assert_array_equal(ws.buffer, before)
 
     def test_gradient_shape_mismatch_raises(self):
         # A workspace makes its own gradients; the moved per-layer step checks them.
@@ -250,8 +246,9 @@ class TestSgdStep:
         ],
     )
     def test_optimizer_validation(self, kwargs):
+        # The optimizer's ranges are checked where its settings live.
         with pytest.raises(ConfigError):
-            OptimizerState(**kwargs)
+            ExperimentConfig(**kwargs)
 
 
 class TestInitNetwork:
@@ -347,8 +344,8 @@ def test_full_batch_training_loss_decreases_monotonically():
     x = np.concatenate([rng.normal(-2.0, 0.4, size=(25, 2)), rng.normal(2.0, 0.4, size=(25, 2))])
     labels = np.repeat([0, 1], 25)
     targets = one_hot(labels, 2)
-    params = init_network([2, 8, 2], rng)
-    opt = OptimizerState.for_network(params, learning_rate=0.05)
+    ws = Workspace(init_network([2, 8, 2], rng))
+    params = ws.params
 
     def mean_loss(p):
         probs = softmax(forward_cached(p, x)[0])
@@ -357,7 +354,7 @@ def test_full_batch_training_loss_decreases_monotonically():
     losses = [mean_loss(params)]
     for _ in range(50):
         grads = [(w / 50.0, b / 50.0) for w, b in backward(params, x, targets)]
-        params = workspace_step(params, grads, opt)
+        workspace_step(ws, grads, 0.05)
         losses.append(mean_loss(params))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -443,29 +440,19 @@ class TestInPlaceMatchesAllocatingReference:
 
     def test_twenty_momentum_steps_keep_params_and_buffers(self):
         params, rng = random_net(64, seed=3)
-        fast = OptimizerState.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
+        fast = Workspace(params, momentum=0.9, weight_decay=5e-4)
         slow = ReferenceOptimizer.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
-        p_fast = p_slow = params
+        p_slow = params
         for step in range(20):
             x = rng.normal(size=(32, params.n_inputs))
             targets = rng.dirichlet(np.ones(params.n_outputs), size=32)
-            grads = backward(p_fast, x, targets)
+            grads = backward(fast.params, x, targets)
             if step == 10:
-                fast.learning_rate = slow.learning_rate = 0.005
-            p_fast = workspace_step(p_fast, grads, fast)
+                slow.learning_rate = 0.005
+            p_fast = workspace_step(fast, grads, slow.learning_rate)
             p_slow = sgd_step_reference(p_slow, grads, slow)
             assert_same_params(p_fast, p_slow)
             assert_same_bytes(fast.buffer, slow.flat())
-
-    def test_first_step_creates_missing_buffers(self):
-        params, rng = random_net(64, seed=4)
-        opt = OptimizerState(0.1, momentum=0.9, weight_decay=1e-3)
-        ref = ReferenceOptimizer.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
-        grads = backward(params, rng.normal(size=(8, 20)), np.eye(4)[rng.integers(0, 4, 8)])
-        assert_same_params(
-            workspace_step(params, grads, opt), sgd_step_reference(params, grads, ref)
-        )
-        assert_same_bytes(opt.buffer, ref.flat())
 
 
 def shares_any(a, arrays) -> bool:
@@ -488,58 +475,46 @@ class TestAliasing:
             assert not shares_any(layer.bias, returned)
 
     def test_earlier_snapshots_keep_their_hash(self):
+        # The network a workspace is made from is copied in, never written.
         params, rng = random_net(64, seed=6)
-        opt = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
-        history = [(params, params_hash(params))]
+        digest = params_hash(params)
+        ws = Workspace(params, momentum=0.9, weight_decay=1e-3)
+        seen = {digest}
         for _ in range(6):
-            current = history[-1][0]
             x = rng.normal(size=(16, params.n_inputs))
-            grads = backward(current, x, np.eye(4)[rng.integers(0, 4, 16)])
-            stepped = workspace_step(current, grads, opt)
-            history.append((stepped, params_hash(stepped)))
-            for snapshot, digest in history:
-                assert params_hash(snapshot) == digest
+            grads = backward(ws.params, x, np.eye(4)[rng.integers(0, 4, 16)])
+            seen.add(params_hash(workspace_step(ws, grads, 0.1)))
+            assert params_hash(params) == digest
+        assert len(seen) == 7
 
     def test_new_parameters_share_no_memory(self):
         params, rng = random_net(64, seed=7)
-        opt = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
-        current = params
-        for _ in range(3):
-            grads = backward(current, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
-            stepped = workspace_step(current, grads, opt)
-            old = [arr for layer in current.layers for arr in (layer.weights, layer.bias)]
-            taken = [opt.buffer] + [arr for pair in grads for arr in pair] + old
-            new = [arr for layer in stepped.layers for arr in (layer.weights, layer.bias)]
-            for i, arr in enumerate(new):
-                assert not shares_any(arr, taken)
-                assert not shares_any(arr, new[i + 1 :])
-            current = stepped
+        ws = Workspace(params, momentum=0.9, weight_decay=1e-3)
+        grads = backward(params, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
+        workspace_step(ws, grads, 0.1)
+        old = [arr for layer in params.layers for arr in (layer.weights, layer.bias)]
+        taken = [ws.buffer, ws.grad] + [arr for pair in grads for arr in pair] + old
+        new = [arr for layer in ws.params.layers for arr in (layer.weights, layer.bias)]
+        for i, arr in enumerate(new):
+            assert np.shares_memory(arr, ws.flat)
+            assert not shares_any(arr, taken)
+            assert not shares_any(arr, new[i + 1 :])
 
     def test_late_nan_gradient_leaves_warm_buffers_untouched(self):
         params, rng = random_net(64, seed=8)
-        opt = OptimizerState.for_network(params, 0.1, momentum=0.9, weight_decay=1e-3)
+        ws = Workspace(params, momentum=0.9, weight_decay=1e-3)
         for _ in range(3):
-            grads = backward(params, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
-            params = workspace_step(params, grads, opt)
-        assert all(np.any(m_w != 0.0) for m_w, _ in layer_views(opt.buffer, params.sizes()))
-        before = opt.buffer.tobytes()
-        digest = params_hash(params)
+            grads = backward(ws.params, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
+            workspace_step(ws, grads, 0.1)
+        assert all(np.any(m_w != 0.0) for m_w, _ in layer_views(ws.buffer, params.sizes()))
+        before = ws.buffer.tobytes()
+        digest = params_hash(ws.params)
         bad = [(d_w.copy(), d_b.copy()) for d_w, d_b in grads]
         bad[1][0][0, 0] = np.nan
         with pytest.raises(NumericError):
-            workspace_step(params, bad, opt)
-        assert opt.buffer.tobytes() == before
-        assert params_hash(params) == digest
-
-    def test_mismatched_buffer_refused_before_any_update(self):
-        params, rng = random_net(64, seed=9)
-        opt = OptimizerState.for_network(params, 0.1, momentum=0.9)
-        opt.buffer = opt.buffer[:-1] + 1.0  # one entry short of the layout
-        before = opt.buffer.tobytes()
-        grads = backward(params, rng.normal(size=(4, 20)), np.eye(4)[[0, 1, 2, 3]])
-        with pytest.raises(StructuralError):
-            workspace_step(params, grads, opt)
-        assert opt.buffer.tobytes() == before
+            workspace_step(ws, bad, 0.1)
+        assert ws.buffer.tobytes() == before
+        assert params_hash(ws.params) == digest
 
 
 # Layer sizes of the two benchmark shapes, both at batch 128.

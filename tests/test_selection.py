@@ -239,7 +239,7 @@ class TestCoDivide:
         )
         divisions, _ = co_divide([prof], cfg)
         anchors, options = calls[0]
-        assert anchors.dtype == np.float64 and anchors.tolist() == cfg.gmm_anchors
+        assert anchors.dtype == np.float64 and anchors.tolist() == [[0, 0], [0.5, 0.4], [1, 0]]
         assert options == {"tol": 1e-6, "max_iter": 7}
         np.testing.assert_array_equal(
             divisions[0].branches, partition(divisions[0].weights, 0.9, 0.2)

@@ -30,7 +30,7 @@ from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import (
     Layer,
     NetworkParams,
-    OptimizerState,
+    Workspace,
     init_network,
     one_hot,
     softmax,
@@ -69,14 +69,16 @@ class FixedBeta:
         return np.full(size, self.value)
 
 
-def init_nets(cfg, streams):
-    """Both networks and their optimizers, made as `lab.run` makes them."""
-    nets = [init_network(cfg.layer_sizes(), rng) for rng in streams.init]
-    opts = [
-        OptimizerState.for_network(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-        for net in nets
+def init_workspaces(cfg, streams):
+    """Both networks' workspaces, made as `lab.run` makes them."""
+    return [
+        Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
+        for rng in streams.init
     ]
-    return nets, opts
+
+
+def params_of(workspaces):
+    return [ws.params for ws in workspaces]
 
 
 def clean_toy(seed: int = 3, per_class: int = 40):
@@ -490,13 +492,12 @@ class TestWarmup:
     def test_epoch_of_plain_ce_reduces_loss(self):
         ds = clean_toy()
         rng = np.random.default_rng(0)
-        params = init_network([2, 8, 3], rng)
-        opt = OptimizerState.for_network(params, 0.05, 0.9, 5e-4)
+        ws = Workspace(init_network([2, 8, 3], rng), 0.9, 5e-4)
         targets = one_hot(ds.noisy_labels, ds.n_classes)
-        before = batch_loss(params, ds.features, targets, 0.0)
+        before = batch_loss(ws.params, ds.features, targets, 0.0)
         for _ in range(5):
-            params = plain_ce_epoch(params, opt, ds, 16, rng)
-        after = batch_loss(params, ds.features, targets, 0.0)
+            plain_ce_epoch(ws, 0.05, ds, 16, rng)
+        after = batch_loss(ws.params, ds.features, targets, 0.0)
         assert after < before
 
     def test_updates_both_networks_differently(self):
@@ -505,10 +506,10 @@ class TestWarmup:
         cfg = ExperimentConfig(
             n_classes=3, hidden_sizes=[8], total_epochs=10, warmup_epochs=2, batch_size=16
         )
-        nets, opts = init_nets(cfg, streams)
-        before = [params_hash(net) for net in nets]
-        warmup(nets, opts, ds, 2, 16, streams)
-        after = [params_hash(net) for net in nets]
+        workspaces = init_workspaces(cfg, streams)
+        before = [params_hash(net) for net in params_of(workspaces)]
+        warmup(workspaces, cfg.learning_rate, ds, 2, 16, streams)
+        after = [params_hash(net) for net in params_of(workspaces)]
         assert before[0] != after[0] and before[1] != after[1]
         assert after[0] != after[1]
 
@@ -523,14 +524,14 @@ class TestWarmup:
             batch_size=16,
             learning_rate=0.05,
         )
-        nets, opts = init_nets(cfg, streams)
-        warmup(nets, opts, ds, 20, 16, streams)
-        assert accuracy(nets[0], ds.features, ds.true_labels) >= 0.95
-        assert accuracy(nets[1], ds.features, ds.true_labels) >= 0.95
+        workspaces = init_workspaces(cfg, streams)
+        warmup(workspaces, cfg.learning_rate, ds, 20, 16, streams)
+        for ws in workspaces:
+            assert accuracy(ws.params, ds.features, ds.true_labels) >= 0.95
 
 
 def warmed_pair(ds, master_seed=13, epochs=15):
-    """Two warmed-up networks, their optimizers and streams, and a config
+    """Two warmed-up networks' workspaces, their streams, and a config
     whose selection epochs train them."""
     streams = RngStreams.from_master(master_seed)
     cfg = ExperimentConfig(
@@ -541,9 +542,9 @@ def warmed_pair(ds, master_seed=13, epochs=15):
         batch_size=16,
         learning_rate=0.05,
     )
-    nets, opts = init_nets(cfg, streams)
-    warmup(nets, opts, ds, epochs, 16, streams)
-    return nets, opts, streams, cfg
+    workspaces = init_workspaces(cfg, streams)
+    warmup(workspaces, cfg.learning_rate, ds, epochs, 16, streams)
+    return workspaces, streams, cfg
 
 
 def bimodal_clean_toy(seed=3, per_class=60):
@@ -594,14 +595,14 @@ class TestDstEpoch:
             learning_rate=0.05,
             weight_decay=0.0,
         )
-        nets, opts = init_nets(cfg, streams)
-        warmup(nets, opts, ds, 100, 16, streams)
-        start = ensemble_accuracy(nets, ds.features, ds.true_labels)
+        workspaces = init_workspaces(cfg, streams)
+        warmup(workspaces, cfg.learning_rate, ds, 100, 16, streams)
+        start = ensemble_accuracy(params_of(workspaces), ds.features, ds.true_labels)
         assert start >= 0.97
         result = None
         for _ in range(10):
-            result = run_dst_epoch(nets, opts, ds, cfg, streams)
-        end = ensemble_accuracy(nets, ds.features, ds.true_labels)
+            result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        end = ensemble_accuracy(params_of(workspaces), ds.features, ds.true_labels)
         for name in ("net1", "net2"):
             report = result.selection[name]
             labeled = report["branches"]["labeled"]["size"]
@@ -610,55 +611,55 @@ class TestDstEpoch:
 
     def test_divisions_come_from_the_other_network(self):
         ds = clean_toy(seed=4)
-        nets, opts, streams, cfg = warmed_pair(ds)
-        result = run_dst_epoch(nets, opts, ds, cfg, streams)
+        workspaces, streams, cfg = warmed_pair(ds)
+        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
         assert result.selection["net1"]["source"] == "net2"
         assert result.selection["net2"]["source"] == "net1"
         assert set(result.scatter) == {"net1", "net2"}
 
     def test_single_network_mode_isolates_the_second_network(self):
         ds = clean_toy(seed=5)
-        nets, opts, streams, cfg = warmed_pair(ds)
-        net2_before = params_hash(nets[1])
+        workspaces, streams, cfg = warmed_pair(ds)
+        net2_before = params_hash(workspaces[1].params)
         single = dataclasses.replace(cfg, single_network=True)
-        result = run_dst_epoch(nets, opts, ds, single, streams)
-        assert params_hash(nets[1]) == net2_before
+        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, single, streams)
+        assert params_hash(workspaces[1].params) == net2_before
         assert result.selection["net1"]["source"] == "net1"
         assert "net2" not in result.selection
         assert set(result.scatter) == {"net1"}
 
     def test_no_mixup_flag_equals_identity_mixing(self, monkeypatch):
         ds = clean_toy(seed=6)
-        nets_a, opts_a, streams_a, cfg = warmed_pair(ds, master_seed=17)
-        nets_b, opts_b, streams_b, _ = warmed_pair(ds, master_seed=17)
-        assert params_hash(nets_a[0]) == params_hash(nets_b[0])
+        ws_a, streams_a, cfg = warmed_pair(ds, master_seed=17)
+        ws_b, streams_b, _ = warmed_pair(ds, master_seed=17)
+        assert params_hash(ws_a[0].params) == params_hash(ws_b[0].params)
 
         no_mixup = dataclasses.replace(cfg, no_mixup=True)
-        run_dst_epoch(nets_a, opts_a, ds, no_mixup, streams_a)
+        run_dst_epoch(ws_a, cfg.learning_rate, ds, no_mixup, streams_a)
         monkeypatch.setattr(training, "mixup_batch", lambda x, y, alpha, rng: (x, y))
-        run_dst_epoch(nets_b, opts_b, ds, cfg, streams_b)
-        assert params_hash(nets_a[0]) == params_hash(nets_b[0])
-        assert params_hash(nets_a[1]) == params_hash(nets_b[1])
+        run_dst_epoch(ws_b, cfg.learning_rate, ds, cfg, streams_b)
+        assert params_hash(ws_a[0].params) == params_hash(ws_b[0].params)
+        assert params_hash(ws_a[1].params) == params_hash(ws_b[1].params)
 
     def test_fit_failure_falls_back_to_plain_ce(self, monkeypatch):
         ds = clean_toy(seed=7)
-        nets, opts, streams, cfg = warmed_pair(ds)
+        workspaces, streams, cfg = warmed_pair(ds)
         monkeypatch.setattr(
             training,
             "co_divide",
             lambda profiles, cfg: ([None, None], {"net1": "fit failed", "net2": "fit failed"}),
         )
-        before = [params_hash(net) for net in nets]
-        result = run_dst_epoch(nets, opts, ds, cfg, streams)
+        before = [params_hash(net) for net in params_of(workspaces)]
+        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
         assert result.selection["net1"] == {"fallback": True}
         assert result.selection["net2"] == {"fallback": True}
-        assert params_hash(nets[0]) != before[0]
-        assert params_hash(nets[1]) != before[1]
+        assert params_hash(workspaces[0].params) != before[0]
+        assert params_hash(workspaces[1].params) != before[1]
 
     def test_reports_carry_roles_and_mixture_diagnostics(self):
         ds = clean_toy(seed=8)
-        nets, opts, streams, cfg = warmed_pair(ds)
-        result = run_dst_epoch(nets, opts, ds, cfg, streams)
+        workspaces, streams, cfg = warmed_pair(ds)
+        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
         report = result.selection["net1"]
         assert report["fallback"] is False
         assert sorted(report["roles"]) == ["labeled", "predicted", "wrong"]
@@ -723,13 +724,13 @@ def noisy_toy(n_samples: int, seed: int = 21):
     )
 
 
-def assert_same_state(nets, opts, ref_nets, ref_opts):
-    for got, opt, name in zip(nets, opts, ("net1", "net2"), strict=True):
+def assert_same_state(workspaces, ref_nets, ref_opts):
+    for ws, name in zip(workspaces, ("net1", "net2"), strict=True):
         want = ref_nets[name]
-        for g, w in zip(got.layers, want.layers, strict=True):
+        for g, w in zip(ws.params.layers, want.layers, strict=True):
             assert g.weights.tobytes() == w.weights.tobytes()
             assert g.bias.tobytes() == w.bias.tobytes()
-        assert opt.buffer.tobytes() == ref_opts[name].flat().tobytes()
+        assert ws.buffer.tobytes() == ref_opts[name].flat().tobytes()
 
 
 class TestEpochLoopMatchesOracle:
@@ -751,26 +752,29 @@ class TestEpochLoopMatchesOracle:
             **(dst or {}),
         )
         streams, ref_streams = RngStreams.from_master(31), RngStreams.from_master(31)
-        nets, opts = init_nets(cfg, streams)
+        lr = cfg.learning_rate
+        # A workspace copies its network in and never writes it.
+        nets = [init_network(cfg.layer_sizes(), rng) for rng in streams.init]
+        workspaces = [Workspace(net, cfg.momentum, cfg.weight_decay) for net in nets]
         ref_nets = {"net1": nets[0], "net2": nets[1]}
         ref_opts = {
-            "net1": ReferenceOptimizer.copy_of(opts[0], nets[0]),
-            "net2": ReferenceOptimizer.copy_of(opts[1], nets[1]),
+            name: ReferenceOptimizer.for_network(net, lr, cfg.momentum, cfg.weight_decay)
+            for name, net in ref_nets.items()
         }
         for _ in range(cfg.warmup_epochs):
             for i, name in enumerate(("net1", "net2")):
-                nets[i] = plain_ce_epoch(nets[i], opts[i], ds, self.BATCH, streams.shuffle[i])
+                plain_ce_epoch(workspaces[i], lr, ds, self.BATCH, streams.shuffle[i])
                 ref_nets[name] = oracles.plain_ce_epoch(
                     ref_nets[name], ref_opts[name], ds, self.BATCH, ref_streams.shuffle[i]
                 )
-            assert_same_state(nets, opts, ref_nets, ref_opts)
+            assert_same_state(workspaces, ref_nets, ref_opts)
         if divide is not None:
             monkeypatch.setattr(training, "co_divide", divide)
         results = []
         for _ in range(dst_epochs):
-            results.append(run_dst_epoch(nets, opts, ds, cfg, streams))
+            results.append(run_dst_epoch(workspaces, lr, ds, cfg, streams))
             oracles.dst_epoch(ref_nets, ref_opts, ds, cfg, ref_streams, divide)
-            assert_same_state(nets, opts, ref_nets, ref_opts)
+            assert_same_state(workspaces, ref_nets, ref_opts)
         # Both sides drew the same number of values from every stream.
         for a, b in zip(streams.mixup + streams.wrong_branch, ref_streams.mixup + ref_streams.wrong_branch):
             assert a.uniform() == b.uniform()
@@ -829,10 +833,9 @@ class TestEpochRefusesNonFinite:
 
     def warm(self):
         ds = clean_toy(seed=12)
-        params = init_network([2, 8, 3], np.random.default_rng(4))
-        opt = OptimizerState.for_network(params, 0.05, 0.9, 5e-4)
-        params = plain_ce_epoch(params, opt, ds, 16, np.random.default_rng(1))
-        return ds, params, opt
+        ws = Workspace(init_network([2, 8, 3], np.random.default_rng(4)), 0.9, 5e-4)
+        plain_ce_epoch(ws, 0.05, ds, 16, np.random.default_rng(1))
+        return ds, ws
 
     def refinement(self, ds, params):
         weights = SelectionWeights(w_r=np.full(ds.n_samples, 0.7), w_prd=np.zeros(ds.n_samples))
@@ -843,24 +846,24 @@ class TestEpochRefusesNonFinite:
             np.random.default_rng(2), np.random.default_rng(3),
         )
 
-    def check_refused(self, ds, params, opt, refine):
-        refinement = self.refinement(ds, params) if refine else None
-        digest, buffer = params_hash(params), opt.buffer.tobytes()
+    def check_refused(self, ds, ws, refine):
+        refinement = self.refinement(ds, ws.params) if refine else None
+        digest, buffer = params_hash(ws.params), ws.buffer.tobytes()
         with pytest.raises(NumericError):
-            _train_epoch(params, opt, ds, 16, np.random.default_rng(5), refinement)
-        assert params_hash(params) == digest
-        assert opt.buffer.tobytes() == buffer
+            _train_epoch(ws, 0.05, ds, 16, np.random.default_rng(5), refinement)
+        assert params_hash(ws.params) == digest
+        assert ws.buffer.tobytes() == buffer
 
     @pytest.mark.parametrize("refine", [False, True], ids=["plain-ce", "selection"])
     def test_non_finite_logit(self, refine):
-        ds, params, opt = self.warm()
-        assert np.any(opt.buffer != 0.0)
-        params.layers[-1].bias[1] = np.inf
-        self.check_refused(ds, params, opt, refine)
+        ds, ws = self.warm()
+        assert np.any(ws.buffer != 0.0)
+        ws.params.layers[-1].bias[1] = np.inf
+        self.check_refused(ds, ws, refine)
 
     @pytest.mark.parametrize("refine", [False, True], ids=["plain-ce", "selection"])
     def test_non_finite_gradient(self, refine, monkeypatch):
-        ds, params, opt = self.warm()
+        ds, ws = self.warm()
         real = training.backprop_from_logits
 
         def poisoned(params, activations, d_logits, out):
@@ -869,4 +872,4 @@ class TestEpochRefusesNonFinite:
             return out
 
         monkeypatch.setattr(training, "backprop_from_logits", poisoned)
-        self.check_refused(ds, params, opt, refine)
+        self.check_refused(ds, ws, refine)
