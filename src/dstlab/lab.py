@@ -104,9 +104,9 @@ def _serve_dumps(requests, replies) -> None:
             return
         error = None
         try:
-            for path, epoch, net, prof, states in dumps:
+            for path, epoch, net, prof in dumps:
                 with _writing(path):
-                    write_scatter(path, epoch, net, prof, states)
+                    write_scatter(path, epoch, net, prof)
         except Exception as exc:  # noqa: BLE001 - sent on, raised by the run
             error = exc
         pickle.dump(error, replies)
@@ -121,10 +121,12 @@ class _ScatterWriter:
 
     Formatting a 4000-row cloud takes about 15 ms, most of it `%.17g`, so
     the writer overlaps it with the next epoch's training on another core.
-    One pickled message is one epoch's dumps; at most one is in flight. As
-    a context manager it drains and reaps the writer on exit, and on a
-    clean exit raises the first dump error. The writer runs pure Python
-    and never calls into the BLAS, whose threads a fork does not copy.
+    One pickled message is one epoch's dumps, each a `(path, epoch, net,
+    profile)` tuple whose profile carries the audit states it writes; at
+    most one message is in flight. As a context manager it drains and
+    reaps the writer on exit, and on a clean exit raises the first dump
+    error. The writer runs pure Python and never calls into the BLAS,
+    whose threads a fork does not copy.
     """
 
     def __init__(self) -> None:
@@ -165,7 +167,7 @@ class _ScatterWriter:
             raise error
 
     def submit(self, dumps: list[tuple]) -> None:
-        """Send one epoch's `(path, epoch, net, profile, states)` dumps."""
+        """Send one epoch's dumps."""
         self.wait()
         try:
             pickle.dump(dumps, self.requests, pickle.HIGHEST_PROTOCOL)
@@ -275,16 +277,14 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
                         plain_ce_epoch(ws, lr, train, cfg.batch_size, rng)
                 else:
                     phase = "dst"
-                    result = run_dst_epoch(workspaces, lr, train, cfg, streams)
-                    selection = result.selection
+                    selection, profiles = run_dst_epoch(workspaces, lr, train, cfg, streams)
                     for name in NET_NAMES:
                         if selection.get(name, {}).get("fallback"):
                             fallback_epochs[name].append(epoch)
                     if _scatter_due(cfg, epoch):
                         writer.submit([
-                            (scatter_csv_path(run_dir, epoch, net_name), epoch, net_name,
-                             cloud.profile, cloud.states)
-                            for net_name, cloud in result.scatter.items()
+                            (scatter_csv_path(run_dir, epoch, name), epoch, name, prof)
+                            for name, prof in zip(NET_NAMES, profiles)
                         ])
                     if epoch == cfg.total_epochs:
                         last_selection = selection

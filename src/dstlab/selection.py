@@ -1,22 +1,26 @@
 """Posterior-to-branch machinery and the co-divide swap.
 
 A fitted mixture yields, per sample, a probability of being correctly
-labeled (w_r) and of being correctly predicted (w_prd). Thresholding those
-in a fixed order partitions the dataset into labeled / predicted / wrong
-branches. Each network trains on the division computed from its partner's
-losses: the other network's, or its own when it trains alone.
+labeled (w_r) and of being correctly predicted (w_prd): the fit's own
+responsibilities of the two components matched to those roles. `partition`
+thresholds them in a fixed order into labeled / predicted / wrong branch
+codes, and applies the config's branch ablation; it is the only place that
+makes branch codes. Each network trains on the division computed from its
+partner's loss profile: the other network's, or its own when it trains
+alone. The division keeps that profile, so its report reads the
+predictions and agreement states the scatter dump writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import STATE_NAMES, NoisyDataset, audit_states
-from .errors import ConfigError, GmmFitError, StructuralError
-from .gmm import GmmModel, fit
+from .data import STATE_NAMES, NoisyDataset
+from .errors import GmmFitError, StructuralError
+from .gmm import GmmModel, fit, model_to_dict
 from .lossprofile import LossProfile
 from .rng import NET_NAMES
 
@@ -39,12 +43,6 @@ class RoleMap:
             raise StructuralError("role map must be a bijection onto components 0..2")
 
 
-@dataclass
-class SelectionWeights:
-    w_r: np.ndarray  # [N] responsibility of the labeled component
-    w_prd: np.ndarray  # [N] responsibility of the predicted component
-
-
 def assign_roles(model: GmmModel, anchors: np.ndarray) -> RoleMap:
     """Match components to roles by final-mean proximity to the anchors.
 
@@ -64,27 +62,21 @@ def assign_roles(model: GmmModel, anchors: np.ndarray) -> RoleMap:
     return RoleMap(**chosen)
 
 
-def weights_from_posteriors(resp: np.ndarray, roles: RoleMap) -> SelectionWeights:
-    arr = np.asarray(resp, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise StructuralError(f"responsibilities must be [N, 3], got {arr.shape}")
-    return SelectionWeights(w_r=arr[:, roles.labeled], w_prd=arr[:, roles.predicted])
+def partition(w_r: np.ndarray, w_prd: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Branch codes per sample: thresholds first, then the branch ablation.
 
-
-def partition(
-    weights: SelectionWeights, tau_r: float, tau_prd: float
-) -> np.ndarray:
-    """Branch codes per sample, evaluated in fixed order.
-
-    labeled iff w_r >= tau_r; else predicted iff w_prd >= tau_prd; else wrong.
+    labeled iff w_r >= tau_r; else predicted iff w_prd >= tau_prd; else
+    wrong. `all_wrong` sends every sample to wrong, and `disable_branch`
+    sends the samples of that branch to wrong: with `labeled` disabled a
+    sample over tau_r is wrong even when it is also over tau_prd.
     """
-    for name, tau in (("tau_r", tau_r), ("tau_prd", tau_prd)):
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"{name} must be in (0, 1), got {tau}")
-    branches = np.full(weights.w_r.shape[0], BRANCH_WRONG, dtype=np.int64)
-    predicted_mask = weights.w_prd >= tau_prd
-    branches[predicted_mask] = BRANCH_PREDICTED
-    branches[weights.w_r >= tau_r] = BRANCH_LABELED
+    branches = np.full(w_r.shape[0], BRANCH_WRONG, dtype=np.int64)
+    if cfg.all_wrong:
+        return branches
+    if cfg.disable_branch != "predicted":
+        branches[w_prd >= cfg.tau_prd] = BRANCH_PREDICTED
+    labeled = BRANCH_WRONG if cfg.disable_branch == "labeled" else BRANCH_LABELED
+    branches[w_r >= cfg.tau_r] = labeled
     return branches
 
 
@@ -92,28 +84,30 @@ def partition(
 class Division:
     """One network's training division, derived from its partner's losses."""
 
-    weights: SelectionWeights
-    branches: np.ndarray  # [N] branch codes
+    w_r: np.ndarray  # [N] responsibility of the labeled component
+    w_prd: np.ndarray  # [N] responsibility of the predicted component
+    branches: np.ndarray  # [N] branch codes from `partition`, ablation applied
     roles: RoleMap
     model: GmmModel
     source: str  # which network's losses produced this division
-    predicted: np.ndarray  # [N] source network's argmax labels
+    profile: LossProfile  # the source network's loss profile
 
 
 def _divide(prof: LossProfile, source: str, cfg: ExperimentConfig) -> Division:
     anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
-    model = fit(prof.points(), anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
+    points = np.column_stack([prof.nrm_nis, prof.nrm_prd])
+    model = fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
     roles = assign_roles(model, anchors)
     # The fit's last E-step ran on these points with these parameters.
-    weights = weights_from_posteriors(model.resp, roles)
-    branches = partition(weights, cfg.tau_r, cfg.tau_prd)
+    w_r, w_prd = model.resp[:, roles.labeled], model.resp[:, roles.predicted]
     return Division(
-        weights=weights,
-        branches=branches,
+        w_r=w_r,
+        w_prd=w_prd,
+        branches=partition(w_r, w_prd, cfg),
         roles=roles,
         model=model,
         source=source,
-        predicted=prof.predicted,
+        profile=prof,
     )
 
 
@@ -148,21 +142,20 @@ def _rate(numerator: int, denominator: int) -> float | None:
     return None if denominator == 0 else numerator / denominator
 
 
-def selection_report(
-    branches: np.ndarray, ds: NoisyDataset, predicted: np.ndarray
-) -> dict:
-    """Per-branch size, precision, recall, and agreement-state histogram.
+def selection_report(division: Division, ds: NoisyDataset) -> dict:
+    """The division's source, roles and mixture diagnostics, and per branch
+    its size, precision, recall and agreement-state histogram.
 
     Precision conditions: labeled branch counts samples whose noisy label
     is the true label; predicted branch counts samples whose prediction is
-    the true label; wrong branch counts samples failing both. Empty
-    branches report null precision/recall rather than 0.
+    the true label; wrong branch counts samples failing both. Predictions
+    and agreement states are the source profile's. Empty branches report
+    null precision/recall rather than 0.
     """
-    branches = np.asarray(branches, dtype=np.int64)
-    predicted = np.asarray(predicted, dtype=np.int64)
-    if branches.shape != (ds.n_samples,) or predicted.shape != (ds.n_samples,):
-        raise StructuralError("branches and predictions must cover the dataset")
-    states = audit_states(ds, predicted)
+    if division.profile.n_samples != ds.n_samples:
+        raise StructuralError("the division must cover the dataset")
+    branches, predicted = division.branches, division.profile.predicted
+    states = division.profile.states
     label_ok = ds.noisy_labels == ds.true_labels
     pred_ok = predicted == ds.true_labels
     conditions = {
@@ -170,7 +163,13 @@ def selection_report(
         BRANCH_PREDICTED: pred_ok,
         BRANCH_WRONG: ~label_ok & ~pred_ok,
     }
-    report: dict = {"n_samples": int(ds.n_samples), "branches": {}}
+    report: dict = {
+        "n_samples": int(ds.n_samples),
+        "source": division.source,
+        "roles": asdict(division.roles),
+        "gmm": model_to_dict(division.model),
+        "branches": {},
+    }
     for code, name in enumerate(BRANCH_NAMES):
         in_branch = branches == code
         size = int(in_branch.sum())

@@ -6,10 +6,11 @@ of a network (profiles, ensemble partners, evaluation) takes the
 workspace's `params` views. One selection-driven epoch runs in phases:
 profile the active networks (both, or net1 alone in single-network mode)
 over the full training set, fit one mixture per loss cloud, pass each
-division to its consumer, then for each consumer in turn iterate shuffled
-mini-batches where labels are refined with the ensemble, sharpened, mixed,
-and used for a single SGD step. A failed mixture fit downgrades the
-consuming network to a plain cross-entropy epoch.
+division (its branches already ablated by `selection.partition`) to its
+consumer, then for each consumer in turn iterate shuffled mini-batches
+where labels are refined with the ensemble, sharpened, mixed, and used for
+a single SGD step. A failed mixture fit downgrades the consuming network
+to a plain cross-entropy epoch.
 
 Warmup, plain cross-entropy, the fit-failure fallback and the selection
 epochs all run through one epoch loop that steps a workspace in place;
@@ -18,15 +19,14 @@ plain cross-entropy is that loop with the refinement stages switched off.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import NoisyDataset, audit_states
-from .errors import ConfigError, StructuralError
-from .gmm import model_to_dict
-from .lossprofile import LossProfile, normalize, profile
+from .data import NoisyDataset
+from .errors import ConfigError
+from .lossprofile import LossProfile, profile
 from .network import (
     LOG_FLOOR,
     NetworkParams,
@@ -37,14 +37,7 @@ from .network import (
     softmax,
 )
 from .rng import NET_NAMES, RngStreams
-from .selection import (
-    BRANCH_LABELED,
-    BRANCH_PREDICTED,
-    BRANCH_WRONG,
-    SelectionWeights,
-    co_divide,
-    selection_report,
-)
+from .selection import BRANCH_LABELED, BRANCH_WRONG, Division, co_divide, selection_report
 
 
 def _mean_softmax(logits: list[np.ndarray]) -> np.ndarray:
@@ -135,19 +128,15 @@ class _Refinement:
         return mixup_batch(x, y_hat, self.cfg.alpha, self.mixup_rng)
 
 
-def _branch_table(
-    weights: SelectionWeights, branches: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _branch_table(division: Division) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample keep/lean weights and the wrong-branch mask for one epoch.
 
     Labeled rows keep w_r of the label and lean 1 - w_r on the ensemble;
     predicted rows keep 1 - w_prd and lean w_prd.
     """
-    labeled = branches == BRANCH_LABELED
-    wrong = branches == BRANCH_WRONG
-    if not (labeled | wrong | (branches == BRANCH_PREDICTED)).all():
-        raise StructuralError("branch codes must be labeled, predicted or wrong")
-    w_r, w_prd = weights.w_r, weights.w_prd
+    labeled = division.branches == BRANCH_LABELED
+    wrong = division.branches == BRANCH_WRONG
+    w_r, w_prd = division.w_r, division.w_prd
     return np.where(labeled, w_r, 1.0 - w_prd), np.where(labeled, 1.0 - w_r, w_prd), wrong
 
 
@@ -196,57 +185,28 @@ def plain_ce_epoch(
     _train_epoch(ws, learning_rate, ds, batch_size, rng)
 
 
-@dataclass
-class ScatterData:
-    """Normalized loss cloud plus audit states, ready for CSV dumping."""
-
-    profile: LossProfile
-    states: np.ndarray
-
-
-@dataclass
-class DstEpochResult:
-    selection: dict  # per consuming net: report, gmm diagnostics, fallback
-    scatter: dict[str, ScatterData]
-
-
-def _apply_branch_ablation(branches: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    out = branches.copy()
-    if cfg.all_wrong:
-        out[:] = BRANCH_WRONG
-        return out
-    if cfg.disable_branch == "labeled":
-        out[out == BRANCH_LABELED] = BRANCH_WRONG
-    elif cfg.disable_branch == "predicted":
-        out[out == BRANCH_PREDICTED] = BRANCH_WRONG
-    return out
-
-
 def run_dst_epoch(
     workspaces: list[Workspace],
     learning_rate: float,
     ds: NoisyDataset,
     cfg: ExperimentConfig,
     streams: RngStreams,
-) -> DstEpochResult:
+) -> tuple[dict, list[LossProfile]]:
     """One full selection-and-refinement epoch; updates the workspaces in place.
 
     The active networks are both, or net1 alone with `single_network`.
     Profiles are taken with frozen parameters before any update. Each
     consumer's partners are read when it starts, after the earlier
     consumers' updates. A fit failure on one loss cloud sends its consumer
-    through a plain cross-entropy epoch instead, flagged in the result.
+    through a plain cross-entropy epoch instead, flagged in its report.
+    Returns the reports per consuming net plus the fit errors, and the
+    active networks' profiles in `NET_NAMES` order.
     """
     active = workspaces[:1] if cfg.single_network else workspaces
-    # Profile and audit one network at a time: all profiles first, then all
-    # audits, raised peak RSS by about 2 MB on 20-256-256-4 nets through
-    # heap layout alone (the live data is the same).
-    profiles = []
-    scatter = {}
-    for name, ws in zip(NET_NAMES, active):
-        prof = normalize(profile(ws.params, ds))
-        scatter[name] = ScatterData(prof, audit_states(ds, prof.predicted))
-        profiles.append(prof)
+    # `profile` audits each network before the next one is profiled. All
+    # profiles first and all audits after raised peak RSS by about 2 MB on
+    # 20-256-256-4 nets through heap layout alone (the live data is the same).
+    profiles = [profile(ws.params, ds) for ws in active]
     divisions, fit_errors = co_divide(profiles, cfg)
 
     selection: dict = {"fit_errors": fit_errors}
@@ -257,12 +217,11 @@ def run_dst_epoch(
             plain_ce_epoch(workspaces[i], learning_rate, ds, cfg.batch_size, streams.shuffle[i])
             selection[name] = {"fallback": True}
             continue
-        branches = _apply_branch_ablation(division.branches, cfg)
         # Partners as they stand now, after the earlier consumers' updates.
         partners = [workspaces[j].params for j in range(len(divisions)) if j != i]
         refinement = _Refinement(
             partners,
-            *_branch_table(division.weights, branches),
+            *_branch_table(division),
             cfg,
             streams.wrong_branch[i],
             None if cfg.no_mixup else streams.mixup[i],
@@ -270,13 +229,8 @@ def run_dst_epoch(
         _train_epoch(
             workspaces[i], learning_rate, ds, cfg.batch_size, streams.shuffle[i], refinement
         )
-        report = selection_report(branches, ds, division.predicted)
-        report["source"] = division.source
-        report["roles"] = asdict(division.roles)
-        report["gmm"] = model_to_dict(division.model)
-        report["fallback"] = False
-        selection[name] = report
-    return DstEpochResult(selection=selection, scatter=scatter)
+        selection[name] = {**selection_report(division, ds), "fallback": False}
+    return selection, profiles
 
 
 def evaluate(

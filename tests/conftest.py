@@ -10,8 +10,11 @@ import pytest
 
 from dstlab import network
 from dstlab.config import ExperimentConfig
-from dstlab.data import NoisyDataset
+from dstlab.data import NoisyDataset, audit_states
+from dstlab.gmm import GmmModel
+from dstlab.lossprofile import LossProfile
 from dstlab.network import NetworkParams, forward_cached, softmax
+from dstlab.selection import Division, RoleMap
 from oracles import backward, cross_entropy
 
 # The default config; its anchors as the mixture fits of a run get them.
@@ -60,6 +63,39 @@ def make_noisy(features, true_labels, noisy_labels, n_classes) -> NoisyDataset:
         n_classes=n_classes,
         noisy_labels=np.asarray(noisy_labels, dtype=np.int64),
         noise_spec=None,
+    )
+
+
+def model_with_means(means) -> GmmModel:
+    """A mixture at its initial shape with the given component means."""
+    return GmmModel(
+        means=np.asarray(means, dtype=np.float64),
+        covariances=np.tile(0.05 * np.eye(2), (3, 1, 1)),
+        weights=np.full(3, 1.0 / 3.0),
+        iterations=1,
+        log_likelihood=0.0,
+    )
+
+
+def make_division(ds, branches, predicted=None, w_r=None, w_prd=None) -> Division:
+    """A division of `ds` into `branches`, as `co_divide` hands one on.
+
+    Its source profile holds zero losses, `predicted` (all class 0 by
+    default) and their agreement states; the weights default to zero, and
+    the roles and the mixture sit at the anchors.
+    """
+    n = ds.n_samples
+    zeros = np.zeros(n)
+    predicted = np.zeros(n, dtype=np.int64) if predicted is None else np.asarray(predicted)
+    prof = LossProfile(zeros, zeros, predicted, zeros, zeros, audit_states(ds, predicted))
+    return Division(
+        w_r=zeros if w_r is None else np.asarray(w_r, dtype=np.float64),
+        w_prd=zeros if w_prd is None else np.asarray(w_prd, dtype=np.float64),
+        branches=np.asarray(branches, dtype=np.int64),
+        roles=RoleMap(labeled=0, predicted=2, wrong=1),
+        model=model_with_means(ANCHORS),
+        source="net1",
+        profile=prof,
     )
 
 

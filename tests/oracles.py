@@ -24,7 +24,7 @@ import numpy as np
 from dstlab import data, network, training
 from dstlab.errors import ConfigError, GmmFitError, NumericError, StructuralError
 from dstlab.gmm import N_COMPONENTS, _columns, _e_step
-from dstlab.lossprofile import normalize, profile
+from dstlab.lossprofile import profile
 from dstlab.network import (
     LOG_FLOOR,
     Layer,
@@ -40,7 +40,7 @@ from dstlab.selection import (
     BRANCH_WRONG,
     co_divide,
 )
-from dstlab.training import _apply_branch_ablation, mixup_batch
+from dstlab.training import mixup_batch
 
 # --- Compositions of production code, and evaluation references.
 
@@ -177,7 +177,7 @@ def sharpen_reference(y_tilde, temperature):
     return powered / powered.sum(axis=-1, keepdims=True)
 
 
-# --- Scalar references for refinement and MixUp.
+# --- Scalar references for branch codes, refinement and MixUp.
 
 
 def refine_label(y, p_b, w_r, w_prd, tau_r, tau_prd, rng):
@@ -195,6 +195,22 @@ def refine_label(y, p_b, w_r, w_prd, tau_r, tau_prd, rng):
         return (1.0 - w_prd) * y + w_prd * p_b
     w_u = rng.uniform()
     return (1.0 - w_u) * y + w_u * p_b
+
+
+def partition_then_relabel(w_r, w_prd, cfg):
+    """Branch codes decided one sample at a time in the fixed order
+    (labeled iff w_r >= tau_r, else predicted iff w_prd >= tau_prd, else
+    wrong), then relabeled by the ablation: `all_wrong` makes every code
+    wrong, `disable_branch` makes that branch's codes wrong."""
+    codes = [
+        BRANCH_LABELED if r >= cfg.tau_r else BRANCH_PREDICTED if p >= cfg.tau_prd else BRANCH_WRONG
+        for r, p in zip(w_r, w_prd)
+    ]
+    disabled = {"labeled": BRANCH_LABELED, "predicted": BRANCH_PREDICTED}.get(cfg.disable_branch)
+    return np.array(
+        [BRANCH_WRONG if cfg.all_wrong or code == disabled else code for code in codes],
+        dtype=np.int64,
+    )
 
 
 def fold_lambda(lam: float) -> float:
@@ -388,8 +404,8 @@ def train_net_on_division(
         y_tilde = refine_batch(
             targets[idx],
             p_b,
-            division.weights.w_r[idx],
-            division.weights.w_prd[idx],
+            division.w_r[idx],
+            division.w_prd[idx],
             branches[idx],
             wrong_rng,
         )
@@ -408,15 +424,16 @@ def dst_epoch(nets, opts, ds, cfg, streams, divide=None):
     dicts, with its own single-network branch.
 
     `divide` replaces `co_divide` (for forcing fit failures); it gets the
-    normalized profiles and the config.
+    profiles and the config. Branch codes come from `partition_then_relabel`
+    on the division's weights.
     """
     divide = divide or co_divide
-    prof1 = normalize(profile(nets["net1"], ds))
+    prof1 = profile(nets["net1"], ds)
     if cfg.single_network:
         (for_net1,), _ = divide([prof1], cfg)
         divisions = {"net1": for_net1}
     else:
-        prof2 = normalize(profile(nets["net2"], ds))
+        prof2 = profile(nets["net2"], ds)
         (for_net1, for_net2), _ = divide([prof1, prof2], cfg)
         divisions = {"net1": for_net1, "net2": for_net2}
     for i, (name, division) in enumerate(divisions.items()):
@@ -425,7 +442,7 @@ def dst_epoch(nets, opts, ds, cfg, streams, divide=None):
                 nets[name], opts[name], ds, cfg.batch_size, streams.shuffle[i]
             )
             continue
-        branches = _apply_branch_ablation(division.branches, cfg)
+        branches = partition_then_relabel(division.w_r, division.w_prd, cfg)
         others = [] if cfg.single_network else [nets["net2" if name == "net1" else "net1"]]
         nets[name] = train_net_on_division(
             nets[name],

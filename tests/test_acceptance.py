@@ -19,7 +19,6 @@ reproduces.
 """
 
 import csv
-import json
 import math
 import time
 

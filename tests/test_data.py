@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_noisy
+from conftest import make_division, make_noisy
 from dstlab.data import (
     CENTER_SPACING,
     CleanDataset,
@@ -259,7 +259,7 @@ class TestAuditStates:
         noisy = [0] * 3 + [1] * 12
         predicted = np.array([0] + [1] * 2 + [0] * 3 + [1] * 4 + [2] * 5)
         ds = make_noisy(np.zeros((15, 1)), [0] * 15, noisy, 3)
-        report = selection_report(np.zeros(15, dtype=np.int64), ds, predicted)
+        report = selection_report(make_division(ds, np.zeros(15), predicted), ds)
         assert STATE_NAMES == ("i", "ii", "iii", "iv", "v")
         counts = report["branches"]["labeled"]["states"]
         assert list(counts.items()) == [(name, s) for s, name in enumerate(STATE_NAMES, start=1)]

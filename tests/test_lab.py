@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -14,9 +15,11 @@ import pytest
 import oracles
 from dstlab import cli, lab, network, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
+from dstlab.data import STATE_NAMES
 from dstlab.errors import ConfigError, GmmFitError, NotFoundError, StructuralError
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
-from dstlab.lossprofile import LossProfile, write_scatter
+from dstlab.lossprofile import minmax_normalize, write_scatter
+from dstlab.rng import NET_NAMES
 from dstlab.selection import co_divide
 from oracles import load_checkpoint
 
@@ -149,6 +152,31 @@ class TestEvaluation:
         monkeypatch.setattr(lab, "evaluate", reference)
         slow = run(cfg, tmp_path / "slow")
         assert run_bytes(fast) == run_bytes(slow)
+
+
+class TestReportsMatchScatter:
+    def test_state_histograms_sum_to_the_source_scatter_states(self, tmp_path):
+        # The report of a division and the scatter dump of its source net
+        # read the same audit; they must count the same states.
+        cfg = small_config(total_epochs=5)
+        run_dir = run(cfg, tmp_path / "r")
+        seen = set()
+        for epoch in range(cfg.warmup_epochs + 1, cfg.total_epochs + 1):
+            report = json.loads((run_dir / "reports" / f"epoch_{epoch:03d}.json").read_text())
+            for consumer in NET_NAMES:
+                entry = report["selection"][consumer]
+                assert entry["fallback"] is False
+                summed = {
+                    name: sum(branch["states"][name] for branch in entry["branches"].values())
+                    for name in STATE_NAMES
+                }
+                path = scatter_csv_path(run_dir, epoch, entry["source"])
+                with path.open(newline="") as fh:
+                    column = [int(row["state"]) for row in csv.DictReader(fh)]
+                counted = {name: column.count(s) for s, name in enumerate(STATE_NAMES, start=1)}
+                assert summed == counted
+                seen.update(name for name, count in counted.items() if count)
+        assert seen == set(STATE_NAMES)
 
 
 class TestSingleNetworkDivision:
@@ -369,7 +397,13 @@ class TestFlatLossCloud:
             prof = real(params, ds)
             l_nis = np.full_like(prof.l_nis, 0.7) if both_axes else prof.l_nis
             l_prd = np.full_like(prof.l_prd, 0.3)
-            return LossProfile(l_nis=l_nis, l_prd=l_prd, predicted=prof.predicted)
+            return dataclasses.replace(
+                prof,
+                l_nis=l_nis,
+                l_prd=l_prd,
+                nrm_nis=minmax_normalize(l_nis),
+                nrm_prd=minmax_normalize(l_prd),
+            )
 
         monkeypatch.setattr(training, "profile", flat_profile)
         cfg = small_config(total_epochs=4, warmup_epochs=2)
@@ -598,17 +632,17 @@ class TestScatterWriter:
         real = lab.run_dst_epoch
 
         def recording_dst_epoch(*args):
-            result = real(*args)
-            clouds.append(copy.deepcopy(result.scatter))
-            return result
+            selection, profiles = real(*args)
+            clouds.append(copy.deepcopy(profiles))
+            return selection, profiles
 
         monkeypatch.setattr(lab, "run_dst_epoch", recording_dst_epoch)
         run_dir = run(cfg, tmp_path / "r")
         expected = {}
-        for epoch, scatter in enumerate(clouds, start=cfg.warmup_epochs + 1):
-            for net, cloud in scatter.items():
+        for epoch, profiles in enumerate(clouds, start=cfg.warmup_epochs + 1):
+            for net, prof in zip(NET_NAMES, profiles):
                 path = tmp_path / f"epoch_{epoch}_{net}.csv"
-                write_scatter(path, epoch, net, cloud.profile, cloud.states)
+                write_scatter(path, epoch, net, prof)
                 expected[scatter_csv_path(run_dir, epoch, net).name] = path.read_bytes()
         assert len(expected) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
         written = {p.name: p.read_bytes() for p in (run_dir / "scatter").iterdir()}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_noisy
+from dstlab.data import audit_states
 from dstlab.errors import StructuralError
 from dstlab.lossprofile import (
     SCATTER_HEADER,
     LossProfile,
     minmax_normalize,
-    normalize,
     profile,
     write_scatter,
 )
@@ -32,7 +33,7 @@ def dataset(noisy_labels, n_classes):
     return make_noisy(np.zeros((n, 1)), [0] * n, noisy_labels, n_classes)
 
 
-def write_scatter_reference(path, epoch, net, prof, states) -> None:
+def write_scatter_reference(path, epoch, net, prof) -> None:
     """Row-by-row scatter writer: the byte-for-byte reference for write_scatter."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -48,14 +49,14 @@ def write_scatter_reference(path, epoch, net, prof, states) -> None:
                     f"{prof.nrm_nis[i]:.17g}",
                     f"{prof.nrm_prd[i]:.17g}",
                     int(prof.predicted[i]),
-                    int(states[i]),
+                    int(prof.states[i]),
                 ]
             )
 
 
-def scatter_bytes(writer, tmp_path, name, epoch, net, prof, states) -> bytes:
+def scatter_bytes(writer, tmp_path, name, epoch, net, prof) -> bytes:
     path = tmp_path / name
-    writer(path, epoch, net, prof, states)
+    writer(path, epoch, net, prof)
     return path.read_bytes()
 
 
@@ -78,8 +79,8 @@ class TestProfile:
 
     def test_argmax_ties_resolve_to_lowest_class(self):
         net = bias_net([0.4, 0.4, 0.1])
-        prof = profile(net, dataset([2], 3))
-        assert prof.predicted.tolist() == [0]
+        prof = profile(net, dataset([2, 1], 3))
+        assert prof.predicted.tolist() == [0, 0]
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
@@ -90,6 +91,13 @@ class TestProfile:
         labels = rng.integers(0, n_classes, size=20).tolist()
         prof = profile(net, dataset(labels, n_classes))
         assert np.all(prof.l_prd <= prof.l_nis + 1e-12)
+
+    def test_states_audit_the_predictions(self):
+        # One sample per agreement state, under a net that predicts class 0.
+        ds = make_noisy(np.zeros((5, 1)), [0, 1, 0, 1, 1], [0, 1, 1, 0, 2], 3)
+        prof = profile(bias_net([0.6, 0.3, 0.1]), ds)
+        assert prof.states.tolist() == [1, 2, 3, 4, 5]
+        np.testing.assert_array_equal(prof.states, audit_states(ds, prof.predicted))
 
     def test_profile_leaves_parameters_untouched(self):
         net = bias_net([0.3, -0.2, 0.5])
@@ -123,40 +131,28 @@ class TestNormalize:
         np.testing.assert_allclose(minmax_normalize(once), once, atol=1e-12)
 
     def test_normalize_fills_both_axes_independently(self):
-        prof = LossProfile(
-            l_nis=np.array([2.0, 4.0, 6.0]),
-            l_prd=np.array([1.0, 1.0, 2.0]),
-            predicted=np.array([0, 0, 0]),
-        )
-        normed = normalize(prof)
-        np.testing.assert_allclose(normed.nrm_nis, [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(normed.nrm_prd, [0.0, 0.0, 1.0])
+        # Label losses -ln 0.9, -ln 0.1, -ln 0.1; prediction losses all -ln 0.9.
+        net = bias_net([math.log(0.9), math.log(0.1)])
+        prof = profile(net, dataset([0, 1, 1], 2))
+        np.testing.assert_array_equal(prof.nrm_nis, [0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(prof.nrm_prd, [0.0, 0.0, 0.0])
+        for nrm, raw in ((prof.nrm_nis, prof.l_nis), (prof.nrm_prd, prof.l_prd)):
+            assert nrm.tobytes() == minmax_normalize(raw).tobytes()
 
     def test_needs_two_points(self):
-        prof = LossProfile(
-            l_nis=np.array([2.0]), l_prd=np.array([1.0]), predicted=np.array([0])
-        )
-        with pytest.raises(StructuralError):
-            normalize(prof)
-
-    def test_points_requires_normalization(self):
-        prof = LossProfile(
-            l_nis=np.array([2.0, 3.0]), l_prd=np.array([1.0, 2.0]), predicted=np.array([0, 0])
-        )
-        with pytest.raises(StructuralError):
-            prof.points()
-        points = normalize(prof).points()
-        assert points.shape == (2, 2)
+        net = bias_net([0.5, -0.5])
+        with pytest.raises(StructuralError, match="at least 2 samples"):
+            profile(net, dataset([0], 2))
+        assert profile(net, dataset([0, 1], 2)).n_samples == 2
 
 
 class TestScatterDump:
     def test_rows_and_header(self, tmp_path):
         net = bias_net([0.5, -0.5])
-        ds = dataset([0, 1, 0, 1], 2)
-        prof = normalize(profile(net, ds))
-        states = np.array([1, 2, 3, 4])
+        ds = make_noisy(np.zeros((4, 1)), [0, 1, 0, 1], [0, 1, 1, 0], 2)
+        prof = profile(net, ds)
         path = tmp_path / "scatter.csv"
-        write_scatter(path, epoch=7, net="net1", prof=prof, states=states)
+        write_scatter(path, epoch=7, net="net1", prof=prof)
 
         with path.open() as fh:
             rows = list(csv.reader(fh))
@@ -165,29 +161,30 @@ class TestScatterDump:
         first = dict(zip(rows[0], rows[1]))
         assert first["epoch"] == "7" and first["net"] == "net1" and first["id"] == "0"
         assert float(first["l_nis"]) == prof.l_nis[0]
-        assert first["state"] == "1"
+        assert [row[-1] for row in rows[1:]] == ["1", "2", "3", "4"]
 
-    def test_unnormalized_profile_rejected(self, tmp_path):
-        prof = LossProfile(
-            l_nis=np.array([2.0, 3.0]), l_prd=np.array([1.0, 2.0]), predicted=np.array([0, 0])
-        )
-        with pytest.raises(StructuralError):
-            write_scatter(tmp_path / "s.csv", 1, "net1", prof, np.array([1, 1]))
+    def test_unnormalized_profile_rejected(self):
+        # A profile cannot be built without its normalized axes and states,
+        # so the dump never meets one.
+        with pytest.raises(TypeError, match="nrm_nis"):
+            LossProfile(
+                l_nis=np.array([2.0, 3.0]), l_prd=np.array([1.0, 2.0]), predicted=np.array([0, 0])
+            )
 
-    def test_state_count_must_match(self, tmp_path):
-        net = bias_net([0.5, -0.5])
-        prof = normalize(profile(net, dataset([0, 1], 2)))
-        with pytest.raises(StructuralError):
-            write_scatter(tmp_path / "s.csv", 1, "net1", prof, np.array([1]))
+    def test_state_count_must_match(self):
+        prof = profile(bias_net([0.5, -0.5]), dataset([0, 1, 1], 2))
+        assert prof.states.shape == (prof.n_samples,) == (3,)
 
 
 def explicit_profile(l_nis, l_prd, nrm_nis, nrm_prd, predicted, dtype=np.int64):
+    """A profile with exactly these columns; states cycle through 1..5."""
     return LossProfile(
         l_nis=np.asarray(l_nis, dtype=np.float64),
         l_prd=np.asarray(l_prd, dtype=np.float64),
         predicted=np.asarray(predicted, dtype=dtype),
         nrm_nis=np.asarray(nrm_nis, dtype=np.float64),
         nrm_prd=np.asarray(nrm_prd, dtype=np.float64),
+        states=np.arange(len(l_nis)) % 5 + 1,
     )
 
 
@@ -226,25 +223,25 @@ class TestScatterBytes:
     @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
     @pytest.mark.parametrize("states_dtype", [np.int32, np.int64])
     def test_matches_reference(self, tmp_path, case, states_dtype):
-        prof = SCATTER_CASES[case]
-        states = (np.arange(prof.n_samples) % 5 + 1).astype(states_dtype)
-        args = (120, "net2", prof, states)
+        prof = dataclasses.replace(
+            SCATTER_CASES[case], states=SCATTER_CASES[case].states.astype(states_dtype)
+        )
+        args = (120, "net2", prof)
         got = scatter_bytes(write_scatter, tmp_path, "got.csv", *args)
         want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", *args)
         assert got == want
 
     def test_repr_and_precision_17_differ_on_point_one(self, tmp_path):
         prof = SCATTER_CASES["repr-differs"]
-        text = scatter_bytes(write_scatter, tmp_path, "s.csv", 1, "net1", prof, np.ones(3, int))
+        text = scatter_bytes(write_scatter, tmp_path, "s.csv", 1, "net1", prof)
         assert b",0.10000000000000001," in text
         assert text.endswith(b"\r\n") and text.count(b"\r\n") == 4
 
     @pytest.mark.parametrize("net", ["net,1", 'net"1', "net%1", "%d%%s", 'a,"b"%\r\nc'])
     def test_net_names_needing_quotes_or_percent_escapes(self, tmp_path, net):
         prof = SCATTER_CASES["unit-bounds"]
-        states = np.array([1, 2, 3])
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", 7, net, prof, states)
-        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", 7, net, prof, states)
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", 7, net, prof)
+        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", 7, net, prof)
         assert got == want
         with (tmp_path / "got.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
@@ -266,8 +263,7 @@ class TestScatterBytes:
     def test_random_profiles_match_reference(self, tmp_path_factory, rows, epoch):
         l_nis, l_prd, predicted = (list(col) for col in zip(*rows))
         prof = explicit_profile(l_nis, l_prd, l_prd, l_nis, predicted)
-        states = np.arange(len(rows)) % 5 + 1
         tmp_path = tmp_path_factory.mktemp("scatter")
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", epoch, "net1", prof, states)
-        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", epoch, "net1", prof, states)
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", epoch, "net1", prof)
+        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", epoch, "net1", prof)
         assert got == want

@@ -5,45 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANCHORS, DEFAULTS, make_noisy
+from conftest import ANCHORS, DEFAULTS, make_division, make_noisy, model_with_means
+from dstlab import selection
+from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, StructuralError
-from dstlab.gmm import GmmModel
-from dstlab.lossprofile import LossProfile, normalize
+from dstlab.lossprofile import LossProfile
 from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
     RoleMap,
-    SelectionWeights,
     assign_roles,
     co_divide,
     partition,
     selection_report,
-    weights_from_posteriors,
 )
 
 
-def model_with_means(means) -> GmmModel:
-    return GmmModel(
-        means=np.asarray(means, dtype=np.float64),
-        covariances=np.tile(0.05 * np.eye(2), (3, 1, 1)),
-        weights=np.full(3, 1.0 / 3.0),
-        iterations=1,
-        log_likelihood=0.0,
-    )
-
-
-def profile_at(points, noisy_correct=None) -> LossProfile:
-    """Normalized profile whose loss cloud is exactly `points`."""
+def profile_at(points) -> LossProfile:
+    """Profile whose normalized loss cloud is exactly `points`; every
+    prediction is class 0 and every sample in agreement state i."""
     pts = np.asarray(points, dtype=np.float64)
-    prof = LossProfile(
+    n = pts.shape[0]
+    return LossProfile(
         l_nis=pts[:, 0].copy(),
         l_prd=pts[:, 1].copy(),
-        predicted=np.zeros(pts.shape[0], dtype=np.int64),
+        predicted=np.zeros(n, dtype=np.int64),
         nrm_nis=pts[:, 0].copy(),
         nrm_prd=pts[:, 1].copy(),
+        states=np.ones(n, dtype=np.int64),
     )
-    return prof
 
 
 class TestAssignRoles:
@@ -81,65 +72,64 @@ class TestAssignRoles:
 
 
 class TestWeightsFromPosteriors:
-    def test_projection_rows(self):
-        roles = RoleMap(labeled=0, predicted=1, wrong=2)
-        resp = np.array([[1.0, 0.0, 0.0], [0.2, 0.7, 0.1]])
-        weights = weights_from_posteriors(resp, roles)
-        np.testing.assert_array_equal(weights.w_r, [1.0, 0.2])
-        np.testing.assert_array_equal(weights.w_prd, [0.0, 0.7])
+    """A division's weights are columns of its fit's own responsibilities."""
 
-    def test_projection_respects_role_permutation(self):
-        roles = RoleMap(labeled=2, predicted=0, wrong=1)
-        weights = weights_from_posteriors(np.array([[0.2, 0.7, 0.1]]), roles)
-        np.testing.assert_allclose(weights.w_r, [0.1])
-        np.testing.assert_allclose(weights.w_prd, [0.2])
+    @staticmethod
+    def divide(monkeypatch=None, roles=None):
+        if roles is not None:
+            monkeypatch.setattr(selection, "assign_roles", lambda model, anchors: roles)
+        prof = profile_at(TestCoDivide().separated_cloud(np.random.default_rng(9)))
+        (division,), _ = co_divide([prof], DEFAULTS)
+        return division
+
+    def test_projection_rows(self):
+        division = self.divide()
+        resp, roles = division.model.resp, division.roles
+        np.testing.assert_array_equal(division.w_r, resp[:, roles.labeled])
+        np.testing.assert_array_equal(division.w_prd, resp[:, roles.predicted])
+        assert division.w_r.shape == division.w_prd.shape == (90,)
+
+    def test_projection_respects_role_permutation(self, monkeypatch):
+        division = self.divide(monkeypatch, RoleMap(labeled=2, predicted=0, wrong=1))
+        np.testing.assert_array_equal(division.w_r, division.model.resp[:, 2])
+        np.testing.assert_array_equal(division.w_prd, division.model.resp[:, 0])
 
     def test_complement_is_wrong_responsibility(self):
-        rng = np.random.default_rng(0)
-        resp = rng.dirichlet(np.ones(3), size=100)
-        roles = RoleMap(labeled=0, predicted=1, wrong=2)
-        weights = weights_from_posteriors(resp, roles)
-        np.testing.assert_allclose(weights.w_r + weights.w_prd, 1.0 - resp[:, 2], atol=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(StructuralError):
-            weights_from_posteriors(np.ones((3, 2)), RoleMap(0, 1, 2))
+        division = self.divide()
+        wrong = division.model.resp[:, division.roles.wrong]
+        np.testing.assert_allclose(division.w_r + division.w_prd, 1.0 - wrong, atol=1e-12)
 
 
 class TestPartition:
     def test_labeled_wins_regardless_of_predicted_weight(self):
-        weights = SelectionWeights(w_r=np.array([0.9]), w_prd=np.array([0.95]))
-        assert partition(weights, 0.5, 0.5).tolist() == [BRANCH_LABELED]
+        assert partition(np.array([0.9]), np.array([0.95]), DEFAULTS).tolist() == [BRANCH_LABELED]
 
     def test_predicted_when_labeled_misses(self):
-        weights = SelectionWeights(w_r=np.array([0.2]), w_prd=np.array([0.6]))
-        assert partition(weights, 0.5, 0.5).tolist() == [BRANCH_PREDICTED]
+        assert partition(np.array([0.2]), np.array([0.6]), DEFAULTS).tolist() == [BRANCH_PREDICTED]
 
     def test_wrong_when_both_miss(self):
-        weights = SelectionWeights(w_r=np.array([0.2]), w_prd=np.array([0.3]))
-        assert partition(weights, 0.5, 0.5).tolist() == [BRANCH_WRONG]
+        assert partition(np.array([0.2]), np.array([0.3]), DEFAULTS).tolist() == [BRANCH_WRONG]
 
     def test_threshold_is_inclusive(self):
-        weights = SelectionWeights(w_r=np.array([0.5, 0.0]), w_prd=np.array([0.0, 0.5]))
-        assert partition(weights, 0.5, 0.5).tolist() == [BRANCH_LABELED, BRANCH_PREDICTED]
+        branches = partition(np.array([0.5, 0.0]), np.array([0.0, 0.5]), DEFAULTS)
+        assert branches.tolist() == [BRANCH_LABELED, BRANCH_PREDICTED]
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5])
     def test_thresholds_must_be_interior(self, tau):
-        weights = SelectionWeights(w_r=np.array([0.5]), w_prd=np.array([0.5]))
-        with pytest.raises(ConfigError):
-            partition(weights, tau, 0.5)
-        with pytest.raises(ConfigError):
-            partition(weights, 0.5, tau)
+        # partition reads its thresholds from a config, which checks them.
+        with pytest.raises(ConfigError, match="tau_r must be in"):
+            ExperimentConfig(tau_r=tau)
+        with pytest.raises(ConfigError, match="tau_prd must be in"):
+            ExperimentConfig(tau_prd=tau)
 
     @given(st.integers(0, 2**31), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     @settings(max_examples=40)
     def test_total_exclusive_and_monotone_in_tau_r(self, seed, tau_lo, tau_hi):
         rng = np.random.default_rng(seed)
         resp = rng.dirichlet(np.ones(3), size=60)
-        weights = SelectionWeights(w_r=resp[:, 0], w_prd=resp[:, 1])
         lo, hi = sorted((tau_lo, tau_hi))
-        branches_lo = partition(weights, lo, 0.5)
-        branches_hi = partition(weights, hi, 0.5)
+        branches_lo = partition(resp[:, 0], resp[:, 1], ExperimentConfig(tau_r=lo))
+        branches_hi = partition(resp[:, 0], resp[:, 1], ExperimentConfig(tau_r=hi))
         assert set(branches_lo.tolist()) <= {0, 1, 2}
         # raising tau_r never moves a sample INTO the labeled branch
         gained = (branches_hi == BRANCH_LABELED) & (branches_lo != BRANCH_LABELED)
@@ -169,7 +159,7 @@ class TestCoDivide:
         cloud = self.separated_cloud(rng)
         divisions, _ = co_divide([profile_at(cloud), profile_at(cloud)], DEFAULTS)
         np.testing.assert_array_equal(divisions[0].branches, divisions[1].branches)
-        np.testing.assert_allclose(divisions[0].weights.w_r, divisions[1].weights.w_r)
+        np.testing.assert_allclose(divisions[0].w_r, divisions[1].w_r)
 
     def test_swapping_twice_restores_pairing(self):
         rng = np.random.default_rng(3)
@@ -221,8 +211,6 @@ class TestCoDivide:
         assert set(fit_errors) == {"net1", "net2"}
 
     def test_settings_come_from_the_config(self, monkeypatch):
-        from dstlab import selection
-
         calls = []
         real_fit = selection.fit
         monkeypatch.setattr(
@@ -241,17 +229,17 @@ class TestCoDivide:
         anchors, options = calls[0]
         assert anchors.dtype == np.float64 and anchors.tolist() == [[0, 0], [0.5, 0.4], [1, 0]]
         assert options == {"tol": 1e-6, "max_iter": 7}
-        np.testing.assert_array_equal(
-            divisions[0].branches, partition(divisions[0].weights, 0.9, 0.2)
+        w_r, w_prd = divisions[0].w_r, divisions[0].w_prd
+        expected = np.where(
+            w_r >= 0.9, BRANCH_LABELED, np.where(w_prd >= 0.2, BRANCH_PREDICTED, BRANCH_WRONG)
         )
+        np.testing.assert_array_equal(divisions[0].branches, expected)
 
 
 class TestSelfDivide:
     """One profile: the network is its own partner."""
 
     def test_one_fit_gives_the_division_co_divide_would(self, monkeypatch):
-        from dstlab import selection
-
         fits = []
         real_fit = selection.fit
         monkeypatch.setattr(selection, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
@@ -262,8 +250,8 @@ class TestSelfDivide:
         assert len(single) == 1 and fit_errors == {}
         assert single[0].source == "net1"
         np.testing.assert_array_equal(single[0].branches, reference.branches)
-        np.testing.assert_array_equal(single[0].weights.w_r, reference.weights.w_r)
-        np.testing.assert_array_equal(single[0].weights.w_prd, reference.weights.w_prd)
+        np.testing.assert_array_equal(single[0].w_r, reference.w_r)
+        np.testing.assert_array_equal(single[0].w_prd, reference.w_prd)
 
     def test_fit_failure_is_recorded_for_net1_only(self):
         prof = profile_at(np.full((3, 2), 0.5))
@@ -276,7 +264,7 @@ class TestSelectionReport:
         ds = make_noisy(np.zeros((4, 1)), [0, 1, 2, 3], [0, 1, 2, 3], 4)
         predicted = np.array([0, 1, 2, 3])
         branches = np.full(4, BRANCH_LABELED)
-        report = selection_report(branches, ds, predicted)
+        report = selection_report(make_division(ds, branches, predicted), ds)
         assert report["branches"]["labeled"]["precision"] == 1.0
         assert report["branches"]["labeled"]["size"] == 4
         assert report["branches"]["labeled"]["states"]["i"] == 4
@@ -285,7 +273,7 @@ class TestSelectionReport:
         ds = make_noisy(np.zeros((3, 1)), [0, 1, 0], [1, 0, 1], 2)
         predicted = np.array([1, 0, 1])
         branches = np.full(3, BRANCH_WRONG)
-        report = selection_report(branches, ds, predicted)
+        report = selection_report(make_division(ds, branches, predicted), ds)
         assert report["branches"]["labeled"]["precision"] is None
         assert report["branches"]["predicted"]["precision"] is None
         assert report["branches"]["wrong"]["size"] == 3
@@ -298,7 +286,7 @@ class TestSelectionReport:
         predicted = rng.integers(0, 4, size=n)
         branches = rng.integers(0, 3, size=n)
         ds = make_noisy(np.zeros((n, 1)), truth, noisy, 4)
-        report = selection_report(branches, ds, predicted)
+        report = selection_report(make_division(ds, branches, predicted), ds)
 
         conditions = {
             "labeled": noisy == truth,
@@ -316,5 +304,6 @@ class TestSelectionReport:
 
     def test_shape_validation(self):
         ds = make_noisy(np.zeros((3, 1)), [0, 1, 0], [1, 0, 1], 2)
-        with pytest.raises(StructuralError):
-            selection_report(np.zeros(2, dtype=np.int64), ds, np.zeros(3, dtype=np.int64))
+        other = make_noisy(np.zeros((2, 1)), [0, 1], [1, 0], 2)
+        with pytest.raises(StructuralError, match="cover the dataset"):
+            selection_report(make_division(other, np.zeros(2)), ds)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_noisy, max_rel_err
+from conftest import make_division, make_noisy, max_rel_err
 import oracles
 from oracles import (
     ReferenceOptimizer,
@@ -19,6 +19,7 @@ from oracles import (
     fold_lambda,
     mixup_pair,
     params_hash,
+    partition_then_relabel,
     refine_batch,
     refine_label,
     warmup,
@@ -35,17 +36,16 @@ from dstlab.network import (
     one_hot,
     softmax,
 )
+from dstlab.lossprofile import profile
 from dstlab.rng import RngStreams
 from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
-    SelectionWeights,
     co_divide,
     partition,
 )
 from dstlab.training import (
-    _apply_branch_ablation,
     _branch_table,
     _Refinement,
     _train_epoch,
@@ -138,18 +138,13 @@ class TestRefineBatch:
         y = np.eye(c)[rng.integers(0, c, n)]
         p_b = rng.dirichlet(np.ones(c), size=n)
         resp = rng.dirichlet(np.ones(3), size=n)
-        weights = SelectionWeights(w_r=resp[:, 0], w_prd=resp[:, 1])
-        branches = partition(weights, 0.5, 0.5)
+        w_r, w_prd = resp[:, 0], resp[:, 1]
+        branches = partition(w_r, w_prd, ExperimentConfig())
 
-        batch_out = refine_batch(
-            y, p_b, weights.w_r, weights.w_prd, branches, np.random.default_rng(99)
-        )
+        batch_out = refine_batch(y, p_b, w_r, w_prd, branches, np.random.default_rng(99))
         loop_rng = np.random.default_rng(99)
         loop_out = np.stack(
-            [
-                refine_label(y[i], p_b[i], weights.w_r[i], weights.w_prd[i], 0.5, 0.5, loop_rng)
-                for i in range(n)
-            ]
+            [refine_label(y[i], p_b[i], w_r[i], w_prd[i], 0.5, 0.5, loop_rng) for i in range(n)]
         )
         np.testing.assert_array_equal(batch_out, loop_out)
 
@@ -582,6 +577,14 @@ def bimodal_clean_toy(seed=3, per_class=60):
     return inject_symmetric_c1(clean, 0.0, seed=seed + 1)
 
 
+def assert_same_profiles(got, want):
+    """The epoch's profiles are the active networks' before any update."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for column in ("l_nis", "l_prd", "predicted", "nrm_nis", "nrm_prd", "states"):
+            assert getattr(g, column).tobytes() == getattr(w, column).tobytes()
+
+
 class TestDstEpoch:
     def test_clean_data_lands_in_labeled_branch_and_accuracy_holds(self):
         ds = bimodal_clean_toy(seed=3)
@@ -599,12 +602,12 @@ class TestDstEpoch:
         warmup(workspaces, cfg.learning_rate, ds, 100, 16, streams)
         start = ensemble_accuracy(params_of(workspaces), ds.features, ds.true_labels)
         assert start >= 0.97
-        result = None
+        selection = None
         for _ in range(10):
-            result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+            selection, _ = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
         end = ensemble_accuracy(params_of(workspaces), ds.features, ds.true_labels)
         for name in ("net1", "net2"):
-            report = result.selection[name]
+            report = selection[name]
             labeled = report["branches"]["labeled"]["size"]
             assert labeled / report["n_samples"] >= 0.95
         assert end >= start - 1.5 / ds.n_samples
@@ -612,21 +615,23 @@ class TestDstEpoch:
     def test_divisions_come_from_the_other_network(self):
         ds = clean_toy(seed=4)
         workspaces, streams, cfg = warmed_pair(ds)
-        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
-        assert result.selection["net1"]["source"] == "net2"
-        assert result.selection["net2"]["source"] == "net1"
-        assert set(result.scatter) == {"net1", "net2"}
+        before = [profile(ws.params, ds) for ws in workspaces]
+        selection, profiles = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        assert selection["net1"]["source"] == "net2"
+        assert selection["net2"]["source"] == "net1"
+        assert_same_profiles(profiles, before)
 
     def test_single_network_mode_isolates_the_second_network(self):
         ds = clean_toy(seed=5)
         workspaces, streams, cfg = warmed_pair(ds)
         net2_before = params_hash(workspaces[1].params)
+        before = [profile(workspaces[0].params, ds)]
         single = dataclasses.replace(cfg, single_network=True)
-        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, single, streams)
+        selection, profiles = run_dst_epoch(workspaces, cfg.learning_rate, ds, single, streams)
         assert params_hash(workspaces[1].params) == net2_before
-        assert result.selection["net1"]["source"] == "net1"
-        assert "net2" not in result.selection
-        assert set(result.scatter) == {"net1"}
+        assert selection["net1"]["source"] == "net1"
+        assert "net2" not in selection
+        assert_same_profiles(profiles, before)
 
     def test_no_mixup_flag_equals_identity_mixing(self, monkeypatch):
         ds = clean_toy(seed=6)
@@ -650,17 +655,17 @@ class TestDstEpoch:
             lambda profiles, cfg: ([None, None], {"net1": "fit failed", "net2": "fit failed"}),
         )
         before = [params_hash(net) for net in params_of(workspaces)]
-        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
-        assert result.selection["net1"] == {"fallback": True}
-        assert result.selection["net2"] == {"fallback": True}
+        selection, _ = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        assert selection["net1"] == {"fallback": True}
+        assert selection["net2"] == {"fallback": True}
         assert params_hash(workspaces[0].params) != before[0]
         assert params_hash(workspaces[1].params) != before[1]
 
     def test_reports_carry_roles_and_mixture_diagnostics(self):
         ds = clean_toy(seed=8)
         workspaces, streams, cfg = warmed_pair(ds)
-        result = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
-        report = result.selection["net1"]
+        selection, _ = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        report = selection["net1"]
         assert report["fallback"] is False
         assert sorted(report["roles"]) == ["labeled", "predicted", "wrong"]
         assert sorted(report["roles"].values()) == [0, 1, 2]
@@ -668,37 +673,78 @@ class TestDstEpoch:
 
 
 class TestBranchAblation:
-    BRANCHES = np.array([BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG, BRANCH_LABELED])
+    """The ablation of a run's branches, made by `selection.partition` and
+    checked against the oracle's partition-then-relabel."""
+
+    # Rows that threshold to labeled, predicted, wrong and labeled at taus
+    # 0.5/0.5; the last is over tau_prd too.
+    W_R = np.array([0.9, 0.2, 0.1, 0.9])
+    W_PRD = np.array([0.1, 0.9, 0.2, 0.9])
+    ABLATIONS = [{}, {"disable_branch": "labeled"}, {"disable_branch": "predicted"}, {"all_wrong": True}]
+
+    def branches(self, **ablation):
+        cfg = ExperimentConfig(**ablation)
+        got = partition(self.W_R, self.W_PRD, cfg)
+        np.testing.assert_array_equal(got, partition_then_relabel(self.W_R, self.W_PRD, cfg))
+        return got.tolist()
 
     def test_all_wrong_overrides_everything(self):
-        out = _apply_branch_ablation(self.BRANCHES, ExperimentConfig(all_wrong=True))
-        assert (out == BRANCH_WRONG).all()
+        assert self.branches(all_wrong=True) == [BRANCH_WRONG] * 4
+        assert self.branches(all_wrong=True, disable_branch="predicted") == [BRANCH_WRONG] * 4
 
     def test_disable_labeled_reroutes_only_labeled(self):
-        out = _apply_branch_ablation(
-            self.BRANCHES, ExperimentConfig(disable_branch="labeled")
-        )
-        assert out.tolist() == [BRANCH_WRONG, BRANCH_PREDICTED, BRANCH_WRONG, BRANCH_WRONG]
+        out = self.branches(disable_branch="labeled")
+        assert out == [BRANCH_WRONG, BRANCH_PREDICTED, BRANCH_WRONG, BRANCH_WRONG]
 
     def test_disable_predicted_reroutes_only_predicted(self):
-        out = _apply_branch_ablation(
-            self.BRANCHES, ExperimentConfig(disable_branch="predicted")
-        )
-        assert out.tolist() == [BRANCH_LABELED, BRANCH_WRONG, BRANCH_WRONG, BRANCH_LABELED]
+        out = self.branches(disable_branch="predicted")
+        assert out == [BRANCH_LABELED, BRANCH_WRONG, BRANCH_WRONG, BRANCH_LABELED]
 
     def test_no_ablation_is_identity_on_a_copy(self):
-        out = _apply_branch_ablation(self.BRANCHES, ExperimentConfig())
-        np.testing.assert_array_equal(out, self.BRANCHES)
-        assert out is not self.BRANCHES
+        out = self.branches()
+        assert out == [BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG, BRANCH_LABELED]
+
+    @pytest.mark.parametrize(
+        "ablation, expected",
+        [
+            ({}, BRANCH_LABELED),
+            ({"disable_branch": "labeled"}, BRANCH_WRONG),
+            ({"disable_branch": "predicted"}, BRANCH_LABELED),
+            ({"all_wrong": True}, BRANCH_WRONG),
+        ],
+        ids=["none", "labeled", "predicted", "all-wrong"],
+    )
+    def test_row_over_both_thresholds(self, ablation, expected):
+        # At taus 0.3/0.3 a row with w_r = w_prd = 0.4 clears both. Labeled
+        # takes it first, so disabling labeled sends it to wrong, not to
+        # predicted.
+        cfg = ExperimentConfig(tau_r=0.3, tau_prd=0.3, **ablation)
+        w = np.array([0.4])
+        assert partition(w, w, cfg).tolist() == [expected]
+        assert partition_then_relabel(w, w, cfg).tolist() == [expected]
+
+    @given(
+        st.integers(0, 2**31),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from(ABLATIONS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_partition_then_relabel(self, seed, tau_r, tau_prd, ablation):
+        cfg = ExperimentConfig(tau_r=tau_r, tau_prd=tau_prd, **ablation)
+        rng = np.random.default_rng(seed)
+        w_r, w_prd = rng.uniform(size=(2, 64))
+        # Rows exactly on a threshold, and the pinned row w_r = w_prd = 0.4.
+        w_r[:3] = tau_r
+        w_prd[2:5] = tau_prd
+        w_r[5] = w_prd[5] = 0.4
+        got = partition(w_r, w_prd, cfg)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, partition_then_relabel(w_r, w_prd, cfg))
 
 
 class TestBranchCodes:
     W = np.array([0.9, 0.2, 0.4])
-
-    def test_epoch_table_rejects_unknown_codes(self):
-        weights = SelectionWeights(w_r=self.W, w_prd=self.W)
-        with pytest.raises(StructuralError):
-            _branch_table(weights, np.array([1, 7, -1]))
 
     def test_reference_refinement_rejects_unknown_codes(self):
         y = np.eye(2)[[0, 1, 0]]
@@ -706,9 +752,10 @@ class TestBranchCodes:
             refine_batch(y, y, self.W, self.W, np.array([1, 7, -1]), np.random.default_rng(0))
 
     def test_table_holds_the_blend_weights_of_each_branch(self):
-        weights = SelectionWeights(w_r=np.array([0.8, 0.3, 0.1]), w_prd=np.array([0.1, 0.6, 0.2]))
-        branches = np.array([BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG])
-        keep, lean, wrong = _branch_table(weights, branches)
+        ds = make_noisy(np.zeros((3, 1)), [0, 1, 0], [0, 1, 0], 2)
+        branches = [BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG]
+        division = make_division(ds, branches, w_r=[0.8, 0.3, 0.1], w_prd=[0.1, 0.6, 0.2])
+        keep, lean, wrong = _branch_table(division)
         assert keep[:2].tolist() == [0.8, 1.0 - 0.6]
         assert lean[:2].tolist() == [1.0 - 0.8, 0.6]
         assert wrong.tolist() == [False, False, True]
@@ -772,7 +819,7 @@ class TestEpochLoopMatchesOracle:
             monkeypatch.setattr(training, "co_divide", divide)
         results = []
         for _ in range(dst_epochs):
-            results.append(run_dst_epoch(workspaces, lr, ds, cfg, streams))
+            results.append(run_dst_epoch(workspaces, lr, ds, cfg, streams)[0])
             oracles.dst_epoch(ref_nets, ref_opts, ds, cfg, ref_streams, divide)
             assert_same_state(workspaces, ref_nets, ref_opts)
         # Both sides drew the same number of values from every stream.
@@ -787,13 +834,17 @@ class TestEpochLoopMatchesOracle:
             {"single_network": True},
             {"no_mixup": True},
             {"disable_branch": "predicted"},
+            {"disable_branch": "labeled"},
             {"all_wrong": True},
         ],
-        ids=["two-nets", "single-network", "no-mixup", "disable-predicted", "all-wrong"],
+        ids=[
+            "two-nets", "single-network", "no-mixup", "disable-predicted", "disable-labeled",
+            "all-wrong",
+        ],
     )
     def test_ablations_with_a_one_row_last_batch(self, ablation):
         ds, results = self.run_both(8 * self.BATCH + 1, ablation)
-        branches = results[-1].selection["net1"]["branches"]
+        branches = results[-1]["net1"]["branches"]
         assert sum(b["size"] for b in branches.values()) == ds.n_samples
 
     @pytest.mark.parametrize("n_samples", [8 * 16 + 7, 9 * 16])
@@ -808,7 +859,7 @@ class TestEpochLoopMatchesOracle:
     def test_every_branch_is_populated_in_the_two_net_case(self):
         _, results = self.run_both(8 * self.BATCH + 1, {}, dst_epochs=1)
         for name in ("net1", "net2"):
-            sizes = [b["size"] for b in results[0].selection[name]["branches"].values()]
+            sizes = [b["size"] for b in results[0][name]["branches"].values()]
             assert min(sizes) > 0, sizes
 
     def test_fit_failure_fallback(self, monkeypatch):
@@ -824,8 +875,8 @@ class TestEpochLoopMatchesOracle:
             return [for_net1, for_net2], {"net2": "forced"}
 
         _, results = self.run_both(8 * self.BATCH + 1, {}, monkeypatch, divide)
-        assert [r.selection["net1"] == {"fallback": True} for r in results] == [True, True, False]
-        assert [r.selection["net2"] == {"fallback": True} for r in results] == [False, True, False]
+        assert [r["net1"] == {"fallback": True} for r in results] == [True, True, False]
+        assert [r["net2"] == {"fallback": True} for r in results] == [False, True, False]
 
 
 class TestEpochRefusesNonFinite:
@@ -838,11 +889,12 @@ class TestEpochRefusesNonFinite:
         return ds, ws
 
     def refinement(self, ds, params):
-        weights = SelectionWeights(w_r=np.full(ds.n_samples, 0.7), w_prd=np.zeros(ds.n_samples))
-        branches = partition(weights, 0.5, 0.5)
+        w_r, w_prd = np.full(ds.n_samples, 0.7), np.zeros(ds.n_samples)
+        branches = partition(w_r, w_prd, ExperimentConfig())
         branches[::3] = BRANCH_WRONG
+        division = make_division(ds, branches, w_r=w_r, w_prd=w_prd)
         return _Refinement(
-            [params], *_branch_table(weights, branches), ExperimentConfig(),
+            [params], *_branch_table(division), ExperimentConfig(),
             np.random.default_rng(2), np.random.default_rng(3),
         )
 
