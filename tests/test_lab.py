@@ -568,6 +568,11 @@ class TestScatterWriter:
             epochs.append(len(epochs) + 1)
             if epochs[-1] == 2:
                 os.kill(forks[0], signal.SIGKILL)
+                # SIGKILL lands asynchronously: until the writer has exited
+                # it still holds the request pipe open, and epoch 3's
+                # submit could fill the pipe instead of failing. Wait for
+                # the exit without reaping, so the run still reaps it.
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
             return real(*args)
 
         monkeypatch.setattr(lab, "evaluate", killing_evaluate)
