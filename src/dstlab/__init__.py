@@ -6,14 +6,18 @@ are normalized into the unit square, a three-component Gaussian mixture
 splits the cloud into correctly-labeled / correctly-predicted / wrong
 sets, and each network trains on the division computed from its partner's
 losses (the other network's, or its own in single-network mode) with soft
-label refinement, sharpening, and MixUp. Every setting, and every range
-check on it, lives in `ExperimentConfig`.
+label refinement, sharpening, and MixUp.
+
+The config is a run's one outside input. Every setting, and every range
+check on it, lives in `ExperimentConfig`; the datasets, networks and
+mixtures a run builds from it are not checked again. So the public entry
+is the config-driven one: `load_config` (or `ExperimentConfig`), then
+`run`, `dump_scatter` and `compare`.
 """
 
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config
-from .data import CleanDataset, NoiseSpec, NoisyDataset, make_blobs
 from .errors import (
     ConfigError,
     GmmFitError,
@@ -24,26 +28,19 @@ from .errors import (
     StructuralError,
 )
 from .lab import compare, dump_scatter, run
-from .network import NetworkParams, init_network
 
 __all__ = [
-    "CleanDataset",
     "ConfigError",
     "ExperimentConfig",
     "GmmFitError",
     "InsufficientDataError",
     "LabError",
-    "NetworkParams",
-    "NoiseSpec",
-    "NoisyDataset",
     "NotFoundError",
     "NumericError",
     "StructuralError",
     "compare",
     "dump_scatter",
-    "init_network",
     "load_config",
-    "make_blobs",
     "run",
     "__version__",
 ]

@@ -173,8 +173,6 @@ class ExperimentConfig:
 
         Epochs are 1-indexed.
         """
-        if epoch < 1:
-            raise ConfigError(f"epochs are 1-indexed, got {epoch}")
         return self.learning_rate * self.lr_decay_factor ** (
             (epoch - 1) // self.lr_decay_period
         )

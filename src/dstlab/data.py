@@ -3,18 +3,20 @@
 Datasets keep the real label alongside the (possibly corrupted) training
 label so downstream audits can classify every sample into one of five
 agreement states between noisy label, real label, and model prediction.
+
+Every size, spread, noise kind and rate arrives from a checked
+`ExperimentConfig` (through `lab.build_datasets`), so nothing here checks
+a range or a shape again.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .errors import ConfigError, NumericError, StructuralError
 
 # Adjacent blob centers sit this many spreads apart. 4 is the hard floor;
 # 6 is the smallest spacing that keeps a one-vs-rest least-squares oracle
@@ -36,20 +38,6 @@ class CleanDataset:
     true_labels: np.ndarray  # [N] int64
     n_classes: int
 
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise StructuralError(f"features must be [N, D], got {self.features.shape}")
-        if self.true_labels.shape != (self.features.shape[0],):
-            raise StructuralError("one true label per sample required")
-        if not np.all(np.isfinite(self.features)):
-            raise NumericError("features must be finite")
-        if self.features.shape[0] and (
-            self.true_labels.min() < 0 or self.true_labels.max() >= self.n_classes
-        ):
-            raise StructuralError("true labels out of range")
-
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
@@ -61,31 +49,15 @@ class CleanDataset:
 
 @dataclass
 class NoiseSpec:
-    kind: str
+    kind: str  # one of NOISE_KINDS
     rate: float
     seed: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.kind!r}, expected {NOISE_KINDS}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"noise rate must be in [0, 1], got {self.rate}")
 
 
 @dataclass
 class NoisyDataset(CleanDataset):
-    noisy_labels: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    noise_spec: NoiseSpec | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.noisy_labels = np.asarray(self.noisy_labels, dtype=np.int64)
-        if self.noisy_labels.shape != self.true_labels.shape:
-            raise StructuralError("one noisy label per sample required")
-        if self.n_samples and (
-            self.noisy_labels.min() < 0 or self.noisy_labels.max() >= self.n_classes
-        ):
-            raise StructuralError("noisy labels out of range")
+    noisy_labels: np.ndarray  # [N] int64
+    noise_spec: NoiseSpec | None
 
 
 def _blob_centers(n_classes: int, n_features: int, spread: float) -> np.ndarray:
@@ -114,14 +86,6 @@ def make_blobs(
     rng: np.random.Generator,
 ) -> CleanDataset:
     """Isotropic Gaussian blobs, one per class, in class-block order."""
-    if n_classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {n_classes}")
-    if per_class < 1:
-        raise ConfigError(f"per_class must be >= 1, got {per_class}")
-    if n_features < 1:
-        raise ConfigError(f"n_features must be >= 1, got {n_features}")
-    if spread <= 0:
-        raise ConfigError(f"spread must be > 0, got {spread}")
     centers = _blob_centers(n_classes, n_features, spread)
     n_total = n_classes * per_class
     features = np.repeat(centers, per_class, axis=0)
@@ -130,77 +94,35 @@ def make_blobs(
     return CleanDataset(features=features, true_labels=labels, n_classes=n_classes)
 
 
-def _with_noise(
-    ds: CleanDataset, noisy: np.ndarray, spec: NoiseSpec
-) -> NoisyDataset:
-    return NoisyDataset(
-        features=ds.features.copy(),
-        true_labels=ds.true_labels.copy(),
-        n_classes=ds.n_classes,
-        noisy_labels=noisy,
-        noise_spec=spec,
-    )
-
-
-def inject_symmetric_c1(
-    ds: CleanDataset, rate: float, seed: int
-) -> NoisyDataset:
-    """Relabel exactly floor(rate * N) samples uniformly over all classes.
-
-    The redraw may reproduce the true label, so the realized disagreement
-    rate is rate * (C - 1) / C in expectation.
-    """
-    spec = NoiseSpec(kind="sym-c1", rate=rate, seed=seed)
-    rng = np.random.default_rng(seed)
-    noisy = ds.true_labels.copy()
-    n_flip = int(np.floor(rate * ds.n_samples))
-    chosen = rng.permutation(ds.n_samples)[:n_flip]
-    noisy[chosen] = rng.integers(0, ds.n_classes, size=n_flip)
-    return _with_noise(ds, noisy, spec)
-
-
-def inject_symmetric_c2(
-    ds: CleanDataset, rate: float, seed: int
-) -> NoisyDataset:
-    """Relabel exactly floor(rate * N) samples uniformly over the other classes."""
-    if ds.n_classes < 2:
-        raise ConfigError("symmetric noise over other classes needs >= 2 classes")
-    spec = NoiseSpec(kind="sym-c2", rate=rate, seed=seed)
-    rng = np.random.default_rng(seed)
-    noisy = ds.true_labels.copy()
-    n_flip = int(np.floor(rate * ds.n_samples))
-    chosen = rng.permutation(ds.n_samples)[:n_flip]
-    # Draw an offset in [1, C) so the new label always differs from the truth.
-    offsets = rng.integers(1, ds.n_classes, size=n_flip)
-    noisy[chosen] = (ds.true_labels[chosen] + offsets) % ds.n_classes
-    return _with_noise(ds, noisy, spec)
-
-
-def cyclic_mapping(n_classes: int) -> dict[int, int]:
-    return {c: (c + 1) % n_classes for c in range(n_classes)}
-
-
-def inject_asymmetric(ds: CleanDataset, rate: float, seed: int) -> NoisyDataset:
-    """Flip each sample independently to the next class (`cyclic_mapping`)
-    with prob rate."""
-    if ds.n_classes < 2:
-        raise ConfigError("asymmetric noise needs >= 2 classes")
-    spec = NoiseSpec(kind="asym", rate=rate, seed=seed)
-    table = cyclic_mapping(ds.n_classes)
-    rng = np.random.default_rng(seed)
-    noisy = ds.true_labels.copy()
-    flip = rng.random(ds.n_samples) < rate
-    for src, dst in table.items():
-        noisy[flip & (ds.true_labels == src)] = dst
-    return _with_noise(ds, noisy, spec)
-
-
 def inject_noise(ds: CleanDataset, spec: NoiseSpec) -> NoisyDataset:
-    if spec.kind == "sym-c1":
-        return inject_symmetric_c1(ds, spec.rate, spec.seed)
-    if spec.kind == "sym-c2":
-        return inject_symmetric_c2(ds, spec.rate, spec.seed)
-    return inject_asymmetric(ds, spec.rate, spec.seed)
+    """Training labels corrupted by `spec`, drawn from `spec.seed` alone.
+
+    - `sym-c1` relabels exactly floor(rate * N) samples uniformly over all
+      classes. A redraw may reproduce the true label, so the realized
+      disagreement rate is rate * (C - 1) / C in expectation.
+    - `sym-c2` relabels exactly floor(rate * N) samples uniformly over the
+      other classes.
+    - `asym` flips each sample independently, with probability rate, to
+      the next class, (c + 1) % C.
+
+    The noisy set shares `ds`'s feature and true-label arrays; neither is
+    copied or written.
+    """
+    rng = np.random.default_rng(spec.seed)
+    truth, n_classes = ds.true_labels, ds.n_classes
+    noisy = truth.copy()
+    if spec.kind == "asym":
+        flip = rng.random(ds.n_samples) < spec.rate
+        noisy[flip] = (truth[flip] + 1) % n_classes
+    else:
+        chosen = rng.permutation(ds.n_samples)[: int(np.floor(spec.rate * ds.n_samples))]
+        if spec.kind == "sym-c1":
+            noisy[chosen] = rng.integers(0, n_classes, size=chosen.size)
+        else:
+            # An offset in [1, C) never lands back on the true label.
+            offsets = rng.integers(1, n_classes, size=chosen.size)
+            noisy[chosen] = (truth[chosen] + offsets) % n_classes
+    return NoisyDataset(ds.features, truth, n_classes, noisy, spec)
 
 
 def audit_states(ds: NoisyDataset, predicted: np.ndarray) -> np.ndarray:
@@ -213,12 +135,9 @@ def audit_states(ds: NoisyDataset, predicted: np.ndarray) -> np.ndarray:
       4 (iv):  y != y_real, p != y_real, y == p
       5 (v):   y != y_real, p != y_real, y != p
     """
-    pred = np.asarray(predicted, dtype=np.int64)
-    if pred.shape != ds.true_labels.shape:
-        raise StructuralError("one prediction per sample required")
     y_ok = ds.noisy_labels == ds.true_labels
-    p_ok = pred == ds.true_labels
-    y_is_p = ds.noisy_labels == pred
+    p_ok = predicted == ds.true_labels
+    y_is_p = ds.noisy_labels == predicted
     states = np.full(ds.n_samples, 5, dtype=np.int64)
     states[y_ok & p_ok] = 1
     states[y_ok & ~p_ok] = 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GmmFitError, InsufficientDataError, StructuralError
+from .errors import GmmFitError, InsufficientDataError
 
 N_COMPONENTS = 3
 
@@ -41,8 +41,6 @@ class GmmModel:
 
 def _validate_points(points: np.ndarray) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise StructuralError(f"points must be [N, 2], got {arr.shape}")
     if arr.shape[0] < MIN_POINTS:
         raise InsufficientDataError(
             f"need at least {MIN_POINTS} points to fit, got {arr.shape[0]}"
@@ -51,17 +49,6 @@ def _validate_points(points: np.ndarray) -> np.ndarray:
         raise GmmFitError("points contain non-finite values")
     if (arr == arr[0]).all():
         raise GmmFitError("all points are identical: the cloud has no spread")
-    return arr
-
-
-def _validate_anchors(anchors: np.ndarray) -> np.ndarray:
-    arr = np.asarray(anchors, dtype=np.float64)
-    if arr.shape != (N_COMPONENTS, 2):
-        raise StructuralError(f"anchors must be [3, 2], got {arr.shape}")
-    for a in range(N_COMPONENTS):
-        for b in range(a + 1, N_COMPONENTS):
-            if np.array_equal(arr[a], arr[b]):
-                raise StructuralError("anchors must be pairwise distinct")
     return arr
 
 
@@ -135,14 +122,11 @@ def fit(
     absolute change) between consecutive evaluations, or after `max_iter`
     M-steps. The trace records the log-likelihood of the parameters entering
     each iteration, ending with the log-likelihood of the returned
-    parameters.
+    parameters. `anchors`, `tol` and `max_iter` are a checked config's
+    `gmm_anchors`, `gmm_tol` and `gmm_max_iter`.
     """
     pts = _validate_points(points)
-    means = _validate_anchors(anchors).copy()
-    if tol < 0:
-        raise StructuralError(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise StructuralError(f"max_iter must be >= 1, got {max_iter}")
+    means = np.array(anchors, dtype=np.float64)
 
     n = pts.shape[0]
     cols = _columns(pts)

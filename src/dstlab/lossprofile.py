@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import NoisyDataset, audit_states
-from .errors import StructuralError
 from .network import LOG_FLOOR, NetworkParams, forward_cached, softmax
 
 
@@ -41,8 +40,6 @@ class LossProfile:
 
 def profile(params: NetworkParams, ds: NoisyDataset) -> LossProfile:
     """The normalized, audited loss cloud of `ds`; no parameter is updated."""
-    if ds.n_samples < 2:
-        raise StructuralError("a loss profile needs at least 2 samples")
     logits, activations = forward_cached(params, ds.features)
     probs = softmax(logits)
     predicted = probs.argmax(axis=1).astype(np.int64)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StructuralError
+from .errors import NumericError
 
 # Probability floor applied inside every logarithm.
 LOG_FLOOR = 1e-12
@@ -139,11 +139,10 @@ def blas_threads_for(sizes: Sequence[int], batch_size: int) -> Iterator[None]:
 
 
 def init_network(sizes: Sequence[int], rng: np.random.Generator) -> NetworkParams:
-    """Build a network with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    if len(sizes) < 2:
-        raise ConfigError(f"need at least input and output sizes, got {list(sizes)}")
-    if any(int(s) < 1 for s in sizes):
-        raise ConfigError(f"layer sizes must be positive, got {list(sizes)}")
+    """Build a network with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
+
+    `sizes` is a checked config's `layer_sizes()`.
+    """
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -157,13 +156,6 @@ def forward_cached(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass of a batch [N, D], returning logits and the input to every layer."""
     batch = np.asarray(x, dtype=np.float64)
-    if batch.ndim != 2:
-        raise StructuralError(f"expected a 2-D batch, got shape {batch.shape}")
-    if batch.shape[1] != params.n_inputs:
-        raise StructuralError(
-            f"input dimension {batch.shape[1]} does not match "
-            f"first-layer fan_in {params.n_inputs}"
-        )
     activations = [batch]
     a = batch
     last = len(params.layers) - 1
@@ -199,15 +191,14 @@ def backprop_from_logits(
     params: NetworkParams,
     activations: list[np.ndarray],
     d_logits: np.ndarray,
-    out: Grads | None = None,
+    out: Grads,
 ) -> Grads:
     """Push a gradient w.r.t. the logits back to every parameter.
 
     `activations` is the list produced by `forward_cached`; gradients are
-    summed over the batch dimension and written into `out` when given.
+    summed over the batch dimension and written into `out`, which is
+    returned.
     """
-    if out is None:
-        out = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in params.layers]
     delta = d_logits
     for k in range(len(params.layers) - 1, -1, -1):
         np.matmul(delta.T, activations[k], out=out[k][0])

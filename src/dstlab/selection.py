@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import STATE_NAMES, NoisyDataset
-from .errors import GmmFitError, StructuralError
+from .errors import GmmFitError
 from .gmm import GmmModel, fit, model_to_dict
 from .lossprofile import LossProfile
 from .rng import NET_NAMES
@@ -32,15 +32,12 @@ BRANCH_NAMES = ("labeled", "predicted", "wrong")
 
 @dataclass(frozen=True)
 class RoleMap:
-    """Which mixture component plays which role. A bijection onto {0,1,2}."""
+    """Which mixture component plays which role: a bijection onto {0,1,2},
+    as `assign_roles`, its only producer, builds it."""
 
     labeled: int
     predicted: int
     wrong: int
-
-    def __post_init__(self) -> None:
-        if sorted((self.labeled, self.predicted, self.wrong)) != [0, 1, 2]:
-            raise StructuralError("role map must be a bijection onto components 0..2")
 
 
 def assign_roles(model: GmmModel, anchors: np.ndarray) -> RoleMap:
@@ -122,10 +119,6 @@ def co_divide(
     None for its consumer (which falls back to plain cross-entropy that
     epoch) and its error under the source's name.
     """
-    if not 1 <= len(profiles) <= len(NET_NAMES):
-        raise StructuralError(f"expected 1 to {len(NET_NAMES)} profiles, got {len(profiles)}")
-    if any(prof.n_samples != profiles[0].n_samples for prof in profiles):
-        raise StructuralError("profiles must cover the same dataset")
     divisions: list[Division | None] = []
     fit_errors: dict[str, str] = {}
     for source, prof in zip(NET_NAMES, profiles):
@@ -152,8 +145,6 @@ def selection_report(division: Division, ds: NoisyDataset) -> dict:
     and agreement states are the source profile's. Empty branches report
     null precision/recall rather than 0.
     """
-    if division.profile.n_samples != ds.n_samples:
-        raise StructuralError("the division must cover the dataset")
     branches, predicted = division.branches, division.profile.predicted
     states = division.profile.states
     label_ok = ds.noisy_labels == ds.true_labels

@@ -25,7 +25,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import NoisyDataset
-from .errors import ConfigError
 from .lossprofile import LossProfile, profile
 from .network import (
     LOG_FLOOR,
@@ -54,8 +53,6 @@ def _mean_softmax(logits: list[np.ndarray]) -> np.ndarray:
 
 def sharpen(y_tilde: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature exponentiation and renormalization, row-wise."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
     arr = np.asarray(y_tilde, dtype=np.float64)
     powered = arr ** (1.0 / temperature)
     powered /= powered.sum(axis=-1, keepdims=True)
@@ -70,8 +67,6 @@ def mixup_batch(
     Partners come from one uniform permutation; each pair gets its own
     coefficient. Draw order is fixed: permutation first, then coefficients.
     """
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
     n = x.shape[0]
     perm = rng.permutation(n)
     lam = rng.beta(alpha, alpha, size=n)

@@ -56,7 +56,12 @@ def backward(params, x, target):
             f"(batch {batch.shape[0]}, classes {params.n_outputs})"
         )
     logits, activations = forward_cached(params, batch)
-    return backprop_from_logits(params, activations, softmax(logits) - targets)
+    return backprop_from_logits(params, activations, softmax(logits) - targets, grads_like(params))
+
+
+def grads_like(params):
+    """Fresh, uninitialized gradient arrays for `backprop_from_logits` to fill."""
+    return [(np.empty_like(layer.weights), np.empty_like(layer.bias)) for layer in params.layers]
 
 
 def cross_entropy(p, target):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,25 +9,24 @@ from hypothesis import strategies as st
 from conftest import make_division, make_noisy
 from dstlab.data import (
     CENTER_SPACING,
-    CleanDataset,
     NoiseSpec,
     audit_states,
-    cyclic_mapping,
-    inject_asymmetric,
     inject_noise,
-    inject_symmetric_c1,
-    inject_symmetric_c2,
     make_blobs,
     STATE_NAMES,
     save_dataset,
 )
-from dstlab.errors import ConfigError, StructuralError
+from dstlab.errors import StructuralError
 from dstlab.selection import selection_report
 from oracles import load_dataset
 
 
 def blobs(n_classes=4, per_class=50, n_features=2, spread=0.5, seed=0):
     return make_blobs(n_classes, per_class, n_features, spread, np.random.default_rng(seed))
+
+
+def corrupt(ds, kind, rate, seed):
+    return inject_noise(ds, NoiseSpec(kind=kind, rate=rate, seed=seed))
 
 
 class TestMakeBlobs:
@@ -66,32 +66,16 @@ class TestMakeBlobs:
     def test_spacing_constant_is_frozen(self):
         assert CENTER_SPACING == 6.0
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_classes": 1},
-            {"per_class": 0},
-            {"n_features": 0},
-            {"spread": 0.0},
-            {"spread": -1.0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        base = dict(n_classes=3, per_class=5, n_features=2, spread=0.5)
-        base.update(kwargs)
-        with pytest.raises(ConfigError):
-            make_blobs(rng=np.random.default_rng(0), **base)
-
 
 class TestSymmetricCriterion1:
     def test_rate_zero_is_identity(self):
         ds = blobs()
-        noisy = inject_symmetric_c1(ds, 0.0, seed=1)
+        noisy = corrupt(ds, "sym-c1", 0.0, seed=1)
         assert np.array_equal(noisy.noisy_labels, noisy.true_labels)
 
     def test_rate_one_keeps_one_over_c_by_chance(self):
         ds = blobs(n_classes=10, per_class=1000)
-        noisy = inject_symmetric_c1(ds, 1.0, seed=2)
+        noisy = corrupt(ds, "sym-c1", 1.0, seed=2)
         kept = (noisy.noisy_labels == noisy.true_labels).mean()
         assert 0.08 <= kept <= 0.12  # 5 sigma around 1/10
 
@@ -100,37 +84,37 @@ class TestSymmetricCriterion1:
         # label with probability 1/C, so disagreement concentrates near
         # 5000 * 3/4 (5 sigma on a binomial(5000, 3/4) is about 153).
         ds = blobs(n_classes=4, per_class=2500)
-        noisy = inject_symmetric_c1(ds, 0.5, seed=3)
+        noisy = corrupt(ds, "sym-c1", 0.5, seed=3)
         disagree = int((noisy.noisy_labels != noisy.true_labels).sum())
         assert disagree <= 5000
         assert 3597 <= disagree <= 3903
 
     def test_same_seed_reproduces(self):
         ds = blobs()
-        a = inject_symmetric_c1(ds, 0.5, seed=5)
-        b = inject_symmetric_c1(ds, 0.5, seed=5)
+        a = corrupt(ds, "sym-c1", 0.5, seed=5)
+        b = corrupt(ds, "sym-c1", 0.5, seed=5)
         assert np.array_equal(a.noisy_labels, b.noisy_labels)
 
 
 class TestSymmetricCriterion2:
     def test_rate_one_changes_every_label(self):
         ds = blobs(n_classes=4, per_class=100)
-        noisy = inject_symmetric_c2(ds, 1.0, seed=1)
+        noisy = corrupt(ds, "sym-c2", 1.0, seed=1)
         assert np.all(noisy.noisy_labels != noisy.true_labels)
 
     def test_rate_zero_is_identity(self):
         ds = blobs()
-        noisy = inject_symmetric_c2(ds, 0.0, seed=1)
+        noisy = corrupt(ds, "sym-c2", 0.0, seed=1)
         assert np.array_equal(noisy.noisy_labels, noisy.true_labels)
 
     def test_disagreement_is_exactly_the_rate(self):
         ds = blobs(n_classes=4, per_class=2500)
-        noisy = inject_symmetric_c2(ds, 0.4, seed=7)
+        noisy = corrupt(ds, "sym-c2", 0.4, seed=7)
         assert int((noisy.noisy_labels != noisy.true_labels).sum()) == 4000
 
     def test_replacement_labels_cover_other_classes(self):
         ds = blobs(n_classes=5, per_class=500)
-        noisy = inject_symmetric_c2(ds, 1.0, seed=9)
+        noisy = corrupt(ds, "sym-c2", 1.0, seed=9)
         for c in range(5):
             seen = set(noisy.noisy_labels[noisy.true_labels == c].tolist())
             assert c not in seen
@@ -140,17 +124,17 @@ class TestSymmetricCriterion2:
 class TestAsymmetric:
     def test_rate_zero_is_identity(self):
         ds = blobs()
-        noisy = inject_asymmetric(ds, 0.0, seed=1)
+        noisy = corrupt(ds, "asym", 0.0, seed=1)
         assert np.array_equal(noisy.noisy_labels, noisy.true_labels)
 
     def test_rate_one_cyclic_shift(self):
         ds = blobs(n_classes=4, per_class=50)
-        noisy = inject_asymmetric(ds, 1.0, seed=1)
+        noisy = corrupt(ds, "asym", 1.0, seed=1)
         assert np.array_equal(noisy.noisy_labels, (noisy.true_labels + 1) % 4)
 
     def test_per_class_flip_fraction_within_binomial_bounds(self):
         ds = blobs(n_classes=4, per_class=2500)
-        noisy = inject_asymmetric(ds, 0.4, seed=11)
+        noisy = corrupt(ds, "asym", 0.4, seed=11)
         for c in range(4):
             mask = noisy.true_labels == c
             flipped = (noisy.noisy_labels[mask] != c).mean()
@@ -158,41 +142,32 @@ class TestAsymmetric:
 
     def test_flips_land_on_the_mapping(self):
         ds = blobs(n_classes=4, per_class=200)
-        noisy = inject_asymmetric(ds, 0.5, seed=13)
+        noisy = corrupt(ds, "asym", 0.5, seed=13)
         changed = noisy.noisy_labels != noisy.true_labels
-        mapping = cyclic_mapping(4)
         assert changed.any()
         assert noisy.noisy_labels[changed].tolist() == [
-            mapping[c] for c in noisy.true_labels[changed].tolist()
+            (c + 1) % 4 for c in noisy.true_labels[changed].tolist()
         ]
 
-    def test_single_class_rejected(self):
-        # The cyclic map of one class is a fixed point: no flip is possible.
-        ds = CleanDataset(features=np.zeros((5, 2)), true_labels=np.zeros(5), n_classes=1)
-        with pytest.raises(ConfigError, match="needs >= 2 classes"):
-            inject_asymmetric(ds, 0.2, seed=1)
 
-    def test_cyclic_mapping_is_fixed_point_free(self):
-        for c, dst in cyclic_mapping(6).items():
-            assert dst == (c + 1) % 6
-            assert dst != c
+class TestNoiseDraws:
+    # SHA-256 of the noisy labels' bytes on 4 x 50 blobs (seed 0), per kind
+    # at two (rate, seed) pairs: any change to a kind's draws or their order
+    # shows here, also for the kinds the reference run does not use.
+    DIGESTS = {
+        ("sym-c1", 0.3, 5): "82e2dc29762bfbf32e9ee602ef67e9d0d3c34f0cb8c8f48b8ef669d590438295",
+        ("sym-c1", 0.8, 123): "124d4c967b23ec83be9784b5b4b7aba583ac206795dad003388481e7a088eb87",
+        ("sym-c2", 0.3, 5): "a9f219459eb7b59d3e9f4bdbd6c6ee2571374776131c38327596a3ebe294fdec",
+        ("sym-c2", 0.8, 123): "b9f0e63080dceb5710e6aaa6e65c9eb72384122d80f093915f99422854c38384",
+        ("asym", 0.3, 5): "7433d00d892dbf3f1be6d9a56a3e1754a300a821d623af14b6571d69a06f43c7",
+        ("asym", 0.8, 123): "84912fc76ed2360507117e91086c4d3da0e8e637b1805eaaeab28bbb6504e48f",
+    }
 
-
-class TestNoiseSpecDispatch:
-    def test_dispatch_matches_direct_calls(self):
-        ds = blobs()
-        via_spec = inject_noise(ds, NoiseSpec(kind="sym-c2", rate=0.3, seed=21))
-        direct = inject_symmetric_c2(ds, 0.3, seed=21)
-        assert np.array_equal(via_spec.noisy_labels, direct.noisy_labels)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            NoiseSpec(kind="typo", rate=0.3, seed=1)
-
-    @pytest.mark.parametrize("rate", [-0.01, 1.01])
-    def test_rate_out_of_range_rejected(self, rate):
-        with pytest.raises(ConfigError):
-            NoiseSpec(kind="sym-c1", rate=rate, seed=1)
+    @pytest.mark.parametrize("kind,rate,seed", list(DIGESTS))
+    def test_noisy_label_bytes_are_pinned(self, kind, rate, seed):
+        labels = corrupt(blobs(), kind, rate, seed).noisy_labels
+        assert labels.dtype == np.int64
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == self.DIGESTS[kind, rate, seed]
 
 
 @given(
@@ -209,6 +184,9 @@ def test_injection_never_mutates_features_or_truth(kind, rate, seed):
     assert np.array_equal(ds.features, before_features)
     assert np.array_equal(ds.true_labels, before_truth)
     assert np.array_equal(noisy.true_labels, before_truth)
+    # Shared with the clean set, not copied.
+    assert noisy.features is ds.features and noisy.true_labels is ds.true_labels
+    assert noisy.noise_spec == NoiseSpec(kind=kind, rate=rate, seed=seed)
     assert noisy.n_samples == ds.n_samples
     assert noisy.noisy_labels.min() >= 0 and noisy.noisy_labels.max() < 3
 
@@ -248,11 +226,6 @@ class TestAuditStates:
                 expected = 5
             assert states[i] == expected
 
-    def test_prediction_shape_must_match(self):
-        ds = make_noisy(np.zeros((3, 1)), [0, 0, 0], [0, 0, 0], 2)
-        with pytest.raises(StructuralError):
-            audit_states(ds, np.array([0, 1]))
-
     def test_state_names(self):
         # Selection reports key each state's count by its name: state s
         # occurs s times here, all in the labeled branch.
@@ -267,7 +240,7 @@ class TestAuditStates:
 
 class TestDatasetFile:
     def test_round_trip_is_exact(self, tmp_path):
-        noisy = inject_symmetric_c1(blobs(per_class=7), 0.5, seed=3)
+        noisy = corrupt(blobs(per_class=7), "sym-c1", 0.5, seed=3)
         path = tmp_path / "dataset.csv"
         save_dataset(noisy, path)
         loaded = load_dataset(path)
@@ -279,7 +252,7 @@ class TestDatasetFile:
         assert loaded.noise_spec.rate == 0.5
 
     def test_header_and_sidecar(self, tmp_path):
-        noisy = inject_symmetric_c1(blobs(per_class=3, n_features=3), 0.2, seed=1)
+        noisy = corrupt(blobs(per_class=3, n_features=3), "sym-c1", 0.2, seed=1)
         path = tmp_path / "dataset.csv"
         save_dataset(noisy, path)
         header = path.read_text().splitlines()[0]
@@ -291,19 +264,3 @@ class TestDatasetFile:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(StructuralError):
             load_dataset(path)
-
-
-class TestDatasetValidation:
-    def test_labels_out_of_range(self):
-        with pytest.raises(StructuralError):
-            CleanDataset(features=np.zeros((2, 1)), true_labels=[0, 5], n_classes=2)
-
-    def test_non_finite_features(self):
-        with pytest.raises(Exception):
-            CleanDataset(
-                features=np.array([[np.nan], [0.0]]), true_labels=[0, 1], n_classes=2
-            )
-
-    def test_noisy_label_shape(self):
-        with pytest.raises(StructuralError):
-            make_noisy(np.zeros((2, 1)), [0, 1], [0], 2)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ANCHORS, DEFAULTS
-from dstlab.errors import GmmFitError, InsufficientDataError, StructuralError
+from dstlab.errors import GmmFitError, InsufficientDataError
 from dstlab.gmm import (
     PI_FLOOR,
     SIGMA_FLOOR,
@@ -118,29 +118,11 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             fit(np.zeros((5, 2)), ANCHORS, TOL, MAX_ITER)
 
-    def test_bad_shapes(self):
-        with pytest.raises(StructuralError):
-            fit(np.zeros((10, 3)), ANCHORS, TOL, MAX_ITER)
-        with pytest.raises(StructuralError):
-            fit(np.random.default_rng(0).uniform(size=(10, 2)), np.zeros((2, 2)), TOL, MAX_ITER)
-
-    def test_duplicate_anchors_rejected(self):
-        anchors = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(StructuralError):
-            fit(np.random.default_rng(0).uniform(size=(10, 2)), anchors, TOL, MAX_ITER)
-
     def test_non_finite_points_rejected(self):
         points = np.full((10, 2), 0.5)
         points[3, 0] = np.nan
         with pytest.raises(GmmFitError):
             fit(points, ANCHORS, TOL, MAX_ITER)
-
-    def test_parameter_validation(self):
-        points = np.random.default_rng(0).uniform(size=(10, 2))
-        with pytest.raises(StructuralError):
-            fit(points, ANCHORS, tol=-1.0, max_iter=MAX_ITER)
-        with pytest.raises(StructuralError):
-            fit(points, ANCHORS, tol=TOL, max_iter=0)
 
     def test_defaults_are_pinned(self):
         assert TOL == 20.0

@@ -386,6 +386,62 @@ class TestFitFailureEndToEnd:
                     assert selection_report[consumer]["source"] == source
 
 
+
+class TestSmallestConfigs:
+    """The smallest configs the config accepts, run end to end.
+
+    Two training samples is the floor a loss profile relies on: below the
+    mixture's six points every fit fails and both networks fall back to
+    plain cross-entropy, but each epoch is still profiled and dumped.
+    """
+
+    @staticmethod
+    def run_smallest(tmp_path, per_class):
+        cfg = config_from_dict(
+            {
+                "n_classes": 2,
+                "per_class": per_class,
+                "test_per_class": 1,
+                "total_epochs": 3,
+                "warmup_epochs": 1,
+            }
+        )
+        run_dir = run(cfg, tmp_path / "r")
+        reports = [
+            json.loads((run_dir / "reports" / f"epoch_{epoch:03d}.json").read_text())
+            for epoch in (2, 3)
+        ]
+        return run_dir, load_summary(run_dir), reports
+
+    @staticmethod
+    def assert_scatter_rows(run_dir, n_train):
+        for epoch in (2, 3):
+            for name in NET_NAMES:
+                with scatter_csv_path(run_dir, epoch, name).open(newline="") as fh:
+                    assert len(list(csv.DictReader(fh))) == n_train
+
+    def test_two_samples_fall_back_every_selection_epoch(self, tmp_path):
+        run_dir, summary, reports = self.run_smallest(tmp_path, per_class=1)
+        assert (summary["n_train"], summary["n_test"]) == (2, 2)
+        assert summary["fallback_epochs"] == {"net1": [2, 3], "net2": [2, 3]}
+        for report in reports:
+            assert report["selection"]["fit_errors"] == {
+                name: "need at least 6 points to fit, got 2" for name in NET_NAMES
+            }
+            assert all(report["selection"][name] == {"fallback": True} for name in NET_NAMES)
+        self.assert_scatter_rows(run_dir, 2)
+
+    def test_six_samples_divide_every_selection_epoch(self, tmp_path):
+        run_dir, summary, reports = self.run_smallest(tmp_path, per_class=3)
+        assert (summary["n_train"], summary["n_test"]) == (6, 2)
+        assert summary["fallback_epochs"] == {"net1": [], "net2": []}
+        for report in reports:
+            assert report["selection"]["fit_errors"] == {}
+            for name in NET_NAMES:
+                assert report["selection"][name]["fallback"] is False
+                assert report["selection"][name]["n_samples"] == 6
+        self.assert_scatter_rows(run_dir, 6)
+
 class TestFlatLossCloud:
     """Runs whose loss profiles are forced flat on one or both axes."""
 

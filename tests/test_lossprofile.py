@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import make_noisy
 from dstlab.data import audit_states
-from dstlab.errors import StructuralError
 from dstlab.lossprofile import (
     SCATTER_HEADER,
     LossProfile,
@@ -138,12 +137,6 @@ class TestNormalize:
         np.testing.assert_array_equal(prof.nrm_prd, [0.0, 0.0, 0.0])
         for nrm, raw in ((prof.nrm_nis, prof.l_nis), (prof.nrm_prd, prof.l_prd)):
             assert nrm.tobytes() == minmax_normalize(raw).tobytes()
-
-    def test_needs_two_points(self):
-        net = bias_net([0.5, -0.5])
-        with pytest.raises(StructuralError, match="at least 2 samples"):
-            profile(net, dataset([0], 2))
-        assert profile(net, dataset([0, 1], 2)).n_samples == 2
 
 
 class TestScatterDump:

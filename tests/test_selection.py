@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import ANCHORS, DEFAULTS, make_division, make_noisy, model_with_means
 from dstlab import selection
 from dstlab.config import ExperimentConfig
-from dstlab.errors import ConfigError, StructuralError
+from dstlab.errors import ConfigError
 from dstlab.lossprofile import LossProfile
 from dstlab.selection import (
     BRANCH_LABELED,
@@ -65,10 +65,6 @@ class TestAssignRoles:
         assert roles.labeled == 0
         assert roles.predicted == 1
         assert roles.wrong == 2
-
-    def test_role_map_must_be_bijective(self):
-        with pytest.raises(StructuralError):
-            RoleMap(labeled=0, predicted=0, wrong=2)
 
 
 class TestWeightsFromPosteriors:
@@ -191,19 +187,6 @@ class TestCoDivide:
         assert (labeled == BRANCH_LABELED).mean() >= 0.95
         assert (rest == BRANCH_LABELED).mean() <= 0.05
 
-    def test_length_mismatch_rejected(self):
-        rng = np.random.default_rng(5)
-        prof1 = profile_at(rng.uniform(size=(30, 2)))
-        prof2 = profile_at(rng.uniform(size=(31, 2)))
-        with pytest.raises(StructuralError):
-            co_divide([prof1, prof2], DEFAULTS)
-
-    @pytest.mark.parametrize("count", [0, 3])
-    def test_one_or_two_profiles_only(self, count):
-        prof = profile_at(self.separated_cloud(np.random.default_rng(7)))
-        with pytest.raises(StructuralError, match="expected 1 to 2 profiles"):
-            co_divide([prof] * count, DEFAULTS)
-
     def test_tiny_profiles_fall_back_via_fit_errors(self):
         prof = profile_at(np.full((3, 2), 0.5))
         divisions, fit_errors = co_divide([prof, prof], DEFAULTS)
@@ -301,9 +284,3 @@ class TestSelectionReport:
             assert entry["precision"] == pytest.approx(hits / mask.sum())
             assert entry["recall"] == pytest.approx(hits / conditions[name].sum())
             assert sum(entry["states"].values()) == entry["size"]
-
-    def test_shape_validation(self):
-        ds = make_noisy(np.zeros((3, 1)), [0, 1, 0], [1, 0, 1], 2)
-        other = make_noisy(np.zeros((2, 1)), [0, 1], [1, 0], 2)
-        with pytest.raises(StructuralError, match="cover the dataset"):
-            selection_report(make_division(other, np.zeros(2)), ds)
