@@ -87,8 +87,6 @@ class TestValidation:
             {"alpha": 0.0},
             {"lambda_reg": -0.5},
             {"disable_branch": "everything"},
-            {"spread": -1.0},
-            {"temperature": -1.0},
         ],
     )
     def test_out_of_range_fields_rejected(self, kwargs):

@@ -16,7 +16,8 @@ from dstlab.data import (
     STATE_NAMES,
     save_dataset,
 )
-from dstlab.errors import StructuralError
+from dstlab.config import ExperimentConfig
+from dstlab.errors import ConfigError, StructuralError
 from dstlab.selection import selection_report
 from oracles import load_dataset
 
@@ -65,6 +66,23 @@ class TestMakeBlobs:
 
     def test_spacing_constant_is_frozen(self):
         assert CENTER_SPACING == 6.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_classes": 1},
+            {"per_class": 0},
+            {"n_features": 0},
+            {"spread": 0.0},
+            {"spread": -1.0},
+        ],
+    )
+    def test_validation(self, kwargs):
+        # make_blobs draws from the config's settings; the config rejects
+        # each one it cannot draw from, before any draw.
+        field = next(iter(kwargs))
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**kwargs)
 
 
 class TestSymmetricCriterion1:
@@ -149,6 +167,18 @@ class TestAsymmetric:
             (c + 1) % 4 for c in noisy.true_labels[changed].tolist()
         ]
 
+    def test_cyclic_mapping_is_fixed_point_free(self):
+        # At rate one every label flips, onto (c + 1) % C and never onto c.
+        for n_classes in (2, 3, 6):
+            noisy = corrupt(blobs(n_classes=n_classes, per_class=5), "asym", 1.0, seed=2)
+            assert np.array_equal(noisy.noisy_labels, (noisy.true_labels + 1) % n_classes)
+            assert not np.any(noisy.noisy_labels == noisy.true_labels)
+
+    def test_single_class_rejected(self):
+        # The cyclic map of one class is a fixed point: no flip is possible.
+        with pytest.raises(ConfigError, match="n_classes must be >= 2"):
+            ExperimentConfig(n_classes=1, noise_kind="asym", noise_rate=0.2)
+
 
 class TestNoiseDraws:
     # SHA-256 of the noisy labels' bytes on 4 x 50 blobs (seed 0), per kind
@@ -168,6 +198,19 @@ class TestNoiseDraws:
         labels = corrupt(blobs(), kind, rate, seed).noisy_labels
         assert labels.dtype == np.int64
         assert hashlib.sha256(labels.tobytes()).hexdigest() == self.DIGESTS[kind, rate, seed]
+
+
+class TestNoiseSpecDispatch:
+    # inject_noise takes its NoiseSpec from the config, which checks the
+    # kind and the rate.
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="noise_kind must be one of"):
+            ExperimentConfig(noise_kind="typo", noise_rate=0.3)
+
+    @pytest.mark.parametrize("rate", [-0.01, 1.01])
+    def test_rate_out_of_range_rejected(self, rate):
+        with pytest.raises(ConfigError, match=r"noise_rate must be in \[0, 1\]"):
+            ExperimentConfig(noise_kind="sym-c1", noise_rate=rate)
 
 
 @given(

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ANCHORS, DEFAULTS
-from dstlab.errors import GmmFitError, InsufficientDataError
+from dstlab.config import ExperimentConfig
+from dstlab.errors import ConfigError, GmmFitError, InsufficientDataError
 from dstlab.gmm import (
     PI_FLOOR,
     SIGMA_FLOOR,
@@ -39,6 +40,19 @@ class TestFit:
         np.testing.assert_allclose(model.weights, 1.0 / 3.0, atol=0.02)
         hard = posteriors(model, points).argmax(axis=1)
         assert (hard == labels).mean() >= 0.99
+
+    def test_duplicate_anchors_rejected(self):
+        # fit takes its anchors from the config, which rejects repeated ones.
+        anchors = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        with pytest.raises(ConfigError, match="gmm_anchors must be pairwise distinct"):
+            ExperimentConfig(gmm_anchors=anchors)
+
+    def test_parameter_validation(self):
+        # fit takes tol and max_iter from the config, which checks both.
+        with pytest.raises(ConfigError, match="gmm_tol must be >= 0"):
+            ExperimentConfig(gmm_tol=-1.0, gmm_max_iter=MAX_ITER)
+        with pytest.raises(ConfigError, match="gmm_max_iter must be >= 1"):
+            ExperimentConfig(gmm_tol=TOL, gmm_max_iter=0)
 
     def test_deterministic(self):
         points, _ = anchor_clusters(per_cluster=100, sigma=0.1, seed=5)

@@ -264,6 +264,19 @@ class TestInitNetwork:
         assert params.sizes() == [2, 64, 64, 4]
         assert params.n_inputs == 2 and params.n_outputs == 4
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"hidden_sizes": [0]}, id="sizes1"),
+            pytest.param({"n_features": 0}, id="sizes2"),
+        ],
+    )
+    def test_invalid_sizes(self, kwargs):
+        # init_network builds the config's layer_sizes(); the config rejects
+        # a layer of width zero.
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            ExperimentConfig(**kwargs)
+
 
 def test_params_hash_tracks_values():
     params = init_network([2, 3], np.random.default_rng(4))

@@ -240,6 +240,12 @@ class TestSharpen:
         row = np.array([0.5, 0.3, 0.2])
         assert sharpen(row, 0.5).max() > row.max()
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_nonpositive_temperature_rejected(self, temperature):
+        # sharpen takes its temperature from the config, which checks it once.
+        with pytest.raises(ConfigError, match="temperature must be > 0"):
+            ExperimentConfig(temperature=temperature)
+
 
 class TestMixup:
     def test_fold_reflects_into_upper_half(self):
