@@ -40,12 +40,12 @@ def reference(args) -> dict:
     """The benchmark run, with `digest`: the SHA-256 over the bytes of
     summary.json and of checkpoints/*.json, in name order, and
     `scatter_digest`: the same over scatter/*.csv. `blas_threads` (the
-    epoch loop's BLAS thread count, null when numpy's OpenBLAS setter is
+    run's BLAS thread count: 1, or null when numpy's OpenBLAS setter is
     unavailable) and `numpy` (its version) say what produced it."""
     overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
     cfg = benchmark_config(**overrides)
-    threads = network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size)
+    threads = None if network.blas_threads() is None else 1
     run_dir = lab.run(cfg, out)
     summary = lab.load_summary(run_dir)
     shown = {key: summary[key] for key in ("accuracy", "final_branches", "fallback_epochs")}

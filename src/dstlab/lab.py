@@ -22,7 +22,7 @@ from .config import ExperimentConfig, _is_number, config_to_dict
 from .data import CleanDataset, NoisyDataset, NoiseSpec, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
-from .network import Workspace, blas_threads_for, init_network, save_checkpoint
+from .network import Workspace, init_network, one_blas_thread, params_view, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
 from .training import evaluate, plain_ce_epoch, run_dst_epoch
 
@@ -95,44 +95,76 @@ def _write_json(path: Path, text: str) -> None:
         path.write_text(text + "\n", encoding="utf-8")
 
 
-def _serve_dumps(requests, replies) -> None:
-    """Writer loop: write each message's dumps, answer None or the error."""
+def _serve_epochs(
+    requests,
+    replies,
+    run_dir: Path,
+    test: CleanDataset,
+    sizes: list[int],
+    ensemble: tuple[str, ...],
+) -> None:
+    """Writer loop: per message, write the epoch's dumps, evaluate its
+    snapshot and write its report; answer `(error, test_accuracy)`.
+
+    A failed dump does not stop the report, as when the run wrote its
+    reports itself; the first error is answered.
+    """
     while True:
         try:
-            dumps = pickle.load(requests)
+            flats, report, dumps = pickle.load(requests)
         except EOFError:
             return
-        error = None
+        error = test_accuracy = None
         try:
             for path, epoch, net, prof in dumps:
                 with _writing(path):
                     write_scatter(path, epoch, net, prof)
         except Exception as exc:  # noqa: BLE001 - sent on, raised by the run
             error = exc
-        pickle.dump(error, replies)
+        try:
+            nets = {name: params_view(flat, sizes) for name, flat in zip(NET_NAMES, flats)}
+            test_accuracy = evaluate(nets, test.features, test.true_labels, ensemble)
+            _write_json(
+                run_dir / "reports" / f"epoch_{report['epoch']:03d}.json",
+                json.dumps({**report, "test_accuracy": test_accuracy}, indent=2, sort_keys=True),
+            )
+        except Exception as exc:  # noqa: BLE001 - sent on, raised by the run
+            if error is None:
+                error = exc
+        pickle.dump((error, test_accuracy), replies)
         replies.flush()
 
 
-_WRITER_GONE = "the scatter writer process ended early"
+_WRITER_GONE = "the epoch writer process ended early"
 
 
-class _ScatterWriter:
-    """A forked process that formats and writes the loss-scatter CSVs.
+class _EpochWriter:
+    """A forked process that finishes each epoch: its files and its test accuracy.
 
-    Formatting a 4000-row cloud takes about 15 ms, most of it `%.17g`, so
-    the writer overlaps it with the next epoch's training on another core.
-    One pickled message is one epoch's dumps, each a `(path, epoch, net,
-    profile)` tuple whose profile carries the audit states it writes; at
-    most one message is in flight. As a context manager it drains and
-    reaps the writer on exit, and on a clean exit raises the first dump
-    error. The writer runs pure Python and never calls into the BLAS,
-    whose threads a fork does not copy.
+    The run sends one pickled message per epoch, once its training is
+    done: each network's flat parameters (the pickle is the snapshot), the
+    report without `test_accuracy`, and the loss-scatter dumps due, each a
+    `(path, epoch, net, profile)` tuple whose profile carries the audit
+    states it writes. The writer writes the dumps, evaluates the snapshot
+    on the test set, writes the report, and answers. So formatting the
+    clouds (about 15 ms for 4000 rows, most of it `%.17g`) and the test
+    forwards overlap the next epoch's training on another core. At most
+    one message is in flight; `test_accuracy` collects the answers in
+    epoch order.
+
+    Fork it on one BLAS thread (`one_blas_thread`): the writer inherits the
+    count, and a fork copies none of the BLAS's threads. As a context
+    manager it drains and reaps the writer on exit, and on a clean exit
+    raises the first error it answered.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, run_dir: Path, test: CleanDataset, sizes: list[int], ensemble: tuple[str, ...]
+    ) -> None:
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         self.pending = False
+        self.test_accuracy: list[dict[str, float]] = []
         self.pid = os.fork()
         if self.pid == 0:
             # The writer never returns into the caller's stack: no atexit
@@ -145,7 +177,7 @@ class _ScatterWriter:
                 os.close(request_w)
                 os.close(reply_r)
                 with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
-                    _serve_dumps(requests, replies)
+                    _serve_epochs(requests, replies, run_dir, test, sizes, ensemble)
                 code = 0
             finally:
                 os._exit(code)
@@ -155,28 +187,29 @@ class _ScatterWriter:
         self.replies = open(reply_r, "rb")
 
     def wait(self) -> None:
-        """Block until the epoch in flight is written; raise its error."""
+        """Block until the epoch in flight is finished; raise its error."""
         if not self.pending:
             return
         self.pending = False
         try:
-            error = pickle.load(self.replies)
+            error, test_accuracy = pickle.load(self.replies)
         except EOFError:
             raise StructuralError(_WRITER_GONE) from None
         if error is not None:
             raise error
+        self.test_accuracy.append(test_accuracy)
 
-    def submit(self, dumps: list[tuple]) -> None:
-        """Send one epoch's dumps."""
+    def submit(self, flats: list, report: dict, dumps: list[tuple]) -> None:
+        """Send one epoch's parameters, report and dumps."""
         self.wait()
         try:
-            pickle.dump(dumps, self.requests, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((flats, report, dumps), self.requests, pickle.HIGHEST_PROTOCOL)
             self.requests.flush()
         except BrokenPipeError:
             raise StructuralError(_WRITER_GONE) from None
         self.pending = True
 
-    def __enter__(self) -> _ScatterWriter:
+    def __enter__(self) -> _EpochWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -235,9 +268,11 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     except OSError as exc:
         raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
 
-    # Forked before the datasets exist, so the writer stays small.
-    with _ScatterWriter() as writer:
-        train, test, seeds = build_datasets(cfg)
+    train, test, seeds = build_datasets(cfg)
+    ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
+    # Both processes train or evaluate on one BLAS thread: an idle second
+    # thread spins between calls. Results do not depend on the count.
+    with one_blas_thread(), _EpochWriter(run_dir, test, cfg.layer_sizes(), ensemble) as writer:
         with _writing(run_dir / "dataset.csv"):
             save_dataset(train, run_dir / "dataset.csv")
         manifest = {
@@ -255,59 +290,44 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
             Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
             for rng in streams.init
         ]
-        nets = dict(zip(NET_NAMES, (ws.params for ws in workspaces)))
 
-        history: dict[str, list[float]] = {"net1": [], "net2": [], "ensemble": []}
-        ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
         fallback_epochs: dict[str, list[int]] = {"net1": [], "net2": []}
         last_selection: dict | None = None
+        for epoch in range(1, cfg.total_epochs + 1):
+            lr = cfg.learning_rate_at(epoch)
+            in_warmup = epoch <= cfg.warmup_epochs
+            selection: dict | None = None
+            dumps = []
+            if in_warmup or cfg.ce_only:
+                # Both networks, also in single-network mode.
+                phase = "warmup" if in_warmup else "ce"
+                for ws, rng in zip(workspaces, streams.shuffle):
+                    plain_ce_epoch(ws, lr, train, cfg.batch_size, rng)
+            else:
+                phase = "dst"
+                selection, profiles = run_dst_epoch(workspaces, lr, train, cfg, streams)
+                for name in NET_NAMES:
+                    if selection.get(name, {}).get("fallback"):
+                        fallback_epochs[name].append(epoch)
+                if _scatter_due(cfg, epoch):
+                    dumps = [
+                        (scatter_csv_path(run_dir, epoch, name), epoch, name, prof)
+                        for name, prof in zip(NET_NAMES, profiles)
+                    ]
+                if epoch == cfg.total_epochs:
+                    last_selection = selection
 
-        # Small networks train on one BLAS thread, the whole loop included
-        # (profiles and evaluation too): threads woken between batches spin
-        # through the next batch loop. Results do not depend on the count.
-        with blas_threads_for(cfg.layer_sizes(), cfg.batch_size):
-            for epoch in range(1, cfg.total_epochs + 1):
-                lr = cfg.learning_rate_at(epoch)
-                in_warmup = epoch <= cfg.warmup_epochs
-                selection: dict | None = None
-                if in_warmup or cfg.ce_only:
-                    # Both networks, also in single-network mode.
-                    phase = "warmup" if in_warmup else "ce"
-                    for ws, rng in zip(workspaces, streams.shuffle):
-                        plain_ce_epoch(ws, lr, train, cfg.batch_size, rng)
-                else:
-                    phase = "dst"
-                    selection, profiles = run_dst_epoch(workspaces, lr, train, cfg, streams)
-                    for name in NET_NAMES:
-                        if selection.get(name, {}).get("fallback"):
-                            fallback_epochs[name].append(epoch)
-                    if _scatter_due(cfg, epoch):
-                        writer.submit([
-                            (scatter_csv_path(run_dir, epoch, name), epoch, name, prof)
-                            for name, prof in zip(NET_NAMES, profiles)
-                        ])
-                    if epoch == cfg.total_epochs:
-                        last_selection = selection
+            report = {"epoch": epoch, "phase": phase, "learning_rate": lr, "selection": selection}
+            writer.submit([ws.flat for ws in workspaces], report, dumps)
 
-                test_accuracy = evaluate(nets, test.features, test.true_labels, ensemble)
-                for name, series in history.items():
-                    series.append(test_accuracy[name])
-                report = {
-                    "epoch": epoch,
-                    "phase": phase,
-                    "learning_rate": lr,
-                    "test_accuracy": test_accuracy,
-                    "selection": selection,
-                }
-                _write_json(
-                    run_dir / "reports" / f"epoch_{epoch:03d}.json",
-                    json.dumps(report, indent=2, sort_keys=True),
-                )
-
-    for name, net in nets.items():
+    history = {
+        name: [accuracy[name] for accuracy in writer.test_accuracy]
+        for name in ("net1", "net2", "ensemble")
+    }
+    for name, ws in zip(NET_NAMES, workspaces):
         path = run_dir / "checkpoints" / f"{name}.json"
         with _writing(path):
-            save_checkpoint(net, path)
+            save_checkpoint(ws.params, path)
 
     summary_config = config_to_dict(cfg)
     summary_config.pop("output_dir")  # summaries must not depend on placement

@@ -12,10 +12,10 @@ add, rectifier, backpropagated mask, softmax, momentum and SGD update) is
 the same float operation, in the same order, as the plain allocating
 expression the tests keep as a reference, so results are bitwise equal.
 
-Small networks train on one BLAS thread (`blas_threads_for`): numpy's
-bundled OpenBLAS otherwise splits every tiny batch GEMM across threads and
-keeps its workers spinning between calls. Results do not depend on the
-thread count.
+A run's processes each use one BLAS thread (`one_blas_thread`). numpy's
+bundled OpenBLAS otherwise splits every batch GEMM across threads, and its
+idle workers spin between calls. Results do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ CHECKPOINT_VERSION = 1
 
 # One (d_weights, d_bias) pair per layer, shapes mirroring the parameters.
 Grads = list[tuple[np.ndarray, np.ndarray]]
-
-# Below this batch_size * max(fan_in * fan_out), a training loop runs on one
-# BLAS thread. On a 2-core host the 2-64-64-4 nets at batch 128 (524,288)
-# take 27 us per [128, 64] @ [64, 64] matmul on one thread against 347-739
-# us on two; the 20-256-256-4 nets at batch 128 (8,388,608) take 441 us per
-# [128, 256] @ [256, 256] on one thread against 244 us on two.
-SMALL_GEMM_WORK = 2**21
 
 # numpy's bundled OpenBLAS (the scipy-openblas build its wheels ship beside
 # the package) and its thread getter and setter.
@@ -104,34 +97,19 @@ def blas_threads() -> int | None:
     return None if lib is None else lib[0]()
 
 
-def loop_blas_threads(sizes: Sequence[int], batch_size: int) -> int | None:
-    """The BLAS thread count a training loop on these layer sizes runs with.
-
-    One thread when `batch_size * max(fan_in * fan_out)` is below
-    `SMALL_GEMM_WORK`, otherwise the current count; None when numpy's
-    OpenBLAS thread setter is unavailable.
-    """
-    current = blas_threads()
-    if current is None:
-        return None
-    work = batch_size * max(a * b for a, b in zip(sizes[:-1], sizes[1:]))
-    return 1 if work < SMALL_GEMM_WORK else current
-
-
 @contextmanager
-def blas_threads_for(sizes: Sequence[int], batch_size: int) -> Iterator[None]:
-    """Run the body on `loop_blas_threads` threads.
+def one_blas_thread() -> Iterator[None]:
+    """Run the body, and any process it forks, on one BLAS thread.
 
     The previous count comes back on exit, also when the body raises. When
-    the count would not change, or cannot be set, this does nothing.
+    the count is already one, or cannot be set, this does nothing.
     """
     previous = blas_threads()
-    threads = loop_blas_threads(sizes, batch_size)
-    if threads == previous:
+    if previous in (None, 1):
         yield
         return
     set_threads = _openblas()[1]
-    set_threads(threads)
+    set_threads(1)
     try:
         yield
     finally:
@@ -222,6 +200,11 @@ def layer_views(
     return views
 
 
+def params_view(flat: np.ndarray, sizes: Sequence[int]) -> NetworkParams:
+    """A network whose layers are views of a flat parameter array."""
+    return NetworkParams([Layer(w, b) for w, b in layer_views(flat, sizes)])
+
+
 class Workspace:
     """One network's parameters, gradients and momentum for a whole run.
 
@@ -244,7 +227,7 @@ class Workspace:
         self.buffer = np.zeros_like(self.flat)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.params = NetworkParams([Layer(w, b) for w, b in layer_views(self.flat, sizes)])
+        self.params = params_view(self.flat, sizes)
         self.grads: Grads = layer_views(self.grad, sizes)
 
     def step(self, learning_rate: float) -> None:

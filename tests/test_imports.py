@@ -3,9 +3,13 @@
 An AST scan: a name an import binds counts as used when the module reads
 it anywhere (alone, or as the root of an attribute chain) or lists it in
 `__all__`. `from __future__` imports are compiler directives, not names.
+
+And `import dstlab` loads no process-pool module, which would slow set-up.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,16 @@ class TestScanner:
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_loads_no_process_pool_modules():
+    # The epoch writer forks over os.pipe; `multiprocessing.connection`
+    # adds about 7 ms to `import dstlab`, `concurrent.futures` about 12 ms.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import dstlab; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

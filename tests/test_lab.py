@@ -119,21 +119,28 @@ def run_bytes(run_dir) -> dict[str, bytes]:
 
 class TestEvaluation:
     @pytest.mark.parametrize("single_network", [False, True])
-    def test_one_test_set_forward_per_net_and_epoch(self, tmp_path, monkeypatch, single_network):
+    def test_one_test_set_forward_per_net_and_epoch(
+        self, tmp_path, monkeypatch, forks, single_network
+    ):
         cfg = small_config(total_epochs=3, single_network=single_network)
         n_test = cfg.n_classes * cfg.test_per_class
         assert n_test not in (cfg.n_classes * cfg.per_class, cfg.batch_size)
-        test_rows = []
+        # The epoch writer process evaluates: each test-set forward appends
+        # the pid that made it to this file.
+        test_rows = tmp_path / "test_rows"
         real_forward = training.forward_cached
 
         def counting_forward(params, x):
             if len(x) == n_test:
-                test_rows.append(len(x))
+                with test_rows.open("a") as log:
+                    log.write(f"{os.getpid()}\n")
             return real_forward(params, x)
 
         monkeypatch.setattr(training, "forward_cached", counting_forward)
         run(cfg, tmp_path / "r")
-        assert len(test_rows) == 2 * cfg.total_epochs
+        pids = test_rows.read_text().split()
+        assert len(pids) == 2 * cfg.total_epochs
+        assert len(forks) == 1 and set(pids) == {str(forks[0])}
 
     @pytest.mark.parametrize("single_network", [False, True])
     def test_reports_match_the_per_net_reference(self, tmp_path, monkeypatch, single_network):
@@ -236,12 +243,13 @@ class TestDeterminism:
         assert (a / "summary.json").read_bytes() != (b / "summary.json").read_bytes()
 
 
-# Runs `dstlab run CONFIG`; with "off" as the second argument, numpy's
-# OpenBLAS thread setter is made unavailable first.
+# Runs `dstlab run CONFIG`; with "off" as the second argument, it prints
+# numpy's OpenBLAS thread count and then makes the thread setter unavailable.
 RUN_CLI = """
 import sys
 from dstlab import cli, network
 if sys.argv[2] == "off":
+    print(network.blas_threads())
     network._openblas = lambda: None
 sys.exit(cli.main(["run", sys.argv[1]]))
 """
@@ -251,7 +259,8 @@ class TestBlasThreadDeterminism:
     @staticmethod
     def run_files(tmp_path, cfg, threads: str, setter: str = "on") -> dict[str, bytes]:
         """summary.json and checkpoint bytes of a subprocess run of `cfg`
-        at OPENBLAS_NUM_THREADS=`threads`."""
+        at OPENBLAS_NUM_THREADS=`threads`; with the setter off the run
+        checks that it got that many threads."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_to_dict(cfg)))
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -266,7 +275,10 @@ class TestBlasThreadDeterminism:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        run_dir = Path(proc.stdout.strip().splitlines()[-1])
+        lines = proc.stdout.strip().splitlines()
+        if setter == "off":
+            assert lines[0] in (threads, "None")  # None: another BLAS
+        run_dir = Path(lines[-1])
         assert run_dir.is_relative_to(root)
         files = ["summary.json"] + sorted(
             f"checkpoints/{p.name}" for p in (run_dir / "checkpoints").glob("*.json")
@@ -276,7 +288,8 @@ class TestBlasThreadDeterminism:
 
     def test_one_and_two_threads_write_the_same_bytes(self, tmp_path):
         # 256-wide layers on 128-row batches are large enough for the BLAS
-        # to split its matmuls across threads, and above the one-thread rule.
+        # to split its matmuls across threads; with the setter off the run
+        # keeps the threads it is given.
         cfg = small_config(
             n_classes=4,
             per_class=100,
@@ -288,13 +301,14 @@ class TestBlasThreadDeterminism:
             batch_size=128,
             scatter_every=0,
         )
-        assert network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size) != 1
-        outputs = {threads: self.run_files(tmp_path, cfg, threads) for threads in ("1", "2")}
+        outputs = {
+            threads: self.run_files(tmp_path, cfg, threads, setter="off") for threads in ("1", "2")
+        }
         assert outputs["1"] == outputs["2"]
 
     def test_one_thread_rule_writes_the_same_bytes(self, tmp_path):
-        # The ceiling shape (2-64-64-4 at batch 128) takes the one-thread
-        # path; with the setter unavailable it runs on the threads it is given.
+        # A run sets one thread (here the ceiling shape, 2-64-64-4 at batch
+        # 128); with the setter unavailable it runs on the threads it is given.
         cfg = small_config(
             n_classes=4,
             per_class=250,
@@ -305,9 +319,8 @@ class TestBlasThreadDeterminism:
             batch_size=128,
             scatter_every=0,
         )
-        if network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size) is None:
+        if network.blas_threads() is None:
             pytest.skip("numpy's OpenBLAS thread setter is unavailable")
-        assert network.loop_blas_threads(cfg.layer_sizes(), cfg.batch_size) == 1
         one_thread_rule = self.run_files(tmp_path, cfg, "2")
         for threads in ("1", "2"):
             assert self.run_files(tmp_path, cfg, threads, setter="off") == one_thread_rule
@@ -317,17 +330,44 @@ class TestRunBlasThreads:
     def test_loop_runs_on_one_thread_and_the_count_comes_back(
         self, tmp_path, monkeypatch, two_blas_threads
     ):
-        seen = []
-        real = lab.evaluate
+        # Training runs in the run's process, evaluation in the writer's,
+        # which appends its thread count per epoch to a file.
+        trained = []
+        evaluated = tmp_path / "evaluated"
+        real_eval = lab.evaluate
+
+        def spying(real):
+            def train(*args):
+                trained.append(network.blas_threads())
+                return real(*args)
+
+            return train
 
         def spying_evaluate(*args):
-            seen.append(network.blas_threads())
-            return real(*args)
+            with evaluated.open("a") as log:
+                log.write(f"{network.blas_threads()}\n")
+            return real_eval(*args)
 
+        for name in ("plain_ce_epoch", "run_dst_epoch"):
+            monkeypatch.setattr(lab, name, spying(getattr(lab, name)))
         monkeypatch.setattr(lab, "evaluate", spying_evaluate)
         cfg = small_config()
         run(cfg, tmp_path / "r")
-        assert seen == [1] * cfg.total_epochs
+        assert trained == [1] * (2 * cfg.warmup_epochs + cfg.total_epochs - cfg.warmup_epochs)
+        assert evaluated.read_text().split() == ["1"] * cfg.total_epochs
+        assert network.blas_threads() == 2
+
+    def test_writer_evaluates_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
+        real = lab.evaluate
+
+        def one_thread_evaluate(*args):
+            if network.blas_threads() not in (1, None):
+                raise RuntimeError(f"evaluated on {network.blas_threads()} BLAS threads")
+            return real(*args)
+
+        monkeypatch.setattr(lab, "evaluate", one_thread_evaluate)
+        run_dir = run(small_config(total_epochs=3), tmp_path / "r")
+        assert (run_dir / "summary.json").exists()
         assert network.blas_threads() == 2
 
     def test_count_comes_back_when_the_run_raises(self, tmp_path, monkeypatch, two_blas_threads):
@@ -604,11 +644,10 @@ class TestScatterWriter:
         with pytest.raises(RuntimeError, match="evaluation failed"):
             run(cfg, tmp_path / "r")
         assert_reaped(forks)
-        # Epoch 3 was in flight: its dumps are complete, as they would be
-        # had the run written them itself.
+        # The writer wrote epoch 3's dumps before its evaluation failed.
         run_dir = tmp_path / "r"
-        files = {str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file()}
-        assert files == {
+        assert not (run_dir / "summary.json").exists()
+        assert set(run_bytes(run_dir)) == {
             "dataset.csv", "dataset.csv.json", "manifest.json",
             "reports/epoch_001.json", "reports/epoch_002.json",
             *(f"scatter/epoch_{e:03d}_{net}.csv" for e in (2, 3) for net in ("net1", "net2")),
@@ -616,27 +655,80 @@ class TestScatterWriter:
         for path in (run_dir / "scatter").iterdir():
             assert len(path.read_text().splitlines()) == 1 + 60
 
+    def test_training_error_leaves_the_epoch_in_flight_written(self, tmp_path, monkeypatch, forks):
+        real = lab.run_dst_epoch
+        calls = []
+
+        def failing_dst_epoch(*args):
+            calls.append(1)
+            if len(calls) == 2:  # epoch 3, after one warmup epoch
+                raise RuntimeError("training failed")
+            return real(*args)
+
+        monkeypatch.setattr(lab, "run_dst_epoch", failing_dst_epoch)
+        with pytest.raises(RuntimeError, match="training failed"):
+            run(small_config(total_epochs=4), tmp_path / "r")
+        assert_reaped(forks)
+        # Epoch 2 was in flight: its dumps and report are complete, as they
+        # would be had the run written them itself.
+        run_dir = tmp_path / "r"
+        assert set(run_bytes(run_dir)) == {
+            "dataset.csv", "dataset.csv.json", "manifest.json",
+            "reports/epoch_001.json", "reports/epoch_002.json",
+            "scatter/epoch_002_net1.csv", "scatter/epoch_002_net2.csv",
+        }
+        report = json.loads((run_dir / "reports" / "epoch_002.json").read_text())
+        assert set(report["test_accuracy"]) == {"net1", "net2", "ensemble"}
+
     def test_writer_killed_mid_run_is_a_structural_error(self, tmp_path, monkeypatch, forks):
         real = lab.evaluate
-        epochs = []
+        evaluated = tmp_path / "evaluated"
 
         def killing_evaluate(*args):
-            epochs.append(len(epochs) + 1)
-            if epochs[-1] == 2:
-                os.kill(forks[0], signal.SIGKILL)
-                # SIGKILL lands asynchronously: until the writer has exited
-                # it still holds the request pipe open, and epoch 3's
-                # submit could fill the pipe instead of failing. Wait for
-                # the exit without reaping, so the run still reaps it.
-                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            # Runs in the writer, which records each epoch it evaluates in
+            # a file and is killed while it evaluates epoch 2.
+            epochs = evaluated.read_text().split() if evaluated.exists() else []
+            epochs.append(str(len(epochs) + 1))
+            evaluated.write_text(" ".join(epochs))
+            if epochs[-1] == "2":
+                os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
         monkeypatch.setattr(lab, "evaluate", killing_evaluate)
         with pytest.raises(StructuralError, match="writer process ended early"):
             run(small_config(total_epochs=4), tmp_path / "r")
-        assert epochs == [1, 2]
+        assert evaluated.read_text().split() == ["1", "2"]
         assert_reaped(forks)
         assert not (tmp_path / "r" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "failing, scatter_every, reports, dumps",
+        [
+            ("epoch_002_net2.csv", 1, (1, 2), ["epoch_002_net1.csv"]),
+            ("epoch_004_net1.csv", 0, (1, 2, 3, 4), []),
+        ],
+    )
+    def test_failed_dump_still_writes_its_report(
+        self, tmp_path, monkeypatch, forks, failing, scatter_every, reports, dumps
+    ):
+        # The file set the run left when it wrote its reports itself.
+        real = lab.write_scatter
+
+        def full_disk_write_scatter(path, *args):
+            if path.name == failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return real(path, *args)
+
+        monkeypatch.setattr(lab, "write_scatter", full_disk_write_scatter)
+        run_dir = tmp_path / "r"
+        with pytest.raises(StructuralError, match=f"cannot write .*/{failing}: "):
+            run(small_config(total_epochs=4, scatter_every=scatter_every), run_dir)
+        assert_reaped(forks)
+        assert set(run_bytes(run_dir)) == {
+            "dataset.csv", "dataset.csv.json", "manifest.json",
+            *(f"reports/epoch_{e:03d}.json" for e in reports),
+            *(f"scatter/{name}" for name in dumps),
+        }
 
     @pytest.mark.parametrize(
         "name",
