@@ -38,8 +38,10 @@ def sha256_of(paths) -> str:
 
 def reference(args) -> dict:
     """The benchmark run, with `digest`: the SHA-256 over the bytes of
-    summary.json and of checkpoints/*.json, in name order, and
-    `scatter_digest`: the same over scatter/*.csv. `blas_threads` (the
+    summary.json and of checkpoints/*.json, in name order,
+    `scatter_digest`: the same over scatter/*.csv, and `files_digest`: the
+    same over dataset.csv, dataset.csv.json, manifest.json and
+    reports/*.json, in that order. `blas_threads` (the
     run's BLAS thread count: 1, or null when numpy's OpenBLAS setter is
     unavailable) and `numpy` (its version) say what produced it."""
     overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
@@ -56,6 +58,14 @@ def reference(args) -> dict:
             [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]
         ),
         "scatter_digest": sha256_of(sorted((run_dir / "scatter").glob("*.csv"))),
+        "files_digest": sha256_of(
+            [
+                run_dir / "dataset.csv",
+                run_dir / "dataset.csv.json",
+                run_dir / "manifest.json",
+                *sorted((run_dir / "reports").glob("*.json")),
+            ]
+        ),
         "blas_threads": threads,
         "numpy": np.__version__,
     }

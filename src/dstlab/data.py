@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -146,19 +148,30 @@ def audit_states(ds: NoisyDataset, predicted: np.ndarray) -> np.ndarray:
     return states
 
 
+def write_csv(path: Path | str, header: Sequence[str], row: str, columns: Sequence) -> None:
+    """Write `header` through `csv.writer`, then one `row % values` line per
+    entry of the equal-length `columns`, formatted in one `%` operation.
+
+    `row` is a %-format ending in `csv.writer`'s `\r\n` terminator. Numbers
+    need no quoting; a string field in `row` comes quoted and %-escaped.
+    """
+    body = (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write(body)
+
+
 def save_dataset(ds: NoisyDataset, path: Path | str) -> None:
     """Write `id,true_label,noisy_label,f0..f{D-1}` plus a sidecar manifest."""
     path = Path(path)
-    header = ["id", "true_label", "noisy_label"] + [
-        f"f{j}" for j in range(ds.n_features)
-    ]
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n_samples):
-            row = [i, int(ds.true_labels[i]), int(ds.noisy_labels[i])]
-            row += [f"{v:.17g}" for v in ds.features[i]]
-            writer.writerow(row)
+    header = ["id", "true_label", "noisy_label"] + [f"f{j}" for j in range(ds.n_features)]
+    write_csv(
+        path,
+        header,
+        "%d,%d,%d" + ",%.17g" * ds.n_features + "\r\n",
+        [range(ds.n_samples), ds.true_labels.tolist(), ds.noisy_labels.tolist()]
+        + [column.tolist() for column in ds.features.T],
+    )
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,

@@ -22,7 +22,7 @@ from .config import ExperimentConfig, _is_number, config_to_dict
 from .data import CleanDataset, NoisyDataset, NoiseSpec, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
-from .network import Workspace, init_network, one_blas_thread, params_view, save_checkpoint
+from .network import Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
 from .training import evaluate, plain_ce_epoch, run_dst_epoch
 
@@ -122,7 +122,7 @@ def _serve_epochs(
         except Exception as exc:  # noqa: BLE001 - sent on, raised by the run
             error = exc
         try:
-            nets = {name: params_view(flat, sizes) for name, flat in zip(NET_NAMES, flats)}
+            nets = {name: layer_views(flat, sizes) for name, flat in zip(NET_NAMES, flats)}
             test_accuracy = evaluate(nets, test.features, test.true_labels, ensemble)
             _write_json(
                 run_dir / "reports" / f"epoch_{report['epoch']:03d}.json",
@@ -369,6 +369,8 @@ def load_summary(path: Path | str) -> dict:
         raise NotFoundError(f"summary not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise StructuralError(f"cannot read summary {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StructuralError(f"summary is not valid JSON: {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:

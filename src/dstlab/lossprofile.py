@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .data import NoisyDataset, audit_states
-from .network import LOG_FLOOR, NetworkParams, forward_cached, softmax
+from .data import NoisyDataset, audit_states, write_csv
+from .network import LOG_FLOOR, Layers, forward_cached, softmax
 
 
 @dataclass
@@ -38,7 +37,7 @@ class LossProfile:
         return self.l_nis.shape[0]
 
 
-def profile(params: NetworkParams, ds: NoisyDataset) -> LossProfile:
+def profile(params: Layers, ds: NoisyDataset) -> LossProfile:
     """The normalized, audited loss cloud of `ds`; no parameter is updated."""
     logits, activations = forward_cached(params, ds.features)
     probs = softmax(logits)
@@ -76,16 +75,12 @@ def write_scatter(path: Path | str, epoch: int, net: str, prof: LossProfile) -> 
     """Dump one network's normalized loss cloud for one epoch as CSV.
 
     Floats are written with `%.17g`, so they round-trip exactly. The
-    header and the constant `epoch,net` prefix go through `csv.writer`
-    once (quoting, `\\r\\n` terminator); the rows are formatted in bulk.
+    constant `epoch,net` prefix goes through `csv.writer` once (quoting)
+    and is %-escaped into every row (`data.write_csv`).
     """
     head = io.StringIO()
-    writer = csv.writer(head)
-    writer.writerow(SCATTER_HEADER)
-    header_end = head.tell()
-    writer.writerow([epoch, net])
-    text = head.getvalue()
-    prefix = text[header_end:].removesuffix("\r\n")
+    csv.writer(head).writerow([epoch, net])
+    prefix = head.getvalue().removesuffix("\r\n")
     row = prefix.replace("%", "%%") + ",%d,%.17g,%.17g,%.17g,%.17g,%d,%d\r\n"
     columns = [
         range(prof.n_samples),
@@ -96,6 +91,4 @@ def write_scatter(path: Path | str, epoch: int, net: str, prof: LossProfile) -> 
         prof.predicted.tolist(),
         prof.states.tolist(),
     ]
-    body = (row * prof.n_samples) % tuple(chain.from_iterable(zip(*columns)))
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(text[:header_end] + body)
+    write_csv(path, SCATTER_HEADER, row, columns)

@@ -5,12 +5,15 @@ layer read through softmax, backpropagation of a gradient w.r.t. the logits,
 and SGD with classical (coupled) momentum and weight decay. The forward pass
 and backpropagation only read the parameters they are given.
 
+A network, its gradients and its momentum share one per-layer format,
+`Layers`: a list of `(weights [fan_out, fan_in], bias [fan_out])` pairs.
 Each network lives in one `Workspace` for a whole run: one flat array each
-for the parameters, the gradients and the momentum, with per-layer views,
-all updated in place by `Workspace.step`. Every in-place operation (bias
-add, rectifier, backpropagated mask, softmax, momentum and SGD update) is
-the same float operation, in the same order, as the plain allocating
-expression the tests keep as a reference, so results are bitwise equal.
+for the parameters, the gradients and the momentum, with `Layers` views of
+the first two, all updated in place by `Workspace.step`. Every in-place
+operation (bias add, rectifier, backpropagated mask, softmax, momentum and
+SGD update) is the same float operation, in the same order, as the plain
+allocating expression the tests keep as a reference, so results are
+bitwise equal.
 
 A run's processes each use one BLAS thread (`one_blas_thread`). numpy's
 bundled OpenBLAS otherwise splits every batch GEMM across threads, and its
@@ -24,7 +27,6 @@ import ctypes
 import functools
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -38,40 +40,14 @@ LOG_FLOOR = 1e-12
 CHECKPOINT_FORMAT = "dstlab-network"
 CHECKPOINT_VERSION = 1
 
-# One (d_weights, d_bias) pair per layer, shapes mirroring the parameters.
-Grads = list[tuple[np.ndarray, np.ndarray]]
+# One (weights [fan_out, fan_in], bias [fan_out]) pair per layer: a network's
+# parameters, and its gradients and momentum with the same shapes.
+Layers = list[tuple[np.ndarray, np.ndarray]]
 
 # numpy's bundled OpenBLAS (the scipy-openblas build its wheels ship beside
 # the package) and its thread getter and setter.
 _OPENBLAS_GLOB = "numpy.libs/libscipy_openblas*"
 _OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
-
-
-@dataclass
-class Layer:
-    weights: np.ndarray  # [fan_out, fan_in]
-    bias: np.ndarray  # [fan_out]
-
-
-@dataclass
-class NetworkParams:
-    """Parameters of one classifier, per layer.
-
-    In a run these are views into a `Workspace`, written only by its `step`.
-    """
-
-    layers: list[Layer]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layers[0].weights.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layers[-1].weights.shape[0]
-
-    def sizes(self) -> list[int]:
-        return [self.n_inputs] + [layer.weights.shape[0] for layer in self.layers]
 
 
 @functools.cache
@@ -116,7 +92,7 @@ def one_blas_thread() -> Iterator[None]:
         set_threads(previous)
 
 
-def init_network(sizes: Sequence[int], rng: np.random.Generator) -> NetworkParams:
+def init_network(sizes: Sequence[int], rng: np.random.Generator) -> Layers:
     """Build a network with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
 
     `sizes` is a checked config's `layer_sizes()`.
@@ -124,22 +100,24 @@ def init_network(sizes: Sequence[int], rng: np.random.Generator) -> NetworkParam
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(Layer(weights=weights, bias=np.zeros(fan_out)))
-    return NetworkParams(layers)
+        layers.append((rng.uniform(-limit, limit, size=(fan_out, fan_in)), np.zeros(fan_out)))
+    return layers
 
 
-def forward_cached(
-    params: NetworkParams, x: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def sizes_of(layers: Layers) -> list[int]:
+    """The layer sizes [inputs, ..., outputs] read from the weight shapes."""
+    return [layers[0][0].shape[1]] + [weights.shape[0] for weights, _ in layers]
+
+
+def forward_cached(params: Layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass of a batch [N, D], returning logits and the input to every layer."""
     batch = np.asarray(x, dtype=np.float64)
     activations = [batch]
     a = batch
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        a = a @ layer.weights.T
-        a += layer.bias
+    last = len(params) - 1
+    for i, (weights, bias) in enumerate(params):
+        a = a @ weights.T
+        a += bias
         if i < last:
             np.maximum(a, 0.0, out=a)
             activations.append(a)
@@ -166,11 +144,8 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def backprop_from_logits(
-    params: NetworkParams,
-    activations: list[np.ndarray],
-    d_logits: np.ndarray,
-    out: Grads,
-) -> Grads:
+    params: Layers, activations: list[np.ndarray], d_logits: np.ndarray, out: Layers
+) -> Layers:
     """Push a gradient w.r.t. the logits back to every parameter.
 
     `activations` is the list produced by `forward_cached`; gradients are
@@ -178,31 +153,24 @@ def backprop_from_logits(
     returned.
     """
     delta = d_logits
-    for k in range(len(params.layers) - 1, -1, -1):
+    for k in range(len(params) - 1, -1, -1):
         np.matmul(delta.T, activations[k], out=out[k][0])
         np.sum(delta, axis=0, out=out[k][1])
         if k > 0:
             # activations[k] > 0 is exactly the rectifier's active mask.
-            delta = delta @ params.layers[k].weights
+            delta = delta @ params[k][0]
             delta *= activations[k] > 0.0
     return out
 
 
-def layer_views(
-    flat: np.ndarray, sizes: Sequence[int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weights [fan_out, fan_in], bias [fan_out]) views of a flat array."""
+def layer_views(flat: np.ndarray, sizes: Sequence[int]) -> Layers:
+    """Per-layer (weights, bias) views of a flat array."""
     views, start = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         stop = start + fan_out * fan_in
         views.append((flat[start:stop].reshape(fan_out, fan_in), flat[stop : stop + fan_out]))
         start = stop + fan_out
     return views
-
-
-def params_view(flat: np.ndarray, sizes: Sequence[int]) -> NetworkParams:
-    """A network whose layers are views of a flat parameter array."""
-    return NetworkParams([Layer(w, b) for w, b in layer_views(flat, sizes)])
 
 
 class Workspace:
@@ -216,19 +184,15 @@ class Workspace:
     param  <- param - learning_rate * buffer
     """
 
-    def __init__(
-        self, params: NetworkParams, momentum: float = 0.0, weight_decay: float = 0.0
-    ) -> None:
-        sizes = params.sizes()
-        self.flat = np.concatenate(
-            [arr.ravel() for layer in params.layers for arr in (layer.weights, layer.bias)]
-        )
+    def __init__(self, layers: Layers, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
+        sizes = sizes_of(layers)
+        self.flat = np.concatenate([arr.ravel() for pair in layers for arr in pair])
         self.grad = np.empty_like(self.flat)
         self.buffer = np.zeros_like(self.flat)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.params = params_view(self.flat, sizes)
-        self.grads: Grads = layer_views(self.grad, sizes)
+        self.params = layer_views(self.flat, sizes)
+        self.grads = layer_views(self.grad, sizes)
 
     def step(self, learning_rate: float) -> None:
         """One SGD step from `grads`; refuses a non-finite gradient before
@@ -242,18 +206,15 @@ class Workspace:
         self.flat -= np.multiply(learning_rate, buf, out=scratch)
 
 
-def save_checkpoint(params: NetworkParams, path: Path | str) -> None:
+def save_checkpoint(params: Layers, path: Path | str) -> None:
     """Write a versioned JSON checkpoint (row-major values per layer)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "sizes": params.sizes(),
+        "sizes": sizes_of(params),
         "layers": [
-            {
-                "weights": np.ascontiguousarray(layer.weights).ravel().tolist(),
-                "bias": layer.bias.tolist(),
-            }
-            for layer in params.layers
+            {"weights": np.ascontiguousarray(weights).ravel().tolist(), "bias": bias.tolist()}
+            for weights, bias in params
         ],
     }
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")

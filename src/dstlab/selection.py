@@ -13,7 +13,7 @@ predictions and agreement states the scatter dump writes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +30,11 @@ BRANCH_WRONG = 2
 BRANCH_NAMES = ("labeled", "predicted", "wrong")
 
 
-@dataclass(frozen=True)
-class RoleMap:
-    """Which mixture component plays which role: a bijection onto {0,1,2},
-    as `assign_roles`, its only producer, builds it."""
-
-    labeled: int
-    predicted: int
-    wrong: int
-
-
-def assign_roles(model: GmmModel, anchors: np.ndarray) -> RoleMap:
+def assign_roles(model: GmmModel, anchors: np.ndarray) -> dict[str, int]:
     """Match components to roles by final-mean proximity to the anchors.
+
+    Returns the component of each role, "labeled", "predicted" and "wrong":
+    a bijection onto {0, 1, 2}.
 
     Greedy order: labeled (anchors[0]) first, then predicted (anchors[2]),
     then wrong takes the remaining component. Distance ties go to the lower
@@ -56,7 +49,7 @@ def assign_roles(model: GmmModel, anchors: np.ndarray) -> RoleMap:
         best = remaining[int(np.argmin(dists))]  # argmin takes the first minimum
         chosen[role] = best
         remaining.remove(best)
-    return RoleMap(**chosen)
+    return chosen
 
 
 def partition(w_r: np.ndarray, w_prd: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
@@ -84,7 +77,7 @@ class Division:
     w_r: np.ndarray  # [N] responsibility of the labeled component
     w_prd: np.ndarray  # [N] responsibility of the predicted component
     branches: np.ndarray  # [N] branch codes from `partition`, ablation applied
-    roles: RoleMap
+    roles: dict[str, int]  # component per role, from `assign_roles`
     model: GmmModel
     source: str  # which network's losses produced this division
     profile: LossProfile  # the source network's loss profile
@@ -96,7 +89,7 @@ def _divide(prof: LossProfile, source: str, cfg: ExperimentConfig) -> Division:
     model = fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
     roles = assign_roles(model, anchors)
     # The fit's last E-step ran on these points with these parameters.
-    w_r, w_prd = model.resp[:, roles.labeled], model.resp[:, roles.predicted]
+    w_r, w_prd = model.resp[:, roles["labeled"]], model.resp[:, roles["predicted"]]
     return Division(
         w_r=w_r,
         w_prd=w_prd,
@@ -157,7 +150,7 @@ def selection_report(division: Division, ds: NoisyDataset) -> dict:
     report: dict = {
         "n_samples": int(ds.n_samples),
         "source": division.source,
-        "roles": asdict(division.roles),
+        "roles": division.roles,
         "gmm": model_to_dict(division.model),
         "branches": {},
     }

@@ -28,7 +28,7 @@ from .data import NoisyDataset
 from .lossprofile import LossProfile, profile
 from .network import (
     LOG_FLOOR,
-    NetworkParams,
+    Layers,
     Workspace,
     backprop_from_logits,
     forward_cached,
@@ -94,7 +94,7 @@ def _regularizer_grad(p: np.ndarray, lambda_reg: float) -> np.ndarray:
 class _Refinement:
     """What a selection epoch adds to plain cross-entropy for one network."""
 
-    others: list[NetworkParams]  # ensemble partners, not stepped this epoch
+    others: list[Layers]  # ensemble partners, not stepped this epoch
     keep: np.ndarray  # [N] weight on the label
     lean: np.ndarray  # [N] weight on the ensemble; wrong rows drawn per batch
     wrong: np.ndarray  # [N] wrong-branch mask
@@ -103,7 +103,7 @@ class _Refinement:
     mixup_rng: np.random.Generator | None  # None: no MixUp
 
     def batch(
-        self, params: NetworkParams, x: np.ndarray, y: np.ndarray, idx: np.ndarray
+        self, params: Layers, x: np.ndarray, y: np.ndarray, idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Refined, sharpened and mixed batch. The ensemble sees the updating
         network's current parameters; wrong-branch blend weights are drawn
@@ -229,7 +229,7 @@ def run_dst_epoch(
 
 
 def evaluate(
-    nets: dict[str, NetworkParams],
+    nets: dict[str, Layers],
     features: np.ndarray,
     labels: np.ndarray,
     ensemble: tuple[str, ...],

@@ -13,8 +13,8 @@ from dstlab.config import ExperimentConfig
 from dstlab.data import NoisyDataset, audit_states
 from dstlab.gmm import GmmModel
 from dstlab.lossprofile import LossProfile
-from dstlab.network import NetworkParams, forward_cached, softmax
-from dstlab.selection import Division, RoleMap
+from dstlab.network import Layers, forward_cached, softmax
+from dstlab.selection import Division
 from oracles import backward, cross_entropy
 
 # The default config; its anchors as the mixture fits of a run get them.
@@ -92,25 +92,25 @@ def make_division(ds, branches, predicted=None, w_r=None, w_prd=None) -> Divisio
         w_r=zeros if w_r is None else np.asarray(w_r, dtype=np.float64),
         w_prd=zeros if w_prd is None else np.asarray(w_prd, dtype=np.float64),
         branches=np.asarray(branches, dtype=np.int64),
-        roles=RoleMap(labeled=0, predicted=2, wrong=1),
+        roles={"labeled": 0, "predicted": 2, "wrong": 1},
         model=model_with_means(ANCHORS),
         source="net1",
         profile=prof,
     )
 
 
-def ce_loss(params: NetworkParams, x: np.ndarray, target: np.ndarray) -> float:
+def ce_loss(params: Layers, x: np.ndarray, target: np.ndarray) -> float:
     """Scalar cross-entropy of one sample, the quantity `backward` differentiates."""
     return cross_entropy(softmax(forward_cached(params, np.atleast_2d(x))[0][0]), target)
 
 
-def fd_gradients(params: NetworkParams, x: np.ndarray, target: np.ndarray, h: float = 1e-5):
+def fd_gradients(params: Layers, x: np.ndarray, target: np.ndarray, h: float = 1e-5):
     """Central finite differences of ce_loss w.r.t. every parameter."""
     grads = []
-    for layer in params.layers:
-        d_w = np.zeros_like(layer.weights)
-        d_b = np.zeros_like(layer.bias)
-        for arr, out in ((layer.weights, d_w), (layer.bias, d_b)):
+    for weights, bias in params:
+        d_w = np.zeros_like(weights)
+        d_b = np.zeros_like(bias)
+        for arr, out in ((weights, d_w), (bias, d_b)):
             flat = arr.ravel()
             flat_out = out.ravel()
             for i in range(flat.size):

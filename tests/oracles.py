@@ -27,8 +27,7 @@ from dstlab.gmm import N_COMPONENTS, _columns, _e_step
 from dstlab.lossprofile import profile
 from dstlab.network import (
     LOG_FLOOR,
-    Layer,
-    NetworkParams,
+    Layers,
     backprop_from_logits,
     forward_cached,
     one_hot,
@@ -50,10 +49,11 @@ def backward(params, x, target):
     parameter, summed over the batch. A 1-D `x` and `target` are one sample."""
     batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    if targets.shape != (batch.shape[0], params.n_outputs):
+    n_classes = params[-1][1].shape[0]
+    if targets.shape != (batch.shape[0], n_classes):
         raise StructuralError(
             f"target shape {targets.shape} does not match "
-            f"(batch {batch.shape[0]}, classes {params.n_outputs})"
+            f"(batch {batch.shape[0]}, classes {n_classes})"
         )
     logits, activations = forward_cached(params, batch)
     return backprop_from_logits(params, activations, softmax(logits) - targets, grads_like(params))
@@ -61,7 +61,7 @@ def backward(params, x, target):
 
 def grads_like(params):
     """Fresh, uninitialized gradient arrays for `backprop_from_logits` to fill."""
-    return [(np.empty_like(layer.weights), np.empty_like(layer.bias)) for layer in params.layers]
+    return [(np.empty_like(weights), np.empty_like(bias)) for weights, bias in params]
 
 
 def cross_entropy(p, target):
@@ -108,8 +108,8 @@ def warmup(workspaces, learning_rate, ds, epochs, batch_size, streams):
 def params_hash(params):
     """SHA-256 over shapes and raw float64 bytes; used to prove read-only paths."""
     h = hashlib.sha256()
-    for layer in params.layers:
-        for arr in (layer.weights, layer.bias):
+    for pair in params:
+        for arr in pair:
             h.update(str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()
@@ -123,9 +123,9 @@ def forward_cached_reference(params, x):
     batch = np.asarray(x, dtype=np.float64)
     activations = [batch]
     a = batch
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        z = a @ layer.weights.T + layer.bias
+    last = len(params) - 1
+    for i, (weights, bias) in enumerate(params):
+        z = a @ weights.T + bias
         a = np.maximum(z, 0.0) if i < last else z
         if i < last:
             activations.append(a)
@@ -142,30 +142,25 @@ def softmax_reference(logits):
 
 
 def backprop_reference(params, activations, d_logits):
-    grads = [None] * len(params.layers)
+    grads = [None] * len(params)
     delta = d_logits
-    for k in range(len(params.layers) - 1, -1, -1):
+    for k in range(len(params) - 1, -1, -1):
         grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
         if k > 0:
-            delta = (delta @ params.layers[k].weights) * (activations[k] > 0.0)
+            delta = (delta @ params[k][0]) * (activations[k] > 0.0)
     return grads
 
 
 def sgd_step_reference(params, grads, opt):
     """Replaces every buffer with a fresh array, as the original step did."""
     new_layers = []
-    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
+    for k, ((weights, bias), (d_w, d_b)) in enumerate(zip(params, grads)):
         m_w, m_b = opt.buffers[k]
-        m_w = opt.momentum * m_w + d_w + opt.weight_decay * layer.weights
-        m_b = opt.momentum * m_b + d_b + opt.weight_decay * layer.bias
+        m_w = opt.momentum * m_w + d_w + opt.weight_decay * weights
+        m_b = opt.momentum * m_b + d_b + opt.weight_decay * bias
         opt.buffers[k] = (m_w, m_b)
-        new_layers.append(
-            Layer(
-                weights=layer.weights - opt.learning_rate * m_w,
-                bias=layer.bias - opt.learning_rate * m_b,
-            )
-        )
-    return NetworkParams(new_layers)
+        new_layers.append((weights - opt.learning_rate * m_w, bias - opt.learning_rate * m_b))
+    return new_layers
 
 
 def ensemble_probs_reference(nets, x):
@@ -279,7 +274,7 @@ def batch_objective(params, x, y, lambda_reg):
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape != (x.shape[0], params.n_outputs):
+    if y.shape != (x.shape[0], params[-1][1].shape[0]):
         raise StructuralError("target shape does not match batch and class count")
     logits, activations = forward_cached_reference(params, x)
     p = softmax_reference(logits)
@@ -310,10 +305,7 @@ class ReferenceOptimizer:
 
     @classmethod
     def for_network(cls, params, learning_rate, momentum=0.0, weight_decay=0.0):
-        buffers = [
-            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            for layer in params.layers
-        ]
+        buffers = [(np.zeros_like(weights), np.zeros_like(bias)) for weights, bias in params]
         return cls(learning_rate, momentum, weight_decay, buffers)
 
     def flat(self) -> np.ndarray:
@@ -326,16 +318,12 @@ def sgd_step(params, grads, opt):
     The momentum buffers are updated in place; the returned parameters are
     fresh arrays, and `params` is left as it was.
     """
-    if len(grads) != len(params.layers):
-        raise StructuralError(
-            f"{len(grads)} gradient entries for {len(params.layers)} layers"
-        )
-    if opt.buffers is not None and len(opt.buffers) != len(params.layers):
-        raise StructuralError(
-            f"{len(opt.buffers)} momentum buffers for {len(params.layers)} layers"
-        )
-    for k, (layer, (d_w, d_b)) in enumerate(zip(params.layers, grads)):
-        shapes = (layer.weights.shape, layer.bias.shape)
+    if len(grads) != len(params):
+        raise StructuralError(f"{len(grads)} gradient entries for {len(params)} layers")
+    if opt.buffers is not None and len(opt.buffers) != len(params):
+        raise StructuralError(f"{len(opt.buffers)} momentum buffers for {len(params)} layers")
+    for k, ((weights, bias), (d_w, d_b)) in enumerate(zip(params, grads)):
+        shapes = (weights.shape, bias.shape)
         if (d_w.shape, d_b.shape) != shapes:
             raise StructuralError("gradient shapes do not mirror parameter shapes")
         if opt.buffers is not None and tuple(m.shape for m in opt.buffers[k]) != shapes:
@@ -343,19 +331,11 @@ def sgd_step(params, grads, opt):
         if not (np.isfinite(d_w).all() and np.isfinite(d_b).all()):
             raise NumericError("refusing SGD step: non-finite gradient")
     if opt.buffers is None:
-        opt.buffers = [
-            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            for layer in params.layers
-        ]
-    return NetworkParams(
-        [
-            Layer(
-                weights=_momentum_step(layer.weights, d_w, m_w, opt),
-                bias=_momentum_step(layer.bias, d_b, m_b, opt),
-            )
-            for layer, (d_w, d_b), (m_w, m_b) in zip(params.layers, grads, opt.buffers)
-        ]
-    )
+        opt.buffers = [(np.zeros_like(weights), np.zeros_like(bias)) for weights, bias in params]
+    return [
+        (_momentum_step(weights, d_w, m_w, opt), _momentum_step(bias, d_b, m_b, opt))
+        for (weights, bias), (d_w, d_b), (m_w, m_b) in zip(params, grads, opt.buffers)
+    ]
 
 
 def _momentum_step(param, grad, buf, opt):
@@ -500,7 +480,20 @@ def e_step(points, means, covariances, weights):
     return resp, total_ll
 
 
-# --- Readers of the dataset and checkpoint files a run writes.
+# --- The dataset writer before rows were formatted in bulk, and readers of
+# the dataset and checkpoint files a run writes.
+
+
+def save_dataset_rows(ds: data.NoisyDataset, path: Path | str) -> None:
+    """`data.save_dataset`'s CSV, one `csv.writer` row at a time; no sidecar."""
+    header = ["id", "true_label", "noisy_label"] + [f"f{j}" for j in range(ds.n_features)]
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n_samples):
+            row = [i, int(ds.true_labels[i]), int(ds.noisy_labels[i])]
+            row += [f"{v:.17g}" for v in ds.features[i]]
+            writer.writerow(row)
 
 
 def load_dataset(path: Path | str) -> data.NoisyDataset:
@@ -533,7 +526,7 @@ def load_dataset(path: Path | str) -> data.NoisyDataset:
     )
 
 
-def load_checkpoint(path: Path | str) -> NetworkParams:
+def load_checkpoint(path: Path | str) -> Layers:
     """Read a checkpoint written by `network.save_checkpoint`, checking its shapes."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != network.CHECKPOINT_FORMAT:
@@ -554,11 +547,7 @@ def load_checkpoint(path: Path | str) -> NetworkParams:
         bias = np.asarray(entry["bias"], dtype=np.float64)
         if bias.shape != (fan_out,):
             raise StructuralError("checkpoint bias length does not match layer size")
-        layers.append(Layer(weights=weights, bias=bias))
-    params = NetworkParams(layers)
-    if not all(
-        np.all(np.isfinite(l.weights)) and np.all(np.isfinite(l.bias))
-        for l in params.layers
-    ):
+        layers.append((weights, bias))
+    if not all(np.all(np.isfinite(w)) and np.all(np.isfinite(b)) for w, b in layers):
         raise NumericError(f"checkpoint contains non-finite parameters: {path}")
-    return params
+    return layers

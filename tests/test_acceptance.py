@@ -30,7 +30,7 @@ from oracles import batch_loss, ensemble_probs, fold_lambda, mixup_pair, posteri
 from dstlab.config import MEMORIZATION, benchmark_config
 from dstlab.gmm import fit
 from dstlab.lab import load_summary, run, scatter_csv_path
-from dstlab.network import Layer, NetworkParams, init_network
+from dstlab.network import init_network
 from dstlab.training import sharpen
 
 # `scripts/runs.py baseline` output for the memorization regime (frozen):
@@ -172,23 +172,23 @@ def test_criterion_4_enumerated_refinement_and_mixing_examples(record_criterion)
     x = np.random.default_rng(2).normal(size=(4, 2))
     solo = ensemble_probs([net], x)
     checks.append(float(np.abs(ensemble_probs([net, net], x) - solo).max()))
-    conf_a = NetworkParams([Layer(weights=np.zeros((2, 1)), bias=np.array([40.0, -40.0]))])
-    conf_b = NetworkParams([Layer(weights=np.zeros((2, 1)), bias=np.array([-40.0, 40.0]))])
+    conf_a = [(np.zeros((2, 1)), np.array([40.0, -40.0]))]
+    conf_b = [(np.zeros((2, 1)), np.array([-40.0, 40.0]))]
     checks.append(float(np.abs(ensemble_probs([conf_a, conf_b], np.zeros((2, 1))) - 0.5).max()))
     other = init_network([2, 4, 3], np.random.default_rng(3))
     hand = (ensemble_probs([net], x) + ensemble_probs([other], x)) / 2.0
     checks.append(float(np.abs(ensemble_probs([net, other], x) - hand).max()))
 
     # training objective
-    uniform_net = NetworkParams([Layer(weights=np.zeros((4, 2)), bias=np.zeros(4))])
+    uniform_net = [(np.zeros((4, 2)), np.zeros(4))]
     xu = np.random.default_rng(4).normal(size=(6, 2))
     yu = np.random.default_rng(5).dirichlet(np.ones(4), size=6)
     checks.append(abs(batch_loss(uniform_net, xu, yu, 1.0) - batch_loss(uniform_net, xu, yu, 0.0)))
-    confident = NetworkParams([Layer(weights=np.zeros((2, 1)), bias=np.array([40.0, -40.0]))])
+    confident = [(np.zeros((2, 1)), np.array([40.0, -40.0]))]
     one_hot_y = np.tile([1.0, 0.0], (5, 1))
     checks.append(batch_loss(confident, np.zeros((5, 1)), one_hot_y, 0.0))
 
-    ident = NetworkParams([Layer(weights=np.eye(2), bias=np.zeros(2))])
+    ident = [(np.eye(2), np.zeros(2))]
     x2 = np.array([[1.0, 0.0], [2.0, 0.0]])
     y2 = np.array([[0.7, 0.3], [0.2, 0.8]])
     p1 = [math.exp(1) / (math.exp(1) + 1), 1 / (math.exp(1) + 1)]

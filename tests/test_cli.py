@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,12 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def refuse_read(self, *args, **kwargs):
+    """`Path.read_text` stand-in: root reads a chmod 000 file, so the
+    refusal is raised by hand."""
+    raise PermissionError(13, "Permission denied", str(self))
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
@@ -40,6 +47,13 @@ class TestRun:
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_config_without_read_permission_exits_one(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path)
+        monkeypatch.setattr(Path, "read_text", refuse_read)
+        assert main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and "Permission denied" in err
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -155,6 +169,20 @@ class TestCompare:
         path.write_bytes(content)
         assert main(["compare", str(finished_run), str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    def test_summary_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        (tmp_path / "A" / "summary.json").mkdir(parents=True)
+        (tmp_path / "B").mkdir()
+        assert main(["compare", str(tmp_path / "A"), str(tmp_path / "B")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read summary") and "Traceback" not in err
+
+    def test_summary_without_read_permission_exits_two(self, finished_run, monkeypatch, capsys):
+        monkeypatch.setattr(Path, "read_text", refuse_read)
+        assert main(["compare", str(finished_run), str(finished_run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read summary") and "Permission denied" in err
 
 
 class TestParser:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_division, make_noisy
 from dstlab.data import (
     CENTER_SPACING,
+    NOISE_KINDS,
     NoiseSpec,
     audit_states,
     inject_noise,
@@ -19,7 +20,7 @@ from dstlab.data import (
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, StructuralError
 from dstlab.selection import selection_report
-from oracles import load_dataset
+from oracles import load_dataset, save_dataset_rows
 
 
 def blobs(n_classes=4, per_class=50, n_features=2, spread=0.5, seed=0):
@@ -301,6 +302,21 @@ class TestDatasetFile:
         header = path.read_text().splitlines()[0]
         assert header == "id,true_label,noisy_label,f0,f1,f2"
         assert (tmp_path / "dataset.csv.json").exists()
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("n_features", [1, 2, 20])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, n_features, kind):
+        noisy = corrupt(blobs(n_classes=3, per_class=40, n_features=n_features), kind, 0.4, seed=5)
+        save_dataset(noisy, tmp_path / "got.csv")
+        save_dataset_rows(noisy, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_edge_floats_match_row_by_row_writer(self, tmp_path):
+        features = [[-0.0, 0.1], [1e-300, -1.7976931348623157e308], [5e-324, 2.0**53 + 1]]
+        noisy = make_noisy(features, [0, 1, 1], [1, 1, 0], 2)
+        save_dataset(noisy, tmp_path / "got.csv")
+        save_dataset_rows(noisy, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_foreign_csv_rejected(self, tmp_path):
         path = tmp_path / "other.csv"

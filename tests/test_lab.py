@@ -80,7 +80,7 @@ class TestRunArtifacts:
         run_dir, cfg = smoke_run
         for name in ("net1", "net2"):
             params = load_checkpoint(run_dir / "checkpoints" / f"{name}.json")
-            assert params.sizes() == cfg.layer_sizes()
+            assert network.sizes_of(params) == cfg.layer_sizes()
 
     def test_summary_contents(self, smoke_run):
         run_dir, _ = smoke_run

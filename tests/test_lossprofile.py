@@ -17,14 +17,14 @@ from dstlab.lossprofile import (
     profile,
     write_scatter,
 )
-from dstlab.network import Layer, NetworkParams
+from dstlab.network import Layers
 from oracles import params_hash
 
 
-def bias_net(logit_rows) -> NetworkParams:
+def bias_net(logit_rows) -> Layers:
     """One linear layer that ignores its input and emits fixed logits."""
     logits = np.asarray(logit_rows, dtype=np.float64)
-    return NetworkParams([Layer(weights=np.zeros((logits.size, 1)), bias=logits)])
+    return [(np.zeros((logits.size, 1)), logits)]
 
 
 def dataset(noisy_labels, n_classes):

@@ -14,8 +14,7 @@ from dstlab import network
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import (
-    Layer,
-    NetworkParams,
+    Layers,
     backprop_from_logits,
     forward_cached,
     init_network,
@@ -23,6 +22,7 @@ from dstlab.network import (
     Workspace,
     layer_views,
     save_checkpoint,
+    sizes_of,
     softmax,
 )
 from oracles import (
@@ -39,7 +39,7 @@ from oracles import (
 )
 
 
-def workspace_step(ws, grads, learning_rate) -> NetworkParams:
+def workspace_step(ws, grads, learning_rate) -> Layers:
     """One production SGD step from given gradients: the workspace's
     gradients set to `grads`, one step; returns its parameter views."""
     for (g_w, g_b), (d_w, d_b) in zip(ws.grads, grads):
@@ -49,10 +49,8 @@ def workspace_step(ws, grads, learning_rate) -> NetworkParams:
     return ws.params
 
 
-def single_layer(weights, bias) -> NetworkParams:
-    return NetworkParams(
-        [Layer(np.asarray(weights, dtype=np.float64), np.asarray(bias, dtype=np.float64))]
-    )
+def single_layer(weights, bias) -> Layers:
+    return [(np.asarray(weights, dtype=np.float64), np.asarray(bias, dtype=np.float64))]
 
 
 class TestForward:
@@ -69,9 +67,9 @@ class TestForward:
         params = init_network([2, 4, 3], rng)
         x = np.array([0.7, -1.3])
 
-        w1, b1 = params.layers[0].weights, params.layers[0].bias
+        w1, b1 = params[0]
         hidden = [max(0.0, sum(w1[j, i] * x[i] for i in range(2)) + b1[j]) for j in range(4)]
-        w2, b2 = params.layers[1].weights, params.layers[1].bias
+        w2, b2 = params[1]
         expected = [sum(w2[k, j] * hidden[j] for j in range(4)) + b2[k] for k in range(3)]
 
         np.testing.assert_allclose(forward_cached(params, [x])[0][0], expected, rtol=0, atol=1e-12)
@@ -191,13 +189,13 @@ class TestSgdStep:
     def test_zero_gradients_leave_parameters_unchanged(self):
         ws = Workspace(single_layer([[1.0]], [2.0]))
         stepped = workspace_step(ws, [(np.zeros((1, 1)), np.zeros(1))], 0.1)
-        assert stepped.layers[0].weights[0, 0] == 1.0
-        assert stepped.layers[0].bias[0] == 2.0
+        assert stepped[0][0][0, 0] == 1.0
+        assert stepped[0][1][0] == 2.0
 
     def test_single_plain_step(self):
         ws = Workspace(single_layer([[1.0]], [0.0]))
         stepped = workspace_step(ws, [(np.ones((1, 1)), np.zeros(1))], 0.1)
-        np.testing.assert_allclose(stepped.layers[0].weights[0, 0], 0.9)
+        np.testing.assert_allclose(stepped[0][0][0, 0], 0.9)
 
     def test_two_momentum_steps(self):
         # buffer: 1 then 1.9; param: 0 -> -0.1 -> -0.29
@@ -205,13 +203,13 @@ class TestSgdStep:
         grad = [(np.ones((1, 1)), np.zeros(1))]
         workspace_step(ws, grad, 0.1)
         params = workspace_step(ws, grad, 0.1)
-        np.testing.assert_allclose(params.layers[0].weights[0, 0], -0.29, atol=1e-15)
+        np.testing.assert_allclose(params[0][0][0, 0], -0.29, atol=1e-15)
 
     def test_weight_decay_couples_into_buffer(self):
         ws = Workspace(single_layer([[2.0]], [0.0]), weight_decay=0.5)
         stepped = workspace_step(ws, [(np.zeros((1, 1)), np.zeros(1))], 0.1)
         # buffer = 0 + 0 + 0.5 * 2 = 1; param = 2 - 0.1 * 1
-        np.testing.assert_allclose(stepped.layers[0].weights[0, 0], 1.9)
+        np.testing.assert_allclose(stepped[0][0][0, 0], 1.9)
 
     def test_non_finite_gradient_refused_without_mutation(self):
         params = single_layer([[1.0]], [0.0])
@@ -219,8 +217,8 @@ class TestSgdStep:
         before = ws.buffer.copy()
         with pytest.raises(NumericError):
             workspace_step(ws, [(np.array([[np.nan]]), np.zeros(1))], 0.1)
-        assert params.layers[0].weights[0, 0] == 1.0
-        assert ws.params.layers[0].weights[0, 0] == 1.0
+        assert params[0][0][0, 0] == 1.0
+        assert ws.params[0][0][0, 0] == 1.0
         np.testing.assert_array_equal(ws.buffer, before)
 
     def test_gradient_shape_mismatch_raises(self):
@@ -248,11 +246,11 @@ class TestSgdStep:
 class TestInitNetwork:
     def test_bounds_and_zero_biases(self):
         params = init_network([3, 8, 2], np.random.default_rng(0))
-        for layer in params.layers:
-            fan_out, fan_in = layer.weights.shape
+        for weights, bias in params:
+            fan_out, fan_in = weights.shape
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            assert np.all(np.abs(layer.weights) <= limit)
-            assert np.all(layer.bias == 0.0)
+            assert np.all(np.abs(weights) <= limit)
+            assert np.all(bias == 0.0)
 
     def test_distinct_seeds_distinct_parameters(self):
         a = init_network([2, 4, 2], np.random.default_rng(1))
@@ -261,8 +259,8 @@ class TestInitNetwork:
 
     def test_sizes_round_trip(self):
         params = init_network([2, 64, 64, 4], np.random.default_rng(0))
-        assert params.sizes() == [2, 64, 64, 4]
-        assert params.n_inputs == 2 and params.n_outputs == 4
+        assert sizes_of(params) == [2, 64, 64, 4]
+        assert params[0][0].shape[1] == 2 and params[-1][0].shape[0] == 4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -282,7 +280,7 @@ def test_params_hash_tracks_values():
     params = init_network([2, 3], np.random.default_rng(4))
     base = params_hash(params)
     assert params_hash(params) == base
-    params.layers[0].weights[0, 0] += 1e-9
+    params[0][0][0, 0] += 1e-9
     assert params_hash(params) != base
 
 
@@ -371,25 +369,18 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_grads(got, want):
+def assert_same_layers(got, want):
     assert len(got) == len(want)
     for (g_w, g_b), (w_w, w_b) in zip(got, want):
         assert_same_bytes(g_w, w_w)
         assert_same_bytes(g_b, w_b)
 
 
-def assert_same_params(got, want):
-    assert len(got.layers) == len(want.layers)
-    for g, w in zip(got.layers, want.layers):
-        assert_same_bytes(g.weights, w.weights)
-        assert_same_bytes(g.bias, w.bias)
-
-
 def random_net(width, seed, n_inputs=20, n_classes=4):
     rng = np.random.default_rng(seed)
     params = init_network([n_inputs, width, width, n_classes], rng)
-    for layer in params.layers:  # non-zero biases, so the add matters
-        layer.bias[:] = rng.normal(scale=0.1, size=layer.bias.shape)
+    for _, bias in params:  # non-zero biases, so the add matters
+        bias[:] = rng.normal(scale=0.1, size=bias.shape)
     return params, rng
 
 
@@ -398,7 +389,7 @@ class TestInPlaceMatchesAllocatingReference:
     @pytest.mark.parametrize("rows", [1, 88, 128, 1000])
     def test_forward_and_backprop_bytes(self, width, rows):
         params, rng = random_net(width, seed=width * 10_000 + rows)
-        x = rng.normal(size=(rows, params.n_inputs))
+        x = rng.normal(size=(rows, 20))
         logits, activations = forward_cached(params, x)
         ref_logits, ref_activations = forward_cached_reference(params, x)
         assert_same_bytes(logits, ref_logits)
@@ -406,23 +397,21 @@ class TestInPlaceMatchesAllocatingReference:
         for got, want in zip(activations, ref_activations):
             assert_same_bytes(got, want)
 
-        targets = rng.dirichlet(np.ones(params.n_outputs), size=rows)
+        targets = rng.dirichlet(np.ones(4), size=rows)
         d_logits = softmax(logits) - targets
         d_before = d_logits.copy()
         grads = backprop_from_logits(params, activations, d_logits, grads_like(params))
-        assert_same_grads(grads, backprop_reference(params, ref_activations, d_logits))
+        assert_same_layers(grads, backprop_reference(params, ref_activations, d_logits))
         assert_same_bytes(d_logits, d_before)
 
     def test_exact_zero_pre_activations_and_signed_zeros(self):
         # Hidden unit 0 cancels exactly (1 * 0.5 - 0.5), unit 1 has zero
         # weights and a -0.0 bias, unit 2 is live; the input carries -0.0.
-        hidden = Layer(
-            np.array([[0.5, 0.0], [0.0, 0.0], [1.0, -1.0]]), np.array([-0.5, -0.0, 0.25])
-        )
-        out = Layer(np.array([[1.0, -2.0, 0.5], [-0.0, 0.0, -1.0]]), np.array([-0.0, 0.0]))
-        params = NetworkParams([hidden, out])
+        hidden = (np.array([[0.5, 0.0], [0.0, 0.0], [1.0, -1.0]]), np.array([-0.5, -0.0, 0.25]))
+        out = (np.array([[1.0, -2.0, 0.5], [-0.0, 0.0, -1.0]]), np.array([-0.0, 0.0]))
+        params = [hidden, out]
         x = np.array([[1.0, -0.0], [1.0, 2.0], [-0.0, -0.0], [1.0, 0.0]])
-        pre = x @ hidden.weights.T + hidden.bias
+        pre = x @ hidden[0].T + hidden[1]
         assert np.any(pre == 0.0)
         logits, activations = forward_cached(params, x)
         ref_logits, ref_activations = forward_cached_reference(params, x)
@@ -435,7 +424,7 @@ class TestInPlaceMatchesAllocatingReference:
         planted = [activations[0], activations[1].copy()]
         planted[1][0, 0], planted[1][1, 1], planted[1][2, 2] = -0.0, 0.0, -0.0
         d_logits = np.array([[0.3, -0.3], [-0.1, 0.1], [0.2, -0.2], [-0.0, 0.0]])
-        assert_same_grads(
+        assert_same_layers(
             backprop_from_logits(params, planted, d_logits, grads_like(params)),
             backprop_reference(params, planted, d_logits),
         )
@@ -446,14 +435,14 @@ class TestInPlaceMatchesAllocatingReference:
         slow = ReferenceOptimizer.for_network(params, 0.05, momentum=0.9, weight_decay=5e-4)
         p_slow = params
         for step in range(20):
-            x = rng.normal(size=(32, params.n_inputs))
-            targets = rng.dirichlet(np.ones(params.n_outputs), size=32)
+            x = rng.normal(size=(32, 20))
+            targets = rng.dirichlet(np.ones(4), size=32)
             grads = backward(fast.params, x, targets)
             if step == 10:
                 slow.learning_rate = 0.005
             p_fast = workspace_step(fast, grads, slow.learning_rate)
             p_slow = sgd_step_reference(p_slow, grads, slow)
-            assert_same_params(p_fast, p_slow)
+            assert_same_layers(p_fast, p_slow)
             assert_same_bytes(fast.buffer, slow.flat())
 
 
@@ -464,7 +453,7 @@ def shares_any(a, arrays) -> bool:
 class TestAliasing:
     def test_forward_leaves_input_alone_and_returns_distinct_arrays(self):
         params, rng = random_net(64, seed=5)
-        x = rng.normal(size=(50, params.n_inputs))
+        x = rng.normal(size=(50, 20))
         before = x.tobytes()
         logits, activations = forward_cached(params, x)
         assert x.tobytes() == before
@@ -472,9 +461,9 @@ class TestAliasing:
         for i, a in enumerate(returned):
             assert not shares_any(a, returned[i + 1 :])
             assert not np.shares_memory(a, x)
-        for layer in params.layers:
-            assert not shares_any(layer.weights, returned)
-            assert not shares_any(layer.bias, returned)
+        for weights, bias in params:
+            assert not shares_any(weights, returned)
+            assert not shares_any(bias, returned)
 
     def test_earlier_snapshots_keep_their_hash(self):
         # The network a workspace is made from is copied in, never written.
@@ -483,7 +472,7 @@ class TestAliasing:
         ws = Workspace(params, momentum=0.9, weight_decay=1e-3)
         seen = {digest}
         for _ in range(6):
-            x = rng.normal(size=(16, params.n_inputs))
+            x = rng.normal(size=(16, 20))
             grads = backward(ws.params, x, np.eye(4)[rng.integers(0, 4, 16)])
             seen.add(params_hash(workspace_step(ws, grads, 0.1)))
             assert params_hash(params) == digest
@@ -494,9 +483,9 @@ class TestAliasing:
         ws = Workspace(params, momentum=0.9, weight_decay=1e-3)
         grads = backward(params, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
         workspace_step(ws, grads, 0.1)
-        old = [arr for layer in params.layers for arr in (layer.weights, layer.bias)]
+        old = [arr for pair in params for arr in pair]
         taken = [ws.buffer, ws.grad] + [arr for pair in grads for arr in pair] + old
-        new = [arr for layer in ws.params.layers for arr in (layer.weights, layer.bias)]
+        new = [arr for pair in ws.params for arr in pair]
         for i, arr in enumerate(new):
             assert np.shares_memory(arr, ws.flat)
             assert not shares_any(arr, taken)
@@ -508,7 +497,7 @@ class TestAliasing:
         for _ in range(3):
             grads = backward(ws.params, rng.normal(size=(16, 20)), np.eye(4)[rng.integers(0, 4, 16)])
             workspace_step(ws, grads, 0.1)
-        assert all(np.any(m_w != 0.0) for m_w, _ in layer_views(ws.buffer, params.sizes()))
+        assert all(np.any(m_w != 0.0) for m_w, _ in layer_views(ws.buffer, sizes_of(params)))
         before = ws.buffer.tobytes()
         digest = params_hash(ws.params)
         bad = [(d_w.copy(), d_b.copy()) for d_w, d_b in grads]

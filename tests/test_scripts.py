@@ -90,3 +90,14 @@ def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monk
     assert out["scatter_digest"] == sha256_over(
         [run_dir / "scatter/epoch_003_net1.csv", run_dir / "scatter/epoch_003_net2.csv"]
     )
+    assert sorted(p.name for p in (run_dir / "reports").iterdir()) == [
+        "epoch_001.json", "epoch_002.json", "epoch_003.json"
+    ]
+    assert out["files_digest"] == sha256_over(
+        [
+            run_dir / "dataset.csv",
+            run_dir / "dataset.csv.json",
+            run_dir / "manifest.json",
+            *(run_dir / f"reports/epoch_00{epoch}.json" for epoch in (1, 2, 3)),
+        ]
+    )

@@ -14,7 +14,6 @@ from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
-    RoleMap,
     assign_roles,
     co_divide,
     partition,
@@ -40,31 +39,31 @@ def profile_at(points) -> LossProfile:
 class TestAssignRoles:
     def test_identity_when_means_sit_on_anchors(self):
         roles = assign_roles(model_with_means(ANCHORS), ANCHORS)
-        assert (roles.labeled, roles.wrong, roles.predicted) == (0, 1, 2)
+        assert (roles["labeled"], roles["wrong"], roles["predicted"]) == (0, 1, 2)
 
     def test_nearest_anchor_assignment(self):
         roles = assign_roles(model_with_means([[0.05, 0.02], [0.9, 0.1], [0.5, 0.6]]), ANCHORS)
-        assert roles.labeled == 0
-        assert roles.predicted == 1
-        assert roles.wrong == 2
+        assert roles["labeled"] == 0
+        assert roles["predicted"] == 1
+        assert roles["wrong"] == 2
 
     def test_permuted_components_are_tracked(self):
         roles = assign_roles(model_with_means([[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]]), ANCHORS)
-        assert roles.labeled == 2
-        assert roles.predicted == 1
-        assert roles.wrong == 0
+        assert roles["labeled"] == 2
+        assert roles["predicted"] == 1
+        assert roles["wrong"] == 0
 
     def test_distance_tie_goes_to_lower_component_index(self):
         roles = assign_roles(model_with_means([[0.3, 0.0], [0.0, 0.3], [0.9, 0.1]]), ANCHORS)
-        assert roles.labeled == 0
+        assert roles["labeled"] == 0
 
     def test_greedy_order_is_labeled_then_predicted(self):
         # Component 0 is closest to BOTH the labeled and predicted targets;
         # labeled claims it first, predicted takes the next best.
         roles = assign_roles(model_with_means([[0.2, 0.1], [0.45, 0.4], [0.8, 0.7]]), ANCHORS)
-        assert roles.labeled == 0
-        assert roles.predicted == 1
-        assert roles.wrong == 2
+        assert roles["labeled"] == 0
+        assert roles["predicted"] == 1
+        assert roles["wrong"] == 2
 
 
 class TestWeightsFromPosteriors:
@@ -81,18 +80,18 @@ class TestWeightsFromPosteriors:
     def test_projection_rows(self):
         division = self.divide()
         resp, roles = division.model.resp, division.roles
-        np.testing.assert_array_equal(division.w_r, resp[:, roles.labeled])
-        np.testing.assert_array_equal(division.w_prd, resp[:, roles.predicted])
+        np.testing.assert_array_equal(division.w_r, resp[:, roles["labeled"]])
+        np.testing.assert_array_equal(division.w_prd, resp[:, roles["predicted"]])
         assert division.w_r.shape == division.w_prd.shape == (90,)
 
     def test_projection_respects_role_permutation(self, monkeypatch):
-        division = self.divide(monkeypatch, RoleMap(labeled=2, predicted=0, wrong=1))
+        division = self.divide(monkeypatch, {"labeled": 2, "predicted": 0, "wrong": 1})
         np.testing.assert_array_equal(division.w_r, division.model.resp[:, 2])
         np.testing.assert_array_equal(division.w_prd, division.model.resp[:, 0])
 
     def test_complement_is_wrong_responsibility(self):
         division = self.divide()
-        wrong = division.model.resp[:, division.roles.wrong]
+        wrong = division.model.resp[:, division.roles["wrong"]]
         np.testing.assert_allclose(division.w_r + division.w_prd, 1.0 - wrong, atol=1e-12)
 
 

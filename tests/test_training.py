@@ -28,14 +28,7 @@ from dstlab import training
 from dstlab.config import ExperimentConfig
 from dstlab.data import NoiseSpec, inject_noise, make_blobs
 from dstlab.errors import ConfigError, NumericError, StructuralError
-from dstlab.network import (
-    Layer,
-    NetworkParams,
-    Workspace,
-    init_network,
-    one_hot,
-    softmax,
-)
+from dstlab.network import Workspace, init_network, one_hot, softmax
 from dstlab.lossprofile import profile
 from dstlab.rng import RngStreams
 from dstlab.selection import (
@@ -318,9 +311,9 @@ class TestMixup:
 def fd_objective_grads(params, x, y, lam, h=1e-6):
     """Central differences of the regularized objective w.r.t. every parameter."""
     grads = []
-    for layer in params.layers:
+    for pair in params:
         outs = []
-        for arr in (layer.weights, layer.bias):
+        for arr in pair:
             out = np.zeros_like(arr)
             flat, flat_out = arr.ravel(), out.ravel()
             for i in range(flat.size):
@@ -338,7 +331,7 @@ def fd_objective_grads(params, x, y, lam, h=1e-6):
 
 class TestBatchObjective:
     def test_uniform_predictor_has_zero_regularizer(self):
-        net = NetworkParams([Layer(weights=np.zeros((4, 2)), bias=np.zeros(4))])
+        net = [(np.zeros((4, 2)), np.zeros(4))]
         x = np.random.default_rng(0).normal(size=(6, 2))
         y = np.random.default_rng(1).dirichlet(np.ones(4), size=6)
         loss_off = batch_loss(net, x, y, 0.0)
@@ -347,13 +340,13 @@ class TestBatchObjective:
         assert loss_off == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_confident_correct_predictions_drive_fit_loss_to_zero(self):
-        net = NetworkParams([Layer(weights=np.zeros((2, 1)), bias=np.array([40.0, -40.0]))])
+        net = [(np.zeros((2, 1)), np.array([40.0, -40.0]))]
         x = np.zeros((5, 1))
         y = one_hot(np.zeros(5, dtype=np.int64), 2)
         assert batch_loss(net, x, y, 0.0) < 1e-6
 
     def test_two_sample_hand_computation(self):
-        net = NetworkParams([Layer(weights=np.eye(2), bias=np.zeros(2))])
+        net = [(np.eye(2), np.zeros(2))]
         x = np.array([[1.0, 0.0], [2.0, 0.0]])
         y = np.array([[0.7, 0.3], [0.2, 0.8]])
         lam = 0.7
@@ -406,8 +399,8 @@ class TestEnsemble:
         np.testing.assert_allclose(ensemble_probs([net, net], x), expected, atol=1e-12)
 
     def test_opposed_confident_networks_average_to_coin_flip(self):
-        a = NetworkParams([Layer(weights=np.zeros((2, 1)), bias=np.array([40.0, -40.0]))])
-        b = NetworkParams([Layer(weights=np.zeros((2, 1)), bias=np.array([-40.0, 40.0]))])
+        a = [(np.zeros((2, 1)), np.array([40.0, -40.0]))]
+        b = [(np.zeros((2, 1)), np.array([-40.0, 40.0]))]
         out = ensemble_probs([a, b], np.zeros((3, 1)))
         np.testing.assert_allclose(out, 0.5, atol=1e-12)
 
@@ -423,7 +416,7 @@ class TestEnsemble:
         np.testing.assert_allclose(ensemble_probs([a, b], x), (pa + pb) / 2, atol=1e-12)
 
     def test_accuracy_counts_argmax_hits(self):
-        net = NetworkParams([Layer(weights=np.eye(2), bias=np.zeros(2))])
+        net = [(np.eye(2), np.zeros(2))]
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         assert accuracy(net, x, np.array([0, 1, 1])) == pytest.approx(2.0 / 3.0)
         assert ensemble_accuracy([net, net], x, np.array([0, 1, 0])) == 1.0
@@ -769,9 +762,9 @@ def noisy_toy(n_samples: int, seed: int = 21):
 def assert_same_state(workspaces, ref_nets, ref_opts):
     for ws, name in zip(workspaces, ("net1", "net2"), strict=True):
         want = ref_nets[name]
-        for g, w in zip(ws.params.layers, want.layers, strict=True):
-            assert g.weights.tobytes() == w.weights.tobytes()
-            assert g.bias.tobytes() == w.bias.tobytes()
+        for (g_w, g_b), (w_w, w_b) in zip(ws.params, want, strict=True):
+            assert g_w.tobytes() == w_w.tobytes()
+            assert g_b.tobytes() == w_b.tobytes()
         assert ws.buffer.tobytes() == ref_opts[name].flat().tobytes()
 
 
@@ -905,7 +898,7 @@ class TestEpochRefusesNonFinite:
     def test_non_finite_logit(self, refine):
         ds, ws = self.warm()
         assert np.any(ws.buffer != 0.0)
-        ws.params.layers[-1].bias[1] = np.inf
+        ws.params[-1][1][1] = np.inf
         self.check_refused(ds, ws, refine)
 
     @pytest.mark.parametrize("refine", [False, True], ids=["plain-ce", "selection"])
