@@ -3,6 +3,12 @@
 Configs are JSON objects whose keys map one-to-one onto ExperimentConfig
 fields. Unknown keys are rejected rather than ignored so that typos fail
 loudly instead of silently running defaults.
+
+Each field declares its type and default, and a numeric field its range,
+on the field itself. `ExperimentConfig.__post_init__` checks every field
+against its declaration, so a config built in Python is checked exactly
+as one read from JSON, and an integer given for a float setting is stored
+as the float JSON would give.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,40 +37,73 @@ def _is_sequence(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
+# The scalar annotations: the test a value must pass, and its name in messages.
+_SCALARS = {
+    "bool": (lambda value: isinstance(value, bool), "a boolean"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+}
+
+# What each operator or bracket of a range rule tests a value against its bound.
+_COMPARE = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "[": operator.ge,
+    "(": operator.gt,
+    "]": operator.le,
+    ")": operator.lt,
+}
+
+
+def _setting(default, rule: str):
+    """A field with its default and the range its value must lie in.
+
+    `rule` is `>= b`, `> b` or an interval such as `in [a, b)` or
+    `in (a, b]`. The same text is checked and quoted in the error message.
+    """
+    if rule.startswith("in "):
+        low, high = rule[4:-1].split(", ")
+        bounds = ((_COMPARE[rule[3]], float(low)), (_COMPARE[rule[-1]], float(high)))
+    else:
+        op, bound = rule.split(" ")
+        bounds = ((_COMPARE[op], float(bound)),)
+    return dataclasses.field(default=default, metadata={"rule": rule, "bounds": bounds})
+
+
 # Frozen, so a config keeps the ranges __post_init__ checked; the run reads
 # its fields without checking them again. The two list fields are stored as
 # tuples, so no caller's list stays aliased to a checked config.
 @dataclass(frozen=True)
 class ExperimentConfig:
     # dataset
-    n_classes: int = 4
-    per_class: int = 1000
-    n_features: int = 2
-    spread: float = 0.5
-    test_per_class: int = 250
-    data_seed: int = 7
+    n_classes: int = _setting(4, ">= 2")
+    per_class: int = _setting(1000, ">= 1")
+    n_features: int = _setting(2, ">= 1")
+    spread: float = _setting(0.5, "> 0")
+    test_per_class: int = _setting(250, ">= 1")
+    data_seed: int = _setting(7, ">= 0")
     # noise
     noise_kind: str = "sym-c1"
-    noise_rate: float = 0.5
+    noise_rate: float = _setting(0.5, "in [0, 1]")
     # architecture: hidden layer widths, input/output sizes come from the data
     hidden_sizes: tuple[int, ...] = (64, 64)
-    # schedule and optimizer
+    # schedule and optimizer; total_epochs must exceed warmup_epochs
     total_epochs: int = 120
-    warmup_epochs: int = 15
-    batch_size: int = 128
-    learning_rate: float = 0.02
-    lr_decay_factor: float = 0.2
-    lr_decay_period: int = 80
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
+    warmup_epochs: int = _setting(15, ">= 1")
+    batch_size: int = _setting(128, ">= 2")
+    learning_rate: float = _setting(0.02, "> 0")
+    lr_decay_factor: float = _setting(0.2, "in (0, 1]")
+    lr_decay_period: int = _setting(80, ">= 1")
+    momentum: float = _setting(0.9, "in [0, 1)")
+    weight_decay: float = _setting(0.0005, ">= 0")
     # selection and refinement
-    tau_r: float = 0.5
-    tau_prd: float = 0.5
-    temperature: float = 0.5
-    alpha: float = 4.0
-    lambda_reg: float = 1.0
-    gmm_tol: float = 20.0  # absolute change in total log-likelihood
-    gmm_max_iter: int = 100
+    tau_r: float = _setting(0.5, "in (0, 1)")
+    tau_prd: float = _setting(0.5, "in (0, 1)")
+    temperature: float = _setting(0.5, "> 0")
+    alpha: float = _setting(4.0, "> 0")
+    lambda_reg: float = _setting(1.0, ">= 0")
+    gmm_tol: float = _setting(20.0, ">= 0")  # absolute change in total log-likelihood
+    gmm_max_iter: int = _setting(100, ">= 1")
     # Unit-square mixture means at the start of every fit: near-origin for
     # low-loss-on-label samples, mid-square for samples both losses flag,
     # right-bottom for samples whose label loss is high but prediction loss low.
@@ -74,37 +115,36 @@ class ExperimentConfig:
     disable_branch: str | None = None
     all_wrong: bool = False
     # run control
-    master_seed: int = 1
-    scatter_every: int = 1  # 0 = final epoch only
+    master_seed: int = _setting(1, ">= 0")
+    scatter_every: int = _setting(1, ">= 0")  # 0 = final epoch only
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
+            if f.type not in _SCALARS:
+                continue
             value = getattr(self, f.name)
-            if f.type == "float" and _is_number(value) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            accepts, kind = _SCALARS[f.type]
+            if not accepts(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if f.type == "float":
+                # NaN fails the comparison, as does an int too large for a float.
+                if not abs(value) <= sys.float_info.max:
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                value = float(value)
+                object.__setattr__(self, f.name, value)
+            if not all(holds(value, bound) for holds, bound in f.metadata.get("bounds", ())):
+                raise ConfigError(f"{f.name} must be {f.metadata['rule']}, got {value}")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
             )
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ConfigError(f"noise_rate must be in [0, 1], got {self.noise_rate}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.per_class < 1 or self.test_per_class < 1:
-            raise ConfigError("per_class and test_per_class must be >= 1")
-        if self.n_features < 1:
-            raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
-        if self.spread <= 0:
-            raise ConfigError(f"spread must be > 0, got {self.spread}")
         hidden = self.hidden_sizes
         if not (_is_sequence(hidden) and hidden and all(_is_int(h) and h >= 1 for h in hidden)):
             raise ConfigError(
                 f"hidden_sizes must be a non-empty list of positive integers, got {hidden!r}"
             )
         object.__setattr__(self, "hidden_sizes", tuple(hidden))
-        if self.scatter_every < 0:
-            raise ConfigError(f"scatter_every must be >= 0, got {self.scatter_every}")
         anchors = self.gmm_anchors
         if not (
             _is_sequence(anchors)
@@ -121,48 +161,11 @@ class ExperimentConfig:
         object.__setattr__(self, "gmm_anchors", points)
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
-        for name in ("master_seed", "data_seed"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        # schedule
-        if self.warmup_epochs < 1:
-            raise ConfigError(f"warmup_epochs must be >= 1, got {self.warmup_epochs}")
         if self.total_epochs <= self.warmup_epochs:
             raise ConfigError(
                 f"total_epochs ({self.total_epochs}) must exceed "
                 f"warmup_epochs ({self.warmup_epochs})"
             )
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.lr_decay_period < 1:
-            raise ConfigError(f"lr_decay_period must be >= 1, got {self.lr_decay_period}")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ConfigError(
-                f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"
-            )
-        # optimizer
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        # selection and refinement
-        for name in ("tau_r", "tau_prd"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {value}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.lambda_reg < 0:
-            raise ConfigError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
-        if self.gmm_tol < 0:
-            raise ConfigError(f"gmm_tol must be >= 0, got {self.gmm_tol}")
-        if self.gmm_max_iter < 1:
-            raise ConfigError(f"gmm_max_iter must be >= 1, got {self.gmm_max_iter}")
         if self.disable_branch not in (None, "labeled", "predicted"):
             raise ConfigError(
                 f"disable_branch must be labeled or predicted, got {self.disable_branch!r}"
@@ -203,36 +206,16 @@ def benchmark_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**{**fixed, **overrides})
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-
-_INT_FIELDS = {name for name, f in _FIELDS.items() if f.type == "int"}
-_FLOAT_FIELDS = {name for name, f in _FIELDS.items() if f.type == "float"}
-_BOOL_FIELDS = {name for name, f in _FIELDS.items() if f.type == "bool"}
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(_FIELDS))
+    unknown = sorted(set(raw) - _FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    coerced: dict = {}
-    for key, value in raw.items():
-        if key in _BOOL_FIELDS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key} must be a boolean, got {value!r}")
-        elif key in _INT_FIELDS:
-            if not _is_int(value):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        elif key in _FLOAT_FIELDS:
-            if not _is_number(value):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-            value = float(value)
-        coerced[key] = value
-    try:
-        return ExperimentConfig(**coerced)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**raw)
 
 
 def load_config(path: Path | str) -> ExperimentConfig:

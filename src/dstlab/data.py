@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -161,17 +162,22 @@ def write_csv(path: Path | str, header: Sequence[str], row: str, columns: Sequen
         fh.write(body)
 
 
-def save_dataset(ds: NoisyDataset, path: Path | str) -> None:
-    """Write `id,true_label,noisy_label,f0..f{D-1}` plus a sidecar manifest."""
+def save_dataset(ds: NoisyDataset, path: Path | str, writing=nullcontext) -> None:
+    """Write `id,true_label,noisy_label,f0..f{D-1}` plus a sidecar manifest.
+
+    Each file is written inside `writing(file)`, so a caller can name the
+    one whose write failed.
+    """
     path = Path(path)
     header = ["id", "true_label", "noisy_label"] + [f"f{j}" for j in range(ds.n_features)]
-    write_csv(
-        path,
-        header,
-        "%d,%d,%d" + ",%.17g" * ds.n_features + "\r\n",
-        [range(ds.n_samples), ds.true_labels.tolist(), ds.noisy_labels.tolist()]
-        + [column.tolist() for column in ds.features.T],
-    )
+    with writing(path):
+        write_csv(
+            path,
+            header,
+            "%d,%d,%d" + ",%.17g" * ds.n_features + "\r\n",
+            [range(ds.n_samples), ds.true_labels.tolist(), ds.noisy_labels.tolist()]
+            + [column.tolist() for column in ds.features.T],
+        )
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -186,9 +192,9 @@ def save_dataset(ds: NoisyDataset, path: Path | str) -> None:
             "seed": ds.noise_spec.seed,
         },
     }
-    sidecar_path(path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    sidecar = sidecar_path(path)
+    with writing(sidecar):
+        sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def sidecar_path(path: Path | str) -> Path:

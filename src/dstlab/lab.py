@@ -273,8 +273,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     # Both processes train or evaluate on one BLAS thread: an idle second
     # thread spins between calls. Results do not depend on the count.
     with one_blas_thread(), _EpochWriter(run_dir, test, cfg.layer_sizes(), ensemble) as writer:
-        with _writing(run_dir / "dataset.csv"):
-            save_dataset(train, run_dir / "dataset.csv")
+        save_dataset(train, run_dir / "dataset.csv", _writing)
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,

@@ -5,6 +5,7 @@ import pytest
 
 from dstlab.cli import main
 from dstlab.config import ExperimentConfig, config_to_dict
+from dstlab.lab import SUMMARY_FORMAT
 
 
 def write_config(tmp_path, **overrides):
@@ -170,6 +171,14 @@ class TestCompare:
         assert main(["compare", str(finished_run), str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+
+    def test_summaries_of_different_shapes_exit_two(self, tmp_path, capsys):
+        for name, accuracy in (("a.json", {"final": 0.9}), ("b.json", 0.9)):
+            summary = {"format": SUMMARY_FORMAT, "accuracy": accuracy}
+            (tmp_path / name).write_text(json.dumps(summary), encoding="utf-8")
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: summary shape mismatch at accuracy\n"
 
     def test_summary_that_is_a_directory_exits_two(self, tmp_path, capsys):
         (tmp_path / "A" / "summary.json").mkdir(parents=True)

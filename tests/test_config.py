@@ -14,7 +14,8 @@ from dstlab.config import (
 )
 from dstlab.errors import ConfigError
 
-FLOAT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"}
+FIELDS = dataclasses.fields(ExperimentConfig)
+FLOAT_FIELDS = {f.name for f in FIELDS if f.type == "float"}
 
 
 class TestDefaults:
@@ -132,6 +133,47 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", [f.name for f in FIELDS])
+    def test_every_field_rejects_an_ill_typed_value(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            ExperimentConfig(**{name: object()})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"per_class": "3"}, "per_class must be an integer, got '3'"),
+            ({"ce_only": 1}, "ce_only must be a boolean, got 1"),
+            ({"total_epochs": 120.0}, "total_epochs must be an integer, got 120.0"),
+            ({"alpha": "4"}, "alpha must be a number, got '4'"),
+            ({"alpha": 10**400}, "alpha must be finite"),
+        ],
+    )
+    def test_python_and_json_configs_fail_alike(self, kwargs, message):
+        for build in (lambda: ExperimentConfig(**kwargs), lambda: config_from_dict(kwargs)):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert str(info.value).startswith(message)
+
+    def test_every_number_but_total_epochs_declares_its_range(self):
+        # total_epochs is bounded by warmup_epochs, which declares its range.
+        numbers = {f.name for f in FIELDS if f.type in ("int", "float")}
+        ranged = {f.name for f in FIELDS if "rule" in f.metadata}
+        assert numbers - ranged == {"total_epochs"}
+        assert ranged <= numbers
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"per_class": 0}, "per_class must be >= 1, got 0"),
+            ({"test_per_class": 0}, "test_per_class must be >= 1, got 0"),
+            ({"lr_decay_factor": 0}, r"lr_decay_factor must be in \(0, 1\], got 0.0"),
+            ({"noise_rate": 2}, r"noise_rate must be in \[0, 1\], got 2.0"),
+        ],
+    )
+    def test_range_message_quotes_the_declared_rule(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**kwargs)
+
     def test_checked_fields_cannot_be_reassigned(self):
         cfg = ExperimentConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -173,6 +215,13 @@ class TestDictRoundTrip:
         cfg = config_from_dict({"alpha": 4})
         assert cfg.alpha == 4.0
         assert isinstance(cfg.alpha, float)
+
+    def test_python_int_for_a_float_serializes_as_json_does(self):
+        from_python = ExperimentConfig(noise_rate=1, alpha=4, gmm_tol=0)
+        from_json = config_from_dict({"noise_rate": 1, "alpha": 4, "gmm_tol": 0})
+        assert isinstance(from_python.noise_rate, float)
+        assert json.dumps(config_to_dict(from_python)) == json.dumps(config_to_dict(from_json))
+        assert '"noise_rate": 1.0' in json.dumps(config_to_dict(from_python))
 
     @pytest.mark.parametrize(
         "raw",

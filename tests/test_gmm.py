@@ -7,6 +7,7 @@ from conftest import ANCHORS, DEFAULTS
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, GmmFitError, InsufficientDataError
 from dstlab.gmm import (
+    INIT_COV_SCALE,
     PI_FLOOR,
     SIGMA_FLOOR,
     GmmModel,
@@ -15,6 +16,7 @@ from dstlab.gmm import (
     _columns,
     _e_step,
 )
+from dstlab.selection import assign_roles
 from oracles import e_step as e_step_reference
 from oracles import posteriors
 
@@ -127,6 +129,21 @@ class TestFit:
             eigvals = np.linalg.eigvalsh(cov)
             assert eigvals.min() >= SIGMA_FLOOR - 1e-12
             np.testing.assert_allclose(cov, cov.T)
+
+    def test_starved_component_keeps_its_shape(self):
+        # An anchor far from the unit-square cloud draws no responsibility:
+        # its component keeps the anchor mean and starting covariance, its
+        # weight sits at the floor, and it is matched to the wrong role.
+        anchors = ExperimentConfig(gmm_anchors=[[0, 0], [50, 50], [1, 0]]).gmm_anchors
+        points = np.random.default_rng(0).uniform(size=(300, 2))
+        model = fit(points, anchors, TOL, MAX_ITER)
+        assert model.iterations == 2
+        assert model.means[1].tolist() == [50.0, 50.0]
+        np.testing.assert_allclose(model.covariances[1], INIT_COV_SCALE * np.eye(2), atol=1e-15)
+        assert model.weights[1] == pytest.approx(PI_FLOOR, rel=1e-5)
+        assert assign_roles(model, np.asarray(anchors, dtype=np.float64))["wrong"] == 1
+        trace = np.array(model.ll_trace)
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) >= 0)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

@@ -732,8 +732,8 @@ class TestScatterWriter:
 
     @pytest.mark.parametrize(
         "name",
-        ["dataset.csv", "manifest.json", "epoch_002.json", "epoch_002_net2.csv", "net2.json",
-         "summary.json"],
+        ["dataset.csv", "dataset.csv.json", "manifest.json", "epoch_002.json",
+         "epoch_002_net2.csv", "net2.json", "summary.json"],
     )
     def test_write_error_exits_two_naming_the_file(
         self, tmp_path, monkeypatch, capsys, forks, name
@@ -878,3 +878,10 @@ class TestCompare:
     def test_null_versus_number_has_no_arithmetic_delta(self):
         deltas = compare({"x": None}, {"x": 1.0})
         assert deltas["x"] == {"a": None, "b": 1.0, "delta": None}
+
+    @pytest.mark.parametrize(
+        "a, b", [({"a": {"x": 1.0}}, {"a": 1.0}), ({"a": 1.0}, {"a": {"x": 1.0}})]
+    )
+    def test_dict_against_number_is_a_shape_mismatch(self, a, b):
+        with pytest.raises(StructuralError, match="summary shape mismatch at a$"):
+            compare(a, b)

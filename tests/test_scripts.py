@@ -101,3 +101,17 @@ def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monk
             *(run_dir / f"reports/epoch_00{epoch}.json" for epoch in (1, 2, 3)),
         ]
     )
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark builds its runs through the config and reads their run
+    # files; its self-test fails on a change that would break either.
+    done = subprocess.run(
+        [sys.executable, "bench/selftest.py"],
+        cwd=RUNS.parent.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.rstrip().endswith("OK")
