@@ -12,9 +12,9 @@ a range or a shape again.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -149,52 +149,43 @@ def audit_states(ds: NoisyDataset, predicted: np.ndarray) -> np.ndarray:
     return states
 
 
-def write_csv(path: Path | str, header: Sequence[str], row: str, columns: Sequence) -> None:
-    """Write `header` through `csv.writer`, then one `row % values` line per
-    entry of the equal-length `columns`, formatted in one `%` operation.
+def csv_row(fields: Sequence) -> str:
+    """One `csv.writer` row: quoted where needed, ending in `\r\n`."""
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue()
+
+
+def write_csv(header: Sequence[str], row: str, columns: Sequence) -> str:
+    """The CSV text of `header`, then one `row % values` line per entry of
+    the equal-length `columns`, formatted in one `%` operation.
 
     `row` is a %-format ending in `csv.writer`'s `\r\n` terminator. Numbers
     need no quoting; a string field in `row` comes quoted and %-escaped.
     """
     body = (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write(body)
+    return csv_row(header) + body
 
 
-def save_dataset(ds: NoisyDataset, path: Path | str, writing=nullcontext) -> None:
-    """Write `id,true_label,noisy_label,f0..f{D-1}` plus a sidecar manifest.
-
-    Each file is written inside `writing(file)`, so a caller can name the
-    one whose write failed.
-    """
-    path = Path(path)
+def save_dataset(ds: NoisyDataset) -> tuple[str, str]:
+    """The text of `id,true_label,noisy_label,f0..f{D-1}` and of its sidecar
+    manifest (written beside it, at `sidecar_path`)."""
     header = ["id", "true_label", "noisy_label"] + [f"f{j}" for j in range(ds.n_features)]
-    with writing(path):
-        write_csv(
-            path,
-            header,
-            "%d,%d,%d" + ",%.17g" * ds.n_features + "\r\n",
-            [range(ds.n_samples), ds.true_labels.tolist(), ds.noisy_labels.tolist()]
-            + [column.tolist() for column in ds.features.T],
-        )
+    table = write_csv(
+        header,
+        "%d,%d,%d" + ",%.17g" * ds.n_features + "\r\n",
+        [range(ds.n_samples), ds.true_labels.tolist(), ds.noisy_labels.tolist()]
+        + [column.tolist() for column in ds.features.T],
+    )
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "n_samples": ds.n_samples,
         "n_classes": ds.n_classes,
         "n_features": ds.n_features,
-        "noise_spec": None
-        if ds.noise_spec is None
-        else {
-            "kind": ds.noise_spec.kind,
-            "rate": ds.noise_spec.rate,
-            "seed": ds.noise_spec.seed,
-        },
+        "noise_spec": None if ds.noise_spec is None else asdict(ds.noise_spec),
     }
-    sidecar = sidecar_path(path)
-    with writing(sidecar):
-        sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return table, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def sidecar_path(path: Path | str) -> Path:

@@ -1,11 +1,12 @@
 """Experiment orchestration: datasets, the epoch loop, and run artifacts.
 
-A run directory is self-describing: manifest.json (written before training
-starts) holds the full config plus derived seeds, reports/ holds one JSON
-per epoch, scatter/ holds per-network normalized loss clouds, checkpoints/
-holds the final parameters, and summary.json condenses the run into
-scalars. Summaries contain no paths or timestamps, so identical configs
-and seeds produce byte-identical summary files.
+A run directory is self-describing: manifest.json (written before the
+first report) holds the full config plus derived seeds, reports/ holds
+one JSON per epoch, scatter/ holds per-network normalized loss clouds,
+checkpoints/ holds the final parameters, and summary.json condenses the
+run into scalars. A forked writer process writes every one of them.
+Summaries contain no paths or timestamps, so identical configs and seeds
+produce byte-identical summary files.
 """
 
 from __future__ import annotations
@@ -15,11 +16,19 @@ import json
 import os
 import pickle
 import signal
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from pathlib import Path
 
 from .config import ExperimentConfig, _is_number, config_to_dict
-from .data import CleanDataset, NoisyDataset, NoiseSpec, inject_noise, make_blobs, save_dataset
+from .data import (
+    CleanDataset,
+    NoisyDataset,
+    NoiseSpec,
+    inject_noise,
+    make_blobs,
+    save_dataset,
+    sidecar_path,
+)
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import write_scatter
 from .network import Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
@@ -81,57 +90,126 @@ def scatter_csv_path(run_dir: Path | str, epoch: int, net: str) -> Path:
     return Path(run_dir) / "scatter" / f"epoch_{int(epoch):03d}_{net}.csv"
 
 
-@contextmanager
-def _writing(path: Path):
-    """Turn an `OSError` while writing one run file into a `StructuralError`."""
+def _write(path: Path, text: str) -> None:
+    """Write one run file whole: `NAME.tmp` beside it, renamed over it, so
+    no file of a run is ever left truncated. An `OSError` removes the tmp
+    file and becomes a `StructuralError` naming the run file."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        yield
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with suppress(OSError):
+            tmp.unlink()
         raise StructuralError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path: Path, text: str) -> None:
-    with _writing(path):
-        path.write_text(text + "\n", encoding="utf-8")
+def _accuracy_stats(series: list[float]) -> dict:
+    tail = series[-LAST_K_EPOCHS:]
+    return {"best": max(series), "final": series[-1], "last10_mean": sum(tail) / len(tail)}
 
 
-def _serve_epochs(
+def _final_branch_stats(selection: dict | None) -> dict:
+    """Branch sizes and precisions per net at the last epoch; None for a net
+    that trained on plain cross-entropy then."""
+    out: dict = {}
+    for name in NET_NAMES:
+        entry = (selection or {}).get(name)
+        out[name] = None if entry is None or entry["fallback"] else {
+            branch: {key: entry["branches"][branch][key] for key in ("size", "precision")}
+            for branch in ("labeled", "predicted", "wrong")
+        }
+    return out
+
+
+def _summary(manifest: dict, reports: list[dict]) -> dict:
+    """The run condensed into scalars, from its manifest and every report."""
+    config = dict(manifest["config"])
+    config.pop("output_dir")  # summaries must not depend on placement
+    return {
+        **manifest,
+        "format": SUMMARY_FORMAT,
+        "version": SUMMARY_VERSION,
+        "config": config,
+        "accuracy": {
+            name: _accuracy_stats([report["test_accuracy"][name] for report in reports])
+            for name in ("net1", "net2", "ensemble")
+        },
+        "final_branches": _final_branch_stats(reports[-1]["selection"]),
+        "fallback_epochs": {
+            name: [
+                report["epoch"]
+                for report in reports
+                if (report["selection"] or {}).get(name, {}).get("fallback")
+            ]
+            for name in NET_NAMES
+        },
+    }
+
+
+def _serve_run(
     requests,
     replies,
     run_dir: Path,
+    cfg: ExperimentConfig,
+    train: NoisyDataset,
     test: CleanDataset,
-    sizes: list[int],
-    ensemble: tuple[str, ...],
+    seeds: dict[str, int],
 ) -> None:
-    """Writer loop: per message, write the epoch's dumps, evaluate its
-    snapshot and write its report; answer `(error, test_accuracy)`.
+    """Writer loop: write every file of the run; answer each message with
+    the first error so far, or None.
 
-    A failed dump does not stop the report, as when the run wrote its
-    reports itself; the first error is answered.
+    The dataset, its sidecar and the manifest come first. Per message: the
+    epoch's dumps, then its evaluation and report, and after the final
+    epoch, if no error has occurred, the checkpoints and summary.json. A
+    failed dump does not stop the report.
     """
+    errors: list[Exception] = []
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "version": MANIFEST_VERSION,
+        "config": config_to_dict(cfg),
+        "seeds": seeds,
+        "n_train": train.n_samples,
+        "n_test": test.n_samples,
+    }
+    try:
+        table, sidecar = save_dataset(train)
+        _write(run_dir / "dataset.csv", table)
+        _write(sidecar_path(run_dir / "dataset.csv"), sidecar)
+        _write(run_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except Exception as exc:  # noqa: BLE001 - answered to the run
+        errors.append(exc)
+    sizes = cfg.layer_sizes()
+    ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
+    reports: list[dict] = []
     while True:
         try:
             flats, report, dumps = pickle.load(requests)
         except EOFError:
             return
-        error = test_accuracy = None
+        epoch = report["epoch"]
         try:
-            for path, epoch, net, prof in dumps:
-                with _writing(path):
-                    write_scatter(path, epoch, net, prof)
-        except Exception as exc:  # noqa: BLE001 - sent on, raised by the run
-            error = exc
+            for name, prof in zip(NET_NAMES, dumps):
+                _write(scatter_csv_path(run_dir, epoch, name), write_scatter(epoch, name, prof))
+        except Exception as exc:  # noqa: BLE001 - answered to the run
+            errors.append(exc)
         try:
             nets = {name: layer_views(flat, sizes) for name, flat in zip(NET_NAMES, flats)}
-            test_accuracy = evaluate(nets, test.features, test.true_labels, ensemble)
-            _write_json(
-                run_dir / "reports" / f"epoch_{report['epoch']:03d}.json",
-                json.dumps({**report, "test_accuracy": test_accuracy}, indent=2, sort_keys=True),
-            )
-        except Exception as exc:  # noqa: BLE001 - sent on, raised by the run
-            if error is None:
-                error = exc
-        pickle.dump((error, test_accuracy), replies)
+            report["test_accuracy"] = evaluate(nets, test.features, test.true_labels, ensemble)
+            text = json.dumps(report, indent=2, sort_keys=True)
+            _write(run_dir / "reports" / f"epoch_{epoch:03d}.json", text + "\n")
+            reports.append(report)
+            if epoch == cfg.total_epochs and not errors:
+                for name, params in nets.items():
+                    _write(run_dir / "checkpoints" / f"{name}.json", save_checkpoint(params))
+                summary = _summary(manifest, reports)
+                text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+                _write(run_dir / "summary.json", text + "\n")
+        except Exception as exc:  # noqa: BLE001 - answered to the run
+            errors.append(exc)
+        pickle.dump(errors[0] if errors else None, replies)
         replies.flush()
 
 
@@ -139,18 +217,16 @@ _WRITER_GONE = "the epoch writer process ended early"
 
 
 class _EpochWriter:
-    """A forked process that finishes each epoch: its files and its test accuracy.
+    """A forked process that writes every file of a run (`_serve_run`).
 
-    The run sends one pickled message per epoch, once its training is
-    done: each network's flat parameters (the pickle is the snapshot), the
-    report without `test_accuracy`, and the loss-scatter dumps due, each a
-    `(path, epoch, net, profile)` tuple whose profile carries the audit
-    states it writes. The writer writes the dumps, evaluates the snapshot
-    on the test set, writes the report, and answers. So formatting the
-    clouds (about 15 ms for 4000 rows, most of it `%.17g`) and the test
-    forwards overlap the next epoch's training on another core. At most
-    one message is in flight; `test_accuracy` collects the answers in
-    epoch order.
+    It inherits the config, both datasets and the seeds at the fork. The
+    run sends one pickled message per epoch, once its training is done:
+    each network's flat parameters (the pickle is the snapshot), the report
+    without `test_accuracy`, and the loss profiles due for dumping. The
+    writer keeps each report it writes and, after the final epoch, builds
+    summary.json from them. So formatting (about 15 ms per 4000-row cloud,
+    most of it `%.17g`), the test forwards and every write overlap training
+    on another core. At most one message is in flight.
 
     Fork it on one BLAS thread (`one_blas_thread`): the writer inherits the
     count, and a fork copies none of the BLAS's threads. As a context
@@ -159,12 +235,16 @@ class _EpochWriter:
     """
 
     def __init__(
-        self, run_dir: Path, test: CleanDataset, sizes: list[int], ensemble: tuple[str, ...]
+        self,
+        run_dir: Path,
+        cfg: ExperimentConfig,
+        train: NoisyDataset,
+        test: CleanDataset,
+        seeds: dict[str, int],
     ) -> None:
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         self.pending = False
-        self.test_accuracy: list[dict[str, float]] = []
         self.pid = os.fork()
         if self.pid == 0:
             # The writer never returns into the caller's stack: no atexit
@@ -176,15 +256,15 @@ class _EpochWriter:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(request_w)
                 os.close(reply_r)
-                with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
-                    _serve_epochs(requests, replies, run_dir, test, sizes, ensemble)
+                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
+                    _serve_run(requests, replies, run_dir, cfg, train, test, seeds)
                 code = 0
             finally:
                 os._exit(code)
         os.close(request_r)
         os.close(reply_w)
-        self.requests = open(request_w, "wb")
-        self.replies = open(reply_r, "rb")
+        self.requests = os.fdopen(request_w, "wb")
+        self.replies = os.fdopen(reply_r, "rb")
 
     def wait(self) -> None:
         """Block until the epoch in flight is finished; raise its error."""
@@ -192,15 +272,14 @@ class _EpochWriter:
             return
         self.pending = False
         try:
-            error, test_accuracy = pickle.load(self.replies)
+            error = pickle.load(self.replies)
         except EOFError:
             raise StructuralError(_WRITER_GONE) from None
         if error is not None:
             raise error
-        self.test_accuracy.append(test_accuracy)
 
-    def submit(self, flats: list, report: dict, dumps: list[tuple]) -> None:
-        """Send one epoch's parameters, report and dumps."""
+    def submit(self, flats: list, report: dict, dumps: list) -> None:
+        """Send one epoch's parameters, report and profiles to dump."""
         self.wait()
         try:
             pickle.dump((flats, report, dumps), self.requests, pickle.HIGHEST_PROTOCOL)
@@ -227,33 +306,6 @@ class _EpochWriter:
             os.waitpid(self.pid, 0)
 
 
-def _accuracy_stats(series: list[float]) -> dict:
-    tail = series[-LAST_K_EPOCHS:]
-    return {
-        "best": max(series),
-        "final": series[-1],
-        "last10_mean": sum(tail) / len(tail),
-    }
-
-
-def _final_branch_stats(selection: dict | None) -> dict:
-    """Labeled/predicted branch size and precision per net at the last epoch."""
-    out: dict = {}
-    for name in NET_NAMES:
-        entry = None if selection is None else selection.get(name)
-        if entry is None or entry.get("fallback"):
-            out[name] = None
-            continue
-        out[name] = {
-            branch: {
-                "size": entry["branches"][branch]["size"],
-                "precision": entry["branches"][branch]["precision"],
-            }
-            for branch in ("labeled", "predicted", "wrong")
-        }
-    return out
-
-
 def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     """Execute one experiment end to end; returns the run directory."""
     run_dir = _resolve_run_dir(cfg, output_dir)
@@ -269,29 +321,14 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
         raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
 
     train, test, seeds = build_datasets(cfg)
-    ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     # Both processes train or evaluate on one BLAS thread: an idle second
     # thread spins between calls. Results do not depend on the count.
-    with one_blas_thread(), _EpochWriter(run_dir, test, cfg.layer_sizes(), ensemble) as writer:
-        save_dataset(train, run_dir / "dataset.csv", _writing)
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "version": MANIFEST_VERSION,
-            "config": config_to_dict(cfg),
-            "seeds": seeds,
-            "n_train": train.n_samples,
-            "n_test": test.n_samples,
-        }
-        _write_json(run_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
-
+    with one_blas_thread(), _EpochWriter(run_dir, cfg, train, test, seeds) as writer:
         streams = RngStreams.from_master(cfg.master_seed)
         workspaces = [
             Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
             for rng in streams.init
         ]
-
-        fallback_epochs: dict[str, list[int]] = {"net1": [], "net2": []}
-        last_selection: dict | None = None
         for epoch in range(1, cfg.total_epochs + 1):
             lr = cfg.learning_rate_at(epoch)
             in_warmup = epoch <= cfg.warmup_epochs
@@ -305,43 +342,10 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
             else:
                 phase = "dst"
                 selection, profiles = run_dst_epoch(workspaces, lr, train, cfg, streams)
-                for name in NET_NAMES:
-                    if selection.get(name, {}).get("fallback"):
-                        fallback_epochs[name].append(epoch)
                 if _scatter_due(cfg, epoch):
-                    dumps = [
-                        (scatter_csv_path(run_dir, epoch, name), epoch, name, prof)
-                        for name, prof in zip(NET_NAMES, profiles)
-                    ]
-                if epoch == cfg.total_epochs:
-                    last_selection = selection
-
+                    dumps = profiles
             report = {"epoch": epoch, "phase": phase, "learning_rate": lr, "selection": selection}
             writer.submit([ws.flat for ws in workspaces], report, dumps)
-
-    history = {
-        name: [accuracy[name] for accuracy in writer.test_accuracy]
-        for name in ("net1", "net2", "ensemble")
-    }
-    for name, ws in zip(NET_NAMES, workspaces):
-        path = run_dir / "checkpoints" / f"{name}.json"
-        with _writing(path):
-            save_checkpoint(ws.params, path)
-
-    summary_config = config_to_dict(cfg)
-    summary_config.pop("output_dir")  # summaries must not depend on placement
-    summary = {
-        "format": SUMMARY_FORMAT,
-        "version": SUMMARY_VERSION,
-        "config": summary_config,
-        "seeds": seeds,
-        "n_train": train.n_samples,
-        "n_test": test.n_samples,
-        "accuracy": {name: _accuracy_stats(series) for name, series in history.items()},
-        "final_branches": _final_branch_stats(last_selection),
-        "fallback_epochs": fallback_epochs,
-    }
-    _write_json(run_dir / "summary.json", json.dumps(summary, sort_keys=True, separators=(",", ":")))
     return run_dir
 
 
@@ -378,6 +382,12 @@ def load_summary(path: Path | str) -> dict:
 
 
 def _walk_deltas(a, b, prefix: str, out: dict) -> None:
+    # A null against an object (final branches of a net that fell back, or
+    # of a run without them) is null against each of its leaves.
+    if a is None and isinstance(b, dict):
+        a = dict.fromkeys(b)
+    elif b is None and isinstance(a, dict):
+        b = dict.fromkeys(a)
     if isinstance(a, dict) or isinstance(b, dict):
         if not (isinstance(a, dict) and isinstance(b, dict)):
             raise StructuralError(f"summary shape mismatch at {prefix or '<root>'}")

@@ -10,14 +10,11 @@ anchor means live in), the predictions and each sample's agreement state.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import NoisyDataset, audit_states, write_csv
+from .data import NoisyDataset, audit_states, csv_row, write_csv
 from .network import LOG_FLOOR, Layers, forward_cached, softmax
 
 
@@ -71,16 +68,14 @@ def minmax_normalize(values: np.ndarray) -> np.ndarray:
 SCATTER_HEADER = ["epoch", "net", "id", "l_nis", "l_prd", "nrm_nis", "nrm_prd", "pred", "state"]
 
 
-def write_scatter(path: Path | str, epoch: int, net: str, prof: LossProfile) -> None:
-    """Dump one network's normalized loss cloud for one epoch as CSV.
+def write_scatter(epoch: int, net: str, prof: LossProfile) -> str:
+    """One network's normalized loss cloud for one epoch, as CSV text.
 
     Floats are written with `%.17g`, so they round-trip exactly. The
     constant `epoch,net` prefix goes through `csv.writer` once (quoting)
     and is %-escaped into every row (`data.write_csv`).
     """
-    head = io.StringIO()
-    csv.writer(head).writerow([epoch, net])
-    prefix = head.getvalue().removesuffix("\r\n")
+    prefix = csv_row([epoch, net]).removesuffix("\r\n")
     row = prefix.replace("%", "%%") + ",%d,%.17g,%.17g,%.17g,%.17g,%d,%d\r\n"
     columns = [
         range(prof.n_samples),
@@ -91,4 +86,4 @@ def write_scatter(path: Path | str, epoch: int, net: str, prof: LossProfile) -> 
         prof.predicted.tolist(),
         prof.states.tolist(),
     ]
-    write_csv(path, SCATTER_HEADER, row, columns)
+    return write_csv(SCATTER_HEADER, row, columns)

@@ -206,8 +206,8 @@ class Workspace:
         self.flat -= np.multiply(learning_rate, buf, out=scratch)
 
 
-def save_checkpoint(params: Layers, path: Path | str) -> None:
-    """Write a versioned JSON checkpoint (row-major values per layer)."""
+def save_checkpoint(params: Layers) -> str:
+    """A versioned JSON checkpoint's text (row-major values per layer)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -217,4 +217,4 @@ def save_checkpoint(params: Layers, path: Path | str) -> None:
             for weights, bias in params
         ],
     }
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    return json.dumps(payload) + "\n"

@@ -10,7 +10,8 @@ The first section holds what tests compare production against but no
 production path calls: the scalar cross-entropy, accuracies, warmup, a
 parameter hash, and thin compositions of production code (gradient,
 posteriors, ensemble softmax). The last section reads back the run files
-a run writes but never reads: datasets and checkpoints.
+a run writes but never reads: datasets and checkpoints, and rebuilds
+summary.json from the manifest and reports.
 """
 
 import csv
@@ -480,8 +481,8 @@ def e_step(points, means, covariances, weights):
     return resp, total_ll
 
 
-# --- The dataset writer before rows were formatted in bulk, and readers of
-# the dataset and checkpoint files a run writes.
+# --- The dataset writer before rows were formatted in bulk, readers of
+# the dataset and checkpoint files a run writes, and its summary rebuilt.
 
 
 def save_dataset_rows(ds: data.NoisyDataset, path: Path | str) -> None:
@@ -551,3 +552,58 @@ def load_checkpoint(path: Path | str) -> Layers:
     if not all(np.all(np.isfinite(w)) and np.all(np.isfinite(b)) for w, b in layers):
         raise NumericError(f"checkpoint contains non-finite parameters: {path}")
     return layers
+
+
+def summary_from_files(run_dir: Path | str) -> str:
+    """summary.json's text rebuilt from a run's manifest.json and reports.
+
+    Every figure the summary holds comes from files the run wrote before
+    it: the config without its placement, the seeds and set sizes from the
+    manifest; the accuracy series, the last epoch's branches and each
+    net's fallback epochs from `reports/epoch_XXX.json` in epoch order.
+    """
+    run_dir = Path(run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    reports = [
+        json.loads(path.read_text(encoding="utf-8"))
+        for path in sorted((run_dir / "reports").glob("epoch_*.json"))
+    ]
+    assert [report["epoch"] for report in reports] == list(range(1, len(reports) + 1))
+    accuracy = {}
+    for name in ("net1", "net2", "ensemble"):
+        series = [report["test_accuracy"][name] for report in reports]
+        tail = series[-10:]
+        accuracy[name] = {
+            "best": max(series), "final": series[-1], "last10_mean": sum(tail) / len(tail)
+        }
+    final_branches, fallback_epochs = {}, {}
+    for name in ("net1", "net2"):
+        entry = (reports[-1]["selection"] or {}).get(name)
+        final_branches[name] = None
+        if entry is not None and not entry["fallback"]:
+            final_branches[name] = {
+                branch: {
+                    "size": entry["branches"][branch]["size"],
+                    "precision": entry["branches"][branch]["precision"],
+                }
+                for branch in ("labeled", "predicted", "wrong")
+            }
+        fallback_epochs[name] = [
+            report["epoch"]
+            for report in reports
+            if report["selection"] is not None
+            and report["selection"].get(name, {}).get("fallback", False)
+        ]
+    config = {key: value for key, value in manifest["config"].items() if key != "output_dir"}
+    summary = {
+        "format": "dstlab-summary",
+        "version": 1,
+        "config": config,
+        "seeds": manifest["seeds"],
+        "n_train": manifest["n_train"],
+        "n_test": manifest["n_test"],
+        "accuracy": accuracy,
+        "final_branches": final_branches,
+        "fallback_epochs": fallback_epochs,
+    }
+    return json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"

@@ -16,6 +16,7 @@ from dstlab.data import (
     make_blobs,
     STATE_NAMES,
     save_dataset,
+    sidecar_path,
 )
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, StructuralError
@@ -25,6 +26,13 @@ from oracles import load_dataset, save_dataset_rows
 
 def blobs(n_classes=4, per_class=50, n_features=2, spread=0.5, seed=0):
     return make_blobs(n_classes, per_class, n_features, spread, np.random.default_rng(seed))
+
+
+def write_dataset(ds, path) -> None:
+    """`save_dataset`'s CSV and sidecar, written where a run writes them."""
+    table, sidecar = save_dataset(ds)
+    path.write_text(table, encoding="utf-8", newline="")
+    sidecar_path(path).write_text(sidecar, encoding="utf-8")
 
 
 def corrupt(ds, kind, rate, seed):
@@ -286,7 +294,7 @@ class TestDatasetFile:
     def test_round_trip_is_exact(self, tmp_path):
         noisy = corrupt(blobs(per_class=7), "sym-c1", 0.5, seed=3)
         path = tmp_path / "dataset.csv"
-        save_dataset(noisy, path)
+        write_dataset(noisy, path)
         loaded = load_dataset(path)
         assert np.array_equal(loaded.features, noisy.features)
         assert np.array_equal(loaded.true_labels, noisy.true_labels)
@@ -298,7 +306,7 @@ class TestDatasetFile:
     def test_header_and_sidecar(self, tmp_path):
         noisy = corrupt(blobs(per_class=3, n_features=3), "sym-c1", 0.2, seed=1)
         path = tmp_path / "dataset.csv"
-        save_dataset(noisy, path)
+        write_dataset(noisy, path)
         header = path.read_text().splitlines()[0]
         assert header == "id,true_label,noisy_label,f0,f1,f2"
         assert (tmp_path / "dataset.csv.json").exists()
@@ -307,14 +315,14 @@ class TestDatasetFile:
     @pytest.mark.parametrize("n_features", [1, 2, 20])
     def test_bytes_match_row_by_row_writer(self, tmp_path, n_features, kind):
         noisy = corrupt(blobs(n_classes=3, per_class=40, n_features=n_features), kind, 0.4, seed=5)
-        save_dataset(noisy, tmp_path / "got.csv")
+        write_dataset(noisy, tmp_path / "got.csv")
         save_dataset_rows(noisy, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_edge_floats_match_row_by_row_writer(self, tmp_path):
         features = [[-0.0, 0.1], [1e-300, -1.7976931348623157e308], [5e-324, 2.0**53 + 1]]
         noisy = make_noisy(features, [0, 1, 1], [1, 1, 0], 2)
-        save_dataset(noisy, tmp_path / "got.csv")
+        write_dataset(noisy, tmp_path / "got.csv")
         save_dataset_rows(noisy, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 

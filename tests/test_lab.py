@@ -405,6 +405,7 @@ class TestFitFailureEndToEnd:
 
         summary = load_summary(run_dir)
         assert summary["fallback_epochs"] == {"net1": [3], "net2": [3, 6]}
+        assert oracles.summary_from_files(run_dir) == (run_dir / "summary.json").read_text()
         assert summary["final_branches"]["net2"] is None
         assert summary["final_branches"]["net1"]["labeled"]["size"] >= 0
         for name in ("net1", "net2"):
@@ -554,6 +555,19 @@ def ce_run(tmp_path_factory):
     return run(small_config(ce_only=True), out)
 
 
+@pytest.fixture(scope="module")
+def single_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("single") / "run"
+    return run(small_config(single_network=True), out)
+
+
+@pytest.mark.parametrize("fixture", ["smoke_run", "ce_run", "single_run"])
+def test_summary_is_rebuilt_from_manifest_and_reports(request, fixture):
+    run_dir = request.getfixturevalue(fixture)
+    run_dir = run_dir[0] if fixture == "smoke_run" else run_dir
+    assert oracles.summary_from_files(run_dir) == (run_dir / "summary.json").read_text()
+
+
 class TestCeOnly:
     def test_post_warmup_phase_is_ce(self, ce_run):
         report2 = json.loads((ce_run / "reports" / "epoch_002.json").read_text())
@@ -612,20 +626,36 @@ def assert_reaped(pids):
 # writer forks) and one after; with `fail` every scatter dump raises ENOSPC.
 MARKED_RUN = """
 import sys
-from dstlab import cli, lab
+from pathlib import Path
+from dstlab import cli
 
 if sys.argv[2] == "fail":
-    def write_scatter(path, *args):
-        raise OSError(28, "No space left on device", str(path))
-    lab.write_scatter = write_scatter
+    real_open = Path.open
+    def full_disk_open(self, mode="r", *args, **kwargs):
+        if self.parent.name == "scatter" and "w" in mode:
+            raise OSError(28, "No space left on device", str(self))
+        return real_open(self, mode, *args, **kwargs)
+    Path.open = full_disk_open
 print("before the run")
 code = cli.main(["run", sys.argv[1]])
 print("after the run", code)
 """
 
 
+def full_disk_open(name: str):
+    """`Path.open` that fails opening run file `name` for writing with ENOSPC."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if self.name == name + ".tmp" and "w" in mode:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+        return real_open(self, mode, *args, **kwargs)
+
+    return open_
+
+
 class TestScatterWriter:
-    """The forked process that writes the scatter CSVs, and write errors."""
+    """The forked process that writes every run file, and write errors."""
 
     def test_no_child_left_after_the_run(self, tmp_path, forks):
         run(small_config(), tmp_path / "r")
@@ -712,14 +742,7 @@ class TestScatterWriter:
         self, tmp_path, monkeypatch, forks, failing, scatter_every, reports, dumps
     ):
         # The file set the run left when it wrote its reports itself.
-        real = lab.write_scatter
-
-        def full_disk_write_scatter(path, *args):
-            if path.name == failing:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-            return real(path, *args)
-
-        monkeypatch.setattr(lab, "write_scatter", full_disk_write_scatter)
+        monkeypatch.setattr(Path, "open", full_disk_open(failing))
         run_dir = tmp_path / "r"
         with pytest.raises(StructuralError, match=f"cannot write .*/{failing}: "):
             run(small_config(total_epochs=4, scatter_every=scatter_every), run_dir)
@@ -738,15 +761,8 @@ class TestScatterWriter:
     def test_write_error_exits_two_naming_the_file(
         self, tmp_path, monkeypatch, capsys, forks, name
     ):
-        # The scatter CSV fails in the writer process, the rest in the run's.
-        real_open = Path.open
-
-        def full_disk_open(self, mode="r", *args, **kwargs):
-            if self.name == name and "w" in mode:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
-            return real_open(self, mode, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "open", full_disk_open)
+        # Every run file is written by the writer process.
+        monkeypatch.setattr(Path, "open", full_disk_open(name))
         out = tmp_path / "out"
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_to_dict(small_config(output_dir=str(out)))))
@@ -756,6 +772,78 @@ class TestScatterWriter:
         assert "No space left on device" in err and "Traceback" not in err
         assert not (out / "summary.json").exists()
         assert_reaped(forks)
+
+    def test_every_file_is_written_by_the_writer(self, tmp_path, monkeypatch, forks):
+        # Each open for writing appends its pid and path to a log, with an
+        # os-level append that does not go through `Path.open`.
+        log = tmp_path / "writes"
+        real_open = Path.open
+
+        def logging_open(self, mode="r", *args, **kwargs):
+            if "w" in mode:
+                fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                os.write(fd, f"{os.getpid()} {self}\n".encode())
+                os.close(fd)
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", logging_open)
+        run_dir = run(small_config(), tmp_path / "r")
+        writes = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        assert {pid for pid, _ in writes} == {str(forks[0])}
+        written = [str(Path(path).relative_to(run_dir)).removesuffix(".tmp") for _, path in writes]
+        assert sorted(written) == sorted(run_bytes(run_dir))
+
+    @pytest.mark.parametrize("fails", ["write", "replace"])
+    @pytest.mark.parametrize(
+        "name, files",
+        [
+            ("epoch_002_net2.csv", ["reports/epoch_002.json", "scatter/epoch_002_net1.csv"]),
+            ("epoch_002.json", ["scatter/epoch_002_net1.csv", "scatter/epoch_002_net2.csv"]),
+            (
+                "summary.json",
+                [
+                    *(f"reports/epoch_{e:03d}.json" for e in (2, 3, 4)),
+                    *(f"scatter/epoch_{e:03d}_{n}.csv" for e in (2, 3, 4) for n in NET_NAMES),
+                    "checkpoints/net1.json",
+                    "checkpoints/net2.json",
+                ],
+            ),
+        ],
+    )
+    def test_failed_write_leaves_no_tmp_file(
+        self, tmp_path, monkeypatch, forks, fails, name, files
+    ):
+        # The tmp file of `name` fails half written, or its rename fails;
+        # the run leaves the file set it left before writes were atomic.
+        real_open, real_replace = Path.open, os.replace
+
+        def half_written_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            if self.name == name + ".tmp":
+                def full_disk_write(text):
+                    type(fh).write(fh, text[: len(text) // 2])
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+                fh.write = full_disk_write
+            return fh
+
+        def failing_replace(src, dst):
+            if Path(dst).name == name:
+                raise OSError(errno.EIO, os.strerror(errno.EIO), str(dst))
+            return real_replace(src, dst)
+
+        if fails == "write":
+            monkeypatch.setattr(Path, "open", half_written_open)
+        else:
+            monkeypatch.setattr(os, "replace", failing_replace)
+        run_dir = tmp_path / "r"
+        with pytest.raises(StructuralError, match=f"cannot write .*/{name}: "):
+            run(small_config(total_epochs=4), run_dir)
+        assert_reaped(forks)
+        assert not list(run_dir.rglob("*.tmp"))
+        assert set(run_bytes(run_dir)) == {
+            "dataset.csv", "dataset.csv.json", "manifest.json", "reports/epoch_001.json", *files
+        }
 
     @pytest.mark.parametrize("dumps", ["ok", "fail"])
     def test_output_after_the_run_appears_once(self, tmp_path, dumps):
@@ -794,9 +882,8 @@ class TestScatterWriter:
         expected = {}
         for epoch, profiles in enumerate(clouds, start=cfg.warmup_epochs + 1):
             for net, prof in zip(NET_NAMES, profiles):
-                path = tmp_path / f"epoch_{epoch}_{net}.csv"
-                write_scatter(path, epoch, net, prof)
-                expected[scatter_csv_path(run_dir, epoch, net).name] = path.read_bytes()
+                text = write_scatter(epoch, net, prof)
+                expected[scatter_csv_path(run_dir, epoch, net).name] = text.encode()
         assert len(expected) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
         written = {p.name: p.read_bytes() for p in (run_dir / "scatter").iterdir()}
         assert written == expected
@@ -878,6 +965,42 @@ class TestCompare:
     def test_null_versus_number_has_no_arithmetic_delta(self):
         deltas = compare({"x": None}, {"x": 1.0})
         assert deltas["x"] == {"a": None, "b": 1.0, "delta": None}
+
+    def test_null_versus_object_reports_each_leaf_without_delta(self):
+        deltas = compare({"x": None, "y": 1}, {"x": {"p": 2.0, "q": {"r": 3}, "s": "t"}, "y": 1})
+        assert deltas == {
+            "x.p": {"a": None, "b": 2.0, "delta": None},
+            "x.q.r": {"a": None, "b": 3, "delta": None},
+            "y": {"a": 1, "b": 1, "delta": 0},
+        }
+        assert compare({"x": {"p": 2.0}}, {"x": None}) == {
+            "x.p": {"a": 2.0, "b": None, "delta": None}
+        }
+
+    @pytest.mark.parametrize(
+        "fixture, nulls", [("ce_run", ("net1", "net2")), ("single_run", ("net2",))]
+    )
+    def test_cli_compares_runs_whose_final_branches_are_null(
+        self, request, capsys, smoke_run, fixture, nulls
+    ):
+        # A plain-CE run has no final branches, a single-network run none
+        # for net2; against a two-network run each leaf has no delta.
+        other = request.getfixturevalue(fixture)
+        run_dir, _ = smoke_run
+        assert cli.main(["compare", str(other), str(run_dir)]) == cli.EXIT_OK
+        deltas = json.loads(capsys.readouterr().out)
+        branches = load_summary(run_dir)["final_branches"]
+        for net in nulls:
+            leaves = {
+                f"final_branches.{net}.{branch}.{key}": value
+                for branch, stats in branches[net].items()
+                for key, value in stats.items()
+                if value is not None
+            }
+            assert leaves
+            for path, value in leaves.items():
+                assert deltas[path] == {"a": None, "b": value, "delta": None}
+        assert "accuracy.ensemble.final" in deltas
 
     @pytest.mark.parametrize(
         "a, b", [({"a": {"x": 1.0}}, {"a": 1.0}), ({"a": 1.0}, {"a": {"x": 1.0}})]

@@ -53,6 +53,11 @@ def write_scatter_reference(path, epoch, net, prof) -> None:
             )
 
 
+def write_scatter_file(path, epoch, net, prof) -> None:
+    """`write_scatter`'s text, written as a run writes it."""
+    Path(path).write_text(write_scatter(epoch, net, prof), encoding="utf-8", newline="")
+
+
 def scatter_bytes(writer, tmp_path, name, epoch, net, prof) -> bytes:
     path = tmp_path / name
     writer(path, epoch, net, prof)
@@ -145,7 +150,7 @@ class TestScatterDump:
         ds = make_noisy(np.zeros((4, 1)), [0, 1, 0, 1], [0, 1, 1, 0], 2)
         prof = profile(net, ds)
         path = tmp_path / "scatter.csv"
-        write_scatter(path, epoch=7, net="net1", prof=prof)
+        write_scatter_file(path, epoch=7, net="net1", prof=prof)
 
         with path.open() as fh:
             rows = list(csv.reader(fh))
@@ -220,20 +225,20 @@ class TestScatterBytes:
             SCATTER_CASES[case], states=SCATTER_CASES[case].states.astype(states_dtype)
         )
         args = (120, "net2", prof)
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", *args)
+        got = scatter_bytes(write_scatter_file, tmp_path, "got.csv", *args)
         want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", *args)
         assert got == want
 
     def test_repr_and_precision_17_differ_on_point_one(self, tmp_path):
         prof = SCATTER_CASES["repr-differs"]
-        text = scatter_bytes(write_scatter, tmp_path, "s.csv", 1, "net1", prof)
+        text = scatter_bytes(write_scatter_file, tmp_path, "s.csv", 1, "net1", prof)
         assert b",0.10000000000000001," in text
         assert text.endswith(b"\r\n") and text.count(b"\r\n") == 4
 
     @pytest.mark.parametrize("net", ["net,1", 'net"1', "net%1", "%d%%s", 'a,"b"%\r\nc'])
     def test_net_names_needing_quotes_or_percent_escapes(self, tmp_path, net):
         prof = SCATTER_CASES["unit-bounds"]
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", 7, net, prof)
+        got = scatter_bytes(write_scatter_file, tmp_path, "got.csv", 7, net, prof)
         want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", 7, net, prof)
         assert got == want
         with (tmp_path / "got.csv").open(newline="") as fh:
@@ -257,6 +262,6 @@ class TestScatterBytes:
         l_nis, l_prd, predicted = (list(col) for col in zip(*rows))
         prof = explicit_profile(l_nis, l_prd, l_prd, l_nis, predicted)
         tmp_path = tmp_path_factory.mktemp("scatter")
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", epoch, "net1", prof)
+        got = scatter_bytes(write_scatter_file, tmp_path, "got.csv", epoch, "net1", prof)
         want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", epoch, "net1", prof)
         assert got == want
