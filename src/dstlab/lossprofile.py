@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NoisyDataset, audit_states, csv_row, write_csv
-from .network import LOG_FLOOR, Layers, forward_cached, softmax
+from .network import LOG_FLOOR, Layers, full_forward, softmax
 
 
 @dataclass
@@ -36,16 +36,13 @@ class LossProfile:
 
 def profile(params: Layers, ds: NoisyDataset) -> LossProfile:
     """The normalized, audited loss cloud of `ds`; no parameter is updated."""
-    logits, activations = forward_cached(params, ds.features)
-    probs = softmax(logits)
+    # The forward writes into this process's reused layer outputs
+    # (`full_forward`), so its logits are read here and never kept.
+    probs = softmax(full_forward(params, ds.features))
     predicted = probs.argmax(axis=1).astype(np.int64)
     idx = np.arange(ds.n_samples)
     l_nis = -np.log(np.maximum(probs[idx, ds.noisy_labels], LOG_FLOOR))
     l_prd = -np.log(np.maximum(probs[idx, predicted], LOG_FLOOR))
-    # The forward's arrays are freed before the normalization and the audit
-    # allocate: held until the return, they raised `cli-default` peak RSS
-    # by about 0.4 MB.
-    del logits, activations, probs
     return LossProfile(
         l_nis=l_nis,
         l_prd=l_prd,

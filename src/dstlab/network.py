@@ -109,19 +109,46 @@ def sizes_of(layers: Layers) -> list[int]:
     return [layers[0][0].shape[1]] + [weights.shape[0] for weights, _ in layers]
 
 
-def forward_cached(params: Layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass of a batch [N, D], returning logits and the input to every layer."""
+def forward_cached(
+    params: Layers, x: np.ndarray, out: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass of a batch [N, D], returning logits and the input to every layer.
+
+    With `out`, one [N, fan_out] array per layer, each layer's output is
+    written there (`np.matmul(a, W.T, out=...)`, the same float operations)
+    instead of into a fresh array.
+    """
     batch = np.asarray(x, dtype=np.float64)
     activations = [batch]
     a = batch
     last = len(params) - 1
     for i, (weights, bias) in enumerate(params):
-        a = a @ weights.T
+        a = a @ weights.T if out is None else np.matmul(a, weights.T, out=out[i])
         a += bias
         if i < last:
             np.maximum(a, 0.0, out=a)
             activations.append(a)
     return a, activations
+
+
+# This process's layer outputs for `full_forward`, kept between calls.
+_full_outputs: list[np.ndarray] = []
+
+
+def full_forward(params: Layers, x: np.ndarray) -> np.ndarray:
+    """The logits of a forward over many rows (a full training or test set),
+    written into layer outputs this process allocates once and reuses.
+
+    The result is overwritten by the next call in the same process. Fresh
+    outputs of a 4000-row forward are about 2 MB per layer, which glibc
+    hands back to the OS when they are freed, so every call faulted them in
+    again. The outputs grow to the most rows seen and are remade when the
+    layer widths change.
+    """
+    rows, widths = len(x), [weights.shape[0] for weights, _ in params]
+    if [a.shape[1] for a in _full_outputs] != widths or _full_outputs[0].shape[0] < rows:
+        _full_outputs[:] = [np.empty((rows, width)) for width in widths]
+    return forward_cached(params, x, out=[a[:rows] for a in _full_outputs])[0]
 
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -14,6 +14,7 @@ predictions and agreement states the scatter dump writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -102,19 +103,20 @@ def _divide(prof: LossProfile, source: str, cfg: ExperimentConfig) -> Division:
 
 
 def co_divide(
-    profiles: list[LossProfile], cfg: ExperimentConfig
+    profiles: list[LossProfile], cfg: ExperimentConfig, sources: Sequence[str] = NET_NAMES
 ) -> tuple[list[Division | None], dict[str, str]]:
     """Fit one mixture per network's profile, in order, and pass each on.
 
-    `profiles[i]` comes from network `NET_NAMES[i]`. Consumer i gets the
+    `profiles[i]` comes from network `sources[i]`. Consumer i gets the
     division from source (i + 1) % n: with two networks each trains on the
-    other's, with one the network is its own partner. A failed fit yields
-    None for its consumer (which falls back to plain cross-entropy that
-    epoch) and its error under the source's name.
+    other's, with one the network is its own partner (or, with another
+    source name, the one division goes to that network's partner). A
+    failed fit yields None for its consumer (which falls back to plain
+    cross-entropy that epoch) and its error under the source's name.
     """
     divisions: list[Division | None] = []
     fit_errors: dict[str, str] = {}
-    for source, prof in zip(NET_NAMES, profiles):
+    for source, prof in zip(sources, profiles):
         try:
             divisions.append(_divide(prof, source, cfg))
         except GmmFitError as exc:

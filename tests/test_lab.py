@@ -1,12 +1,13 @@
-import copy
 import csv
 import dataclasses
 import errno
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,12 @@ import oracles
 from dstlab import cli, lab, network, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
 from dstlab.data import STATE_NAMES
-from dstlab.errors import ConfigError, GmmFitError, NotFoundError, StructuralError
+from dstlab.errors import ConfigError, GmmFitError, NotFoundError, NumericError, StructuralError
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
 from dstlab.lossprofile import minmax_normalize, write_scatter
-from dstlab.rng import NET_NAMES
+from dstlab.network import Workspace, init_network
+from dstlab.rng import NET_NAMES, RngStreams
+from dstlab.training import plain_ce_epoch, run_dst_epoch
 from dstlab.selection import co_divide
 from oracles import load_checkpoint
 
@@ -117,6 +120,21 @@ def run_bytes(run_dir) -> dict[str, bytes]:
     }
 
 
+def log_call(log: Path, *fields) -> None:
+    """Append `pid fields...` as one line to `log`, with an os-level append,
+    so a call counts whichever process of the run makes it."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, " ".join(map(str, (os.getpid(), *fields))).encode() + b"\n")
+    finally:
+        os.close(fd)
+
+
+def logged_calls(log: Path) -> list[list[str]]:
+    """The lines `log_call` appended to `log`, split into fields."""
+    return [line.split() for line in log.read_text().splitlines()] if log.exists() else []
+
+
 class TestEvaluation:
     @pytest.mark.parametrize("single_network", [False, True])
     def test_one_test_set_forward_per_net_and_epoch(
@@ -125,20 +143,18 @@ class TestEvaluation:
         cfg = small_config(total_epochs=3, single_network=single_network)
         n_test = cfg.n_classes * cfg.test_per_class
         assert n_test not in (cfg.n_classes * cfg.per_class, cfg.batch_size)
-        # The epoch writer process evaluates: each test-set forward appends
-        # the pid that made it to this file.
-        test_rows = tmp_path / "test_rows"
-        real_forward = training.forward_cached
+        # Every forward, in either process of the run, logs its pid and rows.
+        log = tmp_path / "forwards"
+        for module in (network, training):
+            real_forward = getattr(module, "forward_cached")
 
-        def counting_forward(params, x):
-            if len(x) == n_test:
-                with test_rows.open("a") as log:
-                    log.write(f"{os.getpid()}\n")
-            return real_forward(params, x)
+            def counting_forward(params, x, *args, real=real_forward, **kwargs):
+                log_call(log, len(x))
+                return real(params, x, *args, **kwargs)
 
-        monkeypatch.setattr(training, "forward_cached", counting_forward)
+            monkeypatch.setattr(module, "forward_cached", counting_forward)
         run(cfg, tmp_path / "r")
-        pids = test_rows.read_text().split()
+        pids = [pid for pid, rows in logged_calls(log) if int(rows) == n_test]
         assert len(pids) == 2 * cfg.total_epochs
         assert len(forks) == 1 and set(pids) == {str(forks[0])}
 
@@ -189,12 +205,13 @@ class TestReportsMatchScatter:
 class TestSingleNetworkDivision:
     def test_one_fit_per_selection_epoch_and_same_run(self, tmp_path, monkeypatch):
         cfg = small_config(total_epochs=4, single_network=True)
-        fits = []
+        # Each fit, in either process of the run, logs a line.
+        fits = tmp_path / "fits"
         real_fit = selection.fit
-        monkeypatch.setattr(selection, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
+        monkeypatch.setattr(selection, "fit", lambda *a, **k: log_call(fits) or real_fit(*a, **k))
         once = run(cfg, tmp_path / "once")
         selection_epochs = cfg.total_epochs - cfg.warmup_epochs
-        assert len(fits) == selection_epochs
+        assert len(logged_calls(fits)) == selection_epochs
 
         def fit_twice(profiles, cfg):
             # The former path: co-divide the profile with itself, keep the
@@ -206,7 +223,7 @@ class TestSingleNetworkDivision:
 
         monkeypatch.setattr(training, "co_divide", fit_twice)
         twice = run(cfg, tmp_path / "twice")
-        assert len(fits) == 3 * selection_epochs
+        assert len(logged_calls(fits)) == 3 * selection_epochs
         assert run_bytes(once) == run_bytes(twice)
 
 
@@ -330,15 +347,15 @@ class TestRunBlasThreads:
     def test_loop_runs_on_one_thread_and_the_count_comes_back(
         self, tmp_path, monkeypatch, two_blas_threads
     ):
-        # Training runs in the run's process, evaluation in the writer's,
-        # which appends its thread count per epoch to a file.
-        trained = []
+        # Training runs in the run's process, evaluation in the writer's;
+        # each logs its pid and thread count to a file.
+        trained = tmp_path / "trained"
         evaluated = tmp_path / "evaluated"
         real_eval = lab.evaluate
 
         def spying(real):
             def train(*args):
-                trained.append(network.blas_threads())
+                log_call(trained, network.blas_threads())
                 return real(*args)
 
             return train
@@ -353,7 +370,8 @@ class TestRunBlasThreads:
         monkeypatch.setattr(lab, "evaluate", spying_evaluate)
         cfg = small_config()
         run(cfg, tmp_path / "r")
-        assert trained == [1] * (2 * cfg.warmup_epochs + cfg.total_epochs - cfg.warmup_epochs)
+        calls = 2 * cfg.warmup_epochs + cfg.total_epochs - cfg.warmup_epochs
+        assert logged_calls(trained) == [[str(os.getpid()), "1"]] * calls
         assert evaluated.read_text().split() == ["1"] * cfg.total_epochs
         assert network.blas_threads() == 2
 
@@ -382,29 +400,32 @@ class TestRunBlasThreads:
 
 
 class TestFitFailureEndToEnd:
-    def test_failed_fits_fall_back_and_the_run_finishes(self, tmp_path, monkeypatch):
+    def test_failed_fits_fall_back_and_the_run_finishes(self, tmp_path, monkeypatch, forks):
         cfg = small_config(total_epochs=6, warmup_epochs=1)
-        # Epoch 3 loses both fits, epoch 6 (the last) only net1's, whose
-        # division trains net2.
-        fail = {(3, "net1"), (3, "net2"), (6, "net1")}
-        calls = []
-        real_fit = selection.fit
+        # Epoch 3 loses both fits, epoch 4 only net2's, epoch 6 (the last)
+        # only net1's, whose division trains net2. Net1's clouds are fitted
+        # in the writer, net2's in the run.
+        fail = {(3, "net1"), (3, "net2"), (4, "net2"), (6, "net1")}
+        log = tmp_path / "divisions"
+        real_divide = selection._divide
 
-        def flaky_fit(*args, **kwargs):
-            # Each selection epoch fits net1's losses, then net2's.
-            k = len(calls)
-            epoch, source = cfg.warmup_epochs + 1 + k // 2, ("net1", "net2")[k % 2]
-            calls.append((epoch, source))
+        def flaky_divide(prof, source, cfg):
+            # Each source's cloud is fitted once per selection epoch, in order.
+            epoch = cfg.warmup_epochs + 1 + sum(s == source for _, s in logged_calls(log))
+            log_call(log, source)
             if (epoch, source) in fail:
                 raise GmmFitError(f"forced failure: epoch {epoch} {source}")
-            return real_fit(*args, **kwargs)
+            return real_divide(prof, source, cfg)
 
-        monkeypatch.setattr(selection, "fit", flaky_fit)
+        monkeypatch.setattr(selection, "_divide", flaky_divide)
         run_dir = run(cfg, tmp_path / "r")
+        calls = logged_calls(log)
         assert len(calls) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
+        assert {pid for pid, source in calls if source == "net1"} == {str(forks[0])}
+        assert {pid for pid, source in calls if source == "net2"} == {str(os.getpid())}
 
         summary = load_summary(run_dir)
-        assert summary["fallback_epochs"] == {"net1": [3], "net2": [3, 6]}
+        assert summary["fallback_epochs"] == {"net1": [3, 4], "net2": [3, 6]}
         assert oracles.summary_from_files(run_dir) == (run_dir / "summary.json").read_text()
         assert summary["final_branches"]["net2"] is None
         assert summary["final_branches"]["net1"]["labeled"]["size"] >= 0
@@ -425,7 +446,6 @@ class TestFitFailureEndToEnd:
                 else:
                     assert selection_report[consumer]["fallback"] is False
                     assert selection_report[consumer]["source"] == source
-
 
 
 class TestSmallestConfigs:
@@ -867,26 +887,195 @@ class TestScatterWriter:
         assert proc.stdout.count("after the run") == 1
         assert proc.stdout.splitlines()[-1] == f"after the run {code}"
 
-    def test_csvs_match_in_process_write_scatter(self, tmp_path, monkeypatch):
+    def test_csvs_match_in_process_write_scatter(self, tmp_path):
+        # The epoch loop without the writer's help profiles both networks in
+        # this process; those clouds, formatted here, are the CSVs the run wrote.
         cfg = small_config(total_epochs=5, scatter_every=1)
-        clouds = []
-        real = lab.run_dst_epoch
-
-        def recording_dst_epoch(*args):
-            selection, profiles = real(*args)
-            clouds.append(copy.deepcopy(profiles))
-            return selection, profiles
-
-        monkeypatch.setattr(lab, "run_dst_epoch", recording_dst_epoch)
         run_dir = run(cfg, tmp_path / "r")
+        train, _, _ = lab.build_datasets(cfg)
+        streams = RngStreams.from_master(cfg.master_seed)
+        workspaces = [
+            Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
+            for rng in streams.init
+        ]
         expected = {}
-        for epoch, profiles in enumerate(clouds, start=cfg.warmup_epochs + 1):
+        for epoch in range(1, cfg.total_epochs + 1):
+            lr = cfg.learning_rate_at(epoch)
+            if epoch <= cfg.warmup_epochs:
+                for ws, rng in zip(workspaces, streams.shuffle):
+                    plain_ce_epoch(ws, lr, train, cfg.batch_size, rng)
+                continue
+            _, profiles = run_dst_epoch(workspaces, lr, train, cfg, streams)
             for net, prof in zip(NET_NAMES, profiles):
                 text = write_scatter(epoch, net, prof)
                 expected[scatter_csv_path(run_dir, epoch, net).name] = text.encode()
         assert len(expected) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
         written = {p.name: p.read_bytes() for p in (run_dir / "scatter").iterdir()}
         assert written == expected
+
+
+class TestOffload:
+    """The writer's reads of frozen networks in two-network epochs: net2's
+    divisions and the partner softmaxes."""
+
+    @staticmethod
+    def count_offload(monkeypatch) -> dict[str, int]:
+        """Counts, in the run's process, of the partner softmaxes the run took
+        from the writer ("published") or computed itself ("computed"), and
+        of the divisions the writer made for net2 ("divisions")."""
+        counts = {"published": 0, "computed": 0, "divisions": 0}
+        real_loop, real_division = lab._EpochWriter.loop, lab._EpochWriter.division
+
+        def loop(self, i, order):
+            lookup = real_loop(self, i, order)
+
+            def counted(b):
+                rows = lookup(b)
+                counts["computed" if rows is None else "published"] += 1
+                return rows
+
+            return counted
+
+        def division(self):
+            counts["divisions"] += 1
+            return real_division(self)
+
+        monkeypatch.setattr(lab._EpochWriter, "loop", loop)
+        monkeypatch.setattr(lab._EpochWriter, "division", division)
+        return counts
+
+    @staticmethod
+    def slow_steps(monkeypatch) -> None:
+        """Each SGD step of the run's batch loops takes at least a millisecond,
+        so the writer gets ahead of them."""
+        real_step = network.Workspace.step
+
+        def step(self, learning_rate):
+            time.sleep(0.001)
+            real_step(self, learning_rate)
+
+        monkeypatch.setattr(network.Workspace, "step", step)
+
+    @pytest.mark.parametrize("writer", ["silent", "jittered"])
+    def test_bytes_do_not_depend_on_which_process_did_the_work(
+        self, tmp_path, monkeypatch, writer
+    ):
+        cfg = small_config(total_epochs=8, scatter_every=1)
+        normal = run(cfg, tmp_path / "normal")
+        if writer == "silent":
+            # The writer publishes nothing: the run computes every partner softmax.
+            monkeypatch.setattr(lab, "_serve_partner", lambda *args: None)
+        else:
+            # A random delay before each softmax the writer computes moves
+            # the batches where it and the run cross.
+            delays, real_softmax_of = random.Random(7), lab.softmax_of
+
+            def jittered(*args):
+                time.sleep(delays.uniform(0.0, 3e-4))
+                return real_softmax_of(*args)
+
+            monkeypatch.setattr(lab, "softmax_of", jittered)
+        counts = self.count_offload(monkeypatch)
+        other = run(cfg, tmp_path / writer)
+        n_batches = -(-cfg.n_classes * cfg.per_class // cfg.batch_size)
+        dst_epochs = cfg.total_epochs - cfg.warmup_epochs
+        assert counts["published"] + counts["computed"] == 2 * dst_epochs * n_batches
+        assert counts["published"] == 0 or writer == "jittered"
+        assert counts["divisions"] == dst_epochs
+        assert run_bytes(normal) == run_bytes(other)
+
+    def test_the_writer_publishes_softmaxes_and_divisions(self, tmp_path, monkeypatch, forks):
+        cfg = small_config(total_epochs=5)
+        counts = self.count_offload(monkeypatch)
+        self.slow_steps(monkeypatch)
+        log = tmp_path / "divide"
+        real_divide = training.divide
+        for module in (training, lab):
+            monkeypatch.setattr(
+                module, "divide", lambda *a: log_call(log, a[-1]) or real_divide(*a)
+            )
+        run(cfg, tmp_path / "r")
+        n_batches = -(-cfg.n_classes * cfg.per_class // cfg.batch_size)
+        dst_epochs = cfg.total_epochs - cfg.warmup_epochs
+        assert counts["published"] > 0
+        assert counts["published"] + counts["computed"] == 2 * dst_epochs * n_batches
+        assert counts["divisions"] == dst_epochs
+        # Net1's clouds, net2's divisions, are profiled and fitted in the
+        # writer; net2's in the run.
+        calls = logged_calls(log)
+        assert sorted(source for _, source in calls) == ["net1"] * dst_epochs + ["net2"] * dst_epochs
+        assert {pid for pid, source in calls if source == "net1"} == {str(forks[0])}
+        assert {pid for pid, source in calls if source == "net2"} == {str(os.getpid())}
+
+    def test_writer_killed_while_the_run_waits_for_a_division(self, tmp_path, monkeypatch, forks):
+        # The writer makes net2's division for epoch 3 only once the run
+        # waits for it, and is killed instead.
+        waiting = tmp_path / "waiting"
+        real_division, real_divide = lab._EpochWriter.division, lab.divide
+        run_pid = os.getpid()
+
+        def division(self):
+            if self.epoch == 3:
+                waiting.touch()
+            return real_division(self)
+
+        def dying_divide(params, ds, cfg, source):
+            if os.getpid() != run_pid and len(logged_calls(tmp_path / "divide")) == 1:
+                deadline = time.monotonic() + 60
+                while not waiting.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGKILL)
+            log_call(tmp_path / "divide", source)
+            return real_divide(params, ds, cfg, source)
+
+        monkeypatch.setattr(lab._EpochWriter, "division", division)
+        monkeypatch.setattr(lab, "divide", dying_divide)
+        with pytest.raises(StructuralError, match="writer process ended early"):
+            run(small_config(total_epochs=4), tmp_path / "r")
+        assert waiting.exists()
+        assert_reaped(forks)
+        assert not (tmp_path / "r" / "summary.json").exists()
+
+    # Net1's huge but finite logits on the other rows overflow in softmax's
+    # max-subtraction, harmlessly.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("publish", [True, False], ids=["published", "computed"])
+    def test_non_finite_partner_logit_raises_at_the_same_batch(
+        self, tmp_path, monkeypatch, forks, publish
+    ):
+        # After net1's loop of epoch 3, one hidden unit of net1 overflows on
+        # the training row with the largest first feature, and only there:
+        # net2's loop, with net1 as its partner, must stop at that row's batch.
+        cfg = small_config(total_epochs=4)
+        train, _, _ = lab.build_datasets(cfg)
+        row = int(train.features[:, 0].argmax())
+        x0 = train.features[row, 0]
+        assert x0 > 0 and np.sort(train.features[:, 0])[-2] < x0 * (1 - 1e-6)
+        steps, orders = [], []
+        real_net1_trained, real_step = lab._EpochWriter.net1_trained, network.Workspace.step
+
+        def net1_trained(self, flat, order2):
+            if self.epoch == 3:
+                # Hidden unit 0 of the [2, 8, 3] net: weights flat[0:2], bias flat[16].
+                flat[0], flat[1], flat[16] = np.finfo(np.float64).max / (x0 * (1 - 1e-9)), 0.0, 0.0
+                steps.clear()
+                orders.append(order2.copy())
+            real_net1_trained(self, flat, order2)
+
+        def step(self, learning_rate):
+            steps.append(1)
+            real_step(self, learning_rate)
+
+        monkeypatch.setattr(lab._EpochWriter, "net1_trained", net1_trained)
+        monkeypatch.setattr(network.Workspace, "step", step)
+        if not publish:
+            monkeypatch.setattr(lab, "_serve_partner", lambda *args: None)
+        with pytest.raises(NumericError, match="finite logits"):
+            run(cfg, tmp_path / "r")
+        assert_reaped(forks)
+        (order,) = orders
+        batch = int(np.flatnonzero(order == row)[0]) // cfg.batch_size
+        assert batch > 0 and len(steps) == batch
 
 
 class TestDumpScatter:

@@ -446,6 +446,29 @@ class TestInPlaceMatchesAllocatingReference:
             assert_same_bytes(fast.buffer, slow.flat())
 
 
+class TestFullForward:
+    """`full_forward` writes into reused layer outputs; its logits must be the
+    allocating forward's, byte for byte, whatever was computed before."""
+
+    @pytest.mark.parametrize("sizes", [[2, 64, 64, 4], [20, 256, 256, 4]], ids=["ceiling", "memorize"])
+    def test_bytes_at_every_row_count(self, sizes):
+        params = init_network(sizes, np.random.default_rng(len(sizes) * sizes[1]))
+        # Growing, then shrinking into the largest outputs.
+        for rows in (1, 128, 600, 1000, 4000, 1000, 600, 128, 1):
+            x = np.random.default_rng(rows).normal(size=(rows, sizes[0]))
+            assert_same_bytes(network.full_forward(params, x), forward_cached(params, x)[0])
+
+    def test_outputs_are_reused_and_remade_for_new_widths(self):
+        params = init_network([2, 64, 64, 4], np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(4000, 2))
+        first = network.full_forward(params, x)
+        assert np.shares_memory(network.full_forward(params, x[:1000]), first)
+        wider = init_network([2, 96, 4], np.random.default_rng(2))
+        logits = network.full_forward(wider, x)
+        assert not np.shares_memory(logits, first)
+        assert_same_bytes(logits, forward_cached(wider, x)[0])
+
+
 def shares_any(a, arrays) -> bool:
     return any(np.shares_memory(a, b) for b in arrays)
 

@@ -882,7 +882,7 @@ class TestEpochRefusesNonFinite:
         branches[::3] = BRANCH_WRONG
         division = make_division(ds, branches, w_r=w_r, w_prd=w_prd)
         return _Refinement(
-            [params], *_branch_table(division), ExperimentConfig(),
+            params, *_branch_table(division), ExperimentConfig(),
             np.random.default_rng(2), np.random.default_rng(3),
         )
 
@@ -890,7 +890,7 @@ class TestEpochRefusesNonFinite:
         refinement = self.refinement(ds, ws.params) if refine else None
         digest, buffer = params_hash(ws.params), ws.buffer.tobytes()
         with pytest.raises(NumericError):
-            _train_epoch(ws, 0.05, ds, 16, np.random.default_rng(5), refinement)
+            _train_epoch(ws, 0.05, ds, 16, np.random.default_rng(5).permutation(ds.n_samples), refinement)
         assert params_hash(ws.params) == digest
         assert ws.buffer.tobytes() == buffer
 
