@@ -180,6 +180,15 @@ class ExperimentConfig:
             (epoch - 1) // self.lr_decay_period
         )
 
+    def phase_at(self, epoch: int) -> str:
+        """"warmup" through warmup_epochs, then "ce" with ce_only, else "dst".
+
+        Epochs are 1-indexed.
+        """
+        if epoch <= self.warmup_epochs:
+            return "warmup"
+        return "ce" if self.ce_only else "dst"
+
     def layer_sizes(self) -> list[int]:
         return [self.n_features, *self.hidden_sizes, self.n_classes]
 

@@ -42,19 +42,10 @@ from .data import (
     sidecar_path,
 )
 from .errors import ConfigError, NotFoundError, NumericError, StructuralError
-from .lossprofile import LossProfile, write_scatter
+from .lossprofile import LossProfile, profile, write_scatter
 from .network import Layers, Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
-from .selection import selection_report
-from .training import (
-    BranchTable,
-    _branch_table,
-    divide,
-    evaluate,
-    plain_ce_epoch,
-    run_dst_epoch,
-    softmax_of,
-)
+from .training import BranchTable, divide, evaluate, run_epoch, softmax_of
 
 OUTPUT_ROOT_ENV = "DSTLAB_OUTPUT_ROOT"
 
@@ -172,7 +163,7 @@ def _summary(manifest: dict, reports: list[dict]) -> dict:
 def _offloads(cfg: ExperimentConfig, epoch: int) -> bool:
     """Whether `epoch` is a two-network selection epoch, whose reads of
     frozen networks the writer makes."""
-    return not (cfg.single_network or cfg.ce_only) and cfg.warmup_epochs < epoch <= cfg.total_epochs
+    return not cfg.single_network and epoch <= cfg.total_epochs and cfg.phase_at(epoch) == "dst"
 
 
 # The loss-profile fields a dump slot holds, and their dtypes.
@@ -335,13 +326,11 @@ def _serve_run(
                 shared["position"], progress, train.features, cfg.batch_size,
             )
         if kind == "net1" and _offloads(cfg, epoch + 1):
-            prof, division, fit_errors = divide(nets[slot][0], train, cfg, "net1")
-            profiles[epoch + 1] = prof
-            report = {"fallback": True}
-            if division is not None:
-                for name, column in zip(("keep", "lean", "wrong"), _branch_table(division)):
+            prof = profiles[epoch + 1] = profile(nets[slot][0], train)
+            table, report, fit_errors = divide(prof, train, cfg, "net1")
+            if table is not None:
+                for name, column in zip(("keep", "lean", "wrong"), table):
                     shared[name][1 - slot] = column
-                report = {**selection_report(division, train), "fallback": False}
             divisions[epoch + 1] = (fit_errors, report)
 
     while True:
@@ -405,15 +394,16 @@ class _EpochWriter:
     forwards overlap training on another core.
 
     Per epoch the run sends, in order: ("loop", e) when net1 trains on a
-    division with a partner; ("net1", e) once net1's epoch is over, when
-    this or the next epoch is a two-network selection epoch; and ("epoch",
-    ...) once the epoch is trained. The writer answers each "epoch"
-    message, also with net2's division for the next epoch. At most one
-    answer is unread: the run reads the answer to epoch e-1 just before
-    net2's loop of epoch e (the division it trains on) or, in any other
-    epoch, before it sends epoch e. It never waits for a partner softmax:
-    `loop` returns a lookup that yields a batch once the progress pipe says
-    the writer published it, and None before.
+    division with a partner; ("net1", e) when `training.run_epoch` reports
+    net1's epoch over, at net2's turn, and this or the next epoch is a
+    two-network selection epoch; and ("epoch", ...) once the epoch is
+    trained. The writer answers each "epoch" message, also with net2's
+    division for the next epoch. At most one answer is unread: the run
+    reads the answer to epoch e-1 just before net2's loop of epoch e (the
+    division it trains on) or, in any other epoch, before it sends epoch
+    e. It never waits for a partner softmax: `loop` returns a lookup that
+    yields a batch once the progress pipe says the writer published it,
+    and None before.
 
     Fork it on one BLAS thread (`one_blas_thread`): the writer inherits the
     count, and a fork copies none of the BLAS's threads. As a context
@@ -430,14 +420,20 @@ class _EpochWriter:
         seeds: dict[str, int],
     ) -> None:
         self.cfg = cfg
-        self.shared = _shared_arrays(cfg, train)
         self.epoch = 1  # the epoch being trained
         self.pending = False  # an answer not read yet
         self.net1_sent = 0  # the last epoch whose net1 snapshot was sent
-        request_r, request_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        progress_r, progress_w = os.pipe()
-        self.pid = os.fork()
+        fds: list[int] = []
+        try:
+            self.shared = _shared_arrays(cfg, train)
+            for _ in range(3):
+                fds.extend(os.pipe())
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            raise StructuralError(f"cannot start the epoch writer: {exc}") from exc
+        request_r, request_w, reply_r, reply_w, progress_r, progress_w = fds
         if self.pid == 0:
             # The writer never returns into the caller's stack: no atexit
             # handlers, no second flush of inherited stdio buffers.
@@ -506,15 +502,14 @@ class _EpochWriter:
 
         return published
 
-    def net1_trained(self, flat: np.ndarray, order2: np.ndarray | None) -> None:
-        """Net1's epoch is over: hand its parameters (and net2's batch order)
+    def net1_trained(self, flat: np.ndarray, order2: np.ndarray) -> None:
+        """Net1's epoch is over: hand its parameters and net2's batch order
         to the writer when this or the next epoch is offloaded."""
         epoch = self.epoch
         if not (_offloads(self.cfg, epoch) or _offloads(self.cfg, epoch + 1)):
             return
         self.shared["params"][epoch % 2, 0] = flat
-        if order2 is not None:
-            self.shared["order"][epoch % 2, 1] = order2
+        self.shared["order"][epoch % 2, 1] = order2
         self._send(("net1", epoch))
         self.net1_sent = epoch
 
@@ -585,29 +580,18 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
             Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
             for rng in streams.init
         ]
+        offload = None if cfg.single_network else writer
         for epoch in range(1, cfg.total_epochs + 1):
-            lr = cfg.learning_rate_at(epoch)
-            in_warmup = epoch <= cfg.warmup_epochs
-            selection: dict | None = None
-            dumps = []
-            if in_warmup or cfg.ce_only:
-                # Both networks, also in single-network mode.
-                phase = "warmup" if in_warmup else "ce"
-                for i, (ws, rng) in enumerate(zip(workspaces, streams.shuffle)):
-                    plain_ce_epoch(ws, lr, train, cfg.batch_size, rng)
-                    if i == 0:
-                        # After the last warmup epoch's net1 (the config
-                        # keeps at least one), the writer makes net2's
-                        # first division.
-                        writer.net1_trained(ws.flat, None)
-            else:
-                phase = "dst"
-                offload = None if cfg.single_network else writer
-                selection, profiles = run_dst_epoch(workspaces, lr, train, cfg, streams, offload)
-                if _scatter_due(cfg, epoch):
-                    dumps = profiles
-            report = {"epoch": epoch, "phase": phase, "learning_rate": lr, "selection": selection}
-            writer.submit([ws.flat for ws in workspaces], report, dumps)
+            selection, profiles = run_epoch(epoch, workspaces, train, cfg, streams, offload)
+            report = {
+                "epoch": epoch,
+                "phase": cfg.phase_at(epoch),
+                "learning_rate": cfg.learning_rate_at(epoch),
+                "selection": selection,
+            }
+            writer.submit(
+                [ws.flat for ws in workspaces], report, profiles if _scatter_due(cfg, epoch) else []
+            )
     return run_dir
 
 

@@ -1,20 +1,20 @@
-"""Posterior-to-branch machinery and the co-divide swap.
+"""Posterior-to-branch machinery and the co-divide of one loss cloud.
 
 A fitted mixture yields, per sample, a probability of being correctly
 labeled (w_r) and of being correctly predicted (w_prd): the fit's own
 responsibilities of the two components matched to those roles. `partition`
 thresholds them in a fixed order into labeled / predicted / wrong branch
 codes, and applies the config's branch ablation; it is the only place that
-makes branch codes. Each network trains on the division computed from its
-partner's loss profile: the other network's, or its own when it trains
-alone. The division keeps that profile, so its report reads the
-predictions and agreement states the scatter dump writes.
+makes branch codes. `co_divide` divides one network's loss cloud; the
+epoch loop (`training.run_epoch`) decides which network trains on it: the
+other network, or the same one when it trains alone. The division keeps
+that profile, so its report reads the predictions and agreement states
+the scatter dump writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .data import STATE_NAMES, NoisyDataset
 from .errors import GmmFitError
 from .gmm import GmmModel, fit, model_to_dict
 from .lossprofile import LossProfile
-from .rng import NET_NAMES
 
 BRANCH_LABELED = 0
 BRANCH_PREDICTED = 1
@@ -84,14 +83,25 @@ class Division:
     profile: LossProfile  # the source network's loss profile
 
 
-def _divide(prof: LossProfile, source: str, cfg: ExperimentConfig) -> Division:
+def co_divide(
+    prof: LossProfile, cfg: ExperimentConfig, source: str
+) -> tuple[Division | None, dict[str, str]]:
+    """Fit one mixture to the loss cloud of network `source` and divide the
+    samples for the network that trains on it.
+
+    A failed fit yields None (its consumer falls back to plain
+    cross-entropy that epoch) and the fit's error under `source`.
+    """
     anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
     points = np.column_stack([prof.nrm_nis, prof.nrm_prd])
-    model = fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
+    try:
+        model = fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
+    except GmmFitError as exc:
+        return None, {source: str(exc)}
     roles = assign_roles(model, anchors)
     # The fit's last E-step ran on these points with these parameters.
     w_r, w_prd = model.resp[:, roles["labeled"]], model.resp[:, roles["predicted"]]
-    return Division(
+    division = Division(
         w_r=w_r,
         w_prd=w_prd,
         branches=partition(w_r, w_prd, cfg),
@@ -100,30 +110,7 @@ def _divide(prof: LossProfile, source: str, cfg: ExperimentConfig) -> Division:
         source=source,
         profile=prof,
     )
-
-
-def co_divide(
-    profiles: list[LossProfile], cfg: ExperimentConfig, sources: Sequence[str] = NET_NAMES
-) -> tuple[list[Division | None], dict[str, str]]:
-    """Fit one mixture per network's profile, in order, and pass each on.
-
-    `profiles[i]` comes from network `sources[i]`. Consumer i gets the
-    division from source (i + 1) % n: with two networks each trains on the
-    other's, with one the network is its own partner (or, with another
-    source name, the one division goes to that network's partner). A
-    failed fit yields None for its consumer (which falls back to plain
-    cross-entropy that epoch) and its error under the source's name.
-    """
-    divisions: list[Division | None] = []
-    fit_errors: dict[str, str] = {}
-    for source, prof in zip(sources, profiles):
-        try:
-            divisions.append(_divide(prof, source, cfg))
-        except GmmFitError as exc:
-            divisions.append(None)
-            fit_errors[source] = str(exc)
-    n = len(divisions)
-    return [divisions[(i + 1) % n] for i in range(n)], fit_errors
+    return division, {}
 
 
 def _rate(numerator: int, denominator: int) -> float | None:

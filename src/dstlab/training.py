@@ -1,25 +1,24 @@
-"""Two-network training loop: warmup, label refinement, MixUp, updates.
+"""Two-network training: warmup, label refinement, MixUp, updates.
 
 Each network is one `Workspace`, kept for the whole run; workspaces and
 random streams are lists index-aligned with `NET_NAMES`, and every reader
 of a network (profiles, ensemble partners, evaluation) takes the
-workspace's `params` views. One selection-driven epoch profiles a frozen
-network over the full training set and fits one mixture to its loss cloud
-(`divide`), and passes that division, its branches already ablated by
-`selection.partition`, to the partner network. Each consumer in turn then
-iterates shuffled mini-batches where labels are refined with the ensemble,
-sharpened, mixed, and used for a single SGD step. A failed mixture fit
-downgrades the consuming network to a plain cross-entropy epoch.
+workspace's `params` views. `run_epoch` is the run's one epoch loop, for
+warmup, plain cross-entropy, the fit-failure fallback and selection
+alike: per network it draws the batch order, takes the division it
+trains on (none outside selection epochs, or when the fit failed) and
+steps the workspace through `_train_epoch`. Plain cross-entropy is that
+loop with the refinement stages switched off. A selection epoch profiles
+a frozen network over the full training set and fits one mixture to its
+loss cloud (`selection.co_divide`); its partner trains on that division,
+iterating shuffled mini-batches whose labels are refined with the
+ensemble, sharpened, mixed, and used for a single SGD step.
 
 Every read of a network that is not being stepped can run in another
 process: net1's profile and fit, and each batch's partner softmax (see
-`run_dst_epoch` and `lab._EpochWriter`). Such work gives the bytes this
+`run_epoch` and `lab._EpochWriter`). Such work gives the bytes this
 process would compute, and what another process has not published yet
 this process computes itself.
-
-Warmup, plain cross-entropy, the fit-failure fallback and the selection
-epochs all run through one epoch loop that steps a workspace in place;
-plain cross-entropy is that loop with the refinement stages switched off.
 """
 
 from __future__ import annotations
@@ -197,28 +196,17 @@ def _train_epoch(
         ws.step(learning_rate)
 
 
-def plain_ce_epoch(
-    ws: Workspace,
-    learning_rate: float,
-    ds: NoisyDataset,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> None:
-    """One epoch of shuffled mini-batch cross-entropy on the dataset labels."""
-    _train_epoch(ws, learning_rate, ds, batch_size, rng.permutation(ds.n_samples))
-
-
 def divide(
-    params: Layers, ds: NoisyDataset, cfg: ExperimentConfig, source: str
-) -> tuple[LossProfile, Division | None, dict[str, str]]:
-    """Profile the frozen network named `source` and fit its loss cloud.
-
-    Returns the profile, the division its partner trains on (None when the
-    fit failed) and the fit error under `source`, if any.
-    """
-    prof = profile(params, ds)
-    [division], fit_errors = co_divide([prof], cfg, (source,))
-    return prof, division, fit_errors
+    prof: LossProfile, ds: NoisyDataset, cfg: ExperimentConfig, source: str
+) -> tuple[BranchTable | None, dict, dict[str, str]]:
+    """The branch table and report of the division of network `source`'s
+    cloud, and the fit error under `source`, if any. A failed fit gives no
+    table and a fallback report."""
+    division, fit_errors = co_divide(prof, cfg, source)
+    if division is None:
+        return None, {"fallback": True}, fit_errors
+    report = {**selection_report(division, ds), "fallback": False}
+    return _branch_table(division), report, fit_errors
 
 
 class Offload(Protocol):
@@ -230,80 +218,83 @@ class Offload(Protocol):
         """Net i's refined loop starts in `order`: the partner softmax of
         each batch, once published, else None."""
 
-    def net1_trained(self, flat: np.ndarray, order2: np.ndarray | None) -> None:
+    def net1_trained(self, flat: np.ndarray, order2: np.ndarray) -> None:
         """Net1's parameters for this epoch are final; net2 trains next in
-        `order2` (None: not in this epoch)."""
+        `order2`. Sent in every epoch."""
 
     def division(self) -> tuple[BranchTable | None, dict, dict[str, str]]:
         """Net2's branch table for this epoch (None: it falls back), its
         report and the fit error of net1's cloud, if any."""
 
 
-def run_dst_epoch(
+def run_epoch(
+    epoch: int,
     workspaces: list[Workspace],
-    learning_rate: float,
     ds: NoisyDataset,
     cfg: ExperimentConfig,
     streams: RngStreams,
     offload: Offload | None = None,
-) -> tuple[dict, list[LossProfile | None]]:
-    """One full selection-and-refinement epoch; updates the workspaces in place.
+) -> tuple[dict | None, list[LossProfile | None]]:
+    """Train one epoch of the run in place, one network after the other.
 
-    The active networks are both, or net1 alone with `single_network`. A
-    division is made from a network's profile taken with its parameters
-    from the end of the previous epoch, before any update in this one.
-    Consumer i trains on the division of network (i + 1) mod n, and reads
-    its partner as it stands when its loop starts, after the earlier
-    consumer's updates. A fit failure on one loss cloud sends its consumer
-    through a plain cross-entropy epoch instead, flagged in its report.
+    Warmup and `ce_only` epochs train both networks on plain cross-entropy.
+    A selection epoch trains both, or net1 alone with `single_network`:
+    network i trains on the division of network (i + 1) mod n's cloud, the
+    other network's or, alone, its own. Each cloud is profiled with the
+    parameters from the end of the previous epoch, before any update in
+    this one, and a partner is read as it stands when its consumer's loop
+    starts, after the earlier consumer's updates. A failed fit sends its
+    consumer through a plain cross-entropy epoch, flagged in its report.
 
-    Without `offload` every profile and fit is made here, at the start of
-    the epoch. With it (two networks only), net2's division and the
-    partner softmaxes come from the offload process, which profiles net1
-    as soon as net1's loop of the previous epoch ended: only net2's profile
-    and fit are made here. Either way the bytes are the same.
+    With `offload` (two networks only), net1's parameters and net2's batch
+    order go to it in every epoch, and net2's division and the partner
+    softmaxes come from it: it profiles net1 as soon as net1's loop of the
+    previous epoch ended. The bytes are the same either way.
 
-    Returns the reports per consuming net plus the fit errors, and the
-    active networks' profiles in `NET_NAMES` order; net1's is None with
-    `offload`, which keeps it.
+    Returns the selection reports per consuming network plus the fit
+    errors (None outside selection epochs), and the profiles of a
+    selection epoch's networks in `NET_NAMES` order (none otherwise); net1's
+    is None with `offload`, which keeps it.
     """
-    active = workspaces[:1] if cfg.single_network else workspaces
-    if offload is None:
+    dst = cfg.phase_at(epoch) == "dst"
+    active = workspaces[:1] if dst and cfg.single_network else workspaces
+    selection: dict | None = {"fit_errors": {}} if dst else None
+    profiles: list[LossProfile | None] = []
+    if dst:
         # `profile` audits each network before the next one is profiled, and
         # both forwards write into the same reused layer outputs
         # (`network.full_forward`), so a second profile adds only its cloud.
-        profiles: list[LossProfile | None] = [profile(ws.params, ds) for ws in active]
-        divisions, fit_errors = co_divide(profiles, cfg)
-    else:
-        prof2, for_net1, fit_errors = divide(workspaces[1].params, ds, cfg, "net2")
-        profiles, divisions = [None, prof2], [for_net1, None]
-
-    selection: dict = {"fit_errors": fit_errors}
+        profiles = [
+            None if offload is not None and i == 0 else profile(ws.params, ds)
+            for i, ws in enumerate(active)
+        ]
     for i, ws in enumerate(active):
         order = streams.shuffle[i].permutation(ds.n_samples)
-        if offload is not None and i == 1:
+        # Net2's division comes from the offload, once it has net1's epoch.
+        from_offload = offload is not None and i == 1
+        if from_offload:
             offload.net1_trained(workspaces[0].flat, order)
-            table, report, errors = offload.division()
-            fit_errors.update(errors)
-        elif divisions[i] is None:
-            table, report = None, {"fallback": True}
-        else:
-            table = _branch_table(divisions[i])
-            report = {**selection_report(divisions[i], ds), "fallback": False}
-        selection[NET_NAMES[i]] = report
         refinement = None
-        if table is not None:
-            # The partner as it stands now, after the earlier consumer's updates.
-            partner = None if len(active) == 1 else workspaces[1 - i].params
-            refinement = _Refinement(
-                partner,
-                *table,
-                cfg,
-                streams.wrong_branch[i],
-                None if cfg.no_mixup else streams.mixup[i],
-                _unpublished if offload is None else offload.loop(i, order),
-            )
-        _train_epoch(ws, learning_rate, ds, cfg.batch_size, order, refinement)
+        if dst:
+            if from_offload:
+                table, report, fit_errors = offload.division()
+            else:
+                source = (i + 1) % len(active)
+                table, report, fit_errors = divide(profiles[source], ds, cfg, NET_NAMES[source])
+            selection["fit_errors"].update(fit_errors)
+            selection[NET_NAMES[i]] = report
+            if table is not None:
+                # The partner as it stands now, after the earlier consumer's updates.
+                partner = None if len(active) == 1 else workspaces[1 - i].params
+                refinement = _Refinement(
+                    partner,
+                    *table,
+                    cfg,
+                    streams.wrong_branch[i],
+                    None if cfg.no_mixup else streams.mixup[i],
+                    _unpublished if offload is None else offload.loop(i, order),
+                )
+        _train_epoch(ws, cfg.learning_rate_at(epoch), ds, cfg.batch_size, order, refinement)
     return selection, profiles
 
 

@@ -99,6 +99,37 @@ def make_division(ds, branches, predicted=None, w_r=None, w_prd=None) -> Divisio
     )
 
 
+def profile_at(points) -> LossProfile:
+    """Profile whose normalized loss cloud is exactly `points`; every
+    prediction is class 0 and every sample in agreement state i."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    return LossProfile(
+        l_nis=pts[:, 0].copy(),
+        l_prd=pts[:, 1].copy(),
+        predicted=np.zeros(n, dtype=np.int64),
+        nrm_nis=pts[:, 0].copy(),
+        nrm_prd=pts[:, 1].copy(),
+        states=np.ones(n, dtype=np.int64),
+    )
+
+
+def clean_and_mush(rng, n):
+    """A cloud of `n` points that separates cleanly (the first half near the
+    labeled anchor, the second far out on the label axis), and an
+    indistinct mush of `n` points."""
+    clean = np.concatenate(
+        [
+            0.02 + 0.01 * rng.standard_normal((n // 2, 2)),
+            np.column_stack(
+                [0.9 + 0.02 * rng.standard_normal(n // 2), 0.5 + 0.02 * rng.standard_normal(n // 2)]
+            ),
+        ]
+    )
+    mush = 0.45 + 0.02 * rng.standard_normal((n, 2))
+    return np.clip(clean, 0, 1), np.clip(mush, 0, 1)
+
+
 def ce_loss(params: Layers, x: np.ndarray, target: np.ndarray) -> float:
     """Scalar cross-entropy of one sample, the quantity `backward` differentiates."""
     return cross_entropy(softmax(forward_cached(params, np.atleast_2d(x))[0][0]), target)

@@ -7,9 +7,9 @@ Tests compare the production results with these, bit for bit where the
 production code claims the same float operations in the same order.
 
 The first section holds what tests compare production against but no
-production path calls: the scalar cross-entropy, accuracies, warmup, a
-parameter hash, and thin compositions of production code (gradient,
-posteriors, ensemble softmax). The last section reads back the run files
+production path calls: the scalar cross-entropy, accuracies, a parameter
+hash, and thin compositions of production code (gradient, posteriors,
+ensemble softmax, warmup). The last section reads back the run files
 a run writes but never reads: datasets and checkpoints, and rebuilds
 summary.json from the manifest and reports.
 """
@@ -99,11 +99,11 @@ def ensemble_accuracy(nets, features, labels):
     return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
 
 
-def warmup(workspaces, learning_rate, ds, epochs, batch_size, streams):
-    """Train every network's workspace independently with plain cross-entropy."""
-    for _ in range(epochs):
-        for ws, rng in zip(workspaces, streams.shuffle):
-            training.plain_ce_epoch(ws, learning_rate, ds, batch_size, rng)
+def warmup(workspaces, ds, cfg, streams):
+    """The run's warmup epochs: every network's workspace trained
+    independently with plain cross-entropy, through the run's epoch loop."""
+    for epoch in range(1, cfg.warmup_epochs + 1):
+        training.run_epoch(epoch, workspaces, ds, cfg, streams)
 
 
 def params_hash(params):
@@ -348,7 +348,7 @@ def _momentum_step(param, grad, buf, opt):
     return np.subtract(param, step, out=step)
 
 
-# --- The two epoch loops before they became one.
+# --- The epoch loops before they became one.
 
 
 def plain_ce_epoch(params, opt, ds, batch_size, rng):
@@ -406,22 +406,21 @@ def train_net_on_division(
 
 
 def dst_epoch(nets, opts, ds, cfg, streams, divide=None):
-    """The training half of the former `run_dst_epoch`, on `nets`/`opts`
-    dicts, with its own single-network branch.
+    """The training half of a selection epoch before it joined the run's
+    one epoch loop, on `nets`/`opts` dicts, with its own single-network
+    branch: net1 trains on net2's cloud and net2 on net1's, both profiled
+    before either trains; alone, net1 trains on its own.
 
-    `divide` replaces `co_divide` (for forcing fit failures); it gets the
-    profiles and the config. Branch codes come from `partition_then_relabel`
-    on the division's weights.
+    `divide` replaces `co_divide` (for forcing fit failures). Branch codes
+    come from `partition_then_relabel` on the division's weights.
     """
     divide = divide or co_divide
     prof1 = profile(nets["net1"], ds)
     if cfg.single_network:
-        (for_net1,), _ = divide([prof1], cfg)
-        divisions = {"net1": for_net1}
+        divisions = {"net1": divide(prof1, cfg, "net1")[0]}
     else:
         prof2 = profile(nets["net2"], ds)
-        (for_net1, for_net2), _ = divide([prof1, prof2], cfg)
-        divisions = {"net1": for_net1, "net2": for_net2}
+        divisions = {"net1": divide(prof2, cfg, "net2")[0], "net2": divide(prof1, cfg, "net1")[0]}
     for i, (name, division) in enumerate(divisions.items()):
         if division is None:
             nets[name] = plain_ce_epoch(

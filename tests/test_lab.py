@@ -22,8 +22,6 @@ from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_pat
 from dstlab.lossprofile import minmax_normalize, write_scatter
 from dstlab.network import Workspace, init_network
 from dstlab.rng import NET_NAMES, RngStreams
-from dstlab.training import plain_ce_epoch, run_dst_epoch
-from dstlab.selection import co_divide
 from oracles import load_checkpoint
 
 
@@ -209,22 +207,9 @@ class TestSingleNetworkDivision:
         fits = tmp_path / "fits"
         real_fit = selection.fit
         monkeypatch.setattr(selection, "fit", lambda *a, **k: log_call(fits) or real_fit(*a, **k))
-        once = run(cfg, tmp_path / "once")
+        run(cfg, tmp_path / "once")
         selection_epochs = cfg.total_epochs - cfg.warmup_epochs
         assert len(logged_calls(fits)) == selection_epochs
-
-        def fit_twice(profiles, cfg):
-            # The former path: co-divide the profile with itself, keep the
-            # division from net1's losses and net1's fit error.
-            (prof,) = profiles
-            divisions, fit_errors = co_divide([prof, prof], cfg)
-            errors = {k: v for k, v in fit_errors.items() if k == "net1"}
-            return [divisions[1]], errors
-
-        monkeypatch.setattr(training, "co_divide", fit_twice)
-        twice = run(cfg, tmp_path / "twice")
-        assert len(logged_calls(fits)) == 3 * selection_epochs
-        assert run_bytes(once) == run_bytes(twice)
 
 
 class TestRunGuards:
@@ -365,13 +350,11 @@ class TestRunBlasThreads:
                 log.write(f"{network.blas_threads()}\n")
             return real_eval(*args)
 
-        for name in ("plain_ce_epoch", "run_dst_epoch"):
-            monkeypatch.setattr(lab, name, spying(getattr(lab, name)))
+        monkeypatch.setattr(lab, "run_epoch", spying(lab.run_epoch))
         monkeypatch.setattr(lab, "evaluate", spying_evaluate)
         cfg = small_config()
         run(cfg, tmp_path / "r")
-        calls = 2 * cfg.warmup_epochs + cfg.total_epochs - cfg.warmup_epochs
-        assert logged_calls(trained) == [[str(os.getpid()), "1"]] * calls
+        assert logged_calls(trained) == [[str(os.getpid()), "1"]] * cfg.total_epochs
         assert evaluated.read_text().split() == ["1"] * cfg.total_epochs
         assert network.blas_threads() == 2
 
@@ -407,17 +390,24 @@ class TestFitFailureEndToEnd:
         # in the writer, net2's in the run.
         fail = {(3, "net1"), (3, "net2"), (4, "net2"), (6, "net1")}
         log = tmp_path / "divisions"
-        real_divide = selection._divide
+        real_co_divide, real_fit = selection.co_divide, selection.fit
 
-        def flaky_divide(prof, source, cfg):
+        def flaky_co_divide(prof, cfg, source):
             # Each source's cloud is fitted once per selection epoch, in order.
             epoch = cfg.warmup_epochs + 1 + sum(s == source for _, s in logged_calls(log))
             log_call(log, source)
-            if (epoch, source) in fail:
-                raise GmmFitError(f"forced failure: epoch {epoch} {source}")
-            return real_divide(prof, source, cfg)
 
-        monkeypatch.setattr(selection, "_divide", flaky_divide)
+            def flaky_fit(*args, **kwargs):
+                if (epoch, source) in fail:
+                    raise GmmFitError(f"forced failure: epoch {epoch} {source}")
+                return real_fit(*args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(selection, "fit", flaky_fit)
+                return real_co_divide(prof, cfg, source)
+
+        # Both processes divide through `training.divide`.
+        monkeypatch.setattr(training, "co_divide", flaky_co_divide)
         run_dir = run(cfg, tmp_path / "r")
         calls = logged_calls(log)
         assert len(calls) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
@@ -522,7 +512,9 @@ class TestFlatLossCloud:
                 nrm_prd=minmax_normalize(l_prd),
             )
 
-        monkeypatch.setattr(training, "profile", flat_profile)
+        # The run profiles in `training`, the writer in `lab`.
+        for module in (training, lab):
+            monkeypatch.setattr(module, "profile", flat_profile)
         cfg = small_config(total_epochs=4, warmup_epochs=2)
         return cfg, run(cfg, tmp_path / "r")
 
@@ -706,16 +698,14 @@ class TestScatterWriter:
             assert len(path.read_text().splitlines()) == 1 + 60
 
     def test_training_error_leaves_the_epoch_in_flight_written(self, tmp_path, monkeypatch, forks):
-        real = lab.run_dst_epoch
-        calls = []
+        real = lab.run_epoch
 
-        def failing_dst_epoch(*args):
-            calls.append(1)
-            if len(calls) == 2:  # epoch 3, after one warmup epoch
+        def failing_epoch(epoch, *args):
+            if epoch == 3:  # after one warmup epoch and one selection epoch
                 raise RuntimeError("training failed")
-            return real(*args)
+            return real(epoch, *args)
 
-        monkeypatch.setattr(lab, "run_dst_epoch", failing_dst_epoch)
+        monkeypatch.setattr(lab, "run_epoch", failing_epoch)
         with pytest.raises(RuntimeError, match="training failed"):
             run(small_config(total_epochs=4), tmp_path / "r")
         assert_reaped(forks)
@@ -729,6 +719,27 @@ class TestScatterWriter:
         }
         report = json.loads((run_dir / "reports" / "epoch_002.json").read_text())
         assert set(report["test_accuracy"]) == {"net1", "net2", "ensemble"}
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_failed_fork_closes_every_pipe_and_exits_two(self, tmp_path, monkeypatch, capsys):
+        # A fork refused for want of processes, simulated: no process is made.
+        def refused_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refused_fork)
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(small_config(output_dir=str(out)))))
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert cli.main(["run", str(config_path)]) == cli.EXIT_RUNTIME
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start the epoch writer: ")
+        assert os.strerror(errno.EAGAIN) in err and "Traceback" not in err
+        assert not [path for path in out.rglob("*") if path.is_file()]
+        with pytest.raises(StructuralError, match="cannot start the epoch writer") as info:
+            run(small_config(), tmp_path / "r")
+        assert isinstance(info.value.__cause__, BlockingIOError)
 
     def test_writer_killed_mid_run_is_a_structural_error(self, tmp_path, monkeypatch, forks):
         real = lab.evaluate
@@ -891,27 +902,92 @@ class TestScatterWriter:
         # The epoch loop without the writer's help profiles both networks in
         # this process; those clouds, formatted here, are the CSVs the run wrote.
         cfg = small_config(total_epochs=5, scatter_every=1)
+        written = run_bytes(run(cfg, tmp_path / "r"))
+        expected = files_of_run_epoch(cfg)
+        assert sum(name.startswith("scatter/") for name in expected) == 2 * (
+            cfg.total_epochs - cfg.warmup_epochs
+        )
+        assert {name: written[name] for name in expected} == expected
+        assert set(written) - set(expected) == WRITER_ONLY
+
+    @pytest.mark.parametrize(
+        "overrides, fails",
+        [({"single_network": True}, ()), ({"ce_only": True}, ()), ({}, (1, 3))],
+        ids=["single-network", "ce-only", "net1-fit-fails"],
+    )
+    def test_run_epoch_without_the_writer_writes_the_same_files(
+        self, tmp_path, monkeypatch, overrides, fails
+    ):
+        # `fails`: which of net1's fits in a process fail (1 is the first),
+        # so net2 falls back in those selection epochs. The run fits net1's
+        # clouds in the writer, `files_of_run_epoch` in this process.
+        cfg = small_config(total_epochs=5, scatter_every=1, **overrides)
+        real_co_divide, real_fit, fits = training.co_divide, selection.fit, []
+
+        def flaky_co_divide(prof, cfg, source):
+            fits.append(source)
+
+            def failing_fit(*args, **kwargs):
+                raise GmmFitError(f"forced failure of net1's fit {fits.count('net1')}")
+
+            with monkeypatch.context() as m:
+                if source == "net1" and fits.count("net1") in fails:
+                    m.setattr(selection, "fit", failing_fit)
+                return real_co_divide(prof, cfg, source)
+
+        monkeypatch.setattr(training, "co_divide", flaky_co_divide)
         run_dir = run(cfg, tmp_path / "r")
-        train, _, _ = lab.build_datasets(cfg)
-        streams = RngStreams.from_master(cfg.master_seed)
-        workspaces = [
-            Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
-            for rng in streams.init
-        ]
-        expected = {}
-        for epoch in range(1, cfg.total_epochs + 1):
-            lr = cfg.learning_rate_at(epoch)
-            if epoch <= cfg.warmup_epochs:
-                for ws, rng in zip(workspaces, streams.shuffle):
-                    plain_ce_epoch(ws, lr, train, cfg.batch_size, rng)
-                continue
-            _, profiles = run_dst_epoch(workspaces, lr, train, cfg, streams)
-            for net, prof in zip(NET_NAMES, profiles):
-                text = write_scatter(epoch, net, prof)
-                expected[scatter_csv_path(run_dir, epoch, net).name] = text.encode()
-        assert len(expected) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
-        written = {p.name: p.read_bytes() for p in (run_dir / "scatter").iterdir()}
-        assert written == expected
+        # This process fits net2's clouds, or net1's when it trains alone.
+        in_run = [] if cfg.ce_only else ["net1" if cfg.single_network else "net2"]
+        assert fits == in_run * (cfg.total_epochs - cfg.warmup_epochs)
+        fits.clear()
+        written, expected = run_bytes(run_dir), files_of_run_epoch(cfg)
+        assert {name: written[name] for name in expected} == expected
+        assert set(written) - set(expected) == WRITER_ONLY
+        summary = load_summary(run_dir)
+        fallbacks = [cfg.warmup_epochs + n for n in fails]
+        assert summary["fallback_epochs"] == {"net1": [], "net2": fallbacks}
+        if fails:
+            report = json.loads(written["reports/epoch_002.json"])
+            assert report["selection"]["fit_errors"] == {"net1": "forced failure of net1's fit 1"}
+
+
+# The run files `files_of_run_epoch` does not make.
+WRITER_ONLY = {"dataset.csv", "dataset.csv.json", "manifest.json", "summary.json"}
+
+
+def files_of_run_epoch(cfg) -> dict[str, bytes]:
+    """The reports, scatter CSVs and checkpoints of a run of `cfg`, by path
+    in the run directory, from `training.run_epoch` without the writer:
+    every epoch trained, profiled, divided, dumped and evaluated in this
+    process, and formatted as the writer formats it."""
+    train, test, _ = lab.build_datasets(cfg)
+    streams = RngStreams.from_master(cfg.master_seed)
+    workspaces = [
+        Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
+        for rng in streams.init
+    ]
+    nets = dict(zip(NET_NAMES, (ws.params for ws in workspaces)))
+    ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
+    files = {}
+    for epoch in range(1, cfg.total_epochs + 1):
+        selection_reports, profiles = training.run_epoch(epoch, workspaces, train, cfg, streams)
+        assert (selection_reports is None) == (epoch <= cfg.warmup_epochs or cfg.ce_only)
+        report = {
+            "epoch": epoch,
+            "phase": cfg.phase_at(epoch),
+            "learning_rate": cfg.learning_rate_at(epoch),
+            "selection": selection_reports,
+            "test_accuracy": training.evaluate(nets, test.features, test.true_labels, ensemble),
+        }
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        files[f"reports/epoch_{epoch:03d}.json"] = text.encode()
+        for net, prof in zip(NET_NAMES, profiles):
+            name = scatter_csv_path("", epoch, net).name
+            files[f"scatter/{name}"] = write_scatter(epoch, net, prof).encode()
+    for name, params in nets.items():
+        files[f"checkpoints/{name}.json"] = network.save_checkpoint(params).encode()
+    return files
 
 
 class TestOffload:
@@ -1019,14 +1095,14 @@ class TestOffload:
                 waiting.touch()
             return real_division(self)
 
-        def dying_divide(params, ds, cfg, source):
+        def dying_divide(prof, ds, cfg, source):
             if os.getpid() != run_pid and len(logged_calls(tmp_path / "divide")) == 1:
                 deadline = time.monotonic() + 60
                 while not waiting.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os.kill(os.getpid(), signal.SIGKILL)
             log_call(tmp_path / "divide", source)
-            return real_divide(params, ds, cfg, source)
+            return real_divide(prof, ds, cfg, source)
 
         monkeypatch.setattr(lab._EpochWriter, "division", division)
         monkeypatch.setattr(lab, "divide", dying_divide)

@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANCHORS, DEFAULTS, make_division, make_noisy, model_with_means
-from dstlab import selection
+from conftest import (
+    ANCHORS,
+    DEFAULTS,
+    clean_and_mush,
+    make_division,
+    make_noisy,
+    model_with_means,
+    profile_at,
+)
+from dstlab import selection, training
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError
-from dstlab.lossprofile import LossProfile
+from dstlab.network import Workspace, init_network
+from dstlab.rng import RngStreams
 from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
@@ -21,19 +30,33 @@ from dstlab.selection import (
 )
 
 
-def profile_at(points) -> LossProfile:
-    """Profile whose normalized loss cloud is exactly `points`; every
-    prediction is class 0 and every sample in agreement state i."""
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    return LossProfile(
-        l_nis=pts[:, 0].copy(),
-        l_prd=pts[:, 1].copy(),
-        predicted=np.zeros(n, dtype=np.int64),
-        nrm_nis=pts[:, 0].copy(),
-        nrm_prd=pts[:, 1].copy(),
-        states=np.ones(n, dtype=np.int64),
+def selection_epoch(clouds, **overrides):
+    """The selection reports and the divisions `co_divide` made, by source,
+    of the first selection epoch of `training.run_epoch` without the writer,
+    when net i's normalized loss cloud is `clouds[i]` (see `profile_at`).
+    The training set has as many rows as the first cloud."""
+    n = len(clouds[0])
+    labels = np.arange(n) % 3
+    ds = make_noisy(np.random.default_rng(0).standard_normal((n, 2)), labels, labels, 3)
+    cfg = ExperimentConfig(
+        n_classes=3, hidden_sizes=[4], total_epochs=2, warmup_epochs=1, batch_size=16, **overrides
     )
+    streams = RngStreams.from_master(0)
+    workspaces = [Workspace(init_network(cfg.layer_sizes(), rng)) for rng in streams.init]
+    clouds_of = {id(ws.params): profile_at(cloud) for ws, cloud in zip(workspaces, clouds)}
+    divisions = {}
+    real = training.co_divide
+
+    def recording(prof, cfg, source):
+        division, fit_errors = real(prof, cfg, source)
+        divisions[source] = division
+        return division, fit_errors
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(training, "profile", lambda params, ds: clouds_of[id(params)])
+        m.setattr(training, "co_divide", recording)
+        selection_reports, _ = training.run_epoch(2, workspaces, ds, cfg, streams)
+    return selection_reports, divisions
 
 
 class TestAssignRoles:
@@ -74,7 +97,7 @@ class TestWeightsFromPosteriors:
         if roles is not None:
             monkeypatch.setattr(selection, "assign_roles", lambda model, anchors: roles)
         prof = profile_at(TestCoDivide().separated_cloud(np.random.default_rng(9)))
-        (division,), _ = co_divide([prof], DEFAULTS)
+        division, _ = co_divide(prof, DEFAULTS, "net2")
         return division
 
     def test_projection_rows(self):
@@ -141,56 +164,62 @@ class TestCoDivide:
         return np.clip(np.concatenate([lows, mids, highs]), 0.0, 1.0)
 
     def test_swap_sources(self):
+        # Each network trains on the division of the other's cloud.
         rng = np.random.default_rng(1)
-        prof1 = profile_at(self.separated_cloud(rng))
-        prof2 = profile_at(self.separated_cloud(rng))
-        divisions, fit_errors = co_divide([prof1, prof2], DEFAULTS)
-        assert divisions[0].source == "net2"
-        assert divisions[1].source == "net1"
-        assert fit_errors == {}
+        clouds = [self.separated_cloud(rng), self.separated_cloud(rng)]
+        selection_reports, divisions = selection_epoch(clouds)
+        assert selection_reports["net1"]["source"] == "net2"
+        assert selection_reports["net2"]["source"] == "net1"
+        assert selection_reports["fit_errors"] == {}
+        for source, cloud in zip(("net1", "net2"), clouds):
+            assert divisions[source].source == source
+            np.testing.assert_array_equal(divisions[source].profile.nrm_nis, cloud[:, 0])
 
     def test_identical_profiles_give_identical_divisions(self):
         rng = np.random.default_rng(2)
         cloud = self.separated_cloud(rng)
-        divisions, _ = co_divide([profile_at(cloud), profile_at(cloud)], DEFAULTS)
-        np.testing.assert_array_equal(divisions[0].branches, divisions[1].branches)
-        np.testing.assert_allclose(divisions[0].w_r, divisions[1].w_r)
+        one, _ = co_divide(profile_at(cloud), DEFAULTS, "net1")
+        other, _ = co_divide(profile_at(cloud), DEFAULTS, "net2")
+        np.testing.assert_array_equal(one.branches, other.branches)
+        np.testing.assert_allclose(one.w_r, other.w_r)
+        assert (one.source, other.source) == ("net1", "net2")
 
     def test_swapping_twice_restores_pairing(self):
         rng = np.random.default_rng(3)
-        prof1 = profile_at(self.separated_cloud(rng))
-        prof2 = profile_at(self.separated_cloud(rng))
-        once, _ = co_divide([prof1, prof2], DEFAULTS)
-        twice, _ = co_divide([prof2, prof1], DEFAULTS)
-        np.testing.assert_array_equal(once[0].branches, twice[1].branches)
-        np.testing.assert_array_equal(once[1].branches, twice[0].branches)
+        clouds = [self.separated_cloud(rng), self.separated_cloud(rng)]
+        once, _ = selection_epoch(clouds)
+        twice, _ = selection_epoch(clouds[::-1])
+        # Net a trains on the same cloud in the first epoch as net b in the
+        # second: the only difference is the name of the cloud's network.
+        for a, b in (("net1", "net2"), ("net2", "net1")):
+            assert (once[a]["source"], twice[b]["source"]) == (b, a)
+            assert {**once[a], "source": None} == {**twice[b], "source": None}
+        assert once["net1"]["gmm"] != once["net2"]["gmm"]
 
     def test_clean_division_goes_to_the_other_network(self):
         rng = np.random.default_rng(4)
         # net1's losses separate cleanly; net2's are an indistinct mush
         n = 60
-        clean = np.concatenate(
-            [
-                0.02 + 0.01 * rng.standard_normal((n // 2, 2)),
-                np.column_stack(
-                    [0.9 + 0.02 * rng.standard_normal(n // 2), 0.5 + 0.02 * rng.standard_normal(n // 2)]
-                ),
-            ]
-        )
-        mush = 0.45 + 0.02 * rng.standard_normal((n, 2))
-        profiles = [profile_at(np.clip(clean, 0, 1)), profile_at(np.clip(mush, 0, 1))]
-        division = co_divide(profiles, DEFAULTS)[0][1]  # derived from net1's clean losses
-        assert division.source == "net1"
+        selection_reports, divisions = selection_epoch(clean_and_mush(rng, n))
+        assert selection_reports["net2"]["source"] == "net1"
+        division = divisions["net1"]  # derived from net1's clean losses
         labeled = division.branches[: n // 2]
         rest = division.branches[n // 2 :]
         assert (labeled == BRANCH_LABELED).mean() >= 0.95
         assert (rest == BRANCH_LABELED).mean() <= 0.05
+        sizes = selection_reports["net2"]["branches"]
+        assert sizes["labeled"]["size"] == int((division.branches == BRANCH_LABELED).sum())
 
     def test_tiny_profiles_fall_back_via_fit_errors(self):
         prof = profile_at(np.full((3, 2), 0.5))
-        divisions, fit_errors = co_divide([prof, prof], DEFAULTS)
-        assert divisions == [None, None]
-        assert set(fit_errors) == {"net1", "net2"}
+        for source in ("net1", "net2"):
+            division, fit_errors = co_divide(prof, DEFAULTS, source)
+            assert division is None
+            assert fit_errors == {source: "need at least 6 points to fit, got 3"}
+        selection_reports, divisions = selection_epoch([np.full((3, 2), 0.5)] * 2)
+        assert divisions == {"net1": None, "net2": None}
+        assert set(selection_reports["fit_errors"]) == {"net1", "net2"}
+        assert selection_reports["net1"] == selection_reports["net2"] == {"fallback": True}
 
     def test_settings_come_from_the_config(self, monkeypatch):
         calls = []
@@ -207,15 +236,15 @@ class TestCoDivide:
             tau_r=0.9,
             tau_prd=0.2,
         )
-        divisions, _ = co_divide([prof], cfg)
+        division, _ = co_divide(prof, cfg, "net1")
         anchors, options = calls[0]
         assert anchors.dtype == np.float64 and anchors.tolist() == [[0, 0], [0.5, 0.4], [1, 0]]
         assert options == {"tol": 1e-6, "max_iter": 7}
-        w_r, w_prd = divisions[0].w_r, divisions[0].w_prd
+        w_r, w_prd = division.w_r, division.w_prd
         expected = np.where(
             w_r >= 0.9, BRANCH_LABELED, np.where(w_prd >= 0.2, BRANCH_PREDICTED, BRANCH_WRONG)
         )
-        np.testing.assert_array_equal(divisions[0].branches, expected)
+        np.testing.assert_array_equal(division.branches, expected)
 
 
 class TestSelfDivide:
@@ -225,21 +254,27 @@ class TestSelfDivide:
         fits = []
         real_fit = selection.fit
         monkeypatch.setattr(selection, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
-        prof = profile_at(TestCoDivide().separated_cloud(np.random.default_rng(6)))
-        single, fit_errors = co_divide([prof], DEFAULTS)
+        cloud = TestCoDivide().separated_cloud(np.random.default_rng(6))
+        selection_reports, divisions = selection_epoch([cloud], single_network=True)
         assert len(fits) == 1
-        reference = co_divide([prof, prof], DEFAULTS)[0][1]
-        assert len(single) == 1 and fit_errors == {}
-        assert single[0].source == "net1"
-        np.testing.assert_array_equal(single[0].branches, reference.branches)
-        np.testing.assert_array_equal(single[0].w_r, reference.w_r)
-        np.testing.assert_array_equal(single[0].w_prd, reference.w_prd)
+        reference, fit_errors = co_divide(profile_at(cloud), DEFAULTS, "net1")
+        assert list(divisions) == ["net1"] and fit_errors == {}
+        assert selection_reports["net1"]["source"] == "net1"
+        assert set(selection_reports) == {"fit_errors", "net1"}
+        single = divisions["net1"]
+        np.testing.assert_array_equal(single.branches, reference.branches)
+        np.testing.assert_array_equal(single.w_r, reference.w_r)
+        np.testing.assert_array_equal(single.w_prd, reference.w_prd)
 
     def test_fit_failure_is_recorded_for_net1_only(self):
-        prof = profile_at(np.full((3, 2), 0.5))
-        single, fit_errors = co_divide([prof], DEFAULTS)
-        assert single == [None]
-        assert fit_errors == {"net1": co_divide([prof, prof], DEFAULTS)[1]["net1"]}
+        tiny = np.full((3, 2), 0.5)
+        selection_reports, divisions = selection_epoch([tiny], single_network=True)
+        assert divisions == {"net1": None}
+        assert selection_reports == {
+            "fit_errors": {"net1": co_divide(profile_at(tiny), DEFAULTS, "net1")[1]["net1"]},
+            "net1": {"fallback": True},
+        }
+
 
 class TestSelectionReport:
     def test_perfect_model_on_clean_data(self):

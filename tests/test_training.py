@@ -30,13 +30,14 @@ from dstlab.data import NoiseSpec, inject_noise, make_blobs
 from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import Workspace, init_network, one_hot, softmax
 from dstlab.lossprofile import profile
-from dstlab.rng import RngStreams
+from dstlab.rng import NET_NAMES, RngStreams
 from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
     co_divide,
     partition,
+    selection_report,
 )
 from dstlab.training import (
     _branch_table,
@@ -44,8 +45,7 @@ from dstlab.training import (
     _train_epoch,
     evaluate,
     mixup_batch,
-    plain_ce_epoch,
-    run_dst_epoch,
+    run_epoch,
     sharpen,
 )
 
@@ -479,7 +479,7 @@ class TestWarmup:
         targets = one_hot(ds.noisy_labels, ds.n_classes)
         before = batch_loss(ws.params, ds.features, targets, 0.0)
         for _ in range(5):
-            plain_ce_epoch(ws, 0.05, ds, 16, rng)
+            _train_epoch(ws, 0.05, ds, 16, rng.permutation(ds.n_samples))
         after = batch_loss(ws.params, ds.features, targets, 0.0)
         assert after < before
 
@@ -491,7 +491,7 @@ class TestWarmup:
         )
         workspaces = init_workspaces(cfg, streams)
         before = [params_hash(net) for net in params_of(workspaces)]
-        warmup(workspaces, cfg.learning_rate, ds, 2, 16, streams)
+        warmup(workspaces, ds, cfg, streams)
         after = [params_hash(net) for net in params_of(workspaces)]
         assert before[0] != after[0] and before[1] != after[1]
         assert after[0] != after[1]
@@ -508,7 +508,7 @@ class TestWarmup:
             learning_rate=0.05,
         )
         workspaces = init_workspaces(cfg, streams)
-        warmup(workspaces, cfg.learning_rate, ds, 20, 16, streams)
+        warmup(workspaces, ds, cfg, streams)
         for ws in workspaces:
             assert accuracy(ws.params, ds.features, ds.true_labels) >= 0.95
 
@@ -526,7 +526,7 @@ def warmed_pair(ds, master_seed=13, epochs=15):
         learning_rate=0.05,
     )
     workspaces = init_workspaces(cfg, streams)
-    warmup(workspaces, cfg.learning_rate, ds, epochs, 16, streams)
+    warmup(workspaces, ds, cfg, streams)
     return workspaces, streams, cfg
 
 
@@ -584,15 +584,16 @@ class TestDstEpoch:
             warmup_epochs=100,
             batch_size=16,
             learning_rate=0.05,
+            lr_decay_period=120,  # one learning rate throughout
             weight_decay=0.0,
         )
         workspaces = init_workspaces(cfg, streams)
-        warmup(workspaces, cfg.learning_rate, ds, 100, 16, streams)
+        warmup(workspaces, ds, cfg, streams)
         start = ensemble_accuracy(params_of(workspaces), ds.features, ds.true_labels)
         assert start >= 0.97
         selection = None
-        for _ in range(10):
-            selection, _ = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        for epoch in range(cfg.warmup_epochs + 1, cfg.warmup_epochs + 11):
+            selection, _ = run_epoch(epoch, workspaces, ds, cfg, streams)
         end = ensemble_accuracy(params_of(workspaces), ds.features, ds.true_labels)
         for name in ("net1", "net2"):
             report = selection[name]
@@ -604,10 +605,15 @@ class TestDstEpoch:
         ds = clean_toy(seed=4)
         workspaces, streams, cfg = warmed_pair(ds)
         before = [profile(ws.params, ds) for ws in workspaces]
-        selection, profiles = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        selection, profiles = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
         assert selection["net1"]["source"] == "net2"
         assert selection["net2"]["source"] == "net1"
         assert_same_profiles(profiles, before)
+        # Each consumer's division is the one of its partner's cloud from
+        # before either network trained.
+        for consumer, source in (("net1", 1), ("net2", 0)):
+            division, _ = co_divide(before[source], cfg, NET_NAMES[source])
+            assert selection[consumer] == {**selection_report(division, ds), "fallback": False}
 
     def test_single_network_mode_isolates_the_second_network(self):
         ds = clean_toy(seed=5)
@@ -615,11 +621,13 @@ class TestDstEpoch:
         net2_before = params_hash(workspaces[1].params)
         before = [profile(workspaces[0].params, ds)]
         single = dataclasses.replace(cfg, single_network=True)
-        selection, profiles = run_dst_epoch(workspaces, cfg.learning_rate, ds, single, streams)
+        selection, profiles = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, single, streams)
         assert params_hash(workspaces[1].params) == net2_before
         assert selection["net1"]["source"] == "net1"
         assert "net2" not in selection
         assert_same_profiles(profiles, before)
+        division, _ = co_divide(before[0], cfg, "net1")
+        assert selection["net1"] == {**selection_report(division, ds), "fallback": False}
 
     def test_no_mixup_flag_equals_identity_mixing(self, monkeypatch):
         ds = clean_toy(seed=6)
@@ -628,9 +636,9 @@ class TestDstEpoch:
         assert params_hash(ws_a[0].params) == params_hash(ws_b[0].params)
 
         no_mixup = dataclasses.replace(cfg, no_mixup=True)
-        run_dst_epoch(ws_a, cfg.learning_rate, ds, no_mixup, streams_a)
+        run_epoch(cfg.warmup_epochs + 1, ws_a, ds, no_mixup, streams_a)
         monkeypatch.setattr(training, "mixup_batch", lambda x, y, alpha, rng: (x, y))
-        run_dst_epoch(ws_b, cfg.learning_rate, ds, cfg, streams_b)
+        run_epoch(cfg.warmup_epochs + 1, ws_b, ds, cfg, streams_b)
         assert params_hash(ws_a[0].params) == params_hash(ws_b[0].params)
         assert params_hash(ws_a[1].params) == params_hash(ws_b[1].params)
 
@@ -638,12 +646,11 @@ class TestDstEpoch:
         ds = clean_toy(seed=7)
         workspaces, streams, cfg = warmed_pair(ds)
         monkeypatch.setattr(
-            training,
-            "co_divide",
-            lambda profiles, cfg: ([None, None], {"net1": "fit failed", "net2": "fit failed"}),
+            training, "co_divide", lambda prof, cfg, source: (None, {source: "fit failed"})
         )
         before = [params_hash(net) for net in params_of(workspaces)]
-        selection, _ = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        selection, _ = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
+        assert selection["fit_errors"] == {"net1": "fit failed", "net2": "fit failed"}
         assert selection["net1"] == {"fallback": True}
         assert selection["net2"] == {"fallback": True}
         assert params_hash(workspaces[0].params) != before[0]
@@ -652,7 +659,7 @@ class TestDstEpoch:
     def test_reports_carry_roles_and_mixture_diagnostics(self):
         ds = clean_toy(seed=8)
         workspaces, streams, cfg = warmed_pair(ds)
-        selection, _ = run_dst_epoch(workspaces, cfg.learning_rate, ds, cfg, streams)
+        selection, _ = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
         report = selection["net1"]
         assert report["fallback"] is False
         assert sorted(report["roles"]) == ["labeled", "predicted", "wrong"]
@@ -773,9 +780,10 @@ class TestEpochLoopMatchesOracle:
 
     BATCH = 16
 
-    def run_both(
-        self, n_samples, ablation, monkeypatch=None, divide=None, dst_epochs=3, dst=None
-    ):
+    def run_both(self, n_samples, ablation, monkeypatch=None, failing=(), dst_epochs=3, dst=None):
+        """Every epoch of a run through `run_epoch` and through the oracle's
+        loops, state compared after each. The fit of each (selection epoch,
+        source) pair in `failing` is forced to fail, on both sides."""
         ds = noisy_toy(n_samples)
         cfg = ExperimentConfig(
             n_classes=3,
@@ -796,22 +804,35 @@ class TestEpochLoopMatchesOracle:
             name: ReferenceOptimizer.for_network(net, lr, cfg.momentum, cfg.weight_decay)
             for name, net in ref_nets.items()
         }
-        for _ in range(cfg.warmup_epochs):
-            for i, name in enumerate(("net1", "net2")):
-                plain_ce_epoch(workspaces[i], lr, ds, self.BATCH, streams.shuffle[i])
-                ref_nets[name] = oracles.plain_ce_epoch(
-                    ref_nets[name], ref_opts[name], ds, self.BATCH, ref_streams.shuffle[i]
-                )
-            assert_same_state(workspaces, ref_nets, ref_opts)
-        if divide is not None:
+        dst_epoch = 0  # the selection epoch being trained, counted from 1
+
+        def divide(prof, cfg, source):
+            division, fit_errors = co_divide(prof, cfg, source)
+            if (dst_epoch, source) in failing:
+                return None, {source: "forced"}
+            return division, fit_errors
+
+        if failing:
             monkeypatch.setattr(training, "co_divide", divide)
         results = []
-        for _ in range(dst_epochs):
-            results.append(run_dst_epoch(workspaces, lr, ds, cfg, streams)[0])
-            oracles.dst_epoch(ref_nets, ref_opts, ds, cfg, ref_streams, divide)
+        for epoch in range(1, cfg.warmup_epochs + dst_epochs + 1):
+            dst_epoch = epoch - cfg.warmup_epochs
+            selection, _ = run_epoch(epoch, workspaces, ds, cfg, streams)
+            if dst_epoch <= 0:
+                assert selection is None
+                for i, name in enumerate(("net1", "net2")):
+                    ref_nets[name] = oracles.plain_ce_epoch(
+                        ref_nets[name], ref_opts[name], ds, self.BATCH, ref_streams.shuffle[i]
+                    )
+            else:
+                results.append(selection)
+                oracles.dst_epoch(ref_nets, ref_opts, ds, cfg, ref_streams, divide)
             assert_same_state(workspaces, ref_nets, ref_opts)
         # Both sides drew the same number of values from every stream.
-        for a, b in zip(streams.mixup + streams.wrong_branch, ref_streams.mixup + ref_streams.wrong_branch):
+        for a, b in zip(
+            streams.shuffle + streams.mixup + streams.wrong_branch,
+            ref_streams.shuffle + ref_streams.mixup + ref_streams.wrong_branch,
+        ):
             assert a.uniform() == b.uniform()
         return ds, results
 
@@ -851,20 +872,15 @@ class TestEpochLoopMatchesOracle:
             assert min(sizes) > 0, sizes
 
     def test_fit_failure_fallback(self, monkeypatch):
-        calls = []
-
-        def divide(profiles, cfg):
-            # First selection epoch: net1's division fails; second: both.
-            calls.append(1)
-            (for_net1, for_net2), _ = co_divide(profiles, cfg)
-            epoch = (len(calls) + 1) // 2
-            for_net1 = None if epoch in (1, 2) else for_net1
-            for_net2 = None if epoch == 2 else for_net2
-            return [for_net1, for_net2], {"net2": "forced"}
-
-        _, results = self.run_both(8 * self.BATCH + 1, {}, monkeypatch, divide)
+        # First selection epoch: net2's cloud, net1's division, fails; second:
+        # both clouds.
+        failing = {(1, "net2"), (2, "net1"), (2, "net2")}
+        _, results = self.run_both(8 * self.BATCH + 1, {}, monkeypatch, failing)
         assert [r["net1"] == {"fallback": True} for r in results] == [True, True, False]
         assert [r["net2"] == {"fallback": True} for r in results] == [False, True, False]
+        assert [r["fit_errors"] for r in results] == [
+            {"net2": "forced"}, {"net1": "forced", "net2": "forced"}, {}
+        ]
 
 
 class TestEpochRefusesNonFinite:
@@ -873,7 +889,7 @@ class TestEpochRefusesNonFinite:
     def warm(self):
         ds = clean_toy(seed=12)
         ws = Workspace(init_network([2, 8, 3], np.random.default_rng(4)), 0.9, 5e-4)
-        plain_ce_epoch(ws, 0.05, ds, 16, np.random.default_rng(1))
+        _train_epoch(ws, 0.05, ds, 16, np.random.default_rng(1).permutation(ds.n_samples))
         return ds, ws
 
     def refinement(self, ds, params):
