@@ -389,9 +389,9 @@ class _EpochWriter:
     Parameters, batch orders, net2's branch tables, partner softmaxes and
     the run's loss profiles travel through arrays shared at the fork
     (`_shared_arrays`); the pipe carries only small messages. So
-    formatting (about 15 ms per 4000-row cloud, most of it `%.17g`), the
-    test forwards, every write, net1's profile and fit and the partner
-    forwards overlap training on another core.
+    formatting (about 6 ms per 4000-row cloud, `data.write_csv`), the test
+    forwards, every write, net1's profile and fit and the partner forwards
+    overlap training on another core.
 
     Per epoch the run sends, in order: ("loop", e) when net1 trains on a
     division with a partner; ("net1", e) when `training.run_epoch` reports

@@ -16,6 +16,7 @@ summary.json from the manifest and reports.
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 from dstlab import data, network, training
 from dstlab.errors import ConfigError, GmmFitError, NumericError, StructuralError
 from dstlab.gmm import N_COMPONENTS, _columns, _e_step
-from dstlab.lossprofile import profile
+from dstlab.lossprofile import SCATTER_HEADER, LossProfile, profile
 from dstlab.network import (
     LOG_FLOOR,
     Layers,
@@ -480,8 +481,9 @@ def e_step(points, means, covariances, weights):
     return resp, total_ll
 
 
-# --- The dataset writer before rows were formatted in bulk, readers of
-# the dataset and checkpoint files a run writes, and its summary rebuilt.
+# --- The dataset and scatter writers before rows were formatted in bulk,
+# readers of the dataset and checkpoint files a run writes, and its
+# summary rebuilt.
 
 
 def save_dataset_rows(ds: data.NoisyDataset, path: Path | str) -> None:
@@ -494,6 +496,29 @@ def save_dataset_rows(ds: data.NoisyDataset, path: Path | str) -> None:
             row = [i, int(ds.true_labels[i]), int(ds.noisy_labels[i])]
             row += [f"{v:.17g}" for v in ds.features[i]]
             writer.writerow(row)
+
+
+def write_scatter_reference(epoch: int, net: str, prof: LossProfile) -> str:
+    """`lossprofile.write_scatter`'s text, one `csv.writer` row at a time,
+    each float formatted by `%.17g`."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(SCATTER_HEADER)
+    for i in range(prof.n_samples):
+        writer.writerow(
+            [
+                epoch,
+                net,
+                i,
+                f"{prof.l_nis[i]:.17g}",
+                f"{prof.l_prd[i]:.17g}",
+                f"{prof.nrm_nis[i]:.17g}",
+                f"{prof.nrm_prd[i]:.17g}",
+                int(prof.predicted[i]),
+                int(prof.states[i]),
+            ]
+        )
+    return text.getvalue()
 
 
 def load_dataset(path: Path | str) -> data.NoisyDataset:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_division, make_noisy
+from dstlab import data
 from dstlab.data import (
     CENTER_SPACING,
     NOISE_KINDS,
@@ -17,6 +18,7 @@ from dstlab.data import (
     STATE_NAMES,
     save_dataset,
     sidecar_path,
+    write_csv,
 )
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, StructuralError
@@ -326,8 +328,118 @@ class TestDatasetFile:
         save_dataset_rows(noisy, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("chunk_rows", [2, 7])
+    def test_rows_in_chunks_match_row_by_row_writer(self, tmp_path, monkeypatch, chunk_rows):
+        # Chunk edges fall inside the table, and column widths differ between chunks.
+        monkeypatch.setattr(data, "CSV_CHUNK_ROWS", chunk_rows)
+        noisy = corrupt(blobs(n_classes=3, per_class=10, n_features=3), "asym", 0.4, seed=5)
+        noisy.features[[3, 11, 20, 21], [0, 1, 2, 0]] = [-0.0, 1e300, -np.inf, 5e-324]
+        write_dataset(noisy, tmp_path / "got.csv")
+        save_dataset_rows(noisy, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_foreign_csv_rejected(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(StructuralError):
             load_dataset(path)
+
+
+def column_text(values) -> list[str]:
+    """`write_csv`'s text of one column, a line per value."""
+    return write_csv(["v"], [values]).split("\r\n")[1:-1]
+
+
+POWERS_OF_TEN = [10.0**p for p in range(-30, 31)]
+PINNED_FLOATS = (
+    POWERS_OF_TEN
+    + [np.nextafter(p, 0.0) for p in POWERS_OF_TEN]
+    + [np.nextafter(p, np.inf) for p in POWERS_OF_TEN]
+    + [
+        np.nextafter(1e-4, 0.0),  # the largest double below 1e-4: still e-notation
+        np.nextafter(1e17, 0.0),  # the largest double below 1e17: still fixed notation
+        2.0**-25,  # an exact tie at the 17th digit: rounds to even
+        5e-324,
+        1.7976931348623157e308,
+        # the edges of the values formatted by integer arithmetic
+        2.0**-36,
+        np.nextafter(2.0**-36, 0.0),
+        np.nextafter(1e15, 0.0),
+        1e15,
+        0.1,  # "0.10000000000000001", not repr's "0.1"
+        100.0,  # trailing zeros and the point both go
+        123456.5,
+    ]
+)
+
+
+class TestCsvNumbers:
+    """`write_csv` writes `'%.17g' % v` for every float64 and `'%d' % v` for
+    every integer, byte for byte."""
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        column = np.array(values, dtype=np.float64)
+        assert column_text(column) == ["%.17g" % v for v in column.tolist()]
+
+    @given(
+        st.lists(st.floats(min_value=1e-12, max_value=1e16), min_size=1, max_size=60),
+        st.lists(st.booleans(), min_size=60, max_size=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_floats_near_the_integer_arithmetic_domain(self, values, negate):
+        # Magnitudes a little past [2**-36, 1e15) on both sides, either sign.
+        column = np.array(values, dtype=np.float64) * np.where(negate[: len(values)], -1.0, 1.0)
+        assert column_text(column) == ["%.17g" % v for v in column.tolist()]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pinned_floats(self, sign):
+        column = sign * np.array(PINNED_FLOATS, dtype=np.float64)
+        assert column_text(column) == ["%.17g" % v for v in column.tolist()]
+
+    def test_zeros_inf_and_nan(self):
+        column = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5])
+        assert column_text(column) == ["0", "-0", "inf", "-inf", "nan", "1.5", "-2.5"]
+
+    def test_a_tie_rounds_to_even(self):
+        # 2**-25 = 2.98023223876953125e-08: the 18th digit is a 5 and nothing follows it.
+        assert column_text(np.array([2.0**-25, 3 * 2.0**-25])) == [
+            "2.9802322387695312e-08",
+            "8.9406967163085938e-08",
+        ]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(0).integers(0, 2**63, 20000, dtype=np.int64)
+        column = np.concatenate([bits.view(np.float64), -bits.view(np.float64)])
+        assert column_text(column) == ["%.17g" % v for v in column.tolist()]
+
+    def test_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(1)
+        column = 10.0 ** rng.uniform(-13, 17, 20000) * rng.choice([-1.0, 1.0], 20000)
+        assert column_text(column) == ["%.17g" % v for v in column.tolist()]
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_any_int64(self, values):
+        column = np.array(values, dtype=np.int64)
+        assert column_text(column) == ["%d" % v for v in values]
+
+    @given(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_any_int32(self, values):
+        column = np.array(values, dtype=np.int32)
+        assert column_text(column) == ["%d" % v for v in values]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint8, np.uint64])
+    def test_integer_extremes(self, dtype):
+        info = np.iinfo(dtype)
+        values = [info.min, info.min + 1, -1 if info.min else 1, 0, 9, 10, info.max]
+        column = np.array(values, dtype=dtype)
+        assert column_text(column) == ["%d" % v for v in column.tolist()]

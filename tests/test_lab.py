@@ -19,10 +19,10 @@ from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
 from dstlab.data import STATE_NAMES
 from dstlab.errors import ConfigError, GmmFitError, NotFoundError, NumericError, StructuralError
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
-from dstlab.lossprofile import minmax_normalize, write_scatter
+from dstlab.lossprofile import minmax_normalize
 from dstlab.network import Workspace, init_network
 from dstlab.rng import NET_NAMES, RngStreams
-from oracles import load_checkpoint
+from oracles import load_checkpoint, write_scatter_reference
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -960,7 +960,7 @@ def files_of_run_epoch(cfg) -> dict[str, bytes]:
     """The reports, scatter CSVs and checkpoints of a run of `cfg`, by path
     in the run directory, from `training.run_epoch` without the writer:
     every epoch trained, profiled, divided, dumped and evaluated in this
-    process, and formatted as the writer formats it."""
+    process, and each cloud formatted one row at a time by `%.17g`."""
     train, test, _ = lab.build_datasets(cfg)
     streams = RngStreams.from_master(cfg.master_seed)
     workspaces = [
@@ -984,7 +984,7 @@ def files_of_run_epoch(cfg) -> dict[str, bytes]:
         files[f"reports/epoch_{epoch:03d}.json"] = text.encode()
         for net, prof in zip(NET_NAMES, profiles):
             name = scatter_csv_path("", epoch, net).name
-            files[f"scatter/{name}"] = write_scatter(epoch, net, prof).encode()
+            files[f"scatter/{name}"] = write_scatter_reference(epoch, net, prof).encode()
     for name, params in nets.items():
         files[f"checkpoints/{name}.json"] = network.save_checkpoint(params).encode()
     return files

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from dstlab.lossprofile import (
     write_scatter,
 )
 from dstlab.network import Layers
-from oracles import params_hash
+from oracles import params_hash, write_scatter_reference
 
 
 def bias_net(logit_rows) -> Layers:
@@ -32,35 +31,10 @@ def dataset(noisy_labels, n_classes):
     return make_noisy(np.zeros((n, 1)), [0] * n, noisy_labels, n_classes)
 
 
-def write_scatter_reference(path, epoch, net, prof) -> None:
-    """Row-by-row scatter writer: the byte-for-byte reference for write_scatter."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCATTER_HEADER)
-        for i in range(prof.n_samples):
-            writer.writerow(
-                [
-                    epoch,
-                    net,
-                    i,
-                    f"{prof.l_nis[i]:.17g}",
-                    f"{prof.l_prd[i]:.17g}",
-                    f"{prof.nrm_nis[i]:.17g}",
-                    f"{prof.nrm_prd[i]:.17g}",
-                    int(prof.predicted[i]),
-                    int(prof.states[i]),
-                ]
-            )
-
-
-def write_scatter_file(path, epoch, net, prof) -> None:
-    """`write_scatter`'s text, written as a run writes it."""
-    Path(path).write_text(write_scatter(epoch, net, prof), encoding="utf-8", newline="")
-
-
-def scatter_bytes(writer, tmp_path, name, epoch, net, prof) -> bytes:
+def scatter_bytes(format_text, tmp_path, name, epoch, net, prof) -> bytes:
+    """The bytes of `format_text`'s scatter CSV, written as a run writes it."""
     path = tmp_path / name
-    writer(path, epoch, net, prof)
+    path.write_text(format_text(epoch, net, prof), encoding="utf-8", newline="")
     return path.read_bytes()
 
 
@@ -149,10 +123,9 @@ class TestScatterDump:
         net = bias_net([0.5, -0.5])
         ds = make_noisy(np.zeros((4, 1)), [0, 1, 0, 1], [0, 1, 1, 0], 2)
         prof = profile(net, ds)
-        path = tmp_path / "scatter.csv"
-        write_scatter_file(path, epoch=7, net="net1", prof=prof)
+        scatter_bytes(write_scatter, tmp_path, "scatter.csv", 7, "net1", prof)
 
-        with path.open() as fh:
+        with (tmp_path / "scatter.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == SCATTER_HEADER
         assert len(rows) == 5
@@ -225,23 +198,27 @@ class TestScatterBytes:
             SCATTER_CASES[case], states=SCATTER_CASES[case].states.astype(states_dtype)
         )
         args = (120, "net2", prof)
-        got = scatter_bytes(write_scatter_file, tmp_path, "got.csv", *args)
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", *args)
         want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", *args)
         assert got == want
 
     def test_repr_and_precision_17_differ_on_point_one(self, tmp_path):
         prof = SCATTER_CASES["repr-differs"]
-        text = scatter_bytes(write_scatter_file, tmp_path, "s.csv", 1, "net1", prof)
+        text = scatter_bytes(write_scatter, tmp_path, "s.csv", 1, "net1", prof)
         assert b",0.10000000000000001," in text
         assert text.endswith(b"\r\n") and text.count(b"\r\n") == 4
 
-    @pytest.mark.parametrize("net", ["net,1", 'net"1', "net%1", "%d%%s", 'a,"b"%\r\nc'])
+    # NUL and non-ASCII names too: the padding dropped from the formatted
+    # rows is a byte no UTF-8 text holds.
+    @pytest.mark.parametrize(
+        "net", ["net,1", 'net"1', "net%1", "%d%%s", 'a,"b"%\r\nc', "n\x00t", "n\xe9t\u2603", "\xff"]
+    )
     def test_net_names_needing_quotes_or_percent_escapes(self, tmp_path, net):
         prof = SCATTER_CASES["unit-bounds"]
-        got = scatter_bytes(write_scatter_file, tmp_path, "got.csv", 7, net, prof)
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", 7, net, prof)
         want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", 7, net, prof)
         assert got == want
-        with (tmp_path / "got.csv").open(newline="") as fh:
+        with (tmp_path / "got.csv").open(encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [row[1] for row in rows[1:]] == [net] * 3
 
@@ -262,6 +239,6 @@ class TestScatterBytes:
         l_nis, l_prd, predicted = (list(col) for col in zip(*rows))
         prof = explicit_profile(l_nis, l_prd, l_prd, l_nis, predicted)
         tmp_path = tmp_path_factory.mktemp("scatter")
-        got = scatter_bytes(write_scatter_file, tmp_path, "got.csv", epoch, "net1", prof)
+        got = scatter_bytes(write_scatter, tmp_path, "got.csv", epoch, "net1", prof)
         want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", epoch, "net1", prof)
         assert got == want
