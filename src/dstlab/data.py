@@ -325,12 +325,12 @@ def _column_text(values: np.ndarray) -> np.ndarray:
     return _int_text(values)
 
 
-def write_csv(header: Sequence[str], columns: Sequence[np.ndarray], lead: Sequence = ()) -> str:
-    """The CSV text of `header`, then one row per entry of the equal-length
-    `columns`: the constant fields `lead`, quoted as `csv.writer` quotes
-    them, then each column's value as `'%.17g' % v` for a float column and
-    `'%d' % v` for an integer one, byte for byte. Floats so written read
-    back exactly.
+def write_csv(header: Sequence[str], columns: Sequence[np.ndarray], lead: Sequence = ()) -> bytes:
+    """The CSV file of `header`, then one row per entry of the equal-length
+    `columns`, as UTF-8 bytes: the constant fields `lead`, quoted as
+    `csv.writer` quotes them, then each column's value as `'%.17g' % v` for
+    a float column and `'%d' % v` for an integer one, byte for byte. Floats
+    so written read back exactly.
 
     Rows are formatted `CSV_CHUNK_ROWS` at a time, and a chunk one column
     at a time: each column's texts into a byte matrix, one matrix column
@@ -338,7 +338,7 @@ def write_csv(header: Sequence[str], columns: Sequence[np.ndarray], lead: Sequen
     every PAD dropped.
     """
     prefix = csv_row(lead).removesuffix("\r\n").encode() + b"," if lead else b""
-    body = []
+    parts = [csv_row(header).encode()]
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         fields = [_column_text(np.asarray(c[start : start + CSV_CHUNK_ROWS])) for c in columns]
         width = len(prefix) + sum(len(field) + 1 for field in fields) + 1
@@ -350,13 +350,13 @@ def write_csv(header: Sequence[str], columns: Sequence[np.ndarray], lead: Sequen
             rows[end + len(field)] = ord(",")  # the last one becomes "\r"
             end += len(field) + 1
         rows[end - 1 :] = np.frombuffer(b"\r\n", dtype=np.uint8)[:, None]
-        body.append(rows.T.tobytes().replace(bytes([PAD]), b""))
-    return csv_row(header) + b"".join(body).decode("utf-8")
+        parts.append(rows.T.tobytes().replace(bytes([PAD]), b""))
+    return b"".join(parts)
 
 
-def save_dataset(ds: NoisyDataset) -> tuple[str, str]:
-    """The text of `id,true_label,noisy_label,f0..f{D-1}` and of its sidecar
-    manifest (written beside it, at `sidecar_path`)."""
+def save_dataset(ds: NoisyDataset) -> tuple[bytes, bytes]:
+    """The bytes of `id,true_label,noisy_label,f0..f{D-1}` and of its
+    sidecar manifest (written beside it, at `sidecar_path`)."""
     header = ["id", "true_label", "noisy_label"] + [f"f{j}" for j in range(ds.n_features)]
     table = write_csv(
         header, [np.arange(ds.n_samples), ds.true_labels, ds.noisy_labels, *ds.features.T]
@@ -369,7 +369,7 @@ def save_dataset(ds: NoisyDataset) -> tuple[str, str]:
         "n_features": ds.n_features,
         "noise_spec": None if ds.noise_spec is None else asdict(ds.noise_spec),
     }
-    return table, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return table, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
 
 def sidecar_path(path: Path | str) -> Path:

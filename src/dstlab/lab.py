@@ -45,7 +45,8 @@ from .errors import ConfigError, NotFoundError, NumericError, StructuralError
 from .lossprofile import LossProfile, profile, write_scatter
 from .network import Layers, Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
-from .training import BranchTable, divide, evaluate, run_epoch, softmax_of
+from .selection import BranchTable, divide
+from .training import evaluate, run_epoch, softmax_of
 
 OUTPUT_ROOT_ENV = "DSTLAB_OUTPUT_ROOT"
 
@@ -102,14 +103,14 @@ def scatter_csv_path(run_dir: Path | str, epoch: int, net: str) -> Path:
     return Path(run_dir) / "scatter" / f"epoch_{int(epoch):03d}_{net}.csv"
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: bytes) -> None:
     """Write one run file whole: `NAME.tmp` beside it, renamed over it, so
     no file of a run is ever left truncated. An `OSError` removes the tmp
     file and becomes a `StructuralError` naming the run file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with tmp.open("wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         with suppress(OSError):
@@ -301,7 +302,8 @@ def _serve_run(
         table, sidecar = save_dataset(train)
         _write(run_dir / "dataset.csv", table)
         _write(sidecar_path(run_dir / "dataset.csv"), sidecar)
-        _write(run_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write(run_dir / "manifest.json", text.encode())
     except Exception as exc:  # noqa: BLE001 - answered to the run
         errors.append(exc)
     sizes = cfg.layer_sizes()
@@ -361,15 +363,15 @@ def _serve_run(
         try:
             params = dict(zip(NET_NAMES, nets[slot]))
             report["test_accuracy"] = evaluate(params, test.features, test.true_labels, ensemble)
-            text = json.dumps(report, indent=2, sort_keys=True)
-            _write(run_dir / "reports" / f"epoch_{epoch:03d}.json", text + "\n")
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            _write(run_dir / "reports" / f"epoch_{epoch:03d}.json", text.encode())
             reports.append(report)
             if epoch == cfg.total_epochs and not errors:
                 for name, layers in params.items():
                     _write(run_dir / "checkpoints" / f"{name}.json", save_checkpoint(layers))
                 summary = _summary(manifest, reports)
-                text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
-                _write(run_dir / "summary.json", text + "\n")
+                text = json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
+                _write(run_dir / "summary.json", text.encode())
         except Exception as exc:  # noqa: BLE001 - answered to the run
             errors.append(exc)
         divisions.pop(epoch, None)
@@ -484,7 +486,8 @@ class _EpochWriter:
 
     def loop(self, i: int, order: np.ndarray) -> Callable[[int], np.ndarray | None]:
         """Net i's refined loop starts in `order` (net2's went with
-        `net1_trained`). Returns the lookup of published partner softmaxes."""
+        `net1_trained`). Returns the lookup of batch b's partner softmax:
+        the rows the writer published, else None."""
         if i == 0:
             self.shared["order"][self.epoch % 2, 0] = order
             self._send(("loop", self.epoch))
@@ -503,8 +506,9 @@ class _EpochWriter:
         return published
 
     def net1_trained(self, flat: np.ndarray, order2: np.ndarray) -> None:
-        """Net1's epoch is over: hand its parameters and net2's batch order
-        to the writer when this or the next epoch is offloaded."""
+        """Net1's parameters for this epoch are final, and net2 trains next
+        in `order2`; `run_epoch` says so in every epoch. Hands both to the
+        writer when this or the next epoch is offloaded."""
         epoch = self.epoch
         if not (_offloads(self.cfg, epoch) or _offloads(self.cfg, epoch + 1)):
             return
@@ -514,7 +518,9 @@ class _EpochWriter:
         self.net1_sent = epoch
 
     def division(self) -> tuple[BranchTable | None, dict, dict[str, str]]:
-        """Net2's division for this epoch, from the answer to the last one."""
+        """Net2's branch table for this epoch (None: it falls back), its
+        report and the fit error of net1's cloud, if any: `selection.divide`
+        of net1's cloud, from the writer's answer to the last epoch."""
         fit_errors, report = self._answer()
         if report["fallback"]:
             return None, report, fit_errors

@@ -233,8 +233,8 @@ class Workspace:
         self.flat -= np.multiply(learning_rate, buf, out=scratch)
 
 
-def save_checkpoint(params: Layers) -> str:
-    """A versioned JSON checkpoint's text (row-major values per layer)."""
+def save_checkpoint(params: Layers) -> bytes:
+    """A versioned JSON checkpoint's bytes (row-major values per layer)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -244,4 +244,4 @@ def save_checkpoint(params: Layers) -> str:
             for weights, bias in params
         ],
     }
-    return json.dumps(payload) + "\n"
+    return (json.dumps(payload) + "\n").encode()

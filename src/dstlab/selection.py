@@ -1,20 +1,15 @@
-"""Posterior-to-branch machinery and the co-divide of one loss cloud.
+"""DST's selection step: one network's loss cloud to a branch table and report.
 
-A fitted mixture yields, per sample, a probability of being correctly
-labeled (w_r) and of being correctly predicted (w_prd): the fit's own
-responsibilities of the two components matched to those roles. `partition`
-thresholds them in a fixed order into labeled / predicted / wrong branch
-codes, and applies the config's branch ablation; it is the only place that
-makes branch codes. `co_divide` divides one network's loss cloud; the
-epoch loop (`training.run_epoch`) decides which network trains on it: the
-other network, or the same one when it trains alone. The division keeps
-that profile, so its report reads the predictions and agreement states
-the scatter dump writes.
+`divide` is the whole step, for the run and the epoch writer alike: a
+mixture fit to the normalized cloud, its components matched to roles,
+each sample's probability of being correctly labeled (w_r) and correctly
+predicted (w_prd) read off the fit's own responsibilities, branch codes
+from `partition` (the only place that makes them), the keep/lean/wrong
+table and the report. `training.run_epoch` decides which network trains
+on a cloud: the other network, or the same one when it trains alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +23,9 @@ BRANCH_LABELED = 0
 BRANCH_PREDICTED = 1
 BRANCH_WRONG = 2
 BRANCH_NAMES = ("labeled", "predicted", "wrong")
+
+# Per-sample keep/lean weights and the wrong-branch mask (`divide`).
+BranchTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def assign_roles(model: GmmModel, anchors: np.ndarray) -> dict[str, int]:
@@ -70,56 +68,46 @@ def partition(w_r: np.ndarray, w_prd: np.ndarray, cfg: ExperimentConfig) -> np.n
     return branches
 
 
-@dataclass
-class Division:
-    """One network's training division, derived from its partner's losses."""
+def divide(
+    prof: LossProfile, ds: NoisyDataset, cfg: ExperimentConfig, source: str
+) -> tuple[BranchTable | None, dict, dict[str, str]]:
+    """The branch table and report of network `source`'s loss cloud, for
+    the network that trains on it, and the fit's error under `source`.
 
-    w_r: np.ndarray  # [N] responsibility of the labeled component
-    w_prd: np.ndarray  # [N] responsibility of the predicted component
-    branches: np.ndarray  # [N] branch codes from `partition`, ablation applied
-    roles: dict[str, int]  # component per role, from `assign_roles`
-    model: GmmModel
-    source: str  # which network's losses produced this division
-    profile: LossProfile  # the source network's loss profile
-
-
-def co_divide(
-    prof: LossProfile, cfg: ExperimentConfig, source: str
-) -> tuple[Division | None, dict[str, str]]:
-    """Fit one mixture to the loss cloud of network `source` and divide the
-    samples for the network that trains on it.
-
-    A failed fit yields None (its consumer falls back to plain
-    cross-entropy that epoch) and the fit's error under `source`.
+    Labeled rows keep w_r of the label and lean 1 - w_r on the ensemble;
+    predicted rows keep 1 - w_prd and lean w_prd. A failed fit gives no
+    table and a fallback report: its consumer trains on plain
+    cross-entropy that epoch.
     """
     anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
     points = np.column_stack([prof.nrm_nis, prof.nrm_prd])
     try:
         model = fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
     except GmmFitError as exc:
-        return None, {source: str(exc)}
+        return None, {"fallback": True}, {source: str(exc)}
     roles = assign_roles(model, anchors)
     # The fit's last E-step ran on these points with these parameters.
     w_r, w_prd = model.resp[:, roles["labeled"]], model.resp[:, roles["predicted"]]
-    division = Division(
-        w_r=w_r,
-        w_prd=w_prd,
-        branches=partition(w_r, w_prd, cfg),
-        roles=roles,
-        model=model,
-        source=source,
-        profile=prof,
-    )
-    return division, {}
+    branches = partition(w_r, w_prd, cfg)
+    labeled = branches == BRANCH_LABELED
+    keep, lean = np.where(labeled, w_r, 1.0 - w_prd), np.where(labeled, 1.0 - w_r, w_prd)
+    report = {
+        "n_samples": int(ds.n_samples),
+        "source": source,
+        "roles": roles,
+        "gmm": model_to_dict(model),
+        "branches": branch_report(branches, prof, ds),
+        "fallback": False,
+    }
+    return (keep, lean, branches == BRANCH_WRONG), report, {}
 
 
 def _rate(numerator: int, denominator: int) -> float | None:
     return None if denominator == 0 else numerator / denominator
 
 
-def selection_report(division: Division, ds: NoisyDataset) -> dict:
-    """The division's source, roles and mixture diagnostics, and per branch
-    its size, precision, recall and agreement-state histogram.
+def branch_report(branches: np.ndarray, prof: LossProfile, ds: NoisyDataset) -> dict:
+    """Per branch: its size, precision, recall and agreement-state histogram.
 
     Precision conditions: labeled branch counts samples whose noisy label
     is the true label; predicted branch counts samples whose prediction is
@@ -127,32 +115,24 @@ def selection_report(division: Division, ds: NoisyDataset) -> dict:
     and agreement states are the source profile's. Empty branches report
     null precision/recall rather than 0.
     """
-    branches, predicted = division.branches, division.profile.predicted
-    states = division.profile.states
     label_ok = ds.noisy_labels == ds.true_labels
-    pred_ok = predicted == ds.true_labels
+    pred_ok = prof.predicted == ds.true_labels
     conditions = {
         BRANCH_LABELED: label_ok,
         BRANCH_PREDICTED: pred_ok,
         BRANCH_WRONG: ~label_ok & ~pred_ok,
     }
-    report: dict = {
-        "n_samples": int(ds.n_samples),
-        "source": division.source,
-        "roles": division.roles,
-        "gmm": model_to_dict(division.model),
-        "branches": {},
-    }
+    report = {}
     for code, name in enumerate(BRANCH_NAMES):
         in_branch = branches == code
         size = int(in_branch.sum())
         condition = conditions[code]
         hits = int((in_branch & condition).sum())
         histogram = {
-            roman: int((in_branch & (states == s)).sum())
+            roman: int((in_branch & (prof.states == s)).sum())
             for s, roman in enumerate(STATE_NAMES, start=1)
         }
-        report["branches"][name] = {
+        report[name] = {
             "size": size,
             "precision": _rate(hits, size),
             "recall": _rate(hits, int(condition.sum())),

@@ -9,9 +9,9 @@ alike: per network it draws the batch order, takes the division it
 trains on (none outside selection epochs, or when the fit failed) and
 steps the workspace through `_train_epoch`. Plain cross-entropy is that
 loop with the refinement stages switched off. A selection epoch profiles
-a frozen network over the full training set and fits one mixture to its
-loss cloud (`selection.co_divide`); its partner trains on that division,
-iterating shuffled mini-batches whose labels are refined with the
+a frozen network over the full training set, and `selection.divide`
+turns its loss cloud into a branch table; its partner trains on that
+table, iterating shuffled mini-batches whose labels are refined with the
 ensemble, sharpened, mixed, and used for a single SGD step.
 
 Every read of a network that is not being stepped can run in another
@@ -24,7 +24,7 @@ this process computes itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -42,10 +42,7 @@ from .network import (
     softmax,
 )
 from .rng import NET_NAMES, RngStreams
-from .selection import BRANCH_LABELED, BRANCH_WRONG, Division, co_divide, selection_report
-
-# Per-sample keep/lean weights and the wrong-branch mask (`_branch_table`).
-BranchTable = tuple[np.ndarray, np.ndarray, np.ndarray]
+from .selection import divide
 
 
 def _mean_softmax(logits: list[np.ndarray]) -> np.ndarray:
@@ -150,18 +147,6 @@ class _Refinement:
         return mixup_batch(x, y_hat, self.cfg.alpha, self.mixup_rng)
 
 
-def _branch_table(division: Division) -> BranchTable:
-    """Per-sample keep/lean weights and the wrong-branch mask for one epoch.
-
-    Labeled rows keep w_r of the label and lean 1 - w_r on the ensemble;
-    predicted rows keep 1 - w_prd and lean w_prd.
-    """
-    labeled = division.branches == BRANCH_LABELED
-    wrong = division.branches == BRANCH_WRONG
-    w_r, w_prd = division.w_r, division.w_prd
-    return np.where(labeled, w_r, 1.0 - w_prd), np.where(labeled, 1.0 - w_r, w_prd), wrong
-
-
 def _train_epoch(
     ws: Workspace,
     learning_rate: float,
@@ -196,44 +181,13 @@ def _train_epoch(
         ws.step(learning_rate)
 
 
-def divide(
-    prof: LossProfile, ds: NoisyDataset, cfg: ExperimentConfig, source: str
-) -> tuple[BranchTable | None, dict, dict[str, str]]:
-    """The branch table and report of the division of network `source`'s
-    cloud, and the fit error under `source`, if any. A failed fit gives no
-    table and a fallback report."""
-    division, fit_errors = co_divide(prof, cfg, source)
-    if division is None:
-        return None, {"fallback": True}, fit_errors
-    report = {**selection_report(division, ds), "fallback": False}
-    return _branch_table(division), report, fit_errors
-
-
-class Offload(Protocol):
-    """Another process that reads the frozen networks of a two-network
-    epoch (`lab._EpochWriter`): net1's profile and fit, which make net2's
-    division, and each batch's partner softmax."""
-
-    def loop(self, i: int, order: np.ndarray) -> Callable[[int], np.ndarray | None]:
-        """Net i's refined loop starts in `order`: the partner softmax of
-        each batch, once published, else None."""
-
-    def net1_trained(self, flat: np.ndarray, order2: np.ndarray) -> None:
-        """Net1's parameters for this epoch are final; net2 trains next in
-        `order2`. Sent in every epoch."""
-
-    def division(self) -> tuple[BranchTable | None, dict, dict[str, str]]:
-        """Net2's branch table for this epoch (None: it falls back), its
-        report and the fit error of net1's cloud, if any."""
-
-
 def run_epoch(
     epoch: int,
     workspaces: list[Workspace],
     ds: NoisyDataset,
     cfg: ExperimentConfig,
     streams: RngStreams,
-    offload: Offload | None = None,
+    offload=None,
 ) -> tuple[dict | None, list[LossProfile | None]]:
     """Train one epoch of the run in place, one network after the other.
 
@@ -246,10 +200,12 @@ def run_epoch(
     starts, after the earlier consumer's updates. A failed fit sends its
     consumer through a plain cross-entropy epoch, flagged in its report.
 
-    With `offload` (two networks only), net1's parameters and net2's batch
-    order go to it in every epoch, and net2's division and the partner
-    softmaxes come from it: it profiles net1 as soon as net1's loop of the
-    previous epoch ended. The bytes are the same either way.
+    `offload`, if given, is the run's epoch writer (`lab._EpochWriter`;
+    two networks only): net1's parameters and net2's batch order go to it
+    in every epoch (`net1_trained`), and net2's division (`division`) and
+    the partner softmaxes (`loop`) come from it: it profiles net1 as soon
+    as net1's loop of the previous epoch ended. Without it everything runs
+    in this process, and the bytes are the same either way.
 
     Returns the selection reports per consuming network plus the fit
     errors (None outside selection epochs), and the profiles of a

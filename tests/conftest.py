@@ -14,7 +14,6 @@ from dstlab.data import NoisyDataset, audit_states
 from dstlab.gmm import GmmModel
 from dstlab.lossprofile import LossProfile
 from dstlab.network import Layers, forward_cached, softmax
-from dstlab.selection import Division
 from oracles import backward, cross_entropy
 
 # The default config; its anchors as the mixture fits of a run get them.
@@ -77,26 +76,13 @@ def model_with_means(means) -> GmmModel:
     )
 
 
-def make_division(ds, branches, predicted=None, w_r=None, w_prd=None) -> Division:
-    """A division of `ds` into `branches`, as `co_divide` hands one on.
-
-    Its source profile holds zero losses, `predicted` (all class 0 by
-    default) and their agreement states; the weights default to zero, and
-    the roles and the mixture sit at the anchors.
-    """
+def profile_predicting(ds, predicted=None) -> LossProfile:
+    """A profile of `ds` with zero losses that predicts `predicted` (class 0
+    for every sample by default), and those predictions' agreement states."""
     n = ds.n_samples
     zeros = np.zeros(n)
     predicted = np.zeros(n, dtype=np.int64) if predicted is None else np.asarray(predicted)
-    prof = LossProfile(zeros, zeros, predicted, zeros, zeros, audit_states(ds, predicted))
-    return Division(
-        w_r=zeros if w_r is None else np.asarray(w_r, dtype=np.float64),
-        w_prd=zeros if w_prd is None else np.asarray(w_prd, dtype=np.float64),
-        branches=np.asarray(branches, dtype=np.int64),
-        roles={"labeled": 0, "predicted": 2, "wrong": 1},
-        model=model_with_means(ANCHORS),
-        source="net1",
-        profile=prof,
-    )
+    return LossProfile(zeros, zeros, predicted, zeros, zeros, audit_states(ds, predicted))
 
 
 def profile_at(points) -> LossProfile:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dstlab import data, network, training
+from dstlab import data, gmm, network, training
 from dstlab.errors import ConfigError, GmmFitError, NumericError, StructuralError
 from dstlab.gmm import N_COMPONENTS, _columns, _e_step
 from dstlab.lossprofile import SCATTER_HEADER, LossProfile, profile
@@ -35,12 +35,7 @@ from dstlab.network import (
     one_hot,
     softmax,
 )
-from dstlab.selection import (
-    BRANCH_LABELED,
-    BRANCH_PREDICTED,
-    BRANCH_WRONG,
-    co_divide,
-)
+from dstlab.selection import BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG, assign_roles
 from dstlab.training import mixup_batch
 
 # --- Compositions of production code, and evaluation references.
@@ -370,7 +365,7 @@ def train_net_on_division(
     opt,
     other_nets,
     ds,
-    division,
+    weights,
     branches,
     cfg,
     shuffle_rng,
@@ -381,7 +376,9 @@ def train_net_on_division(
 
     Refinement sees current parameters: the updating network contributes
     its latest weights to every batch's ensemble, `other_nets` stay frozen.
+    `weights` are the division's per-sample w_r and w_prd.
     """
+    w_r, w_prd = weights
     targets = one_hot(ds.noisy_labels, ds.n_classes)
     order = shuffle_rng.permutation(ds.n_samples)
     for start in range(0, ds.n_samples, cfg.batch_size):
@@ -391,8 +388,8 @@ def train_net_on_division(
         y_tilde = refine_batch(
             targets[idx],
             p_b,
-            division.w_r[idx],
-            division.w_prd[idx],
+            w_r[idx],
+            w_prd[idx],
             branches[idx],
             wrong_rng,
         )
@@ -406,36 +403,52 @@ def train_net_on_division(
     return params
 
 
+def division_weights(prof, cfg):
+    """w_r and w_prd of one loss cloud: the columns of the mixture fit's own
+    responsibilities that `assign_roles` matches to the labeled and
+    predicted roles. None when the fit fails."""
+    anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
+    points = np.column_stack([prof.nrm_nis, prof.nrm_prd])
+    try:
+        model = gmm.fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
+    except GmmFitError:
+        return None
+    roles = assign_roles(model, anchors)
+    return model.resp[:, roles["labeled"]], model.resp[:, roles["predicted"]]
+
+
 def dst_epoch(nets, opts, ds, cfg, streams, divide=None):
     """The training half of a selection epoch before it joined the run's
     one epoch loop, on `nets`/`opts` dicts, with its own single-network
     branch: net1 trains on net2's cloud and net2 on net1's, both profiled
     before either trains; alone, net1 trains on its own.
 
-    `divide` replaces `co_divide` (for forcing fit failures). Branch codes
-    come from `partition_then_relabel` on the division's weights.
+    `divide(prof, cfg, source)` gives a cloud's weights, or None to train
+    its consumer on plain cross-entropy (a failed fit); replace it to force
+    failures. Branch codes come from `partition_then_relabel` on the
+    weights.
     """
-    divide = divide or co_divide
+    divide = divide or (lambda prof, cfg, source: division_weights(prof, cfg))
     prof1 = profile(nets["net1"], ds)
     if cfg.single_network:
-        divisions = {"net1": divide(prof1, cfg, "net1")[0]}
+        divisions = {"net1": divide(prof1, cfg, "net1")}
     else:
         prof2 = profile(nets["net2"], ds)
-        divisions = {"net1": divide(prof2, cfg, "net2")[0], "net2": divide(prof1, cfg, "net1")[0]}
-    for i, (name, division) in enumerate(divisions.items()):
-        if division is None:
+        divisions = {"net1": divide(prof2, cfg, "net2"), "net2": divide(prof1, cfg, "net1")}
+    for i, (name, weights) in enumerate(divisions.items()):
+        if weights is None:
             nets[name] = plain_ce_epoch(
                 nets[name], opts[name], ds, cfg.batch_size, streams.shuffle[i]
             )
             continue
-        branches = partition_then_relabel(division.w_r, division.w_prd, cfg)
+        branches = partition_then_relabel(*weights, cfg)
         others = [] if cfg.single_network else [nets["net2" if name == "net1" else "net1"]]
         nets[name] = train_net_on_division(
             nets[name],
             opts[name],
             others,
             ds,
-            division,
+            weights,
             branches,
             cfg,
             streams.shuffle[i],
@@ -498,9 +511,9 @@ def save_dataset_rows(ds: data.NoisyDataset, path: Path | str) -> None:
             writer.writerow(row)
 
 
-def write_scatter_reference(epoch: int, net: str, prof: LossProfile) -> str:
-    """`lossprofile.write_scatter`'s text, one `csv.writer` row at a time,
-    each float formatted by `%.17g`."""
+def write_scatter_reference(epoch: int, net: str, prof: LossProfile) -> bytes:
+    """`lossprofile.write_scatter`'s bytes, one `csv.writer` row at a time,
+    each float formatted by `%.17g`, encoded as UTF-8."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(SCATTER_HEADER)
@@ -518,7 +531,7 @@ def write_scatter_reference(epoch: int, net: str, prof: LossProfile) -> str:
                 int(prof.states[i]),
             ]
         )
-    return text.getvalue()
+    return text.getvalue().encode()
 
 
 def load_dataset(path: Path | str) -> data.NoisyDataset:

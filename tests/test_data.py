@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_division, make_noisy
+from conftest import make_noisy, profile_predicting
 from dstlab import data
 from dstlab.data import (
     CENTER_SPACING,
@@ -22,7 +22,7 @@ from dstlab.data import (
 )
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError, StructuralError
-from dstlab.selection import selection_report
+from dstlab.selection import branch_report
 from oracles import load_dataset, save_dataset_rows
 
 
@@ -33,8 +33,8 @@ def blobs(n_classes=4, per_class=50, n_features=2, spread=0.5, seed=0):
 def write_dataset(ds, path) -> None:
     """`save_dataset`'s CSV and sidecar, written where a run writes them."""
     table, sidecar = save_dataset(ds)
-    path.write_text(table, encoding="utf-8", newline="")
-    sidecar_path(path).write_text(sidecar, encoding="utf-8")
+    path.write_bytes(table)
+    sidecar_path(path).write_bytes(sidecar)
 
 
 def corrupt(ds, kind, rate, seed):
@@ -286,9 +286,9 @@ class TestAuditStates:
         noisy = [0] * 3 + [1] * 12
         predicted = np.array([0] + [1] * 2 + [0] * 3 + [1] * 4 + [2] * 5)
         ds = make_noisy(np.zeros((15, 1)), [0] * 15, noisy, 3)
-        report = selection_report(make_division(ds, np.zeros(15), predicted), ds)
+        report = branch_report(np.zeros(15), profile_predicting(ds, predicted), ds)
         assert STATE_NAMES == ("i", "ii", "iii", "iv", "v")
-        counts = report["branches"]["labeled"]["states"]
+        counts = report["labeled"]["states"]
         assert list(counts.items()) == [(name, s) for s, name in enumerate(STATE_NAMES, start=1)]
 
 
@@ -347,7 +347,7 @@ class TestDatasetFile:
 
 def column_text(values) -> list[str]:
     """`write_csv`'s text of one column, a line per value."""
-    return write_csv(["v"], [values]).split("\r\n")[1:-1]
+    return write_csv(["v"], [values]).decode().split("\r\n")[1:-1]
 
 
 POWERS_OF_TEN = [10.0**p for p in range(-30, 31)]

@@ -4,7 +4,8 @@ An AST scan: every `open(...)`, `x.open(...)`, `x.write_text(...)` and
 `x.write_bytes(...)` call in the package is reported with its module and
 enclosing function. Only `lab._write` may make one: it writes each run
 file through a tmp file and a rename, and the epoch writer is its only
-caller. Other modules format text and return it; reads use `read_text`.
+caller. Other modules format a file's bytes and return them; reads use
+`read_text`.
 The writer's pipe ends are file descriptors, wrapped with `os.fdopen`.
 """
 

@@ -113,7 +113,7 @@ class TestFit:
         assert np.isfinite(model.log_likelihood)
 
     def test_cloud_without_spread_is_a_fit_error(self):
-        # co_divide turns this into a plain cross-entropy epoch for the consumer.
+        # selection.divide turns this into a plain cross-entropy epoch for the consumer.
         with pytest.raises(GmmFitError, match="all points are identical"):
             fit(np.zeros((10, 2)), ANCHORS, TOL, MAX_ITER)
         # One flat axis still has spread along the other.

@@ -1,4 +1,5 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package, the scripts or the tests imports a name it
+never uses. (`bench/` is the benchmark's own and is left out.)
 
 An AST scan: a name an import binds counts as used when the module reads
 it anywhere (alone, or as the root of an attribute chain) or lists it in
@@ -15,7 +16,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = sorted([*(ROOT / "src" / "dstlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SCANNED = sorted(
+    [
+        *(ROOT / "src" / "dstlab").glob("*.py"),
+        *(ROOT / "scripts").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+    ]
+)
 
 
 def unused_imports(source: str) -> list[str]:

@@ -390,9 +390,9 @@ class TestFitFailureEndToEnd:
         # in the writer, net2's in the run.
         fail = {(3, "net1"), (3, "net2"), (4, "net2"), (6, "net1")}
         log = tmp_path / "divisions"
-        real_co_divide, real_fit = selection.co_divide, selection.fit
+        real_divide, real_fit = selection.divide, selection.fit
 
-        def flaky_co_divide(prof, cfg, source):
+        def flaky_divide(prof, ds, cfg, source):
             # Each source's cloud is fitted once per selection epoch, in order.
             epoch = cfg.warmup_epochs + 1 + sum(s == source for _, s in logged_calls(log))
             log_call(log, source)
@@ -404,10 +404,11 @@ class TestFitFailureEndToEnd:
 
             with monkeypatch.context() as m:
                 m.setattr(selection, "fit", flaky_fit)
-                return real_co_divide(prof, cfg, source)
+                return real_divide(prof, ds, cfg, source)
 
-        # Both processes divide through `training.divide`.
-        monkeypatch.setattr(training, "co_divide", flaky_co_divide)
+        # The run divides in `training`, the writer in `lab`.
+        for module in (training, lab):
+            monkeypatch.setattr(module, "divide", flaky_divide)
         run_dir = run(cfg, tmp_path / "r")
         calls = logged_calls(log)
         assert len(calls) == 2 * (cfg.total_epochs - cfg.warmup_epochs)
@@ -922,9 +923,9 @@ class TestScatterWriter:
         # so net2 falls back in those selection epochs. The run fits net1's
         # clouds in the writer, `files_of_run_epoch` in this process.
         cfg = small_config(total_epochs=5, scatter_every=1, **overrides)
-        real_co_divide, real_fit, fits = training.co_divide, selection.fit, []
+        real_divide, fits = selection.divide, []
 
-        def flaky_co_divide(prof, cfg, source):
+        def flaky_divide(prof, ds, cfg, source):
             fits.append(source)
 
             def failing_fit(*args, **kwargs):
@@ -933,9 +934,10 @@ class TestScatterWriter:
             with monkeypatch.context() as m:
                 if source == "net1" and fits.count("net1") in fails:
                     m.setattr(selection, "fit", failing_fit)
-                return real_co_divide(prof, cfg, source)
+                return real_divide(prof, ds, cfg, source)
 
-        monkeypatch.setattr(training, "co_divide", flaky_co_divide)
+        for module in (training, lab):
+            monkeypatch.setattr(module, "divide", flaky_divide)
         run_dir = run(cfg, tmp_path / "r")
         # This process fits net2's clouds, or net1's when it trains alone.
         in_run = [] if cfg.ce_only else ["net1" if cfg.single_network else "net2"]
@@ -984,9 +986,9 @@ def files_of_run_epoch(cfg) -> dict[str, bytes]:
         files[f"reports/epoch_{epoch:03d}.json"] = text.encode()
         for net, prof in zip(NET_NAMES, profiles):
             name = scatter_csv_path("", epoch, net).name
-            files[f"scatter/{name}"] = write_scatter_reference(epoch, net, prof).encode()
+            files[f"scatter/{name}"] = write_scatter_reference(epoch, net, prof)
     for name, params in nets.items():
-        files[f"checkpoints/{name}.json"] = network.save_checkpoint(params).encode()
+        files[f"checkpoints/{name}.json"] = network.save_checkpoint(params)
     return files
 
 
@@ -1065,7 +1067,7 @@ class TestOffload:
         counts = self.count_offload(monkeypatch)
         self.slow_steps(monkeypatch)
         log = tmp_path / "divide"
-        real_divide = training.divide
+        real_divide = selection.divide
         for module in (training, lab):
             monkeypatch.setattr(
                 module, "divide", lambda *a: log_call(log, a[-1]) or real_divide(*a)

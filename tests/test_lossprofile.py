@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -29,13 +30,6 @@ def bias_net(logit_rows) -> Layers:
 def dataset(noisy_labels, n_classes):
     n = len(noisy_labels)
     return make_noisy(np.zeros((n, 1)), [0] * n, noisy_labels, n_classes)
-
-
-def scatter_bytes(format_text, tmp_path, name, epoch, net, prof) -> bytes:
-    """The bytes of `format_text`'s scatter CSV, written as a run writes it."""
-    path = tmp_path / name
-    path.write_text(format_text(epoch, net, prof), encoding="utf-8", newline="")
-    return path.read_bytes()
 
 
 class TestProfile:
@@ -119,14 +113,12 @@ class TestNormalize:
 
 
 class TestScatterDump:
-    def test_rows_and_header(self, tmp_path):
+    def test_rows_and_header(self):
         net = bias_net([0.5, -0.5])
         ds = make_noisy(np.zeros((4, 1)), [0, 1, 0, 1], [0, 1, 1, 0], 2)
         prof = profile(net, ds)
-        scatter_bytes(write_scatter, tmp_path, "scatter.csv", 7, "net1", prof)
-
-        with (tmp_path / "scatter.csv").open() as fh:
-            rows = list(csv.reader(fh))
+        text = write_scatter(7, "net1", prof).decode()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
         assert rows[0] == SCATTER_HEADER
         assert len(rows) == 5
         first = dict(zip(rows[0], rows[1]))
@@ -193,18 +185,16 @@ class TestScatterBytes:
 
     @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
     @pytest.mark.parametrize("states_dtype", [np.int32, np.int64])
-    def test_matches_reference(self, tmp_path, case, states_dtype):
+    def test_matches_reference(self, case, states_dtype):
         prof = dataclasses.replace(
             SCATTER_CASES[case], states=SCATTER_CASES[case].states.astype(states_dtype)
         )
         args = (120, "net2", prof)
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", *args)
-        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", *args)
-        assert got == want
+        assert write_scatter(*args) == write_scatter_reference(*args)
 
-    def test_repr_and_precision_17_differ_on_point_one(self, tmp_path):
+    def test_repr_and_precision_17_differ_on_point_one(self):
         prof = SCATTER_CASES["repr-differs"]
-        text = scatter_bytes(write_scatter, tmp_path, "s.csv", 1, "net1", prof)
+        text = write_scatter(1, "net1", prof)
         assert b",0.10000000000000001," in text
         assert text.endswith(b"\r\n") and text.count(b"\r\n") == 4
 
@@ -213,13 +203,11 @@ class TestScatterBytes:
     @pytest.mark.parametrize(
         "net", ["net,1", 'net"1', "net%1", "%d%%s", 'a,"b"%\r\nc', "n\x00t", "n\xe9t\u2603", "\xff"]
     )
-    def test_net_names_needing_quotes_or_percent_escapes(self, tmp_path, net):
+    def test_net_names_needing_quotes_or_percent_escapes(self, net):
         prof = SCATTER_CASES["unit-bounds"]
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", 7, net, prof)
-        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", 7, net, prof)
-        assert got == want
-        with (tmp_path / "got.csv").open(encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        got = write_scatter(7, net, prof)
+        assert got == write_scatter_reference(7, net, prof)
+        rows = list(csv.reader(io.StringIO(got.decode("utf-8"), newline="")))
         assert [row[1] for row in rows[1:]] == [net] * 3
 
     @given(
@@ -235,10 +223,8 @@ class TestScatterBytes:
         st.integers(0, 10**6),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_profiles_match_reference(self, tmp_path_factory, rows, epoch):
+    def test_random_profiles_match_reference(self, rows, epoch):
         l_nis, l_prd, predicted = (list(col) for col in zip(*rows))
         prof = explicit_profile(l_nis, l_prd, l_prd, l_nis, predicted)
-        tmp_path = tmp_path_factory.mktemp("scatter")
-        got = scatter_bytes(write_scatter, tmp_path, "got.csv", epoch, "net1", prof)
-        want = scatter_bytes(write_scatter_reference, tmp_path, "want.csv", epoch, "net1", prof)
-        assert got == want
+        got = write_scatter(epoch, "net1", prof)
+        assert got == write_scatter_reference(epoch, "net1", prof)

@@ -288,7 +288,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_network([2, 5, 3], np.random.default_rng(8))
         path = tmp_path / "net.json"
-        path.write_text(save_checkpoint(params))
+        path.write_bytes(save_checkpoint(params))
         assert params_hash(load_checkpoint(path)) == params_hash(params)
 
     def test_wrong_format_rejected(self, tmp_path):
@@ -300,7 +300,7 @@ class TestCheckpoint:
     def test_wrong_version_rejected(self, tmp_path):
         params = init_network([2, 3], np.random.default_rng(0))
         path = tmp_path / "net.json"
-        path.write_text(save_checkpoint(params))
+        path.write_bytes(save_checkpoint(params))
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
@@ -310,7 +310,7 @@ class TestCheckpoint:
     def test_non_finite_values_rejected(self, tmp_path):
         params = init_network([2, 3], np.random.default_rng(0))
         path = tmp_path / "net.json"
-        path.write_text(save_checkpoint(params))
+        path.write_bytes(save_checkpoint(params))
         payload = json.loads(path.read_text())
         payload["layers"][0]["weights"][0] = float("nan")
         path.write_text(json.dumps(payload))
@@ -320,7 +320,7 @@ class TestCheckpoint:
     def tampered(self, tmp_path, edit):
         params = init_network([2, 8, 3], np.random.default_rng(0))
         path = tmp_path / "net.json"
-        path.write_text(save_checkpoint(params))
+        path.write_bytes(save_checkpoint(params))
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))

@@ -1,10 +1,18 @@
-"""Epochs are trained in one place: `training.run_epoch`.
+"""Epochs are trained in one place, `training.run_epoch`, and samples are
+divided in one place, `selection.divide`.
 
-An AST scan: every call of `_train_epoch` (the per-network batch loop) and
-every read of a `shuffle` attribute (the batch-order streams,
-`RngStreams.shuffle`, or a generator's `shuffle` method) in the package is
-reported with its module. Only `training` may make one, so no second epoch
-loop, with its own batch orders, can grow back beside `run_epoch`.
+Two AST scans. The first reports every call of `_train_epoch` (the
+per-network batch loop) and every read of a `shuffle` attribute (the
+batch-order streams, `RngStreams.shuffle`, or a generator's `shuffle`
+method) in the package with its module. Only `training` may make one, so
+no second epoch loop, with its own batch orders, can grow back beside
+`run_epoch`.
+
+The second reports every call of `fit`, `assign_roles` or `partition`
+(the mixture fit, role matching and branch codes) with its module and
+enclosing function. Only `selection.divide` may make one, so a new
+selection rule joins that one path from loss cloud to branch table and
+report instead of growing a second.
 """
 
 import ast
@@ -69,3 +77,70 @@ class TestScanner:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_epochs_are_trained_only_in_training(path):
     assert misplaced(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+DIVIDERS = {"fit", "assign_roles", "partition"}
+
+
+def division_calls(source: str) -> list[tuple[str, str | None, int]]:
+    """`(callee, enclosing function or None, line)` for every call of a
+    name in `DIVIDERS`, bare or as an attribute."""
+    found: list[tuple[str, str | None, int]] = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in DIVIDERS:
+                    found.append((name, function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def misplaced_divisions(module: str, source: str) -> list[str]:
+    """`module.function: callee (line n)` for every call outside `selection.divide`."""
+    return [
+        f"{module}.{function or '<module>'}: {callee} (line {line})"
+        for callee, function, line in division_calls(source)
+        if (module, function) != ("selection", "divide")
+    ]
+
+
+class TestDivisionScanner:
+    def test_bare_and_attribute_calls_count_with_their_function(self):
+        source = (
+            "def f(points, model):\n    gmm.fit(points)\n    roles = assign_roles(model)\n"
+            "    def inner(w):\n        return selection.partition(w, w, cfg)\n"
+            "fit(points)\n"
+        )
+        assert division_calls(source) == [
+            ("fit", "f", 2), ("assign_roles", "f", 3), ("partition", "inner", 5),
+            ("fit", None, 6),
+        ]
+
+    def test_definitions_and_other_names_do_not_count(self):
+        source = (
+            "def fit(points):\n    pass\n"
+            "def partition(w_r, w_prd, cfg):\n    return refit(w_r)\n"
+            "model = GmmModel(fit=1)\nroles = assign_roles\n"
+        )
+        assert division_calls(source) == []
+
+    def test_selection_divide_passes_and_others_fail(self):
+        source = "def divide(prof):\n    model = fit(points)\n"
+        assert misplaced_divisions("selection", source) == []
+        assert misplaced_divisions("training", source) == ["training.divide: fit (line 2)"]
+        assert misplaced_divisions("selection", source.replace("divide", "co_divide")) == [
+            "selection.co_divide: fit (line 2)"
+        ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_samples_are_divided_only_in_selection_divide(path):
+    assert misplaced_divisions(path.stem, path.read_text(encoding="utf-8")) == []

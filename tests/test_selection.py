@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from conftest import (
     ANCHORS,
     DEFAULTS,
     clean_and_mush,
-    make_division,
     make_noisy,
     model_with_means,
     profile_at,
+    profile_predicting,
 )
 from dstlab import selection, training
 from dstlab.config import ExperimentConfig
 from dstlab.errors import ConfigError
+from dstlab.gmm import model_to_dict
 from dstlab.network import Workspace, init_network
 from dstlab.rng import RngStreams
 from dstlab.selection import (
@@ -24,37 +26,76 @@ from dstlab.selection import (
     BRANCH_PREDICTED,
     BRANCH_WRONG,
     assign_roles,
-    co_divide,
+    branch_report,
     partition,
-    selection_report,
 )
 
 
-def selection_epoch(clouds, **overrides):
-    """The selection reports and the divisions `co_divide` made, by source,
-    of the first selection epoch of `training.run_epoch` without the writer,
-    when net i's normalized loss cloud is `clouds[i]` (see `profile_at`).
-    The training set has as many rows as the first cloud."""
-    n = len(clouds[0])
+def toy_dataset(n):
+    """`n` rows of three classes, every label correct."""
     labels = np.arange(n) % 3
-    ds = make_noisy(np.random.default_rng(0).standard_normal((n, 2)), labels, labels, 3)
+    return make_noisy(np.random.default_rng(0).standard_normal((n, 2)), labels, labels, 3)
+
+
+def capture_divisions(m, module):
+    """Record, by source, each `divide` call that `module` makes (patched
+    on `m`): its profile, what it returned, the model `fit` returned
+    (None after a failed fit), and the weights and branch codes that
+    `partition` took and gave."""
+    divisions = {}
+    real_fit, real_partition, real_divide = selection.fit, selection.partition, selection.divide
+    seen = {}
+
+    def fit(*args, **kwargs):
+        seen["model"] = real_fit(*args, **kwargs)
+        return seen["model"]
+
+    def partition(w_r, w_prd, cfg):
+        seen.update(w_r=w_r, w_prd=w_prd, branches=real_partition(w_r, w_prd, cfg))
+        return seen["branches"]
+
+    def divide(prof, ds, cfg, source):
+        seen.clear()
+        result = real_divide(prof, ds, cfg, source)
+        divisions[source] = SimpleNamespace(
+            **{**dict.fromkeys(("model", "w_r", "w_prd", "branches")), **seen},
+            prof=prof,
+            table=result[0],
+            report=result[1],
+            fit_errors=result[2],
+        )
+        return result
+
+    m.setattr(selection, "fit", fit)
+    m.setattr(selection, "partition", partition)
+    m.setattr(module, "divide", divide)
+    return divisions
+
+
+def divided(prof, source="net1", cfg=DEFAULTS):
+    """`selection.divide` of one cloud over `toy_dataset`, as
+    `capture_divisions` records it."""
+    with pytest.MonkeyPatch.context() as m:
+        divisions = capture_divisions(m, selection)
+        selection.divide(prof, toy_dataset(prof.n_samples), cfg, source)
+    return divisions[source]
+
+
+def selection_epoch(clouds, **overrides):
+    """The selection reports and the divisions (see `capture_divisions`),
+    by source, of the first selection epoch of `training.run_epoch` without
+    the writer, when net i's normalized loss cloud is `clouds[i]` (see
+    `profile_at`). The training set has as many rows as the first cloud."""
+    ds = toy_dataset(len(clouds[0]))
     cfg = ExperimentConfig(
         n_classes=3, hidden_sizes=[4], total_epochs=2, warmup_epochs=1, batch_size=16, **overrides
     )
     streams = RngStreams.from_master(0)
     workspaces = [Workspace(init_network(cfg.layer_sizes(), rng)) for rng in streams.init]
     clouds_of = {id(ws.params): profile_at(cloud) for ws, cloud in zip(workspaces, clouds)}
-    divisions = {}
-    real = training.co_divide
-
-    def recording(prof, cfg, source):
-        division, fit_errors = real(prof, cfg, source)
-        divisions[source] = division
-        return division, fit_errors
-
     with pytest.MonkeyPatch.context() as m:
         m.setattr(training, "profile", lambda params, ds: clouds_of[id(params)])
-        m.setattr(training, "co_divide", recording)
+        divisions = capture_divisions(m, training)
         selection_reports, _ = training.run_epoch(2, workspaces, ds, cfg, streams)
     return selection_reports, divisions
 
@@ -97,24 +138,24 @@ class TestWeightsFromPosteriors:
         if roles is not None:
             monkeypatch.setattr(selection, "assign_roles", lambda model, anchors: roles)
         prof = profile_at(TestCoDivide().separated_cloud(np.random.default_rng(9)))
-        division, _ = co_divide(prof, DEFAULTS, "net2")
-        return division
+        return divided(prof, "net2")
 
     def test_projection_rows(self):
         division = self.divide()
-        resp, roles = division.model.resp, division.roles
+        resp, roles = division.model.resp, division.report["roles"]
         np.testing.assert_array_equal(division.w_r, resp[:, roles["labeled"]])
         np.testing.assert_array_equal(division.w_prd, resp[:, roles["predicted"]])
         assert division.w_r.shape == division.w_prd.shape == (90,)
 
     def test_projection_respects_role_permutation(self, monkeypatch):
         division = self.divide(monkeypatch, {"labeled": 2, "predicted": 0, "wrong": 1})
+        assert division.report["roles"] == {"labeled": 2, "predicted": 0, "wrong": 1}
         np.testing.assert_array_equal(division.w_r, division.model.resp[:, 2])
         np.testing.assert_array_equal(division.w_prd, division.model.resp[:, 0])
 
     def test_complement_is_wrong_responsibility(self):
         division = self.divide()
-        wrong = division.model.resp[:, division.roles["wrong"]]
+        wrong = division.model.resp[:, division.report["roles"]["wrong"]]
         np.testing.assert_allclose(division.w_r + division.w_prd, 1.0 - wrong, atol=1e-12)
 
 
@@ -172,17 +213,32 @@ class TestCoDivide:
         assert selection_reports["net2"]["source"] == "net1"
         assert selection_reports["fit_errors"] == {}
         for source, cloud in zip(("net1", "net2"), clouds):
-            assert divisions[source].source == source
-            np.testing.assert_array_equal(divisions[source].profile.nrm_nis, cloud[:, 0])
+            assert divisions[source].report["source"] == source
+            np.testing.assert_array_equal(divisions[source].prof.nrm_nis, cloud[:, 0])
 
     def test_identical_profiles_give_identical_divisions(self):
         rng = np.random.default_rng(2)
         cloud = self.separated_cloud(rng)
-        one, _ = co_divide(profile_at(cloud), DEFAULTS, "net1")
-        other, _ = co_divide(profile_at(cloud), DEFAULTS, "net2")
+        one, other = divided(profile_at(cloud), "net1"), divided(profile_at(cloud), "net2")
         np.testing.assert_array_equal(one.branches, other.branches)
         np.testing.assert_allclose(one.w_r, other.w_r)
-        assert (one.source, other.source) == ("net1", "net2")
+        assert (one.report["source"], other.report["source"]) == ("net1", "net2")
+        assert {**one.report, "source": None} == {**other.report, "source": None}
+        for a, b in zip(one.table, other.table):
+            np.testing.assert_array_equal(a, b)
+
+    def test_report_holds_the_fit_roles_and_branches(self):
+        prof = profile_at(self.separated_cloud(np.random.default_rng(5)))
+        division = divided(prof, "net2")
+        assert division.fit_errors == {}
+        assert division.report == {
+            "n_samples": 90,
+            "source": "net2",
+            "roles": assign_roles(division.model, ANCHORS),
+            "gmm": model_to_dict(division.model),
+            "branches": branch_report(division.branches, prof, toy_dataset(90)),
+            "fallback": False,
+        }
 
     def test_swapping_twice_restores_pairing(self):
         rng = np.random.default_rng(3)
@@ -213,11 +269,11 @@ class TestCoDivide:
     def test_tiny_profiles_fall_back_via_fit_errors(self):
         prof = profile_at(np.full((3, 2), 0.5))
         for source in ("net1", "net2"):
-            division, fit_errors = co_divide(prof, DEFAULTS, source)
-            assert division is None
+            table, report, fit_errors = selection.divide(prof, toy_dataset(3), DEFAULTS, source)
+            assert table is None and report == {"fallback": True}
             assert fit_errors == {source: "need at least 6 points to fit, got 3"}
         selection_reports, divisions = selection_epoch([np.full((3, 2), 0.5)] * 2)
-        assert divisions == {"net1": None, "net2": None}
+        assert {source: d.table for source, d in divisions.items()} == {"net1": None, "net2": None}
         assert set(selection_reports["fit_errors"]) == {"net1", "net2"}
         assert selection_reports["net1"] == selection_reports["net2"] == {"fallback": True}
 
@@ -236,7 +292,7 @@ class TestCoDivide:
             tau_r=0.9,
             tau_prd=0.2,
         )
-        division, _ = co_divide(prof, cfg, "net1")
+        division = divided(prof, "net1", cfg)
         anchors, options = calls[0]
         assert anchors.dtype == np.float64 and anchors.tolist() == [[0, 0], [0.5, 0.4], [1, 0]]
         assert options == {"tol": 1e-6, "max_iter": 7}
@@ -251,27 +307,29 @@ class TestSelfDivide:
     """One profile: the network is its own partner."""
 
     def test_one_fit_gives_the_division_co_divide_would(self, monkeypatch):
+        # The division a direct `selection.divide` of the same cloud makes.
         fits = []
         real_fit = selection.fit
         monkeypatch.setattr(selection, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
         cloud = TestCoDivide().separated_cloud(np.random.default_rng(6))
         selection_reports, divisions = selection_epoch([cloud], single_network=True)
         assert len(fits) == 1
-        reference, fit_errors = co_divide(profile_at(cloud), DEFAULTS, "net1")
-        assert list(divisions) == ["net1"] and fit_errors == {}
+        reference = divided(profile_at(cloud), "net1")
+        assert list(divisions) == ["net1"] and reference.fit_errors == {}
         assert selection_reports["net1"]["source"] == "net1"
         assert set(selection_reports) == {"fit_errors", "net1"}
         single = divisions["net1"]
         np.testing.assert_array_equal(single.branches, reference.branches)
         np.testing.assert_array_equal(single.w_r, reference.w_r)
         np.testing.assert_array_equal(single.w_prd, reference.w_prd)
+        assert single.report == reference.report
 
     def test_fit_failure_is_recorded_for_net1_only(self):
         tiny = np.full((3, 2), 0.5)
         selection_reports, divisions = selection_epoch([tiny], single_network=True)
-        assert divisions == {"net1": None}
+        assert list(divisions) == ["net1"] and divisions["net1"].table is None
         assert selection_reports == {
-            "fit_errors": {"net1": co_divide(profile_at(tiny), DEFAULTS, "net1")[1]["net1"]},
+            "fit_errors": divided(profile_at(tiny), "net1").fit_errors,
             "net1": {"fallback": True},
         }
 
@@ -281,19 +339,19 @@ class TestSelectionReport:
         ds = make_noisy(np.zeros((4, 1)), [0, 1, 2, 3], [0, 1, 2, 3], 4)
         predicted = np.array([0, 1, 2, 3])
         branches = np.full(4, BRANCH_LABELED)
-        report = selection_report(make_division(ds, branches, predicted), ds)
-        assert report["branches"]["labeled"]["precision"] == 1.0
-        assert report["branches"]["labeled"]["size"] == 4
-        assert report["branches"]["labeled"]["states"]["i"] == 4
+        report = branch_report(branches, profile_predicting(ds, predicted), ds)
+        assert report["labeled"]["precision"] == 1.0
+        assert report["labeled"]["size"] == 4
+        assert report["labeled"]["states"]["i"] == 4
 
     def test_empty_branches_report_null_not_zero(self):
         ds = make_noisy(np.zeros((3, 1)), [0, 1, 0], [1, 0, 1], 2)
         predicted = np.array([1, 0, 1])
         branches = np.full(3, BRANCH_WRONG)
-        report = selection_report(make_division(ds, branches, predicted), ds)
-        assert report["branches"]["labeled"]["precision"] is None
-        assert report["branches"]["predicted"]["precision"] is None
-        assert report["branches"]["wrong"]["size"] == 3
+        report = branch_report(branches, profile_predicting(ds, predicted), ds)
+        assert report["labeled"]["precision"] is None
+        assert report["predicted"]["precision"] is None
+        assert report["wrong"]["size"] == 3
 
     def test_counting_oracle_on_random_assignment(self):
         rng = np.random.default_rng(6)
@@ -303,7 +361,7 @@ class TestSelectionReport:
         predicted = rng.integers(0, 4, size=n)
         branches = rng.integers(0, 3, size=n)
         ds = make_noisy(np.zeros((n, 1)), truth, noisy, 4)
-        report = selection_report(make_division(ds, branches, predicted), ds)
+        report = branch_report(branches, profile_predicting(ds, predicted), ds)
 
         conditions = {
             "labeled": noisy == truth,
@@ -312,7 +370,7 @@ class TestSelectionReport:
         }
         for code, name in enumerate(("labeled", "predicted", "wrong")):
             mask = branches == code
-            entry = report["branches"][name]
+            entry = report[name]
             assert entry["size"] == int(mask.sum())
             hits = int((mask & conditions[name]).sum())
             assert entry["precision"] == pytest.approx(hits / mask.sum())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_division, make_noisy, max_rel_err
+from conftest import ANCHORS, make_noisy, max_rel_err, model_with_means, profile_predicting
 import oracles
 from oracles import (
     ReferenceOptimizer,
@@ -24,7 +24,7 @@ from oracles import (
     refine_label,
     warmup,
 )
-from dstlab import training
+from dstlab import selection, training
 from dstlab.config import ExperimentConfig
 from dstlab.data import NoiseSpec, inject_noise, make_blobs
 from dstlab.errors import ConfigError, NumericError, StructuralError
@@ -35,12 +35,10 @@ from dstlab.selection import (
     BRANCH_LABELED,
     BRANCH_PREDICTED,
     BRANCH_WRONG,
-    co_divide,
+    divide,
     partition,
-    selection_report,
 )
 from dstlab.training import (
-    _branch_table,
     _Refinement,
     _train_epoch,
     evaluate,
@@ -612,8 +610,8 @@ class TestDstEpoch:
         # Each consumer's division is the one of its partner's cloud from
         # before either network trained.
         for consumer, source in (("net1", 1), ("net2", 0)):
-            division, _ = co_divide(before[source], cfg, NET_NAMES[source])
-            assert selection[consumer] == {**selection_report(division, ds), "fallback": False}
+            assert selection[consumer] == divide(before[source], ds, cfg, NET_NAMES[source])[1]
+            assert selection[consumer]["fallback"] is False
 
     def test_single_network_mode_isolates_the_second_network(self):
         ds = clean_toy(seed=5)
@@ -626,8 +624,8 @@ class TestDstEpoch:
         assert selection["net1"]["source"] == "net1"
         assert "net2" not in selection
         assert_same_profiles(profiles, before)
-        division, _ = co_divide(before[0], cfg, "net1")
-        assert selection["net1"] == {**selection_report(division, ds), "fallback": False}
+        assert selection["net1"] == divide(before[0], ds, cfg, "net1")[1]
+        assert selection["net1"]["fallback"] is False
 
     def test_no_mixup_flag_equals_identity_mixing(self, monkeypatch):
         ds = clean_toy(seed=6)
@@ -646,7 +644,9 @@ class TestDstEpoch:
         ds = clean_toy(seed=7)
         workspaces, streams, cfg = warmed_pair(ds)
         monkeypatch.setattr(
-            training, "co_divide", lambda prof, cfg, source: (None, {source: "fit failed"})
+            training,
+            "divide",
+            lambda prof, ds, cfg, source: (None, {"fallback": True}, {source: "fit failed"}),
         )
         before = [params_hash(net) for net in params_of(workspaces)]
         selection, _ = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
@@ -746,11 +746,17 @@ class TestBranchCodes:
         with pytest.raises(StructuralError):
             refine_batch(y, y, self.W, self.W, np.array([1, 7, -1]), np.random.default_rng(0))
 
-    def test_table_holds_the_blend_weights_of_each_branch(self):
+    def test_table_holds_the_blend_weights_of_each_branch(self, monkeypatch):
+        # A fit at the anchors (labeled, wrong, predicted components) whose
+        # responsibilities give these weights, partitioned into `branches`.
         ds = make_noisy(np.zeros((3, 1)), [0, 1, 0], [0, 1, 0], 2)
-        branches = [BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG]
-        division = make_division(ds, branches, w_r=[0.8, 0.3, 0.1], w_prd=[0.1, 0.6, 0.2])
-        keep, lean, wrong = _branch_table(division)
+        branches = np.array([BRANCH_LABELED, BRANCH_PREDICTED, BRANCH_WRONG])
+        w_r, w_prd = np.array([0.8, 0.3, 0.1]), np.array([0.1, 0.6, 0.2])
+        model = model_with_means(ANCHORS)
+        model.resp = np.column_stack([w_r, 1.0 - w_r - w_prd, w_prd])
+        monkeypatch.setattr(selection, "fit", lambda *args, **kwargs: model)
+        monkeypatch.setattr(selection, "partition", lambda w_r, w_prd, cfg: branches)
+        (keep, lean, wrong), _, _ = divide(profile_predicting(ds), ds, ExperimentConfig(), "net1")
         assert keep[:2].tolist() == [0.8, 1.0 - 0.6]
         assert lean[:2].tolist() == [1.0 - 0.8, 0.6]
         assert wrong.tolist() == [False, False, True]
@@ -806,14 +812,18 @@ class TestEpochLoopMatchesOracle:
         }
         dst_epoch = 0  # the selection epoch being trained, counted from 1
 
-        def divide(prof, cfg, source):
-            division, fit_errors = co_divide(prof, cfg, source)
+        def failing_divide(prof, ds, cfg, source):
             if (dst_epoch, source) in failing:
-                return None, {source: "forced"}
-            return division, fit_errors
+                return None, {"fallback": True}, {source: "forced"}
+            return divide(prof, ds, cfg, source)
+
+        def failing_weights(prof, cfg, source):
+            if (dst_epoch, source) in failing:
+                return None
+            return oracles.division_weights(prof, cfg)
 
         if failing:
-            monkeypatch.setattr(training, "co_divide", divide)
+            monkeypatch.setattr(training, "divide", failing_divide)
         results = []
         for epoch in range(1, cfg.warmup_epochs + dst_epochs + 1):
             dst_epoch = epoch - cfg.warmup_epochs
@@ -826,7 +836,7 @@ class TestEpochLoopMatchesOracle:
                     )
             else:
                 results.append(selection)
-                oracles.dst_epoch(ref_nets, ref_opts, ds, cfg, ref_streams, divide)
+                oracles.dst_epoch(ref_nets, ref_opts, ds, cfg, ref_streams, failing_weights)
             assert_same_state(workspaces, ref_nets, ref_opts)
         # Both sides drew the same number of values from every stream.
         for a, b in zip(
@@ -893,12 +903,11 @@ class TestEpochRefusesNonFinite:
         return ds, ws
 
     def refinement(self, ds, params):
-        w_r, w_prd = np.full(ds.n_samples, 0.7), np.zeros(ds.n_samples)
-        branches = partition(w_r, w_prd, ExperimentConfig())
-        branches[::3] = BRANCH_WRONG
-        division = make_division(ds, branches, w_r=w_r, w_prd=w_prd)
+        # Every row labeled at w_r = 0.7, but every third one wrong.
+        keep, lean = np.full(ds.n_samples, 0.7), np.full(ds.n_samples, 1.0 - 0.7)
+        wrong = np.arange(ds.n_samples) % 3 == 0
         return _Refinement(
-            params, *_branch_table(division), ExperimentConfig(),
+            params, keep, lean, wrong, ExperimentConfig(),
             np.random.default_rng(2), np.random.default_rng(3),
         )
 
