@@ -36,24 +36,12 @@ def sha256_of(paths) -> str:
     return digest.hexdigest()
 
 
-def reference(args) -> dict:
-    """The benchmark run, with `digest`: the SHA-256 over the bytes of
-    summary.json and of checkpoints/*.json, in name order,
-    `scatter_digest`: the same over scatter/*.csv, and `files_digest`: the
-    same over dataset.csv, dataset.csv.json, manifest.json and
-    reports/*.json, in that order. `blas_threads` (the
-    run's BLAS thread count: 1, or null when numpy's OpenBLAS setter is
-    unavailable) and `numpy` (its version) say what produced it."""
-    overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
-    out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
-    cfg = benchmark_config(**overrides)
-    threads = None if network.blas_threads() is None else 1
-    run_dir = lab.run(cfg, out)
-    summary = lab.load_summary(run_dir)
-    shown = {key: summary[key] for key in ("accuracy", "final_branches", "fallback_epochs")}
+def digests(run_dir: Path) -> dict:
+    """`digest`: the SHA-256 over the bytes of summary.json and of
+    checkpoints/*.json, in name order, `scatter_digest`: the same over
+    scatter/*.csv, and `files_digest`: the same over dataset.csv,
+    dataset.csv.json, manifest.json and reports/*.json, in that order."""
     return {
-        "run_dir": str(run_dir),
-        **shown,
         "digest": sha256_of(
             [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]
         ),
@@ -66,6 +54,24 @@ def reference(args) -> dict:
                 *sorted((run_dir / "reports").glob("*.json")),
             ]
         ),
+    }
+
+
+def reference(args) -> dict:
+    """The benchmark run, with its run-file `digests`. `blas_threads` (the
+    run's BLAS thread count: 1, or null when numpy's OpenBLAS setter is
+    unavailable) and `numpy` (its version) say what produced it."""
+    overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
+    out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
+    cfg = benchmark_config(**overrides)
+    threads = None if network.blas_threads() is None else 1
+    run_dir = lab.run(cfg, out)
+    summary = lab.load_summary(run_dir)
+    shown = {key: summary[key] for key in ("accuracy", "final_branches", "fallback_epochs")}
+    return {
+        "run_dir": str(run_dir),
+        **shown,
+        **digests(run_dir),
         "blas_threads": threads,
         "numpy": np.__version__,
     }

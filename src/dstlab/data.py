@@ -136,6 +136,9 @@ def audit_states(ds: NoisyDataset, predicted: np.ndarray) -> np.ndarray:
       3 (iii): y != y_real, p == y_real
       4 (iv):  y != y_real, p != y_real, y == p
       5 (v):   y != y_real, p != y_real, y != p
+
+    This is the one place a label or a prediction is judged right: the
+    selection reports read it from the states (`selection.branch_report`).
     """
     y_ok = ds.noisy_labels == ds.true_labels
     p_ok = predicted == ds.true_labels

@@ -329,7 +329,7 @@ def _serve_run(
             )
         if kind == "net1" and _offloads(cfg, epoch + 1):
             prof = profiles[epoch + 1] = profile(nets[slot][0], train)
-            table, report, fit_errors = divide(prof, train, cfg, "net1")
+            table, report, fit_errors = divide(prof, cfg, "net1")
             if table is not None:
                 for name, column in zip(("keep", "lean", "wrong"), table):
                     shared[name][1 - slot] = column

@@ -5,8 +5,10 @@ mixture fit to the normalized cloud, its components matched to roles,
 each sample's probability of being correctly labeled (w_r) and correctly
 predicted (w_prd) read off the fit's own responsibilities, branch codes
 from `partition` (the only place that makes them), the keep/lean/wrong
-table and the report. `training.run_epoch` decides which network trains
-on a cloud: the other network, or the same one when it trains alone.
+table and the report. It reads only the cloud, never the dataset: the
+report's per-branch figures come from the cloud's agreement states
+(`branch_report`). `training.run_epoch` decides which network trains on
+a cloud: the other network, or the same one when it trains alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import STATE_NAMES, NoisyDataset
+from .data import STATE_NAMES
 from .errors import GmmFitError
 from .gmm import GmmModel, fit, model_to_dict
 from .lossprofile import LossProfile
@@ -23,6 +25,8 @@ BRANCH_LABELED = 0
 BRANCH_PREDICTED = 1
 BRANCH_WRONG = 2
 BRANCH_NAMES = ("labeled", "predicted", "wrong")
+# RIGHT[branch, state - 1]: whether the branch counts that agreement state as right.
+RIGHT = np.array([[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=bool)
 
 # Per-sample keep/lean weights and the wrong-branch mask (`divide`).
 BranchTable = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -69,7 +73,7 @@ def partition(w_r: np.ndarray, w_prd: np.ndarray, cfg: ExperimentConfig) -> np.n
 
 
 def divide(
-    prof: LossProfile, ds: NoisyDataset, cfg: ExperimentConfig, source: str
+    prof: LossProfile, cfg: ExperimentConfig, source: str
 ) -> tuple[BranchTable | None, dict, dict[str, str]]:
     """The branch table and report of network `source`'s loss cloud, for
     the network that trains on it, and the fit's error under `source`.
@@ -92,11 +96,11 @@ def divide(
     labeled = branches == BRANCH_LABELED
     keep, lean = np.where(labeled, w_r, 1.0 - w_prd), np.where(labeled, 1.0 - w_r, w_prd)
     report = {
-        "n_samples": int(ds.n_samples),
+        "n_samples": prof.n_samples,
         "source": source,
         "roles": roles,
         "gmm": model_to_dict(model),
-        "branches": branch_report(branches, prof, ds),
+        "branches": branch_report(branches, prof.states),
         "fallback": False,
     }
     return (keep, lean, branches == BRANCH_WRONG), report, {}
@@ -106,36 +110,27 @@ def _rate(numerator: int, denominator: int) -> float | None:
     return None if denominator == 0 else numerator / denominator
 
 
-def branch_report(branches: np.ndarray, prof: LossProfile, ds: NoisyDataset) -> dict:
+def branch_report(branches: np.ndarray, states: np.ndarray) -> dict:
     """Per branch: its size, precision, recall and agreement-state histogram.
 
-    Precision conditions: labeled branch counts samples whose noisy label
-    is the true label; predicted branch counts samples whose prediction is
-    the true label; wrong branch counts samples failing both. Predictions
-    and agreement states are the source profile's. Empty branches report
+    All four are read off one 3 x 5 table that counts the samples of each
+    branch (row) in each agreement state 1..5 of `data.audit_states`
+    (column): a branch's histogram is its row, its size the row's sum.
+    `RIGHT` marks the states each branch counts as right: labeled, a
+    correct label (i, ii); predicted, a correct prediction (i, iii); wrong,
+    neither (iv, v). Precision is the right share of the branch, recall
+    the branch's share of the set's right samples. Empty branches report
     null precision/recall rather than 0.
     """
-    label_ok = ds.noisy_labels == ds.true_labels
-    pred_ok = prof.predicted == ds.true_labels
-    conditions = {
-        BRANCH_LABELED: label_ok,
-        BRANCH_PREDICTED: pred_ok,
-        BRANCH_WRONG: ~label_ok & ~pred_ok,
+    counts = np.bincount(branches * 5 + states - 1, minlength=15).reshape(3, 5)
+    sizes, hits = counts.sum(axis=1), (counts * RIGHT).sum(axis=1)
+    rights = RIGHT @ counts.sum(axis=0)
+    return {
+        name: {
+            "size": int(sizes[code]),
+            "precision": _rate(int(hits[code]), int(sizes[code])),
+            "recall": _rate(int(hits[code]), int(rights[code])),
+            "states": dict(zip(STATE_NAMES, counts[code].tolist())),
+        }
+        for code, name in enumerate(BRANCH_NAMES)
     }
-    report = {}
-    for code, name in enumerate(BRANCH_NAMES):
-        in_branch = branches == code
-        size = int(in_branch.sum())
-        condition = conditions[code]
-        hits = int((in_branch & condition).sum())
-        histogram = {
-            roman: int((in_branch & (prof.states == s)).sum())
-            for s, roman in enumerate(STATE_NAMES, start=1)
-        }
-        report[name] = {
-            "size": size,
-            "precision": _rate(hits, size),
-            "recall": _rate(hits, int(condition.sum())),
-            "states": histogram,
-        }
-    return report

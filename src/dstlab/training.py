@@ -236,7 +236,7 @@ def run_epoch(
                 table, report, fit_errors = offload.division()
             else:
                 source = (i + 1) % len(active)
-                table, report, fit_errors = divide(profiles[source], ds, cfg, NET_NAMES[source])
+                table, report, fit_errors = divide(profiles[source], cfg, NET_NAMES[source])
             selection["fit_errors"].update(fit_errors)
             selection[NET_NAMES[i]] = report
             if table is not None:

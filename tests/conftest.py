@@ -5,6 +5,9 @@ the terminal-summary hook prints them after the run so every PASS/FAIL is
 visible even with output capture on.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,16 @@ from oracles import backward, cross_entropy
 # The default config; its anchors as the mixture fits of a run get them.
 DEFAULTS = ExperimentConfig()
 ANCHORS = np.asarray(DEFAULTS.gmm_anchors, dtype=np.float64)
+
+RUNS = Path(__file__).resolve().parent.parent / "scripts" / "runs.py"
+
+
+def load_runs():
+    """`scripts/runs.py` as a module."""
+    spec = importlib.util.spec_from_file_location("runs", RUNS)
+    runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runs)
+    return runs
 
 
 def pytest_configure(config):

@@ -16,21 +16,28 @@ The plain cross-entropy baseline for the memorization regime was produced
 with `scripts/runs.py baseline` and is frozen below; criterion 5 re-runs
 the baseline and refuses to proceed if the frozen number no longer
 reproduces.
+
+The benchmark run's files are pinned too: their `scripts/runs.py
+reference` digests must match those recorded on the same numpy and
+OpenBLAS core. On any other toolchain that test skips and names the one
+it found.
 """
 
 import csv
+import ctypes
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ANCHORS, DEFAULTS, gradient_check_draws
+from conftest import ANCHORS, DEFAULTS, gradient_check_draws, load_runs
 from oracles import batch_loss, ensemble_probs, fold_lambda, mixup_pair, posteriors, refine_label
 from dstlab.config import MEMORIZATION, benchmark_config
 from dstlab.gmm import fit
 from dstlab.lab import load_summary, run, scatter_csv_path
-from dstlab.network import init_network
+from dstlab.network import _OPENBLAS_GLOB, init_network
 from dstlab.training import sharpen
 
 # `scripts/runs.py baseline` output for the memorization regime (frozen):
@@ -38,6 +45,27 @@ from dstlab.training import sharpen
 BASELINE_CE_FINAL = 0.786
 
 TOL = 1e-9
+
+# `scripts/runs.py reference` digests of the benchmark run's files, as
+# numpy 2.4.6 with its bundled OpenBLAS on the SkylakeX core computes them.
+GOLDEN_TOOLCHAIN = ("2.4.6", "SkylakeX")
+GOLDEN_DIGESTS = {
+    "digest": "de870d87441bf07b4d260b40f5188b56e147219f1cd38846a819a2667621aef5",
+    "scatter_digest": "5081428326fadf9d151b51a97c42e8c7119b5ad9fbef434443b7fcbd767ad38a",
+    "files_digest": "b7a75e920b7b445f2c727f81b61d8edbe13ee54183e1004a745bd85d9fea5d07",
+}
+
+
+def openblas_core() -> str | None:
+    """The core numpy's bundled OpenBLAS runs on; None without that library."""
+    for path in sorted(Path(np.__file__).resolve().parent.parent.glob(_OPENBLAS_GLOB)):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 @pytest.fixture(scope="session")
@@ -299,3 +327,16 @@ def test_criterion_8_summaries_are_byte_identical(battery, record_criterion):
         f"{'an identical' if ok else 'a different'} summary ({len(first)} bytes)"
     )
     assert ok
+
+
+def test_benchmark_run_files_match_the_golden_digests(battery):
+    # Floats are exact only on one BLAS build and core, so the digests are
+    # checked where they were recorded.
+    core = openblas_core()
+    if (np.__version__, core) != GOLDEN_TOOLCHAIN:
+        pytest.skip(
+            f"digests recorded on numpy {GOLDEN_TOOLCHAIN[0]} with OpenBLAS core "
+            f"{GOLDEN_TOOLCHAIN[1]}; found numpy {np.__version__} with "
+            f"{'no bundled OpenBLAS' if core is None else f'OpenBLAS core {core}'}"
+        )
+    assert load_runs().digests(battery["dst"]) == GOLDEN_DIGESTS

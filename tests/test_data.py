@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_noisy, profile_predicting
+from conftest import make_noisy
 from dstlab import data
 from dstlab.data import (
     CENTER_SPACING,
@@ -286,7 +286,7 @@ class TestAuditStates:
         noisy = [0] * 3 + [1] * 12
         predicted = np.array([0] + [1] * 2 + [0] * 3 + [1] * 4 + [2] * 5)
         ds = make_noisy(np.zeros((15, 1)), [0] * 15, noisy, 3)
-        report = branch_report(np.zeros(15), profile_predicting(ds, predicted), ds)
+        report = branch_report(np.zeros(15, dtype=np.int64), audit_states(ds, predicted))
         assert STATE_NAMES == ("i", "ii", "iii", "iv", "v")
         counts = report["labeled"]["states"]
         assert list(counts.items()) == [(name, s) for s, name in enumerate(STATE_NAMES, start=1)]

@@ -392,7 +392,7 @@ class TestFitFailureEndToEnd:
         log = tmp_path / "divisions"
         real_divide, real_fit = selection.divide, selection.fit
 
-        def flaky_divide(prof, ds, cfg, source):
+        def flaky_divide(prof, cfg, source):
             # Each source's cloud is fitted once per selection epoch, in order.
             epoch = cfg.warmup_epochs + 1 + sum(s == source for _, s in logged_calls(log))
             log_call(log, source)
@@ -404,7 +404,7 @@ class TestFitFailureEndToEnd:
 
             with monkeypatch.context() as m:
                 m.setattr(selection, "fit", flaky_fit)
-                return real_divide(prof, ds, cfg, source)
+                return real_divide(prof, cfg, source)
 
         # The run divides in `training`, the writer in `lab`.
         for module in (training, lab):
@@ -925,7 +925,7 @@ class TestScatterWriter:
         cfg = small_config(total_epochs=5, scatter_every=1, **overrides)
         real_divide, fits = selection.divide, []
 
-        def flaky_divide(prof, ds, cfg, source):
+        def flaky_divide(prof, cfg, source):
             fits.append(source)
 
             def failing_fit(*args, **kwargs):
@@ -934,7 +934,7 @@ class TestScatterWriter:
             with monkeypatch.context() as m:
                 if source == "net1" and fits.count("net1") in fails:
                     m.setattr(selection, "fit", failing_fit)
-                return real_divide(prof, ds, cfg, source)
+                return real_divide(prof, cfg, source)
 
         for module in (training, lab):
             monkeypatch.setattr(module, "divide", flaky_divide)
@@ -1097,14 +1097,14 @@ class TestOffload:
                 waiting.touch()
             return real_division(self)
 
-        def dying_divide(prof, ds, cfg, source):
+        def dying_divide(prof, cfg, source):
             if os.getpid() != run_pid and len(logged_calls(tmp_path / "divide")) == 1:
                 deadline = time.monotonic() + 60
                 while not waiting.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os.kill(os.getpid(), signal.SIGKILL)
             log_call(tmp_path / "divide", source)
-            return real_divide(prof, ds, cfg, source)
+            return real_divide(prof, cfg, source)
 
         monkeypatch.setattr(lab._EpochWriter, "division", division)
         monkeypatch.setattr(lab, "divide", dying_divide)

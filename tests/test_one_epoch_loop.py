@@ -1,7 +1,8 @@
-"""Epochs are trained in one place, `training.run_epoch`, and samples are
-divided in one place, `selection.divide`.
+"""Epochs are trained in one place, `training.run_epoch`, samples are
+divided in one place, `selection.divide`, and labels and predictions are
+judged right or wrong in one place, `data.audit_states`.
 
-Two AST scans. The first reports every call of `_train_epoch` (the
+Three AST scans. The first reports every call of `_train_epoch` (the
 per-network batch loop) and every read of a `shuffle` attribute (the
 batch-order streams, `RngStreams.shuffle`, or a generator's `shuffle`
 method) in the package with its module. Only `training` may make one, so
@@ -13,6 +14,11 @@ The second reports every call of `fit`, `assign_roles` or `partition`
 enclosing function. Only `selection.divide` may make one, so a new
 selection rule joins that one path from loss cloud to branch table and
 report instead of growing a second.
+
+The third reports every comparison that reads a `true_labels` attribute
+with its module and enclosing function. Only `data.audit_states` may make
+one, so every report reads a sample's correctness from its agreement
+state instead of judging it again.
 """
 
 import ast
@@ -82,24 +88,31 @@ def test_epochs_are_trained_only_in_training(path):
 DIVIDERS = {"fit", "assign_roles", "partition"}
 
 
+def nodes_in_functions(source: str):
+    """`(node, enclosing function or None)` for every node of `source`, in
+    source order."""
+
+    def visit(node: ast.AST, function: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            yield child, function
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(source), None)
+
+
 def division_calls(source: str) -> list[tuple[str, str | None, int]]:
     """`(callee, enclosing function or None, line)` for every call of a
     name in `DIVIDERS`, bare or as an attribute."""
     found: list[tuple[str, str | None, int]] = []
-
-    def visit(node: ast.AST, function: str | None) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in DIVIDERS:
-                    found.append((name, function, child.lineno))
-            visit(child, function)
-
-    visit(ast.parse(source), None)
+    for node, function in nodes_in_functions(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in DIVIDERS:
+                found.append((name, function, node.lineno))
     return found
 
 
@@ -144,3 +157,57 @@ class TestDivisionScanner:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_samples_are_divided_only_in_selection_divide(path):
     assert misplaced_divisions(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+def truth_comparisons(source: str) -> list[tuple[str | None, int]]:
+    """`(enclosing function or None, line)` for every comparison that reads
+    a `true_labels` attribute anywhere in its operands."""
+    return [
+        (function, node.lineno)
+        for node, function in nodes_in_functions(source)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Attribute) and n.attr == "true_labels" for n in ast.walk(node))
+    ]
+
+
+def misplaced_truths(module: str, source: str) -> list[str]:
+    """`module.function: true_labels (line n)` for every comparison outside
+    `data.audit_states`."""
+    return [
+        f"{module}.{function or '<module>'}: true_labels (line {line})"
+        for function, line in truth_comparisons(source)
+        if (module, function) != ("data", "audit_states")
+    ]
+
+
+class TestTruthScanner:
+    def test_comparisons_reading_true_labels_count_with_their_function(self):
+        source = (
+            "def f(ds, p):\n    ok = ds.noisy_labels == ds.true_labels\n"
+            "    hit = p[0] != self.ds.true_labels[0]\n"
+            "    def inner(y):\n        return y < ds.true_labels.max()\n"
+            "x = (ds.true_labels == 1).mean()\n"
+        )
+        assert truth_comparisons(source) == [("f", 2), ("f", 3), ("inner", 5), (None, 6)]
+
+    def test_other_reads_and_comparisons_do_not_count(self):
+        source = (
+            "truth = ds.true_labels\nevaluate(params, test.true_labels)\n"
+            "ok = noisy == truth\nmake(true_labels=a == b)\nds.true_labels.copy()\n"
+        )
+        assert truth_comparisons(source) == []
+
+    def test_audit_states_passes_and_others_fail(self):
+        source = "def audit_states(ds, p):\n    return p == ds.true_labels\n"
+        assert misplaced_truths("data", source) == []
+        assert misplaced_truths("selection", source) == [
+            "selection.audit_states: true_labels (line 2)"
+        ]
+        assert misplaced_truths("data", source.replace("audit_states", "branch_report")) == [
+            "data.branch_report: true_labels (line 2)"
+        ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_correctness_is_judged_only_in_audit_states(path):
+    assert misplaced_truths(path.stem, path.read_text(encoding="utf-8")) == []

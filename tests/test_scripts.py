@@ -1,7 +1,6 @@
 """`scripts/runs.py` runs from a fresh checkout, with each former script's flags."""
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -11,10 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import RUNS, load_runs
 from dstlab import network
 from dstlab.config import benchmark_config
-
-RUNS = Path(__file__).resolve().parent.parent / "scripts" / "runs.py"
 
 # Each subcommand's flags and defaults: those of the scripts it replaced,
 # baseline_oracle.py, reference_run.py and ablation_sweep.py.
@@ -40,13 +38,6 @@ def test_help_runs_without_pythonpath(command, tmp_path):
     assert done.stdout.startswith(f"usage: runs.py {command}")
     for flag in FLAGS[command]:
         assert "--" + flag.replace("_", "-") in done.stdout
-
-
-def load_runs():
-    spec = importlib.util.spec_from_file_location("runs", RUNS)
-    runs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(runs)
-    return runs
 
 
 def test_flags_and_defaults_match_the_former_scripts():

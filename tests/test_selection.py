@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     ANCHORS,
@@ -13,10 +14,10 @@ from conftest import (
     make_noisy,
     model_with_means,
     profile_at,
-    profile_predicting,
 )
 from dstlab import selection, training
 from dstlab.config import ExperimentConfig
+from dstlab.data import audit_states
 from dstlab.errors import ConfigError
 from dstlab.gmm import model_to_dict
 from dstlab.network import Workspace, init_network
@@ -54,9 +55,9 @@ def capture_divisions(m, module):
         seen.update(w_r=w_r, w_prd=w_prd, branches=real_partition(w_r, w_prd, cfg))
         return seen["branches"]
 
-    def divide(prof, ds, cfg, source):
+    def divide(prof, cfg, source):
         seen.clear()
-        result = real_divide(prof, ds, cfg, source)
+        result = real_divide(prof, cfg, source)
         divisions[source] = SimpleNamespace(
             **{**dict.fromkeys(("model", "w_r", "w_prd", "branches")), **seen},
             prof=prof,
@@ -73,11 +74,10 @@ def capture_divisions(m, module):
 
 
 def divided(prof, source="net1", cfg=DEFAULTS):
-    """`selection.divide` of one cloud over `toy_dataset`, as
-    `capture_divisions` records it."""
+    """`selection.divide` of one cloud, as `capture_divisions` records it."""
     with pytest.MonkeyPatch.context() as m:
         divisions = capture_divisions(m, selection)
-        selection.divide(prof, toy_dataset(prof.n_samples), cfg, source)
+        selection.divide(prof, cfg, source)
     return divisions[source]
 
 
@@ -236,7 +236,7 @@ class TestCoDivide:
             "source": "net2",
             "roles": assign_roles(division.model, ANCHORS),
             "gmm": model_to_dict(division.model),
-            "branches": branch_report(division.branches, prof, toy_dataset(90)),
+            "branches": branch_report(division.branches, prof.states),
             "fallback": False,
         }
 
@@ -269,7 +269,7 @@ class TestCoDivide:
     def test_tiny_profiles_fall_back_via_fit_errors(self):
         prof = profile_at(np.full((3, 2), 0.5))
         for source in ("net1", "net2"):
-            table, report, fit_errors = selection.divide(prof, toy_dataset(3), DEFAULTS, source)
+            table, report, fit_errors = selection.divide(prof, DEFAULTS, source)
             assert table is None and report == {"fallback": True}
             assert fit_errors == {source: "need at least 6 points to fit, got 3"}
         selection_reports, divisions = selection_epoch([np.full((3, 2), 0.5)] * 2)
@@ -339,7 +339,7 @@ class TestSelectionReport:
         ds = make_noisy(np.zeros((4, 1)), [0, 1, 2, 3], [0, 1, 2, 3], 4)
         predicted = np.array([0, 1, 2, 3])
         branches = np.full(4, BRANCH_LABELED)
-        report = branch_report(branches, profile_predicting(ds, predicted), ds)
+        report = branch_report(branches, audit_states(ds, predicted))
         assert report["labeled"]["precision"] == 1.0
         assert report["labeled"]["size"] == 4
         assert report["labeled"]["states"]["i"] == 4
@@ -348,31 +348,50 @@ class TestSelectionReport:
         ds = make_noisy(np.zeros((3, 1)), [0, 1, 0], [1, 0, 1], 2)
         predicted = np.array([1, 0, 1])
         branches = np.full(3, BRANCH_WRONG)
-        report = branch_report(branches, profile_predicting(ds, predicted), ds)
+        report = branch_report(branches, audit_states(ds, predicted))
         assert report["labeled"]["precision"] is None
         assert report["predicted"]["precision"] is None
         assert report["wrong"]["size"] == 3
 
-    def test_counting_oracle_on_random_assignment(self):
-        rng = np.random.default_rng(6)
-        n = 200
-        truth = rng.integers(0, 4, size=n)
-        noisy = rng.integers(0, 4, size=n)
-        predicted = rng.integers(0, 4, size=n)
-        branches = rng.integers(0, 3, size=n)
-        ds = make_noisy(np.zeros((n, 1)), truth, noisy, 4)
-        report = branch_report(branches, profile_predicting(ds, predicted), ds)
+    @given(st.data())
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_counting_oracle_on_random_assignment(self, data):
+        # Branch codes come from a drawn subset of the branches, so empty
+        # branches are common; one class makes every label and prediction
+        # right, so the wrong branch's recall has nothing to count.
+        n = data.draw(st.integers(1, 300), label="n")
+        n_classes = data.draw(st.integers(1, 4), label="n_classes")
+        used = sorted(data.draw(st.sets(st.sampled_from([0, 1, 2]), min_size=1), label="used"))
 
+        def draw(name, values):
+            return data.draw(arrays(np.int64, n, elements=values, fill=st.nothing()), label=name)
+
+        classes = st.integers(0, n_classes - 1)
+        truth, noisy, predicted = (draw(name, classes) for name in ("truth", "noisy", "predicted"))
+        branches = draw("branches", st.sampled_from(used))
+        ds = make_noisy(np.zeros((n, 1)), truth, noisy, n_classes)
+        report = branch_report(branches, audit_states(ds, predicted))
+
+        label_ok, pred_ok = noisy == truth, predicted == truth
         conditions = {
-            "labeled": noisy == truth,
-            "predicted": predicted == truth,
-            "wrong": (noisy != truth) & (predicted != truth),
+            "labeled": label_ok,
+            "predicted": pred_ok,
+            "wrong": ~label_ok & ~pred_ok,
+        }
+        states = {
+            "i": label_ok & pred_ok,
+            "ii": label_ok & ~pred_ok,
+            "iii": ~label_ok & pred_ok,
+            "iv": ~label_ok & ~pred_ok & (noisy == predicted),
+            "v": ~label_ok & ~pred_ok & (noisy != predicted),
         }
         for code, name in enumerate(("labeled", "predicted", "wrong")):
             mask = branches == code
             entry = report[name]
-            assert entry["size"] == int(mask.sum())
+            size, right = int(mask.sum()), int(conditions[name].sum())
             hits = int((mask & conditions[name]).sum())
-            assert entry["precision"] == pytest.approx(hits / mask.sum())
-            assert entry["recall"] == pytest.approx(hits / conditions[name].sum())
+            assert entry["size"] == size
+            assert entry["precision"] == (None if size == 0 else hits / size)
+            assert entry["recall"] == (None if right == 0 else hits / right)
+            assert entry["states"] == {s: int((mask & m).sum()) for s, m in states.items()}
             assert sum(entry["states"].values()) == entry["size"]

@@ -610,7 +610,7 @@ class TestDstEpoch:
         # Each consumer's division is the one of its partner's cloud from
         # before either network trained.
         for consumer, source in (("net1", 1), ("net2", 0)):
-            assert selection[consumer] == divide(before[source], ds, cfg, NET_NAMES[source])[1]
+            assert selection[consumer] == divide(before[source], cfg, NET_NAMES[source])[1]
             assert selection[consumer]["fallback"] is False
 
     def test_single_network_mode_isolates_the_second_network(self):
@@ -624,7 +624,7 @@ class TestDstEpoch:
         assert selection["net1"]["source"] == "net1"
         assert "net2" not in selection
         assert_same_profiles(profiles, before)
-        assert selection["net1"] == divide(before[0], ds, cfg, "net1")[1]
+        assert selection["net1"] == divide(before[0], cfg, "net1")[1]
         assert selection["net1"]["fallback"] is False
 
     def test_no_mixup_flag_equals_identity_mixing(self, monkeypatch):
@@ -646,7 +646,7 @@ class TestDstEpoch:
         monkeypatch.setattr(
             training,
             "divide",
-            lambda prof, ds, cfg, source: (None, {"fallback": True}, {source: "fit failed"}),
+            lambda prof, cfg, source: (None, {"fallback": True}, {source: "fit failed"}),
         )
         before = [params_hash(net) for net in params_of(workspaces)]
         selection, _ = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
@@ -756,7 +756,7 @@ class TestBranchCodes:
         model.resp = np.column_stack([w_r, 1.0 - w_r - w_prd, w_prd])
         monkeypatch.setattr(selection, "fit", lambda *args, **kwargs: model)
         monkeypatch.setattr(selection, "partition", lambda w_r, w_prd, cfg: branches)
-        (keep, lean, wrong), _, _ = divide(profile_predicting(ds), ds, ExperimentConfig(), "net1")
+        (keep, lean, wrong), _, _ = divide(profile_predicting(ds), ExperimentConfig(), "net1")
         assert keep[:2].tolist() == [0.8, 1.0 - 0.6]
         assert lean[:2].tolist() == [1.0 - 0.8, 0.6]
         assert wrong.tolist() == [False, False, True]
@@ -812,10 +812,10 @@ class TestEpochLoopMatchesOracle:
         }
         dst_epoch = 0  # the selection epoch being trained, counted from 1
 
-        def failing_divide(prof, ds, cfg, source):
+        def failing_divide(prof, cfg, source):
             if (dst_epoch, source) in failing:
                 return None, {"fallback": True}, {source: "forced"}
-            return divide(prof, ds, cfg, source)
+            return divide(prof, cfg, source)
 
         def failing_weights(prof, cfg, source):
             if (dst_epoch, source) in failing:
