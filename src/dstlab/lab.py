@@ -8,12 +8,12 @@ run into scalars. A forked writer process writes every one of them.
 Summaries contain no paths or timestamps, so identical configs and seeds
 produce byte-identical summary files.
 
-The writer is also the run's second worker. In a two-network selection
-epoch it makes every read of a network that nobody is stepping: net1's
-profile and mixture fit (net2's division for the next epoch) as soon as
-net1's loop ends, and each batch's partner softmax. The run process
-keeps what must be sequential: net2's profile and fit, both batch loops
-and the SGD steps.
+The writer is also the run's second worker. `training.run_epoch` decides
+which reads of networks that nobody is stepping it makes, one message per
+network turn: each batch's partner softmax, and at net2's turn net1's
+profile and mixture fit (net2's division for the next epoch). The writer
+only carries them out. The run process keeps what must be sequential:
+net2's profile and fit, both batch loops and the SGD steps.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import ConfigError, NotFoundError, NumericError, StructuralError
 from .lossprofile import LossProfile, profile, write_scatter
 from .network import Layers, Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
-from .selection import BranchTable, divide
+from .selection import BRANCH_NAMES, BranchTable, divide
 from .training import evaluate, run_epoch, softmax_of
 
 OUTPUT_ROOT_ENV = "DSTLAB_OUTPUT_ROOT"
@@ -131,7 +131,7 @@ def _final_branch_stats(selection: dict | None) -> dict:
         entry = (selection or {}).get(name)
         out[name] = None if entry is None or entry["fallback"] else {
             branch: {key: entry["branches"][branch][key] for key in ("size", "precision")}
-            for branch in ("labeled", "predicted", "wrong")
+            for branch in BRANCH_NAMES
         }
     return out
 
@@ -161,12 +161,6 @@ def _summary(manifest: dict, reports: list[dict]) -> dict:
     }
 
 
-def _offloads(cfg: ExperimentConfig, epoch: int) -> bool:
-    """Whether `epoch` is a two-network selection epoch, whose reads of
-    frozen networks the writer makes."""
-    return not cfg.single_network and epoch <= cfg.total_epochs and cfg.phase_at(epoch) == "dst"
-
-
 # The loss-profile fields a dump slot holds, and their dtypes.
 _PROFILE_FIELDS = {
     "l_nis": np.float64,
@@ -187,17 +181,20 @@ def _loop_tag(epoch: int, i: int) -> int:
 
 
 def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.ndarray]:
-    """The arrays the run and the writer share, zeroed, in one anonymous
-    shared mapping made before the fork, so each process sees the other's
-    writes. Slots indexed by `epoch % 2` are reused two epochs later, once
-    the run has read the writer's answer to the epoch in between.
+    """The arrays the run and the writer share, zeroed, each in its own
+    anonymous shared mapping made before the fork, so each process sees the
+    other's writes. Slots indexed by `epoch % 2` are reused two epochs
+    later, once the run has read the writer's answer to the epoch in
+    between.
 
-    - params[epoch % 2, i]: net i's flat parameters at the end of its epoch;
+    - params[epoch % 2, i]: net i's flat parameters; net1's from its turn's
+      end when net2's turn hands them over (`_EpochWriter.loop`), both at
+      the end of the epoch;
     - order[epoch % 2, i]: the batch order of net i's loop;
     - partner[i]: the partner softmax of net i's loop, rows in batch order;
     - keep, lean, wrong [epoch % 2]: net2's branch table for that epoch;
-    - each profile field [epoch % 2, i]: net i's loss profile, made by the
-      run, for the epoch's scatter dump;
+    - each profile field [epoch % 2, i]: net i's loss profile for the
+      epoch's scatter dump, put there by the process that made it;
     - position[0]: the run's loop tag << 32 | its batch, which the writer
       reads to skip batches the run has reached (a hint only: the progress
       pipe says what is published).
@@ -215,14 +212,11 @@ def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.n
         **{name: ((2, 2, n), dtype) for name, dtype in _PROFILE_FIELDS.items()},
         "position": ((1,), np.int64),
     }
-    offsets, total = [], 0
-    for shape, dtype in specs.values():
-        offsets.append(total)
-        total += -(-int(np.prod(shape)) * np.dtype(dtype).itemsize // 64) * 64
-    mapping = mmap.mmap(-1, total)
     return {
-        name: np.ndarray(shape, dtype, buffer=mapping, offset=offset)
-        for (name, (shape, dtype)), offset in zip(specs.items(), offsets)
+        name: np.ndarray(
+            shape, dtype, buffer=mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
+        )
+        for name, (shape, dtype) in specs.items()
     }
 
 
@@ -270,24 +264,26 @@ def _serve_run(
     test: CleanDataset,
     seeds: dict[str, int],
 ) -> None:
-    """Writer loop: write every file of the run, and make the reads of
-    frozen networks the run hands over. Messages, in the order the run
-    sends them:
+    """Writer loop: write every file of the run, and carry out the reads
+    of frozen networks that `training.run_epoch` asks for. Messages, in the
+    order the run sends them:
 
-    - ("loop", e): net1's loop of epoch e starts; serve its partner
-      softmaxes from net2's parameters of epoch e-1.
-    - ("net1", e): net1's parameters of epoch e are in their slot. Serve
-      net2's partner softmaxes (net2 trains in epoch e on a division made
-      here), then make net2's division for epoch e+1 from net1's profile.
-    - ("epoch", e, report, dumps): epoch e is trained. Write its dumps
-      (each True is the run's profile in its slot, each False this
-      process's), evaluate it and write its report; after the final epoch,
-      if no error has occurred, the checkpoints and summary.json.
+    - ("loop", e, i, serve, divide_next): net i's turn of epoch e starts;
+      its batch order, and at net2's turn net1's parameters of epoch e, are
+      in their slots. With `serve`, publish its partner softmaxes from the
+      partner's latest parameters: net2's of epoch e-1 for net1, net1's of
+      epoch e for net2. With `divide_next`, then profile net1, put its
+      cloud in its profile slot of epoch e+1 and make net2's division for
+      epoch e+1 from it.
+    - ("epoch", e, report, n_dumps): epoch e is trained. Write the clouds
+      of its first `n_dumps` networks from their profile slots, evaluate it
+      and write its report; after the final epoch, if no error has
+      occurred, the checkpoints and summary.json.
 
     Each "epoch" message is answered with the first error so far, or None,
-    and with net2's division for epoch e+1 (its fit errors and report) when
-    one was made. The dataset, its sidecar and the manifest come first. A
-    failed dump does not stop the report.
+    and with the division made since the last answer (its fit errors and
+    report), or None. The dataset, its sidecar and the manifest come
+    first. A failed dump does not stop the report.
     """
     errors: list[Exception] = []
     manifest = {
@@ -311,55 +307,45 @@ def _serve_run(
     nets = [[layer_views(flat, sizes) for flat in slot] for slot in shared["params"]]
     ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     reports: list[dict] = []
-    profiles: dict[int, LossProfile] = {}  # net1's, per epoch, made here
-    divisions: dict[int, tuple[dict, dict]] = {}  # net2's fit errors and report, per epoch
+    division = None  # net2's fit errors and report for the next epoch, not answered yet
 
-    def offload(kind: str, epoch: int) -> None:
+    def turn(epoch: int, i: int, serve: bool, divide_next: bool) -> None:
+        nonlocal division
         slot = epoch % 2
-        if kind == "loop":
-            i, partner = 0, nets[1 - slot][1]
-        elif epoch in divisions and not divisions[epoch][1]["fallback"]:
-            i, partner = 1, nets[slot][0]
-        else:
-            i, partner = 1, None
-        if partner is not None:
+        if serve:
             _serve_partner(
-                partner, shared["order"][slot, i], shared["partner"][i], _loop_tag(epoch, i),
-                shared["position"], progress, train.features, cfg.batch_size,
+                nets[(epoch - 1 + i) % 2][1 - i], shared["order"][slot, i], shared["partner"][i],
+                _loop_tag(epoch, i), shared["position"], progress, train.features, cfg.batch_size,
             )
-        if kind == "net1" and _offloads(cfg, epoch + 1):
-            prof = profiles[epoch + 1] = profile(nets[slot][0], train)
+        if divide_next:
+            prof = profile(nets[slot][0], train)
+            for field in _PROFILE_FIELDS:
+                shared[field][1 - slot, 0] = getattr(prof, field)
             table, report, fit_errors = divide(prof, cfg, "net1")
             if table is not None:
                 for name, column in zip(("keep", "lean", "wrong"), table):
                     shared[name][1 - slot] = column
-            divisions[epoch + 1] = (fit_errors, report)
+            division = (fit_errors, report)
 
     while True:
         try:
             message = pickle.load(requests)
         except EOFError:
             return
-        kind, epoch = message[:2]
-        if kind != "epoch":
+        if message[0] == "loop":
             try:
-                offload(kind, epoch)
+                turn(*message[1:])
             except Exception as exc:  # noqa: BLE001 - answered to the run
                 errors.append(exc)
             continue
-        report, dumps = message[2:]
+        epoch, report, n_dumps = message[1:]
         slot = epoch % 2
         try:
-            for i, (name, own) in enumerate(zip(NET_NAMES, dumps)):
-                prof = (
-                    LossProfile(**{field: shared[field][slot, i] for field in _PROFILE_FIELDS})
-                    if own
-                    else profiles[epoch]
-                )
+            for i, name in enumerate(NET_NAMES[:n_dumps]):
+                prof = LossProfile(**{field: shared[field][slot, i] for field in _PROFILE_FIELDS})
                 _write(scatter_csv_path(run_dir, epoch, name), write_scatter(epoch, name, prof))
         except Exception as exc:  # noqa: BLE001 - answered to the run
             errors.append(exc)
-        profiles.pop(epoch, None)
         try:
             params = dict(zip(NET_NAMES, nets[slot]))
             report["test_accuracy"] = evaluate(params, test.features, test.true_labels, ensemble)
@@ -374,10 +360,9 @@ def _serve_run(
                 _write(run_dir / "summary.json", text.encode())
         except Exception as exc:  # noqa: BLE001 - answered to the run
             errors.append(exc)
-        divisions.pop(epoch, None)
-        reply = (errors[0] if errors else None, divisions.get(epoch + 1))
-        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        pickle.dump((errors[0] if errors else None, division), replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
+        division = None
 
 
 _WRITER_GONE = "the epoch writer process ended early"
@@ -385,27 +370,26 @@ _WRITER_GONE = "the epoch writer process ended early"
 
 class _EpochWriter:
     """A forked process that writes every file of a run (`_serve_run`) and
-    makes the reads of frozen networks a two-network epoch hands it.
+    carries out the reads of frozen networks that `training.run_epoch`
+    hands it.
 
     It inherits the config, both datasets and the seeds at the fork.
     Parameters, batch orders, net2's branch tables, partner softmaxes and
-    the run's loss profiles travel through arrays shared at the fork
+    the loss profiles travel through arrays shared at the fork
     (`_shared_arrays`); the pipe carries only small messages. So
     formatting (about 6 ms per 4000-row cloud, `data.write_csv`), the test
     forwards, every write, net1's profile and fit and the partner forwards
     overlap training on another core.
 
-    Per epoch the run sends, in order: ("loop", e) when net1 trains on a
-    division with a partner; ("net1", e) when `training.run_epoch` reports
-    net1's epoch over, at net2's turn, and this or the next epoch is a
-    two-network selection epoch; and ("epoch", ...) once the epoch is
-    trained. The writer answers each "epoch" message, also with net2's
-    division for the next epoch. At most one answer is unread: the run
-    reads the answer to epoch e-1 just before net2's loop of epoch e (the
-    division it trains on) or, in any other epoch, before it sends epoch
-    e. It never waits for a partner softmax: `loop` returns a lookup that
-    yields a batch once the progress pipe says the writer published it,
-    and None before.
+    Per epoch the run sends, in order: one ("loop", ...) message per
+    network turn in which `run_epoch` gives the writer work (`loop`), and
+    ("epoch", ...) once the epoch is trained (`submit`). The writer answers
+    each "epoch" message, also with net2's division for the next epoch. At
+    most one answer is unread: the run reads the answer to epoch e-1 at
+    net2's turn of epoch e, for the division it trains on (`division`), or,
+    in any other epoch, before it sends epoch e. It never waits for a
+    partner softmax: `loop` returns a lookup that yields a batch once the
+    progress pipe says the writer published it, and None before.
 
     Fork it on one BLAS thread (`one_blas_thread`): the writer inherits the
     count, and a fork copies none of the BLAS's threads. As a context
@@ -424,7 +408,6 @@ class _EpochWriter:
         self.cfg = cfg
         self.epoch = 1  # the epoch being trained
         self.pending = False  # an answer not read yet
-        self.net1_sent = 0  # the last epoch whose net1 snapshot was sent
         fds: list[int] = []
         try:
             self.shared = _shared_arrays(cfg, train)
@@ -484,13 +467,21 @@ class _EpochWriter:
         if self.pending:
             self._answer()
 
-    def loop(self, i: int, order: np.ndarray) -> Callable[[int], np.ndarray | None]:
-        """Net i's refined loop starts in `order` (net2's went with
-        `net1_trained`). Returns the lookup of batch b's partner softmax:
-        the rows the writer published, else None."""
-        if i == 0:
-            self.shared["order"][self.epoch % 2, 0] = order
-            self._send(("loop", self.epoch))
+    def loop(
+        self, i: int, order: np.ndarray, net1: np.ndarray, serve: bool, divide_next: bool
+    ) -> Callable[[int], np.ndarray | None]:
+        """Net i's turn starts, its loop in `order`, and `net1` holds net1's
+        flat parameters as they stand. Asks the writer to publish the
+        turn's partner softmaxes (`serve`) and, at net2's turn, to divide
+        net1's cloud for the next epoch (`divide_next`); net1's parameters
+        go to it at net2's turn, when they are final. Returns the lookup of
+        batch b's partner softmax: the rows the writer published, else
+        None."""
+        slot = self.epoch % 2
+        self.shared["order"][slot, i] = order
+        if i == 1:
+            self.shared["params"][slot, 0] = net1
+        self._send(("loop", self.epoch, i, serve, divide_next))
         tag, batch_size = _loop_tag(self.epoch, i), self.cfg.batch_size
         rows, position = self.shared["partner"][i], self.shared["position"]
         ready = np.zeros(-(-len(order) // batch_size), dtype=bool)
@@ -505,18 +496,6 @@ class _EpochWriter:
 
         return published
 
-    def net1_trained(self, flat: np.ndarray, order2: np.ndarray) -> None:
-        """Net1's parameters for this epoch are final, and net2 trains next
-        in `order2`; `run_epoch` says so in every epoch. Hands both to the
-        writer when this or the next epoch is offloaded."""
-        epoch = self.epoch
-        if not (_offloads(self.cfg, epoch) or _offloads(self.cfg, epoch + 1)):
-            return
-        self.shared["params"][epoch % 2, 0] = flat
-        self.shared["order"][epoch % 2, 1] = order2
-        self._send(("net1", epoch))
-        self.net1_sent = epoch
-
     def division(self) -> tuple[BranchTable | None, dict, dict[str, str]]:
         """Net2's branch table for this epoch (None: it falls back), its
         report and the fit error of net1's cloud, if any: `selection.divide`
@@ -530,17 +509,19 @@ class _EpochWriter:
 
     def submit(self, flats: list[np.ndarray], report: dict, dumps: list) -> None:
         """Send one epoch's parameters, report and profiles to dump (None:
-        the writer's own)."""
+        net1's, which the writer put in its slot)."""
         self.wait()
         slot = self.epoch % 2
+        # In an epoch where net2's turn handed net1 over (`loop`), net1's
+        # slot already holds these bytes, and the writer may be reading it:
+        # writing the same bytes again changes nothing it reads.
         for i, flat in enumerate(flats):
-            if i > 0 or self.net1_sent != self.epoch:
-                self.shared["params"][slot, i] = flat
+            self.shared["params"][slot, i] = flat
         for i, prof in enumerate(dumps):
             if prof is not None:
                 for field in _PROFILE_FIELDS:
                     self.shared[field][slot, i] = getattr(prof, field)
-        self._send(("epoch", self.epoch, report, [prof is not None for prof in dumps]))
+        self._send(("epoch", self.epoch, report, len(dumps)))
         self.pending = True
         self.epoch += 1
 
@@ -566,12 +547,12 @@ class _EpochWriter:
 def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     """Execute one experiment end to end; returns the run directory."""
     run_dir = _resolve_run_dir(cfg, output_dir)
-    if run_dir.is_dir() and any(run_dir.iterdir()):
-        raise StructuralError(
-            f"refusing to write into non-empty directory {run_dir}; "
-            "choose a fresh output_dir"
-        )
     try:
+        if run_dir.is_dir() and any(run_dir.iterdir()):
+            raise StructuralError(
+                f"refusing to write into non-empty directory {run_dir}; "
+                "choose a fresh output_dir"
+            )
         for sub in ("", "reports", "scatter", "checkpoints"):
             (run_dir / sub).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -603,7 +584,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
 
 def dump_scatter(run_dir: Path | str, epoch: int, net: str) -> Path:
     """Path of an existing per-epoch scatter CSV; absence is an error."""
-    if net not in ("net1", "net2"):
+    if net not in NET_NAMES:
         raise ConfigError(f"net must be net1 or net2, got {net!r}")
     run_dir = Path(run_dir)
     if not run_dir.is_dir():

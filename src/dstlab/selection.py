@@ -46,7 +46,7 @@ def assign_roles(model: GmmModel, anchors: np.ndarray) -> dict[str, int]:
     targets = {"labeled": anchors[0], "predicted": anchors[2], "wrong": anchors[1]}
     remaining = [0, 1, 2]
     chosen: dict[str, int] = {}
-    for role in ("labeled", "predicted", "wrong"):
+    for role in BRANCH_NAMES:
         dists = [float(np.linalg.norm(model.means[k] - targets[role])) for k in remaining]
         best = remaining[int(np.argmin(dists))]  # argmin takes the first minimum
         chosen[role] = best

@@ -15,10 +15,11 @@ table, iterating shuffled mini-batches whose labels are refined with the
 ensemble, sharpened, mixed, and used for a single SGD step.
 
 Every read of a network that is not being stepped can run in another
-process: net1's profile and fit, and each batch's partner softmax (see
-`run_epoch` and `lab._EpochWriter`). Such work gives the bytes this
-process would compute, and what another process has not published yet
-this process computes itself.
+process: net1's profile and fit, and each batch's partner softmax.
+`run_epoch` decides, per network turn, which of them it asks for (see
+`lab._EpochWriter`). Such work gives the bytes this process would
+compute, and what another process has not published yet this process
+computes itself.
 """
 
 from __future__ import annotations
@@ -201,16 +202,18 @@ def run_epoch(
     consumer through a plain cross-entropy epoch, flagged in its report.
 
     `offload`, if given, is the run's epoch writer (`lab._EpochWriter`;
-    two networks only): net1's parameters and net2's batch order go to it
-    in every epoch (`net1_trained`), and net2's division (`division`) and
-    the partner softmaxes (`loop`) come from it: it profiles net1 as soon
-    as net1's loop of the previous epoch ended. Without it everything runs
-    in this process, and the bytes are the same either way.
+    two networks only), and this function alone decides its work. It
+    makes net2's division (`division`): at net2's turn of the epoch before
+    a selection epoch, it profiles net1 and fits its cloud. It serves the
+    partner softmaxes of each turn that trains on a division (`loop`).
+    A turn calls `loop` only when it gives the writer such work, and
+    net2's turn reads its division first. Without `offload` everything
+    runs in this process, and the bytes are the same either way.
 
     Returns the selection reports per consuming network plus the fit
     errors (None outside selection epochs), and the profiles of a
     selection epoch's networks in `NET_NAMES` order (none otherwise); net1's
-    is None with `offload`, which keeps it.
+    is None with `offload`, which made it.
     """
     dst = cfg.phase_at(epoch) == "dst"
     active = workspaces[:1] if dst and cfg.single_network else workspaces
@@ -224,32 +227,34 @@ def run_epoch(
             None if offload is not None and i == 0 else profile(ws.params, ds)
             for i, ws in enumerate(active)
         ]
+    next_dst = epoch < cfg.total_epochs and cfg.phase_at(epoch + 1) == "dst"
     for i, ws in enumerate(active):
         order = streams.shuffle[i].permutation(ds.n_samples)
-        # Net2's division comes from the offload, once it has net1's epoch.
-        from_offload = offload is not None and i == 1
-        if from_offload:
-            offload.net1_trained(workspaces[0].flat, order)
-        refinement = None
+        table = None
         if dst:
-            if from_offload:
+            if offload is not None and i == 1:
                 table, report, fit_errors = offload.division()
             else:
                 source = (i + 1) % len(active)
                 table, report, fit_errors = divide(profiles[source], cfg, NET_NAMES[source])
             selection["fit_errors"].update(fit_errors)
             selection[NET_NAMES[i]] = report
-            if table is not None:
-                # The partner as it stands now, after the earlier consumer's updates.
-                partner = None if len(active) == 1 else workspaces[1 - i].params
-                refinement = _Refinement(
-                    partner,
-                    *table,
-                    cfg,
-                    streams.wrong_branch[i],
-                    None if cfg.no_mixup else streams.mixup[i],
-                    _unpublished if offload is None else offload.loop(i, order),
-                )
+        serve, divide_next = table is not None, i == 1 and next_dst
+        published = _unpublished
+        if offload is not None and (serve or divide_next):
+            published = offload.loop(i, order, workspaces[0].flat, serve, divide_next)
+        refinement = None
+        if table is not None:
+            # The partner as it stands now, after the earlier consumer's updates.
+            partner = None if len(active) == 1 else workspaces[1 - i].params
+            refinement = _Refinement(
+                partner,
+                *table,
+                cfg,
+                streams.wrong_branch[i],
+                None if cfg.no_mixup else streams.mixup[i],
+                published,
+            )
         _train_epoch(ws, cfg.learning_rate_at(epoch), ds, cfg.batch_size, order, refinement)
     return selection, profiles
 

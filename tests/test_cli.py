@@ -26,8 +26,8 @@ def write_config(tmp_path, **overrides):
 
 
 def refuse_read(self, *args, **kwargs):
-    """`Path.read_text` stand-in: root reads a chmod 000 file, so the
-    refusal is raised by hand."""
+    """`Path.read_text` or `Path.iterdir` stand-in: root reads a chmod 000
+    file or directory, so the refusal is raised by hand."""
     raise PermissionError(13, "Permission denied", str(self))
 
 
@@ -135,6 +135,16 @@ class TestRun:
         cfg_path = write_config(tmp_path, output_dir=str(out))
         assert main(["run", str(cfg_path)]) == 2
         assert "non-empty" in capsys.readouterr().err
+
+    def test_unlistable_output_dir_exits_two(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg_path = write_config(tmp_path, output_dir=str(out))
+        monkeypatch.setattr(Path, "iterdir", refuse_read)
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create run directory {out}: ")
+        assert "Permission denied" in err and "Traceback" not in err
 
 
 class TestDumpScatter:

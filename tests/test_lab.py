@@ -1004,8 +1004,8 @@ class TestOffload:
         counts = {"published": 0, "computed": 0, "divisions": 0}
         real_loop, real_division = lab._EpochWriter.loop, lab._EpochWriter.division
 
-        def loop(self, i, order):
-            lookup = real_loop(self, i, order)
+        def loop(self, i, order, net1, serve, divide_next):
+            lookup = real_loop(self, i, order, net1, serve, divide_next)
 
             def counted(b):
                 rows = lookup(b)
@@ -1033,6 +1033,57 @@ class TestOffload:
             real_step(self, learning_rate)
 
         monkeypatch.setattr(network.Workspace, "step", step)
+
+    @pytest.mark.parametrize(
+        "overrides, fail_net1, turns",
+        [
+            (
+                {},
+                False,
+                [(2, 1, False, True), (3, 0, True, False), (3, 1, True, True),
+                 (4, 0, True, False), (4, 1, True, False)],
+            ),
+            ({"ce_only": True}, False, []),
+            (
+                {},
+                True,
+                [(2, 1, False, True), (3, 0, True, False), (3, 1, False, True), (4, 0, True, False)],
+            ),
+        ],
+        ids=["dst", "ce-only", "net1-fit-fails"],
+    )
+    def test_a_turn_messages_the_writer_only_when_it_has_work(
+        self, tmp_path, monkeypatch, overrides, fail_net1, turns
+    ):
+        # Each ("loop", e, i, serve, divide_next) message the run sends, as
+        # (e, i, serve, divide_next). The last warmup epoch asks only for
+        # net2's division of epoch 3; with every fit of net1's cloud failed,
+        # net2 has no division to serve but still asks for the next one.
+        cfg = small_config(total_epochs=4, warmup_epochs=2, **overrides)
+        sent, real_send = [], lab._EpochWriter._send
+
+        def send(self, message):
+            if message[0] == "loop":
+                sent.append(message[1:])
+            real_send(self, message)
+
+        def failing_fit(*args, **kwargs):
+            raise GmmFitError("forced failure of net1's fit")
+
+        real_divide = selection.divide
+
+        def divide(prof, cfg, source):
+            with monkeypatch.context() as m:
+                if fail_net1 and source == "net1":
+                    m.setattr(selection, "fit", failing_fit)
+                return real_divide(prof, cfg, source)
+
+        monkeypatch.setattr(lab._EpochWriter, "_send", send)
+        monkeypatch.setattr(lab, "divide", divide)
+        run_dir = run(cfg, tmp_path / "r")
+        assert sent == turns
+        fallbacks = [3, 4] if fail_net1 else []
+        assert load_summary(run_dir)["fallback_epochs"] == {"net1": [], "net2": fallbacks}
 
     @pytest.mark.parametrize("writer", ["silent", "jittered"])
     def test_bytes_do_not_depend_on_which_process_did_the_work(
@@ -1130,21 +1181,21 @@ class TestOffload:
         x0 = train.features[row, 0]
         assert x0 > 0 and np.sort(train.features[:, 0])[-2] < x0 * (1 - 1e-6)
         steps, orders = [], []
-        real_net1_trained, real_step = lab._EpochWriter.net1_trained, network.Workspace.step
+        real_loop, real_step = lab._EpochWriter.loop, network.Workspace.step
 
-        def net1_trained(self, flat, order2):
-            if self.epoch == 3:
-                # Hidden unit 0 of the [2, 8, 3] net: weights flat[0:2], bias flat[16].
-                flat[0], flat[1], flat[16] = np.finfo(np.float64).max / (x0 * (1 - 1e-9)), 0.0, 0.0
+        def loop(self, i, order, net1, serve, divide_next):
+            if self.epoch == 3 and i == 1:
+                # Hidden unit 0 of the [2, 8, 3] net: weights net1[0:2], bias net1[16].
+                net1[0], net1[1], net1[16] = np.finfo(np.float64).max / (x0 * (1 - 1e-9)), 0.0, 0.0
                 steps.clear()
-                orders.append(order2.copy())
-            real_net1_trained(self, flat, order2)
+                orders.append(order.copy())
+            return real_loop(self, i, order, net1, serve, divide_next)
 
         def step(self, learning_rate):
             steps.append(1)
             real_step(self, learning_rate)
 
-        monkeypatch.setattr(lab._EpochWriter, "net1_trained", net1_trained)
+        monkeypatch.setattr(lab._EpochWriter, "loop", loop)
         monkeypatch.setattr(network.Workspace, "step", step)
         if not publish:
             monkeypatch.setattr(lab, "_serve_partner", lambda *args: None)
