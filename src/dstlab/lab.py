@@ -26,6 +26,7 @@ import pickle
 import signal
 import struct
 from contextlib import suppress
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable
 
@@ -161,16 +162,6 @@ def _summary(manifest: dict, reports: list[dict]) -> dict:
     }
 
 
-# The loss-profile fields a dump slot holds, and their dtypes.
-_PROFILE_FIELDS = {
-    "l_nis": np.float64,
-    "l_prd": np.float64,
-    "predicted": np.int64,
-    "nrm_nis": np.float64,
-    "nrm_prd": np.float64,
-    "states": np.int64,
-}
-
 # One published partner softmax on the progress pipe: (loop tag, batch).
 _RECORD = struct.Struct("<II")
 
@@ -193,8 +184,9 @@ def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.n
     - order[epoch % 2, i]: the batch order of net i's loop;
     - partner[i]: the partner softmax of net i's loop, rows in batch order;
     - keep, lean, wrong [epoch % 2]: net2's branch table for that epoch;
-    - each profile field [epoch % 2, i]: net i's loss profile for the
-      epoch's scatter dump, put there by the process that made it;
+    - each field of `LossProfile` [epoch % 2, i], with the dtype the field
+      declares: net i's loss cloud for the epoch's scatter dump, put there
+      by the process that made it;
     - position[0]: the run's loop tag << 32 | its batch, which the writer
       reads to skip batches the run has reached (a hint only: the progress
       pipe says what is published).
@@ -209,7 +201,7 @@ def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.n
         "keep": ((2, n), np.float64),
         "lean": ((2, n), np.float64),
         "wrong": ((2, n), np.bool_),
-        **{name: ((2, 2, n), dtype) for name, dtype in _PROFILE_FIELDS.items()},
+        **{f.name: ((2, 2, n), f.metadata["dtype"]) for f in fields(LossProfile)},
         "position": ((1,), np.int64),
     }
     return {
@@ -276,16 +268,22 @@ def _serve_run(
       cloud in its profile slot of epoch e+1 and make net2's division for
       epoch e+1 from it.
     - ("epoch", e, report, n_dumps): epoch e is trained. Write the clouds
-      of its first `n_dumps` networks from their profile slots, evaluate it
-      and write its report; after the final epoch, if no error has
-      occurred, the checkpoints and summary.json.
+      of its first `n_dumps` networks from their profile slots (one slot
+      per field of `LossProfile`), evaluate it and write its report; after
+      the final epoch, if no error has occurred, the checkpoints and
+      summary.json.
 
     Each "epoch" message is answered with the first error so far, or None,
     and with the division made since the last answer (its fit errors and
     report), or None. The dataset, its sidecar and the manifest come
     first. A failed dump does not stop the report.
+
+    Every message names its epoch, so the loop counts nothing. It keeps
+    only what it answers: the first error (the run stops at the answer
+    that carries it, and any error stops the final files), the division
+    not answered yet, and the reports the summary condenses.
     """
-    errors: list[Exception] = []
+    error = None
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -301,66 +299,63 @@ def _serve_run(
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _write(run_dir / "manifest.json", text.encode())
     except Exception as exc:  # noqa: BLE001 - answered to the run
-        errors.append(exc)
+        error = exc
     sizes = cfg.layer_sizes()
     # nets[slot][i]: views of the parameter slots.
     nets = [[layer_views(flat, sizes) for flat in slot] for slot in shared["params"]]
     ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     reports: list[dict] = []
     division = None  # net2's fit errors and report for the next epoch, not answered yet
-
-    def turn(epoch: int, i: int, serve: bool, divide_next: bool) -> None:
-        nonlocal division
-        slot = epoch % 2
-        if serve:
-            _serve_partner(
-                nets[(epoch - 1 + i) % 2][1 - i], shared["order"][slot, i], shared["partner"][i],
-                _loop_tag(epoch, i), shared["position"], progress, train.features, cfg.batch_size,
-            )
-        if divide_next:
-            prof = profile(nets[slot][0], train)
-            for field in _PROFILE_FIELDS:
-                shared[field][1 - slot, 0] = getattr(prof, field)
-            table, report, fit_errors = divide(prof, cfg, "net1")
-            if table is not None:
-                for name, column in zip(("keep", "lean", "wrong"), table):
-                    shared[name][1 - slot] = column
-            division = (fit_errors, report)
-
     while True:
         try:
             message = pickle.load(requests)
         except EOFError:
             return
-        if message[0] == "loop":
-            try:
-                turn(*message[1:])
-            except Exception as exc:  # noqa: BLE001 - answered to the run
-                errors.append(exc)
-            continue
-        epoch, report, n_dumps = message[1:]
+        epoch = message[1]
         slot = epoch % 2
+        if message[0] == "loop":
+            i, serve, divide_next = message[2:]
+            try:
+                if serve:
+                    _serve_partner(
+                        nets[(epoch - 1 + i) % 2][1 - i], shared["order"][slot, i],
+                        shared["partner"][i], _loop_tag(epoch, i), shared["position"],
+                        progress, train.features, cfg.batch_size,
+                    )
+                if divide_next:
+                    prof = profile(nets[slot][0], train)
+                    for f in fields(LossProfile):
+                        shared[f.name][1 - slot, 0] = getattr(prof, f.name)
+                    table, report, fit_errors = divide(prof, cfg, "net1")
+                    if table is not None:
+                        for name, column in zip(("keep", "lean", "wrong"), table):
+                            shared[name][1 - slot] = column
+                    division = (fit_errors, report)
+            except Exception as exc:  # noqa: BLE001 - answered to the run
+                error = error or exc
+            continue
+        report, n_dumps = message[2:]
         try:
             for i, name in enumerate(NET_NAMES[:n_dumps]):
-                prof = LossProfile(**{field: shared[field][slot, i] for field in _PROFILE_FIELDS})
+                prof = LossProfile(**{f.name: shared[f.name][slot, i] for f in fields(LossProfile)})
                 _write(scatter_csv_path(run_dir, epoch, name), write_scatter(epoch, name, prof))
         except Exception as exc:  # noqa: BLE001 - answered to the run
-            errors.append(exc)
+            error = error or exc
         try:
             params = dict(zip(NET_NAMES, nets[slot]))
             report["test_accuracy"] = evaluate(params, test.features, test.true_labels, ensemble)
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             _write(run_dir / "reports" / f"epoch_{epoch:03d}.json", text.encode())
             reports.append(report)
-            if epoch == cfg.total_epochs and not errors:
+            if epoch == cfg.total_epochs and error is None:
                 for name, layers in params.items():
                     _write(run_dir / "checkpoints" / f"{name}.json", save_checkpoint(layers))
                 summary = _summary(manifest, reports)
                 text = json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
                 _write(run_dir / "summary.json", text.encode())
         except Exception as exc:  # noqa: BLE001 - answered to the run
-            errors.append(exc)
-        pickle.dump((errors[0] if errors else None, division), replies, pickle.HIGHEST_PROTOCOL)
+            error = error or exc
+        pickle.dump((error, division), replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
         division = None
 
@@ -383,13 +378,15 @@ class _EpochWriter:
 
     Per epoch the run sends, in order: one ("loop", ...) message per
     network turn in which `run_epoch` gives the writer work (`loop`), and
-    ("epoch", ...) once the epoch is trained (`submit`). The writer answers
-    each "epoch" message, also with net2's division for the next epoch. At
-    most one answer is unread: the run reads the answer to epoch e-1 at
-    net2's turn of epoch e, for the division it trains on (`division`), or,
-    in any other epoch, before it sends epoch e. It never waits for a
-    partner softmax: `loop` returns a lookup that yields a batch once the
-    progress pipe says the writer published it, and None before.
+    ("epoch", ...) once the epoch is trained (`submit`). The handle counts
+    no epochs: `loop` and `division` take the epoch `run_epoch` trains,
+    and `submit` the one its report names. The writer answers each
+    "epoch" message, also with net2's division for the next epoch. At most
+    one answer is unread: the run reads the answer to epoch e-1 at net2's
+    turn of epoch e, for the division it trains on (`division`), or, in
+    any other epoch, before it sends epoch e. It never waits for a partner
+    softmax: `loop` returns a lookup that yields a batch once the progress
+    pipe says the writer published it, and None before.
 
     Fork it on one BLAS thread (`one_blas_thread`): the writer inherits the
     count, and a fork copies none of the BLAS's threads. As a context
@@ -406,7 +403,6 @@ class _EpochWriter:
         seeds: dict[str, int],
     ) -> None:
         self.cfg = cfg
-        self.epoch = 1  # the epoch being trained
         self.pending = False  # an answer not read yet
         fds: list[int] = []
         try:
@@ -452,7 +448,11 @@ class _EpochWriter:
             raise StructuralError(_WRITER_GONE) from None
 
     def _answer(self) -> tuple[dict, dict] | None:
-        """The writer's answer to the epoch in flight; raises its error."""
+        """Read the writer's answer to the epoch in flight, if it is unread,
+        and raise its error. Returns the division the writer made since its
+        last answer, as (fit errors, report), or None."""
+        if not self.pending:
+            return None
         self.pending = False
         try:
             error, division = pickle.load(self.replies)
@@ -462,27 +462,23 @@ class _EpochWriter:
             raise error
         return division
 
-    def wait(self) -> None:
-        """Block until the epoch in flight is finished; raise its error."""
-        if self.pending:
-            self._answer()
-
     def loop(
-        self, i: int, order: np.ndarray, net1: np.ndarray, serve: bool, divide_next: bool
+        self, epoch: int, i: int, order: np.ndarray, net1: np.ndarray, serve: bool,
+        divide_next: bool,
     ) -> Callable[[int], np.ndarray | None]:
-        """Net i's turn starts, its loop in `order`, and `net1` holds net1's
-        flat parameters as they stand. Asks the writer to publish the
-        turn's partner softmaxes (`serve`) and, at net2's turn, to divide
-        net1's cloud for the next epoch (`divide_next`); net1's parameters
-        go to it at net2's turn, when they are final. Returns the lookup of
-        batch b's partner softmax: the rows the writer published, else
-        None."""
-        slot = self.epoch % 2
+        """Net i's turn of `epoch` starts, its loop in `order`, and `net1`
+        holds net1's flat parameters as they stand. Asks the writer to
+        publish the turn's partner softmaxes (`serve`) and, at net2's turn,
+        to divide net1's cloud for the next epoch (`divide_next`); net1's
+        parameters go to it at net2's turn, when they are final. Returns the
+        lookup of batch b's partner softmax: the rows the writer published,
+        else None."""
+        slot = epoch % 2
         self.shared["order"][slot, i] = order
         if i == 1:
             self.shared["params"][slot, 0] = net1
-        self._send(("loop", self.epoch, i, serve, divide_next))
-        tag, batch_size = _loop_tag(self.epoch, i), self.cfg.batch_size
+        self._send(("loop", epoch, i, serve, divide_next))
+        tag, batch_size = _loop_tag(epoch, i), self.cfg.batch_size
         rows, position = self.shared["partner"][i], self.shared["position"]
         ready = np.zeros(-(-len(order) // batch_size), dtype=bool)
 
@@ -496,22 +492,20 @@ class _EpochWriter:
 
         return published
 
-    def division(self) -> tuple[BranchTable | None, dict, dict[str, str]]:
-        """Net2's branch table for this epoch (None: it falls back), its
-        report and the fit error of net1's cloud, if any: `selection.divide`
-        of net1's cloud, from the writer's answer to the last epoch."""
+    def division(self, epoch: int) -> tuple[BranchTable | None, dict, dict[str, str]]:
+        """Net2's branch table for `epoch` (None: it falls back), its report
+        and the fit error of net1's cloud, if any: `selection.divide` of
+        net1's cloud, from the writer's answer to the epoch before."""
         fit_errors, report = self._answer()
-        if report["fallback"]:
-            return None, report, fit_errors
-        slot = self.epoch % 2
-        table = tuple(self.shared[name][slot] for name in ("keep", "lean", "wrong"))
-        return table, report, fit_errors
+        table = tuple(self.shared[name][epoch % 2] for name in ("keep", "lean", "wrong"))
+        return None if report["fallback"] else table, report, fit_errors
 
     def submit(self, flats: list[np.ndarray], report: dict, dumps: list) -> None:
-        """Send one epoch's parameters, report and profiles to dump (None:
-        net1's, which the writer put in its slot)."""
-        self.wait()
-        slot = self.epoch % 2
+        """Send the parameters, report and profiles to dump (None: net1's,
+        which the writer put in its slot) of the epoch `report` names."""
+        self._answer()
+        epoch = report["epoch"]
+        slot = epoch % 2
         # In an epoch where net2's turn handed net1 over (`loop`), net1's
         # slot already holds these bytes, and the writer may be reading it:
         # writing the same bytes again changes nothing it reads.
@@ -519,11 +513,10 @@ class _EpochWriter:
             self.shared["params"][slot, i] = flat
         for i, prof in enumerate(dumps):
             if prof is not None:
-                for field in _PROFILE_FIELDS:
-                    self.shared[field][slot, i] = getattr(prof, field)
-        self._send(("epoch", self.epoch, report, len(dumps)))
+                for f in fields(LossProfile):
+                    self.shared[f.name][slot, i] = getattr(prof, f.name)
+        self._send(("epoch", epoch, report, len(dumps)))
         self.pending = True
-        self.epoch += 1
 
     def __enter__(self) -> _EpochWriter:
         return self
@@ -533,7 +526,7 @@ class _EpochWriter:
         # exits at its next read, once the request pipe is closed.
         try:
             if exc_type is None:
-                self.wait()
+                self._answer()
         finally:
             for stream in (self.requests, self.replies):
                 # Closes the pipe also when a writer that died left part
@@ -553,8 +546,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
                 f"refusing to write into non-empty directory {run_dir}; "
                 "choose a fresh output_dir"
             )
-        for sub in ("", "reports", "scatter", "checkpoints"):
-            (run_dir / sub).mkdir(parents=True, exist_ok=True)
+        run_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
 
@@ -562,6 +554,14 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     # Both processes train or evaluate on one BLAS thread: an idle second
     # thread spins between calls. Results do not depend on the count.
     with one_blas_thread(), _EpochWriter(run_dir, cfg, train, test, seeds) as writer:
+        # Made only now, so a run that fails to start leaves the directory
+        # empty and the same config can run into it again. The writer puts
+        # nothing in them before the first epoch is sent.
+        try:
+            for sub in ("reports", "scatter", "checkpoints"):
+                (run_dir / sub).mkdir()
+        except OSError as exc:
+            raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
         streams = RngStreams.from_master(cfg.master_seed)
         workspaces = [
             Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)

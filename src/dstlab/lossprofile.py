@@ -10,7 +10,7 @@ anchor means live in), the predictions and each sample's agreement state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,14 +20,20 @@ from .network import LOG_FLOOR, Layers, full_forward, softmax
 
 @dataclass
 class LossProfile:
-    """Dataset-ordered loss coordinates for one network at one epoch."""
+    """Dataset-ordered loss coordinates for one network at one epoch.
 
-    l_nis: np.ndarray  # [N] CE against the dataset label, nats
-    l_prd: np.ndarray  # [N] CE against the network's own argmax, nats
-    predicted: np.ndarray  # [N] argmax labels, ties to the lowest class
-    nrm_nis: np.ndarray  # [N] l_nis min-max scaled into [0, 1]
-    nrm_prd: np.ndarray  # [N] l_prd min-max scaled into [0, 1]
-    states: np.ndarray  # [N] agreement states 1..5 of `predicted` (data.audit_states)
+    Each field is an [N] array and declares its dtype in its metadata
+    ("dtype"), which `profile` returns. That is all a process needs to
+    hold a cloud in shared memory (`lab._shared_arrays`): one array per
+    field of `dataclasses.fields(LossProfile)`.
+    """
+
+    l_nis: np.ndarray = field(metadata={"dtype": np.float64})  # CE against the dataset label, nats
+    l_prd: np.ndarray = field(metadata={"dtype": np.float64})  # CE against its own argmax, nats
+    predicted: np.ndarray = field(metadata={"dtype": np.int64})  # argmax, ties to the lowest class
+    nrm_nis: np.ndarray = field(metadata={"dtype": np.float64})  # l_nis min-max scaled into [0, 1]
+    nrm_prd: np.ndarray = field(metadata={"dtype": np.float64})  # l_prd min-max scaled into [0, 1]
+    states: np.ndarray = field(metadata={"dtype": np.int64})  # states 1..5 (data.audit_states)
 
     @property
     def n_samples(self) -> int:

@@ -207,8 +207,9 @@ def run_epoch(
     a selection epoch, it profiles net1 and fits its cloud. It serves the
     partner softmaxes of each turn that trains on a division (`loop`).
     A turn calls `loop` only when it gives the writer such work, and
-    net2's turn reads its division first. Without `offload` everything
-    runs in this process, and the bytes are the same either way.
+    net2's turn reads its division first. Both calls name `epoch`: the
+    writer keeps no count of its own. Without `offload` everything runs in
+    this process, and the bytes are the same either way.
 
     Returns the selection reports per consuming network plus the fit
     errors (None outside selection epochs), and the profiles of a
@@ -233,7 +234,7 @@ def run_epoch(
         table = None
         if dst:
             if offload is not None and i == 1:
-                table, report, fit_errors = offload.division()
+                table, report, fit_errors = offload.division(epoch)
             else:
                 source = (i + 1) % len(active)
                 table, report, fit_errors = divide(profiles[source], cfg, NET_NAMES[source])
@@ -242,7 +243,7 @@ def run_epoch(
         serve, divide_next = table is not None, i == 1 and next_dst
         published = _unpublished
         if offload is not None and (serve or divide_next):
-            published = offload.loop(i, order, workspaces[0].flat, serve, divide_next)
+            published = offload.loop(epoch, i, order, workspaces[0].flat, serve, divide_next)
         refinement = None
         if table is not None:
             # The partner as it stands now, after the earlier consumer's updates.

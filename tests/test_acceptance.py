@@ -17,10 +17,11 @@ with `scripts/runs.py baseline` and is frozen below; criterion 5 re-runs
 the baseline and refuses to proceed if the frozen number no longer
 reproduces.
 
-The benchmark run's files are pinned too: their `scripts/runs.py
-reference` digests must match those recorded on the same numpy and
-OpenBLAS core. On any other toolchain that test skips and names the one
-it found.
+The files of every distinct run of the battery are pinned too: their
+`scripts/runs.py` digests must match those recorded on the same numpy and
+OpenBLAS core (for the benchmark run, what `scripts/runs.py reference`
+prints). On any other toolchain those tests skip and name the one they
+found.
 """
 
 import csv
@@ -53,6 +54,37 @@ GOLDEN_DIGESTS = {
     "digest": "de870d87441bf07b4d260b40f5188b56e147219f1cd38846a819a2667621aef5",
     "scatter_digest": "5081428326fadf9d151b51a97c42e8c7119b5ad9fbef434443b7fcbd767ad38a",
     "files_digest": "b7a75e920b7b445f2c727f81b61d8edbe13ee54183e1004a745bd85d9fea5d07",
+}
+# The same `runs.digests` of the battery's other distinct runs, on the same
+# toolchain. `mem_ce` sends the writer no turn and dumps no cloud (its
+# scatter digest is that of no bytes); `r08_single` trains without the
+# writer's help.
+BATTERY_DIGESTS = {
+    "mem_dst": {
+        "digest": "c517af10bf23bcf80983702c291fbd7402ee0b6101861c07a1a853f8e9151cd7",
+        "scatter_digest": "737a7e9de33c21924b1ae4de1fef331a10929e8444f42c290c9132f2a8bb74a3",
+        "files_digest": "690f1ba561409d205efabdce5ecfcbaa2cad96fb9368035250cd2cf370156bd1",
+    },
+    "mem_ce": {
+        "digest": "d6429c4ab73499fe84ff04cc5537b12bf12a7ffd6b9fd5106c2921d858398ab9",
+        "scatter_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files_digest": "e7b842067f79b8d920abebc21abfd91fe6b5f1e0227e1f3763ac115a4d5a22de",
+    },
+    "r08": {
+        "digest": "aa9b458ca14e4b5455fff5fddeb926fc65857b3581968c7c5f87ccae45775d43",
+        "scatter_digest": "b143a2ef9977c9b1ca7c8a6bb041024531167cf19fbfad330081f945ff631239",
+        "files_digest": "db4e8c9960573bcbd38cd0e1fc705a36173028f8b6839199cac5e4f5975b55fb",
+    },
+    "r08_nomix": {
+        "digest": "9a269ba23173cbbc29be088fd027b7e20c8045861a42084928b2faf26a4daa08",
+        "scatter_digest": "d88ef28c4037d4002c3e17dedd2f4ca60e9640314b29485ae7d6dc58c8c6983c",
+        "files_digest": "c6f4199be6d22042b523611bc61fcbcf00e27537894666c79b8313d6473528d6",
+    },
+    "r08_single": {
+        "digest": "a11ebb7fda19eda1ccf51da6de8f2892a8ee2ecbbe97e6eb9314d94a532ad0a3",
+        "scatter_digest": "124b3e96f00c33563db480ab1000e85f5d4c005d294810293d714d71b23921f9",
+        "files_digest": "2efd30902540c3a8a992cc048b40f04ce84a59c8c86dc84b77cb5ad8aa821cad",
+    },
 }
 
 
@@ -329,7 +361,7 @@ def test_criterion_8_summaries_are_byte_identical(battery, record_criterion):
     assert ok
 
 
-def test_benchmark_run_files_match_the_golden_digests(battery):
+def skip_off_the_golden_toolchain() -> None:
     # Floats are exact only on one BLAS build and core, so the digests are
     # checked where they were recorded.
     core = openblas_core()
@@ -339,4 +371,14 @@ def test_benchmark_run_files_match_the_golden_digests(battery):
             f"{GOLDEN_TOOLCHAIN[1]}; found numpy {np.__version__} with "
             f"{'no bundled OpenBLAS' if core is None else f'OpenBLAS core {core}'}"
         )
+
+
+def test_benchmark_run_files_match_the_golden_digests(battery):
+    skip_off_the_golden_toolchain()
     assert load_runs().digests(battery["dst"]) == GOLDEN_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY_DIGESTS))
+def test_battery_run_files_match_their_golden_digests(battery, name):
+    skip_off_the_golden_toolchain()
+    assert load_runs().digests(battery[name]) == BATTERY_DIGESTS[name]

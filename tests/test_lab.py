@@ -727,6 +727,7 @@ class TestScatterWriter:
         def refused_fork():
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+        real_fork = os.fork
         monkeypatch.setattr(os, "fork", refused_fork)
         out = tmp_path / "out"
         config_path = tmp_path / "config.json"
@@ -741,6 +742,12 @@ class TestScatterWriter:
         with pytest.raises(StructuralError, match="cannot start the epoch writer") as info:
             run(small_config(), tmp_path / "r")
         assert isinstance(info.value.__cause__, BlockingIOError)
+        # The failed start left the directory empty, so the same config runs
+        # into it once a fork succeeds.
+        assert list(out.iterdir()) == []
+        monkeypatch.setattr(os, "fork", real_fork)
+        assert cli.main(["run", str(config_path)]) == 0
+        assert (out / "summary.json").is_file()
 
     def test_writer_killed_mid_run_is_a_structural_error(self, tmp_path, monkeypatch, forks):
         real = lab.evaluate
@@ -1004,8 +1011,8 @@ class TestOffload:
         counts = {"published": 0, "computed": 0, "divisions": 0}
         real_loop, real_division = lab._EpochWriter.loop, lab._EpochWriter.division
 
-        def loop(self, i, order, net1, serve, divide_next):
-            lookup = real_loop(self, i, order, net1, serve, divide_next)
+        def loop(self, epoch, i, order, net1, serve, divide_next):
+            lookup = real_loop(self, epoch, i, order, net1, serve, divide_next)
 
             def counted(b):
                 rows = lookup(b)
@@ -1014,9 +1021,9 @@ class TestOffload:
 
             return counted
 
-        def division(self):
+        def division(self, epoch):
             counts["divisions"] += 1
-            return real_division(self)
+            return real_division(self, epoch)
 
         monkeypatch.setattr(lab._EpochWriter, "loop", loop)
         monkeypatch.setattr(lab._EpochWriter, "division", division)
@@ -1143,10 +1150,10 @@ class TestOffload:
         real_division, real_divide = lab._EpochWriter.division, lab.divide
         run_pid = os.getpid()
 
-        def division(self):
-            if self.epoch == 3:
+        def division(self, epoch):
+            if epoch == 3:
                 waiting.touch()
-            return real_division(self)
+            return real_division(self, epoch)
 
         def dying_divide(prof, cfg, source):
             if os.getpid() != run_pid and len(logged_calls(tmp_path / "divide")) == 1:
@@ -1183,13 +1190,13 @@ class TestOffload:
         steps, orders = [], []
         real_loop, real_step = lab._EpochWriter.loop, network.Workspace.step
 
-        def loop(self, i, order, net1, serve, divide_next):
-            if self.epoch == 3 and i == 1:
+        def loop(self, epoch, i, order, net1, serve, divide_next):
+            if epoch == 3 and i == 1:
                 # Hidden unit 0 of the [2, 8, 3] net: weights net1[0:2], bias net1[16].
                 net1[0], net1[1], net1[16] = np.finfo(np.float64).max / (x0 * (1 - 1e-9)), 0.0, 0.0
                 steps.clear()
                 orders.append(order.copy())
-            return real_loop(self, i, order, net1, serve, divide_next)
+            return real_loop(self, epoch, i, order, net1, serve, divide_next)
 
         def step(self, learning_rate):
             steps.append(1)

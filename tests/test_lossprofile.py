@@ -71,6 +71,20 @@ class TestProfile:
         assert prof.states.tolist() == [1, 2, 3, 4, 5]
         np.testing.assert_array_equal(prof.states, audit_states(ds, prof.predicted))
 
+    @pytest.mark.parametrize(
+        "logits", [[0.6, 0.3, 0.1], [0.0, 0.0, 0.0]], ids=["spread", "flat-axes"]
+    )
+    def test_every_field_has_the_dtype_its_declaration_names(self, logits):
+        # A shared cloud slot is made from these declarations, and a copy
+        # into it would cast any other dtype without a word.
+        prof = profile(bias_net(logits), dataset([0, 1, 2, 1], 3))
+        declared = dataclasses.fields(LossProfile)
+        assert [f.name for f in declared] == list(vars(prof))
+        for f in declared:
+            value = getattr(prof, f.name)
+            assert isinstance(value, np.ndarray) and value.shape == (4,), f.name
+            assert value.dtype == np.dtype(f.metadata["dtype"]), f.name
+
     def test_profile_leaves_parameters_untouched(self):
         net = bias_net([0.3, -0.2, 0.5])
         before = params_hash(net)
