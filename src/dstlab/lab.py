@@ -4,7 +4,9 @@ A run directory is self-describing: manifest.json (written before the
 first report) holds the full config plus derived seeds, reports/ holds
 one JSON per epoch, scatter/ holds per-network normalized loss clouds,
 checkpoints/ holds the final parameters, and summary.json condenses the
-run into scalars. A forked writer process writes every one of them.
+run into scalars. `run` only claims the directory and trains; a forked
+writer process makes everything inside it: the three subdirectories,
+every file, and each report whole.
 Summaries contain no paths or timestamps, so identical configs and seeds
 produce byte-identical summary files.
 
@@ -256,9 +258,9 @@ def _serve_run(
     test: CleanDataset,
     seeds: dict[str, int],
 ) -> None:
-    """Writer loop: write every file of the run, and carry out the reads
-    of frozen networks that `training.run_epoch` asks for. Messages, in the
-    order the run sends them:
+    """Writer loop: make everything inside the run directory, and carry
+    out the reads of frozen networks that `training.run_epoch` asks for.
+    Messages, in the order the run sends them:
 
     - ("loop", e, i, serve, divide_next): net i's turn of epoch e starts;
       its batch order, and at net2's turn net1's parameters of epoch e, are
@@ -267,16 +269,19 @@ def _serve_run(
       epoch e for net2. With `divide_next`, then profile net1, put its
       cloud in its profile slot of epoch e+1 and make net2's division for
       epoch e+1 from it.
-    - ("epoch", e, report, n_dumps): epoch e is trained. Write the clouds
+    - ("epoch", e, selection, n_dumps): epoch e is trained, with these
+      selection reports (None outside selection epochs). Write the clouds
       of its first `n_dumps` networks from their profile slots (one slot
-      per field of `LossProfile`), evaluate it and write its report; after
-      the final epoch, if no error has occurred, the checkpoints and
-      summary.json.
+      per field of `LossProfile`), evaluate it and write its report, built
+      here whole; after the final epoch, if no error has occurred, the
+      checkpoints and summary.json.
 
     Each "epoch" message is answered with the first error so far, or None,
     and with the division made since the last answer (its fit errors and
-    report), or None. The dataset, its sidecar and the manifest come
-    first. A failed dump does not stop the report.
+    report), or None. The subdirectories come first, then the dataset, its
+    sidecar and the manifest. A subdirectory that cannot be made is an
+    error, and the ones made before it are removed, so the run leaves the
+    directory as it found it. A failed dump does not stop the report.
 
     Every message names its epoch, so the loop counts nothing. It keeps
     only what it answers: the first error (the run stops at the answer
@@ -293,6 +298,14 @@ def _serve_run(
         "n_test": test.n_samples,
     }
     try:
+        subdirs = [run_dir / sub for sub in ("reports", "scatter", "checkpoints")]
+        try:
+            for path in subdirs:
+                path.mkdir()
+        except OSError as exc:
+            for path in subdirs[: subdirs.index(path)]:
+                path.rmdir()
+            raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
         table, sidecar = save_dataset(train)
         _write(run_dir / "dataset.csv", table)
         _write(sidecar_path(run_dir / "dataset.csv"), sidecar)
@@ -334,7 +347,7 @@ def _serve_run(
             except Exception as exc:  # noqa: BLE001 - answered to the run
                 error = error or exc
             continue
-        report, n_dumps = message[2:]
+        selection, n_dumps = message[2:]
         try:
             for i, name in enumerate(NET_NAMES[:n_dumps]):
                 prof = LossProfile(**{f.name: shared[f.name][slot, i] for f in fields(LossProfile)})
@@ -343,7 +356,13 @@ def _serve_run(
             error = error or exc
         try:
             params = dict(zip(NET_NAMES, nets[slot]))
-            report["test_accuracy"] = evaluate(params, test.features, test.true_labels, ensemble)
+            report = {
+                "epoch": epoch,
+                "phase": cfg.phase_at(epoch),
+                "learning_rate": cfg.learning_rate_at(epoch),
+                "selection": selection,
+                "test_accuracy": evaluate(params, test.features, test.true_labels, ensemble),
+            }
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             _write(run_dir / "reports" / f"epoch_{epoch:03d}.json", text.encode())
             reports.append(report)
@@ -364,9 +383,10 @@ _WRITER_GONE = "the epoch writer process ended early"
 
 
 class _EpochWriter:
-    """A forked process that writes every file of a run (`_serve_run`) and
-    carries out the reads of frozen networks that `training.run_epoch`
-    hands it.
+    """A forked process that makes everything inside a run's directory
+    (`_serve_run`): its subdirectories, every file and each report whole.
+    It also carries out the reads of frozen networks that
+    `training.run_epoch` hands it.
 
     It inherits the config, both datasets and the seeds at the fork.
     Parameters, batch orders, net2's branch tables, partner softmaxes and
@@ -379,14 +399,14 @@ class _EpochWriter:
     Per epoch the run sends, in order: one ("loop", ...) message per
     network turn in which `run_epoch` gives the writer work (`loop`), and
     ("epoch", ...) once the epoch is trained (`submit`). The handle counts
-    no epochs: `loop` and `division` take the epoch `run_epoch` trains,
-    and `submit` the one its report names. The writer answers each
-    "epoch" message, also with net2's division for the next epoch. At most
-    one answer is unread: the run reads the answer to epoch e-1 at net2's
-    turn of epoch e, for the division it trains on (`division`), or, in
-    any other epoch, before it sends epoch e. It never waits for a partner
-    softmax: `loop` returns a lookup that yields a batch once the progress
-    pipe says the writer published it, and None before.
+    no epochs: `loop`, `division` and `submit` take the epoch `run_epoch`
+    trains. The writer answers each "epoch" message, also with net2's
+    division for the next epoch. At most one answer is unread: the run
+    reads the answer to epoch e-1 at net2's turn of epoch e, for the
+    division it trains on (`division`), or, in any other epoch, before it
+    sends epoch e. It never waits for a partner softmax: `loop` returns a
+    lookup that yields a batch once the progress pipe says the writer
+    published it, and None before.
 
     Fork it on one BLAS thread (`one_blas_thread`): the writer inherits the
     count, and a fork copies none of the BLAS's threads. As a context
@@ -500,12 +520,15 @@ class _EpochWriter:
         table = tuple(self.shared[name][epoch % 2] for name in ("keep", "lean", "wrong"))
         return None if report["fallback"] else table, report, fit_errors
 
-    def submit(self, flats: list[np.ndarray], report: dict, dumps: list) -> None:
-        """Send the parameters, report and profiles to dump (None: net1's,
-        which the writer put in its slot) of the epoch `report` names."""
+    def submit(
+        self, epoch: int, flats: list[np.ndarray], selection: dict | None, profiles: list
+    ) -> None:
+        """Send `epoch`'s parameters and selection reports, and its profiles
+        (None: net1's, which the writer put in its slot) if the epoch's
+        clouds are due for dumping (`_scatter_due`)."""
         self._answer()
-        epoch = report["epoch"]
         slot = epoch % 2
+        dumps = profiles if _scatter_due(self.cfg, epoch) else []
         # In an epoch where net2's turn handed net1 over (`loop`), net1's
         # slot already holds these bytes, and the writer may be reading it:
         # writing the same bytes again changes nothing it reads.
@@ -515,7 +538,7 @@ class _EpochWriter:
             if prof is not None:
                 for f in fields(LossProfile):
                     self.shared[f.name][slot, i] = getattr(prof, f.name)
-        self._send(("epoch", epoch, report, len(dumps)))
+        self._send(("epoch", epoch, selection, len(dumps)))
         self.pending = True
 
     def __enter__(self) -> _EpochWriter:
@@ -538,7 +561,10 @@ class _EpochWriter:
 
 
 def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
-    """Execute one experiment end to end; returns the run directory."""
+    """Execute one experiment end to end; returns the run directory.
+
+    Claims the directory (an empty or new one) and trains; the epoch
+    writer makes everything inside it."""
     run_dir = _resolve_run_dir(cfg, output_dir)
     try:
         if run_dir.is_dir() and any(run_dir.iterdir()):
@@ -554,14 +580,6 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
     # Both processes train or evaluate on one BLAS thread: an idle second
     # thread spins between calls. Results do not depend on the count.
     with one_blas_thread(), _EpochWriter(run_dir, cfg, train, test, seeds) as writer:
-        # Made only now, so a run that fails to start leaves the directory
-        # empty and the same config can run into it again. The writer puts
-        # nothing in them before the first epoch is sent.
-        try:
-            for sub in ("reports", "scatter", "checkpoints"):
-                (run_dir / sub).mkdir()
-        except OSError as exc:
-            raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
         streams = RngStreams.from_master(cfg.master_seed)
         workspaces = [
             Workspace(init_network(cfg.layer_sizes(), rng), cfg.momentum, cfg.weight_decay)
@@ -570,15 +588,7 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
         offload = None if cfg.single_network else writer
         for epoch in range(1, cfg.total_epochs + 1):
             selection, profiles = run_epoch(epoch, workspaces, train, cfg, streams, offload)
-            report = {
-                "epoch": epoch,
-                "phase": cfg.phase_at(epoch),
-                "learning_rate": cfg.learning_rate_at(epoch),
-                "selection": selection,
-            }
-            writer.submit(
-                [ws.flat for ws in workspaces], report, profiles if _scatter_due(cfg, epoch) else []
-            )
+            writer.submit(epoch, [ws.flat for ws in workspaces], selection, profiles)
     return run_dir
 
 

@@ -7,21 +7,32 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dstlab import cli, lab, network, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
-from dstlab.data import STATE_NAMES
-from dstlab.errors import ConfigError, GmmFitError, NotFoundError, NumericError, StructuralError
+from dstlab.data import NOISE_KINDS, STATE_NAMES
+from dstlab.errors import (
+    ConfigError,
+    GmmFitError,
+    LabError,
+    NotFoundError,
+    NumericError,
+    StructuralError,
+)
 from dstlab.lab import compare, dump_scatter, load_summary, run, scatter_csv_path
 from dstlab.lossprofile import minmax_normalize
 from dstlab.network import Workspace, init_network
 from dstlab.rng import NET_NAMES, RngStreams
+from dstlab.selection import BRANCH_NAMES
 from oracles import load_checkpoint, write_scatter_reference
 
 
@@ -749,6 +760,33 @@ class TestScatterWriter:
         assert cli.main(["run", str(config_path)]) == 0
         assert (out / "summary.json").is_file()
 
+    @pytest.mark.parametrize("name", ["reports", "scatter", "checkpoints"])
+    def test_uncreatable_subdirectory_leaves_the_directory_re_runnable(
+        self, tmp_path, monkeypatch, capsys, forks, name
+    ):
+        # The writer makes the subdirectories; when it cannot make one, the
+        # run stops at its first answer and the directory is as it was.
+        real_mkdir = Path.mkdir
+
+        def refused_mkdir(self, *args, **kwargs):
+            if self.name == name:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", refused_mkdir)
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(small_config(output_dir=str(out)))))
+        assert cli.main(["run", str(config_path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create run directory {out}: ")
+        assert os.strerror(errno.EACCES) in err and "Traceback" not in err
+        assert_reaped(forks)
+        assert list(out.iterdir()) == []
+        monkeypatch.setattr(Path, "mkdir", real_mkdir)
+        assert cli.main(["run", str(config_path)]) == 0
+        assert (out / "summary.json").is_file()
+
     def test_writer_killed_mid_run_is_a_structural_error(self, tmp_path, monkeypatch, forks):
         real = lab.evaluate
         evaluated = tmp_path / "evaluated"
@@ -1212,6 +1250,87 @@ class TestOffload:
         (order,) = orders
         batch = int(np.flatnonzero(order == row)[0]) // cfg.batch_size
         assert batch > 0 and len(steps) == batch
+
+
+@st.composite
+def tiny_configs(draw) -> ExperimentConfig:
+    """Small configs across every knob a run's branches turn on: set and
+    net sizes, noise, the ablations, the dump cadence, the thresholds and
+    mixture anchors near their edges, and few EM iterations."""
+    warmup = draw(st.integers(1, 2))
+    unit_open = st.floats(0, 1, exclude_min=True, exclude_max=True)
+    # Anchor coordinates at and next to both ends of the unit interval.
+    edge = st.sampled_from((0.0, 1e-9, 0.5, 1 - 1e-9, 1.0))
+    return ExperimentConfig(
+        n_classes=draw(st.integers(2, 6)),
+        per_class=draw(st.integers(1, 30)),
+        test_per_class=draw(st.integers(1, 5)),
+        n_features=draw(st.integers(1, 4)),
+        hidden_sizes=draw(st.lists(st.integers(1, 16), min_size=1, max_size=2)),
+        noise_kind=draw(st.sampled_from(NOISE_KINDS)),
+        noise_rate=draw(st.floats(0, 1)),
+        warmup_epochs=warmup,
+        total_epochs=warmup + draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(2, 16)),
+        tau_r=draw(unit_open),
+        tau_prd=draw(unit_open),
+        gmm_max_iter=draw(st.integers(1, 3)),
+        gmm_anchors=draw(st.lists(st.tuples(edge, edge), min_size=3, max_size=3, unique=True)),
+        ce_only=draw(st.booleans()),
+        no_mixup=draw(st.booleans()),
+        single_network=draw(st.booleans()),
+        disable_branch=draw(st.sampled_from([None, "labeled", "predicted"])),
+        all_wrong=draw(st.booleans()),
+        scatter_every=draw(st.integers(0, 2)),
+        master_seed=draw(st.integers(0, 1000)),
+        data_seed=draw(st.integers(0, 1000)),
+    )
+
+
+class TestRandomTinyConfigs:
+    @given(cfg=tiny_configs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_runs_end_to_end_against_their_invariants(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp) / "r"
+            try:
+                run(cfg, run_dir)
+            except LabError:
+                assert not list(run_dir.rglob("*.tmp"))
+                return
+            assert {path.name for path in run_dir.iterdir()} == {
+                "dataset.csv", "dataset.csv.json", "manifest.json", "summary.json",
+                "reports", "scatter", "checkpoints",
+            }
+            assert not list(run_dir.rglob("*.tmp"))
+            assert oracles.summary_from_files(run_dir) == (run_dir / "summary.json").read_text()
+            n_train = load_summary(run_dir)["n_train"]
+            consumers = NET_NAMES[:1] if cfg.single_network else NET_NAMES
+            # Consumer i trains on its source's cloud; a fallback is a failed fit of it.
+            sources = dict(zip(consumers, consumers[1:] + consumers[:1]))
+            for epoch in range(1, cfg.total_epochs + 1):
+                report = json.loads((run_dir / "reports" / f"epoch_{epoch:03d}.json").read_text())
+                selection = report["selection"]
+                if selection is None:
+                    continue
+                failed = {sources[name] for name in consumers if selection[name]["fallback"]}
+                assert set(selection["fit_errors"]) == failed
+                for name in consumers:
+                    entry = selection[name]
+                    if entry["fallback"]:
+                        continue
+                    assert entry["source"] == sources[name]
+                    assert sum(entry["branches"][b]["size"] for b in BRANCH_NAMES) == n_train
+                    path = scatter_csv_path(run_dir, epoch, entry["source"])
+                    assert path.exists() == lab._scatter_due(cfg, epoch)
+                    if not path.exists():
+                        continue
+                    with path.open(newline="") as fh:
+                        column = [int(row["state"]) for row in csv.DictReader(fh)]
+                    assert len(column) == n_train
+                    for code, state in enumerate(STATE_NAMES, start=1):
+                        counted = sum(entry["branches"][b]["states"][state] for b in BRANCH_NAMES)
+                        assert counted == column.count(code)
 
 
 class TestDumpScatter:
