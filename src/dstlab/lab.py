@@ -277,16 +277,16 @@ def _serve_run(
       checkpoints and summary.json.
 
     Each "epoch" message is answered with the first error so far, or None,
-    and with the division made since the last answer (its fit errors and
-    report), or None. The subdirectories come first, then the dataset, its
+    and with the report of the division made since the last answer, or
+    None. The subdirectories come first, then the dataset, its
     sidecar and the manifest. A subdirectory that cannot be made is an
     error, and the ones made before it are removed, so the run leaves the
     directory as it found it. A failed dump does not stop the report.
 
     Every message names its epoch, so the loop counts nothing. It keeps
     only what it answers: the first error (the run stops at the answer
-    that carries it, and any error stops the final files), the division
-    not answered yet, and the reports the summary condenses.
+    that carries it, and any error stops the final files), the division's
+    report not answered yet, and the reports the summary condenses.
     """
     error = None
     manifest = {
@@ -318,7 +318,7 @@ def _serve_run(
     nets = [[layer_views(flat, sizes) for flat in slot] for slot in shared["params"]]
     ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     reports: list[dict] = []
-    division = None  # net2's fit errors and report for the next epoch, not answered yet
+    division = None  # net2's report for the next epoch, not answered yet
     while True:
         try:
             message = pickle.load(requests)
@@ -339,11 +339,10 @@ def _serve_run(
                     prof = profile(nets[slot][0], train)
                     for f in fields(LossProfile):
                         shared[f.name][1 - slot, 0] = getattr(prof, f.name)
-                    table, report, fit_errors = divide(prof, cfg, "net1")
+                    table, division = divide(prof, cfg, "net1")
                     if table is not None:
                         for name, column in zip(("keep", "lean", "wrong"), table):
                             shared[name][1 - slot] = column
-                    division = (fit_errors, report)
             except Exception as exc:  # noqa: BLE001 - answered to the run
                 error = error or exc
             continue
@@ -467,20 +466,20 @@ class _EpochWriter:
         except BrokenPipeError:
             raise StructuralError(_WRITER_GONE) from None
 
-    def _answer(self) -> tuple[dict, dict] | None:
+    def _answer(self) -> dict | None:
         """Read the writer's answer to the epoch in flight, if it is unread,
-        and raise its error. Returns the division the writer made since its
-        last answer, as (fit errors, report), or None."""
+        and raise its error. Returns the report of the division the writer
+        made since its last answer, or None."""
         if not self.pending:
             return None
         self.pending = False
         try:
-            error, division = pickle.load(self.replies)
+            error, report = pickle.load(self.replies)
         except EOFError:
             raise StructuralError(_WRITER_GONE) from None
         if error is not None:
             raise error
-        return division
+        return report
 
     def loop(
         self, epoch: int, i: int, order: np.ndarray, net1: np.ndarray, serve: bool,
@@ -512,13 +511,13 @@ class _EpochWriter:
 
         return published
 
-    def division(self, epoch: int) -> tuple[BranchTable | None, dict, dict[str, str]]:
-        """Net2's branch table for `epoch` (None: it falls back), its report
-        and the fit error of net1's cloud, if any: `selection.divide` of
-        net1's cloud, from the writer's answer to the epoch before."""
-        fit_errors, report = self._answer()
+    def division(self, epoch: int) -> tuple[BranchTable | None, dict]:
+        """Net2's branch table for `epoch` (None: it falls back) and its
+        report: `selection.divide` of net1's cloud, from the writer's answer
+        to the epoch before."""
+        report = self._answer()
         table = tuple(self.shared[name][epoch % 2] for name in ("keep", "lean", "wrong"))
-        return None if report["fallback"] else table, report, fit_errors
+        return None if report["fallback"] else table, report
 
     def submit(
         self, epoch: int, flats: list[np.ndarray], selection: dict | None, profiles: list

@@ -74,21 +74,21 @@ def partition(w_r: np.ndarray, w_prd: np.ndarray, cfg: ExperimentConfig) -> np.n
 
 def divide(
     prof: LossProfile, cfg: ExperimentConfig, source: str
-) -> tuple[BranchTable | None, dict, dict[str, str]]:
+) -> tuple[BranchTable | None, dict]:
     """The branch table and report of network `source`'s loss cloud, for
-    the network that trains on it, and the fit's error under `source`.
+    the network that trains on it. The report is the division's only record.
 
     Labeled rows keep w_r of the label and lean 1 - w_r on the ensemble;
     predicted rows keep 1 - w_prd and lean w_prd. A failed fit gives no
-    table and a fallback report: its consumer trains on plain
-    cross-entropy that epoch.
+    table and a fallback report that names `source` and the fit's error
+    as its `reason`: its consumer trains on plain cross-entropy that epoch.
     """
     anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
     points = np.column_stack([prof.nrm_nis, prof.nrm_prd])
     try:
         model = fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
     except GmmFitError as exc:
-        return None, {"fallback": True}, {source: str(exc)}
+        return None, {"fallback": True, "reason": str(exc), "source": source}
     roles = assign_roles(model, anchors)
     # The fit's last E-step ran on these points with these parameters.
     w_r, w_prd = model.resp[:, roles["labeled"]], model.resp[:, roles["predicted"]]
@@ -103,7 +103,7 @@ def divide(
         "branches": branch_report(branches, prof.states),
         "fallback": False,
     }
-    return (keep, lean, branches == BRANCH_WRONG), report, {}
+    return (keep, lean, branches == BRANCH_WRONG), report
 
 
 def _rate(numerator: int, denominator: int) -> float | None:

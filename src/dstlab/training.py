@@ -199,7 +199,8 @@ def run_epoch(
     parameters from the end of the previous epoch, before any update in
     this one, and a partner is read as it stands when its consumer's loop
     starts, after the earlier consumer's updates. A failed fit sends its
-    consumer through a plain cross-entropy epoch, flagged in its report.
+    consumer through a plain cross-entropy epoch, flagged in its report
+    with the reason.
 
     `offload`, if given, is the run's epoch writer (`lab._EpochWriter`;
     two networks only), and this function alone decides its work. It
@@ -211,14 +212,14 @@ def run_epoch(
     writer keeps no count of its own. Without `offload` everything runs in
     this process, and the bytes are the same either way.
 
-    Returns the selection reports per consuming network plus the fit
-    errors (None outside selection epochs), and the profiles of a
+    Returns the selection reports per consuming network (None outside
+    selection epochs; see `selection.divide`), and the profiles of a
     selection epoch's networks in `NET_NAMES` order (none otherwise); net1's
     is None with `offload`, which made it.
     """
     dst = cfg.phase_at(epoch) == "dst"
     active = workspaces[:1] if dst and cfg.single_network else workspaces
-    selection: dict | None = {"fit_errors": {}} if dst else None
+    selection: dict | None = {} if dst else None
     profiles: list[LossProfile | None] = []
     if dst:
         # `profile` audits each network before the next one is profiled, and
@@ -234,12 +235,10 @@ def run_epoch(
         table = None
         if dst:
             if offload is not None and i == 1:
-                table, report, fit_errors = offload.division(epoch)
+                table, selection[NET_NAMES[i]] = offload.division(epoch)
             else:
                 source = (i + 1) % len(active)
-                table, report, fit_errors = divide(profiles[source], cfg, NET_NAMES[source])
-            selection["fit_errors"].update(fit_errors)
-            selection[NET_NAMES[i]] = report
+                table, selection[NET_NAMES[i]] = divide(profiles[source], cfg, NET_NAMES[source])
         serve, divide_next = table is not None, i == 1 and next_dst
         published = _unpublished
         if offload is not None and (serve or divide_next):

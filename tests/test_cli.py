@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,9 +10,11 @@ from dstlab.cli import main
 from dstlab.config import ExperimentConfig, config_to_dict
 from dstlab.lab import SUMMARY_FORMAT
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def write_config(tmp_path, **overrides):
-    cfg = ExperimentConfig(
+    base = dict(
         n_classes=3,
         per_class=20,
         test_per_class=10,
@@ -18,8 +23,8 @@ def write_config(tmp_path, **overrides):
         warmup_epochs=1,
         batch_size=8,
         noise_rate=0.2,
-        **overrides,
     )
+    cfg = ExperimentConfig(**{**base, **overrides})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(cfg)))
     return path
@@ -202,6 +207,39 @@ class TestCompare:
         assert main(["compare", str(finished_run), str(finished_run)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read summary") and "Permission denied" in err
+
+
+class TestPythonDashM:
+    """`python -m dstlab` in a fresh interpreter that finds the package on
+    PYTHONPATH, as in a checkout without an install."""
+
+    @staticmethod
+    def dstlab(tmp_path, *args):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.run(
+            [sys.executable, "-m", "dstlab", *args],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_run_prints_the_run_directory(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, total_epochs=4, warmup_epochs=2, output_dir=str(out))
+        done = self.dstlab(tmp_path, "run", str(cfg_path))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{out}\n"
+        assert (out / "summary.json").is_file()
+
+    def test_unknown_key_exits_one_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"per_clas": 20}))
+        done = self.dstlab(tmp_path, "run", str(path))
+        assert done.returncode == 1
+        assert done.stderr.startswith("config error:") and "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 class TestParser:

@@ -63,7 +63,6 @@ def capture_divisions(m, module):
             prof=prof,
             table=result[0],
             report=result[1],
-            fit_errors=result[2],
         )
         return result
 
@@ -211,7 +210,10 @@ class TestCoDivide:
         selection_reports, divisions = selection_epoch(clouds)
         assert selection_reports["net1"]["source"] == "net2"
         assert selection_reports["net2"]["source"] == "net1"
-        assert selection_reports["fit_errors"] == {}
+        assert {name: r["fallback"] for name, r in selection_reports.items()} == {
+            "net1": False,
+            "net2": False,
+        }
         for source, cloud in zip(("net1", "net2"), clouds):
             assert divisions[source].report["source"] == source
             np.testing.assert_array_equal(divisions[source].prof.nrm_nis, cloud[:, 0])
@@ -230,7 +232,7 @@ class TestCoDivide:
     def test_report_holds_the_fit_roles_and_branches(self):
         prof = profile_at(self.separated_cloud(np.random.default_rng(5)))
         division = divided(prof, "net2")
-        assert division.fit_errors == {}
+        assert division.table is not None
         assert division.report == {
             "n_samples": 90,
             "source": "net2",
@@ -266,16 +268,20 @@ class TestCoDivide:
         sizes = selection_reports["net2"]["branches"]
         assert sizes["labeled"]["size"] == int((division.branches == BRANCH_LABELED).sum())
 
-    def test_tiny_profiles_fall_back_via_fit_errors(self):
+    def test_tiny_profiles_fall_back_with_their_reason(self):
         prof = profile_at(np.full((3, 2), 0.5))
+        reason = "need at least 6 points to fit, got 3"
         for source in ("net1", "net2"):
-            table, report, fit_errors = selection.divide(prof, DEFAULTS, source)
-            assert table is None and report == {"fallback": True}
-            assert fit_errors == {source: "need at least 6 points to fit, got 3"}
+            table, report = selection.divide(prof, DEFAULTS, source)
+            assert table is None
+            assert report == {"fallback": True, "reason": reason, "source": source}
         selection_reports, divisions = selection_epoch([np.full((3, 2), 0.5)] * 2)
         assert {source: d.table for source, d in divisions.items()} == {"net1": None, "net2": None}
-        assert set(selection_reports["fit_errors"]) == {"net1", "net2"}
-        assert selection_reports["net1"] == selection_reports["net2"] == {"fallback": True}
+        # Each consumer's report names the network whose cloud failed.
+        assert selection_reports == {
+            "net1": {"fallback": True, "reason": reason, "source": "net2"},
+            "net2": {"fallback": True, "reason": reason, "source": "net1"},
+        }
 
     def test_settings_come_from_the_config(self, monkeypatch):
         calls = []
@@ -315,9 +321,9 @@ class TestSelfDivide:
         selection_reports, divisions = selection_epoch([cloud], single_network=True)
         assert len(fits) == 1
         reference = divided(profile_at(cloud), "net1")
-        assert list(divisions) == ["net1"] and reference.fit_errors == {}
+        assert list(divisions) == ["net1"] and reference.table is not None
         assert selection_reports["net1"]["source"] == "net1"
-        assert set(selection_reports) == {"fit_errors", "net1"}
+        assert set(selection_reports) == {"net1"}
         single = divisions["net1"]
         np.testing.assert_array_equal(single.branches, reference.branches)
         np.testing.assert_array_equal(single.w_r, reference.w_r)
@@ -329,9 +335,13 @@ class TestSelfDivide:
         selection_reports, divisions = selection_epoch([tiny], single_network=True)
         assert list(divisions) == ["net1"] and divisions["net1"].table is None
         assert selection_reports == {
-            "fit_errors": divided(profile_at(tiny), "net1").fit_errors,
-            "net1": {"fallback": True},
+            "net1": {
+                "fallback": True,
+                "reason": "need at least 6 points to fit, got 3",
+                "source": "net1",
+            },
         }
+        assert divided(profile_at(tiny), "net1").report == selection_reports["net1"]
 
 
 class TestSelectionReport:

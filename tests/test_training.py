@@ -646,13 +646,16 @@ class TestDstEpoch:
         monkeypatch.setattr(
             training,
             "divide",
-            lambda prof, cfg, source: (None, {"fallback": True}, {source: "fit failed"}),
+            lambda prof, cfg, source: (
+                None, {"fallback": True, "reason": "fit failed", "source": source}
+            ),
         )
         before = [params_hash(net) for net in params_of(workspaces)]
         selection, _ = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
-        assert selection["fit_errors"] == {"net1": "fit failed", "net2": "fit failed"}
-        assert selection["net1"] == {"fallback": True}
-        assert selection["net2"] == {"fallback": True}
+        assert selection == {
+            "net1": {"fallback": True, "reason": "fit failed", "source": "net2"},
+            "net2": {"fallback": True, "reason": "fit failed", "source": "net1"},
+        }
         assert params_hash(workspaces[0].params) != before[0]
         assert params_hash(workspaces[1].params) != before[1]
 
@@ -756,7 +759,7 @@ class TestBranchCodes:
         model.resp = np.column_stack([w_r, 1.0 - w_r - w_prd, w_prd])
         monkeypatch.setattr(selection, "fit", lambda *args, **kwargs: model)
         monkeypatch.setattr(selection, "partition", lambda w_r, w_prd, cfg: branches)
-        (keep, lean, wrong), _, _ = divide(profile_predicting(ds), ExperimentConfig(), "net1")
+        (keep, lean, wrong), _ = divide(profile_predicting(ds), ExperimentConfig(), "net1")
         assert keep[:2].tolist() == [0.8, 1.0 - 0.6]
         assert lean[:2].tolist() == [1.0 - 0.8, 0.6]
         assert wrong.tolist() == [False, False, True]
@@ -814,7 +817,7 @@ class TestEpochLoopMatchesOracle:
 
         def failing_divide(prof, cfg, source):
             if (dst_epoch, source) in failing:
-                return None, {"fallback": True}, {source: "forced"}
+                return None, {"fallback": True, "reason": "forced", "source": source}
             return divide(prof, cfg, source)
 
         def failing_weights(prof, cfg, source):
@@ -886,11 +889,14 @@ class TestEpochLoopMatchesOracle:
         # both clouds.
         failing = {(1, "net2"), (2, "net1"), (2, "net2")}
         _, results = self.run_both(8 * self.BATCH + 1, {}, monkeypatch, failing)
-        assert [r["net1"] == {"fallback": True} for r in results] == [True, True, False]
-        assert [r["net2"] == {"fallback": True} for r in results] == [False, True, False]
-        assert [r["fit_errors"] for r in results] == [
-            {"net2": "forced"}, {"net1": "forced", "net2": "forced"}, {}
-        ]
+        # Each consumer's report names its source: net1 trains on net2's cloud.
+        expected = {
+            consumer: {"fallback": True, "reason": "forced", "source": source}
+            for consumer, source in (("net1", "net2"), ("net2", "net1"))
+        }
+        fell_back = {name: [r[name] == fb for r in results] for name, fb in expected.items()}
+        assert fell_back == {"net1": [True, True, False], "net2": [False, True, False]}
+        assert [set(r) for r in results] == [{"net1", "net2"}] * 3
 
 
 class TestEpochRefusesNonFinite:
