@@ -40,7 +40,7 @@ def digests(run_dir: Path) -> dict:
     """`digest`: the SHA-256 over the bytes of summary.json and of
     checkpoints/*.json, in name order, `scatter_digest`: the same over
     scatter/*.csv, and `files_digest`: the same over dataset.csv,
-    dataset.csv.json, manifest.json and reports/*.json, in that order."""
+    manifest.json and reports/*.json, in that order."""
     return {
         "digest": sha256_of(
             [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]
@@ -49,7 +49,6 @@ def digests(run_dir: Path) -> dict:
         "files_digest": sha256_of(
             [
                 run_dir / "dataset.csv",
-                run_dir / "dataset.csv.json",
                 run_dir / "manifest.json",
                 *sorted((run_dir / "reports").glob("*.json")),
             ]

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,6 +162,12 @@ class ExperimentConfig:
         object.__setattr__(self, "gmm_anchors", points)
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
+        # A relative output_dir lies under the output root; "." would make
+        # the root itself one run's directory, and later runs land inside it.
+        if self.output_dir is not None and os.path.normpath(self.output_dir) == ".":
+            raise ConfigError(
+                f"output_dir must not name the output root itself, got {self.output_dir!r}"
+            )
         if self.total_epochs <= self.warmup_epochs:
             raise ConfigError(
                 f"total_epochs ({self.total_epochs}) must exceed "

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +27,6 @@ CENTER_SPACING = 6.0
 NOISE_KINDS = ("sym-c1", "sym-c2", "asym")
 
 STATE_NAMES = ("i", "ii", "iii", "iv", "v")
-
-DATASET_FORMAT = "dstlab-dataset"
-DATASET_VERSION = 1
 
 
 @dataclass
@@ -50,16 +45,8 @@ class CleanDataset:
 
 
 @dataclass
-class NoiseSpec:
-    kind: str  # one of NOISE_KINDS
-    rate: float
-    seed: int
-
-
-@dataclass
 class NoisyDataset(CleanDataset):
     noisy_labels: np.ndarray  # [N] int64
-    noise_spec: NoiseSpec | None
 
 
 def _blob_centers(n_classes: int, n_features: int, spread: float) -> np.ndarray:
@@ -96,8 +83,11 @@ def make_blobs(
     return CleanDataset(features=features, true_labels=labels, n_classes=n_classes)
 
 
-def inject_noise(ds: CleanDataset, spec: NoiseSpec) -> NoisyDataset:
-    """Training labels corrupted by `spec`, drawn from `spec.seed` alone.
+def inject_noise(ds: CleanDataset, kind: str, rate: float, seed: int) -> NoisyDataset:
+    """Training labels corrupted by noise of `kind` at `rate`, drawn from
+    `seed` alone. A run's manifest records all three (`config.noise_kind`,
+    `config.noise_rate`, `seeds.noise`), so its noisy labels can be drawn
+    again from the clean set.
 
     - `sym-c1` relabels exactly floor(rate * N) samples uniformly over all
       classes. A redraw may reproduce the true label, so the realized
@@ -110,21 +100,21 @@ def inject_noise(ds: CleanDataset, spec: NoiseSpec) -> NoisyDataset:
     The noisy set shares `ds`'s feature and true-label arrays; neither is
     copied or written.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     truth, n_classes = ds.true_labels, ds.n_classes
     noisy = truth.copy()
-    if spec.kind == "asym":
-        flip = rng.random(ds.n_samples) < spec.rate
+    if kind == "asym":
+        flip = rng.random(ds.n_samples) < rate
         noisy[flip] = (truth[flip] + 1) % n_classes
     else:
-        chosen = rng.permutation(ds.n_samples)[: int(np.floor(spec.rate * ds.n_samples))]
-        if spec.kind == "sym-c1":
+        chosen = rng.permutation(ds.n_samples)[: int(np.floor(rate * ds.n_samples))]
+        if kind == "sym-c1":
             noisy[chosen] = rng.integers(0, n_classes, size=chosen.size)
         else:
             # An offset in [1, C) never lands back on the true label.
             offsets = rng.integers(1, n_classes, size=chosen.size)
             noisy[chosen] = (truth[chosen] + offsets) % n_classes
-    return NoisyDataset(ds.features, truth, n_classes, noisy, spec)
+    return NoisyDataset(ds.features, truth, n_classes, noisy)
 
 
 def audit_states(ds: NoisyDataset, predicted: np.ndarray) -> np.ndarray:
@@ -357,24 +347,10 @@ def write_csv(header: Sequence[str], columns: Sequence[np.ndarray], lead: Sequen
     return b"".join(parts)
 
 
-def save_dataset(ds: NoisyDataset) -> tuple[bytes, bytes]:
-    """The bytes of `id,true_label,noisy_label,f0..f{D-1}` and of its
-    sidecar manifest (written beside it, at `sidecar_path`)."""
+def save_dataset(ds: NoisyDataset) -> bytes:
+    """The bytes of `id,true_label,noisy_label,f0..f{D-1}`. A run writes
+    them as `dataset.csv`; its `manifest.json` says how they were drawn."""
     header = ["id", "true_label", "noisy_label"] + [f"f{j}" for j in range(ds.n_features)]
-    table = write_csv(
+    return write_csv(
         header, [np.arange(ds.n_samples), ds.true_labels, ds.noisy_labels, *ds.features.T]
     )
-    manifest = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
-        "n_samples": ds.n_samples,
-        "n_classes": ds.n_classes,
-        "n_features": ds.n_features,
-        "noise_spec": None if ds.noise_spec is None else asdict(ds.noise_spec),
-    }
-    return table, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-
-
-def sidecar_path(path: Path | str) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".json")

@@ -1,7 +1,8 @@
 """Experiment orchestration: datasets, the epoch loop, and run artifacts.
 
-A run directory is self-describing: manifest.json (written before the
-first report) holds the full config plus derived seeds, reports/ holds
+A run directory is self-describing: dataset.csv holds the training set,
+manifest.json (written before the first report) holds the full config
+plus derived seeds, and the two rebuild that set; reports/ holds
 one JSON per epoch, scatter/ holds per-network normalized loss clouds,
 checkpoints/ holds the final parameters, and summary.json condenses the
 run into scalars. `run` only claims the directory and trains; a forked
@@ -35,15 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ExperimentConfig, _is_number, config_to_dict
-from .data import (
-    CleanDataset,
-    NoisyDataset,
-    NoiseSpec,
-    inject_noise,
-    make_blobs,
-    save_dataset,
-    sidecar_path,
-)
+from .data import CleanDataset, NoisyDataset, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, NumericError, StructuralError
 from .lossprofile import LossProfile, profile, write_scatter
 from .network import Layers, Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
@@ -89,9 +82,7 @@ def build_datasets(
         stream(cfg.data_seed, "test-data"),
     )
     noise_seed = derive_seed(cfg.master_seed, "noise")
-    train = inject_noise(
-        train_clean, NoiseSpec(kind=cfg.noise_kind, rate=cfg.noise_rate, seed=noise_seed)
-    )
+    train = inject_noise(train_clean, cfg.noise_kind, cfg.noise_rate, noise_seed)
     seeds = {"master": cfg.master_seed, "data": cfg.data_seed, "noise": noise_seed}
     return train, test, seeds
 
@@ -278,8 +269,9 @@ def _serve_run(
 
     Each "epoch" message is answered with the first error so far, or None,
     and with the report of the division made since the last answer, or
-    None. The subdirectories come first, then the dataset, its
-    sidecar and the manifest. A subdirectory that cannot be made is an
+    None. The subdirectories come first, then `dataset.csv` (the training
+    set's features and both label arrays) and `manifest.json` (the config
+    and seeds that drew them). A subdirectory that cannot be made is an
     error, and the ones made before it are removed, so the run leaves the
     directory as it found it. A failed dump does not stop the report.
 
@@ -306,9 +298,7 @@ def _serve_run(
             for path in subdirs[: subdirs.index(path)]:
                 path.rmdir()
             raise StructuralError(f"cannot create run directory {run_dir}: {exc}") from exc
-        table, sidecar = save_dataset(train)
-        _write(run_dir / "dataset.csv", table)
-        _write(sidecar_path(run_dir / "dataset.csv"), sidecar)
+        _write(run_dir / "dataset.csv", save_dataset(train))
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _write(run_dir / "manifest.json", text.encode())
     except Exception as exc:  # noqa: BLE001 - answered to the run

@@ -68,13 +68,12 @@ def two_blas_threads():
 
 
 def make_noisy(features, true_labels, noisy_labels, n_classes) -> NoisyDataset:
-    """Hand-built dataset with explicit noisy labels and no noise spec."""
+    """Hand-built dataset with explicit noisy labels."""
     return NoisyDataset(
         features=np.asarray(features, dtype=np.float64),
         true_labels=np.asarray(true_labels, dtype=np.int64),
         n_classes=n_classes,
         noisy_labels=np.asarray(noisy_labels, dtype=np.int64),
-        noise_spec=None,
     )
 
 

@@ -500,7 +500,7 @@ def e_step(points, means, covariances, weights):
 
 
 def save_dataset_rows(ds: data.NoisyDataset, path: Path | str) -> None:
-    """`data.save_dataset`'s CSV, one `csv.writer` row at a time; no sidecar."""
+    """`data.save_dataset`'s CSV, one `csv.writer` row at a time."""
     header = ["id", "true_label", "noisy_label"] + [f"f{j}" for j in range(ds.n_features)]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -534,9 +534,12 @@ def write_scatter_reference(epoch: int, net: str, prof: LossProfile) -> bytes:
     return text.getvalue().encode()
 
 
-def load_dataset(path: Path | str) -> data.NoisyDataset:
-    """Read a dataset written by `data.save_dataset` and its sidecar."""
-    path = Path(path)
+def load_dataset(run_dir: Path | str) -> data.NoisyDataset:
+    """The training set of a run, from its `dataset.csv` (features and
+    both label arrays) and its `manifest.json` (the class count, and the
+    row count the CSV must have)."""
+    run_dir = Path(run_dir)
+    path = run_dir / "dataset.csv"
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -550,17 +553,17 @@ def load_dataset(path: Path | str) -> data.NoisyDataset:
             true_labels.append(int(row[1]))
             noisy_labels.append(int(row[2]))
             features.append([float(v) for v in row[3:]])
-    manifest = json.loads(data.sidecar_path(path).read_text(encoding="utf-8"))
-    if manifest.get("format") != data.DATASET_FORMAT:
-        raise StructuralError(f"not a dataset manifest: {data.sidecar_path(path)}")
-    spec_entry = manifest.get("noise_spec")
-    spec = None if spec_entry is None else data.NoiseSpec(**spec_entry)
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    if manifest.get("format") != "dstlab-manifest":
+        raise StructuralError(f"not a run manifest: {run_dir / 'manifest.json'}")
+    n_train = manifest["n_train"]
+    if n_train != len(true_labels):
+        raise StructuralError(f"{path} has {len(true_labels)} rows, the manifest {n_train}")
     return data.NoisyDataset(
         features=np.asarray(features, dtype=np.float64).reshape(-1, n_features),
         true_labels=np.asarray(true_labels, dtype=np.int64),
-        n_classes=int(manifest["n_classes"]),
+        n_classes=int(manifest["config"]["n_classes"]),
         noisy_labels=np.asarray(noisy_labels, dtype=np.int64),
-        noise_spec=spec,
     )
 
 

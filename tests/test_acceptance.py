@@ -53,7 +53,7 @@ GOLDEN_TOOLCHAIN = ("2.4.6", "SkylakeX")
 GOLDEN_DIGESTS = {
     "digest": "de870d87441bf07b4d260b40f5188b56e147219f1cd38846a819a2667621aef5",
     "scatter_digest": "5081428326fadf9d151b51a97c42e8c7119b5ad9fbef434443b7fcbd767ad38a",
-    "files_digest": "b0f433876ea8748df4e9abecb9c547cb691e8edc09e12fbb21726c44c89d5edb",
+    "files_digest": "e355d163033f4551513b40091ab0585f9bfeb7ed13578df353b91a929e581858",
 }
 # The same `runs.digests` of the battery's other distinct runs, on the same
 # toolchain. `mem_ce` sends the writer no turn and dumps no cloud (its
@@ -63,27 +63,27 @@ BATTERY_DIGESTS = {
     "mem_dst": {
         "digest": "c517af10bf23bcf80983702c291fbd7402ee0b6101861c07a1a853f8e9151cd7",
         "scatter_digest": "737a7e9de33c21924b1ae4de1fef331a10929e8444f42c290c9132f2a8bb74a3",
-        "files_digest": "dc9d226113efd7356262a358728f0ce975e7ed62b98c6aacd44ae72dabc10fa2",
+        "files_digest": "5c63080e05d944c3481fa4b5fa2137ee59267ed0398c1c67db2cca9284729175",
     },
     "mem_ce": {
         "digest": "d6429c4ab73499fe84ff04cc5537b12bf12a7ffd6b9fd5106c2921d858398ab9",
         "scatter_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "files_digest": "e7b842067f79b8d920abebc21abfd91fe6b5f1e0227e1f3763ac115a4d5a22de",
+        "files_digest": "ef4328ac29b6cadd1afd65f18a083340764d63b0295dfec29006f09f5678fd46",
     },
     "r08": {
         "digest": "aa9b458ca14e4b5455fff5fddeb926fc65857b3581968c7c5f87ccae45775d43",
         "scatter_digest": "b143a2ef9977c9b1ca7c8a6bb041024531167cf19fbfad330081f945ff631239",
-        "files_digest": "cb938e20fd67e95e77967194f4f5bc5f31922b816fcbe3a95a00e6826c3ff32e",
+        "files_digest": "eb542b28ff8817aeadec7219aae901bd941f57b0010f0b77fb92702b97ea517e",
     },
     "r08_nomix": {
         "digest": "9a269ba23173cbbc29be088fd027b7e20c8045861a42084928b2faf26a4daa08",
         "scatter_digest": "d88ef28c4037d4002c3e17dedd2f4ca60e9640314b29485ae7d6dc58c8c6983c",
-        "files_digest": "804c6d4c78f730fda03fa54917838ddee55798da0bea9e524b34cb4a6ed44f1b",
+        "files_digest": "d14e8e570d5e9e088fbc8a5e7744d28cf9ef205f4fea81be7849852c04662479",
     },
     "r08_single": {
         "digest": "a11ebb7fda19eda1ccf51da6de8f2892a8ee2ecbbe97e6eb9314d94a532ad0a3",
         "scatter_digest": "124b3e96f00c33563db480ab1000e85f5d4c005d294810293d714d71b23921f9",
-        "files_digest": "cad055786cb879d837b0b316fbbd8ab1fdda26d271880dc91fc58bb681357129",
+        "files_digest": "718a8a34971bf348da8181b997c9e97b657b6eed572665aee1b6119a9077db1b",
     },
 }
 

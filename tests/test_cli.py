@@ -109,6 +109,17 @@ class TestRun:
         assert err.startswith(f"config error: {next(iter(overrides))}") and "Traceback" not in err
         assert not (tmp_path / "root").exists()
 
+    def test_output_dir_naming_the_output_root_exits_one(self, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "root"
+        root.mkdir()
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(root))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"output_dir": "."}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: output_dir must not name the output root itself, got '.'\n"
+        assert not list(root.iterdir())
+
     def test_non_finite_number_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"gmm_tol": NaN}')

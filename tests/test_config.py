@@ -259,6 +259,19 @@ class TestDictRoundTrip:
         assert cfg.output_dir is None
         assert cfg.gmm_anchors == ExperimentConfig().gmm_anchors
 
+    @pytest.mark.parametrize("output_dir", ["", ".", "./", "a/.."])
+    def test_output_dir_naming_the_output_root_rejected(self, output_dir):
+        # The run directory would be the output root, and later runs would
+        # land inside it.
+        message = f"output_dir must not name the output root itself, got {output_dir!r}"
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"output_dir": output_dir})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("output_dir", ["a", "./a", "a/../b", "/abs/run"])
+    def test_other_output_dirs_accepted(self, output_dir):
+        assert config_from_dict({"output_dir": output_dir}).output_dir == output_dir
+
     def test_loaded_lists_are_not_aliased(self):
         raw = {"hidden_sizes": [16, 8], "gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]]}
         cfg = config_from_dict(raw)

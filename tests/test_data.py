@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from dstlab import data
 from dstlab.data import (
     CENTER_SPACING,
     NOISE_KINDS,
-    NoiseSpec,
     audit_states,
     inject_noise,
     make_blobs,
     STATE_NAMES,
     save_dataset,
-    sidecar_path,
     write_csv,
 )
 from dstlab.config import ExperimentConfig
@@ -30,15 +29,20 @@ def blobs(n_classes=4, per_class=50, n_features=2, spread=0.5, seed=0):
     return make_blobs(n_classes, per_class, n_features, spread, np.random.default_rng(seed))
 
 
-def write_dataset(ds, path) -> None:
-    """`save_dataset`'s CSV and sidecar, written where a run writes them."""
-    table, sidecar = save_dataset(ds)
-    path.write_bytes(table)
-    sidecar_path(path).write_bytes(sidecar)
+def write_dataset(ds, run_dir) -> None:
+    """`save_dataset`'s CSV as a run writes it, beside a manifest holding
+    the keys `load_dataset` reads from a run's."""
+    (run_dir / "dataset.csv").write_bytes(save_dataset(ds))
+    manifest = {
+        "format": "dstlab-manifest",
+        "config": {"n_classes": ds.n_classes},
+        "n_train": ds.n_samples,
+    }
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
 def corrupt(ds, kind, rate, seed):
-    return inject_noise(ds, NoiseSpec(kind=kind, rate=rate, seed=seed))
+    return inject_noise(ds, kind, rate, seed)
 
 
 class TestMakeBlobs:
@@ -212,8 +216,8 @@ class TestNoiseDraws:
 
 
 class TestNoiseSpecDispatch:
-    # inject_noise takes its NoiseSpec from the config, which checks the
-    # kind and the rate.
+    # inject_noise takes its kind and rate from the config, which checks
+    # them.
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="noise_kind must be one of"):
             ExperimentConfig(noise_kind="typo", noise_rate=0.3)
@@ -234,13 +238,12 @@ def test_injection_never_mutates_features_or_truth(kind, rate, seed):
     ds = blobs(n_classes=3, per_class=20, seed=4)
     before_features = ds.features.copy()
     before_truth = ds.true_labels.copy()
-    noisy = inject_noise(ds, NoiseSpec(kind=kind, rate=rate, seed=seed))
+    noisy = inject_noise(ds, kind, rate, seed)
     assert np.array_equal(ds.features, before_features)
     assert np.array_equal(ds.true_labels, before_truth)
     assert np.array_equal(noisy.true_labels, before_truth)
     # Shared with the clean set, not copied.
     assert noisy.features is ds.features and noisy.true_labels is ds.true_labels
-    assert noisy.noise_spec == NoiseSpec(kind=kind, rate=rate, seed=seed)
     assert noisy.n_samples == ds.n_samples
     assert noisy.noisy_labels.min() >= 0 and noisy.noisy_labels.max() < 3
 
@@ -295,38 +298,39 @@ class TestAuditStates:
 class TestDatasetFile:
     def test_round_trip_is_exact(self, tmp_path):
         noisy = corrupt(blobs(per_class=7), "sym-c1", 0.5, seed=3)
-        path = tmp_path / "dataset.csv"
-        write_dataset(noisy, path)
-        loaded = load_dataset(path)
-        assert np.array_equal(loaded.features, noisy.features)
+        write_dataset(noisy, tmp_path)
+        loaded = load_dataset(tmp_path)
+        assert loaded.features.tobytes() == noisy.features.tobytes()
         assert np.array_equal(loaded.true_labels, noisy.true_labels)
         assert np.array_equal(loaded.noisy_labels, noisy.noisy_labels)
         assert loaded.n_classes == noisy.n_classes
-        assert loaded.noise_spec.kind == "sym-c1"
-        assert loaded.noise_spec.rate == 0.5
 
-    def test_header_and_sidecar(self, tmp_path):
+    def test_header(self):
         noisy = corrupt(blobs(per_class=3, n_features=3), "sym-c1", 0.2, seed=1)
-        path = tmp_path / "dataset.csv"
-        write_dataset(noisy, path)
-        header = path.read_text().splitlines()[0]
+        table = save_dataset(noisy)
+        assert isinstance(table, bytes)
+        header = table.decode().splitlines()[0]
         assert header == "id,true_label,noisy_label,f0,f1,f2"
-        assert (tmp_path / "dataset.csv.json").exists()
+
+    def test_row_count_must_match_the_manifest(self, tmp_path):
+        write_dataset(corrupt(blobs(per_class=3), "asym", 0.2, seed=1), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "n_train": 11}))
+        with pytest.raises(StructuralError, match="has 12 rows, the manifest 11"):
+            load_dataset(tmp_path)
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("n_features", [1, 2, 20])
     def test_bytes_match_row_by_row_writer(self, tmp_path, n_features, kind):
         noisy = corrupt(blobs(n_classes=3, per_class=40, n_features=n_features), kind, 0.4, seed=5)
-        write_dataset(noisy, tmp_path / "got.csv")
         save_dataset_rows(noisy, tmp_path / "want.csv")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert save_dataset(noisy) == (tmp_path / "want.csv").read_bytes()
 
     def test_edge_floats_match_row_by_row_writer(self, tmp_path):
         features = [[-0.0, 0.1], [1e-300, -1.7976931348623157e308], [5e-324, 2.0**53 + 1]]
         noisy = make_noisy(features, [0, 1, 1], [1, 1, 0], 2)
-        write_dataset(noisy, tmp_path / "got.csv")
         save_dataset_rows(noisy, tmp_path / "want.csv")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert save_dataset(noisy) == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize("chunk_rows", [2, 7])
     def test_rows_in_chunks_match_row_by_row_writer(self, tmp_path, monkeypatch, chunk_rows):
@@ -334,15 +338,13 @@ class TestDatasetFile:
         monkeypatch.setattr(data, "CSV_CHUNK_ROWS", chunk_rows)
         noisy = corrupt(blobs(n_classes=3, per_class=10, n_features=3), "asym", 0.4, seed=5)
         noisy.features[[3, 11, 20, 21], [0, 1, 2, 0]] = [-0.0, 1e300, -np.inf, 5e-324]
-        write_dataset(noisy, tmp_path / "got.csv")
         save_dataset_rows(noisy, tmp_path / "want.csv")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert save_dataset(noisy) == (tmp_path / "want.csv").read_bytes()
 
     def test_foreign_csv_rejected(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b,c\n1,2,3\n")
+        (tmp_path / "dataset.csv").write_text("a,b,c\n1,2,3\n")
         with pytest.raises(StructuralError):
-            load_dataset(path)
+            load_dataset(tmp_path)
 
 
 def column_text(values) -> list[str]:

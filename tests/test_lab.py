@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from dstlab import cli, lab, network, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
-from dstlab.data import NOISE_KINDS, STATE_NAMES
+from dstlab.data import NOISE_KINDS, STATE_NAMES, CleanDataset, inject_noise
 from dstlab.errors import (
     ConfigError,
     GmmFitError,
@@ -35,7 +35,10 @@ from dstlab.lossprofile import minmax_normalize
 from dstlab.network import Workspace, init_network
 from dstlab.rng import NET_NAMES, RngStreams
 from dstlab.selection import BRANCH_NAMES
-from oracles import load_checkpoint, write_scatter_reference
+from oracles import load_checkpoint, load_dataset, write_scatter_reference
+
+# The files the writer makes in a run directory before its first report.
+START_FILES = ("dataset.csv", "manifest.json")
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -75,11 +78,10 @@ class TestRunArtifacts:
         assert manifest["n_train"] == 60
         assert manifest["n_test"] == 30
 
-    def test_dataset_csv_and_sidecar(self, smoke_run):
+    def test_dataset_csv_and_manifest(self, smoke_run):
         run_dir, _ = smoke_run
-        assert (run_dir / "dataset.csv").exists()
-        sidecar = json.loads((run_dir / "dataset.csv.json").read_text())
-        assert sidecar["n_samples"] == 60
+        assert not (run_dir / "dataset.csv.json").exists()
+        assert load_dataset(run_dir).n_samples == 60
 
     def test_epoch_reports_track_phase(self, smoke_run):
         run_dir, _ = smoke_run
@@ -144,6 +146,34 @@ def log_call(log: Path, *fields) -> None:
 def logged_calls(log: Path) -> list[list[str]]:
     """The lines `log_call` appended to `log`, split into fields."""
     return [line.split() for line in log.read_text().splitlines()] if log.exists() else []
+
+
+class TestRunDirectoryRebuildsTheTrainingSet:
+    # A run keeps no other record of its training set than dataset.csv and
+    # manifest.json.
+    @pytest.mark.parametrize("kind, n_features", [("sym-c1", 1), ("sym-c2", 2), ("asym", 5)])
+    def test_training_set_and_its_noise_come_back(self, tmp_path, kind, n_features):
+        cfg = small_config(noise_kind=kind, noise_rate=0.4, n_features=n_features)
+        run_dir = run(cfg, tmp_path / "r")
+        loaded = load_dataset(run_dir)
+        train = lab.build_datasets(cfg)[0]
+        assert loaded.features.shape == train.features.shape
+        assert loaded.features.tobytes() == train.features.tobytes()
+        assert np.array_equal(loaded.true_labels, train.true_labels)
+        assert np.array_equal(loaded.noisy_labels, train.noisy_labels)
+        assert loaded.n_classes == train.n_classes
+        assert (loaded.noisy_labels != loaded.true_labels).any()
+        # The noisy labels are drawn again from the clean set and the
+        # manifest's noise kind, rate and seed.
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        clean = CleanDataset(loaded.features, loaded.true_labels, loaded.n_classes)
+        redrawn = inject_noise(
+            clean,
+            manifest["config"]["noise_kind"],
+            manifest["config"]["noise_rate"],
+            manifest["seeds"]["noise"],
+        )
+        assert np.array_equal(redrawn.noisy_labels, loaded.noisy_labels)
 
 
 class TestEvaluation:
@@ -709,7 +739,7 @@ class TestScatterWriter:
         run_dir = tmp_path / "r"
         assert not (run_dir / "summary.json").exists()
         assert set(run_bytes(run_dir)) == {
-            "dataset.csv", "dataset.csv.json", "manifest.json",
+            *START_FILES,
             "reports/epoch_001.json", "reports/epoch_002.json",
             *(f"scatter/epoch_{e:03d}_{net}.csv" for e in (2, 3) for net in ("net1", "net2")),
         }
@@ -732,7 +762,7 @@ class TestScatterWriter:
         # would be had the run written them itself.
         run_dir = tmp_path / "r"
         assert set(run_bytes(run_dir)) == {
-            "dataset.csv", "dataset.csv.json", "manifest.json",
+            *START_FILES,
             "reports/epoch_001.json", "reports/epoch_002.json",
             "scatter/epoch_002_net1.csv", "scatter/epoch_002_net2.csv",
         }
@@ -832,15 +862,14 @@ class TestScatterWriter:
             run(small_config(total_epochs=4, scatter_every=scatter_every), run_dir)
         assert_reaped(forks)
         assert set(run_bytes(run_dir)) == {
-            "dataset.csv", "dataset.csv.json", "manifest.json",
+            *START_FILES,
             *(f"reports/epoch_{e:03d}.json" for e in reports),
             *(f"scatter/{name}" for name in dumps),
         }
 
     @pytest.mark.parametrize(
         "name",
-        ["dataset.csv", "dataset.csv.json", "manifest.json", "epoch_002.json",
-         "epoch_002_net2.csv", "net2.json", "summary.json"],
+        [*START_FILES, "epoch_002.json", "epoch_002_net2.csv", "net2.json", "summary.json"],
     )
     def test_write_error_exits_two_naming_the_file(
         self, tmp_path, monkeypatch, capsys, forks, name
@@ -926,7 +955,7 @@ class TestScatterWriter:
         assert_reaped(forks)
         assert not list(run_dir.rglob("*.tmp"))
         assert set(run_bytes(run_dir)) == {
-            "dataset.csv", "dataset.csv.json", "manifest.json", "reports/epoch_001.json", *files
+            *START_FILES, "reports/epoch_001.json", *files
         }
 
     @pytest.mark.parametrize("dumps", ["ok", "fail"])
@@ -1011,7 +1040,7 @@ class TestScatterWriter:
 
 
 # The run files `files_of_run_epoch` does not make.
-WRITER_ONLY = {"dataset.csv", "dataset.csv.json", "manifest.json", "summary.json"}
+WRITER_ONLY = {*START_FILES, "summary.json"}
 
 
 def files_of_run_epoch(cfg) -> dict[str, bytes]:
@@ -1340,8 +1369,7 @@ class TestRandomTinyConfigs:
                 assert not list(run_dir.rglob("*.tmp"))
                 return
             assert {path.name for path in run_dir.iterdir()} == {
-                "dataset.csv", "dataset.csv.json", "manifest.json", "summary.json",
-                "reports", "scatter", "checkpoints",
+                *START_FILES, "summary.json", "reports", "scatter", "checkpoints",
             }
             assert not list(run_dir.rglob("*.tmp"))
             assert oracles.summary_from_files(run_dir) == (run_dir / "summary.json").read_text()

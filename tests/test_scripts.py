@@ -87,7 +87,6 @@ def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monk
     assert out["files_digest"] == sha256_over(
         [
             run_dir / "dataset.csv",
-            run_dir / "dataset.csv.json",
             run_dir / "manifest.json",
             *(run_dir / f"reports/epoch_00{epoch}.json" for epoch in (1, 2, 3)),
         ]

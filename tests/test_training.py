@@ -26,7 +26,7 @@ from oracles import (
 )
 from dstlab import selection, training
 from dstlab.config import ExperimentConfig
-from dstlab.data import NoiseSpec, inject_noise, make_blobs
+from dstlab.data import inject_noise, make_blobs
 from dstlab.errors import ConfigError, NumericError, StructuralError
 from dstlab.network import Workspace, init_network, one_hot, softmax
 from dstlab.lossprofile import profile
@@ -74,7 +74,7 @@ def params_of(workspaces):
 
 def clean_toy(seed: int = 3, per_class: int = 40):
     clean = make_blobs(3, per_class, 2, 0.25, np.random.default_rng(seed))
-    return inject_noise(clean, NoiseSpec(kind="sym-c1", rate=0.0, seed=seed + 1))
+    return inject_noise(clean, "sym-c1", 0.0, seed + 1)
 
 
 class TestRefineLabel:
@@ -560,7 +560,7 @@ def bimodal_clean_toy(seed=3, per_class=60):
         true_labels=np.concatenate(labels).astype(np.int64),
         n_classes=3,
     )
-    return inject_noise(clean, NoiseSpec(kind="sym-c1", rate=0.0, seed=seed + 1))
+    return inject_noise(clean, "sym-c1", 0.0, seed + 1)
 
 
 def assert_same_profiles(got, want):
@@ -769,7 +769,7 @@ def noisy_toy(n_samples: int, seed: int = 21):
     """Three blobs with half the labels flipped, `n_samples` rows in all."""
     per_class = -(-n_samples // 3)
     clean = make_blobs(3, per_class, 2, 0.6, np.random.default_rng(seed))
-    ds = inject_noise(clean, NoiseSpec(kind="sym-c1", rate=0.5, seed=seed + 1))
+    ds = inject_noise(clean, "sym-c1", 0.5, seed + 1)
     return make_noisy(
         ds.features[:n_samples], ds.true_labels[:n_samples], ds.noisy_labels[:n_samples], 3
     )
