@@ -163,11 +163,14 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
         # A relative output_dir lies under the output root; "." would make
-        # the root itself one run's directory, and later runs land inside it.
-        if self.output_dir is not None and os.path.normpath(self.output_dir) == ".":
-            raise ConfigError(
-                f"output_dir must not name the output root itself, got {self.output_dir!r}"
-            )
+        # the root itself one run's directory, and later runs land inside it;
+        # ".." or "../x" would put the run beside the root.
+        out = self.output_dir
+        head = None if out is None else os.path.normpath(out).split(os.sep)[0]
+        if head == ".":
+            raise ConfigError(f"output_dir must not name the output root itself, got {out!r}")
+        if head == "..":
+            raise ConfigError(f"output_dir must stay under the output root, got {out!r}")
         if self.total_epochs <= self.warmup_epochs:
             raise ConfigError(
                 f"total_epochs ({self.total_epochs}) must exceed "

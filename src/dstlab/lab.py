@@ -42,7 +42,7 @@ from .lossprofile import LossProfile, profile, write_scatter
 from .network import Layers, Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
 from .selection import BRANCH_NAMES, BranchTable, divide
-from .training import evaluate, run_epoch, softmax_of
+from .training import Epoch, evaluate, run_epoch, softmax_of
 
 OUTPUT_ROOT_ENV = "DSTLAB_OUTPUT_ROOT"
 
@@ -88,9 +88,7 @@ def build_datasets(
 
 
 def _scatter_due(cfg: ExperimentConfig, epoch: int) -> bool:
-    if epoch == cfg.total_epochs:
-        return True
-    return cfg.scatter_every > 0 and epoch % cfg.scatter_every == 0
+    return epoch == cfg.total_epochs or (cfg.scatter_every > 0 and epoch % cfg.scatter_every == 0)
 
 
 def scatter_csv_path(run_dir: Path | str, epoch: int, net: str) -> Path:
@@ -167,14 +165,29 @@ def _loop_tag(epoch: int, i: int) -> int:
 def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.ndarray]:
     """The arrays the run and the writer share, zeroed, each in its own
     anonymous shared mapping made before the fork, so each process sees the
-    other's writes. Slots indexed by `epoch % 2` are reused two epochs
-    later, once the run has read the writer's answer to the epoch in
-    between.
+    other's writes.
 
-    - params[epoch % 2, i]: net i's flat parameters; net1's from its turn's
-      end when net2's turn hands them over (`_EpochWriter.loop`), both at
-      the end of the epoch;
-    - order[epoch % 2, i]: the batch order of net i's loop;
+    Where the run writes, an array holds one slot per network, overwritten
+    every epoch. The run writes `params` only in `_EpochWriter.submit`,
+    after it has read the writer's answer to the epoch before, and the
+    writer reads them only for the epoch its message names. The writer may
+    still serve an older loop of net i when the run overwrites `order[i]`
+    and `partner_params[i]`; the rows it publishes then carry the older
+    loop's tag, which the run never accepts. Net1's profile for net2's next
+    division reads `partner_params[1]` before the writer's next answer,
+    which the run reads before net2's next turn overwrites it.
+
+    Where the writer writes ahead of the run, slots are indexed by
+    `epoch % 2`, and reused two epochs later, once the run has read the
+    writer's answer to the epoch in between: net2's branch tables, made
+    for epoch e+1 while the run trains epoch e, and the loss clouds,
+    because net1's cloud for epoch e+1 is profiled before epoch e's dump.
+
+    - params[i]: net i's flat parameters at the end of the epoch;
+    - partner_params[i]: the flat parameters of net i's partner as net i's
+      loop starts (`_EpochWriter.loop`): for net1 net2's from the end of
+      the epoch before, for net2 net1's from the end of its loop;
+    - order[i]: the batch order of net i's loop;
     - partner[i]: the partner softmax of net i's loop, rows in batch order;
     - keep, lean, wrong [epoch % 2]: net2's branch table for that epoch;
     - each field of `LossProfile` [epoch % 2, i], with the dtype the field
@@ -188,8 +201,9 @@ def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.n
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
     n = train.n_samples
     specs = {
-        "params": ((2, 2, n_params), np.float64),
-        "order": ((2, 2, n), np.int64),
+        "params": ((2, n_params), np.float64),
+        "partner_params": ((2, n_params), np.float64),
+        "order": ((2, n), np.int64),
         "partner": ((2, n, cfg.n_classes), np.float64),
         "keep": ((2, n), np.float64),
         "lean": ((2, n), np.float64),
@@ -254,18 +268,18 @@ def _serve_run(
     Messages, in the order the run sends them:
 
     - ("loop", e, i, serve, divide_next): net i's turn of epoch e starts;
-      its batch order, and at net2's turn net1's parameters of epoch e, are
-      in their slots. With `serve`, publish its partner softmaxes from the
-      partner's latest parameters: net2's of epoch e-1 for net1, net1's of
-      epoch e for net2. With `divide_next`, then profile net1, put its
-      cloud in its profile slot of epoch e+1 and make net2's division for
-      epoch e+1 from it.
-    - ("epoch", e, selection, n_dumps): epoch e is trained, with these
+      its batch order and its partner's parameters are in net i's slots.
+      With `serve`, publish its partner softmaxes from those parameters.
+      With `divide_next` (net2's turn, whose partner is net1), then
+      profile net1 from them, put its cloud in its profile slot of epoch
+      e+1 and make net2's division for epoch e+1 from it.
+    - ("epoch", e, phase, learning_rate, selection, n_dumps, last): epoch
+      e is trained, in this phase and at this learning rate, with these
       selection reports (None outside selection epochs). Write the clouds
       of its first `n_dumps` networks from their profile slots (one slot
       per field of `LossProfile`), evaluate it and write its report, built
-      here whole; after the final epoch, if no error has occurred, the
-      checkpoints and summary.json.
+      here whole; after the epoch marked `last`, if no error has
+      occurred, the checkpoints and summary.json.
 
     Each "epoch" message is answered with the first error so far, or None,
     and with the report of the division made since the last answer, or
@@ -275,10 +289,12 @@ def _serve_run(
     error, and the ones made before it are removed, so the run leaves the
     directory as it found it. A failed dump does not stop the report.
 
-    Every message names its epoch, so the loop counts nothing. It keeps
-    only what it answers: the first error (the run stops at the answer
-    that carries it, and any error stops the final files), the division's
-    report not answered yet, and the reports the summary condenses.
+    The loop derives nothing: every message names its epoch, and its
+    phase, learning rate and end come from `training.run_epoch` and
+    `run`, so it reads no schedule and counts nothing. It keeps only what
+    it answers: the first error (the run stops at the answer that carries
+    it, and any error stops the final files), the division's report not
+    answered yet, and the reports the summary condenses.
     """
     error = None
     manifest = {
@@ -303,9 +319,8 @@ def _serve_run(
         _write(run_dir / "manifest.json", text.encode())
     except Exception as exc:  # noqa: BLE001 - answered to the run
         error = exc
-    sizes = cfg.layer_sizes()
-    # nets[slot][i]: views of the parameter slots.
-    nets = [[layer_views(flat, sizes) for flat in slot] for slot in shared["params"]]
+    nets = [layer_views(flat, cfg.layer_sizes()) for flat in shared["params"]]
+    partners = [layer_views(flat, cfg.layer_sizes()) for flat in shared["partner_params"]]
     ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     reports: list[dict] = []
     division = None  # net2's report for the next epoch, not answered yet
@@ -321,12 +336,12 @@ def _serve_run(
             try:
                 if serve:
                     _serve_partner(
-                        nets[(epoch - 1 + i) % 2][1 - i], shared["order"][slot, i],
+                        partners[i], shared["order"][i],
                         shared["partner"][i], _loop_tag(epoch, i), shared["position"],
                         progress, train.features, cfg.batch_size,
                     )
                 if divide_next:
-                    prof = profile(nets[slot][0], train)
+                    prof = profile(partners[i], train)
                     for f in fields(LossProfile):
                         shared[f.name][1 - slot, 0] = getattr(prof, f.name)
                     table, division = divide(prof, cfg, "net1")
@@ -336,7 +351,7 @@ def _serve_run(
             except Exception as exc:  # noqa: BLE001 - answered to the run
                 error = error or exc
             continue
-        selection, n_dumps = message[2:]
+        phase, learning_rate, selection, n_dumps, last = message[2:]
         try:
             for i, name in enumerate(NET_NAMES[:n_dumps]):
                 prof = LossProfile(**{f.name: shared[f.name][slot, i] for f in fields(LossProfile)})
@@ -344,18 +359,18 @@ def _serve_run(
         except Exception as exc:  # noqa: BLE001 - answered to the run
             error = error or exc
         try:
-            params = dict(zip(NET_NAMES, nets[slot]))
+            params = dict(zip(NET_NAMES, nets))
             report = {
                 "epoch": epoch,
-                "phase": cfg.phase_at(epoch),
-                "learning_rate": cfg.learning_rate_at(epoch),
+                "phase": phase,
+                "learning_rate": learning_rate,
                 "selection": selection,
                 "test_accuracy": evaluate(params, test.features, test.true_labels, ensemble),
             }
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             _write(run_dir / "reports" / f"epoch_{epoch:03d}.json", text.encode())
             reports.append(report)
-            if epoch == cfg.total_epochs and error is None:
+            if last and error is None:
                 for name, layers in params.items():
                     _write(run_dir / "checkpoints" / f"{name}.json", save_checkpoint(layers))
                 summary = _summary(manifest, reports)
@@ -386,10 +401,12 @@ class _EpochWriter:
     overlap training on another core.
 
     Per epoch the run sends, in order: one ("loop", ...) message per
-    network turn in which `run_epoch` gives the writer work (`loop`), and
-    ("epoch", ...) once the epoch is trained (`submit`). The handle counts
-    no epochs: `loop`, `division` and `submit` take the epoch `run_epoch`
-    trains. The writer answers each "epoch" message, also with net2's
+    network turn in which `run_epoch` gives the writer work (`loop`),
+    handing over the turn's partner parameters, and ("epoch", ...) once
+    the epoch is trained (`submit`), with the phase and learning rate
+    `run_epoch` trained it with and whether it is the last. The handle
+    counts no epochs: `loop`, `division` and `submit` take the epoch
+    `run_epoch` trains. The writer answers each "epoch" message, also with net2's
     division for the next epoch. At most one answer is unread: the run
     reads the answer to epoch e-1 at net2's turn of epoch e, for the
     division it trains on (`division`), or, in any other epoch, before it
@@ -472,20 +489,19 @@ class _EpochWriter:
         return report
 
     def loop(
-        self, epoch: int, i: int, order: np.ndarray, net1: np.ndarray, serve: bool,
+        self, epoch: int, i: int, order: np.ndarray, partner: np.ndarray, serve: bool,
         divide_next: bool,
     ) -> Callable[[int], np.ndarray | None]:
-        """Net i's turn of `epoch` starts, its loop in `order`, and `net1`
-        holds net1's flat parameters as they stand. Asks the writer to
-        publish the turn's partner softmaxes (`serve`) and, at net2's turn,
-        to divide net1's cloud for the next epoch (`divide_next`); net1's
-        parameters go to it at net2's turn, when they are final. Returns the
-        lookup of batch b's partner softmax: the rows the writer published,
-        else None."""
-        slot = epoch % 2
-        self.shared["order"][slot, i] = order
-        if i == 1:
-            self.shared["params"][slot, 0] = net1
+        """Net i's turn of `epoch` starts, its loop in `order`, and
+        `partner` holds the flat parameters of its partner as they stand:
+        net2's from the end of the epoch before for net1, net1's from the
+        end of its loop for net2. Both go to net i's slots. Asks the writer
+        to publish the turn's partner softmaxes (`serve`) and, at net2's
+        turn, to divide net1's cloud for the next epoch (`divide_next`).
+        Returns the lookup of batch b's partner softmax: the rows the
+        writer published, else None."""
+        self.shared["order"][i] = order
+        self.shared["partner_params"][i] = partner
         self._send(("loop", epoch, i, serve, divide_next))
         tag, batch_size = _loop_tag(epoch, i), self.cfg.batch_size
         rows, position = self.shared["partner"][i], self.shared["position"]
@@ -509,25 +525,23 @@ class _EpochWriter:
         table = tuple(self.shared[name][epoch % 2] for name in ("keep", "lean", "wrong"))
         return None if report["fallback"] else table, report
 
-    def submit(
-        self, epoch: int, flats: list[np.ndarray], selection: dict | None, profiles: list
-    ) -> None:
-        """Send `epoch`'s parameters and selection reports, and its profiles
-        (None: net1's, which the writer put in its slot) if the epoch's
-        clouds are due for dumping (`_scatter_due`)."""
+    def submit(self, epoch: int, flats: list[np.ndarray], trained: Epoch, last: bool) -> None:
+        """Send `epoch`'s parameters and what `run_epoch` returned for it:
+        the phase and learning rate it trained with, its selection reports,
+        and its profiles (None: net1's, which the writer put in its slot)
+        if the epoch's clouds are due for dumping (`_scatter_due`). `last`
+        marks the run's final epoch, after which the writer writes the
+        checkpoints and summary.json. The parameters overwrite the previous
+        epoch's only after the writer's answer to that epoch is read."""
         self._answer()
         slot = epoch % 2
-        dumps = profiles if _scatter_due(self.cfg, epoch) else []
-        # In an epoch where net2's turn handed net1 over (`loop`), net1's
-        # slot already holds these bytes, and the writer may be reading it:
-        # writing the same bytes again changes nothing it reads.
-        for i, flat in enumerate(flats):
-            self.shared["params"][slot, i] = flat
+        dumps = trained.profiles if _scatter_due(self.cfg, epoch) else []
+        self.shared["params"][:] = flats
         for i, prof in enumerate(dumps):
             if prof is not None:
                 for f in fields(LossProfile):
                     self.shared[f.name][slot, i] = getattr(prof, f.name)
-        self._send(("epoch", epoch, selection, len(dumps)))
+        self._send(("epoch", epoch, *trained[:3], len(dumps), last))
         self.pending = True
 
     def __enter__(self) -> _EpochWriter:
@@ -576,8 +590,8 @@ def run(cfg: ExperimentConfig, output_dir: Path | str | None = None) -> Path:
         ]
         offload = None if cfg.single_network else writer
         for epoch in range(1, cfg.total_epochs + 1):
-            selection, profiles = run_epoch(epoch, workspaces, train, cfg, streams, offload)
-            writer.submit(epoch, [ws.flat for ws in workspaces], selection, profiles)
+            trained = run_epoch(epoch, workspaces, train, cfg, streams, offload)
+            writer.submit(epoch, [ws.flat for ws in workspaces], trained, epoch == cfg.total_epochs)
     return run_dir
 
 

@@ -25,7 +25,7 @@ computes itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -182,6 +182,15 @@ def _train_epoch(
         ws.step(learning_rate)
 
 
+class Epoch(NamedTuple):
+    """What `run_epoch` trained one epoch with, and what it made."""
+
+    phase: str  # `ExperimentConfig.phase_at`
+    learning_rate: float  # `ExperimentConfig.learning_rate_at`
+    selection: dict | None  # per consuming network; None outside selection epochs
+    profiles: list[LossProfile | None]  # a selection epoch's, in `NET_NAMES` order
+
+
 def run_epoch(
     epoch: int,
     workspaces: list[Workspace],
@@ -189,7 +198,7 @@ def run_epoch(
     cfg: ExperimentConfig,
     streams: RngStreams,
     offload=None,
-) -> tuple[dict | None, list[LossProfile | None]]:
+) -> Epoch:
     """Train one epoch of the run in place, one network after the other.
 
     Warmup and `ce_only` epochs train both networks on plain cross-entropy.
@@ -200,24 +209,28 @@ def run_epoch(
     this one, and a partner is read as it stands when its consumer's loop
     starts, after the earlier consumer's updates. A failed fit sends its
     consumer through a plain cross-entropy epoch, flagged in its report
-    with the reason.
+    with the reason. This function alone reads the schedule, the epoch's
+    phase and learning rate; the epoch writer records what it returns.
 
     `offload`, if given, is the run's epoch writer (`lab._EpochWriter`;
     two networks only), and this function alone decides its work. It
     makes net2's division (`division`): at net2's turn of the epoch before
     a selection epoch, it profiles net1 and fits its cloud. It serves the
     partner softmaxes of each turn that trains on a division (`loop`).
-    A turn calls `loop` only when it gives the writer such work, and
-    net2's turn reads its division first. Both calls name `epoch`: the
-    writer keeps no count of its own. Without `offload` everything runs in
-    this process, and the bytes are the same either way.
+    A turn calls `loop` only when it gives the writer such work, handing
+    over the partner's parameters as they stand, and net2's turn reads
+    its division first. Both calls name `epoch`: the writer keeps no count
+    of its own. Without `offload` everything runs in this process, and the
+    bytes are the same either way.
 
-    Returns the selection reports per consuming network (None outside
+    Returns an `Epoch`: the phase and learning rate the epoch trained
+    with, the selection reports per consuming network (None outside
     selection epochs; see `selection.divide`), and the profiles of a
-    selection epoch's networks in `NET_NAMES` order (none otherwise); net1's
-    is None with `offload`, which made it.
+    selection epoch's networks in `NET_NAMES` order (none otherwise);
+    net1's is None with `offload`, which made it.
     """
-    dst = cfg.phase_at(epoch) == "dst"
+    phase, learning_rate = cfg.phase_at(epoch), cfg.learning_rate_at(epoch)
+    dst = phase == "dst"
     active = workspaces[:1] if dst and cfg.single_network else workspaces
     selection: dict | None = {} if dst else None
     profiles: list[LossProfile | None] = []
@@ -242,7 +255,7 @@ def run_epoch(
         serve, divide_next = table is not None, i == 1 and next_dst
         published = _unpublished
         if offload is not None and (serve or divide_next):
-            published = offload.loop(epoch, i, order, workspaces[0].flat, serve, divide_next)
+            published = offload.loop(epoch, i, order, workspaces[1 - i].flat, serve, divide_next)
         refinement = None
         if table is not None:
             # The partner as it stands now, after the earlier consumer's updates.
@@ -255,8 +268,8 @@ def run_epoch(
                 None if cfg.no_mixup else streams.mixup[i],
                 published,
             )
-        _train_epoch(ws, cfg.learning_rate_at(epoch), ds, cfg.batch_size, order, refinement)
-    return selection, profiles
+        _train_epoch(ws, learning_rate, ds, cfg.batch_size, order, refinement)
+    return Epoch(phase, learning_rate, selection, profiles)
 
 
 def evaluate(

@@ -120,6 +120,21 @@ class TestRun:
         assert err == "config error: output_dir must not name the output root itself, got '.'\n"
         assert not list(root.iterdir())
 
+    def test_output_dir_climbing_out_of_the_output_root_exits_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # "../x" would put the whole run in base/x, beside the root.
+        base = tmp_path / "base"
+        (base / "root").mkdir(parents=True)
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(base / "root"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"output_dir": "../x"}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: output_dir must stay under the output root, got '../x'\n"
+        assert [child.name for child in base.iterdir()] == ["root"]
+        assert not list((base / "root").iterdir())
+
     def test_non_finite_number_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"gmm_tol": NaN}')

@@ -268,7 +268,15 @@ class TestDictRoundTrip:
             config_from_dict({"output_dir": output_dir})
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("output_dir", ["a", "./a", "a/../b", "/abs/run"])
+    @pytest.mark.parametrize("output_dir", ["..", "../x", "a/../../x", "./../x"])
+    def test_output_dir_climbing_out_of_the_output_root_rejected(self, output_dir):
+        # The run would land beside the output root, not under it.
+        message = f"output_dir must stay under the output root, got {output_dir!r}"
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"output_dir": output_dir})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("output_dir", ["a", "./a", "a/../b", "/abs/run", "/abs/../run"])
     def test_other_output_dirs_accepted(self, output_dir):
         assert config_from_dict({"output_dir": output_dir}).output_dir == output_dir
 

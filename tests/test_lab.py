@@ -1058,7 +1058,8 @@ def files_of_run_epoch(cfg) -> dict[str, bytes]:
     ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     files = {}
     for epoch in range(1, cfg.total_epochs + 1):
-        selection_reports, profiles = training.run_epoch(epoch, workspaces, train, cfg, streams)
+        trained = training.run_epoch(epoch, workspaces, train, cfg, streams)
+        selection_reports, profiles = trained.selection, trained.profiles
         assert (selection_reports is None) == (epoch <= cfg.warmup_epochs or cfg.ce_only)
         report = {
             "epoch": epoch,
@@ -1089,8 +1090,8 @@ class TestOffload:
         counts = {"published": 0, "computed": 0, "divisions": 0}
         real_loop, real_division = lab._EpochWriter.loop, lab._EpochWriter.division
 
-        def loop(self, epoch, i, order, net1, serve, divide_next):
-            lookup = real_loop(self, epoch, i, order, net1, serve, divide_next)
+        def loop(self, epoch, i, order, partner, serve, divide_next):
+            lookup = real_loop(self, epoch, i, order, partner, serve, divide_next)
 
             def counted(b):
                 rows = lookup(b)
@@ -1198,6 +1199,46 @@ class TestOffload:
         assert counts["divisions"] == dst_epochs
         assert run_bytes(normal) == run_bytes(other)
 
+    @pytest.mark.parametrize(
+        "overrides, fails",
+        [({}, ()), ({"single_network": True}, ()), ({}, (1, 3))],
+        ids=["two-nets", "single-network", "net1-fit-fails"],
+    )
+    def test_a_slow_writer_changes_no_byte(self, tmp_path, monkeypatch, overrides, fails):
+        # The run keeps one parameter slot and one batch-order slot per
+        # network and overwrites them while the writer may lag behind.
+        # Random delays in the writer's evaluation, profiles and partner
+        # serving move where the two processes cross; no byte may move.
+        cfg = small_config(per_class=40, total_epochs=10, **overrides)
+        real_divide, fits = lab.divide, []
+
+        def flaky_divide(prof, cfg, source):
+            # Only the writer calls it, so each run counts net1's fits from 1.
+            fits.append(source)
+            if len(fits) in fails:
+                return None, {"fallback": True, "reason": "forced", "source": source}
+            return real_divide(prof, cfg, source)
+
+        monkeypatch.setattr(lab, "divide", flaky_divide)
+        normal = run(cfg, tmp_path / "normal")
+        delays = random.Random(11)
+
+        def slowed(real, longest):
+            def call(*args):
+                time.sleep(delays.uniform(0.0, longest))
+                return real(*args)
+
+            return call
+
+        # The writer inherits the patches at the fork.
+        monkeypatch.setattr(lab, "evaluate", slowed(lab.evaluate, 0.02))
+        monkeypatch.setattr(lab, "profile", slowed(lab.profile, 0.02))
+        monkeypatch.setattr(lab, "_serve_partner", slowed(lab._serve_partner, 0.005))
+        slow = run(cfg, tmp_path / "slow")
+        assert run_bytes(slow) == run_bytes(normal)
+        fallbacks = [cfg.warmup_epochs + n for n in fails]
+        assert load_summary(slow)["fallback_epochs"] == {"net1": [], "net2": fallbacks}
+
     def test_the_writer_publishes_softmaxes_and_divisions(self, tmp_path, monkeypatch, forks):
         cfg = small_config(total_epochs=5)
         counts = self.count_offload(monkeypatch)
@@ -1268,13 +1309,15 @@ class TestOffload:
         steps, orders = [], []
         real_loop, real_step = lab._EpochWriter.loop, network.Workspace.step
 
-        def loop(self, epoch, i, order, net1, serve, divide_next):
+        def loop(self, epoch, i, order, partner, serve, divide_next):
             if epoch == 3 and i == 1:
-                # Hidden unit 0 of the [2, 8, 3] net: weights net1[0:2], bias net1[16].
-                net1[0], net1[1], net1[16] = np.finfo(np.float64).max / (x0 * (1 - 1e-9)), 0.0, 0.0
+                # Net2's partner is net1. Hidden unit 0 of the [2, 8, 3]
+                # net: weights partner[0:2], bias partner[16].
+                big = np.finfo(np.float64).max / (x0 * (1 - 1e-9))
+                partner[0], partner[1], partner[16] = big, 0.0, 0.0
                 steps.clear()
                 orders.append(order.copy())
-            return real_loop(self, epoch, i, order, net1, serve, divide_next)
+            return real_loop(self, epoch, i, order, partner, serve, divide_next)
 
         def step(self, learning_rate):
             steps.append(1)

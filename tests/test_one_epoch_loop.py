@@ -1,8 +1,9 @@
 """Epochs are trained in one place, `training.run_epoch`, samples are
-divided in one place, `selection.divide`, and labels and predictions are
-judged right or wrong in one place, `data.audit_states`.
+divided in one place, `selection.divide`, labels and predictions are
+judged right or wrong in one place, `data.audit_states`, and the schedule
+is read in one module, `training`.
 
-Three AST scans. The first reports every call of `_train_epoch` (the
+Four AST scans. The first reports every call of `_train_epoch` (the
 per-network batch loop) and every read of a `shuffle` attribute (the
 batch-order streams, `RngStreams.shuffle`, or a generator's `shuffle`
 method) in the package with its module. Only `training` may make one, so
@@ -19,6 +20,13 @@ The third reports every comparison that reads a `true_labels` attribute
 with its module and enclosing function. Only `data.audit_states` may make
 one, so every report reads a sample's correctness from its agreement
 state instead of judging it again.
+
+The fourth reports every call of `phase_at` or `learning_rate_at` (the
+schedule methods of `ExperimentConfig`) with its module. Only `training`
+may make one: `run_epoch` returns the phase and learning rate it trained
+with, and every other module, the epoch writer included, records those
+values instead of deriving them again. `config` defines the methods,
+which is no call.
 """
 
 import ast
@@ -103,17 +111,22 @@ def nodes_in_functions(source: str):
     yield from visit(ast.parse(source), None)
 
 
-def division_calls(source: str) -> list[tuple[str, str | None, int]]:
+def calls_of(names: set[str], source: str) -> list[tuple[str, str | None, int]]:
     """`(callee, enclosing function or None, line)` for every call of a
-    name in `DIVIDERS`, bare or as an attribute."""
+    name in `names`, bare or as an attribute."""
     found: list[tuple[str, str | None, int]] = []
     for node, function in nodes_in_functions(source):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in DIVIDERS:
+            if name in names:
                 found.append((name, function, node.lineno))
     return found
+
+
+def division_calls(source: str) -> list[tuple[str, str | None, int]]:
+    """`calls_of` the names in `DIVIDERS`."""
+    return calls_of(DIVIDERS, source)
 
 
 def misplaced_divisions(module: str, source: str) -> list[str]:
@@ -211,3 +224,49 @@ class TestTruthScanner:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_correctness_is_judged_only_in_audit_states(path):
     assert misplaced_truths(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+SCHEDULE = {"phase_at", "learning_rate_at"}
+
+
+def schedule_calls(source: str) -> list[tuple[str, int]]:
+    """`(callee, line)` for every call of a name in `SCHEDULE`, bare or as
+    an attribute."""
+    return [(callee, line) for callee, _, line in calls_of(SCHEDULE, source)]
+
+
+def misplaced_schedule_reads(module: str, source: str) -> list[str]:
+    """`module: callee (line n)` for every call outside `training`."""
+    if module == "training":
+        return []
+    return [f"{module}: {callee} (line {line})" for callee, line in schedule_calls(source)]
+
+
+class TestScheduleScanner:
+    def test_bare_and_attribute_calls_count(self):
+        source = (
+            "def f(cfg, epoch):\n    phase = cfg.phase_at(epoch)\n"
+            "    lr = self.cfg.learning_rate_at(epoch + 1)\n"
+            "    return phase_at(epoch)\n"
+        )
+        assert schedule_calls(source) == [
+            ("phase_at", 2), ("learning_rate_at", 3), ("phase_at", 4)
+        ]
+
+    def test_definitions_and_references_do_not_count(self):
+        source = (
+            "class C:\n    def phase_at(self, epoch):\n        return 'dst'\n"
+            "    def learning_rate_at(self, epoch):\n        return 0.1\n"
+            "rate = cfg.learning_rate_at\nmake(phase_at=1)\ncfg.phase\n"
+        )
+        assert schedule_calls(source) == []
+
+    def test_training_passes_and_others_fail(self):
+        source = 'report = {"phase": cfg.phase_at(epoch)}\n'
+        assert misplaced_schedule_reads("training", source) == []
+        assert misplaced_schedule_reads("lab", source) == ["lab: phase_at (line 1)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_the_schedule_is_read_only_in_training(path):
+    assert misplaced_schedule_reads(path.stem, path.read_text(encoding="utf-8")) == []

@@ -95,7 +95,7 @@ def selection_epoch(clouds, **overrides):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(training, "profile", lambda params, ds: clouds_of[id(params)])
         divisions = capture_divisions(m, training)
-        selection_reports, _ = training.run_epoch(2, workspaces, ds, cfg, streams)
+        selection_reports = training.run_epoch(2, workspaces, ds, cfg, streams).selection
     return selection_reports, divisions
 
 

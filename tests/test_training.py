@@ -591,7 +591,7 @@ class TestDstEpoch:
         assert start >= 0.97
         selection = None
         for epoch in range(cfg.warmup_epochs + 1, cfg.warmup_epochs + 11):
-            selection, _ = run_epoch(epoch, workspaces, ds, cfg, streams)
+            selection = run_epoch(epoch, workspaces, ds, cfg, streams).selection
         end = ensemble_accuracy(params_of(workspaces), ds.features, ds.true_labels)
         for name in ("net1", "net2"):
             report = selection[name]
@@ -603,7 +603,9 @@ class TestDstEpoch:
         ds = clean_toy(seed=4)
         workspaces, streams, cfg = warmed_pair(ds)
         before = [profile(ws.params, ds) for ws in workspaces]
-        selection, profiles = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
+        epoch = cfg.warmup_epochs + 1
+        phase, learning_rate, selection, profiles = run_epoch(epoch, workspaces, ds, cfg, streams)
+        assert (phase, learning_rate) == ("dst", cfg.learning_rate_at(epoch))
         assert selection["net1"]["source"] == "net2"
         assert selection["net2"]["source"] == "net1"
         assert_same_profiles(profiles, before)
@@ -619,7 +621,8 @@ class TestDstEpoch:
         net2_before = params_hash(workspaces[1].params)
         before = [profile(workspaces[0].params, ds)]
         single = dataclasses.replace(cfg, single_network=True)
-        selection, profiles = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, single, streams)
+        trained = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, single, streams)
+        selection, profiles = trained.selection, trained.profiles
         assert params_hash(workspaces[1].params) == net2_before
         assert selection["net1"]["source"] == "net1"
         assert "net2" not in selection
@@ -651,7 +654,7 @@ class TestDstEpoch:
             ),
         )
         before = [params_hash(net) for net in params_of(workspaces)]
-        selection, _ = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
+        selection = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams).selection
         assert selection == {
             "net1": {"fallback": True, "reason": "fit failed", "source": "net2"},
             "net2": {"fallback": True, "reason": "fit failed", "source": "net1"},
@@ -662,7 +665,7 @@ class TestDstEpoch:
     def test_reports_carry_roles_and_mixture_diagnostics(self):
         ds = clean_toy(seed=8)
         workspaces, streams, cfg = warmed_pair(ds)
-        selection, _ = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams)
+        selection = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, cfg, streams).selection
         report = selection["net1"]
         assert report["fallback"] is False
         assert sorted(report["roles"]) == ["labeled", "predicted", "wrong"]
@@ -830,7 +833,9 @@ class TestEpochLoopMatchesOracle:
         results = []
         for epoch in range(1, cfg.warmup_epochs + dst_epochs + 1):
             dst_epoch = epoch - cfg.warmup_epochs
-            selection, _ = run_epoch(epoch, workspaces, ds, cfg, streams)
+            phase, learning_rate, selection, _ = run_epoch(epoch, workspaces, ds, cfg, streams)
+            # The oracle trains at `lr` throughout.
+            assert (phase, learning_rate) == ("warmup" if dst_epoch <= 0 else "dst", lr)
             if dst_epoch <= 0:
                 assert selection is None
                 for i, name in enumerate(("net1", "net2")):
