@@ -36,22 +36,37 @@ def sha256_of(paths) -> str:
     return digest.hexdigest()
 
 
+def without_gmm(report_path: Path) -> bytes:
+    """A report re-dumped with every `selection.<net>.gmm` block dropped."""
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    for entry in (report["selection"] or {}).values():
+        entry.pop("gmm", None)
+    return json.dumps(report, sort_keys=True).encode()
+
+
 def digests(run_dir: Path) -> dict:
     """`digest`: the SHA-256 over the bytes of summary.json and of
     checkpoints/*.json, in name order, `scatter_digest`: the same over
     scatter/*.csv, and `files_digest`: the same over dataset.csv,
-    manifest.json and reports/*.json, in that order."""
+    manifest.json and reports/*.json, in that order.
+
+    `summary_digest` (summary.json alone) and `branches_digest` (the
+    reports in name order, each without its mixture fits: `without_gmm`)
+    hold no float that the BLAS build or core moves in its last bits, so
+    they are the same on every toolchain measured."""
+    reports = sorted((run_dir / "reports").glob("*.json"))
+    branches = hashlib.sha256()
+    for path in reports:
+        branches.update(without_gmm(path))
     return {
+        "summary_digest": sha256_of([run_dir / "summary.json"]),
+        "branches_digest": branches.hexdigest(),
         "digest": sha256_of(
             [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]
         ),
         "scatter_digest": sha256_of(sorted((run_dir / "scatter").glob("*.csv"))),
         "files_digest": sha256_of(
-            [
-                run_dir / "dataset.csv",
-                run_dir / "manifest.json",
-                *sorted((run_dir / "reports").glob("*.json")),
-            ]
+            [run_dir / "dataset.csv", run_dir / "manifest.json", *reports]
         ),
     }
 
