@@ -50,10 +50,10 @@ def digests(run_dir: Path) -> dict:
     scatter/*.csv, and `files_digest`: the same over dataset.csv,
     manifest.json and reports/*.json, in that order.
 
-    `summary_digest` (summary.json alone) and `branches_digest` (the
-    reports in name order, each without its mixture fits: `without_gmm`)
-    hold no float that the BLAS build or core moves in its last bits, so
-    they are the same on every toolchain measured."""
+    `summary_digest` is the same over summary.json alone, and
+    `branches_digest` over the reports in name order, each `without_gmm`.
+    Unlike the first three, they hold no float that a different BLAS build
+    or core moves in its last bits."""
     reports = sorted((run_dir / "reports").glob("*.json"))
     branches = hashlib.sha256()
     for path in reports:

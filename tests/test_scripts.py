@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import RUNS, load_runs
-from dstlab import network
+from dstlab import lab, network
 from dstlab.config import benchmark_config
 
 # Each subcommand's flags and defaults: those of the scripts it replaced,
@@ -91,6 +91,26 @@ def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monk
             *(run_dir / f"reports/epoch_00{epoch}.json" for epoch in (1, 2, 3)),
         ]
     )
+    assert out["summary_digest"] == sha256_over([run_dir / "summary.json"])
+
+
+def test_branches_digest_reads_the_reports_without_their_mixture_fits(tmp_path):
+    # A short two-network run; its last report holds both networks' fits.
+    runs = load_runs()
+    short = dict(per_class=40, test_per_class=10, total_epochs=3, warmup_epochs=1)
+    run_dir = lab.run(benchmark_config(**short), tmp_path / "r")
+    before = runs.digests(run_dir)
+    path = run_dir / "reports" / "epoch_003.json"
+    report = json.loads(path.read_text())
+    for entry in report["selection"].values():
+        entry["gmm"]["means"][0][0] += 1e-12
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    moved = runs.digests(run_dir)
+    assert moved["files_digest"] != before["files_digest"]
+    assert moved["branches_digest"] == before["branches_digest"]
+    report["selection"]["net1"]["branches"]["labeled"]["size"] += 1
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    assert runs.digests(run_dir)["branches_digest"] != before["branches_digest"]
 
 
 def test_benchmark_selftest_passes():
