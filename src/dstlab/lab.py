@@ -11,12 +11,10 @@ every file, and each report whole.
 Summaries contain no paths or timestamps, so identical configs and seeds
 produce byte-identical summary files.
 
-The writer is also the run's second worker. `training.run_epoch` decides
-which reads of networks that nobody is stepping it makes, one message per
-network turn: each batch's partner softmax, and at net2's turn net1's
-profile and mixture fit (net2's division for the next epoch). The writer
-only carries them out. The run process keeps what must be sequential:
-net2's profile and fit, both batch loops and the SGD steps.
+The writer also fits net1's loss cloud, net2's division for the next
+epoch, when `training.run_epoch` hands it over at net2's turn. The run
+process keeps every forward over the training set, net2's fit, both
+batch loops and the SGD steps.
 """
 
 from __future__ import annotations
@@ -27,22 +25,20 @@ import mmap
 import os
 import pickle
 import signal
-import struct
 from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .config import ExperimentConfig, _is_number, config_to_dict
 from .data import CleanDataset, NoisyDataset, inject_noise, make_blobs, save_dataset
-from .errors import ConfigError, NotFoundError, NumericError, StructuralError
-from .lossprofile import LossProfile, profile, write_scatter
-from .network import Layers, Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
+from .errors import ConfigError, NotFoundError, StructuralError
+from .lossprofile import LossProfile, write_scatter
+from .network import Workspace, init_network, layer_views, one_blas_thread, save_checkpoint
 from .rng import NET_NAMES, RngStreams, derive_seed, stream
 from .selection import BRANCH_NAMES, BranchTable, divide
-from .training import Epoch, evaluate, run_epoch, softmax_of
+from .training import Epoch, evaluate, run_epoch
 
 OUTPUT_ROOT_ENV = "DSTLAB_OUTPUT_ROOT"
 
@@ -87,8 +83,9 @@ def build_datasets(
     return train, test, seeds
 
 
-def _scatter_due(cfg: ExperimentConfig, epoch: int) -> bool:
-    return epoch == cfg.total_epochs or (cfg.scatter_every > 0 and epoch % cfg.scatter_every == 0)
+def _scatter_due(cfg: ExperimentConfig, epoch: int, last: bool) -> bool:
+    """Whether `epoch`'s clouds are dumped; `last` marks the run's final epoch."""
+    return last or (cfg.scatter_every > 0 and epoch % cfg.scatter_every == 0)
 
 
 def scatter_csv_path(run_dir: Path | str, epoch: int, net: str) -> Path:
@@ -153,63 +150,39 @@ def _summary(manifest: dict, reports: list[dict]) -> dict:
     }
 
 
-# One published partner softmax on the progress pipe: (loop tag, batch).
-_RECORD = struct.Struct("<II")
-
-
-def _loop_tag(epoch: int, i: int) -> int:
-    """The tag of net i's loop in `epoch`; it grows over the run."""
-    return 2 * epoch + i
-
-
 def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.ndarray]:
     """The arrays the run and the writer share, zeroed, each in its own
     anonymous shared mapping made before the fork, so each process sees the
     other's writes.
 
-    Where the run writes, an array holds one slot per network, overwritten
-    every epoch. The run writes `params` only in `_EpochWriter.submit`,
-    after it has read the writer's answer to the epoch before, and the
-    writer reads them only for the epoch its message names. The writer may
-    still serve an older loop of net i when the run overwrites `order[i]`
-    and `partner_params[i]`; the rows it publishes then carry the older
-    loop's tag, which the run never accepts. Net1's profile for net2's next
-    division reads `partner_params[1]` before the writer's next answer,
-    which the run reads before net2's next turn overwrites it.
+    The run writes `params` only in `_EpochWriter.submit`, after it has
+    read the writer's answer to the epoch before, and the writer reads them
+    only for the epoch its message names.
 
-    Where the writer writes ahead of the run, slots are indexed by
-    `epoch % 2`, and reused two epochs later, once the run has read the
-    writer's answer to the epoch in between: net2's branch tables, made
-    for epoch e+1 while the run trains epoch e, and the loss clouds,
-    because net1's cloud for epoch e+1 is profiled before epoch e's dump.
+    The other arrays hold one slot per epoch parity, `epoch % 2`, reused
+    two epochs later: net2's branch tables, which the writer makes for
+    epoch e+1 while the run trains epoch e, and the loss clouds, because
+    net1's cloud for epoch e+1 is made before epoch e's dump. The run
+    writes net1's cloud into slot (e+1) % 2 at net2's turn of epoch e
+    (`_EpochWriter.divide`), only after it has read the writer's answer to
+    epoch e-1 (`_EpochWriter.division`), which the writer sends once it
+    has dumped epoch e-1's clouds from that slot. At the last warmup epoch
+    no dump reads the slot.
 
     - params[i]: net i's flat parameters at the end of the epoch;
-    - partner_params[i]: the flat parameters of net i's partner as net i's
-      loop starts (`_EpochWriter.loop`): for net1 net2's from the end of
-      the epoch before, for net2 net1's from the end of its loop;
-    - order[i]: the batch order of net i's loop;
-    - partner[i]: the partner softmax of net i's loop, rows in batch order;
     - keep, lean, wrong [epoch % 2]: net2's branch table for that epoch;
     - each field of `LossProfile` [epoch % 2, i], with the dtype the field
-      declares: net i's loss cloud for the epoch's scatter dump, put there
-      by the process that made it;
-    - position[0]: the run's loop tag << 32 | its batch, which the writer
-      reads to skip batches the run has reached (a hint only: the progress
-      pipe says what is published).
+      declares: net i's loss cloud of that epoch, put there by the run.
     """
     sizes = cfg.layer_sizes()
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
     n = train.n_samples
     specs = {
         "params": ((2, n_params), np.float64),
-        "partner_params": ((2, n_params), np.float64),
-        "order": ((2, n), np.int64),
-        "partner": ((2, n, cfg.n_classes), np.float64),
         "keep": ((2, n), np.float64),
         "lean": ((2, n), np.float64),
         "wrong": ((2, n), np.bool_),
         **{f.name: ((2, 2, n), f.metadata["dtype"]) for f in fields(LossProfile)},
-        "position": ((1,), np.int64),
     }
     return {
         name: np.ndarray(
@@ -219,43 +192,14 @@ def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.n
     }
 
 
-def _serve_partner(
-    partner: Layers,
-    order: np.ndarray,
-    rows: np.ndarray,
-    tag: int,
-    position: np.ndarray,
-    progress: int,
-    features: np.ndarray,
-    batch_size: int,
-) -> None:
-    """Publish the partner softmax of each batch of loop `tag` that the run
-    has not reached, in the run's batch order and shapes, so the bytes are
-    the ones the run would compute. A record on the progress pipe follows
-    each batch's rows. Stops when the run has left the loop; a non-finite
-    logit stops it too, so the run computes that batch itself and raises.
-    """
-    for b, start in enumerate(range(0, len(order), batch_size)):
-        run = int(position[0])
-        if run >> 32 > tag:
-            return
-        if run >> 32 == tag and run & 0xFFFFFFFF >= b:
-            continue
-        idx = order[start : start + batch_size]
-        try:
-            rows[start : start + len(idx)] = softmax_of(partner, features[idx])
-        except NumericError:
-            return
-        try:
-            os.write(progress, _RECORD.pack(tag, b))
-        except (BlockingIOError, BrokenPipeError):
-            return
+def _cloud(shared: dict[str, np.ndarray], slot: int, i: int) -> LossProfile:
+    """Net i's loss cloud in profile slot `slot`, as views."""
+    return LossProfile(**{f.name: shared[f.name][slot, i] for f in fields(LossProfile)})
 
 
 def _serve_run(
     requests,
     replies,
-    progress: int,
     shared: dict[str, np.ndarray],
     run_dir: Path,
     cfg: ExperimentConfig,
@@ -263,16 +207,13 @@ def _serve_run(
     test: CleanDataset,
     seeds: dict[str, int],
 ) -> None:
-    """Writer loop: make everything inside the run directory, and carry
-    out the reads of frozen networks that `training.run_epoch` asks for.
-    Messages, in the order the run sends them:
+    """Writer loop: make everything inside the run directory, and fit the
+    clouds that `training.run_epoch` hands over. It runs no forward over
+    the training set. Messages, in the order the run sends them:
 
-    - ("loop", e, i, serve, divide_next): net i's turn of epoch e starts;
-      its batch order and its partner's parameters are in net i's slots.
-      With `serve`, publish its partner softmaxes from those parameters.
-      With `divide_next` (net2's turn, whose partner is net1), then
-      profile net1 from them, put its cloud in its profile slot of epoch
-      e+1 and make net2's division for epoch e+1 from it.
+    - ("divide", e): at net2's turn of epoch e, net1's cloud is in its
+      profile slot of epoch e+1. Make net2's division for epoch e+1 from
+      it, into net2's branch-table slot of that epoch.
     - ("epoch", e, phase, learning_rate, selection, n_dumps, last): epoch
       e is trained, in this phase and at this learning rate, with these
       selection reports (None outside selection epochs). Write the clouds
@@ -320,7 +261,6 @@ def _serve_run(
     except Exception as exc:  # noqa: BLE001 - answered to the run
         error = exc
     nets = [layer_views(flat, cfg.layer_sizes()) for flat in shared["params"]]
-    partners = [layer_views(flat, cfg.layer_sizes()) for flat in shared["partner_params"]]
     ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     reports: list[dict] = []
     division = None  # net2's report for the next epoch, not answered yet
@@ -331,30 +271,19 @@ def _serve_run(
             return
         epoch = message[1]
         slot = epoch % 2
-        if message[0] == "loop":
-            i, serve, divide_next = message[2:]
+        if message[0] == "divide":
             try:
-                if serve:
-                    _serve_partner(
-                        partners[i], shared["order"][i],
-                        shared["partner"][i], _loop_tag(epoch, i), shared["position"],
-                        progress, train.features, cfg.batch_size,
-                    )
-                if divide_next:
-                    prof = profile(partners[i], train)
-                    for f in fields(LossProfile):
-                        shared[f.name][1 - slot, 0] = getattr(prof, f.name)
-                    table, division = divide(prof, cfg, "net1")
-                    if table is not None:
-                        for name, column in zip(("keep", "lean", "wrong"), table):
-                            shared[name][1 - slot] = column
+                table, division = divide(_cloud(shared, 1 - slot, 0), cfg, "net1")
+                if table is not None:
+                    for name, column in zip(("keep", "lean", "wrong"), table):
+                        shared[name][1 - slot] = column
             except Exception as exc:  # noqa: BLE001 - answered to the run
                 error = error or exc
             continue
         phase, learning_rate, selection, n_dumps, last = message[2:]
         try:
             for i, name in enumerate(NET_NAMES[:n_dumps]):
-                prof = LossProfile(**{f.name: shared[f.name][slot, i] for f in fields(LossProfile)})
+                prof = _cloud(shared, slot, i)
                 _write(scatter_csv_path(run_dir, epoch, name), write_scatter(epoch, name, prof))
         except Exception as exc:  # noqa: BLE001 - answered to the run
             error = error or exc
@@ -389,30 +318,26 @@ _WRITER_GONE = "the epoch writer process ended early"
 class _EpochWriter:
     """A forked process that makes everything inside a run's directory
     (`_serve_run`): its subdirectories, every file and each report whole.
-    It also carries out the reads of frozen networks that
-    `training.run_epoch` hands it.
+    It also fits the clouds of net1 that `training.run_epoch` hands it,
+    which make net2's divisions.
 
     It inherits the config, both datasets and the seeds at the fork.
-    Parameters, batch orders, net2's branch tables, partner softmaxes and
-    the loss profiles travel through arrays shared at the fork
-    (`_shared_arrays`); the pipe carries only small messages. So
-    formatting (about 6 ms per 4000-row cloud, `data.write_csv`), the test
-    forwards, every write, net1's profile and fit and the partner forwards
+    Parameters, net2's branch tables and the loss clouds travel through
+    arrays shared at the fork (`_shared_arrays`); the pipe carries only
+    small messages. So formatting (about 6 ms per 4000-row cloud,
+    `data.write_csv`), the test forwards, every write and net1's fit
     overlap training on another core.
 
-    Per epoch the run sends, in order: one ("loop", ...) message per
-    network turn in which `run_epoch` gives the writer work (`loop`),
-    handing over the turn's partner parameters, and ("epoch", ...) once
-    the epoch is trained (`submit`), with the phase and learning rate
-    `run_epoch` trained it with and whether it is the last. The handle
-    counts no epochs: `loop`, `division` and `submit` take the epoch
-    `run_epoch` trains. The writer answers each "epoch" message, also with net2's
-    division for the next epoch. At most one answer is unread: the run
-    reads the answer to epoch e-1 at net2's turn of epoch e, for the
-    division it trains on (`division`), or, in any other epoch, before it
-    sends epoch e. It never waits for a partner softmax: `loop` returns a
-    lookup that yields a batch once the progress pipe says the writer
-    published it, and None before.
+    Per epoch the run sends, in order: ("divide", e) at net2's turn when
+    `run_epoch` hands over net1's cloud for the next epoch's division
+    (`divide`), and ("epoch", ...) once the epoch is trained (`submit`),
+    with the phase and learning rate `run_epoch` trained it with and
+    whether it is the last. The handle counts no epochs: `divide`,
+    `division` and `submit` take the epoch `run_epoch` trains. The writer
+    answers each "epoch" message, also with net2's division for the next
+    epoch. At most one answer is unread: the run reads the answer to epoch
+    e-1 at net2's turn of epoch e, for the division it trains on
+    (`division`), or, in any other epoch, before it sends epoch e.
 
     Fork it on one BLAS thread (`one_blas_thread`): the writer inherits the
     count, and a fork copies none of the BLAS's threads. As a context
@@ -433,14 +358,14 @@ class _EpochWriter:
         fds: list[int] = []
         try:
             self.shared = _shared_arrays(cfg, train)
-            for _ in range(3):
+            for _ in range(2):
                 fds.extend(os.pipe())
             self.pid = os.fork()
         except OSError as exc:
             for fd in fds:
                 os.close(fd)
             raise StructuralError(f"cannot start the epoch writer: {exc}") from exc
-        request_r, request_w, reply_r, reply_w, progress_r, progress_w = fds
+        request_r, request_w, reply_r, reply_w = fds
         if self.pid == 0:
             # The writer never returns into the caller's stack: no atexit
             # handlers, no second flush of inherited stdio buffers.
@@ -449,20 +374,15 @@ class _EpochWriter:
                 # Ctrl-C reaches the whole process group; the run drains
                 # the writer, so its last epoch is written out in full.
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                for fd in (request_w, reply_r, progress_r):
+                for fd in (request_w, reply_r):
                     os.close(fd)
-                os.set_blocking(progress_w, False)
                 with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
-                    _serve_run(
-                        requests, replies, progress_w, self.shared, run_dir, cfg, train, test, seeds
-                    )
+                    _serve_run(requests, replies, self.shared, run_dir, cfg, train, test, seeds)
                 code = 0
             finally:
                 os._exit(code)
-        for fd in (request_r, reply_w, progress_w):
+        for fd in (request_r, reply_w):
             os.close(fd)
-        os.set_blocking(progress_r, False)
-        self.progress = progress_r
         self.requests = os.fdopen(request_w, "wb")
         self.replies = os.fdopen(reply_r, "rb")
 
@@ -488,34 +408,13 @@ class _EpochWriter:
             raise error
         return report
 
-    def loop(
-        self, epoch: int, i: int, order: np.ndarray, partner: np.ndarray, serve: bool,
-        divide_next: bool,
-    ) -> Callable[[int], np.ndarray | None]:
-        """Net i's turn of `epoch` starts, its loop in `order`, and
-        `partner` holds the flat parameters of its partner as they stand:
-        net2's from the end of the epoch before for net1, net1's from the
-        end of its loop for net2. Both go to net i's slots. Asks the writer
-        to publish the turn's partner softmaxes (`serve`) and, at net2's
-        turn, to divide net1's cloud for the next epoch (`divide_next`).
-        Returns the lookup of batch b's partner softmax: the rows the
-        writer published, else None."""
-        self.shared["order"][i] = order
-        self.shared["partner_params"][i] = partner
-        self._send(("loop", epoch, i, serve, divide_next))
-        tag, batch_size = _loop_tag(epoch, i), self.cfg.batch_size
-        rows, position = self.shared["partner"][i], self.shared["position"]
-        ready = np.zeros(-(-len(order) // batch_size), dtype=bool)
-
-        def published(b: int) -> np.ndarray | None:
-            position[0] = tag << 32 | b
-            if not ready[b]:
-                with suppress(BlockingIOError):
-                    for seen, batch in _RECORD.iter_unpack(os.read(self.progress, 1 << 16)):
-                        ready[batch] |= seen == tag
-            return rows[b * batch_size : (b + 1) * batch_size] if ready[b] else None
-
-        return published
+    def divide(self, epoch: int, cloud: LossProfile) -> None:
+        """At net2's turn of `epoch`, hand over net1's `cloud`, as its loop
+        left it, for net2's division of the next epoch: it goes to net1's
+        profile slot of epoch + 1, and the writer fits it there."""
+        for f in fields(LossProfile):
+            self.shared[f.name][(epoch + 1) % 2, 0] = getattr(cloud, f.name)
+        self._send(("divide", epoch))
 
     def division(self, epoch: int) -> tuple[BranchTable | None, dict]:
         """Net2's branch table for `epoch` (None: it falls back) and its
@@ -528,14 +427,14 @@ class _EpochWriter:
     def submit(self, epoch: int, flats: list[np.ndarray], trained: Epoch, last: bool) -> None:
         """Send `epoch`'s parameters and what `run_epoch` returned for it:
         the phase and learning rate it trained with, its selection reports,
-        and its profiles (None: net1's, which the writer put in its slot)
+        and its profiles (None: net1's, already in its slot from `divide`)
         if the epoch's clouds are due for dumping (`_scatter_due`). `last`
         marks the run's final epoch, after which the writer writes the
         checkpoints and summary.json. The parameters overwrite the previous
         epoch's only after the writer's answer to that epoch is read."""
         self._answer()
         slot = epoch % 2
-        dumps = trained.profiles if _scatter_due(self.cfg, epoch) else []
+        dumps = trained.profiles if _scatter_due(self.cfg, epoch, last) else []
         self.shared["params"][:] = flats
         for i, prof in enumerate(dumps):
             if prof is not None:
@@ -559,7 +458,6 @@ class _EpochWriter:
                 # of a request unsent.
                 with suppress(BrokenPipeError):
                     stream.close()
-            os.close(self.progress)
             os.waitpid(self.pid, 0)
 
 

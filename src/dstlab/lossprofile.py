@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NoisyDataset, audit_states, write_csv
-from .network import LOG_FLOOR, Layers, full_forward, softmax
+from .network import LOG_FLOOR
 
 
 @dataclass
@@ -40,11 +40,10 @@ class LossProfile:
         return self.l_nis.shape[0]
 
 
-def profile(params: Layers, ds: NoisyDataset) -> LossProfile:
-    """The normalized, audited loss cloud of `ds`; no parameter is updated."""
-    # The forward writes into this process's reused layer outputs
-    # (`full_forward`), so its logits are read here and never kept.
-    probs = softmax(full_forward(params, ds.features))
+def profile(probs: np.ndarray, ds: NoisyDataset) -> LossProfile:
+    """The normalized, audited loss cloud of `ds` under a frozen network,
+    from its softmax over the whole set (`training.full_softmax`), [N, C]
+    in dataset order."""
     predicted = probs.argmax(axis=1).astype(np.int64)
     idx = np.arange(ds.n_samples)
     l_nis = -np.log(np.maximum(probs[idx, ds.noisy_labels], LOG_FLOOR))

@@ -14,18 +14,17 @@ turns its loss cloud into a branch table; its partner trains on that
 table, iterating shuffled mini-batches whose labels are refined with the
 ensemble, sharpened, mixed, and used for a single SGD step.
 
-Every read of a network that is not being stepped can run in another
-process: net1's profile and fit, and each batch's partner softmax.
-`run_epoch` decides, per network turn, which of them it asks for (see
-`lab._EpochWriter`). Such work gives the bytes this process would
-compute, and what another process has not published yet this process
-computes itself.
+Every network that is read but not stepped is read through one forward
+over the full training set (`full_softmax`): a profile's softmax, and an
+ensemble partner's, whose rows each batch reads. Net1's mixture fit, which
+makes net2's division, can run in another process (`lab._EpochWriter`);
+it gives the bytes this process would compute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,36 +102,37 @@ def softmax_of(params: Layers, x: np.ndarray) -> np.ndarray:
     return softmax(logits, out=logits)
 
 
-def _unpublished(b: int) -> None:
-    return None
+def full_softmax(params: Layers, ds: NoisyDataset) -> np.ndarray:
+    """A network's softmax over the whole training set, [N, C] in dataset
+    order, from one `full_forward`. The logits there are overwritten by the
+    next full forward in this process; the softmax is a fresh array."""
+    return softmax(full_forward(params, ds.features))
 
 
 @dataclass
 class _Refinement:
     """What a selection epoch adds to plain cross-entropy for one network."""
 
-    partner: Layers | None  # ensemble partner, not stepped this epoch; None: alone
+    # The ensemble partner's `full_softmax`, taken as the loop starts: the
+    # partner is not stepped during it. None: the network trains alone.
+    partner: np.ndarray | None
     keep: np.ndarray  # [N] weight on the label
     lean: np.ndarray  # [N] weight on the ensemble; wrong rows drawn per batch
     wrong: np.ndarray  # [N] wrong-branch mask
     cfg: ExperimentConfig
     wrong_rng: np.random.Generator
     mixup_rng: np.random.Generator | None  # None: no MixUp
-    # The partner's softmax of batch b as another process published it,
-    # or None: then this process computes it.
-    published: Callable[[int], np.ndarray | None] = _unpublished
 
     def batch(
-        self, params: Layers, x: np.ndarray, y: np.ndarray, idx: np.ndarray, b: int
+        self, params: Layers, x: np.ndarray, y: np.ndarray, idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Refined, sharpened and mixed batch number `b`. The ensemble is the
-        mean of the updating network's current softmax and its partner's,
-        summed in that order; wrong-branch blend weights are drawn fresh
-        for every such sample, in batch order."""
+        """Refined, sharpened and mixed batch of rows `idx`. The ensemble is
+        the mean of the updating network's current softmax and its
+        partner's rows, summed in that order; wrong-branch blend weights
+        are drawn fresh for every such sample, in batch order."""
         p_b = softmax_of(params, x)
         if self.partner is not None:
-            partner = self.published(b)
-            p_b += softmax_of(self.partner, x) if partner is None else partner
+            p_b += self.partner[idx]
             p_b /= 2
         keep, lean, wrong = self.keep[idx], self.lean[idx], self.wrong[idx]
         n_wrong = int(wrong.sum())
@@ -164,11 +164,11 @@ def _train_epoch(
     targets with the uniform-prior regularizer added.
     """
     targets = one_hot(ds.noisy_labels, ds.n_classes)
-    for b, start in enumerate(range(0, ds.n_samples, batch_size)):
+    for start in range(0, ds.n_samples, batch_size):
         idx = order[start : start + batch_size]
         x, y = ds.features[idx], targets[idx]
         if refinement is not None:
-            x, y = refinement.batch(ws.params, x, y, idx, b)
+            x, y = refinement.batch(ws.params, x, y, idx)
         logits, activations = forward_cached(ws.params, x)
         p = softmax(logits, out=logits)
         reg = None if refinement is None else _regularizer_grad(p, refinement.cfg.lambda_reg)
@@ -207,42 +207,45 @@ def run_epoch(
     other network's or, alone, its own. Each cloud is profiled with the
     parameters from the end of the previous epoch, before any update in
     this one, and a partner is read as it stands when its consumer's loop
-    starts, after the earlier consumer's updates. A failed fit sends its
-    consumer through a plain cross-entropy epoch, flagged in its report
-    with the reason. This function alone reads the schedule, the epoch's
-    phase and learning rate; the epoch writer records what it returns.
+    starts, after the earlier consumer's updates: net1's partner is net2's
+    softmax behind its profile, net2's is one `full_softmax` of net1 at
+    net2's turn. A failed fit sends its consumer through a plain
+    cross-entropy epoch, flagged in its report with the reason. This
+    function alone reads the schedule, the epoch's phase and learning
+    rate; the epoch writer records what it returns.
 
     `offload`, if given, is the run's epoch writer (`lab._EpochWriter`;
-    two networks only), and this function alone decides its work. It
-    makes net2's division (`division`): at net2's turn of the epoch before
-    a selection epoch, it profiles net1 and fits its cloud. It serves the
-    partner softmaxes of each turn that trains on a division (`loop`).
-    A turn calls `loop` only when it gives the writer such work, handing
-    over the partner's parameters as they stand, and net2's turn reads
-    its division first. Both calls name `epoch`: the writer keeps no count
-    of its own. Without `offload` everything runs in this process, and the
-    bytes are the same either way.
+    two networks only), and makes net2's divisions. At net2's turn of the
+    epoch before a selection epoch, the cloud of net1's `full_softmax`,
+    which is also net2's partner then, goes to the writer to be fitted
+    (`divide`), and net2's turn of the selection epoch reads the division
+    back (`division`) before anything else. Both calls name `epoch`: the
+    writer keeps no count of its own. So a two-network selection epoch
+    makes two training-set forwards here, net2's at the start and net1's
+    at net2's turn, and the last warmup epoch one, net1's. Without
+    `offload` everything runs in this process, net1 is also profiled at
+    the start, and the bytes are the same either way.
 
     Returns an `Epoch`: the phase and learning rate the epoch trained
     with, the selection reports per consuming network (None outside
     selection epochs; see `selection.divide`), and the profiles of a
     selection epoch's networks in `NET_NAMES` order (none otherwise);
-    net1's is None with `offload`, which made it.
+    net1's is None with `offload`, which holds it.
     """
     phase, learning_rate = cfg.phase_at(epoch), cfg.learning_rate_at(epoch)
     dst = phase == "dst"
     active = workspaces[:1] if dst and cfg.single_network else workspaces
     selection: dict | None = {} if dst else None
-    profiles: list[LossProfile | None] = []
-    if dst:
-        # `profile` audits each network before the next one is profiled, and
-        # both forwards write into the same reused layer outputs
-        # (`network.full_forward`), so a second profile adds only its cloud.
-        profiles = [
-            None if offload is not None and i == 0 else profile(ws.params, ds)
-            for i, ws in enumerate(active)
-        ]
+    # The active networks' full-set softmaxes from before any update, and
+    # their clouds. With `offload`, net1's cloud was made at net2's turn
+    # of the epoch before, and the writer fits it.
+    softmaxes = [
+        full_softmax(ws.params, ds) if dst and (offload is None or i == 1) else None
+        for i, ws in enumerate(active)
+    ]
+    profiles = [None if p is None else profile(p, ds) for p in softmaxes] if dst else []
     next_dst = epoch < cfg.total_epochs and cfg.phase_at(epoch + 1) == "dst"
+    divide_next = offload is not None and next_dst
     for i, ws in enumerate(active):
         order = streams.shuffle[i].permutation(ds.n_samples)
         table = None
@@ -252,21 +255,22 @@ def run_epoch(
             else:
                 source = (i + 1) % len(active)
                 table, selection[NET_NAMES[i]] = divide(profiles[source], cfg, NET_NAMES[source])
-        serve, divide_next = table is not None, i == 1 and next_dst
-        published = _unpublished
-        if offload is not None and (serve or divide_next):
-            published = offload.loop(epoch, i, order, workspaces[1 - i].flat, serve, divide_next)
+        partner = None
+        if i == 0 and len(active) == 2:
+            partner = softmaxes[1]
+        elif i == 1 and (table is not None or divide_next):
+            # Net1 as its loop left it.
+            partner = full_softmax(workspaces[0].params, ds)
+            if divide_next:
+                offload.divide(epoch, profile(partner, ds))
         refinement = None
         if table is not None:
-            # The partner as it stands now, after the earlier consumer's updates.
-            partner = None if len(active) == 1 else workspaces[1 - i].params
             refinement = _Refinement(
                 partner,
                 *table,
                 cfg,
                 streams.wrong_branch[i],
                 None if cfg.no_mixup else streams.mixup[i],
-                published,
             )
         _train_epoch(ws, learning_rate, ds, cfg.batch_size, order, refinement)
     return Epoch(phase, learning_rate, selection, profiles)

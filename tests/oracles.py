@@ -169,6 +169,11 @@ def ensemble_probs_reference(nets, x):
     return total / len(nets)
 
 
+def full_softmax_reference(params, ds):
+    """A network's softmax over the whole training set from one forward."""
+    return softmax_reference(forward_cached_reference(params, ds.features)[0])
+
+
 def sharpen_reference(y_tilde, temperature):
     powered = np.asarray(y_tilde, dtype=np.float64) ** (1.0 / temperature)
     return powered / powered.sum(axis=-1, keepdims=True)
@@ -375,16 +380,23 @@ def train_net_on_division(
     """Mini-batch loop updating a single network's parameters.
 
     Refinement sees current parameters: the updating network contributes
-    its latest weights to every batch's ensemble, `other_nets` stay frozen.
-    `weights` are the division's per-sample w_r and w_prd.
+    its latest weights to every batch's ensemble. `other_nets` stay frozen,
+    so each contributes the rows of one softmax over the full training set,
+    computed before the loop. The ensemble sums the softmaxes in list
+    order, the updating network's first, over their count. `weights` are
+    the division's per-sample w_r and w_prd.
     """
     w_r, w_prd = weights
     targets = one_hot(ds.noisy_labels, ds.n_classes)
+    partners = [full_softmax_reference(net, ds) for net in other_nets]
     order = shuffle_rng.permutation(ds.n_samples)
     for start in range(0, ds.n_samples, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
         x_b = ds.features[idx]
-        p_b = ensemble_probs_reference([params] + other_nets, x_b)
+        p_b = ensemble_probs_reference([params], x_b)
+        for partner in partners:
+            p_b = p_b + partner[idx]
+        p_b = p_b / (1 + len(partners))
         y_tilde = refine_batch(
             targets[idx],
             p_b,
@@ -429,11 +441,11 @@ def dst_epoch(nets, opts, ds, cfg, streams, divide=None):
     weights.
     """
     divide = divide or (lambda prof, cfg, source: division_weights(prof, cfg))
-    prof1 = profile(nets["net1"], ds)
+    prof1 = profile(full_softmax_reference(nets["net1"], ds), ds)
     if cfg.single_network:
         divisions = {"net1": divide(prof1, cfg, "net1")}
     else:
-        prof2 = profile(nets["net2"], ds)
+        prof2 = profile(full_softmax_reference(nets["net2"], ds), ds)
         divisions = {"net1": divide(prof2, cfg, "net2"), "net2": divide(prof1, cfg, "net1")}
     for i, (name, weights) in enumerate(divisions.items()):
         if weights is None:

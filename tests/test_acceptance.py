@@ -52,9 +52,9 @@ TOL = 1e-9
 # numpy 2.4.6 with its bundled OpenBLAS on the SkylakeX core computes them.
 GOLDEN_TOOLCHAIN = ("2.4.6", "SkylakeX")
 GOLDEN_DIGESTS = {
-    "digest": "de870d87441bf07b4d260b40f5188b56e147219f1cd38846a819a2667621aef5",
-    "scatter_digest": "5081428326fadf9d151b51a97c42e8c7119b5ad9fbef434443b7fcbd767ad38a",
-    "files_digest": "e355d163033f4551513b40091ab0585f9bfeb7ed13578df353b91a929e581858",
+    "digest": "b5584417f45e08c8b50d3bd747f678c6d8bedd4d377eb244c8fa7ddc6cd99944",
+    "scatter_digest": "8a0adb99ef94e77f2efd08490f66fc4f5b30e234bf45554a4bb5fa2b13d4ca39",
+    "files_digest": "4071cfc7da84f42ee2574ec192acfd36c09dace9ae2ca4802cf2eea457558f92",
 }
 # The same `runs.digests` of the battery's other distinct runs, on the same
 # toolchain. `mem_ce` sends the writer no turn and dumps no cloud (its
@@ -62,9 +62,9 @@ GOLDEN_DIGESTS = {
 # writer's help.
 BATTERY_DIGESTS = {
     "mem_dst": {
-        "digest": "c517af10bf23bcf80983702c291fbd7402ee0b6101861c07a1a853f8e9151cd7",
-        "scatter_digest": "737a7e9de33c21924b1ae4de1fef331a10929e8444f42c290c9132f2a8bb74a3",
-        "files_digest": "5c63080e05d944c3481fa4b5fa2137ee59267ed0398c1c67db2cca9284729175",
+        "digest": "1ff539d12e33f22152e636afa19e0c1d225731763fcb0dd05f2983494512b623",
+        "scatter_digest": "2aa4a5d88ee919692dd39a1899a8e364154dd204bd8bc952f119707e6ae27a19",
+        "files_digest": "dadbbbabe3ec79cd8fe04bdde34b56eb80eb42b4e9be66c9a1ceaab4e6e820f4",
     },
     "mem_ce": {
         "digest": "d6429c4ab73499fe84ff04cc5537b12bf12a7ffd6b9fd5106c2921d858398ab9",
@@ -72,14 +72,14 @@ BATTERY_DIGESTS = {
         "files_digest": "ef4328ac29b6cadd1afd65f18a083340764d63b0295dfec29006f09f5678fd46",
     },
     "r08": {
-        "digest": "aa9b458ca14e4b5455fff5fddeb926fc65857b3581968c7c5f87ccae45775d43",
-        "scatter_digest": "b143a2ef9977c9b1ca7c8a6bb041024531167cf19fbfad330081f945ff631239",
-        "files_digest": "eb542b28ff8817aeadec7219aae901bd941f57b0010f0b77fb92702b97ea517e",
+        "digest": "d067ea3c4c3e08eb4c02232dafaf6624d3166e22569512cb6f9cb1c815e5cd38",
+        "scatter_digest": "5cfc6e177361a8c1425b94f61fe4c6d885e449660f0858d30be13448115848fe",
+        "files_digest": "d5a053955f7a72c3e86781862e104d39bac47b48270d5b1369aedb1c155dbbd4",
     },
     "r08_nomix": {
-        "digest": "9a269ba23173cbbc29be088fd027b7e20c8045861a42084928b2faf26a4daa08",
-        "scatter_digest": "d88ef28c4037d4002c3e17dedd2f4ca60e9640314b29485ae7d6dc58c8c6983c",
-        "files_digest": "d14e8e570d5e9e088fbc8a5e7744d28cf9ef205f4fea81be7849852c04662479",
+        "digest": "d36e15b83ff5fb2f4a4f1a244322aa028f05a79e5346f6e4b06d84a0b9de96dc",
+        "scatter_digest": "6e87a540a2569343dd90c692c1a5574ae3f5bb4228c1d90f2fb626ef9a9272c7",
+        "files_digest": "a85c4326a72b282877b4faece81b17e5c0fb03b81aad9c6bd0a8d524f0aa55df",
     },
     "r08_single": {
         "digest": "a11ebb7fda19eda1ccf51da6de8f2892a8ee2ecbbe97e6eb9314d94a532ad0a3",

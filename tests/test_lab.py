@@ -548,8 +548,8 @@ class TestFlatLossCloud:
     def flat_run(tmp_path, monkeypatch, both_axes: bool):
         real = training.profile
 
-        def flat_profile(params, ds):
-            prof = real(params, ds)
+        def flat_profile(probs, ds):
+            prof = real(probs, ds)
             l_nis = np.full_like(prof.l_nis, 0.7) if both_axes else prof.l_nis
             l_prd = np.full_like(prof.l_prd, 0.3)
             return dataclasses.replace(
@@ -560,9 +560,8 @@ class TestFlatLossCloud:
                 nrm_prd=minmax_normalize(l_prd),
             )
 
-        # The run profiles in `training`, the writer in `lab`.
-        for module in (training, lab):
-            monkeypatch.setattr(module, "profile", flat_profile)
+        # The run profiles every cloud, also the ones the writer fits.
+        monkeypatch.setattr(training, "profile", flat_profile)
         cfg = small_config(total_epochs=4, warmup_epochs=2)
         return cfg, run(cfg, tmp_path / "r")
 
@@ -1079,78 +1078,28 @@ def files_of_run_epoch(cfg) -> dict[str, bytes]:
 
 
 class TestOffload:
-    """The writer's reads of frozen networks in two-network epochs: net2's
-    divisions and the partner softmaxes."""
-
-    @staticmethod
-    def count_offload(monkeypatch) -> dict[str, int]:
-        """Counts, in the run's process, of the partner softmaxes the run took
-        from the writer ("published") or computed itself ("computed"), and
-        of the divisions the writer made for net2 ("divisions")."""
-        counts = {"published": 0, "computed": 0, "divisions": 0}
-        real_loop, real_division = lab._EpochWriter.loop, lab._EpochWriter.division
-
-        def loop(self, epoch, i, order, partner, serve, divide_next):
-            lookup = real_loop(self, epoch, i, order, partner, serve, divide_next)
-
-            def counted(b):
-                rows = lookup(b)
-                counts["computed" if rows is None else "published"] += 1
-                return rows
-
-            return counted
-
-        def division(self, epoch):
-            counts["divisions"] += 1
-            return real_division(self, epoch)
-
-        monkeypatch.setattr(lab._EpochWriter, "loop", loop)
-        monkeypatch.setattr(lab._EpochWriter, "division", division)
-        return counts
-
-    @staticmethod
-    def slow_steps(monkeypatch) -> None:
-        """Each SGD step of the run's batch loops takes at least a millisecond,
-        so the writer gets ahead of them."""
-        real_step = network.Workspace.step
-
-        def step(self, learning_rate):
-            time.sleep(0.001)
-            real_step(self, learning_rate)
-
-        monkeypatch.setattr(network.Workspace, "step", step)
+    """The writer's part of two-network epochs: it fits the clouds of net1
+    that the run hands over, net2's divisions, and runs no forward over
+    the training set."""
 
     @pytest.mark.parametrize(
-        "overrides, fail_net1, turns",
-        [
-            (
-                {},
-                False,
-                [(2, 1, False, True), (3, 0, True, False), (3, 1, True, True),
-                 (4, 0, True, False), (4, 1, True, False)],
-            ),
-            ({"ce_only": True}, False, []),
-            (
-                {},
-                True,
-                [(2, 1, False, True), (3, 0, True, False), (3, 1, False, True), (4, 0, True, False)],
-            ),
-        ],
+        "overrides, fail_net1, divides",
+        [({}, False, [2, 3]), ({"ce_only": True}, False, []), ({}, True, [2, 3])],
         ids=["dst", "ce-only", "net1-fit-fails"],
     )
     def test_a_turn_messages_the_writer_only_when_it_has_work(
-        self, tmp_path, monkeypatch, overrides, fail_net1, turns
+        self, tmp_path, monkeypatch, overrides, fail_net1, divides
     ):
-        # Each ("loop", e, i, serve, divide_next) message the run sends, as
-        # (e, i, serve, divide_next). The last warmup epoch asks only for
-        # net2's division of epoch 3; with every fit of net1's cloud failed,
-        # net2 has no division to serve but still asks for the next one.
+        # The epoch of each ("divide", e) message the run sends: the last
+        # warmup epoch hands over net1's cloud for epoch 3, epoch 3 for
+        # epoch 4, and the last epoch none. With every fit of net1's cloud
+        # failed, net2 has no division but still hands over the next cloud.
         cfg = small_config(total_epochs=4, warmup_epochs=2, **overrides)
         sent, real_send = [], lab._EpochWriter._send
 
         def send(self, message):
-            if message[0] == "loop":
-                sent.append(message[1:])
+            if message[0] != "epoch":
+                sent.append(message)
             real_send(self, message)
 
         def failing_fit(*args, **kwargs):
@@ -1167,37 +1116,9 @@ class TestOffload:
         monkeypatch.setattr(lab._EpochWriter, "_send", send)
         monkeypatch.setattr(lab, "divide", divide)
         run_dir = run(cfg, tmp_path / "r")
-        assert sent == turns
+        assert sent == [("divide", epoch) for epoch in divides]
         fallbacks = [3, 4] if fail_net1 else []
         assert load_summary(run_dir)["fallback_epochs"] == {"net1": [], "net2": fallbacks}
-
-    @pytest.mark.parametrize("writer", ["silent", "jittered"])
-    def test_bytes_do_not_depend_on_which_process_did_the_work(
-        self, tmp_path, monkeypatch, writer
-    ):
-        cfg = small_config(total_epochs=8, scatter_every=1)
-        normal = run(cfg, tmp_path / "normal")
-        if writer == "silent":
-            # The writer publishes nothing: the run computes every partner softmax.
-            monkeypatch.setattr(lab, "_serve_partner", lambda *args: None)
-        else:
-            # A random delay before each softmax the writer computes moves
-            # the batches where it and the run cross.
-            delays, real_softmax_of = random.Random(7), lab.softmax_of
-
-            def jittered(*args):
-                time.sleep(delays.uniform(0.0, 3e-4))
-                return real_softmax_of(*args)
-
-            monkeypatch.setattr(lab, "softmax_of", jittered)
-        counts = self.count_offload(monkeypatch)
-        other = run(cfg, tmp_path / writer)
-        n_batches = -(-cfg.n_classes * cfg.per_class // cfg.batch_size)
-        dst_epochs = cfg.total_epochs - cfg.warmup_epochs
-        assert counts["published"] + counts["computed"] == 2 * dst_epochs * n_batches
-        assert counts["published"] == 0 or writer == "jittered"
-        assert counts["divisions"] == dst_epochs
-        assert run_bytes(normal) == run_bytes(other)
 
     @pytest.mark.parametrize(
         "overrides, fails",
@@ -1205,10 +1126,11 @@ class TestOffload:
         ids=["two-nets", "single-network", "net1-fit-fails"],
     )
     def test_a_slow_writer_changes_no_byte(self, tmp_path, monkeypatch, overrides, fails):
-        # The run keeps one parameter slot and one batch-order slot per
-        # network and overwrites them while the writer may lag behind.
-        # Random delays in the writer's evaluation, profiles and partner
-        # serving move where the two processes cross; no byte may move.
+        # The run writes net1's cloud into a profile slot that the writer
+        # reads for its fit and, an epoch later, for its dump, while the
+        # writer may lag behind. Random delays in the writer's fits,
+        # evaluation and dumps move where the two processes cross; no byte
+        # may move.
         cfg = small_config(per_class=40, total_epochs=10, **overrides)
         real_divide, fits = lab.divide, []
 
@@ -1231,36 +1153,59 @@ class TestOffload:
             return call
 
         # The writer inherits the patches at the fork.
+        monkeypatch.setattr(lab, "divide", slowed(lab.divide, 0.02))
         monkeypatch.setattr(lab, "evaluate", slowed(lab.evaluate, 0.02))
-        monkeypatch.setattr(lab, "profile", slowed(lab.profile, 0.02))
-        monkeypatch.setattr(lab, "_serve_partner", slowed(lab._serve_partner, 0.005))
+        monkeypatch.setattr(lab, "write_scatter", slowed(lab.write_scatter, 0.01))
         slow = run(cfg, tmp_path / "slow")
         assert run_bytes(slow) == run_bytes(normal)
         fallbacks = [cfg.warmup_epochs + n for n in fails]
         assert load_summary(slow)["fallback_epochs"] == {"net1": [], "net2": fallbacks}
 
-    def test_the_writer_publishes_softmaxes_and_divisions(self, tmp_path, monkeypatch, forks):
+    def test_the_writer_fits_net1_and_runs_no_training_set_forward(
+        self, tmp_path, monkeypatch, forks
+    ):
         cfg = small_config(total_epochs=5)
-        counts = self.count_offload(monkeypatch)
-        self.slow_steps(monkeypatch)
-        log = tmp_path / "divide"
+        n_train, n_test = cfg.n_classes * cfg.per_class, cfg.n_classes * cfg.test_per_class
+        assert n_train != n_test
+        divisions, real_division = [], lab._EpochWriter.division
+
+        def division(self, epoch):
+            divisions.append(epoch)
+            return real_division(self, epoch)
+
+        monkeypatch.setattr(lab._EpochWriter, "division", division)
+        log, forwards = tmp_path / "divide", tmp_path / "forwards"
         real_divide = selection.divide
         for module in (training, lab):
             monkeypatch.setattr(
                 module, "divide", lambda *a: log_call(log, a[-1]) or real_divide(*a)
             )
+        # Every full-set forward, in either process, logs its pid and rows.
+        for module in (network, training):
+            real_forward = module.full_forward
+
+            def counting_forward(params, x, real=real_forward):
+                log_call(forwards, len(x))
+                return real(params, x)
+
+            monkeypatch.setattr(module, "full_forward", counting_forward)
         run(cfg, tmp_path / "r")
-        n_batches = -(-cfg.n_classes * cfg.per_class // cfg.batch_size)
         dst_epochs = cfg.total_epochs - cfg.warmup_epochs
-        assert counts["published"] > 0
-        assert counts["published"] + counts["computed"] == 2 * dst_epochs * n_batches
-        assert counts["divisions"] == dst_epochs
-        # Net1's clouds, net2's divisions, are profiled and fitted in the
-        # writer; net2's in the run.
+        assert divisions == list(range(cfg.warmup_epochs + 1, cfg.total_epochs + 1))
+        # Net1's clouds, net2's divisions, are fitted in the writer; net2's
+        # in the run.
         calls = logged_calls(log)
         assert sorted(source for _, source in calls) == ["net1"] * dst_epochs + ["net2"] * dst_epochs
         assert {pid for pid, source in calls if source == "net1"} == {str(forks[0])}
         assert {pid for pid, source in calls if source == "net2"} == {str(os.getpid())}
+        # The writer forwards the test set only, once per net and epoch. The
+        # run forwards the training set twice per selection epoch (net2 at
+        # the start, net1 at net2's turn) and once at the last warmup epoch.
+        rows = sorted((pid, int(n)) for pid, n in logged_calls(forwards))
+        assert rows == sorted(
+            [(str(forks[0]), n_test)] * 2 * cfg.total_epochs
+            + [(str(os.getpid()), n_train)] * (2 * dst_epochs + 1)
+        )
 
     def test_writer_killed_while_the_run_waits_for_a_division(self, tmp_path, monkeypatch, forks):
         # The writer makes net2's division for epoch 3 only once the run
@@ -1294,45 +1239,55 @@ class TestOffload:
     # Net1's huge but finite logits on the other rows overflow in softmax's
     # max-subtraction, harmlessly.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("publish", [True, False], ids=["published", "computed"])
-    def test_non_finite_partner_logit_raises_at_the_same_batch(
-        self, tmp_path, monkeypatch, forks, publish
+    def test_non_finite_partner_logit_raises_before_its_consumer_steps(
+        self, tmp_path, monkeypatch, forks
     ):
         # After net1's loop of epoch 3, one hidden unit of net1 overflows on
         # the training row with the largest first feature, and only there:
-        # net2's loop, with net1 as its partner, must stop at that row's batch.
+        # net2's turn, with net1 as its partner, must stop before net2's
+        # loop steps anything, and leave the files it leaves when the run
+        # trains without the writer.
         cfg = small_config(total_epochs=4)
         train, _, _ = lab.build_datasets(cfg)
         row = int(train.features[:, 0].argmax())
         x0 = train.features[row, 0]
         assert x0 > 0 and np.sort(train.features[:, 0])[-2] < x0 * (1 - 1e-6)
-        steps, orders = [], []
-        real_loop, real_step = lab._EpochWriter.loop, network.Workspace.step
+        real_train_epoch, real_run_epoch = training._train_epoch, lab.run_epoch
+        real_step = network.Workspace.step
+        loops, steps = [], []
 
-        def loop(self, epoch, i, order, partner, serve, divide_next):
-            if epoch == 3 and i == 1:
-                # Net2's partner is net1. Hidden unit 0 of the [2, 8, 3]
-                # net: weights partner[0:2], bias partner[16].
+        def train_epoch(ws, *args):
+            real_train_epoch(ws, *args)
+            loops.append(1)
+            if len(loops) == 5:  # net1's loop of epoch 3
+                # Hidden unit 0 of the [2, 8, 3] net: weights flat[0:2], bias flat[16].
                 big = np.finfo(np.float64).max / (x0 * (1 - 1e-9))
-                partner[0], partner[1], partner[16] = big, 0.0, 0.0
+                ws.flat[0], ws.flat[1], ws.flat[16] = big, 0.0, 0.0
                 steps.clear()
-                orders.append(order.copy())
-            return real_loop(self, epoch, i, order, partner, serve, divide_next)
 
         def step(self, learning_rate):
             steps.append(1)
             real_step(self, learning_rate)
 
-        monkeypatch.setattr(lab._EpochWriter, "loop", loop)
+        monkeypatch.setattr(training, "_train_epoch", train_epoch)
         monkeypatch.setattr(network.Workspace, "step", step)
-        if not publish:
-            monkeypatch.setattr(lab, "_serve_partner", lambda *args: None)
-        with pytest.raises(NumericError, match="finite logits"):
-            run(cfg, tmp_path / "r")
-        assert_reaped(forks)
-        (order,) = orders
-        batch = int(np.flatnonzero(order == row)[0]) // cfg.batch_size
-        assert batch > 0 and len(steps) == batch
+        files = {}
+        for writer in ("with", "without"):
+            loops.clear()
+            if writer == "without":
+                # The same epochs without the writer's fits (offload=None).
+                monkeypatch.setattr(lab, "run_epoch", lambda *args: real_run_epoch(*args[:5]))
+            with pytest.raises(NumericError, match="finite logits"):
+                run(cfg, tmp_path / writer)
+            assert len(loops) == 5 and steps == []
+            files[writer] = run_bytes(tmp_path / writer)
+        for pid in forks:
+            assert_reaped([pid])
+        assert files["with"] == files["without"]
+        assert set(files["with"]) == {
+            *START_FILES, "reports/epoch_001.json", "reports/epoch_002.json",
+            "scatter/epoch_002_net1.csv", "scatter/epoch_002_net2.csv",
+        }
 
 
 def spanning(low, high, *edges, **bounds):
@@ -1435,7 +1390,7 @@ class TestRandomTinyConfigs:
                         continue
                     assert sum(entry["branches"][b]["size"] for b in BRANCH_NAMES) == n_train
                     path = scatter_csv_path(run_dir, epoch, entry["source"])
-                    assert path.exists() == lab._scatter_due(cfg, epoch)
+                    assert path.exists() == lab._scatter_due(cfg, epoch, epoch == cfg.total_epochs)
                     if not path.exists():
                         continue
                     with path.open(newline="") as fh:

@@ -18,6 +18,7 @@ from dstlab.lossprofile import (
     write_scatter,
 )
 from dstlab.network import Layers
+from dstlab.training import full_softmax
 from oracles import params_hash, write_scatter_reference
 
 
@@ -25,6 +26,11 @@ def bias_net(logit_rows) -> Layers:
     """One linear layer that ignores its input and emits fixed logits."""
     logits = np.asarray(logit_rows, dtype=np.float64)
     return [(np.zeros((logits.size, 1)), logits)]
+
+
+def profile_of(net: Layers, ds) -> LossProfile:
+    """`profile` of `ds` under `net`, from its full-set softmax."""
+    return profile(full_softmax(net, ds), ds)
 
 
 def dataset(noisy_labels, n_classes):
@@ -37,7 +43,7 @@ class TestProfile:
         # softmax([ln 0.9, ln 0.1]) is exactly [0.9, 0.1]
         net = bias_net([math.log(0.9), math.log(0.1)])
         ds = dataset([0, 1], 2)
-        prof = profile(net, ds)
+        prof = profile_of(net, ds)
         np.testing.assert_allclose(prof.l_nis, [-math.log(0.9), -math.log(0.1)], atol=1e-12)
         np.testing.assert_allclose(prof.l_prd, [-math.log(0.9), -math.log(0.9)], atol=1e-12)
         assert prof.predicted.tolist() == [0, 0]
@@ -45,13 +51,13 @@ class TestProfile:
     def test_uniform_softmax_ten_classes(self):
         net = bias_net([0.0] * 10)
         ds = dataset([3, 7], 10)
-        prof = profile(net, ds)
+        prof = profile_of(net, ds)
         np.testing.assert_allclose(prof.l_nis, math.log(10.0), atol=1e-12)
         np.testing.assert_allclose(prof.l_prd, math.log(10.0), atol=1e-12)
 
     def test_argmax_ties_resolve_to_lowest_class(self):
         net = bias_net([0.4, 0.4, 0.1])
-        prof = profile(net, dataset([2, 1], 3))
+        prof = profile_of(net, dataset([2, 1], 3))
         assert prof.predicted.tolist() == [0, 0]
 
     @given(st.integers(0, 2**31))
@@ -61,13 +67,13 @@ class TestProfile:
         n_classes = int(rng.integers(2, 6))
         net = bias_net(rng.normal(size=n_classes))
         labels = rng.integers(0, n_classes, size=20).tolist()
-        prof = profile(net, dataset(labels, n_classes))
+        prof = profile_of(net, dataset(labels, n_classes))
         assert np.all(prof.l_prd <= prof.l_nis + 1e-12)
 
     def test_states_audit_the_predictions(self):
         # One sample per agreement state, under a net that predicts class 0.
         ds = make_noisy(np.zeros((5, 1)), [0, 1, 0, 1, 1], [0, 1, 1, 0, 2], 3)
-        prof = profile(bias_net([0.6, 0.3, 0.1]), ds)
+        prof = profile_of(bias_net([0.6, 0.3, 0.1]), ds)
         assert prof.states.tolist() == [1, 2, 3, 4, 5]
         np.testing.assert_array_equal(prof.states, audit_states(ds, prof.predicted))
 
@@ -77,7 +83,7 @@ class TestProfile:
     def test_every_field_has_the_dtype_its_declaration_names(self, logits):
         # A shared cloud slot is made from these declarations, and a copy
         # into it would cast any other dtype without a word.
-        prof = profile(bias_net(logits), dataset([0, 1, 2, 1], 3))
+        prof = profile_of(bias_net(logits), dataset([0, 1, 2, 1], 3))
         declared = dataclasses.fields(LossProfile)
         assert [f.name for f in declared] == list(vars(prof))
         for f in declared:
@@ -86,10 +92,15 @@ class TestProfile:
             assert value.dtype == np.dtype(f.metadata["dtype"]), f.name
 
     def test_profile_leaves_parameters_untouched(self):
+        # Nor the softmax: a partner's rows are read after its profile.
         net = bias_net([0.3, -0.2, 0.5])
         before = params_hash(net)
-        profile(net, dataset([0, 1, 2, 1], 3))
+        ds = dataset([0, 1, 2, 1], 3)
+        probs = full_softmax(net, ds)
+        rows = probs.tobytes()
+        profile(probs, ds)
         assert params_hash(net) == before
+        assert probs.tobytes() == rows
 
 
 class TestNormalize:
@@ -119,7 +130,7 @@ class TestNormalize:
     def test_normalize_fills_both_axes_independently(self):
         # Label losses -ln 0.9, -ln 0.1, -ln 0.1; prediction losses all -ln 0.9.
         net = bias_net([math.log(0.9), math.log(0.1)])
-        prof = profile(net, dataset([0, 1, 1], 2))
+        prof = profile_of(net, dataset([0, 1, 1], 2))
         np.testing.assert_array_equal(prof.nrm_nis, [0.0, 1.0, 1.0])
         np.testing.assert_array_equal(prof.nrm_prd, [0.0, 0.0, 0.0])
         for nrm, raw in ((prof.nrm_nis, prof.l_nis), (prof.nrm_prd, prof.l_prd)):
@@ -130,7 +141,7 @@ class TestScatterDump:
     def test_rows_and_header(self):
         net = bias_net([0.5, -0.5])
         ds = make_noisy(np.zeros((4, 1)), [0, 1, 0, 1], [0, 1, 1, 0], 2)
-        prof = profile(net, ds)
+        prof = profile_of(net, ds)
         text = write_scatter(7, "net1", prof).decode()
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert rows[0] == SCATTER_HEADER
@@ -149,7 +160,7 @@ class TestScatterDump:
             )
 
     def test_state_count_must_match(self):
-        prof = profile(bias_net([0.5, -0.5]), dataset([0, 1, 1], 2))
+        prof = profile_of(bias_net([0.5, -0.5]), dataset([0, 1, 1], 2))
         assert prof.states.shape == (prof.n_samples,) == (3,)
 
 

@@ -92,8 +92,17 @@ def selection_epoch(clouds, **overrides):
     streams = RngStreams.from_master(0)
     workspaces = [Workspace(init_network(cfg.layer_sizes(), rng)) for rng in streams.init]
     clouds_of = {id(ws.params): profile_at(cloud) for ws, cloud in zip(workspaces, clouds)}
+    # Each full-set softmax names the cloud of the network it came from.
+    cloud_behind, real_full_softmax = {}, training.full_softmax
+
+    def full_softmax(params, ds):
+        probs = real_full_softmax(params, ds)
+        cloud_behind[id(probs)] = clouds_of[id(params)]
+        return probs
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(training, "profile", lambda params, ds: clouds_of[id(params)])
+        m.setattr(training, "full_softmax", full_softmax)
+        m.setattr(training, "profile", lambda probs, ds: cloud_behind[id(probs)])
         divisions = capture_divisions(m, training)
         selection_reports = training.run_epoch(2, workspaces, ds, cfg, streams).selection
     return selection_reports, divisions

@@ -42,9 +42,11 @@ from dstlab.training import (
     _Refinement,
     _train_epoch,
     evaluate,
+    full_softmax,
     mixup_batch,
     run_epoch,
     sharpen,
+    softmax_of,
 )
 
 
@@ -602,7 +604,7 @@ class TestDstEpoch:
     def test_divisions_come_from_the_other_network(self):
         ds = clean_toy(seed=4)
         workspaces, streams, cfg = warmed_pair(ds)
-        before = [profile(ws.params, ds) for ws in workspaces]
+        before = [profile(full_softmax(ws.params, ds), ds) for ws in workspaces]
         epoch = cfg.warmup_epochs + 1
         phase, learning_rate, selection, profiles = run_epoch(epoch, workspaces, ds, cfg, streams)
         assert (phase, learning_rate) == ("dst", cfg.learning_rate_at(epoch))
@@ -619,7 +621,7 @@ class TestDstEpoch:
         ds = clean_toy(seed=5)
         workspaces, streams, cfg = warmed_pair(ds)
         net2_before = params_hash(workspaces[1].params)
-        before = [profile(workspaces[0].params, ds)]
+        before = [profile(full_softmax(workspaces[0].params, ds), ds)]
         single = dataclasses.replace(cfg, single_network=True)
         trained = run_epoch(cfg.warmup_epochs + 1, workspaces, ds, single, streams)
         selection, profiles = trained.selection, trained.profiles
@@ -792,14 +794,18 @@ class TestEpochLoopMatchesOracle:
 
     BATCH = 16
 
-    def run_both(self, n_samples, ablation, monkeypatch=None, failing=(), dst_epochs=3, dst=None):
+    def run_both(
+        self, n_samples, ablation, monkeypatch=None, failing=(), dst_epochs=3, dst=None,
+        hidden_sizes=(12, 12),
+    ):
         """Every epoch of a run through `run_epoch` and through the oracle's
         loops, state compared after each. The fit of each (selection epoch,
-        source) pair in `failing` is forced to fail, on both sides."""
+        source) pair in `failing` is forced to fail, on both sides. The
+        trained workspaces are left in `self.workspaces`."""
         ds = noisy_toy(n_samples)
         cfg = ExperimentConfig(
             n_classes=3,
-            hidden_sizes=[12, 12],
+            hidden_sizes=list(hidden_sizes),
             total_epochs=10,
             warmup_epochs=2,
             batch_size=self.BATCH,
@@ -852,6 +858,7 @@ class TestEpochLoopMatchesOracle:
             ref_streams.shuffle + ref_streams.mixup + ref_streams.wrong_branch,
         ):
             assert a.uniform() == b.uniform()
+        self.workspaces = workspaces
         return ds, results
 
     @pytest.mark.parametrize(
@@ -889,6 +896,21 @@ class TestEpochLoopMatchesOracle:
             sizes = [b["size"] for b in results[0][name]["branches"].values()]
             assert min(sizes) > 0, sizes
 
+    def test_partner_rows_come_from_its_full_set_softmax(self):
+        # At 2-32-32-3 a full-set forward and 16-row batch forwards of the
+        # same network differ in the last bits of some rows, so only an
+        # oracle that reads the partner's full-set softmax matches the loop.
+        ds, _ = self.run_both(8 * self.BATCH + 1, {}, hidden_sizes=(32, 32))
+        # Net1 as the run left it was net2's partner in the last epoch.
+        net1 = self.workspaces[0].params
+        full = full_softmax(net1, ds)
+        batched = np.concatenate(
+            [softmax_of(net1, ds.features[start : start + self.BATCH])
+             for start in range(0, ds.n_samples, self.BATCH)]
+        )
+        assert (full != batched).any()
+        np.testing.assert_allclose(full, batched, rtol=0, atol=1e-15)
+
     def test_fit_failure_fallback(self, monkeypatch):
         # First selection epoch: net2's cloud, net1's division, fails; second:
         # both clouds.
@@ -913,17 +935,18 @@ class TestEpochRefusesNonFinite:
         _train_epoch(ws, 0.05, ds, 16, np.random.default_rng(1).permutation(ds.n_samples))
         return ds, ws
 
-    def refinement(self, ds, params):
-        # Every row labeled at w_r = 0.7, but every third one wrong.
+    def refinement(self, ds):
+        # Every row labeled at w_r = 0.7, but every third one wrong, beside
+        # a partner that is unsure of every row.
         keep, lean = np.full(ds.n_samples, 0.7), np.full(ds.n_samples, 1.0 - 0.7)
         wrong = np.arange(ds.n_samples) % 3 == 0
         return _Refinement(
-            params, keep, lean, wrong, ExperimentConfig(),
-            np.random.default_rng(2), np.random.default_rng(3),
+            np.full((ds.n_samples, ds.n_classes), 1 / ds.n_classes), keep, lean, wrong,
+            ExperimentConfig(), np.random.default_rng(2), np.random.default_rng(3),
         )
 
     def check_refused(self, ds, ws, refine):
-        refinement = self.refinement(ds, ws.params) if refine else None
+        refinement = self.refinement(ds) if refine else None
         digest, buffer = params_hash(ws.params), ws.buffer.tobytes()
         with pytest.raises(NumericError):
             _train_epoch(ws, 0.05, ds, 16, np.random.default_rng(5).permutation(ds.n_samples), refinement)
