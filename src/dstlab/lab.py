@@ -411,7 +411,10 @@ class _EpochWriter:
     def divide(self, epoch: int, cloud: LossProfile) -> None:
         """At net2's turn of `epoch`, hand over net1's `cloud`, as its loop
         left it, for net2's division of the next epoch: it goes to net1's
-        profile slot of epoch + 1, and the writer fits it there."""
+        profile slot of epoch + 1, and the writer fits it there. The slot
+        is free only once the writer has dumped epoch - 1's clouds from
+        it: call this after `division(epoch)`, or at the last warmup
+        epoch, whose predecessor dumped none (`_shared_arrays`)."""
         for f in fields(LossProfile):
             self.shared[f.name][(epoch + 1) % 2, 0] = getattr(cloud, f.name)
         self._send(("divide", epoch))
