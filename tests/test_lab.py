@@ -1239,15 +1239,19 @@ class TestOffload:
     # Net1's huge but finite logits on the other rows overflow in softmax's
     # max-subtraction, harmlessly.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_partner_logit_raises_before_its_consumer_steps(
-        self, tmp_path, monkeypatch, forks
+    @pytest.mark.parametrize("publish", [True, False], ids=["published", "computed"])
+    def test_non_finite_partner_logit_raises_at_the_same_batch(
+        self, tmp_path, monkeypatch, forks, publish
     ):
         # After net1's loop of epoch 3, one hidden unit of net1 overflows on
         # the training row with the largest first feature, and only there:
-        # net2's turn, with net1 as its partner, must stop before net2's
-        # loop steps anything, and leave the files it leaves when the run
-        # trains without the writer.
+        # net2's turn, with net1 as its partner, must stop at its first
+        # batch, before net2's loop steps anything, whether the run would
+        # publish net1's cloud to the writer or trains without the writer
+        # (offload=None). Either way it leaves the files of epochs 1-2 that
+        # a clean run with the writer writes, byte for byte.
         cfg = small_config(total_epochs=4)
+        clean = run_bytes(run(cfg, tmp_path / "clean"))
         train, _, _ = lab.build_datasets(cfg)
         row = int(train.features[:, 0].argmax())
         x0 = train.features[row, 0]
@@ -1271,24 +1275,20 @@ class TestOffload:
 
         monkeypatch.setattr(training, "_train_epoch", train_epoch)
         monkeypatch.setattr(network.Workspace, "step", step)
-        files = {}
-        for writer in ("with", "without"):
-            loops.clear()
-            if writer == "without":
-                # The same epochs without the writer's fits (offload=None).
-                monkeypatch.setattr(lab, "run_epoch", lambda *args: real_run_epoch(*args[:5]))
-            with pytest.raises(NumericError, match="finite logits"):
-                run(cfg, tmp_path / writer)
-            assert len(loops) == 5 and steps == []
-            files[writer] = run_bytes(tmp_path / writer)
+        if not publish:
+            # The same epochs without the writer's fits.
+            monkeypatch.setattr(lab, "run_epoch", lambda *args: real_run_epoch(*args[:5]))
+        with pytest.raises(NumericError, match="finite logits"):
+            run(cfg, tmp_path / "r")
+        assert len(loops) == 5 and steps == []
         for pid in forks:
             assert_reaped([pid])
-        assert files["with"] == files["without"]
-        assert set(files["with"]) == {
+        files = run_bytes(tmp_path / "r")
+        assert set(files) == {
             *START_FILES, "reports/epoch_001.json", "reports/epoch_002.json",
             "scatter/epoch_002_net1.csv", "scatter/epoch_002_net2.csv",
         }
-
+        assert files == {name: clean[name] for name in files}
 
 def spanning(low, high, *edges, **bounds):
     """Floats anywhere in [low, high] (`bounds` may exclude an end), with
