@@ -17,8 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from dstlab import lab, network  # noqa: E402
+from dstlab import cli, lab, network  # noqa: E402
 from dstlab.config import MEMORIZATION, benchmark_config  # noqa: E402
+from dstlab.errors import ConfigError  # noqa: E402
 
 
 def baseline(args) -> dict:
@@ -76,8 +77,8 @@ def reference(args) -> dict:
     run's BLAS thread count: 1, or null when numpy's OpenBLAS setter is
     unavailable) and `numpy` (its version) say what produced it."""
     overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
-    out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
     cfg = benchmark_config(**overrides)
+    out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
     threads = None if network.blas_threads() is None else 1
     run_dir = lab.run(cfg, out)
     summary = lab.load_summary(run_dir)
@@ -94,11 +95,14 @@ def reference(args) -> dict:
 def ablation(args) -> dict:
     """Trailing accuracy of the full pipeline, no-mixup and single-network at
     one noise rate, and each variant's drop against full, to four decimals."""
+    variants = {"full": {}, "no_mixup": {"no_mixup": True}, "single_network": {"single_network": True}}
+    configs = {
+        name: benchmark_config(noise_rate=args.noise_rate, **flags) for name, flags in variants.items()
+    }
     parent = Path(args.out) if args.out else Path(tempfile.mkdtemp())
     trailing = {}
-    for name in ("full", "no_mixup", "single_network"):
-        flags = {} if name == "full" else {name: True}
-        run_dir = lab.run(benchmark_config(noise_rate=args.noise_rate, **flags), parent / name)
+    for name, cfg in configs.items():
+        run_dir = lab.run(cfg, parent / name)
         trailing[name] = lab.load_summary(run_dir)["accuracy"]["ensemble"]["last10_mean"]
     full = trailing["full"]
     return {
@@ -127,9 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Print the subcommand's JSON; a config error is one line on stderr
+    and exit code 1, as `dstlab run` gives it."""
     args = build_parser().parse_args(argv)
-    print(json.dumps(args.run(args), indent=2))
-    return 0
+    try:
+        result = args.run(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+    print(json.dumps(result, indent=2))
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,19 +14,18 @@ produce byte-identical summary files.
 The writer also fits net1's loss cloud, net2's division for the next
 epoch, when `training.run_epoch` hands it over at net2's turn. The run
 process keeps every forward over the training set, net2's fit, both
-batch loops and the SGD steps.
+batch loops and the SGD steps. The two processes share nothing after the
+fork: what they exchange goes through one pipe each way (`_EpochWriter`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import pickle
 import signal
 from contextlib import suppress
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -150,57 +149,9 @@ def _summary(manifest: dict, reports: list[dict]) -> dict:
     }
 
 
-def _shared_arrays(cfg: ExperimentConfig, train: NoisyDataset) -> dict[str, np.ndarray]:
-    """The arrays the run and the writer share, zeroed, each in its own
-    anonymous shared mapping made before the fork, so each process sees the
-    other's writes.
-
-    The run writes `params` only in `_EpochWriter.submit`, after it has
-    read the writer's answer to the epoch before, and the writer reads them
-    only for the epoch its message names.
-
-    The other arrays hold one slot per epoch parity, `epoch % 2`, reused
-    two epochs later: net2's branch tables, which the writer makes for
-    epoch e+1 while the run trains epoch e, and the loss clouds, because
-    net1's cloud for epoch e+1 is made before epoch e's dump. The run
-    writes net1's cloud into slot (e+1) % 2 at net2's turn of epoch e
-    (`_EpochWriter.divide`), only after it has read the writer's answer to
-    epoch e-1 (`_EpochWriter.division`), which the writer sends once it
-    has dumped epoch e-1's clouds from that slot. At the last warmup epoch
-    no dump reads the slot.
-
-    - params[i]: net i's flat parameters at the end of the epoch;
-    - keep, lean, wrong [epoch % 2]: net2's branch table for that epoch;
-    - each field of `LossProfile` [epoch % 2, i], with the dtype the field
-      declares: net i's loss cloud of that epoch, put there by the run.
-    """
-    sizes = cfg.layer_sizes()
-    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-    n = train.n_samples
-    specs = {
-        "params": ((2, n_params), np.float64),
-        "keep": ((2, n), np.float64),
-        "lean": ((2, n), np.float64),
-        "wrong": ((2, n), np.bool_),
-        **{f.name: ((2, 2, n), f.metadata["dtype"]) for f in fields(LossProfile)},
-    }
-    return {
-        name: np.ndarray(
-            shape, dtype, buffer=mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
-        )
-        for name, (shape, dtype) in specs.items()
-    }
-
-
-def _cloud(shared: dict[str, np.ndarray], slot: int, i: int) -> LossProfile:
-    """Net i's loss cloud in profile slot `slot`, as views."""
-    return LossProfile(**{f.name: shared[f.name][slot, i] for f in fields(LossProfile)})
-
-
 def _serve_run(
     requests,
     replies,
-    shared: dict[str, np.ndarray],
     run_dir: Path,
     cfg: ExperimentConfig,
     train: NoisyDataset,
@@ -211,31 +162,34 @@ def _serve_run(
     clouds that `training.run_epoch` hands over. It runs no forward over
     the training set. Messages, in the order the run sends them:
 
-    - ("divide", e): at net2's turn of epoch e, net1's cloud is in its
-      profile slot of epoch e+1. Make net2's division for epoch e+1 from
-      it, into net2's branch-table slot of that epoch.
-    - ("epoch", e, phase, learning_rate, selection, n_dumps, last): epoch
-      e is trained, in this phase and at this learning rate, with these
-      selection reports (None outside selection epochs). Write the clouds
-      of its first `n_dumps` networks from their profile slots (one slot
-      per field of `LossProfile`), evaluate it and write its report, built
-      here whole; after the epoch marked `last`, if no error has
-      occurred, the checkpoints and summary.json.
+    - ("divide", e, cloud): at net2's turn of epoch e, net1's `cloud` for
+      epoch e+1. Make net2's division for epoch e+1 from it, and keep the
+      cloud until epoch e+1's message, which dumps it.
+    - ("epoch", e, phase, learning_rate, selection, flats, dumps, last):
+      epoch e is trained, in this phase and at this learning rate, with
+      these selection reports (None outside selection epochs), and ended
+      with these flat parameters, one array per network. Write the clouds
+      in `dumps`, in `NET_NAMES` order (None: net1's, handed over with
+      "divide"), evaluate the epoch and write its report, built here whole;
+      after the epoch marked `last`, if no error has occurred, the
+      checkpoints and summary.json.
 
     Each "epoch" message is answered with the first error so far, or None,
-    and with the report of the division made since the last answer, or
-    None. The subdirectories come first, then `dataset.csv` (the training
-    set's features and both label arrays) and `manifest.json` (the config
-    and seeds that drew them). A subdirectory that cannot be made is an
-    error, and the ones made before it are removed, so the run leaves the
-    directory as it found it. A failed dump does not stop the report.
+    and with the division made since the last answer, `selection.divide`'s
+    (table | None, report), or None. The subdirectories come first, then
+    `dataset.csv` (the training set's features and both label arrays) and
+    `manifest.json` (the config and seeds that drew them). A subdirectory
+    that cannot be made is an error, and the ones made before it are
+    removed, so the run leaves the directory as it found it. A failed dump
+    does not stop the report.
 
     The loop derives nothing: every message names its epoch, and its
     phase, learning rate and end come from `training.run_epoch` and
     `run`, so it reads no schedule and counts nothing. It keeps only what
-    it answers: the first error (the run stops at the answer that carries
-    it, and any error stops the final files), the division's report not
-    answered yet, and the reports the summary condenses.
+    it answers or dumps: the first error (the run stops at the answer that
+    carries it, and any error stops the final files), the division not
+    answered yet, net1's clouds not dumped yet, and the reports the
+    summary condenses.
     """
     error = None
     manifest = {
@@ -260,35 +214,34 @@ def _serve_run(
         _write(run_dir / "manifest.json", text.encode())
     except Exception as exc:  # noqa: BLE001 - answered to the run
         error = exc
-    nets = [layer_views(flat, cfg.layer_sizes()) for flat in shared["params"]]
+    sizes = cfg.layer_sizes()
     ensemble = NET_NAMES[:1] if cfg.single_network else NET_NAMES
     reports: list[dict] = []
-    division = None  # net2's report for the next epoch, not answered yet
+    division = None  # net2's division for the next epoch, not answered yet
+    clouds: dict[int, LossProfile] = {}  # net1's handed-over clouds, by epoch
     while True:
         try:
             message = pickle.load(requests)
         except EOFError:
             return
         epoch = message[1]
-        slot = epoch % 2
         if message[0] == "divide":
+            clouds[epoch + 1] = message[2]
             try:
-                table, division = divide(_cloud(shared, 1 - slot, 0), cfg, "net1")
-                if table is not None:
-                    for name, column in zip(("keep", "lean", "wrong"), table):
-                        shared[name][1 - slot] = column
+                division = divide(message[2], cfg, "net1")
             except Exception as exc:  # noqa: BLE001 - answered to the run
                 error = error or exc
             continue
-        phase, learning_rate, selection, n_dumps, last = message[2:]
+        phase, learning_rate, selection, flats, dumps, last = message[2:]
+        cloud = clouds.pop(epoch, None)
         try:
-            for i, name in enumerate(NET_NAMES[:n_dumps]):
-                prof = _cloud(shared, slot, i)
+            for name, prof in zip(NET_NAMES, dumps):
+                prof = cloud if prof is None else prof
                 _write(scatter_csv_path(run_dir, epoch, name), write_scatter(epoch, name, prof))
         except Exception as exc:  # noqa: BLE001 - answered to the run
             error = error or exc
         try:
-            params = dict(zip(NET_NAMES, nets))
+            params = {name: layer_views(flat, sizes) for name, flat in zip(NET_NAMES, flats)}
             report = {
                 "epoch": epoch,
                 "phase": phase,
@@ -322,14 +275,16 @@ class _EpochWriter:
     which make net2's divisions.
 
     It inherits the config, both datasets and the seeds at the fork.
-    Parameters, net2's branch tables and the loss clouds travel through
-    arrays shared at the fork (`_shared_arrays`); the pipe carries only
-    small messages. So formatting (about 6 ms per 4000-row cloud,
+    Everything else travels through one pipe each way, pickled: the
+    parameters and the clouds to dump go with each epoch's message, net1's
+    cloud with "divide", and net2's branch table with the answer. A
+    message is a snapshot, so the run may step its networks as soon as it
+    is sent. So formatting (about 6 ms per 4000-row cloud,
     `data.write_csv`), the test forwards, every write and net1's fit
     overlap training on another core.
 
-    Per epoch the run sends, in order: ("divide", e) at net2's turn when
-    `run_epoch` hands over net1's cloud for the next epoch's division
+    Per epoch the run sends, in order: ("divide", e, cloud) at net2's turn
+    when `run_epoch` hands over net1's cloud for the next epoch's division
     (`divide`), and ("epoch", ...) once the epoch is trained (`submit`),
     with the phase and learning rate `run_epoch` trained it with and
     whether it is the last. The handle counts no epochs: `divide`,
@@ -357,7 +312,6 @@ class _EpochWriter:
         self.pending = False  # an answer not read yet
         fds: list[int] = []
         try:
-            self.shared = _shared_arrays(cfg, train)
             for _ in range(2):
                 fds.extend(os.pipe())
             self.pid = os.fork()
@@ -377,7 +331,7 @@ class _EpochWriter:
                 for fd in (request_w, reply_r):
                     os.close(fd)
                 with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
-                    _serve_run(requests, replies, self.shared, run_dir, cfg, train, test, seeds)
+                    _serve_run(requests, replies, run_dir, cfg, train, test, seeds)
                 code = 0
             finally:
                 os._exit(code)
@@ -393,57 +347,42 @@ class _EpochWriter:
         except BrokenPipeError:
             raise StructuralError(_WRITER_GONE) from None
 
-    def _answer(self) -> dict | None:
+    def _answer(self) -> tuple[BranchTable | None, dict] | None:
         """Read the writer's answer to the epoch in flight, if it is unread,
-        and raise its error. Returns the report of the division the writer
-        made since its last answer, or None."""
+        and raise its error. Returns the division the writer made since its
+        last answer, or None."""
         if not self.pending:
             return None
         self.pending = False
         try:
-            error, report = pickle.load(self.replies)
+            error, division = pickle.load(self.replies)
         except EOFError:
             raise StructuralError(_WRITER_GONE) from None
         if error is not None:
             raise error
-        return report
+        return division
 
     def divide(self, epoch: int, cloud: LossProfile) -> None:
         """At net2's turn of `epoch`, hand over net1's `cloud`, as its loop
-        left it, for net2's division of the next epoch: it goes to net1's
-        profile slot of epoch + 1, and the writer fits it there. The slot
-        is free only once the writer has dumped epoch - 1's clouds from
-        it: call this after `division(epoch)`, or at the last warmup
-        epoch, whose predecessor dumped none (`_shared_arrays`)."""
-        for f in fields(LossProfile):
-            self.shared[f.name][(epoch + 1) % 2, 0] = getattr(cloud, f.name)
-        self._send(("divide", epoch))
+        left it, for net2's division of the next epoch."""
+        self._send(("divide", epoch, cloud))
 
     def division(self, epoch: int) -> tuple[BranchTable | None, dict]:
         """Net2's branch table for `epoch` (None: it falls back) and its
         report: `selection.divide` of net1's cloud, from the writer's answer
         to the epoch before."""
-        report = self._answer()
-        table = tuple(self.shared[name][epoch % 2] for name in ("keep", "lean", "wrong"))
-        return None if report["fallback"] else table, report
+        return self._answer()
 
     def submit(self, epoch: int, flats: list[np.ndarray], trained: Epoch, last: bool) -> None:
         """Send `epoch`'s parameters and what `run_epoch` returned for it:
         the phase and learning rate it trained with, its selection reports,
-        and its profiles (None: net1's, already in its slot from `divide`)
-        if the epoch's clouds are due for dumping (`_scatter_due`). `last`
-        marks the run's final epoch, after which the writer writes the
-        checkpoints and summary.json. The parameters overwrite the previous
-        epoch's only after the writer's answer to that epoch is read."""
+        and its profiles (None: net1's, handed over with `divide`) if the
+        epoch's clouds are due for dumping (`_scatter_due`). `last` marks
+        the run's final epoch, after which the writer writes the
+        checkpoints and summary.json."""
         self._answer()
-        slot = epoch % 2
         dumps = trained.profiles if _scatter_due(self.cfg, epoch, last) else []
-        self.shared["params"][:] = flats
-        for i, prof in enumerate(dumps):
-            if prof is not None:
-                for f in fields(LossProfile):
-                    self.shared[f.name][slot, i] = getattr(prof, f.name)
-        self._send(("epoch", epoch, *trained[:3], len(dumps), last))
+        self._send(("epoch", epoch, *trained[:3], flats, dumps, last))
         self.pending = True
 
     def __enter__(self) -> _EpochWriter:

@@ -10,7 +10,7 @@ anchor means live in), the predictions and each sample's agreement state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +22,17 @@ from .network import LOG_FLOOR
 class LossProfile:
     """Dataset-ordered loss coordinates for one network at one epoch.
 
-    Each field is an [N] array and declares its dtype in its metadata
-    ("dtype"), which `profile` returns. That is all a process needs to
-    hold a cloud in shared memory (`lab._shared_arrays`): one array per
-    field of `dataclasses.fields(LossProfile)`.
+    Each field is an [N] array, float64 or int64 as noted, which `profile`
+    returns. The scatter dump formats each column by its dtype
+    (`data.write_csv`: `%.17g` or `%d`), so the dtypes decide its bytes.
     """
 
-    l_nis: np.ndarray = field(metadata={"dtype": np.float64})  # CE against the dataset label, nats
-    l_prd: np.ndarray = field(metadata={"dtype": np.float64})  # CE against its own argmax, nats
-    predicted: np.ndarray = field(metadata={"dtype": np.int64})  # argmax, ties to the lowest class
-    nrm_nis: np.ndarray = field(metadata={"dtype": np.float64})  # l_nis min-max scaled into [0, 1]
-    nrm_prd: np.ndarray = field(metadata={"dtype": np.float64})  # l_prd min-max scaled into [0, 1]
-    states: np.ndarray = field(metadata={"dtype": np.int64})  # states 1..5 (data.audit_states)
+    l_nis: np.ndarray  # float64: CE against the dataset label, nats
+    l_prd: np.ndarray  # float64: CE against its own argmax, nats
+    predicted: np.ndarray  # int64: argmax, ties to the lowest class
+    nrm_nis: np.ndarray  # float64: l_nis min-max scaled into [0, 1]
+    nrm_prd: np.ndarray  # float64: l_prd min-max scaled into [0, 1]
+    states: np.ndarray  # int64: states 1..5 (data.audit_states)
 
     @property
     def n_samples(self) -> int:

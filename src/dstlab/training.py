@@ -218,19 +218,19 @@ def run_epoch(
     two networks only), and makes net2's divisions. At net2's turn of the
     epoch before a selection epoch, the cloud of net1's `full_softmax`,
     which is also net2's partner then, goes to the writer to be fitted
-    (`divide`), and net2's turn of the selection epoch reads the division
-    back (`division`) before anything else. Both calls name `epoch`: the
-    writer keeps no count of its own. So a two-network selection epoch
-    makes two training-set forwards here, net2's at the start and net1's
-    at net2's turn, and the last warmup epoch one, net1's. Without
-    `offload` everything runs in this process, net1 is also profiled at
-    the start, and the bytes are the same either way.
+    and, later, dumped (`divide`), and net2's turn of the selection epoch
+    reads the division back (`division`) before anything else. Both calls
+    name `epoch`: the writer keeps no count of its own. So a two-network
+    selection epoch makes two training-set forwards here, net2's at the
+    start and net1's at net2's turn, and the last warmup epoch one,
+    net1's. Without `offload` everything runs in this process, net1 is
+    also profiled at the start, and the bytes are the same either way.
 
     Returns an `Epoch`: the phase and learning rate the epoch trained
     with, the selection reports per consuming network (None outside
     selection epochs; see `selection.divide`), and the profiles of a
     selection epoch's networks in `NET_NAMES` order (none otherwise);
-    net1's is None with `offload`, which holds it.
+    net1's is None with `offload`, which got it at the epoch before.
     """
     phase, learning_rate = cfg.phase_at(epoch), cfg.learning_rate_at(epoch)
     dst = phase == "dst"

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -131,6 +133,15 @@ def run_bytes(run_dir) -> dict[str, bytes]:
     return {
         str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()
     }
+
+
+def cloud_fields(prof) -> list[str]:
+    """Each field of a `LossProfile` as `name:dtype:size:sha256` of its bytes."""
+    return [
+        f"{f.name}:{value.dtype.str}:{value.size}:{hashlib.sha256(value.tobytes()).hexdigest()}"
+        for f in dataclasses.fields(prof)
+        for value in [getattr(prof, f.name)]
+    ]
 
 
 def log_call(log: Path, *fields) -> None:
@@ -1090,16 +1101,24 @@ class TestOffload:
     def test_a_turn_messages_the_writer_only_when_it_has_work(
         self, tmp_path, monkeypatch, overrides, fail_net1, divides
     ):
-        # The epoch of each ("divide", e) message the run sends: the last
-        # warmup epoch hands over net1's cloud for epoch 3, epoch 3 for
+        # The epoch of each ("divide", e, cloud) message the run sends: the
+        # last warmup epoch hands over net1's cloud for epoch 3, epoch 3 for
         # epoch 4, and the last epoch none. With every fit of net1's cloud
         # failed, net2 has no division but still hands over the next cloud.
+        # The cloud is the one `training.profile` returned last, at net2's
+        # turn, and the writer fits it as it was then.
         cfg = small_config(total_epochs=4, warmup_epochs=2, **overrides)
-        sent, real_send = [], lab._EpochWriter._send
+        sent, profiled, received = [], [], tmp_path / "received"
+        real_send, real_profile = lab._EpochWriter._send, training.profile
+
+        def profile(*args):
+            prof = real_profile(*args)
+            profiled.append(cloud_fields(prof))
+            return prof
 
         def send(self, message):
             if message[0] != "epoch":
-                sent.append(message)
+                sent.append((message[:2], cloud_fields(message[2]), profiled[-1]))
             real_send(self, message)
 
         def failing_fit(*args, **kwargs):
@@ -1108,15 +1127,20 @@ class TestOffload:
         real_divide = selection.divide
 
         def divide(prof, cfg, source):
+            log_call(received, *cloud_fields(prof))
             with monkeypatch.context() as m:
                 if fail_net1 and source == "net1":
                     m.setattr(selection, "fit", failing_fit)
                 return real_divide(prof, cfg, source)
 
+        monkeypatch.setattr(training, "profile", profile)
         monkeypatch.setattr(lab._EpochWriter, "_send", send)
         monkeypatch.setattr(lab, "divide", divide)
         run_dir = run(cfg, tmp_path / "r")
-        assert sent == [("divide", epoch) for epoch in divides]
+        assert [message for message, _, _ in sent] == [("divide", epoch) for epoch in divides]
+        handed = [fields for _, fields, _ in sent]
+        assert handed == [fields for _, _, fields in sent]
+        assert [fields for _, *fields in logged_calls(received)] == handed
         fallbacks = [3, 4] if fail_net1 else []
         assert load_summary(run_dir)["fallback_epochs"] == {"net1": [], "net2": fallbacks}
 
@@ -1126,11 +1150,11 @@ class TestOffload:
         ids=["two-nets", "single-network", "net1-fit-fails"],
     )
     def test_a_slow_writer_changes_no_byte(self, tmp_path, monkeypatch, overrides, fails):
-        # The run writes net1's cloud into a profile slot that the writer
-        # reads for its fit and, an epoch later, for its dump, while the
-        # writer may lag behind. Random delays in the writer's fits,
-        # evaluation and dumps move where the two processes cross; no byte
-        # may move.
+        # The run hands net1's cloud to the writer, which fits it at once
+        # and dumps it an epoch later, while the run steps the parameters
+        # that its messages carry and the writer may lag behind. Random
+        # delays in the writer's fits, evaluation and dumps move where the
+        # two processes cross; no byte may move.
         cfg = small_config(per_class=40, total_epochs=10, **overrides)
         real_divide, fits = lab.divide, []
 
@@ -1206,6 +1230,57 @@ class TestOffload:
             [(str(forks[0]), n_test)] * 2 * cfg.total_epochs
             + [(str(os.getpid()), n_train)] * (2 * dst_epochs + 1)
         )
+
+    def test_an_error_with_a_division_unread_re_raises_at_once(self, tmp_path, monkeypatch, forks):
+        # Net2's first division, for epoch 3, comes with the answer to epoch
+        # 2: a 4000-row branch table, more than a pipe holds (64 KB on
+        # Linux), so the writer blocks on it until the run reads it at
+        # net2's turn. Net1's loop of epoch 3 raises first: the run must
+        # re-raise at once, not wait for a writer that waits for it.
+        cfg = small_config(
+            n_classes=4, per_class=1000, warmup_epochs=2, total_epochs=3, scatter_every=0
+        )
+        run_dir, sizes = tmp_path / "r", tmp_path / "sizes"
+        real_divide, real_train_epoch = lab.divide, training._train_epoch
+        loops, raised = [], []
+
+        def divide(*args):
+            # Only the writer calls it; it logs the size of its answer.
+            division = real_divide(*args)
+            log_call(sizes, len(pickle.dumps((None, division), pickle.HIGHEST_PROTOCOL)))
+            return division
+
+        def train_epoch(*args):
+            loops.append(1)
+            if len(loops) == 5:  # net1's loop of epoch 3
+                # Once the writer has written epoch 2's report, it answers.
+                deadline = time.monotonic() + 60
+                report = run_dir / "reports" / "epoch_002.json"
+                while not report.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raised.append(time.monotonic())
+                raise NumericError("forced non-finite loss in net1's loop")
+            real_train_epoch(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("the run still waits for the writer")
+
+        monkeypatch.setattr(lab, "divide", divide)
+        monkeypatch.setattr(training, "_train_epoch", train_epoch)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(NumericError, match="forced non-finite loss"):
+                run(cfg, run_dir)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - raised[0] < 5
+        assert [int(size) > 65536 for _, size in logged_calls(sizes)] == [True]
+        assert_reaped(forks)
+        assert set(run_bytes(run_dir)) == {
+            *START_FILES, "reports/epoch_001.json", "reports/epoch_002.json"
+        }
 
     def test_writer_killed_while_the_run_waits_for_a_division(self, tmp_path, monkeypatch, forks):
         # The writer makes net2's division for epoch 3 only once the run

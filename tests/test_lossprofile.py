@@ -80,16 +80,24 @@ class TestProfile:
     @pytest.mark.parametrize(
         "logits", [[0.6, 0.3, 0.1], [0.0, 0.0, 0.0]], ids=["spread", "flat-axes"]
     )
-    def test_every_field_has_the_dtype_its_declaration_names(self, logits):
-        # A shared cloud slot is made from these declarations, and a copy
-        # into it would cast any other dtype without a word.
+    def test_every_field_has_its_documented_dtype(self, logits):
+        # `data.write_csv` writes a float column with %.17g and an integer
+        # one with %d, so these dtypes decide the scatter bytes.
         prof = profile_of(bias_net(logits), dataset([0, 1, 2, 1], 3))
-        declared = dataclasses.fields(LossProfile)
-        assert [f.name for f in declared] == list(vars(prof))
-        for f in declared:
-            value = getattr(prof, f.name)
-            assert isinstance(value, np.ndarray) and value.shape == (4,), f.name
-            assert value.dtype == np.dtype(f.metadata["dtype"]), f.name
+        documented = {
+            "l_nis": np.float64,
+            "l_prd": np.float64,
+            "predicted": np.int64,
+            "nrm_nis": np.float64,
+            "nrm_prd": np.float64,
+            "states": np.int64,
+        }
+        assert [f.name for f in dataclasses.fields(LossProfile)] == list(documented)
+        assert list(vars(prof)) == list(documented)
+        for name, dtype in documented.items():
+            value = getattr(prof, name)
+            assert isinstance(value, np.ndarray) and value.shape == (4,), name
+            assert value.dtype == np.dtype(dtype), name
 
     def test_profile_leaves_parameters_untouched(self):
         # Nor the softmax: a partner's rows are read after its profile.

@@ -53,6 +53,26 @@ def test_flags_and_defaults_match_the_former_scripts():
         parser.parse_args(["baseline", "--noise-rate", "0.6"])
 
 
+@pytest.mark.parametrize("command", ["reference", "ablation"])
+def test_an_out_of_range_noise_rate_is_a_config_error(command, tmp_path):
+    # As `dstlab run` reports it: one line, exit code 1, and no run begun.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(RUNS), command, "--noise-rate", "1.5"],
+        cwd=tmp_path,
+        env={**env, "TMPDIR": str(scratch)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "config error: noise_rate must be in [0, 1], got 1.5\n"
+    assert done.stdout == ""
+    assert list(scratch.iterdir()) == []
+
+
 def sha256_over(paths) -> str:
     return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
 
