@@ -19,7 +19,6 @@ import numpy as np  # noqa: E402
 
 from dstlab import cli, lab, network  # noqa: E402
 from dstlab.config import MEMORIZATION, benchmark_config  # noqa: E402
-from dstlab.errors import ConfigError  # noqa: E402
 
 
 def baseline(args) -> dict:
@@ -131,16 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Print the subcommand's JSON; a config error is one line on stderr
-    and exit code 1, as `dstlab run` gives it."""
+    """Print the subcommand's JSON; errors are reported, and give the exit
+    code, as `dstlab` does (`cli.exit_code`)."""
     args = build_parser().parse_args(argv)
-    try:
-        result = args.run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return cli.EXIT_CONFIG
-    print(json.dumps(result, indent=2))
-    return cli.EXIT_OK
+    return cli.exit_code(lambda: print(json.dumps(args.run(args), indent=2)))
 
 
 if __name__ == "__main__":

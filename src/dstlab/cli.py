@@ -41,24 +41,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_code(action) -> int:
+    """Call `action` and return the exit code. A ConfigError prints one
+    `config error:` line on stderr and gives 1, any other LabError one
+    `error:` line and gives 2."""
     try:
-        if args.command == "run":
-            run_dir = lab.run(load_config(args.config))
-            print(run_dir)
-        elif args.command == "dump-scatter":
-            print(lab.dump_scatter(args.run_dir, args.epoch, args.net))
-        elif args.command == "compare":
-            deltas = lab.compare(args.summary_a, args.summary_b)
-            print(json.dumps(deltas, indent=2, sort_keys=True))
-        return EXIT_OK
+        action()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
+
+
+def _execute(args: argparse.Namespace) -> None:
+    if args.command == "run":
+        print(lab.run(load_config(args.config)))
+    elif args.command == "dump-scatter":
+        print(lab.dump_scatter(args.run_dir, args.epoch, args.net))
+    elif args.command == "compare":
+        deltas = lab.compare(args.summary_a, args.summary_b)
+        print(json.dumps(deltas, indent=2, sort_keys=True))
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(lambda: _execute(args))
 
 
 if __name__ == "__main__":

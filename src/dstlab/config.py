@@ -4,11 +4,12 @@ Configs are JSON objects whose keys map one-to-one onto ExperimentConfig
 fields. Unknown keys are rejected rather than ignored so that typos fail
 loudly instead of silently running defaults.
 
-Each field declares its type and default, and a numeric field its range,
-on the field itself. `ExperimentConfig.__post_init__` checks every field
-against its declaration, so a config built in Python is checked exactly
-as one read from JSON, and an integer given for a float setting is stored
-as the float JSON would give.
+Each field declares its type and default, a numeric field its range and
+a choice setting its options, on the field itself.
+`ExperimentConfig.__post_init__` checks every field against its
+declaration, so a config built in Python is checked exactly as one read
+from JSON, and an integer given for a float setting is stored as the
+float JSON would give.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import NOISE_KINDS
-from .errors import ConfigError
+from .errors import ConfigError, LabError
 
 
 def _is_int(value) -> bool:
@@ -71,6 +72,11 @@ def _setting(default, rule: str):
     return dataclasses.field(default=default, metadata={"rule": rule, "bounds": bounds})
 
 
+def _choice(default, options: tuple):
+    """A field with its default and the values it may take."""
+    return dataclasses.field(default=default, metadata={"options": options})
+
+
 # Frozen, so a config keeps the ranges __post_init__ checked; the run reads
 # its fields without checking them again. The two list fields are stored as
 # tuples, so no caller's list stays aliased to a checked config.
@@ -84,7 +90,7 @@ class ExperimentConfig:
     test_per_class: int = _setting(250, ">= 1")
     data_seed: int = _setting(7, ">= 0")
     # noise
-    noise_kind: str = "sym-c1"
+    noise_kind: str = _choice("sym-c1", NOISE_KINDS)
     noise_rate: float = _setting(0.5, "in [0, 1]")
     # architecture: hidden layer widths, input/output sizes come from the data
     hidden_sizes: tuple[int, ...] = (64, 64)
@@ -113,7 +119,7 @@ class ExperimentConfig:
     ce_only: bool = False
     no_mixup: bool = False
     single_network: bool = False
-    disable_branch: str | None = None
+    disable_branch: str | None = _choice(None, (None, "labeled", "predicted"))
     all_wrong: bool = False
     # run control
     master_seed: int = _setting(1, ">= 0")
@@ -122,9 +128,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            options = f.metadata.get("options")
+            if options is not None and value not in options:
+                raise ConfigError(f"{f.name} must be one of {options}, got {value!r}")
             if f.type not in _SCALARS:
                 continue
-            value = getattr(self, f.name)
             accepts, kind = _SCALARS[f.type]
             if not accepts(value):
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
@@ -136,10 +145,6 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, value)
             if not all(holds(value, bound) for holds, bound in f.metadata.get("bounds", ())):
                 raise ConfigError(f"{f.name} must be {f.metadata['rule']}, got {value}")
-        if self.noise_kind not in NOISE_KINDS:
-            raise ConfigError(
-                f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
-            )
         hidden = self.hidden_sizes
         if not (_is_sequence(hidden) and hidden and all(_is_int(h) and h >= 1 for h in hidden)):
             raise ConfigError(
@@ -162,10 +167,18 @@ class ExperimentConfig:
         object.__setattr__(self, "gmm_anchors", points)
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
+        # The file system takes no NUL byte and no string that the file
+        # system encoding cannot encode, such as a lone surrogate.
+        out = self.output_dir
+        try:
+            nameable = out is None or b"\0" not in os.fsencode(out)
+        except UnicodeEncodeError:
+            nameable = False
+        if not nameable:
+            raise ConfigError(f"output_dir must be a path the file system can name, got {out!r}")
         # A relative output_dir lies under the output root; "." would make
         # the root itself one run's directory, and later runs land inside it;
         # ".." or "../x" would put the run beside the root.
-        out = self.output_dir
         head = None if out is None else os.path.normpath(out).split(os.sep)[0]
         if head == ".":
             raise ConfigError(f"output_dir must not name the output root itself, got {out!r}")
@@ -175,10 +188,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"total_epochs ({self.total_epochs}) must exceed "
                 f"warmup_epochs ({self.warmup_epochs})"
-            )
-        if self.disable_branch not in (None, "labeled", "predicted"):
-            raise ConfigError(
-                f"disable_branch must be labeled or predicted, got {self.disable_branch!r}"
             )
 
     def learning_rate_at(self, epoch: int) -> float:
@@ -237,17 +246,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
+def read_json(path: Path, what: str, error: type[LabError]):
+    """The JSON value in the UTF-8 file at `path`. A file that cannot be
+    read or decoded raises `error`, whose message names `what` it held."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} is not valid JSON: {path}: {exc}") from exc
+
+
 def load_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config is not valid JSON: {path}: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path, "config", ConfigError))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

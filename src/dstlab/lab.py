@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, _is_number, config_to_dict
+from .config import ExperimentConfig, _is_number, config_to_dict, read_json
 from .data import CleanDataset, NoisyDataset, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import LossProfile, write_scatter
@@ -456,12 +456,7 @@ def load_summary(path: Path | str) -> dict:
         path = path / "summary.json"
     if not path.exists():
         raise NotFoundError(f"summary not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise StructuralError(f"cannot read summary {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StructuralError(f"summary is not valid JSON: {path}: {exc}") from exc
+    payload = read_json(path, "summary", StructuralError)
     if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise StructuralError(f"not a run summary: {path}")
     return payload

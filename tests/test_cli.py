@@ -135,6 +135,25 @@ class TestRun:
         assert [child.name for child in base.iterdir()] == ["root"]
         assert not list((base / "root").iterdir())
 
+    @pytest.mark.parametrize("output_dir", ["a\u0000b", "a\ud800b"], ids=["nul", "surrogate"])
+    def test_output_dir_the_file_system_cannot_name_exits_one(
+        self, tmp_path, capsys, monkeypatch, output_dir
+    ):
+        # A NUL byte, or a lone surrogate that the file system encoding
+        # cannot encode: mkdir would raise ValueError or UnicodeEncodeError.
+        root = tmp_path / "root"
+        root.mkdir()
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(root))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"output_dir": output_dir}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: output_dir must be a path the file system can name, got {output_dir!r}\n"
+        )
+        assert "Traceback" not in err
+        assert not list(root.iterdir())
+
     def test_non_finite_number_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"gmm_tol": NaN}')

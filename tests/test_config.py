@@ -16,6 +16,7 @@ from dstlab.errors import ConfigError
 
 FIELDS = dataclasses.fields(ExperimentConfig)
 FLOAT_FIELDS = {f.name for f in FIELDS if f.type == "float"}
+CHOICE_FIELDS = [f for f in FIELDS if "options" in f.metadata]
 
 
 class TestDefaults:
@@ -161,6 +162,20 @@ class TestValidation:
         assert numbers - ranged == {"total_epochs"}
         assert ranged <= numbers
 
+    def test_the_noise_kind_and_the_disabled_branch_declare_their_options(self):
+        assert {"noise_kind", "disable_branch"} <= {f.name for f in CHOICE_FIELDS}
+
+    @pytest.mark.parametrize("field", CHOICE_FIELDS, ids=lambda f: f.name)
+    def test_every_choice_setting_takes_its_options_and_nothing_else(self, field):
+        options = field.metadata["options"]
+        for option in options:
+            assert getattr(ExperimentConfig(**{field.name: option}), field.name) == option
+        outside = ["no-such-option", list(options)] + ([] if None in options else [None])
+        for value in outside:
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig(**{field.name: value})
+            assert str(info.value) == f"{field.name} must be one of {options}, got {value!r}"
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -276,7 +291,9 @@ class TestDictRoundTrip:
             config_from_dict({"output_dir": output_dir})
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("output_dir", ["a", "./a", "a/../b", "/abs/run", "/abs/../run"])
+    @pytest.mark.parametrize(
+        "output_dir", ["a", "./a", "a/../b", "/abs/run", "/abs/../run", "a\udc80b"]
+    )
     def test_other_output_dirs_accepted(self, output_dir):
         assert config_from_dict({"output_dir": output_dir}).output_dir == output_dir
 

@@ -73,6 +73,31 @@ def test_an_out_of_range_noise_rate_is_a_config_error(command, tmp_path):
     assert list(scratch.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_an_occupied_output_directory_is_an_error(command, tmp_path):
+    # As `dstlab run` reports it: one line and exit code 2. `ablation`
+    # refuses at its first run, `full`, under the parent directory.
+    out = tmp_path / "out"
+    run_dir = out / "full" if command == "ablation" else out
+    run_dir.mkdir(parents=True)
+    (run_dir / "stale.txt").write_text("x")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(RUNS), command, "--out", str(out)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr == (
+        f"error: refusing to write into non-empty directory {run_dir}; choose a fresh output_dir\n"
+    )
+    assert done.stdout == ""
+    assert [p.name for p in run_dir.iterdir()] == ["stale.txt"]
+
+
 def sha256_over(paths) -> str:
     return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
 
