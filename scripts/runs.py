@@ -44,22 +44,31 @@ def without_gmm(report_path: Path) -> bytes:
     return json.dumps(report, sort_keys=True).encode()
 
 
+def without_config(summary_path: Path) -> bytes:
+    """summary.json re-dumped as the writer dumps it, without its `config` block."""
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    del summary["config"]
+    return (json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
 def digests(run_dir: Path) -> dict:
     """`digest`: the SHA-256 over the bytes of summary.json and of
     checkpoints/*.json, in name order, `scatter_digest`: the same over
     scatter/*.csv, and `files_digest`: the same over dataset.csv,
     manifest.json and reports/*.json, in that order.
 
-    `summary_digest` is the same over summary.json alone, and
-    `branches_digest` over the reports in name order, each `without_gmm`.
-    Unlike the first three, they hold no float that a different BLAS build
-    or core moves in its last bits."""
+    `summary_digest` is the same over summary.json alone, `outcome_digest`
+    over summary.json `without_config`, and `branches_digest` over the
+    reports in name order, each `without_gmm`. Unlike the first three, they
+    hold no float that a different BLAS build or core moves in its last
+    bits; a new or removed setting moves `summary_digest` alone of them."""
     reports = sorted((run_dir / "reports").glob("*.json"))
     branches = hashlib.sha256()
     for path in reports:
         branches.update(without_gmm(path))
     return {
         "summary_digest": sha256_of([run_dir / "summary.json"]),
+        "outcome_digest": hashlib.sha256(without_config(run_dir / "summary.json")).hexdigest(),
         "branches_digest": branches.hexdigest(),
         "digest": sha256_of(
             [run_dir / "summary.json", *sorted((run_dir / "checkpoints").glob("*.json"))]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import operator
 import os
 import sys
@@ -77,9 +76,33 @@ def _choice(default, options: tuple):
     return dataclasses.field(default=default, metadata={"options": options})
 
 
+def check_output_dir(out: str | os.PathLike) -> None:
+    """Raise ConfigError unless `out` may name a run directory, as the
+    config's `output_dir` or as `lab.run`'s override: the file system must
+    be able to name it, and a relative path must lie strictly under the
+    output root."""
+    out = os.fspath(out)
+    # The file system takes no NUL byte and no string that the file
+    # system encoding cannot encode, such as a lone surrogate.
+    try:
+        nameable = b"\0" not in os.fsencode(out)
+    except UnicodeEncodeError:
+        nameable = False
+    if not nameable:
+        raise ConfigError(f"output_dir must be a path the file system can name, got {out!r}")
+    # A relative output_dir lies under the output root; "." would make
+    # the root itself one run's directory, and later runs land inside it;
+    # ".." or "../x" would put the run beside the root.
+    head = os.path.normpath(out).split(os.sep)[0]
+    if head == ".":
+        raise ConfigError(f"output_dir must not name the output root itself, got {out!r}")
+    if head == "..":
+        raise ConfigError(f"output_dir must stay under the output root, got {out!r}")
+
+
 # Frozen, so a config keeps the ranges __post_init__ checked; the run reads
-# its fields without checking them again. The two list fields are stored as
-# tuples, so no caller's list stays aliased to a checked config.
+# its fields without checking them again. The list field is stored as a
+# tuple, so no caller's list stays aliased to a checked config.
 @dataclass(frozen=True)
 class ExperimentConfig:
     # dataset
@@ -109,12 +132,6 @@ class ExperimentConfig:
     temperature: float = _setting(0.5, "> 0")
     alpha: float = _setting(4.0, "> 0")
     lambda_reg: float = _setting(1.0, ">= 0")
-    gmm_tol: float = _setting(20.0, ">= 0")  # absolute change in total log-likelihood
-    gmm_max_iter: int = _setting(100, ">= 1")
-    # Unit-square mixture means at the start of every fit: near-origin for
-    # low-loss-on-label samples, mid-square for samples both losses flag,
-    # right-bottom for samples whose label loss is high but prediction loss low.
-    gmm_anchors: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
     # ablations
     ce_only: bool = False
     no_mixup: bool = False
@@ -151,39 +168,10 @@ class ExperimentConfig:
                 f"hidden_sizes must be a non-empty list of positive integers, got {hidden!r}"
             )
         object.__setattr__(self, "hidden_sizes", tuple(hidden))
-        anchors = self.gmm_anchors
-        if not (
-            _is_sequence(anchors)
-            and len(anchors) == 3
-            and all(_is_sequence(a) and len(a) == 2 for a in anchors)
-            and all(_is_number(v) and math.isfinite(v) for a in anchors for v in a)
-        ):
-            raise ConfigError(
-                f"gmm_anchors must be three 2-D points with finite coordinates, got {anchors!r}"
-            )
-        points = tuple(tuple(a) for a in anchors)
-        if any(points[a] == points[b] for a, b in ((0, 1), (0, 2), (1, 2))):
-            raise ConfigError(f"gmm_anchors must be pairwise distinct, got {anchors!r}")
-        object.__setattr__(self, "gmm_anchors", points)
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
-        # The file system takes no NUL byte and no string that the file
-        # system encoding cannot encode, such as a lone surrogate.
-        out = self.output_dir
-        try:
-            nameable = out is None or b"\0" not in os.fsencode(out)
-        except UnicodeEncodeError:
-            nameable = False
-        if not nameable:
-            raise ConfigError(f"output_dir must be a path the file system can name, got {out!r}")
-        # A relative output_dir lies under the output root; "." would make
-        # the root itself one run's directory, and later runs land inside it;
-        # ".." or "../x" would put the run beside the root.
-        head = None if out is None else os.path.normpath(out).split(os.sep)[0]
-        if head == ".":
-            raise ConfigError(f"output_dir must not name the output root itself, got {out!r}")
-        if head == "..":
-            raise ConfigError(f"output_dir must stay under the output root, got {out!r}")
+        if self.output_dir is not None:
+            check_output_dir(self.output_dir)
         if self.total_epochs <= self.warmup_epochs:
             raise ConfigError(
                 f"total_epochs ({self.total_epochs}) must exceed "

@@ -122,8 +122,8 @@ def fit(
     absolute change) between consecutive evaluations, or after `max_iter`
     M-steps. The trace records the log-likelihood of the parameters entering
     each iteration, ending with the log-likelihood of the returned
-    parameters. `anchors`, `tol` and `max_iter` are a checked config's
-    `gmm_anchors`, `gmm_tol` and `gmm_max_iter`.
+    parameters. A run passes `selection`'s `ANCHORS`, `EM_TOL` and
+    `EM_MAX_ITER`.
     """
     pts = _validate_points(points)
     means = np.array(anchors, dtype=np.float64)

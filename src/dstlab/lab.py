@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, _is_number, config_to_dict, read_json
+from .config import ExperimentConfig, _is_number, check_output_dir, config_to_dict, read_json
 from .data import CleanDataset, NoisyDataset, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
 from .lossprofile import LossProfile, write_scatter
@@ -54,6 +54,11 @@ def output_root() -> Path:
 
 
 def _resolve_run_dir(cfg: ExperimentConfig, override: Path | str | None) -> Path:
+    """The run directory: `override` if given, under the rule the config
+    applies to `output_dir`, else the config's own, else one named for the
+    config. A relative path lies under the output root."""
+    if override is not None:
+        check_output_dir(override)
     target = override if override is not None else cfg.output_dir
     if target is None:
         digest = hashlib.sha256(
@@ -472,13 +477,18 @@ def _walk_deltas(a, b, prefix: str, out: dict) -> None:
     if isinstance(a, dict) or isinstance(b, dict):
         if not (isinstance(a, dict) and isinstance(b, dict)):
             raise StructuralError(f"summary shape mismatch at {prefix or '<root>'}")
-        if set(a) != set(b):
-            missing = sorted(set(a) ^ set(b))
+        one_sided = set(a) ^ set(b)
+        if one_sided and prefix != "config":
             raise StructuralError(
-                f"summary key mismatch at {prefix or '<root>'}: {missing}"
+                f"summary key mismatch at {prefix or '<root>'}: {sorted(one_sided)}"
             )
-        for key in sorted(a):
-            _walk_deltas(a[key], b[key], f"{prefix}.{key}" if prefix else key, out)
+        for key in sorted(set(a) | set(b)):
+            path = f"{prefix}.{key}" if prefix else key
+            if key in one_sided:
+                # A setting one side's version lacks: one leaf, whatever its type.
+                out[path] = {"a": a.get(key), "b": b.get(key), "delta": None}
+            else:
+                _walk_deltas(a[key], b[key], path, out)
         return
     if _is_number(a) and _is_number(b):
         out[prefix] = {"a": a, "b": b, "delta": b - a}
@@ -489,7 +499,11 @@ def _walk_deltas(a, b, prefix: str, out: dict) -> None:
 
 
 def compare(summary_a: Path | str | dict, summary_b: Path | str | dict) -> dict:
-    """Per-metric numeric deltas (b minus a) between two run summaries."""
+    """Per-metric numeric deltas (b minus a) between two run summaries.
+
+    A `config` key that one summary lacks, a setting added or removed
+    between their versions, is reported with that side null and no delta;
+    a key missing anywhere else is a StructuralError."""
     a = summary_a if isinstance(summary_a, dict) else load_summary(summary_a)
     b = summary_b if isinstance(summary_b, dict) else load_summary(summary_b)
     deltas: dict = {}

@@ -31,6 +31,14 @@ RIGHT = np.array([[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=bool
 # Per-sample keep/lean weights and the wrong-branch mask (`divide`).
 BranchTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+# The mixture fit's own numerics, not the paper's settings. Unit-square
+# means at the start of every fit: near-origin for low-loss-on-label
+# samples, mid-square for samples both losses flag, right-bottom for
+# samples whose label loss is high but prediction loss low.
+ANCHORS = ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
+EM_TOL = 20.0  # absolute change in total log-likelihood
+EM_MAX_ITER = 100
+
 
 def assign_roles(model: GmmModel, anchors: np.ndarray) -> dict[str, int]:
     """Match components to roles by final-mean proximity to the anchors.
@@ -83,10 +91,10 @@ def divide(
     table and a fallback report that names `source` and the fit's error
     as its `reason`: its consumer trains on plain cross-entropy that epoch.
     """
-    anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
+    anchors = np.asarray(ANCHORS, dtype=np.float64)
     points = np.column_stack([prof.nrm_nis, prof.nrm_prd])
     try:
-        model = fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
+        model = fit(points, anchors, tol=EM_TOL, max_iter=EM_MAX_ITER)
     except GmmFitError as exc:
         return None, {"fallback": True, "reason": str(exc), "source": source}
     roles = assign_roles(model, anchors)

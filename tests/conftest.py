@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dstlab import network
+from dstlab import network, selection
 from dstlab.config import ExperimentConfig
 from dstlab.data import NoisyDataset, audit_states
 from dstlab.gmm import GmmModel
@@ -19,9 +19,9 @@ from dstlab.lossprofile import LossProfile
 from dstlab.network import Layers, forward_cached, softmax
 from oracles import backward, cross_entropy
 
-# The default config; its anchors as the mixture fits of a run get them.
+# The default config, and the anchors as the mixture fits of a run get them.
 DEFAULTS = ExperimentConfig()
-ANCHORS = np.asarray(DEFAULTS.gmm_anchors, dtype=np.float64)
+ANCHORS = np.asarray(selection.ANCHORS, dtype=np.float64)
 
 RUNS = Path(__file__).resolve().parent.parent / "scripts" / "runs.py"
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dstlab import data, gmm, network, training
+from dstlab import data, gmm, network, selection, training
 from dstlab.errors import ConfigError, GmmFitError, NumericError, StructuralError
 from dstlab.gmm import N_COMPONENTS, _columns, _e_step
 from dstlab.lossprofile import SCATTER_HEADER, LossProfile, profile
@@ -418,11 +418,12 @@ def train_net_on_division(
 def division_weights(prof, cfg):
     """w_r and w_prd of one loss cloud: the columns of the mixture fit's own
     responsibilities that `assign_roles` matches to the labeled and
-    predicted roles. None when the fit fails."""
-    anchors = np.asarray(cfg.gmm_anchors, dtype=np.float64)
+    predicted roles, from the anchors and stop rule `selection` holds at
+    the call. None when the fit fails."""
+    anchors = np.asarray(selection.ANCHORS, dtype=np.float64)
     points = np.column_stack([prof.nrm_nis, prof.nrm_prd])
     try:
-        model = gmm.fit(points, anchors, tol=cfg.gmm_tol, max_iter=cfg.gmm_max_iter)
+        model = gmm.fit(points, anchors, tol=selection.EM_TOL, max_iter=selection.EM_MAX_ITER)
     except GmmFitError:
         return None
     roles = assign_roles(model, anchors)

@@ -21,8 +21,9 @@ The files of every distinct run of the battery are pinned too: their
 `scripts/runs.py` digests must match those recorded on the same numpy and
 OpenBLAS core (for the benchmark run, what `scripts/runs.py reference`
 prints). On any other toolchain those tests skip and name the one they
-found, except for `summary_digest` and `branches_digest`: summary.json and
-the reports without their mixture fits are checked on every toolchain.
+found, except for `summary_digest`, `outcome_digest` and `branches_digest`:
+summary.json, summary.json without its config block, and the reports
+without their mixture fits are checked on every toolchain.
 """
 
 import csv
@@ -34,12 +35,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ANCHORS, DEFAULTS, gradient_check_draws, load_runs
+from conftest import ANCHORS, gradient_check_draws, load_runs
 from oracles import batch_loss, ensemble_probs, fold_lambda, mixup_pair, posteriors, refine_label
 from dstlab.config import MEMORIZATION, benchmark_config
 from dstlab.gmm import fit
 from dstlab.lab import load_summary, run, scatter_csv_path
 from dstlab.network import _OPENBLAS_GLOB, init_network
+from dstlab.selection import EM_MAX_ITER, EM_TOL
 from dstlab.training import sharpen
 
 # `scripts/runs.py baseline` output for the memorization regime (frozen):
@@ -52,9 +54,9 @@ TOL = 1e-9
 # numpy 2.4.6 with its bundled OpenBLAS on the SkylakeX core computes them.
 GOLDEN_TOOLCHAIN = ("2.4.6", "SkylakeX")
 GOLDEN_DIGESTS = {
-    "digest": "b5584417f45e08c8b50d3bd747f678c6d8bedd4d377eb244c8fa7ddc6cd99944",
+    "digest": "61cb534482b025ddf1d3a0dfc501e18d6750932947f4f5883034c0c85945dce3",
     "scatter_digest": "8a0adb99ef94e77f2efd08490f66fc4f5b30e234bf45554a4bb5fa2b13d4ca39",
-    "files_digest": "4071cfc7da84f42ee2574ec192acfd36c09dace9ae2ca4802cf2eea457558f92",
+    "files_digest": "7024e27e11902188901a71c6a940405966fafdc1ae3405b40d0cabc1986c1383",
 }
 # The same `runs.digests` of the battery's other distinct runs, on the same
 # toolchain. `mem_ce` sends the writer no turn and dumps no cloud (its
@@ -62,57 +64,65 @@ GOLDEN_DIGESTS = {
 # writer's help.
 BATTERY_DIGESTS = {
     "mem_dst": {
-        "digest": "1ff539d12e33f22152e636afa19e0c1d225731763fcb0dd05f2983494512b623",
+        "digest": "305e1239ce59744ee42608c454a3c7f452cb4a37b497a0b6af76d5ee14dbe585",
         "scatter_digest": "2aa4a5d88ee919692dd39a1899a8e364154dd204bd8bc952f119707e6ae27a19",
-        "files_digest": "dadbbbabe3ec79cd8fe04bdde34b56eb80eb42b4e9be66c9a1ceaab4e6e820f4",
+        "files_digest": "87a84636a089a797f20b44bfa0e6aba4e98063a1131c7637db64bbb42c803e2c",
     },
     "mem_ce": {
-        "digest": "d6429c4ab73499fe84ff04cc5537b12bf12a7ffd6b9fd5106c2921d858398ab9",
+        "digest": "d23d63452f27eb3686bb1d0d1f28b104ba0a74ecf0e046df5e65f15c0b7c1997",
         "scatter_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "files_digest": "ef4328ac29b6cadd1afd65f18a083340764d63b0295dfec29006f09f5678fd46",
+        "files_digest": "d220859d7ca328e5c987698d408ab29f862f4690b9e1476eafa5ba992ec35600",
     },
     "r08": {
-        "digest": "d067ea3c4c3e08eb4c02232dafaf6624d3166e22569512cb6f9cb1c815e5cd38",
+        "digest": "6808f85a9f6199d44c299e052308261eea0ae95063d32bfed492fc9719255089",
         "scatter_digest": "5cfc6e177361a8c1425b94f61fe4c6d885e449660f0858d30be13448115848fe",
-        "files_digest": "d5a053955f7a72c3e86781862e104d39bac47b48270d5b1369aedb1c155dbbd4",
+        "files_digest": "9f6167b5d3f0470b2e9805fb15cf026d4ac9ad79fbb699fde38f5e611f8f0615",
     },
     "r08_nomix": {
-        "digest": "d36e15b83ff5fb2f4a4f1a244322aa028f05a79e5346f6e4b06d84a0b9de96dc",
+        "digest": "3718eb41f3c5d5744ef52c28ed4ec14ea434f849289dc906d4fc04acc68dbf14",
         "scatter_digest": "6e87a540a2569343dd90c692c1a5574ae3f5bb4228c1d90f2fb626ef9a9272c7",
-        "files_digest": "a85c4326a72b282877b4faece81b17e5c0fb03b81aad9c6bd0a8d524f0aa55df",
+        "files_digest": "d749427b69ef1e23665e61ebecfc722c6be7fe370e173beed71ffe5aae8bc552",
     },
     "r08_single": {
-        "digest": "a11ebb7fda19eda1ccf51da6de8f2892a8ee2ecbbe97e6eb9314d94a532ad0a3",
+        "digest": "49efd5eaa1a96065d81ced932921f3489896549d02e465fac37a8c8ea1ecc208",
         "scatter_digest": "124b3e96f00c33563db480ab1000e85f5d4c005d294810293d714d71b23921f9",
-        "files_digest": "718a8a34971bf348da8181b997c9e97b657b6eed572665aee1b6119a9077db1b",
+        "files_digest": "c53da7ef53db2feeb14ffb95f305f959ae9edbf004707fb8c63450f2352b542e",
     },
 }
-# `runs.digests` that hold no toolchain-dependent float (summary.json, and
-# the reports without their mixture fits), for the benchmark run ("dst")
-# and the battery's other distinct runs: checked on every toolchain.
+# `runs.digests` that hold no toolchain-dependent float (summary.json, with
+# and without its config block, and the reports without their mixture
+# fits), for the benchmark run ("dst") and the battery's other distinct
+# runs: checked on every toolchain. A setting added or removed moves only
+# `summary_digest` of the three.
 PORTABLE_DIGESTS = {
     "dst": {
-        "summary_digest": "f1e16d679daa13d186a19e48e68db6c7587c468eb7bc098acdfa57ba34f80483",
+        "summary_digest": "11e70c32451a64f0c794e24206afd480df117ba2f729325a32269bc89126e59b",
+        "outcome_digest": "0e1712b57fc0c86bb3f1b754cd300a6f7566a672c8a68bf9bd354d02aed25cb1",
         "branches_digest": "d8eecf3a6300c67a7980a8c3974a831fc75cba8db98885088696d4994a77f760",
     },
     "mem_dst": {
-        "summary_digest": "571940e827563f847af469f58ca2342144ae36464cceae50fb2db8d8ee20c0ae",
+        "summary_digest": "7212c66c3f4b1ecec0dc6eb4a8add3bf3435e928bd5c5ec0e700c329670bd19d",
+        "outcome_digest": "bd35cbfd32ed69ef53fc4981952cd3c8607eccdfbadd9df33e94b10e212893be",
         "branches_digest": "6c4934de727691f9f7a5fbec3f4cd7a5fc4433d67d24f1f572531e3c0ce8df0e",
     },
     "mem_ce": {
-        "summary_digest": "8f1e0401be2a82754425977f5d4872993174277a454b1b39fe75a85c1c83e139",
+        "summary_digest": "94d3a5b5499b8824130a61a1376cfbd2d7732791dfa4770636baa1a59a30d592",
+        "outcome_digest": "26a6fa6788009d9366983c4d185c8d230cc3d93949bca87352bd9b9acf8f2f35",
         "branches_digest": "3fb40f3fb097b3102c5d4219dedbe1c1ae625ccb2105286cbd9c550cee915242",
     },
     "r08": {
-        "summary_digest": "d3813b84bf7c619566a3e3e8773480354e9440a3c73020aa02245e8589710171",
+        "summary_digest": "88fa5a2a528a5c4bdf7cd9fd06f395951ac07678f725a280fcc04a0ae181648b",
+        "outcome_digest": "3f7500bc925c2498d7e766604fdda0607738a9d9310cd013e54a3fb8be1b0e34",
         "branches_digest": "34706c27c55762a87ee5ffde3422a5b9a607a9aaf8eecf08111697e8a1e1bb22",
     },
     "r08_nomix": {
-        "summary_digest": "413b66a92f3143c865334c3ed66e9d96245b0b7bd288bc1f5af653c36e329aa8",
+        "summary_digest": "10f6bdb2d8506022b87b50d45c87a81a167f9dc8d55cc4e2cd5ce9afd97c917a",
+        "outcome_digest": "b49758b9898ccd37c81a737b64e795ba62f2900538e8164e03d6a2088347f431",
         "branches_digest": "84a9488d6c6a1b93eb5720b2185856b150a0412433459f2366bd1602df24e300",
     },
     "r08_single": {
-        "summary_digest": "8e3dc3a6fcc8d26e4761e9e94b20b778b22ef5e44f46b44f79b8eafffd04fe63",
+        "summary_digest": "196994aa1b8a70b9f50522f86b79fa2eac9829f90d18509c51bb802d9133d9fa",
+        "outcome_digest": "f5118c0a11167b7ce9f03ed9c56589c930281da2d8b9f3fa54297859d0622cdd",
         "branches_digest": "0552efdd82c26e4a43b1e476a9ced69a4e0738cb25e75c2c90d6e843b0485e09",
     },
 }
@@ -203,7 +213,7 @@ def test_criterion_3_mixture_recovery_at_the_anchors(record_criterion):
     points = np.concatenate(
         [anchor + 0.02 * rng.standard_normal((1000, 2)) for anchor in ANCHORS]
     )
-    model = fit(points, ANCHORS, DEFAULTS.gmm_tol, DEFAULTS.gmm_max_iter)
+    model = fit(points, ANCHORS, EM_TOL, EM_MAX_ITER)
     mean_err = float(np.abs(model.means - ANCHORS).max())
     hard = posteriors(model, points).argmax(axis=1)
     agreement = float((hard == truth).mean())

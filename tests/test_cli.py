@@ -67,6 +67,18 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["gmm_anchors", "gmm_tol", "gmm_max_iter"])
+    def test_a_former_mixture_setting_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, key):
+        # The fit's anchors and stop rule are constants of `selection` now.
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(tmp_path / "root"))
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({key: 1}))
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: unknown config keys: {key}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "root").exists()
+
     def test_ill_typed_config_exits_one_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"hidden_sizes": ["a"]}))
@@ -90,17 +102,18 @@ class TestRun:
         [
             {"master_seed": -1},
             {"data_seed": -3},
-            {"gmm_max_iter": 0},
-            {"gmm_tol": -1},
-            {"gmm_anchors": [[0, 0], [0, 0], [1, 0]]},
+            {"lr_decay_period": 0},
+            {"weight_decay": -1},
+            {"alpha": 0},
         ],
     )
     def test_late_failing_range_exits_one_before_any_run_file(
         self, tmp_path, capsys, monkeypatch, overrides
     ):
         # Negative seeds once ended in a numpy traceback after the run
-        # directory was made; the mixture settings failed at the first
-        # selection epoch, after warmup had written its reports.
+        # directory was made. Past the config, a zero decay period would
+        # too; a negative weight decay and a zero alpha would stop the run
+        # a few epochs in, after warmup had written its reports.
         monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(tmp_path / "root"))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(overrides))
@@ -156,9 +169,9 @@ class TestRun:
 
     def test_non_finite_number_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"gmm_tol": NaN}')
+        path.write_text('{"alpha": NaN}')
         assert main(["run", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("config error: gmm_tol must be finite")
+        assert capsys.readouterr().err.startswith("config error: alpha must be finite")
 
     def test_directory_as_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 1

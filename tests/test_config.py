@@ -37,7 +37,6 @@ class TestDefaults:
         assert cfg.temperature == 0.5
         assert cfg.alpha == 4.0
         assert cfg.lambda_reg == 1.0
-        assert cfg.gmm_anchors == ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
         assert not (cfg.ce_only or cfg.no_mixup or cfg.single_network or cfg.all_wrong)
         assert cfg.disable_branch is None
 
@@ -78,7 +77,7 @@ class TestValidation:
             {"hidden_sizes": []},
             {"hidden_sizes": [0]},
             {"scatter_every": -1},
-            {"gmm_anchors": [[0.0, 0.0], [1.0, 0.0]]},
+            {"lr_decay_period": 0},
             {"warmup_epochs": 0},
             {"total_epochs": 15, "warmup_epochs": 15},
             {"batch_size": 1},
@@ -100,21 +99,20 @@ class TestValidation:
         [
             ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
             ({"data_seed": -3}, "data_seed must be >= 0, got -3"),
-            ({"gmm_max_iter": 0}, "gmm_max_iter must be >= 1, got 0"),
-            ({"gmm_tol": -1.0}, "gmm_tol must be >= 0, got -1.0"),
-            (
-                {"gmm_anchors": [[0, 0], [0.0, 0.0], [1.0, 0.0]]},
-                "gmm_anchors must be pairwise distinct",
-            ),
+            ({"lr_decay_period": 0}, "lr_decay_period must be >= 1, got 0"),
+            ({"weight_decay": -1}, "weight_decay must be >= 0, got -1.0"),
+            ({"alpha": 0}, "alpha must be > 0, got 0.0"),
         ],
     )
     def test_ranges_a_run_would_fail_on_later(self, kwargs, message):
-        # Each of these once passed the config and failed mid-run.
+        # Past the config, each of these would stop a run part-way: the
+        # seeds and the decay period once the run directory exists, the
+        # weight decay (on the default schedule) and alpha a few epochs in.
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"master_seed": 0, "data_seed": 0}, {"gmm_tol": 0.0, "gmm_max_iter": 1}]
+        "kwargs", [{"master_seed": 0, "data_seed": 0}, {"weight_decay": 0.0, "lr_decay_period": 1}]
     )
     def test_range_edges_accepted(self, kwargs):
         cfg = ExperimentConfig(**kwargs)
@@ -192,7 +190,7 @@ class TestValidation:
     def test_checked_fields_cannot_be_reassigned(self):
         cfg = ExperimentConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.gmm_max_iter = 0
+            cfg.lr_decay_period = 0
 
     def test_interior_thresholds_accepted(self):
         cfg = ExperimentConfig(tau_r=0.9, tau_prd=0.1)
@@ -232,8 +230,8 @@ class TestDictRoundTrip:
         assert isinstance(cfg.alpha, float)
 
     def test_python_int_for_a_float_serializes_as_json_does(self):
-        from_python = ExperimentConfig(noise_rate=1, alpha=4, gmm_tol=0)
-        from_json = config_from_dict({"noise_rate": 1, "alpha": 4, "gmm_tol": 0})
+        from_python = ExperimentConfig(noise_rate=1, alpha=4, weight_decay=0)
+        from_json = config_from_dict({"noise_rate": 1, "alpha": 4, "weight_decay": 0})
         assert isinstance(from_python.noise_rate, float)
         assert json.dumps(config_to_dict(from_python)) == json.dumps(config_to_dict(from_json))
         assert '"noise_rate": 1.0' in json.dumps(config_to_dict(from_python))
@@ -245,10 +243,10 @@ class TestDictRoundTrip:
             {"hidden_sizes": [True]},
             {"hidden_sizes": ["a"]},
             {"hidden_sizes": 64},
-            {"gmm_anchors": "x"},
-            {"gmm_anchors": [[0, 0], [0.5, 0.5], [1, True]]},
-            {"gmm_anchors": [[0, 0], [0.5, 0.5], [1, "0"]]},
-            {"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0, 0]]},
+            {"hidden_sizes": "64"},
+            {"hidden_sizes": [16, None]},
+            {"hidden_sizes": [[16]]},
+            {"output_dir": ["a"]},
             {"output_dir": 5},
         ],
     )
@@ -263,16 +261,8 @@ class TestDictRoundTrip:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_anchor_rejected(self, text):
-        raw = json.loads(f'{{"gmm_anchors": [[{text}, 0.0], [0.5, 0.5], [1.0, 0.0]]}}')
-        with pytest.raises(ConfigError, match="gmm_anchors must be three 2-D points"):
-            config_from_dict(raw)
-
-    def test_integer_anchors_and_null_output_dir_accepted(self):
-        cfg = config_from_dict({"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]], "output_dir": None})
-        assert cfg.output_dir is None
-        assert cfg.gmm_anchors == ExperimentConfig().gmm_anchors
+    def test_null_output_dir_accepted(self):
+        assert config_from_dict({"output_dir": None}).output_dir is None
 
     @pytest.mark.parametrize("output_dir", ["", ".", "./", "a/.."])
     def test_output_dir_naming_the_output_root_rejected(self, output_dir):
@@ -298,17 +288,14 @@ class TestDictRoundTrip:
         assert config_from_dict({"output_dir": output_dir}).output_dir == output_dir
 
     def test_loaded_lists_are_not_aliased(self):
-        raw = {"hidden_sizes": [16, 8], "gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]]}
+        raw = {"hidden_sizes": [16, 8]}
         cfg = config_from_dict(raw)
         raw["hidden_sizes"][0] = -3
-        raw["gmm_anchors"][1][:] = [0, 0]
         assert cfg.layer_sizes() == [2, 16, 8, 4]
-        assert cfg.gmm_anchors == ((0, 0), (0.5, 0.5), (1, 0))
         with pytest.raises(TypeError):
-            cfg.gmm_anchors[1] = [0, 0]
-        # JSON writes the stored tuples as the lists it read.
+            cfg.hidden_sizes[0] = -3
+        # JSON writes the stored tuple as the list it read.
         out = json.dumps(config_to_dict(cfg), sort_keys=True)
-        assert '"gmm_anchors": [[0, 0], [0.5, 0.5], [1, 0]]' in out
         assert '"hidden_sizes": [16, 8]' in out
 
     def test_non_object_rejected(self):

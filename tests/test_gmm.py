@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANCHORS, DEFAULTS
-from dstlab.config import ExperimentConfig
-from dstlab.errors import ConfigError, GmmFitError, InsufficientDataError
+from conftest import ANCHORS
+from dstlab import selection
+from dstlab.errors import GmmFitError, InsufficientDataError
 from dstlab.gmm import (
     INIT_COV_SCALE,
     PI_FLOOR,
@@ -20,7 +20,7 @@ from dstlab.selection import assign_roles
 from oracles import e_step as e_step_reference
 from oracles import posteriors
 
-TOL, MAX_ITER = DEFAULTS.gmm_tol, DEFAULTS.gmm_max_iter
+TOL, MAX_ITER = selection.EM_TOL, selection.EM_MAX_ITER
 
 
 def anchor_clusters(per_cluster=400, sigma=0.02, seed=0):
@@ -42,19 +42,6 @@ class TestFit:
         np.testing.assert_allclose(model.weights, 1.0 / 3.0, atol=0.02)
         hard = posteriors(model, points).argmax(axis=1)
         assert (hard == labels).mean() >= 0.99
-
-    def test_duplicate_anchors_rejected(self):
-        # fit takes its anchors from the config, which rejects repeated ones.
-        anchors = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
-        with pytest.raises(ConfigError, match="gmm_anchors must be pairwise distinct"):
-            ExperimentConfig(gmm_anchors=anchors)
-
-    def test_parameter_validation(self):
-        # fit takes tol and max_iter from the config, which checks both.
-        with pytest.raises(ConfigError, match="gmm_tol must be >= 0"):
-            ExperimentConfig(gmm_tol=-1.0, gmm_max_iter=MAX_ITER)
-        with pytest.raises(ConfigError, match="gmm_max_iter must be >= 1"):
-            ExperimentConfig(gmm_tol=TOL, gmm_max_iter=0)
 
     def test_deterministic(self):
         points, _ = anchor_clusters(per_cluster=100, sigma=0.1, seed=5)
@@ -134,14 +121,14 @@ class TestFit:
         # An anchor far from the unit-square cloud draws no responsibility:
         # its component keeps the anchor mean and starting covariance, its
         # weight sits at the floor, and it is matched to the wrong role.
-        anchors = ExperimentConfig(gmm_anchors=[[0, 0], [50, 50], [1, 0]]).gmm_anchors
+        anchors = np.array([[0.0, 0.0], [50.0, 50.0], [1.0, 0.0]])
         points = np.random.default_rng(0).uniform(size=(300, 2))
         model = fit(points, anchors, TOL, MAX_ITER)
         assert model.iterations == 2
         assert model.means[1].tolist() == [50.0, 50.0]
         np.testing.assert_allclose(model.covariances[1], INIT_COV_SCALE * np.eye(2), atol=1e-15)
         assert model.weights[1] == pytest.approx(PI_FLOOR, rel=1e-5)
-        assert assign_roles(model, np.asarray(anchors, dtype=np.float64))["wrong"] == 1
+        assert assign_roles(model, anchors)["wrong"] == 1
         trace = np.array(model.ll_trace)
         assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) >= 0)
 
@@ -158,6 +145,7 @@ class TestFit:
     def test_defaults_are_pinned(self):
         assert TOL == 20.0
         assert MAX_ITER == 100
+        assert selection.ANCHORS == ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
 
 
 class TestPosterior:

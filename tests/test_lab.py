@@ -1372,13 +1372,14 @@ def spanning(low, high, *edges, **bounds):
 
 
 @st.composite
-def tiny_configs(draw, wide=st.booleans()) -> ExperimentConfig:
+def tiny_configs(draw, wide=st.booleans()) -> tuple[ExperimentConfig, dict]:
     """Small configs across every knob a run's branches turn on: set and
-    net sizes, noise, the ablations, the dump cadence, the thresholds and
-    mixture anchors near their edges, and few EM iterations; and every
-    numeric setting of the schedule, optimizer, data spread, refinement
-    and EM tolerance across its whole range, from 1e-300 to 1e300 where
-    the range allows."""
+    net sizes, noise, the ablations, the dump cadence and the thresholds
+    near their edges; and every numeric setting of the schedule,
+    optimizer, data spread and refinement across its whole range, from
+    1e-300 to 1e300 where the range allows. Each comes with values for
+    the mixture fit's constants in `selection`: anchors near the edges of
+    the unit square, few EM iterations and, with `wide`, any tolerance."""
     warmup = draw(st.integers(1, 2))
     unit_open = st.floats(0, 1, exclude_min=True, exclude_max=True)
     # Anchor coordinates at and next to both ends of the unit interval.
@@ -1397,10 +1398,10 @@ def tiny_configs(draw, wide=st.booleans()) -> ExperimentConfig:
         "temperature": positive,
         "alpha": positive,
         "lambda_reg": non_negative,
-        "gmm_tol": non_negative,
     }
-    numeric = {name: draw(values) for name, values in wide_settings.items()} if draw(wide) else {}
-    return ExperimentConfig(
+    is_wide = draw(wide)
+    numeric = {name: draw(values) for name, values in wide_settings.items()} if is_wide else {}
+    cfg = ExperimentConfig(
         **numeric,
         n_classes=draw(st.integers(2, 6)),
         per_class=draw(st.integers(1, 30)),
@@ -1414,8 +1415,6 @@ def tiny_configs(draw, wide=st.booleans()) -> ExperimentConfig:
         batch_size=draw(st.integers(2, 16)),
         tau_r=draw(unit_open),
         tau_prd=draw(unit_open),
-        gmm_max_iter=draw(st.integers(1, 3)),
-        gmm_anchors=draw(st.lists(st.tuples(edge, edge), min_size=3, max_size=3, unique=True)),
         ce_only=draw(st.booleans()),
         no_mixup=draw(st.booleans()),
         single_network=draw(st.booleans()),
@@ -1425,16 +1424,25 @@ def tiny_configs(draw, wide=st.booleans()) -> ExperimentConfig:
         master_seed=draw(st.integers(0, 1000)),
         data_seed=draw(st.integers(0, 1000)),
     )
+    anchors = st.lists(st.tuples(edge, edge), min_size=3, max_size=3, unique=True)
+    constants = {
+        "ANCHORS": tuple(draw(anchors)),
+        "EM_TOL": draw(non_negative) if is_wide else selection.EM_TOL,
+        "EM_MAX_ITER": draw(st.integers(1, 3)),
+    }
+    return cfg, constants
 
 
 class TestRandomTinyConfigs:
     # Settings near the ends of their ranges overflow inside numpy before
     # the run refuses the non-finite result with a NumericError.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(cfg=tiny_configs())
+    @given(drawn=tiny_configs())
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_runs_end_to_end_against_their_invariants(self, cfg):
-        with tempfile.TemporaryDirectory() as tmp:
+    def test_runs_end_to_end_against_their_invariants(self, drawn):
+        cfg, constants = drawn
+        # The writer inherits the patched constants at the fork.
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(selection, **constants):
             run_dir = Path(tmp) / "r"
             try:
                 run(cfg, run_dir)
@@ -1452,12 +1460,12 @@ class TestRandomTinyConfigs:
             sources = dict(zip(consumers, consumers[1:] + consumers[:1]))
             for epoch in range(1, cfg.total_epochs + 1):
                 report = json.loads((run_dir / "reports" / f"epoch_{epoch:03d}.json").read_text())
-                selection = report["selection"]
-                if selection is None:
+                entries = report["selection"]
+                if entries is None:
                     continue
-                assert set(selection) == set(consumers)
+                assert set(entries) == set(consumers)
                 for name in consumers:
-                    entry = selection[name]
+                    entry = entries[name]
                     assert entry["source"] == sources[name]
                     if entry["fallback"]:
                         assert set(entry) == {"fallback", "reason", "source"}
@@ -1480,9 +1488,10 @@ class TestFaultPartWay:
     """One fault at a drawn epoch k of a random run that would finish."""
 
     @pytest.mark.parametrize("fault", ["report-write", "run-epoch"])
-    @given(cfg=tiny_configs(wide=st.just(False)), data=st.data())
+    @given(drawn=tiny_configs(wide=st.just(False)), data=st.data())
     @settings(max_examples=20, deadline=None, derandomize=True)
-    def test_the_run_raises_it_and_keeps_the_epochs_before(self, fault, cfg, data):
+    def test_the_run_raises_it_and_keeps_the_epochs_before(self, fault, drawn, data):
+        cfg, constants = drawn
         k = data.draw(st.sampled_from(range(1, cfg.total_epochs + 1)), label="k")
         with tempfile.TemporaryDirectory() as tmp:
             run_dir = Path(tmp) / "r"
@@ -1499,14 +1508,14 @@ class TestFaultPartWay:
                     raise NumericError(f"injected failure at epoch {k}")
                 return real_run_epoch(epoch, *args)
 
-            # The writer inherits either patch at the fork.
+            # The writer inherits these patches at the fork.
             if fault == "report-write":
                 patch = mock.patch.object(lab.os, "replace", failing_replace)
                 expected = StructuralError(f"cannot write {report_k}: [Errno 5] injected")
             else:
                 patch = mock.patch.object(lab, "run_epoch", failing_run_epoch)
                 expected = NumericError(f"injected failure at epoch {k}")
-            with patch, pytest.raises(LabError) as raised:
+            with patch, mock.patch.multiple(selection, **constants), pytest.raises(LabError) as raised:
                 run(cfg, run_dir)
             assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
             assert not list(run_dir.rglob("*.tmp"))
@@ -1539,6 +1548,27 @@ class TestOutputRoot:
         run_dir = run(small_config(output_dir="my-exp"))
         assert run_dir == tmp_path / "root" / "my-exp"
         assert (run_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (".", "output_dir must not name the output root itself, got '.'"),
+            ("a/..", "output_dir must not name the output root itself, got 'a/..'"),
+            ("../escaped", "output_dir must stay under the output root, got '../escaped'"),
+        ],
+    )
+    def test_an_override_obeys_the_output_dir_rule(self, tmp_path, monkeypatch, override, message):
+        # Unchecked, these made the root itself the run directory, wrote
+        # beside the root, or made `a` and then failed on `a/..`.
+        base = tmp_path / "base"
+        (base / "root" / "earlier").mkdir(parents=True)
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(base / "root"))
+        with pytest.raises(ConfigError) as info:
+            run(small_config(), override)
+        assert str(info.value) == message
+        assert [path.name for path in base.iterdir()] == ["root"]
+        assert [path.name for path in (base / "root").iterdir()] == ["earlier"]
+        assert not list((base / "root" / "earlier").iterdir())
 
     def test_unset_output_dir_gets_config_digest_name(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(tmp_path / "root"))
@@ -1589,6 +1619,26 @@ class TestCompare:
         del broken["accuracy"]["ensemble"]
         with pytest.raises(StructuralError, match="key mismatch"):
             compare(base, broken)
+
+    def test_a_setting_one_side_lacks_is_a_leaf_without_delta(self, smoke_run, tmp_path, capsys):
+        # A summary from before the mixture's anchors, tolerance and
+        # iteration cap left the config, against one from after.
+        run_dir, _ = smoke_run
+        new = load_summary(run_dir)
+        old = json.loads(json.dumps(new))
+        anchors = [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
+        old["config"].update(gmm_anchors=anchors, gmm_max_iter=100, gmm_tol=20.0)
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        assert cli.main(["compare", str(tmp_path / "old.json"), str(run_dir)]) == cli.EXIT_OK
+        deltas = json.loads(capsys.readouterr().out)
+        removed = {path: deltas.pop(path) for path in list(deltas) if path.startswith("config.gmm")}
+        assert removed == {
+            "config.gmm_anchors": {"a": anchors, "b": None, "delta": None},
+            "config.gmm_max_iter": {"a": 100, "b": None, "delta": None},
+            "config.gmm_tol": {"a": 20.0, "b": None, "delta": None},
+        }
+        assert deltas == compare(new, new)
+        assert compare(new, old)["config.gmm_tol"] == {"a": None, "b": 20.0, "delta": None}
 
     def test_null_versus_number_has_no_arithmetic_delta(self):
         deltas = compare({"x": None}, {"x": 1.0})

@@ -98,6 +98,27 @@ def test_an_occupied_output_directory_is_an_error(command, tmp_path):
     assert [p.name for p in run_dir.iterdir()] == ["stale.txt"]
 
 
+def test_an_out_naming_the_output_root_is_a_config_error(tmp_path):
+    # `--out` resolves under the output root, as `output_dir` does, and
+    # obeys the same rule: one line, exit code 1, and nothing written.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(RUNS), "reference", "--out", "."],
+        cwd=tmp_path,
+        env={**env, "TMPDIR": str(scratch), "DSTLAB_OUTPUT_ROOT": str(tmp_path / "root")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "config error: output_dir must not name the output root itself, got '.'\n"
+    assert done.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["tmp"]
+    assert list(scratch.iterdir()) == []
+
+
 def sha256_over(paths) -> str:
     return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
 
@@ -156,6 +177,28 @@ def test_branches_digest_reads_the_reports_without_their_mixture_fits(tmp_path):
     report["selection"]["net1"]["branches"]["labeled"]["size"] += 1
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     assert runs.digests(run_dir)["branches_digest"] != before["branches_digest"]
+
+
+def test_outcome_digest_reads_the_summary_without_its_config(tmp_path):
+    runs = load_runs()
+    short = dict(per_class=40, test_per_class=10, total_epochs=3, warmup_epochs=1)
+    run_dir = lab.run(benchmark_config(**short), tmp_path / "r")
+    before = runs.digests(run_dir)
+    path = run_dir / "summary.json"
+    summary = json.loads(path.read_text())
+
+    def rewrite():
+        path.write_text(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+
+    # A setting that a newer version dropped: only the config block moves.
+    summary["config"]["gmm_tol"] = 20.0
+    rewrite()
+    moved = runs.digests(run_dir)
+    assert moved["summary_digest"] != before["summary_digest"]
+    assert moved["outcome_digest"] == before["outcome_digest"]
+    summary["accuracy"]["ensemble"]["final"] += 0.25
+    rewrite()
+    assert runs.digests(run_dir)["outcome_digest"] != before["outcome_digest"]
 
 
 def test_benchmark_selftest_passes():

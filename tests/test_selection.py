@@ -293,22 +293,20 @@ class TestCoDivide:
         }
 
     def test_settings_come_from_the_config(self, monkeypatch):
+        # The thresholds are settings; the fit's anchors and stop rule are
+        # the module's constants, read at each call.
         calls = []
         real_fit = selection.fit
         monkeypatch.setattr(
             selection, "fit", lambda *a, **k: calls.append((a[1], k)) or real_fit(*a, **k)
         )
+        monkeypatch.setattr(selection, "ANCHORS", ((0, 0), (0.5, 0.4), (1, 0)))  # integers too
+        monkeypatch.setattr(selection, "EM_TOL", 1e-6)
+        monkeypatch.setattr(selection, "EM_MAX_ITER", 7)
         prof = profile_at(self.separated_cloud(np.random.default_rng(8)))
-        cfg = dataclasses.replace(
-            DEFAULTS,
-            gmm_tol=1e-6,
-            gmm_max_iter=7,
-            gmm_anchors=[[0, 0], [0.5, 0.4], [1, 0]],  # integers, as JSON may give
-            tau_r=0.9,
-            tau_prd=0.2,
-        )
+        cfg = dataclasses.replace(DEFAULTS, tau_r=0.9, tau_prd=0.2)
         division = divided(prof, "net1", cfg)
-        anchors, options = calls[0]
+        [(anchors, options)] = calls
         assert anchors.dtype == np.float64 and anchors.tolist() == [[0, 0], [0.5, 0.4], [1, 0]]
         assert options == {"tol": 1e-6, "max_iter": 7}
         w_r, w_prd = division.w_r, division.w_prd
