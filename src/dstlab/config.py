@@ -76,6 +76,12 @@ def _choice(default, options: tuple):
     return dataclasses.field(default=default, metadata={"options": options})
 
 
+# The learning-rate schedule's step: this lab's fit to its 120-epoch runs,
+# not a setting of the paper. `learning_rate_at` reads both at each call.
+LR_DECAY_FACTOR = 0.2
+LR_DECAY_PERIOD = 80
+
+
 def check_output_dir(out: str | os.PathLike) -> None:
     """Raise ConfigError unless `out` may name a run directory, as the
     config's `output_dir` or as `lab.run`'s override: the file system must
@@ -109,7 +115,6 @@ class ExperimentConfig:
     n_classes: int = _setting(4, ">= 2")
     per_class: int = _setting(1000, ">= 1")
     n_features: int = _setting(2, ">= 1")
-    spread: float = _setting(0.5, "> 0")
     test_per_class: int = _setting(250, ">= 1")
     data_seed: int = _setting(7, ">= 0")
     # noise
@@ -122,8 +127,6 @@ class ExperimentConfig:
     warmup_epochs: int = _setting(15, ">= 1")
     batch_size: int = _setting(128, ">= 2")
     learning_rate: float = _setting(0.02, "> 0")
-    lr_decay_factor: float = _setting(0.2, "in (0, 1]")
-    lr_decay_period: int = _setting(80, ">= 1")
     momentum: float = _setting(0.9, "in [0, 1)")
     weight_decay: float = _setting(0.0005, ">= 0")
     # selection and refinement
@@ -137,7 +140,6 @@ class ExperimentConfig:
     no_mixup: bool = False
     single_network: bool = False
     disable_branch: str | None = _choice(None, (None, "labeled", "predicted"))
-    all_wrong: bool = False
     # run control
     master_seed: int = _setting(1, ">= 0")
     scatter_every: int = _setting(1, ">= 0")  # 0 = final epoch only
@@ -179,13 +181,11 @@ class ExperimentConfig:
             )
 
     def learning_rate_at(self, epoch: int) -> float:
-        """Steps down by lr_decay_factor after each lr_decay_period epochs.
+        """Steps down by LR_DECAY_FACTOR after each LR_DECAY_PERIOD epochs.
 
         Epochs are 1-indexed.
         """
-        return self.learning_rate * self.lr_decay_factor ** (
-            (epoch - 1) // self.lr_decay_period
-        )
+        return self.learning_rate * LR_DECAY_FACTOR ** ((epoch - 1) // LR_DECAY_PERIOD)
 
     def phase_at(self, epoch: int) -> str:
         """"warmup" through warmup_epochs, then "ce" with ce_only, else "dst".

@@ -4,9 +4,9 @@ Datasets keep the real label alongside the (possibly corrupted) training
 label so downstream audits can classify every sample into one of five
 agreement states between noisy label, real label, and model prediction.
 
-Every size, spread, noise kind and rate arrives from a checked
-`ExperimentConfig` (through `lab.build_datasets`), so nothing here checks
-a range or a shape again.
+Every size, noise kind and rate arrives from a checked `ExperimentConfig`
+(through `lab.build_datasets`), and the spread is `SPREAD`, so nothing
+here checks a range or a shape again.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ import numpy as np
 # at or above 99% train accuracy, leaving the task as hard as separability
 # allows so that label noise has something to bite on.
 CENTER_SPACING = 6.0
+# The blobs' standard deviation, the unit of CENTER_SPACING. It only
+# rescales the data: every regime keeps its centers CENTER_SPACING
+# spreads apart.
+SPREAD = 0.5
 
 NOISE_KINDS = ("sym-c1", "sym-c2", "asym")
 

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data
 from .config import ExperimentConfig, _is_number, check_output_dir, config_to_dict, read_json
 from .data import CleanDataset, NoisyDataset, inject_noise, make_blobs, save_dataset
 from .errors import ConfigError, NotFoundError, StructuralError
@@ -74,11 +75,11 @@ def build_datasets(
 ) -> tuple[NoisyDataset, CleanDataset, dict[str, int]]:
     """Training blobs with injected noise, clean test blobs, derived seeds."""
     train_clean = make_blobs(
-        cfg.n_classes, cfg.per_class, cfg.n_features, cfg.spread,
+        cfg.n_classes, cfg.per_class, cfg.n_features, data.SPREAD,
         stream(cfg.data_seed, "train-data"),
     )
     test = make_blobs(
-        cfg.n_classes, cfg.test_per_class, cfg.n_features, cfg.spread,
+        cfg.n_classes, cfg.test_per_class, cfg.n_features, data.SPREAD,
         stream(cfg.data_seed, "test-data"),
     )
     noise_seed = derive_seed(cfg.master_seed, "noise")
@@ -492,10 +493,11 @@ def _walk_deltas(a, b, prefix: str, out: dict) -> None:
         return
     if _is_number(a) and _is_number(b):
         out[prefix] = {"a": a, "b": b, "delta": b - a}
-    elif _is_number(a) != _is_number(b):
-        # one side null (e.g. empty-branch precision): no arithmetic delta
+    elif a != b:
+        # A number against null (an empty branch's precision), or two
+        # differing lists, strings or booleans: no arithmetic delta. Equal
+        # non-numbers print nothing.
         out[prefix] = {"a": a, "b": b, "delta": None}
-    # non-numeric leaves (strings, bools, lists) carry no delta
 
 
 def compare(summary_a: Path | str | dict, summary_b: Path | str | dict) -> dict:

@@ -66,13 +66,11 @@ def partition(w_r: np.ndarray, w_prd: np.ndarray, cfg: ExperimentConfig) -> np.n
     """Branch codes per sample: thresholds first, then the branch ablation.
 
     labeled iff w_r >= tau_r; else predicted iff w_prd >= tau_prd; else
-    wrong. `all_wrong` sends every sample to wrong, and `disable_branch`
-    sends the samples of that branch to wrong: with `labeled` disabled a
-    sample over tau_r is wrong even when it is also over tau_prd.
+    wrong. `disable_branch` sends the samples of that branch to wrong:
+    with `labeled` disabled a sample over tau_r is wrong even when it is
+    also over tau_prd.
     """
     branches = np.full(w_r.shape[0], BRANCH_WRONG, dtype=np.int64)
-    if cfg.all_wrong:
-        return branches
     if cfg.disable_branch != "predicted":
         branches[w_prd >= cfg.tau_prd] = BRANCH_PREDICTED
     labeled = BRANCH_WRONG if cfg.disable_branch == "labeled" else BRANCH_LABELED

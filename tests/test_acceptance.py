@@ -54,9 +54,9 @@ TOL = 1e-9
 # numpy 2.4.6 with its bundled OpenBLAS on the SkylakeX core computes them.
 GOLDEN_TOOLCHAIN = ("2.4.6", "SkylakeX")
 GOLDEN_DIGESTS = {
-    "digest": "61cb534482b025ddf1d3a0dfc501e18d6750932947f4f5883034c0c85945dce3",
+    "digest": "d5141a0a4435edba03332709edfc6d284aa71730c063e0b4b1ec3601dd17e941",
     "scatter_digest": "8a0adb99ef94e77f2efd08490f66fc4f5b30e234bf45554a4bb5fa2b13d4ca39",
-    "files_digest": "7024e27e11902188901a71c6a940405966fafdc1ae3405b40d0cabc1986c1383",
+    "files_digest": "846e503936dc1725bd2bf451bbf2ec668c3a34511d637123a3d3d5aee6d49b6b",
 }
 # The same `runs.digests` of the battery's other distinct runs, on the same
 # toolchain. `mem_ce` sends the writer no turn and dumps no cloud (its
@@ -64,29 +64,29 @@ GOLDEN_DIGESTS = {
 # writer's help.
 BATTERY_DIGESTS = {
     "mem_dst": {
-        "digest": "305e1239ce59744ee42608c454a3c7f452cb4a37b497a0b6af76d5ee14dbe585",
+        "digest": "f8dd1bfb6d5e3162ae4f51b5467250a6400dccc4111d4b0ffeddbeb6e1311cb2",
         "scatter_digest": "2aa4a5d88ee919692dd39a1899a8e364154dd204bd8bc952f119707e6ae27a19",
-        "files_digest": "87a84636a089a797f20b44bfa0e6aba4e98063a1131c7637db64bbb42c803e2c",
+        "files_digest": "82f1b5e1df1e5d9f0cef65486fdae259a229cb4bd3703f8326eb2e37f3a275a8",
     },
     "mem_ce": {
-        "digest": "d23d63452f27eb3686bb1d0d1f28b104ba0a74ecf0e046df5e65f15c0b7c1997",
+        "digest": "4c3fea3e6d4213b04eb059ad947c10c7023dc65ae419ea6daea928e5d6423920",
         "scatter_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "files_digest": "d220859d7ca328e5c987698d408ab29f862f4690b9e1476eafa5ba992ec35600",
+        "files_digest": "c8a72e78129403461c005bd36ca89522e1c5cd61c54b88d99f6ad35a75fa9d4e",
     },
     "r08": {
-        "digest": "6808f85a9f6199d44c299e052308261eea0ae95063d32bfed492fc9719255089",
+        "digest": "aa00fcb4fe8dcf621206bc2db0fb87a52b7ba5be49baae4afbce22faefcc9297",
         "scatter_digest": "5cfc6e177361a8c1425b94f61fe4c6d885e449660f0858d30be13448115848fe",
-        "files_digest": "9f6167b5d3f0470b2e9805fb15cf026d4ac9ad79fbb699fde38f5e611f8f0615",
+        "files_digest": "9ac0346cbb7eaf24060be4bf7869c5801d902dc0c7b412ba4acfa2b633ee83dc",
     },
     "r08_nomix": {
-        "digest": "3718eb41f3c5d5744ef52c28ed4ec14ea434f849289dc906d4fc04acc68dbf14",
+        "digest": "5a87b1e5eff6150d9a84dbf7cf5d05470c5746a95cde4c6665719d2d92bcf49c",
         "scatter_digest": "6e87a540a2569343dd90c692c1a5574ae3f5bb4228c1d90f2fb626ef9a9272c7",
-        "files_digest": "d749427b69ef1e23665e61ebecfc722c6be7fe370e173beed71ffe5aae8bc552",
+        "files_digest": "87cb4b191b8877860bca74ab0f831db253e1b46d9c0f6a1a17b26ae78fe11b17",
     },
     "r08_single": {
-        "digest": "49efd5eaa1a96065d81ced932921f3489896549d02e465fac37a8c8ea1ecc208",
+        "digest": "185fe77cc0fe14d4376a07a6d6d5561e36d25c52ad6aa8aeeb09edf59c613e77",
         "scatter_digest": "124b3e96f00c33563db480ab1000e85f5d4c005d294810293d714d71b23921f9",
-        "files_digest": "c53da7ef53db2feeb14ffb95f305f959ae9edbf004707fb8c63450f2352b542e",
+        "files_digest": "dccf67fea6145e8a473ee6467f19e3a8440ff95044db5f2bc527c0e915a1aefb",
     },
 }
 # `runs.digests` that hold no toolchain-dependent float (summary.json, with
@@ -96,32 +96,32 @@ BATTERY_DIGESTS = {
 # `summary_digest` of the three.
 PORTABLE_DIGESTS = {
     "dst": {
-        "summary_digest": "11e70c32451a64f0c794e24206afd480df117ba2f729325a32269bc89126e59b",
+        "summary_digest": "04690c8785a5fe8ec1343e1ed48cd5712618e171d45645cbfd46e18b681961ed",
         "outcome_digest": "0e1712b57fc0c86bb3f1b754cd300a6f7566a672c8a68bf9bd354d02aed25cb1",
         "branches_digest": "d8eecf3a6300c67a7980a8c3974a831fc75cba8db98885088696d4994a77f760",
     },
     "mem_dst": {
-        "summary_digest": "7212c66c3f4b1ecec0dc6eb4a8add3bf3435e928bd5c5ec0e700c329670bd19d",
+        "summary_digest": "10437bb70650bc505a39ad48c4870258562b6134e24307021531093237a3e9e3",
         "outcome_digest": "bd35cbfd32ed69ef53fc4981952cd3c8607eccdfbadd9df33e94b10e212893be",
         "branches_digest": "6c4934de727691f9f7a5fbec3f4cd7a5fc4433d67d24f1f572531e3c0ce8df0e",
     },
     "mem_ce": {
-        "summary_digest": "94d3a5b5499b8824130a61a1376cfbd2d7732791dfa4770636baa1a59a30d592",
+        "summary_digest": "2823c1a06388e4788fae2f63ac2a53226f26d9f82c405366784e7a0481aa0054",
         "outcome_digest": "26a6fa6788009d9366983c4d185c8d230cc3d93949bca87352bd9b9acf8f2f35",
         "branches_digest": "3fb40f3fb097b3102c5d4219dedbe1c1ae625ccb2105286cbd9c550cee915242",
     },
     "r08": {
-        "summary_digest": "88fa5a2a528a5c4bdf7cd9fd06f395951ac07678f725a280fcc04a0ae181648b",
+        "summary_digest": "973f75cc4b92d0fce59da4fab2f88fd37885d39e15048d2d54631113a0f7addb",
         "outcome_digest": "3f7500bc925c2498d7e766604fdda0607738a9d9310cd013e54a3fb8be1b0e34",
         "branches_digest": "34706c27c55762a87ee5ffde3422a5b9a607a9aaf8eecf08111697e8a1e1bb22",
     },
     "r08_nomix": {
-        "summary_digest": "10f6bdb2d8506022b87b50d45c87a81a167f9dc8d55cc4e2cd5ce9afd97c917a",
+        "summary_digest": "753218498fd683b7537f7eddd16a307165ba00020186e04258eec0e2c2408668",
         "outcome_digest": "b49758b9898ccd37c81a737b64e795ba62f2900538e8164e03d6a2088347f431",
         "branches_digest": "84a9488d6c6a1b93eb5720b2185856b150a0412433459f2366bd1602df24e300",
     },
     "r08_single": {
-        "summary_digest": "196994aa1b8a70b9f50522f86b79fa2eac9829f90d18509c51bb802d9133d9fa",
+        "summary_digest": "1ca60a5aff9b23757535d613638d3193c7d6395e5d8ad19a1a337e3f015aac82",
         "outcome_digest": "f5118c0a11167b7ce9f03ed9c56589c930281da2d8b9f3fa54297859d0622cdd",
         "branches_digest": "0552efdd82c26e4a43b1e476a9ced69a4e0738cb25e75c2c90d6e843b0485e09",
     },

@@ -79,6 +79,19 @@ class TestRun:
         assert captured.out == ""
         assert not (tmp_path / "root").exists()
 
+    @pytest.mark.parametrize("key", ["spread", "lr_decay_factor", "lr_decay_period", "all_wrong"])
+    def test_a_removed_setting_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, key):
+        # The blobs' spread and the learning-rate decay are constants of
+        # `data` and `config` now, and the all-wrong ablation is gone.
+        monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(tmp_path / "root"))
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({key: 1}))
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: unknown config keys: {key}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "root").exists()
+
     def test_ill_typed_config_exits_one_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"hidden_sizes": ["a"]}))
@@ -102,7 +115,7 @@ class TestRun:
         [
             {"master_seed": -1},
             {"data_seed": -3},
-            {"lr_decay_period": 0},
+            {"warmup_epochs": 0},
             {"weight_decay": -1},
             {"alpha": 0},
         ],
@@ -111,8 +124,8 @@ class TestRun:
         self, tmp_path, capsys, monkeypatch, overrides
     ):
         # Negative seeds once ended in a numpy traceback after the run
-        # directory was made. Past the config, a zero decay period would
-        # too; a negative weight decay and a zero alpha would stop the run
+        # directory was made. Past the config, a zero warmup would too; a
+        # negative weight decay and a zero alpha would stop the run
         # a few epochs in, after warmup had written its reports.
         monkeypatch.setenv("DSTLAB_OUTPUT_ROOT", str(tmp_path / "root"))
         path = tmp_path / "bad.json"

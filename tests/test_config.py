@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from dstlab import data
 from dstlab.config import (
     BENCHMARK_DATA_SEED,
     BENCHMARK_MASTER_SEED,
+    LR_DECAY_FACTOR,
+    LR_DECAY_PERIOD,
     ExperimentConfig,
     benchmark_config,
     config_from_dict,
@@ -29,16 +32,16 @@ class TestDefaults:
         assert cfg.warmup_epochs == 15
         assert cfg.batch_size == 128
         assert cfg.learning_rate == 0.02
-        assert cfg.lr_decay_factor == 0.2
-        assert cfg.lr_decay_period == 80
+        assert (LR_DECAY_FACTOR, LR_DECAY_PERIOD) == (0.2, 80)
         assert cfg.momentum == 0.9
         assert cfg.weight_decay == 5e-4
         assert (cfg.tau_r, cfg.tau_prd) == (0.5, 0.5)
         assert cfg.temperature == 0.5
         assert cfg.alpha == 4.0
         assert cfg.lambda_reg == 1.0
-        assert not (cfg.ce_only or cfg.no_mixup or cfg.single_network or cfg.all_wrong)
+        assert not (cfg.ce_only or cfg.no_mixup or cfg.single_network)
         assert cfg.disable_branch is None
+        assert data.SPREAD == 0.5
 
     def test_layer_sizes_wrap_hidden_widths(self):
         cfg = ExperimentConfig(n_features=3, hidden_sizes=[16, 8], n_classes=5)
@@ -73,11 +76,11 @@ class TestValidation:
             {"per_class": 0},
             {"test_per_class": 0},
             {"n_features": 0},
-            {"spread": 0.0},
+            {"temperature": -1.0},
             {"hidden_sizes": []},
             {"hidden_sizes": [0]},
             {"scatter_every": -1},
-            {"lr_decay_period": 0},
+            {"warmup_epochs": -1},
             {"warmup_epochs": 0},
             {"total_epochs": 15, "warmup_epochs": 15},
             {"batch_size": 1},
@@ -99,20 +102,20 @@ class TestValidation:
         [
             ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
             ({"data_seed": -3}, "data_seed must be >= 0, got -3"),
-            ({"lr_decay_period": 0}, "lr_decay_period must be >= 1, got 0"),
+            ({"warmup_epochs": 0}, "warmup_epochs must be >= 1, got 0"),
             ({"weight_decay": -1}, "weight_decay must be >= 0, got -1.0"),
             ({"alpha": 0}, "alpha must be > 0, got 0.0"),
         ],
     )
     def test_ranges_a_run_would_fail_on_later(self, kwargs, message):
         # Past the config, each of these would stop a run part-way: the
-        # seeds and the decay period once the run directory exists, the
+        # seeds and the warmup length once the run directory exists, the
         # weight decay (on the default schedule) and alpha a few epochs in.
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"master_seed": 0, "data_seed": 0}, {"weight_decay": 0.0, "lr_decay_period": 1}]
+        "kwargs", [{"master_seed": 0, "data_seed": 0}, {"weight_decay": 0.0, "warmup_epochs": 1}]
     )
     def test_range_edges_accepted(self, kwargs):
         cfg = ExperimentConfig(**kwargs)
@@ -179,7 +182,7 @@ class TestValidation:
         [
             ({"per_class": 0}, "per_class must be >= 1, got 0"),
             ({"test_per_class": 0}, "test_per_class must be >= 1, got 0"),
-            ({"lr_decay_factor": 0}, r"lr_decay_factor must be in \(0, 1\], got 0.0"),
+            ({"tau_r": 0}, r"tau_r must be in \(0, 1\), got 0.0"),
             ({"noise_rate": 2}, r"noise_rate must be in \[0, 1\], got 2.0"),
         ],
     )
@@ -190,7 +193,7 @@ class TestValidation:
     def test_checked_fields_cannot_be_reassigned(self):
         cfg = ExperimentConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.lr_decay_period = 0
+            cfg.warmup_epochs = 0
 
     def test_interior_thresholds_accepted(self):
         cfg = ExperimentConfig(tau_r=0.9, tau_prd=0.1)

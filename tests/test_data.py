@@ -12,6 +12,7 @@ from dstlab import data
 from dstlab.data import (
     CENTER_SPACING,
     NOISE_KINDS,
+    SPREAD,
     audit_states,
     inject_noise,
     make_blobs,
@@ -80,7 +81,7 @@ class TestMakeBlobs:
         assert (predictions == ds.true_labels).mean() >= 0.99
 
     def test_spacing_constant_is_frozen(self):
-        assert CENTER_SPACING == 6.0
+        assert (CENTER_SPACING, SPREAD) == (6.0, 0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -88,8 +89,8 @@ class TestMakeBlobs:
             {"n_classes": 1},
             {"per_class": 0},
             {"n_features": 0},
-            {"spread": 0.0},
-            {"spread": -1.0},
+            {"test_per_class": 0},
+            {"per_class": -1},
         ],
     )
     def test_validation(self, kwargs):

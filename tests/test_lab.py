@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dstlab import cli, lab, network, selection, training
+from dstlab import cli, config, data, lab, network, selection, training
 from dstlab.config import ExperimentConfig, config_from_dict, config_to_dict
 from dstlab.data import NOISE_KINDS, STATE_NAMES, CleanDataset, inject_noise
 from dstlab.errors import (
@@ -49,7 +50,6 @@ def small_config(**overrides) -> ExperimentConfig:
         per_class=20,
         test_per_class=10,
         n_features=2,
-        spread=0.5,
         hidden_sizes=[8],
         total_epochs=2,
         warmup_epochs=1,
@@ -1375,11 +1375,13 @@ def spanning(low, high, *edges, **bounds):
 def tiny_configs(draw, wide=st.booleans()) -> tuple[ExperimentConfig, dict]:
     """Small configs across every knob a run's branches turn on: set and
     net sizes, noise, the ablations, the dump cadence and the thresholds
-    near their edges; and every numeric setting of the schedule,
-    optimizer, data spread and refinement across its whole range, from
-    1e-300 to 1e300 where the range allows. Each comes with values for
-    the mixture fit's constants in `selection`: anchors near the edges of
-    the unit square, few EM iterations and, with `wide`, any tolerance."""
+    near their edges; and every numeric setting of the optimizer and
+    refinement across its whole range, from 1e-300 to 1e300 where the
+    range allows. Each comes with values for the module constants a run
+    reads, by module (`patched` sets them): the mixture fit's anchors near
+    the edges of the unit square and few EM iterations; with `wide`, any
+    EM tolerance, blob spread and learning-rate decay, across the same
+    ranges."""
     warmup = draw(st.integers(1, 2))
     unit_open = st.floats(0, 1, exclude_min=True, exclude_max=True)
     # Anchor coordinates at and next to both ends of the unit interval.
@@ -1390,11 +1392,8 @@ def tiny_configs(draw, wide=st.booleans()) -> tuple[ExperimentConfig, dict]:
     # `wide` they keep their defaults, so that finished runs stay common.
     wide_settings = {
         "learning_rate": positive,
-        "lr_decay_factor": spanning(0.0, 1.0, 1e-300, 1.0, exclude_min=True),
-        "lr_decay_period": st.integers(1, 6),
         "momentum": spanning(0.0, 1.0, 0.0, math.nextafter(1.0, 0.0), exclude_max=True),
         "weight_decay": non_negative,
-        "spread": positive,
         "temperature": positive,
         "alpha": positive,
         "lambda_reg": non_negative,
@@ -1419,18 +1418,35 @@ def tiny_configs(draw, wide=st.booleans()) -> tuple[ExperimentConfig, dict]:
         no_mixup=draw(st.booleans()),
         single_network=draw(st.booleans()),
         disable_branch=draw(st.sampled_from([None, "labeled", "predicted"])),
-        all_wrong=draw(st.booleans()),
         scatter_every=draw(st.integers(0, 2)),
         master_seed=draw(st.integers(0, 1000)),
         data_seed=draw(st.integers(0, 1000)),
     )
     anchors = st.lists(st.tuples(edge, edge), min_size=3, max_size=3, unique=True)
+    decay = spanning(0.0, 1.0, 1e-300, 1.0, exclude_min=True)
     constants = {
-        "ANCHORS": tuple(draw(anchors)),
-        "EM_TOL": draw(non_negative) if is_wide else selection.EM_TOL,
-        "EM_MAX_ITER": draw(st.integers(1, 3)),
+        selection: {
+            "ANCHORS": tuple(draw(anchors)),
+            "EM_TOL": draw(non_negative) if is_wide else selection.EM_TOL,
+            "EM_MAX_ITER": draw(st.integers(1, 3)),
+        },
+        data: {"SPREAD": draw(positive) if is_wide else data.SPREAD},
+        config: {
+            "LR_DECAY_FACTOR": draw(decay) if is_wide else config.LR_DECAY_FACTOR,
+            "LR_DECAY_PERIOD": draw(st.integers(1, 6)) if is_wide else config.LR_DECAY_PERIOD,
+        },
     }
     return cfg, constants
+
+
+@contextmanager
+def patched(constants: dict):
+    """Each module's constants set to the drawn values, as `tiny_configs`
+    gives them; a run's writer inherits them at the fork."""
+    with ExitStack() as stack:
+        for module, values in constants.items():
+            stack.enter_context(mock.patch.multiple(module, **values))
+        yield
 
 
 class TestRandomTinyConfigs:
@@ -1441,8 +1457,7 @@ class TestRandomTinyConfigs:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_runs_end_to_end_against_their_invariants(self, drawn):
         cfg, constants = drawn
-        # The writer inherits the patched constants at the fork.
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(selection, **constants):
+        with tempfile.TemporaryDirectory() as tmp, patched(constants):
             run_dir = Path(tmp) / "r"
             try:
                 run(cfg, run_dir)
@@ -1515,7 +1530,7 @@ class TestFaultPartWay:
             else:
                 patch = mock.patch.object(lab, "run_epoch", failing_run_epoch)
                 expected = NumericError(f"injected failure at epoch {k}")
-            with patch, mock.patch.multiple(selection, **constants), pytest.raises(LabError) as raised:
+            with patch, patched(constants), pytest.raises(LabError) as raised:
                 run(cfg, run_dir)
             assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
             assert not list(run_dir.rglob("*.tmp"))
@@ -1640,6 +1655,40 @@ class TestCompare:
         assert deltas == compare(new, new)
         assert compare(new, old)["config.gmm_tol"] == {"a": None, "b": 20.0, "delta": None}
 
+    def test_a_summary_naming_the_removed_settings_still_compares(self, smoke_run, tmp_path, capsys):
+        # A summary from before the blobs' spread, the learning-rate decay
+        # and the all-wrong ablation left the config, against one from after.
+        run_dir, _ = smoke_run
+        new = load_summary(run_dir)
+        old = json.loads(json.dumps(new))
+        removed = {"all_wrong": False, "lr_decay_factor": 0.2, "lr_decay_period": 80, "spread": 0.5}
+        old["config"].update(removed)
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        assert cli.main(["compare", str(tmp_path / "old.json"), str(run_dir)]) == cli.EXIT_OK
+        deltas = json.loads(capsys.readouterr().out)
+        assert {key: deltas.pop(f"config.{key}") for key in removed} == {
+            key: {"a": value, "b": None, "delta": None} for key, value in removed.items()
+        }
+        assert deltas == compare(new, new)
+
+    def test_settings_that_differ_but_are_no_numbers_have_rows(self, smoke_run, tmp_path):
+        # A list, a string and a boolean: each differing setting is one row
+        # without a delta, beside the numeric rows.
+        run_dir, cfg = smoke_run
+        other = run(small_config(hidden_sizes=[4], noise_kind="asym", no_mixup=True), tmp_path / "b")
+        deltas = compare(run_dir / "summary.json", other / "summary.json")
+        rows = {path: entry for path, entry in deltas.items() if path.startswith("config.")}
+        assert {path: entry for path, entry in rows.items() if entry["delta"] is None} == {
+            "config.hidden_sizes": {"a": [8], "b": [4], "delta": None},
+            "config.no_mixup": {"a": False, "b": True, "delta": None},
+            "config.noise_kind": {"a": "sym-c1", "b": "asym", "delta": None},
+        }
+        numbers = [key for key, value in config_to_dict(cfg).items() if type(value) in (int, float)]
+        assert {path for path, entry in rows.items() if entry["delta"] == 0} == {
+            f"config.{key}" for key in numbers
+        }
+        assert deltas["accuracy.ensemble.final"]["delta"] is not None
+
     def test_null_versus_number_has_no_arithmetic_delta(self):
         deltas = compare({"x": None}, {"x": 1.0})
         assert deltas["x"] == {"a": None, "b": 1.0, "delta": None}
@@ -1649,6 +1698,7 @@ class TestCompare:
         assert deltas == {
             "x.p": {"a": None, "b": 2.0, "delta": None},
             "x.q.r": {"a": None, "b": 3, "delta": None},
+            "x.s": {"a": None, "b": "t", "delta": None},
             "y": {"a": 1, "b": 1, "delta": 0},
         }
         assert compare({"x": {"p": 2.0}}, {"x": None}) == {

@@ -24,7 +24,7 @@ from oracles import (
     refine_label,
     warmup,
 )
-from dstlab import selection, training
+from dstlab import config, selection, training
 from dstlab.config import ExperimentConfig
 from dstlab.data import inject_noise, make_blobs
 from dstlab.errors import ConfigError, NumericError, StructuralError
@@ -450,9 +450,9 @@ class TestSchedule:
             {"warmup_epochs": 0},
             {"total_epochs": 15, "warmup_epochs": 15},
             {"batch_size": 1},
-            {"lr_decay_period": 0},
-            {"lr_decay_factor": 0.0},
-            {"lr_decay_factor": 1.2},
+            {"total_epochs": 10},
+            {"learning_rate": 0.0},
+            {"learning_rate": -0.02},
         ],
     )
     def test_invalid_schedules_rejected(self, kwargs):
@@ -574,7 +574,8 @@ def assert_same_profiles(got, want):
 
 
 class TestDstEpoch:
-    def test_clean_data_lands_in_labeled_branch_and_accuracy_holds(self):
+    def test_clean_data_lands_in_labeled_branch_and_accuracy_holds(self, monkeypatch):
+        monkeypatch.setattr(config, "LR_DECAY_PERIOD", 120)  # one learning rate throughout
         ds = bimodal_clean_toy(seed=3)
         streams = RngStreams.from_master(3)
         cfg = ExperimentConfig(
@@ -584,7 +585,6 @@ class TestDstEpoch:
             warmup_epochs=100,
             batch_size=16,
             learning_rate=0.05,
-            lr_decay_period=120,  # one learning rate throughout
             weight_decay=0.0,
         )
         workspaces = init_workspaces(cfg, streams)
@@ -683,17 +683,13 @@ class TestBranchAblation:
     # 0.5/0.5; the last is over tau_prd too.
     W_R = np.array([0.9, 0.2, 0.1, 0.9])
     W_PRD = np.array([0.1, 0.9, 0.2, 0.9])
-    ABLATIONS = [{}, {"disable_branch": "labeled"}, {"disable_branch": "predicted"}, {"all_wrong": True}]
+    ABLATIONS = [{}, {"disable_branch": "labeled"}, {"disable_branch": "predicted"}]
 
     def branches(self, **ablation):
         cfg = ExperimentConfig(**ablation)
         got = partition(self.W_R, self.W_PRD, cfg)
         np.testing.assert_array_equal(got, partition_then_relabel(self.W_R, self.W_PRD, cfg))
         return got.tolist()
-
-    def test_all_wrong_overrides_everything(self):
-        assert self.branches(all_wrong=True) == [BRANCH_WRONG] * 4
-        assert self.branches(all_wrong=True, disable_branch="predicted") == [BRANCH_WRONG] * 4
 
     def test_disable_labeled_reroutes_only_labeled(self):
         out = self.branches(disable_branch="labeled")
@@ -713,9 +709,8 @@ class TestBranchAblation:
             ({}, BRANCH_LABELED),
             ({"disable_branch": "labeled"}, BRANCH_WRONG),
             ({"disable_branch": "predicted"}, BRANCH_LABELED),
-            ({"all_wrong": True}, BRANCH_WRONG),
         ],
-        ids=["none", "labeled", "predicted", "all-wrong"],
+        ids=["none", "labeled", "predicted"],
     )
     def test_row_over_both_thresholds(self, ablation, expected):
         # At taus 0.3/0.3 a row with w_r = w_prd = 0.4 clears both. Labeled
@@ -869,12 +864,8 @@ class TestEpochLoopMatchesOracle:
             {"no_mixup": True},
             {"disable_branch": "predicted"},
             {"disable_branch": "labeled"},
-            {"all_wrong": True},
         ],
-        ids=[
-            "two-nets", "single-network", "no-mixup", "disable-predicted", "disable-labeled",
-            "all-wrong",
-        ],
+        ids=["two-nets", "single-network", "no-mixup", "disable-predicted", "disable-labeled"],
     )
     def test_ablations_with_a_one_row_last_batch(self, ablation):
         ds, results = self.run_both(8 * self.BATCH + 1, ablation)
