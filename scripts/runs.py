@@ -20,6 +20,11 @@ import numpy as np  # noqa: E402
 from dstlab import cli, lab, network  # noqa: E402
 from dstlab.config import MEMORIZATION, benchmark_config  # noqa: E402
 
+# The noise rate of the `ablation` runs, at which removing MixUp or the
+# second network costs trailing accuracy even at the ceiling (README,
+# "Benchmark notes").
+ABLATION_NOISE_RATE = 0.8
+
 
 def baseline(args) -> dict:
     """Plain cross-entropy (ce_only) in the memorization regime. Its ensemble
@@ -84,11 +89,9 @@ def reference(args) -> dict:
     """The benchmark run, with its run-file `digests`. `blas_threads` (the
     run's BLAS thread count: 1, or null when numpy's OpenBLAS setter is
     unavailable) and `numpy` (its version) say what produced it."""
-    overrides = {} if args.noise_rate is None else {"noise_rate": args.noise_rate}
-    cfg = benchmark_config(**overrides)
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp()) / "reference"
     threads = None if network.blas_threads() is None else 1
-    run_dir = lab.run(cfg, out)
+    run_dir = lab.run(benchmark_config(), out)
     summary = lab.load_summary(run_dir)
     shown = {key: summary[key] for key in ("accuracy", "final_branches", "fallback_epochs")}
     return {
@@ -102,10 +105,12 @@ def reference(args) -> dict:
 
 def ablation(args) -> dict:
     """Trailing accuracy of the full pipeline, no-mixup and single-network at
-    one noise rate, and each variant's drop against full, to four decimals."""
+    noise rate `ABLATION_NOISE_RATE`, and each variant's drop against full,
+    to four decimals."""
     variants = {"full": {}, "no_mixup": {"no_mixup": True}, "single_network": {"single_network": True}}
     configs = {
-        name: benchmark_config(noise_rate=args.noise_rate, **flags) for name, flags in variants.items()
+        name: benchmark_config(noise_rate=ABLATION_NOISE_RATE, **flags)
+        for name, flags in variants.items()
     }
     parent = Path(args.out) if args.out else Path(tempfile.mkdtemp())
     trailing = {}
@@ -114,7 +119,7 @@ def ablation(args) -> dict:
         trailing[name] = lab.load_summary(run_dir)["accuracy"]["ensemble"]["last10_mean"]
     full = trailing["full"]
     return {
-        "noise_rate": args.noise_rate,
+        "noise_rate": ABLATION_NOISE_RATE,
         "trailing_accuracy": {k: round(v, 4) for k, v in trailing.items()},
         "delta_vs_full": {k: round(full - v, 4) for k, v in trailing.items() if k != "full"},
     }
@@ -129,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command.__name__, help=command.__doc__, description=command.__doc__)
         p.set_defaults(run=command)
         p.add_argument("--out", default=None, help=out_help)
-    sub.choices["reference"].add_argument(
-        "--noise-rate", type=float, default=None, help="override the benchmark noise rate"
-    )
-    sub.choices["ablation"].add_argument(
-        "--noise-rate", type=float, default=0.8, help="label noise rate (default 0.8)"
-    )
     return parser
 
 

@@ -139,7 +139,7 @@ class ExperimentConfig:
     ce_only: bool = False
     no_mixup: bool = False
     single_network: bool = False
-    disable_branch: str | None = _choice(None, (None, "labeled", "predicted"))
+    disable_branch: str | None = _choice(None, (None, "predicted"))
     # run control
     master_seed: int = _setting(1, ">= 0")
     scatter_every: int = _setting(1, ">= 0")  # 0 = final epoch only

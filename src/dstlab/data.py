@@ -28,7 +28,7 @@ CENTER_SPACING = 6.0
 # spreads apart.
 SPREAD = 0.5
 
-NOISE_KINDS = ("sym-c1", "sym-c2", "asym")
+NOISE_KINDS = ("sym-c1", "asym")
 
 STATE_NAMES = ("i", "ii", "iii", "iv", "v")
 
@@ -96,8 +96,6 @@ def inject_noise(ds: CleanDataset, kind: str, rate: float, seed: int) -> NoisyDa
     - `sym-c1` relabels exactly floor(rate * N) samples uniformly over all
       classes. A redraw may reproduce the true label, so the realized
       disagreement rate is rate * (C - 1) / C in expectation.
-    - `sym-c2` relabels exactly floor(rate * N) samples uniformly over the
-      other classes.
     - `asym` flips each sample independently, with probability rate, to
       the next class, (c + 1) % C.
 
@@ -112,12 +110,7 @@ def inject_noise(ds: CleanDataset, kind: str, rate: float, seed: int) -> NoisyDa
         noisy[flip] = (truth[flip] + 1) % n_classes
     else:
         chosen = rng.permutation(ds.n_samples)[: int(np.floor(rate * ds.n_samples))]
-        if kind == "sym-c1":
-            noisy[chosen] = rng.integers(0, n_classes, size=chosen.size)
-        else:
-            # An offset in [1, C) never lands back on the true label.
-            offsets = rng.integers(1, n_classes, size=chosen.size)
-            noisy[chosen] = (truth[chosen] + offsets) % n_classes
+        noisy[chosen] = rng.integers(0, n_classes, size=chosen.size)
     return NoisyDataset(ds.features, truth, n_classes, noisy)
 
 

@@ -63,18 +63,15 @@ def assign_roles(model: GmmModel, anchors: np.ndarray) -> dict[str, int]:
 
 
 def partition(w_r: np.ndarray, w_prd: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Branch codes per sample: thresholds first, then the branch ablation.
-
-    labeled iff w_r >= tau_r; else predicted iff w_prd >= tau_prd; else
-    wrong. `disable_branch` sends the samples of that branch to wrong:
-    with `labeled` disabled a sample over tau_r is wrong even when it is
-    also over tau_prd.
+    """Branch codes per sample: labeled iff w_r >= tau_r; else predicted
+    iff w_prd >= tau_prd; else wrong. With `disable_branch: "predicted"`
+    the samples the predicted branch would take go to wrong; the labeled
+    branch is never disabled.
     """
     branches = np.full(w_r.shape[0], BRANCH_WRONG, dtype=np.int64)
     if cfg.disable_branch != "predicted":
         branches[w_prd >= cfg.tau_prd] = BRANCH_PREDICTED
-    labeled = BRANCH_WRONG if cfg.disable_branch == "labeled" else BRANCH_LABELED
-    branches[w_r >= cfg.tau_r] = labeled
+    branches[w_r >= cfg.tau_r] = BRANCH_LABELED
     return branches
 
 

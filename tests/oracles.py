@@ -202,13 +202,13 @@ def refine_label(y, p_b, w_r, w_prd, tau_r, tau_prd, rng):
 def partition_then_relabel(w_r, w_prd, cfg):
     """Branch codes decided one sample at a time in the fixed order
     (labeled iff w_r >= tau_r, else predicted iff w_prd >= tau_prd, else
-    wrong), then relabeled by the ablation: `disable_branch` makes that
-    branch's codes wrong."""
+    wrong), then relabeled by the ablation: `disable_branch: "predicted"`
+    makes that branch's codes wrong."""
     codes = [
         BRANCH_LABELED if r >= cfg.tau_r else BRANCH_PREDICTED if p >= cfg.tau_prd else BRANCH_WRONG
         for r, p in zip(w_r, w_prd)
     ]
-    disabled = {"labeled": BRANCH_LABELED, "predicted": BRANCH_PREDICTED}.get(cfg.disable_branch)
+    disabled = BRANCH_PREDICTED if cfg.disable_branch == "predicted" else None
     return np.array([BRANCH_WRONG if code == disabled else code for code in codes], dtype=np.int64)
 
 

@@ -166,12 +166,16 @@ class TestValidation:
     def test_the_noise_kind_and_the_disabled_branch_declare_their_options(self):
         assert {"noise_kind", "disable_branch"} <= {f.name for f in CHOICE_FIELDS}
 
+    # Values a field once took, beside the ones every field must reject.
+    FORMER_OPTIONS = {"noise_kind": ["sym-c2"], "disable_branch": ["labeled"]}
+
     @pytest.mark.parametrize("field", CHOICE_FIELDS, ids=lambda f: f.name)
     def test_every_choice_setting_takes_its_options_and_nothing_else(self, field):
         options = field.metadata["options"]
         for option in options:
             assert getattr(ExperimentConfig(**{field.name: option}), field.name) == option
         outside = ["no-such-option", list(options)] + ([] if None in options else [None])
+        outside += self.FORMER_OPTIONS.get(field.name, [])
         for value in outside:
             with pytest.raises(ConfigError) as info:
                 ExperimentConfig(**{field.name: value})

@@ -130,31 +130,6 @@ class TestSymmetricCriterion1:
         assert np.array_equal(a.noisy_labels, b.noisy_labels)
 
 
-class TestSymmetricCriterion2:
-    def test_rate_one_changes_every_label(self):
-        ds = blobs(n_classes=4, per_class=100)
-        noisy = corrupt(ds, "sym-c2", 1.0, seed=1)
-        assert np.all(noisy.noisy_labels != noisy.true_labels)
-
-    def test_rate_zero_is_identity(self):
-        ds = blobs()
-        noisy = corrupt(ds, "sym-c2", 0.0, seed=1)
-        assert np.array_equal(noisy.noisy_labels, noisy.true_labels)
-
-    def test_disagreement_is_exactly_the_rate(self):
-        ds = blobs(n_classes=4, per_class=2500)
-        noisy = corrupt(ds, "sym-c2", 0.4, seed=7)
-        assert int((noisy.noisy_labels != noisy.true_labels).sum()) == 4000
-
-    def test_replacement_labels_cover_other_classes(self):
-        ds = blobs(n_classes=5, per_class=500)
-        noisy = corrupt(ds, "sym-c2", 1.0, seed=9)
-        for c in range(5):
-            seen = set(noisy.noisy_labels[noisy.true_labels == c].tolist())
-            assert c not in seen
-            assert seen == set(range(5)) - {c}
-
-
 class TestAsymmetric:
     def test_rate_zero_is_identity(self):
         ds = blobs()
@@ -203,8 +178,6 @@ class TestNoiseDraws:
     DIGESTS = {
         ("sym-c1", 0.3, 5): "82e2dc29762bfbf32e9ee602ef67e9d0d3c34f0cb8c8f48b8ef669d590438295",
         ("sym-c1", 0.8, 123): "124d4c967b23ec83be9784b5b4b7aba583ac206795dad003388481e7a088eb87",
-        ("sym-c2", 0.3, 5): "a9f219459eb7b59d3e9f4bdbd6c6ee2571374776131c38327596a3ebe294fdec",
-        ("sym-c2", 0.8, 123): "b9f0e63080dceb5710e6aaa6e65c9eb72384122d80f093915f99422854c38384",
         ("asym", 0.3, 5): "7433d00d892dbf3f1be6d9a56a3e1754a300a821d623af14b6571d69a06f43c7",
         ("asym", 0.8, 123): "84912fc76ed2360507117e91086c4d3da0e8e637b1805eaaeab28bbb6504e48f",
     }
@@ -230,7 +203,7 @@ class TestNoiseSpecDispatch:
 
 
 @given(
-    kind=st.sampled_from(["sym-c1", "sym-c2", "asym"]),
+    kind=st.sampled_from(NOISE_KINDS),
     rate=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**31),
 )

@@ -12,14 +12,16 @@ import pytest
 
 from conftest import RUNS, load_runs
 from dstlab import lab, network
-from dstlab.config import benchmark_config
+from dstlab.config import benchmark_config, config_from_dict
 
 # Each subcommand's flags and defaults: those of the scripts it replaced,
-# baseline_oracle.py, reference_run.py and ablation_sweep.py.
+# baseline_oracle.py, reference_run.py and ablation_sweep.py, less their
+# `--noise-rate`. `reference` runs the benchmark config as it is, and
+# `ablation` runs at `ABLATION_NOISE_RATE`.
 FLAGS = {
     "baseline": {"out": None},
-    "reference": {"out": None, "noise_rate": None},
-    "ablation": {"out": None, "noise_rate": 0.8},
+    "reference": {"out": None},
+    "ablation": {"out": None},
 }
 
 
@@ -48,29 +50,8 @@ def test_flags_and_defaults_match_the_former_scripts():
         assert args.pop("command") == command
         assert args.pop("run").__name__ == command
         assert args == defaults
-    assert parser.parse_args(["ablation", "--noise-rate", "0.6", "--out", "x"]).noise_rate == 0.6
-    with pytest.raises(SystemExit):
-        parser.parse_args(["baseline", "--noise-rate", "0.6"])
-
-
-@pytest.mark.parametrize("command", ["reference", "ablation"])
-def test_an_out_of_range_noise_rate_is_a_config_error(command, tmp_path):
-    # As `dstlab run` reports it: one line, exit code 1, and no run begun.
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(
-        [sys.executable, str(RUNS), command, "--noise-rate", "1.5"],
-        cwd=tmp_path,
-        env={**env, "TMPDIR": str(scratch)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 1
-    assert done.stderr == "config error: noise_rate must be in [0, 1], got 1.5\n"
-    assert done.stdout == ""
-    assert list(scratch.iterdir()) == []
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--noise-rate", "0.6"])
 
 
 @pytest.mark.parametrize("command", list(FLAGS))
@@ -158,6 +139,22 @@ def test_reference_records_blas_threads_and_numpy_version(setter, tmp_path, monk
         ]
     )
     assert out["summary_digest"] == sha256_over([run_dir / "summary.json"])
+
+
+def test_ablation_runs_its_three_variants_at_its_noise_rate(tmp_path, monkeypatch):
+    runs = load_runs()
+    short = dict(per_class=40, test_per_class=10, total_epochs=3, warmup_epochs=1)
+    monkeypatch.setattr(runs, "benchmark_config", lambda **kw: benchmark_config(**short, **kw))
+    args = runs.build_parser().parse_args(["ablation", "--out", str(tmp_path)])
+    out = json.loads(json.dumps(runs.ablation(args)))
+    assert out["noise_rate"] == runs.ABLATION_NOISE_RATE == 0.8
+    variants = {"full": {}, "no_mixup": {"no_mixup": True}, "single_network": {"single_network": True}}
+    assert set(out["trailing_accuracy"]) == set(variants)
+    assert set(out["delta_vs_full"]) == {"no_mixup", "single_network"}
+    for name, flags in variants.items():
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        expected = benchmark_config(**short, noise_rate=0.8, **flags)
+        assert config_from_dict(manifest["config"]) == expected
 
 
 def test_branches_digest_reads_the_reports_without_their_mixture_fits(tmp_path):

@@ -683,17 +683,13 @@ class TestBranchAblation:
     # 0.5/0.5; the last is over tau_prd too.
     W_R = np.array([0.9, 0.2, 0.1, 0.9])
     W_PRD = np.array([0.1, 0.9, 0.2, 0.9])
-    ABLATIONS = [{}, {"disable_branch": "labeled"}, {"disable_branch": "predicted"}]
+    ABLATIONS = [{}, {"disable_branch": "predicted"}]
 
     def branches(self, **ablation):
         cfg = ExperimentConfig(**ablation)
         got = partition(self.W_R, self.W_PRD, cfg)
         np.testing.assert_array_equal(got, partition_then_relabel(self.W_R, self.W_PRD, cfg))
         return got.tolist()
-
-    def test_disable_labeled_reroutes_only_labeled(self):
-        out = self.branches(disable_branch="labeled")
-        assert out == [BRANCH_WRONG, BRANCH_PREDICTED, BRANCH_WRONG, BRANCH_WRONG]
 
     def test_disable_predicted_reroutes_only_predicted(self):
         out = self.branches(disable_branch="predicted")
@@ -707,15 +703,13 @@ class TestBranchAblation:
         "ablation, expected",
         [
             ({}, BRANCH_LABELED),
-            ({"disable_branch": "labeled"}, BRANCH_WRONG),
             ({"disable_branch": "predicted"}, BRANCH_LABELED),
         ],
-        ids=["none", "labeled", "predicted"],
+        ids=["none", "predicted"],
     )
     def test_row_over_both_thresholds(self, ablation, expected):
         # At taus 0.3/0.3 a row with w_r = w_prd = 0.4 clears both. Labeled
-        # takes it first, so disabling labeled sends it to wrong, not to
-        # predicted.
+        # takes it first, so disabling predicted leaves it labeled.
         cfg = ExperimentConfig(tau_r=0.3, tau_prd=0.3, **ablation)
         w = np.array([0.4])
         assert partition(w, w, cfg).tolist() == [expected]
@@ -863,9 +857,8 @@ class TestEpochLoopMatchesOracle:
             {"single_network": True},
             {"no_mixup": True},
             {"disable_branch": "predicted"},
-            {"disable_branch": "labeled"},
         ],
-        ids=["two-nets", "single-network", "no-mixup", "disable-predicted", "disable-labeled"],
+        ids=["two-nets", "single-network", "no-mixup", "disable-predicted"],
     )
     def test_ablations_with_a_one_row_last_batch(self, ablation):
         ds, results = self.run_both(8 * self.BATCH + 1, ablation)
